@@ -1,6 +1,7 @@
 package cardinality
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -495,5 +496,57 @@ func TestHLLReset(t *testing.T) {
 	}
 	if h.Estimate() != fresh.Estimate() {
 		t.Fatalf("reset %f != fresh %f", h.Estimate(), fresh.Estimate())
+	}
+}
+
+// Compact is the dense-to-sparse direction the sketch store uses at
+// bucket seal: the copy must be indistinguishable from its source — same
+// bytes, same estimate, same behaviour on either side of a merge and
+// under further updates — and is offered only while it costs under half
+// the registers.
+func TestHyperLogLogCompact(t *testing.T) {
+	dense, _ := NewHyperLogLog(10, 5)
+	for i := uint64(0); i < 40; i++ {
+		dense.UpdateUint64(i % 25)
+	}
+	sparse := dense.Compact()
+	if sparse == nil || !sparse.IsSparse() || sparse.Compact() != nil {
+		t.Fatal("a 25-item p=10 sketch must compact exactly once")
+	}
+	if 2*sparse.Bytes() >= dense.Bytes() {
+		t.Fatalf("sparse form %d bytes of %d", sparse.Bytes(), dense.Bytes())
+	}
+	same := func(a, b *HyperLogLog, what string) {
+		t.Helper()
+		ab, _ := a.MarshalBinary()
+		bb, _ := b.MarshalBinary()
+		if !bytes.Equal(ab, bb) || a.Estimate() != b.Estimate() || a.Items() != b.Items() {
+			t.Fatalf("%s: sparse and dense forms diverge", what)
+		}
+	}
+	same(sparse, dense, "compact copy")
+	// Further updates keep the forms in step, through the conversion back
+	// to registers (128 occupied of 1024 is where sparse stops paying).
+	for i := uint64(100); i < 400; i++ {
+		sparse.UpdateUint64(i)
+		dense.UpdateUint64(i)
+		same(sparse, dense, "after update")
+	}
+	if sparse.IsSparse() {
+		t.Fatal("300 more items should have converted the sketch to registers")
+	}
+	if dense.Compact() != nil {
+		t.Fatal("a sketch past the crossover compacted")
+	}
+	// Decode reuses a matching register array and leaves the sparse form.
+	recv, _ := NewSparseHLL(10, 5)
+	data, _ := dense.MarshalBinary()
+	if err := recv.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	same(recv, dense, "decode into a sparse receiver")
+	regs := &dense.registers[0]
+	if err := dense.UnmarshalBinary(data); err != nil || &dense.registers[0] != regs {
+		t.Fatalf("decode reallocated a register array of the right size (err %v)", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package cardinality implements the distinct-counting sketches surveyed in
 // the tutorial's "Estimating Cardinality" row of Table 1: Linear Counting,
 // Flajolet–Martin probabilistic counting (PCSA), Durand–Flajolet LogLog,
-// HyperLogLog (with a sparse small-cardinality mode following HLL++), KMV
+// HyperLogLog (with a sparse small-cardinality form following HLL++), KMV
 // bottom-k estimation, and a sliding-window HyperLogLog.
 //
 // All sketches hash items themselves (callers pass raw bytes or uint64
@@ -27,10 +27,13 @@ import (
 // Small cardinalities use linear counting over the same registers (the
 // standard bias correction), which is the practically important regime for
 // per-key audience counters; this mirrors the "HyperLogLog in practice"
-// engineering the survey cites.
+// engineering the survey cites. The same regime has a second
+// representation, the sparse form (sparse.go): only the occupied
+// registers, sorted. Every method answers identically in either form.
 type HyperLogLog struct {
 	precision uint8
-	registers []uint8
+	registers []uint8  // dense form: one rank per register; nil while sparse
+	sparse    []uint32 // sparse form: occupied registers as index<<8|rank, ascending
 	seed      uint64
 	items     uint64
 }
@@ -69,8 +72,14 @@ func (h *HyperLogLog) UpdateHash(hv uint64) {
 	h.items++
 	idx := hv >> (64 - h.precision)
 	rest := hv<<h.precision | 1<<(h.precision-1) // guard bit bounds the rank
-	rank := uint8(bits.LeadingZeros64(rest)) + 1
-	if rank > h.registers[idx] {
+	h.raise(uint32(idx), uint8(bits.LeadingZeros64(rest))+1)
+}
+
+// raise lifts register idx to at least rank, in whichever form h is in.
+func (h *HyperLogLog) raise(idx uint32, rank uint8) {
+	if h.registers == nil {
+		h.raiseSparse(idx, rank)
+	} else if rank > h.registers[idx] {
 		h.registers[idx] = rank
 	}
 }
@@ -88,18 +97,39 @@ func alpha(m int) float64 {
 	return 0.7213 / (1 + 1.079/float64(m))
 }
 
-// Estimate returns the estimated number of distinct items.
+// Estimate returns the estimated number of distinct items. It is computed
+// from the histogram of register ranks alone, so the dense and the sparse
+// form of the same registers return the same float64.
 func (h *HyperLogLog) Estimate() float64 {
-	m := float64(len(h.registers))
+	var hist [256]int // a rank is one byte
+	if h.registers != nil {
+		// Eight registers at a time: the merged result of a few small
+		// buckets is mostly zero words, and counting those one by one
+		// would chain every increment of hist[0] on the one before.
+		for base := 0; base < len(h.registers); base += 8 {
+			if binary.LittleEndian.Uint64(h.registers[base:]) == 0 {
+				hist[0] += 8
+				continue
+			}
+			for _, r := range h.registers[base : base+8] {
+				hist[r]++
+			}
+		}
+	} else {
+		for _, e := range h.sparse {
+			hist[uint8(e)]++
+		}
+		hist[0] = h.m() - len(h.sparse)
+	}
+	m := float64(h.m())
 	sum := 0.0
-	zeros := 0
-	for _, r := range h.registers {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
+	for r, n := range hist {
+		if n > 0 {
+			sum += math.Ldexp(float64(n), -r)
 		}
 	}
-	raw := alpha(len(h.registers)) * m * m / sum
+	zeros := hist[0]
+	raw := alpha(h.m()) * m * m / sum
 	// Small-range correction: linear counting when many registers are empty.
 	if raw <= 2.5*m && zeros > 0 {
 		return m * math.Log(m/float64(zeros))
@@ -110,29 +140,50 @@ func (h *HyperLogLog) Estimate() float64 {
 // Items returns the number of updates absorbed.
 func (h *HyperLogLog) Items() uint64 { return h.items }
 
-// Reset returns the sketch to its freshly-constructed state, reusing the
-// register array. Zeroing 2^precision bytes in place is far cheaper than
+// Precision returns log2 of the register count.
+func (h *HyperLogLog) Precision() uint8 { return h.precision }
+
+// Seed returns the hash seed; sketches merge only under equal seeds.
+func (h *HyperLogLog) Seed() uint64 { return h.seed }
+
+// Reset empties the sketch in its current form, reusing the register
+// array. Zeroing 2^precision bytes in place is far cheaper than
 // allocating (and later garbage-collecting) a replacement, which is what
-// makes pooling HLL buckets worthwhile for high-churn callers like the
-// sketch store's splayed hot keys.
+// makes recycling HLL buckets worthwhile for high-churn callers like the
+// sketch store's bucket rings.
 func (h *HyperLogLog) Reset() {
 	clear(h.registers)
+	h.sparse = h.sparse[:0]
 	h.items = 0
 }
 
-// Bytes returns the register array footprint.
-func (h *HyperLogLog) Bytes() int { return len(h.registers) + 16 }
+// m is the register count.
+func (h *HyperLogLog) m() int { return 1 << h.precision }
+
+// Bytes returns the footprint of the form the sketch is in: the register
+// array, or the sparse entries.
+func (h *HyperLogLog) Bytes() int { return len(h.registers) + sparseEntryBytes*len(h.sparse) + 16 }
 
 // Merge folds another HLL into h. Both must share precision and seed;
 // merging is register-wise max and is exactly equivalent to having streamed
-// the union.
+// the union. A sparse other costs its occupied registers, not 2^precision;
+// other is only read, whichever form it is in.
 func (h *HyperLogLog) Merge(other *HyperLogLog) error {
 	if other == nil || h.precision != other.precision || h.seed != other.seed {
 		return core.ErrIncompatible
 	}
-	for i, r := range other.registers {
-		if r > h.registers[i] {
-			h.registers[i] = r
+	if other.registers == nil {
+		for _, e := range other.sparse {
+			h.raise(e>>8, uint8(e))
+		}
+	} else {
+		if h.registers == nil {
+			h.expand()
+		}
+		for i, r := range other.registers {
+			if r > h.registers[i] {
+				h.registers[i] = r
+			}
 		}
 	}
 	h.items += other.items
@@ -140,16 +191,26 @@ func (h *HyperLogLog) Merge(other *HyperLogLog) error {
 }
 
 // MarshalBinary encodes the sketch: [precision][seed][items][registers...].
+// The layout is the dense one in either form, so equal sketches marshal
+// to equal bytes however they are held.
 func (h *HyperLogLog) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 1+8+8+len(h.registers))
+	out := make([]byte, 1+8+8+h.m())
 	out[0] = h.precision
 	binary.LittleEndian.PutUint64(out[1:], h.seed)
 	binary.LittleEndian.PutUint64(out[9:], h.items)
-	copy(out[17:], h.registers)
+	if h.registers != nil {
+		copy(out[17:], h.registers)
+	} else {
+		for _, e := range h.sparse {
+			out[17+e>>8] = uint8(e)
+		}
+	}
 	return out, nil
 }
 
-// UnmarshalBinary decodes a sketch previously encoded with MarshalBinary.
+// UnmarshalBinary decodes a sketch previously encoded with MarshalBinary
+// into the dense form, reusing the receiver's register array when it
+// already has the encoded size.
 func (h *HyperLogLog) UnmarshalBinary(data []byte) error {
 	if len(data) < 17 {
 		return core.ErrCorrupt
@@ -161,12 +222,15 @@ func (h *HyperLogLog) UnmarshalBinary(data []byte) error {
 	h.precision = p
 	h.seed = binary.LittleEndian.Uint64(data[1:])
 	h.items = binary.LittleEndian.Uint64(data[9:])
-	h.registers = make([]uint8, 1<<p)
+	if len(h.registers) != 1<<p {
+		h.registers = make([]uint8, 1<<p)
+	}
+	h.sparse = nil
 	copy(h.registers, data[17:])
 	return nil
 }
 
 // StdError returns the theoretical relative standard error 1.04/sqrt(m).
 func (h *HyperLogLog) StdError() float64 {
-	return 1.04 / math.Sqrt(float64(len(h.registers)))
+	return 1.04 / math.Sqrt(float64(h.m()))
 }

@@ -1,170 +1,123 @@
 package cardinality
 
 import (
-	"math"
-	"sort"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/hashutil"
 )
 
-// SparseHLL is the HLL++ small-cardinality representation: until the number
-// of occupied registers justifies the dense array, it stores (index, rank)
-// pairs in a compact sorted list, giving exact-ish counting at a fraction of
-// the dense footprint. Once the sparse form would exceed the dense form it
-// converts automatically.
-//
-// This is the dense/sparse crossover the survey cites from "HyperLogLog in
-// practice" (Heule et al.), and the ablation experiment in bench_test.go
-// measures exactly where the crossover pays off.
-type SparseHLL struct {
-	precision uint8
-	seed      uint64
-	items     uint64
+// sparse.go is the HyperLogLog's second representation: while few
+// registers are occupied, the sketch holds only those, as sorted packed
+// index<<8|rank entries — the dense/sparse crossover the survey cites
+// from "HyperLogLog in practice" (Heule et al.). A sketch is held sparse
+// only while that costs under half the dense register array; the form is
+// chosen from the occupancy alone, never by the caller. The ablation
+// experiment A2 measures where the crossover pays off.
 
-	sparse map[uint32]uint8 // register index -> rank, while sparse
-	dense  *HyperLogLog     // non-nil after conversion
-}
+// sparseEntryBytes is the footprint of one sparse entry.
+const sparseEntryBytes = 4
 
-// NewSparseHLL returns an HLL++-style sketch with automatic sparse-to-dense
-// conversion at the standard threshold (sparse footprint > dense footprint).
+// sparseFits reports whether n occupied registers are worth holding
+// sparse: the entries must take less than half the dense array.
+func (h *HyperLogLog) sparseFits(n int) bool { return 2*sparseEntryBytes*n < h.m() }
+
+// SparseHLL is a HyperLogLog that starts in the sparse form and converts
+// to dense registers by itself once the sparse form stops paying off.
+type SparseHLL = HyperLogLog
+
+// NewSparseHLL returns an empty HLL with 2^precision registers in the
+// sparse form: near-exact counting at a fraction of the dense footprint
+// for small cardinalities. Precision must be in [4, 18].
 func NewSparseHLL(precision uint8, seed uint64) (*SparseHLL, error) {
 	if precision < 4 || precision > 18 {
 		return nil, core.Errf("SparseHLL", "precision", "%d not in [4,18]", precision)
 	}
-	return &SparseHLL{precision: precision, seed: seed, sparse: make(map[uint32]uint8)}, nil
+	return &HyperLogLog{precision: precision, seed: seed}, nil
 }
 
-// Update adds an item.
-func (s *SparseHLL) Update(item []byte) { s.UpdateHash(hashutil.Sum64(item, s.seed)) }
+// Compact returns a sparse-form copy of a dense sketch whose occupancy is
+// low enough for it (see sparseFits), and nil otherwise — for a sketch
+// that is already sparse, too. The copy shares nothing with h, so a
+// holder of history can keep the copy and reuse h.
+func (h *HyperLogLog) Compact() *HyperLogLog {
+	if h.registers == nil {
+		return nil
+	}
+	// Both passes take eight registers per step, free of per-register
+	// branches: seals run under a shard's write lock, and at the
+	// occupancies that compact a register-by-register test mispredicts.
+	n := 0
+	for base := 0; base < len(h.registers); base += 8 {
+		n += bits.OnesCount64(occupied(binary.LittleEndian.Uint64(h.registers[base:])))
+	}
+	if !h.sparseFits(n) {
+		return nil
+	}
+	c := &HyperLogLog{precision: h.precision, seed: h.seed, items: h.items, sparse: make([]uint32, 0, n)}
+	for base := 0; base < len(h.registers); base += 8 {
+		word := binary.LittleEndian.Uint64(h.registers[base:])
+		for occ := occupied(word); occ != 0; occ &= occ - 1 {
+			i := bits.TrailingZeros64(occ) / 8
+			c.sparse = append(c.sparse, uint32(base+i)<<8|uint32(uint8(word>>(8*i))))
+		}
+	}
+	return c
+}
 
-// UpdateUint64 adds an integer item.
-func (s *SparseHLL) UpdateUint64(x uint64) { s.UpdateHash(hashutil.Sum64Uint64(x, s.seed)) }
+// occupied marks the non-zero bytes of word: bit 8i+7 of the result is set
+// exactly when byte i of word is non-zero.
+func occupied(word uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	return ((word&low7 + low7) | word) &^ low7
+}
 
-// UpdateHash adds a pre-hashed item.
-func (s *SparseHLL) UpdateHash(hv uint64) {
-	s.items++
-	if s.dense != nil {
-		s.dense.UpdateHash(hv)
+// IsSparse reports whether the sketch is in its sparse representation.
+func (h *HyperLogLog) IsSparse() bool { return h.registers == nil }
+
+// raiseSparse is the sparse form's register update: raise register idx to
+// rank, inserting it in order if it was empty, and convert to the dense
+// form when the entries stop fitting.
+func (h *HyperLogLog) raiseSparse(idx uint32, rank uint8) {
+	// Ranks are at least 1, so idx<<8 sorts just before idx's own entry.
+	i, _ := slices.BinarySearch(h.sparse, idx<<8)
+	if i < len(h.sparse) && h.sparse[i]>>8 == idx {
+		if rank > uint8(h.sparse[i]) {
+			h.sparse[i] = idx<<8 | uint32(rank)
+		}
 		return
 	}
-	idx := uint32(hv >> (64 - s.precision))
-	rest := hv<<s.precision | 1<<(s.precision-1)
-	rank := uint8(leadingZeros(rest)) + 1
-	if rank > s.sparse[idx] {
-		s.sparse[idx] = rank
-	}
-	// Each sparse entry costs ~(4+1) bytes plus map overhead (~16B); convert
-	// when that passes the dense register array.
-	if len(s.sparse)*20 > (1 << s.precision) {
-		s.toDense()
+	h.sparse = slices.Insert(h.sparse, i, idx<<8|uint32(rank))
+	if !h.sparseFits(len(h.sparse)) {
+		h.expand()
 	}
 }
 
-func leadingZeros(x uint64) int {
-	n := 0
-	for ; x&(1<<63) == 0 && n < 64; n++ {
-		x <<= 1
+// expand converts the sparse form to dense registers in place.
+func (h *HyperLogLog) expand() {
+	h.registers = make([]uint8, h.m())
+	for _, e := range h.sparse {
+		h.registers[e>>8] = uint8(e)
 	}
-	return n
-}
-
-func (s *SparseHLL) toDense() {
-	d, err := NewHyperLogLog(s.precision, s.seed)
-	if err != nil {
-		// precision was validated at construction; unreachable.
-		panic(err)
-	}
-	for idx, rank := range s.sparse {
-		if rank > d.registers[idx] {
-			d.registers[idx] = rank
-		}
-	}
-	d.items = s.items
-	s.dense = d
-	s.sparse = nil
-}
-
-// IsSparse reports whether the sketch is still in its sparse representation.
-func (s *SparseHLL) IsSparse() bool { return s.dense == nil }
-
-// Estimate returns the estimated distinct count. In sparse mode it uses
-// linear counting over the virtual register file, which is near-exact at
-// these cardinalities.
-func (s *SparseHLL) Estimate() float64 {
-	if s.dense != nil {
-		return s.dense.Estimate()
-	}
-	m := float64(uint64(1) << s.precision)
-	zeros := m - float64(len(s.sparse))
-	if zeros <= 0 {
-		zeros = 1
-	}
-	return m * math.Log(m/zeros)
-}
-
-// Items returns the number of updates absorbed.
-func (s *SparseHLL) Items() uint64 { return s.items }
-
-// Bytes returns the current footprint (sparse entries or dense registers).
-func (s *SparseHLL) Bytes() int {
-	if s.dense != nil {
-		return s.dense.Bytes()
-	}
-	return len(s.sparse)*20 + 24
-}
-
-// Merge folds another SparseHLL into s, converting to dense if either side
-// already has.
-func (s *SparseHLL) Merge(other *SparseHLL) error {
-	if other == nil || s.precision != other.precision || s.seed != other.seed {
-		return core.ErrIncompatible
-	}
-	if s.dense == nil && other.dense == nil {
-		for idx, rank := range other.sparse {
-			if rank > s.sparse[idx] {
-				s.sparse[idx] = rank
-			}
-		}
-		s.items += other.items
-		if len(s.sparse)*20 > (1 << s.precision) {
-			s.toDense()
-		}
-		return nil
-	}
-	if s.dense == nil {
-		s.toDense()
-	}
-	if other.dense != nil {
-		return s.dense.Merge(other.dense)
-	}
-	// Fold other's sparse entries into our dense registers.
-	for idx, rank := range other.sparse {
-		if rank > s.dense.registers[idx] {
-			s.dense.registers[idx] = rank
-		}
-	}
-	s.dense.items += other.items
-	s.items = s.dense.items
-	return nil
-}
-
-// SortedEntries returns the sparse entries sorted by register index, for
-// deterministic serialization and tests. Returns nil once dense.
-func (s *SparseHLL) SortedEntries() []SparseEntry {
-	if s.dense != nil {
-		return nil
-	}
-	out := make([]SparseEntry, 0, len(s.sparse))
-	for idx, rank := range s.sparse {
-		out = append(out, SparseEntry{Index: idx, Rank: rank})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
+	h.sparse = nil
 }
 
 // SparseEntry is one occupied register in sparse mode.
 type SparseEntry struct {
 	Index uint32
 	Rank  uint8
+}
+
+// SortedEntries returns the sparse entries in register order, for tests
+// and inspection. Returns nil once dense.
+func (h *HyperLogLog) SortedEntries() []SparseEntry {
+	if h.registers != nil {
+		return nil
+	}
+	out := make([]SparseEntry, len(h.sparse))
+	for i, e := range h.sparse {
+		out[i] = SparseEntry{Index: e >> 8, Rank: uint8(e)}
+	}
+	return out
 }

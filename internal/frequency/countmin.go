@@ -15,6 +15,8 @@
 package frequency
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -25,14 +27,34 @@ import (
 // each row hashes items independently; a point query returns the minimum
 // across rows, overestimating the true count by at most eps*N with
 // probability 1-delta for width=e/eps, depth=ln(1/delta).
+//
+// A sketch that has absorbed little holds mostly zeros, so it has a
+// second, read-mostly representation: Compact returns a copy holding only
+// the non-zero cells, sorted. Every method answers identically in either
+// form; the first update to a sparse sketch converts it back.
 type CountMin struct {
 	width        int
 	depth        int
-	counts       [][]uint64
+	counts       [][]uint64 // dense form: depth rows of width counters; nil while sparse
+	sparse       []cmCell   // sparse form: the non-zero counters, ascending by cell
 	fam          hashutil.Family
 	n            uint64
 	conservative bool
 }
+
+// cmCell is one non-zero counter of the sparse form; cell is the
+// counter's row-major position, row*width + column.
+type cmCell struct {
+	cell  uint64
+	count uint64
+}
+
+// cmCellBytes is the footprint of one sparse entry.
+const cmCellBytes = 16
+
+// sparseFits reports whether n non-zero counters are worth holding
+// sparse: the entries must take less than half the counter matrix.
+func (cm *CountMin) sparseFits(n int) bool { return 2*cmCellBytes*n < 8*cm.width*cm.depth }
 
 // NewCountMin returns a sketch with the given width and depth.
 func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
@@ -42,11 +64,69 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 	if depth <= 0 {
 		return nil, core.Errf("CountMin", "depth", "%d must be positive", depth)
 	}
-	counts := make([][]uint64, depth)
+	cm := &CountMin{width: width, depth: depth, fam: hashutil.NewFamily(seed)}
+	cm.counts = cm.newRows()
+	return cm, nil
+}
+
+func (cm *CountMin) newRows() [][]uint64 {
+	counts := make([][]uint64, cm.depth)
 	for i := range counts {
-		counts[i] = make([]uint64, width)
+		counts[i] = make([]uint64, cm.width)
 	}
-	return &CountMin{width: width, depth: depth, counts: counts, fam: hashutil.NewFamily(seed)}, nil
+	return counts
+}
+
+// Compact returns a sparse-form copy of a dense sketch when that copy
+// takes less than half the counter matrix, and nil otherwise — for a
+// sketch that is already sparse, too. The copy shares nothing with cm, so
+// a holder of history can keep the copy and reuse cm.
+func (cm *CountMin) Compact() *CountMin {
+	if cm.counts == nil {
+		return nil
+	}
+	// Count first, row by row, so a busy sketch is turned away without
+	// allocating.
+	n := 0
+	for _, row := range cm.counts {
+		for _, c := range row {
+			n += int((c | -c) >> 63) // 1 when c != 0, branch-free
+		}
+		if !cm.sparseFits(n) {
+			return nil
+		}
+	}
+	out := &CountMin{width: cm.width, depth: cm.depth, fam: cm.fam, n: cm.n, conservative: cm.conservative}
+	out.sparse = make([]cmCell, 0, n)
+	for d, row := range cm.counts {
+		for w, c := range row {
+			if c != 0 {
+				out.sparse = append(out.sparse, cmCell{cell: uint64(d*cm.width + w), count: c})
+			}
+		}
+	}
+	return out
+}
+
+// rows returns the counter matrix: the sketch's own in the dense form, a
+// temporary one built from the entries in the sparse form. cm is only
+// read.
+func (cm *CountMin) rows() [][]uint64 {
+	if cm.counts != nil {
+		return cm.counts
+	}
+	counts := cm.newRows()
+	for _, e := range cm.sparse {
+		counts[e.cell/uint64(cm.width)][e.cell%uint64(cm.width)] = e.count
+	}
+	return counts
+}
+
+// expand converts the sparse form to the dense one in place.
+func (cm *CountMin) expand() {
+	if cm.counts == nil {
+		cm.counts, cm.sparse = cm.rows(), nil
+	}
 }
 
 // NewCountMinWithError returns a sketch sized for additive error eps*N with
@@ -84,6 +164,7 @@ func (cm *CountMin) UpdateString(item string, count uint64) {
 }
 
 func (cm *CountMin) updateHashed(h1, h2 uint64, count uint64) {
+	cm.expand()
 	cm.n += count
 	if !cm.conservative {
 		for d := 0; d < cm.depth; d++ {
@@ -115,7 +196,16 @@ func (cm *CountMin) Estimate(item []byte) uint64 {
 	est := ^uint64(0)
 	for d := 0; d < cm.depth; d++ {
 		idx := hashutil.DoubleHash(h1, h2, uint(d)) % uint64(cm.width)
-		if v := cm.counts[d][idx]; v < est {
+		var v uint64
+		if cm.counts != nil {
+			v = cm.counts[d][idx]
+		} else {
+			cell := uint64(d*cm.width) + idx
+			if i, ok := slices.BinarySearchFunc(cm.sparse, cell, func(e cmCell, c uint64) int { return cmp.Compare(e.cell, c) }); ok {
+				v = cm.sparse[i].count
+			}
+		}
+		if v < est {
 			est = v
 		}
 	}
@@ -128,13 +218,14 @@ func (cm *CountMin) EstimateString(item string) uint64 { return cm.Estimate([]by
 // Items returns the total count mass absorbed.
 func (cm *CountMin) Items() uint64 { return cm.n }
 
-// Reset returns the sketch to its freshly-constructed state, reusing the
-// counter matrix, so epoch- or bucket-scoped callers can recycle sketches
-// instead of reallocating width x depth counters.
+// Reset empties the sketch in its current form, reusing the counter
+// matrix, so epoch- or bucket-scoped callers can recycle sketches instead
+// of reallocating width x depth counters.
 func (cm *CountMin) Reset() {
 	for i := range cm.counts {
 		clear(cm.counts[i])
 	}
+	cm.sparse = cm.sparse[:0]
 	cm.n = 0
 }
 
@@ -144,11 +235,19 @@ func (cm *CountMin) Width() int { return cm.width }
 // Depth returns the sketch's row count.
 func (cm *CountMin) Depth() int { return cm.depth }
 
-// Bytes returns the counter-matrix footprint.
-func (cm *CountMin) Bytes() int { return cm.width*cm.depth*8 + 32 }
+// Bytes returns the footprint of the form the sketch is in: the counter
+// matrix, or the sparse entries.
+func (cm *CountMin) Bytes() int {
+	if cm.counts == nil {
+		return len(cm.sparse)*cmCellBytes + 32
+	}
+	return cm.width*cm.depth*8 + 32
+}
 
 // Merge adds another sketch cell-wise. Conservative sketches refuse to
-// merge: cell-wise addition would overstate their tightened counts.
+// merge: cell-wise addition would overstate their tightened counts. A
+// sparse other costs its non-zero cells, not width x depth; other is only
+// read, whichever form it is in.
 func (cm *CountMin) Merge(other *CountMin) error {
 	if other == nil || cm.width != other.width || cm.depth != other.depth || cm.fam != other.fam {
 		return core.ErrIncompatible
@@ -156,9 +255,20 @@ func (cm *CountMin) Merge(other *CountMin) error {
 	if cm.conservative || other.conservative {
 		return core.ErrIncompatible
 	}
-	for d := range cm.counts {
-		for w := range cm.counts[d] {
-			cm.counts[d][w] += other.counts[d][w]
+	cm.expand()
+	if other.counts == nil {
+		d, base := 0, uint64(0) // row of the current entry and its first cell
+		for _, e := range other.sparse {
+			for e.cell >= base+uint64(cm.width) {
+				d, base = d+1, base+uint64(cm.width)
+			}
+			cm.counts[d][e.cell-base] += e.count
+		}
+	} else {
+		for d := range cm.counts {
+			for w := range cm.counts[d] {
+				cm.counts[d][w] += other.counts[d][w]
+			}
 		}
 	}
 	cm.n += other.n
@@ -172,11 +282,12 @@ func (cm *CountMin) InnerProduct(other *CountMin) (uint64, error) {
 	if other == nil || cm.width != other.width || cm.depth != other.depth || cm.fam != other.fam {
 		return 0, core.ErrIncompatible
 	}
+	a, b := cm.rows(), other.rows()
 	best := ^uint64(0)
 	for d := 0; d < cm.depth; d++ {
 		var dot uint64
 		for w := 0; w < cm.width; w++ {
-			dot += cm.counts[d][w] * other.counts[d][w]
+			dot += a[d][w] * b[d][w]
 		}
 		if dot < best {
 			best = dot

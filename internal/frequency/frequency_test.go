@@ -1,10 +1,14 @@
 package frequency
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -779,5 +783,93 @@ func TestCountMinReset(t *testing.T) {
 	cm.UpdateString("x", 3)
 	if c := cm.EstimateString("x"); c != 3 {
 		t.Fatalf("post-reset update counted %d, want 3", c)
+	}
+}
+
+// A header claiming width 2^31 x depth 2^30 wraps an int size check to
+// zero, so 29 bytes used to pass it and UnmarshalCountMin went on to
+// allocate the claimed matrix. The size is checked in uint64 against the
+// bytes present, before anything is allocated.
+func TestCountMinUnmarshalRejectsWrappingGeometry(t *testing.T) {
+	hostile := make([]byte, cmHeaderSize)
+	binary.LittleEndian.PutUint32(hostile[0:], cmMagic)
+	binary.LittleEndian.PutUint32(hostile[4:], 1<<31)
+	binary.LittleEndian.PutUint32(hostile[8:], 1<<30)
+	if _, err := UnmarshalCountMin(hostile, 1); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("UnmarshalCountMin of a wrapping header: %v, want ErrCorrupt", err)
+	}
+	cm, _ := NewCountMin(4, 2, 1)
+	if err := cm.UnmarshalBinary(hostile); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("UnmarshalBinary of a wrapping header: %v, want ErrCorrupt", err)
+	}
+	// A body that is not a whole number of counters is corrupt too.
+	good, _ := cm.MarshalBinary()
+	if err := cm.UnmarshalBinary(good[:len(good)-3]); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("ragged body: %v, want ErrCorrupt", err)
+	}
+}
+
+// The sparse form is a representation, not a different sketch: what the
+// store's property tests pin through its adapters (bytes, estimates,
+// merges) holds here for the operations only this package reaches —
+// InnerProduct, in-place updates, Reset and decode into a sparse receiver.
+func TestCountMinSparseForm(t *testing.T) {
+	dense, _ := NewCountMin(64, 4, 9)
+	for i := 0; i < 6; i++ {
+		dense.UpdateString(fmt.Sprintf("k%d", i), uint64(1+i))
+	}
+	sparse := dense.Compact()
+	if sparse == nil || sparse.Compact() != nil {
+		t.Fatal("a 6-item 64x4 sketch must compact exactly once")
+	}
+	if 2*sparse.Bytes() >= dense.Bytes() {
+		t.Fatalf("sparse form %d bytes of %d", sparse.Bytes(), dense.Bytes())
+	}
+	other, _ := NewCountMin(64, 4, 9)
+	other.UpdateString("k1", 5)
+	other.UpdateString("zz", 2)
+	cross, _ := dense.InnerProduct(other)
+	self, _ := dense.InnerProduct(dense)
+	for _, c := range []struct {
+		name string
+		a, b *CountMin
+		want uint64
+	}{
+		{"sparse.dense", sparse, other, cross},
+		{"dense.sparse", other, sparse, cross},
+		{"sparse.sparse", sparse, dense.Compact(), self},
+	} {
+		if got, err := c.a.InnerProduct(c.b); err != nil || got != c.want {
+			t.Fatalf("%s inner product %d (%v), want %d", c.name, got, err, c.want)
+		}
+	}
+	// An update converts the sketch back in place and counts on.
+	sparse.UpdateString("k0", 10)
+	dense.UpdateString("k0", 10)
+	a, _ := sparse.MarshalBinary()
+	b, _ := dense.MarshalBinary()
+	if !bytes.Equal(a, b) {
+		t.Fatal("update of a sparse sketch diverged from the dense one")
+	}
+	// Decode into a sparse receiver, and Reset of one.
+	recv := dense.Compact()
+	if err := recv.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := recv.MarshalBinary(); !bytes.Equal(got, b) {
+		t.Fatal("decode into a sparse receiver lost counters")
+	}
+	empty := dense.Compact()
+	empty.Reset()
+	if empty.Items() != 0 || empty.EstimateString("k0") != 0 {
+		t.Fatal("Reset left counts in a sparse sketch")
+	}
+	// Too full to pay: a quarter of the cells occupied is the limit.
+	full, _ := NewCountMin(8, 2, 9)
+	for i := 0; i < 40; i++ {
+		full.UpdateString(fmt.Sprintf("k%d", i), 1)
+	}
+	if full.Compact() != nil {
+		t.Fatal("a saturated sketch compacted")
 	}
 }

@@ -19,12 +19,16 @@ const cmMagic = 0x434d534b // "CMSK"
 
 const cmFlagConservative = 1
 
+const cmHeaderSize = 4 + 4 + 4 + 1 + 8 + 8
+
 // MarshalBinary encodes the sketch. The sketch's hash family is derived
 // from its construction seed, which the caller must supply again on
 // decode (UnmarshalInto), matching the mergeable-sketch deployment model:
-// all parties share (seed, width, depth) as configuration.
+// all parties share (seed, width, depth) as configuration. The layout is
+// the dense one in either form, so equal sketches marshal to equal bytes
+// however they are held.
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4+4+4+1+8+8+cm.width*cm.depth*8)
+	out := make([]byte, cmHeaderSize+cm.width*cm.depth*8)
 	binary.LittleEndian.PutUint32(out[0:], cmMagic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(cm.width))
 	binary.LittleEndian.PutUint32(out[8:], uint32(cm.depth))
@@ -33,14 +37,34 @@ func (cm *CountMin) MarshalBinary() ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint64(out[13:], cm.n)
 	binary.LittleEndian.PutUint64(out[21:], cm.fam.Seed(0))
-	pos := 29
-	for d := 0; d < cm.depth; d++ {
-		for w := 0; w < cm.width; w++ {
-			binary.LittleEndian.PutUint64(out[pos:], cm.counts[d][w])
+	pos := cmHeaderSize
+	for _, row := range cm.counts {
+		for _, c := range row {
+			binary.LittleEndian.PutUint64(out[pos:], c)
 			pos += 8
 		}
 	}
+	for _, e := range cm.sparse {
+		binary.LittleEndian.PutUint64(out[cmHeaderSize+e.cell*8:], e.count)
+	}
 	return out, nil
+}
+
+// cmGeometry validates the header of an encoded sketch and returns its
+// width and depth. The body length is checked against width x depth in
+// uint64 arithmetic — two 32-bit factors cannot wrap it — so the bytes
+// present bound whatever a caller allocates for them.
+func cmGeometry(data []byte) (width, depth int, err error) {
+	if len(data) < cmHeaderSize || binary.LittleEndian.Uint32(data[0:]) != cmMagic {
+		return 0, 0, core.ErrCorrupt
+	}
+	w := uint64(binary.LittleEndian.Uint32(data[4:]))
+	d := uint64(binary.LittleEndian.Uint32(data[8:]))
+	body := uint64(len(data) - cmHeaderSize)
+	if w == 0 || d == 0 || body%8 != 0 || w*d != body/8 {
+		return 0, 0, core.ErrCorrupt
+	}
+	return int(w), int(d), nil
 }
 
 // UnmarshalBinary decodes into the receiver, which must already be
@@ -50,13 +74,9 @@ func (cm *CountMin) MarshalBinary() ([]byte, error) {
 // A width/depth mismatch or a different hash family is ErrIncompatible,
 // not silently-wrong estimates.
 func (cm *CountMin) UnmarshalBinary(data []byte) error {
-	if len(data) < 29 || binary.LittleEndian.Uint32(data[0:]) != cmMagic {
-		return core.ErrCorrupt
-	}
-	width := int(binary.LittleEndian.Uint32(data[4:]))
-	depth := int(binary.LittleEndian.Uint32(data[8:]))
-	if width <= 0 || depth <= 0 || len(data) != 29+width*depth*8 {
-		return core.ErrCorrupt
+	width, depth, err := cmGeometry(data)
+	if err != nil {
+		return err
 	}
 	if width != cm.width || depth != cm.depth {
 		return core.ErrIncompatible
@@ -64,12 +84,13 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	if binary.LittleEndian.Uint64(data[21:]) != cm.fam.Seed(0) {
 		return core.ErrIncompatible
 	}
+	cm.expand()
 	cm.conservative = data[12]&cmFlagConservative != 0
 	cm.n = binary.LittleEndian.Uint64(data[13:])
-	pos := 29
-	for d := 0; d < depth; d++ {
-		for w := 0; w < width; w++ {
-			cm.counts[d][w] = binary.LittleEndian.Uint64(data[pos:])
+	pos := cmHeaderSize
+	for _, row := range cm.counts {
+		for w := range row {
+			row[w] = binary.LittleEndian.Uint64(data[pos:])
 			pos += 8
 		}
 	}
@@ -81,32 +102,16 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 // and rejected, because a sketch queried under the wrong hash family
 // silently returns garbage.
 func UnmarshalCountMin(data []byte, seed uint64) (*CountMin, error) {
-	if len(data) < 29 {
-		return nil, core.ErrCorrupt
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != cmMagic {
-		return nil, core.ErrCorrupt
-	}
-	width := int(binary.LittleEndian.Uint32(data[4:]))
-	depth := int(binary.LittleEndian.Uint32(data[8:]))
-	if width <= 0 || depth <= 0 || len(data) != 29+width*depth*8 {
-		return nil, core.ErrCorrupt
+	width, depth, err := cmGeometry(data)
+	if err != nil {
+		return nil, err
 	}
 	cm, err := NewCountMin(width, depth, seed)
 	if err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(data[21:]) != cm.fam.Seed(0) {
-		return nil, core.ErrIncompatible
-	}
-	cm.conservative = data[12]&cmFlagConservative != 0
-	cm.n = binary.LittleEndian.Uint64(data[13:])
-	pos := 29
-	for d := 0; d < depth; d++ {
-		for w := 0; w < width; w++ {
-			cm.counts[d][w] = binary.LittleEndian.Uint64(data[pos:])
-			pos += 8
-		}
+	if err := cm.UnmarshalBinary(data); err != nil {
+		return nil, err
 	}
 	return cm, nil
 }

@@ -1,7 +1,9 @@
 package quantile
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -50,19 +52,28 @@ func (q *QDigest) Update(v uint64, w uint64) {
 	}
 }
 
+// idScratch recycles the node-id slices Compress sorts: a range query
+// compresses its merge target once per bucket, and the target keeps
+// nothing of the slice afterwards.
+var idScratch = sync.Pool{New: func() any { return new([]uint64) }}
+
 // Compress restores the q-digest invariant by pushing small counts upward.
 func (q *QDigest) Compress() {
 	if q.n == 0 {
 		return
 	}
 	threshold := q.n / q.k
-	// Process nodes from deepest level upward.
-	ids := make([]uint64, 0, len(q.counts))
+	// Process nodes from deepest level upward: descending id order.
+	scratch := idScratch.Get().(*[]uint64)
+	defer idScratch.Put(scratch)
+	ids := (*scratch)[:0]
 	for id := range q.counts {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
-	for _, id := range ids {
+	*scratch = ids
+	slices.Sort(ids)
+	for i := len(ids) - 1; i >= 0; i-- {
+		id := ids[i]
 		if id <= 1 {
 			continue
 		}
@@ -109,12 +120,9 @@ func (q *QDigest) Query(phi float64) uint64 {
 		lo, hi := q.spanOf(id)
 		nodes = append(nodes, nodeRange{id: id, lo: lo, hi: hi, count: c})
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].hi != nodes[j].hi {
-			return nodes[i].hi < nodes[j].hi
-		}
+	slices.SortFunc(nodes, func(a, b nodeRange) int {
 		// Smaller span (deeper node) first when right edges tie.
-		return nodes[i].lo > nodes[j].lo
+		return cmp.Or(cmp.Compare(a.hi, b.hi), cmp.Compare(b.lo, a.lo))
 	})
 	var acc float64
 	for _, nd := range nodes {

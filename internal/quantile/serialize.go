@@ -9,7 +9,7 @@ package quantile
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -30,7 +30,7 @@ func (q *QDigest) MarshalBinary() ([]byte, error) {
 	for id := range q.counts {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		out = binary.LittleEndian.AppendUint64(out, id)
 		out = binary.LittleEndian.AppendUint64(out, q.counts[id])

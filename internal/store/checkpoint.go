@@ -331,7 +331,6 @@ func RestoreCheckpoint(st *Store, dir string) (*CheckpointManifest, error) {
 	if records != man.Records {
 		return nil, fmt.Errorf("store: checkpoint has %d records, manifest says %d: %w", records, man.Records, core.ErrCorrupt)
 	}
-	st.sealHistory()
 	st.restored.Store(records)
 	return man, nil
 }
@@ -359,14 +358,6 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	syn := proto()
-	u, ok := syn.(interface{ UnmarshalBinary([]byte) error })
-	if !ok {
-		return core.Errf("RestoreCheckpoint", "synopsis", "%T of metric %q has no binary codec", syn, metric)
-	}
-	if err := u.UnmarshalBinary(synBytes); err != nil {
-		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
-	}
 
 	k := entryKey{metric: metric, key: key}
 	sh := s.shards[s.shardIndex(k)]
@@ -377,11 +368,23 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if sl.idx >= 0 {
 		return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q collide in the ring: %w", sl.idx, bkt, metric, key, core.ErrCorrupt)
 	}
-	sl.idx = int64(bkt)
-	sl.syn = syn
-	sl.bytes = syn.Bytes()
+	// Decode into the entry's spare when the previous record's seal left
+	// one, so restoring a series allocates one dense synopsis, not one
+	// per bucket.
+	syn := e.fresh(proto)
+	u, ok := syn.(interface{ UnmarshalBinary([]byte) error })
+	if !ok {
+		return core.Errf("RestoreCheckpoint", "synopsis", "%T of metric %q has no binary codec", syn, metric)
+	}
+	if err := u.UnmarshalBinary(synBytes); err != nil {
+		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
+	}
+	*sl = slot{idx: int64(bkt), syn: syn, bytes: syn.Bytes()}
 	e.bytes += sl.bytes
 	sh.bytes += sl.bytes
+	// Restored buckets are history: seal each as it lands (see
+	// sealHistory for why a restored store must be all-sealed).
+	e.sealSlot(sl, sh)
 	if int64(bkt) > e.newest {
 		e.newest = int64(bkt)
 	}
@@ -400,10 +403,10 @@ func (s *Store) restoreRecord(payload []byte) error {
 // sealHistory seals every resident bucket, the newest included. Sealing
 // is always safe — it only forces the next write to that bucket to
 // copy-on-write clone, exactly as advance arranges for history buckets.
-// It runs on both sides of a checkpoint: on write it erases the
-// copy-on-write and hot-key-drain stragglers a live store accumulates,
-// and on restore it puts the freshly installed entries in the same
-// all-sealed state. The uniform pattern matters because the query path
+// Both sides of a checkpoint end all-sealed: on write sealHistory erases
+// the copy-on-write and hot-key-drain stragglers a live store
+// accumulates, and restore seals every bucket as it installs it
+// (restoreRecord). The uniform pattern matters because the query path
 // merges open buckets under the shard lock and sealed ones after it —
 // for an order-sensitive synopsis (the q-digest compresses as it merges)
 // a different open/sealed split yields a different, if equally valid,
@@ -414,9 +417,8 @@ func (s *Store) sealHistory() {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
 			for i := range e.slots {
-				sl := &e.slots[i]
-				if sl.idx >= 0 && sl.syn != nil {
-					sl.sealed = true
+				if sl := &e.slots[i]; sl.idx >= 0 && sl.syn != nil {
+					e.sealSlot(sl, sh)
 				}
 			}
 		}

@@ -121,6 +121,20 @@ func FuzzStoreObserve(f *testing.F) {
 		}
 		return b
 	}())
+	// One or two writes per bucket over several buckets, so each seals
+	// into the compact form; then the time walks back and late writes
+	// land in those compacted buckets, with queries in between and after.
+	f.Add(func() []byte {
+		var b []byte
+		for i := 0; i < 6; i++ {
+			b = append(b, 0, byte(i%2), byte(i), 104) // +8: one bucket on
+		}
+		b = append(b, 200, 0, 0, 16)
+		for i := 0; i < 4; i++ {
+			b = append(b, 0, byte(i%2), byte(40+i), 88) // -8: one bucket back
+		}
+		return append(b, 200, 1, 0, 16, 0, 0, 50, 136, 200, 0, 0, 32)
+	}())
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		plain, splayed := fuzzStores(t)

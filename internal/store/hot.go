@@ -753,22 +753,23 @@ func (s *Store) drainInto(k entryKey, slots []slot, anchor int64) {
 		sl := e.slotFor(rs.idx)
 		switch {
 		case sl.idx != rs.idx || sl.syn == nil:
-			// Home never opened this bucket: adopt the replica's synopsis
-			// wholesale, sealed, since readers may still hold its pointer.
-			e.bytes -= sl.bytes
-			sh.bytes -= sl.bytes
-			*sl = slot{idx: rs.idx, sealed: true, bytes: rs.syn.Bytes(), syn: rs.syn}
-			e.bytes += sl.bytes
-			sh.bytes += sl.bytes
+			// Home never opened this bucket: adopt the replica's slot
+			// wholesale and seal it — a replica bucket that was still open
+			// compacts here like any other seal.
+			e.bytes += rs.bytes - sl.bytes
+			sh.bytes += rs.bytes - sl.bytes
+			*sl = *rs
+			e.sealSlot(sl, sh)
 		case sl.sealed:
-			clone := proto()
+			clone := e.fresh(proto)
 			if clone.Merge(sl.syn) != nil || clone.Merge(rs.syn) != nil {
 				continue // families cannot mismatch within one metric
 			}
 			nb := clone.Bytes()
 			e.bytes += nb - sl.bytes
 			sh.bytes += nb - sl.bytes
-			sl.syn, sl.bytes = clone, nb
+			*sl = slot{idx: rs.idx, syn: clone, bytes: nb}
+			e.sealSlot(sl, sh) // the bucket stays history: seal the union again
 		default:
 			// Open bucket: writers mutate it under the lock we hold.
 			if sl.syn.Merge(rs.syn) != nil {

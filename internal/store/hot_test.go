@@ -387,13 +387,15 @@ func TestHotKeyMaxHotCap(t *testing.T) {
 // splayed store under a budget stays within it and still evicts.
 func TestHotKeySubEntriesRespectByteBudget(t *testing.T) {
 	cfg := lifecycleConfig()
-	// Keep a full ring (~8 x 4KB) under the budget: eviction keeps at
-	// least one entry per shard, so the bound below only holds when any
-	// single entry fits the budget.
+	// Keep a full ring under the budget — one open ~4KB bucket plus seven
+	// sealed ones, compacted to at most 64 registers (~272 B) each:
+	// eviction keeps at least one entry per shard, so the bound below only
+	// holds when any single entry fits the budget. Two entries with an
+	// open bucket each do not fit, so the 40 cold keys force evictions.
 	cfg.RingBuckets = 8
-	cfg.MaxShardBytes = 64 << 10
+	cfg.MaxShardBytes = 8 << 10
 	st := mustStore(t, cfg)
-	registerUniques(t, st) // precision 12: ~4KB per bucket synopsis
+	registerUniques(t, st) // precision 12: ~4KB per open bucket synopsis
 	for i := 0; i < 30000; i++ {
 		key := fmt.Sprintf("k%d", i%40)
 		if i%3 != 2 {

@@ -292,11 +292,25 @@ func TestQueryRequestNormalize(t *testing.T) {
 	}
 }
 
+// sealedLowOccupancyStore is the range benchmarks' dataset: 16 keys over
+// 50 buckets with at most one write per key and bucket, all but each
+// key's newest bucket sealed. It fails the benchmark — the CI smoke runs
+// one iteration — if that history is not held in the compact form, so the
+// numbers below are never silently those of dense per-bucket sweeps.
+func sealedLowOccupancyStore(b *testing.B) *Store {
+	b.Helper()
+	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
+	if stats := st.Stats(); stats.Compacted == 0 {
+		b.Fatalf("sealed history was not compacted: %+v", stats)
+	}
+	return st
+}
+
 // The batched path must not regress single-key query latency: a one-key
 // Query takes the same inline single-shard gather the point path always
 // took. Compare with BenchmarkQuerySingleKeyPoint.
 func BenchmarkQuerySingleKeyTyped(b *testing.B) {
-	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
+	st := sealedLowOccupancyStore(b)
 	req := QueryRequest{Metric: "uniq", Key: "k3", From: 0, To: 500}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -321,7 +335,7 @@ func BenchmarkQuerySingleKeyPoint(b *testing.B) {
 // One batched 16-key request vs 16 point queries — the lock round-trip
 // amortization the serving API exists for.
 func BenchmarkQueryMultiKeyBatched(b *testing.B) {
-	st := fourFamilyStore(b, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
+	st := sealedLowOccupancyStore(b)
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)

@@ -19,11 +19,14 @@
 // an entry's stream time advances to a new bucket, older buckets are
 // sealed; sealed synopses are immutable — a late write to a sealed bucket
 // clones the synopsis and swaps the pointer (copy-on-write), never
-// mutating in place. Range queries therefore RLock the shard only long
-// enough to snapshot bucket pointers (merging any still-open buckets
-// under the read lock), then merge the sealed buckets lock-free outside
-// it: a long query over mostly-sealed history does its heavy merging
-// without holding any lock at all.
+// mutating in place. Sealing is also where a bucket takes the size of
+// what it holds: a low-occupancy HyperLogLog or Count-Min is replaced by
+// its compact form (see sealSlot), and the dense synopsis it vacates is
+// kept for the entry's next open bucket. Range queries RLock the shard
+// only long enough to snapshot bucket pointers (merging any still-open
+// buckets under the read lock), then merge the sealed buckets lock-free
+// outside it: a long query over mostly-sealed history does its heavy
+// merging without holding any lock at all.
 //
 // Hot keys. Skewed (Zipfian) streams serialize their hottest keys on one
 // shard lock; with HotKeyConfig enabled the store detects such keys with
@@ -137,6 +140,7 @@ type Stats struct {
 	SplayedWrites uint64 // observations routed through a hot-key splay
 	Promotions    uint64 // cold -> splayed transitions
 	Demotions     uint64 // splayed -> cold transitions
+	Compacted     uint64 // bucket seals that took the compact form
 	HotKeys       int    // currently splayed keys
 	Entries       int    // live entries, including splayed sub-entries
 	Bytes         int    // synopsis bytes across all shards
@@ -154,6 +158,7 @@ func (s *Stats) Add(o Stats) {
 	s.SplayedWrites += o.SplayedWrites
 	s.Promotions += o.Promotions
 	s.Demotions += o.Demotions
+	s.Compacted += o.Compacted
 	s.HotKeys += o.HotKeys
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
@@ -167,10 +172,11 @@ type entryKey struct {
 
 // slot is one position of an entry's bucket ring.
 type slot struct {
-	idx    int64 // bucket index occupying the slot; -1 when empty
-	sealed bool  // immutable: late writes must copy-on-write
-	bytes  int   // last accounted footprint of syn
-	syn    Synopsis
+	idx     int64 // bucket index occupying the slot; -1 when empty
+	sealed  bool  // immutable: late writes must copy-on-write
+	compact bool  // syn is the compact form sealSlot installed
+	bytes   int   // last accounted footprint of syn
+	syn     Synopsis
 }
 
 // entry is the bucket ring of one (metric, key) series, plus its links in
@@ -183,12 +189,14 @@ type entry struct {
 	lastWrite int64 // stream time of the most recent write
 	bytes     int   // sum of slot footprints
 	replica   bool  // splayed sub-entry (excluded from Keys)
-	// spare is a recycled synopsis awaiting reuse, populated only on
-	// replica entries: replica buckets are read exclusively under the
-	// hot-key and shard locks, so a synopsis expiring from a replica ring
-	// is provably unreferenced and can be Reset in place instead of
-	// handed to the garbage collector. Home and cold entries never
-	// recycle — their sealed buckets escape to lock-free readers.
+	// spare is an emptied dense synopsis awaiting reuse as the entry's
+	// next open bucket. Only a synopsis no reader can still reference is
+	// kept: the dense form a seal just replaced by its compact copy (open
+	// buckets are merged under the shard lock and never handed out), and,
+	// on replica entries — read exclusively under the hot-key and shard
+	// locks — a synopsis expiring from the ring. A sealed synopsis of a
+	// home or cold entry escapes to lock-free readers and is never
+	// recycled.
 	spare Synopsis
 	prev  *entry
 	next  *entry
@@ -196,6 +204,60 @@ type entry struct {
 
 func (e *entry) slotFor(bkt int64) *slot {
 	return &e.slots[int(bkt%int64(len(e.slots)))]
+}
+
+// fresh returns an empty dense synopsis for a bucket about to open: the
+// entry's spare when it has one, a new prototype instance otherwise.
+func (e *entry) fresh(proto Prototype) Synopsis {
+	if syn := e.spare; syn != nil {
+		e.spare = nil
+		return syn
+	}
+	return proto()
+}
+
+// recycle empties syn and keeps it as the entry's spare. The caller
+// vouches that nothing else references syn.
+func (e *entry) recycle(syn Synopsis) {
+	if e.spare != nil {
+		return
+	}
+	if r, ok := syn.(Resettable); ok {
+		r.Reset()
+		e.spare = syn
+	}
+}
+
+// sealSlot makes an open bucket immutable and, where the synopsis offers
+// a compact form that pays (a low-occupancy HyperLogLog or Count-Min),
+// swaps that form in: seal -> compact -> recycle the dense one. Every
+// path that seals goes through here — time advancing, sealHistory,
+// checkpoint restore and the hot-key demotion install — so a sealed
+// bucket costs what it holds wherever it came from. The dense synopsis
+// was open until this call, so no reader holds it and it becomes the
+// entry's spare. Callers hold the shard lock.
+func (e *entry) sealSlot(sl *slot, sh *shard) {
+	if sl.sealed {
+		return
+	}
+	sl.sealed = true
+	sh.seals++
+	c, ok := sl.syn.(compactable)
+	if !ok {
+		return
+	}
+	small := c.compacted()
+	if small == nil {
+		return
+	}
+	sh.compacted++
+	dense := sl.syn
+	sl.syn, sl.compact = small, true
+	nb := small.Bytes()
+	e.bytes += nb - sl.bytes
+	sh.bytes += nb - sl.bytes
+	sl.bytes = nb
+	e.recycle(dense)
 }
 
 // advance moves the entry's newest bucket forward to bkt: everything
@@ -214,18 +276,12 @@ func (e *entry) advance(bkt int64, sh *shard) {
 		if sl.idx <= horizon {
 			e.bytes -= sl.bytes
 			sh.bytes -= sl.bytes
-			if e.replica && e.spare == nil && sl.syn != nil {
-				if r, ok := sl.syn.(Resettable); ok {
-					r.Reset()
-					e.spare = sl.syn
-				}
+			if e.replica && !sl.compact && sl.syn != nil {
+				e.recycle(sl.syn)
 			}
 			*sl = slot{idx: -1}
 		} else if sl.idx < bkt {
-			if !sl.sealed {
-				sh.seals++
-			}
-			sl.sealed = true
+			e.sealSlot(sl, sh)
 		}
 	}
 	e.newest = bkt
@@ -236,13 +292,14 @@ func (e *entry) advance(bkt int64, sh *shard) {
 // eviction policies, and — when hot-key handling is on — the detection
 // epoch state.
 type shard struct {
-	mu      sync.RWMutex
-	entries map[entryKey]*entry
-	head    *entry // most recently written
-	tail    *entry // least recently written
-	bytes   int
-	maxTime int64  // newest observation time seen by the shard
-	seals   uint64 // buckets sealed by time advancing (telemetry)
+	mu        sync.RWMutex
+	entries   map[entryKey]*entry
+	head      *entry // most recently written
+	tail      *entry // least recently written
+	bytes     int
+	maxTime   int64  // newest observation time seen by the shard
+	seals     uint64 // buckets sealed (telemetry)
+	compacted uint64 // seals that took the compact form
 
 	epochWrites int                    // writes since the last epoch boundary
 	epochSeq    uint64                 // completed detection epochs
@@ -489,22 +546,20 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		// Empty slot, or the ring rotating over a bucket that has fallen
 		// out of the retention window. The fresh synopsis starts unsealed
 		// even for a late bucket; the next time advance re-seals it.
-		sl.idx = bkt
-		sl.sealed = false
-		sl.syn = proto()
 		e.bytes -= sl.bytes
 		sh.bytes -= sl.bytes
-		sl.bytes = 0
+		*sl = slot{idx: bkt, syn: e.fresh(proto)}
 	case sl.sealed:
 		// Late write to a sealed bucket: a reader may hold the sealed
 		// pointer outside the shard lock, so mutate a private clone and
-		// swap it in. The clone stays unsealed until time next advances.
-		clone := proto()
+		// swap it in — which is also what re-expands a compacted bucket.
+		// The clone stays unsealed until time next advances.
+		clone := e.fresh(proto)
 		if err := clone.Merge(sl.syn); err != nil {
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
 		}
 		sl.syn = clone
-		sl.sealed = false
+		sl.sealed, sl.compact = false, false
 	}
 	if sl.sealed {
 		// Writes only land on unsealed synopses; a sealed slot here means
@@ -626,21 +681,13 @@ func (s *Store) applyLocked(sh *shard, e *entry, obs []hotObs, proto Prototype) 
 			sl = e.slotFor(bkt)
 			switch {
 			case sl.idx != bkt:
-				sl.idx = bkt
-				sl.sealed = false
-				if e.spare != nil {
-					sl.syn = e.spare
-					e.spare = nil
-				} else {
-					sl.syn = proto()
-				}
 				e.bytes -= sl.bytes
 				sh.bytes -= sl.bytes
-				sl.bytes = 0
+				*sl = slot{idx: bkt, syn: e.fresh(proto)}
 			case sl.sealed:
 				// Copy-on-write for symmetry with writeLocked; on a replica
 				// the displaced synopsis is lock-protected, so it recycles.
-				clone := proto()
+				clone := e.fresh(proto)
 				if clone.Merge(sl.syn) != nil {
 					// Families cannot mismatch within one metric; treat a
 					// failed clone like a dropped run rather than panic.
@@ -648,14 +695,11 @@ func (s *Store) applyLocked(sh *shard, e *entry, obs []hotObs, proto Prototype) 
 					sl = nil
 					continue
 				}
-				if e.replica && e.spare == nil {
-					if r, ok := sl.syn.(Resettable); ok {
-						r.Reset()
-						e.spare = sl.syn
-					}
+				if e.replica && !sl.compact {
+					e.recycle(sl.syn)
 				}
 				sl.syn = clone
-				sl.sealed = false
+				sl.sealed, sl.compact = false, false
 			}
 		} else if sl == nil {
 			dropped++
@@ -753,6 +797,7 @@ func (s *Store) Stats() Stats {
 		sh.mu.RLock()
 		st.Entries += len(sh.entries)
 		st.Bytes += sh.bytes
+		st.Compacted += sh.compacted
 		sh.mu.RUnlock()
 	}
 	return st

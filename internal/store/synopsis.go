@@ -11,7 +11,7 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cardinality"
@@ -45,6 +45,19 @@ type Synopsis interface {
 // custom Synopsis that does not is simply never recycled.
 type Resettable interface {
 	Reset()
+}
+
+// compactable is the synopsis extension seal-time compaction uses (see
+// entry.sealSlot). compacted returns an immutable copy of the synopsis in
+// a form sized by what it holds — answering every read, Merge-as-source
+// and MarshalBinary exactly as the receiver does — or nil when the
+// receiver is too full for such a copy to pay. Only the order-insensitive
+// families implement it: merging a compacted Distinct or Freq gives the
+// same bytes as merging the original, whereas q-digest and Space-Saving
+// are already sized by their contents and their merges are
+// order-sensitive, so the store leaves them as they are.
+type compactable interface {
+	compacted() Synopsis
 }
 
 // Prototype constructs a fresh, empty Synopsis. The store calls it when a
@@ -113,6 +126,13 @@ func (d *Distinct) Merge(other Synopsis) error {
 // Reset implements Resettable.
 func (d *Distinct) Reset() { d.h.Reset() }
 
+func (d *Distinct) compacted() Synopsis {
+	if c := d.h.Compact(); c != nil {
+		return &Distinct{h: c}
+	}
+	return nil
+}
+
 // Items implements Synopsis.
 func (d *Distinct) Items() uint64 { return d.h.Items() }
 
@@ -160,6 +180,13 @@ func (f *Freq) Merge(other Synopsis) error {
 
 // Reset implements Resettable.
 func (f *Freq) Reset() { f.cm.Reset() }
+
+func (f *Freq) compacted() Synopsis {
+	if c := f.cm.Compact(); c != nil {
+		return &Freq{cm: c}
+	}
+	return nil
+}
 
 // Items implements Synopsis.
 func (f *Freq) Items() uint64 { return f.cm.Items() }
@@ -285,14 +312,8 @@ func (d *Distinct) MarshalBinary() ([]byte, error) { return d.h.MarshalBinary() 
 // checkpoint written under a different hash seed must not silently
 // rehydrate into this prototype.
 func (d *Distinct) UnmarshalBinary(data []byte) error {
-	if len(data) >= 9 {
-		cur, err := d.h.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		if cur[0] != data[0] || !bytes.Equal(cur[1:9], data[1:9]) {
-			return fmt.Errorf("store: distinct synopsis: %w", core.ErrIncompatible)
-		}
+	if len(data) >= 9 && (data[0] != d.h.Precision() || binary.LittleEndian.Uint64(data[1:]) != d.h.Seed()) {
+		return fmt.Errorf("store: distinct synopsis: %w", core.ErrIncompatible)
 	}
 	return d.h.UnmarshalBinary(data)
 }

@@ -14,9 +14,14 @@
 // logU/k per constituent). The split/unsplit property is precisely the
 // invariant hot-key splaying leans on: a splayed entry is a split stream
 // whose parts merge at query time.
+//
+// The two exactly-invariant families also have a compact form that sealed
+// buckets are held in; TestCompactEqualsDense pins that compact(x) cannot
+// be told from x by any read, by its bytes, or as either side of a merge.
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -410,5 +415,96 @@ func TestCombineSnapshotsErrors(t *testing.T) {
 	}
 	if _, err := CombineSnapshots(hll, hll(), cm()); err == nil {
 		t.Fatal("cross-family combine accepted")
+	}
+}
+
+// compact(x) equals x: for random streams over both compactable families,
+// the compact copy returns the dense synopsis' MarshalBinary bytes, its
+// estimates and its item count, and merging gives the same bytes in every
+// dense/compact pairing of receiver and argument.
+func TestCompactEqualsDense(t *testing.T) {
+	distinct, err := NewDistinctProto(10, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freq, err := NewFreqProto(64, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := []struct {
+		name  string
+		proto Prototype
+		probe func(Synopsis, int) float64 // estimate for probe item i
+	}{
+		{"distinct", distinct, func(s Synopsis, _ int) float64 { return s.(*Distinct).Estimate() }},
+		{"freq", freq, func(s Synopsis, i int) float64 { return float64(s.(*Freq).Count(fmt.Sprintf("i%d", i))) }},
+	}
+	rng := workload.NewRNG(5)
+	for _, fam := range families {
+		// build returns a dense synopsis of a random stream; small universes
+		// compact, large ones are too full to.
+		build := func(universe int) Synopsis {
+			syn := fam.proto()
+			for i, n := 0, 1+int(rng.Uint64()%uint64(4*universe)); i < n; i++ {
+				syn.Observe(fmt.Sprintf("i%d", rng.Uint64()%uint64(universe)), 1+rng.Uint64()%5)
+			}
+			return syn
+		}
+		compacted, full := 0, 0
+		for trial := 0; trial < 4*propTrials; trial++ {
+			universe := 1 + int(rng.Uint64()%12)
+			if trial%4 == 3 {
+				universe = 400
+			}
+			x := build(universe)
+			cx := x.(compactable).compacted()
+			if cx == nil {
+				full++
+				continue
+			}
+			compacted++
+			if cx.(compactable).compacted() != nil {
+				t.Fatalf("%s trial %d: a compact synopsis compacted again", fam.name, trial)
+			}
+			if !bytes.Equal(marshal(t, cx), marshal(t, x)) {
+				t.Fatalf("%s trial %d: compact form marshals differently", fam.name, trial)
+			}
+			if cx.Items() != x.Items() {
+				t.Fatalf("%s trial %d: items %d != %d", fam.name, trial, cx.Items(), x.Items())
+			}
+			if 2*cx.Bytes() >= x.Bytes() {
+				t.Fatalf("%s trial %d: compact form is %d bytes of %d dense", fam.name, trial, cx.Bytes(), x.Bytes())
+			}
+			for i := 0; i < universe+3; i++ { // three items never observed
+				if g, w := fam.probe(cx, i), fam.probe(x, i); g != w {
+					t.Fatalf("%s trial %d: estimate[%d] %v != %v", fam.name, trial, i, g, w)
+				}
+			}
+			// Merge, all four pairings, against dense <- dense. The other
+			// operand is compact when it can be, so both sizes are merged in.
+			y := build(1 + int(rng.Uint64()%12))
+			cy := y.(compactable).compacted()
+			if cy == nil {
+				t.Fatalf("%s trial %d: small stream did not compact", fam.name, trial)
+			}
+			want := copyOf(t, fam.proto, x)
+			mustMerge(t, want, y)
+			for name, pair := range map[string][2]Synopsis{
+				"dense<-compact":   {copyOf(t, fam.proto, x), cy},
+				"compact<-dense":   {x.(compactable).compacted(), y},
+				"compact<-compact": {x.(compactable).compacted(), cy},
+			} {
+				mustMerge(t, pair[0], pair[1])
+				if !bytes.Equal(marshal(t, pair[0]), marshal(t, want)) {
+					t.Fatalf("%s trial %d: %s merge differs from dense<-dense", fam.name, trial, name)
+				}
+			}
+			if !bytes.Equal(marshal(t, cy), marshal(t, y)) || !bytes.Equal(marshal(t, cx), marshal(t, x)) {
+				t.Fatalf("%s trial %d: merging mutated a compact argument", fam.name, trial)
+			}
+		}
+		if compacted == 0 || full == 0 {
+			t.Fatalf("%s: %d streams compacted, %d too full — both sides of the rule must be exercised", fam.name, compacted, full)
+		}
 	}
 }
