@@ -240,7 +240,7 @@ func BenchmarkStoreQuery(b *testing.B) {
 					if from < 0 {
 						from = 0
 					}
-					if _, err := st.QueryPoint("uniq", keys[int(i*31)%len(keys)], from, horizon); err != nil {
+					if _, err := queryPoint(st, "uniq", keys[int(i*31)%len(keys)], from, horizon); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -348,13 +348,12 @@ func BenchmarkClusterQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("point/nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.QueryPoint("uniq", keys[(i*31)%len(keys)], from, horizon); err != nil {
+				if _, err := queryPoint(r, "uniq", keys[(i*31)%len(keys)], from, horizon); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		// The typed single-key request must not regress the point path:
-		// both route to one owner and run the same single-shard gather.
+		// The same single-key request spelled as a QueryRequest literal.
 		b.Run(fmt.Sprintf("typed-point/nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -366,8 +365,9 @@ func BenchmarkClusterQuery(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("merged16/nodes=%d", nodes), func(b *testing.B) {
 			b.ReportAllocs()
+			req := store.QueryRequest{Metric: "uniq", Keys: keys[:16], From: from, To: horizon + 1, Aggregate: true}
 			for i := 0; i < b.N; i++ {
-				if _, err := r.QueryMerged("uniq", keys[:16], from, horizon); err != nil {
+				if _, err := r.Query(req); err != nil {
 					b.Fatal(err)
 				}
 			}

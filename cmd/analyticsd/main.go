@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -55,6 +56,10 @@ import (
 const (
 	bucketWidth = 100
 	ringBuckets = 256
+
+	// shutdownGrace bounds how long SIGINT/SIGTERM waits for in-flight
+	// requests before closing their connections.
+	shutdownGrace = 5 * time.Second
 )
 
 func storeGeom(shards int) store.Config {
@@ -141,7 +146,7 @@ func preload(be analytics.Backend, cache *rcache.Cache, events int) error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := analytics.ObserveBatch(be, batch); err != nil {
+		if err := be.ObserveBatch(batch); err != nil {
 			return err
 		}
 		if cache != nil {
@@ -172,9 +177,7 @@ func preload(be analytics.Backend, cache *rcache.Cache, events int) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	if f, ok := be.(analytics.Flusher); ok {
-		f.Flush()
-	}
+	be.Flush()
 	return nil
 }
 
@@ -323,5 +326,17 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("analyticsd: shutting down")
-	_ = httpSrv.Close()
+	// Stop accepting, let in-flight requests finish within the grace
+	// (cutting whatever is still running after it), then settle what they
+	// wrote — producer-side buffers, then the backend's own log — before
+	// the deferred cleanup tears the layer down.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		_ = httpSrv.Close()
+	}
+	be.Flush()
+	if err := drain(); err != nil {
+		fmt.Fprintln(os.Stderr, "analyticsd: drain:", err)
+	}
 }

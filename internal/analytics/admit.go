@@ -6,8 +6,6 @@
 package analytics
 
 import (
-	"context"
-
 	"repro/internal/admission"
 	"repro/internal/store"
 )
@@ -17,7 +15,7 @@ import (
 // typed *admission.Overload (matching admission.ErrOverloaded via
 // errors.Is) and provably never reaches the backend — batches are
 // admitted in full before a single observation is delegated, riding
-// the BatchObserver all-or-nothing contract underneath.
+// the all-or-nothing ObserveBatch contract underneath.
 //
 // A nil controller returns be unchanged, so call sites can wire
 // admission unconditionally. The admitted-but-unthrottled hot path
@@ -27,23 +25,22 @@ func Admit(be Backend, ctrl *admission.Controller) Backend {
 	if ctrl == nil {
 		return be
 	}
-	return &admitted{be: be, ctrl: ctrl}
+	return &admitted{Backend: be, ctrl: ctrl}
 }
 
+// admitted embeds the wrapped Backend and overrides the two write
+// methods; everything else (queries, Keys, Stats, Flush, registration)
+// is the backend's own.
 type admitted struct {
-	be   Backend
+	Backend
 	ctrl *admission.Controller
-}
-
-func (a *admitted) RegisterMetric(name string, proto store.Prototype) error {
-	return a.be.RegisterMetric(name, proto)
 }
 
 func (a *admitted) Observe(obs store.Observation) error {
 	if err := a.ctrl.Admit(obs.Metric, 1); err != nil {
 		return err
 	}
-	return a.be.Observe(obs)
+	return a.Backend.Observe(obs)
 }
 
 // ObserveBatch admits the whole batch before delegating any of it, so
@@ -64,41 +61,5 @@ func (a *admitted) ObserveBatch(obs []store.Observation) error {
 		}
 		i = j
 	}
-	return ObserveBatch(a.be, obs)
+	return a.Backend.ObserveBatch(obs)
 }
-
-func (a *admitted) Query(req store.QueryRequest) (store.QueryResult, error) {
-	return a.be.Query(req)
-}
-
-func (a *admitted) Keys(metric string) []string { return a.be.Keys(metric) }
-
-func (a *admitted) Stats() store.Stats { return a.be.Stats() }
-
-// QueryContext delegates deadline-aware queries (unadmitted, like
-// Query) so the decorator composes with the serving edge.
-func (a *admitted) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
-	return QueryContext(ctx, a.be, req)
-}
-
-// QueryPoint delegates through the contract helper path.
-func (a *admitted) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	if pq, ok := a.be.(PointQuerier); ok {
-		return pq.QueryPoint(metric, key, from, to)
-	}
-	res, err := a.be.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
-// Flush settles the backend's producer-side buffers when it has any.
-func (a *admitted) Flush() {
-	if f, ok := a.be.(Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap returns the wrapped backend.
-func (a *admitted) Unwrap() Backend { return a.be }

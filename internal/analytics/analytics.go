@@ -3,7 +3,8 @@
 // design space answers queries through — the sharded speed store
 // (store.Store), the partitioned store cluster (dstore.Router) and the
 // Lambda Architecture's batch+speed merge (lambda.Architecture) all
-// satisfy it, so a dashboard, a topology sink (engine.SinkBolt) or an
+// satisfy it, as does the client of a remote daemon (serve.Client), so
+// a dashboard, a topology sink (engine.SinkBolt) or an
 // experiment can swap serving layers without touching a call site. This
 // is the Section 3 argument made literal: the platforms differ in how
 // they partition, recover and trade staleness for cost, not in what a
@@ -23,6 +24,20 @@
 //     by backend (the store is synchronous; the cluster appends to its
 //     ingest log and is read-your-writes after Drain; Lambda dispatches
 //     to the master log and speed layer).
+//   - ObserveBatch absorbs a batch — the unit the admission layer
+//     prices, the serving edge decodes and the backends amortize (one
+//     shard lock per shard group in the store, one partition-buffer
+//     acquisition per partition in the Router, one speed RLock in
+//     Lambda). The whole batch is validated before anything mutates: an
+//     invalid observation (unknown metric, negative time) fails the call
+//     and the backend absorbs NONE of the batch. This is stricter than a
+//     loop of Observe (which mutates the prefix before the bad write)
+//     and is what makes admission shedding provable — a rejected batch
+//     leaves no trace. An accepted batch is byte-identical to the same
+//     observations fed one Observe at a time, in order: per-(metric,key)
+//     arrival order is preserved, so every synopsis, counter and hot-key
+//     decision matches the loop exactly. An empty batch is a no-op,
+//     never an error.
 //   - Query answers a typed store.QueryRequest. A request naming an
 //     unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
@@ -32,13 +47,27 @@
 //     in the store, scatter-gather in the cluster, batch+speed merge in
 //     Lambda), and aggregate answers merge per-key synopses in sorted key
 //     order, so Aggregate equals per-key query + store.CombineSnapshots
-//     byte for byte.
+//     byte for byte. An inclusive-range single-series question is
+//     store.PointRequest away; there is no second query API.
+//   - QueryContext is Query honoring a deadline: ctx threads through the
+//     store's per-shard fan-out, the cluster's scatter-gather and the
+//     serving client's HTTP request, so a cancelled or expired context
+//     aborts the gather. With a live context it answers exactly what
+//     Query would (Query is QueryContext on context.Background()); a
+//     cancelled context yields an error wrapping ctx.Err(), never a
+//     partial answer.
 //   - Keys returns the metric's resident keys (deduplicated; order is
 //     backend-defined). An unknown metric answers an empty slice, not an
 //     error — Keys is a discovery call, not a validation call.
 //   - Stats snapshots the backend's store counters: the store's own, the
 //     aggregate across cluster nodes, or the Lambda speed layer's (its
 //     sealed batch view reports separately via BatchView().Stats()).
+//   - Flush settles producer-side buffers: the cluster router's
+//     per-partition append batches, Lambda's in cluster mode. Backends
+//     whose writes are synchronous (the store, the serving client) make
+//     it a no-op. engine.SinkBolt calls it when a topology run completes
+//     and analyticsd on shutdown; read-your-writes on the cluster is
+//     Flush followed by the cluster's Drain.
 package analytics
 
 import (
@@ -47,62 +76,45 @@ import (
 	"repro/internal/store"
 )
 
-// Backend is the unified serving API. store.Store, dstore.Router and
-// lambda.Architecture satisfy it; engine.SinkBolt sinks topology streams
-// into any of them through it. See the package comment for the exact
-// semantics every implementation must honor.
+// Backend is the unified serving API. store.Store, dstore.Router,
+// lambda.Architecture and serve.Client satisfy it; engine.SinkBolt sinks
+// topology streams into any of them through it, and the Instrument and
+// Admit decorators wrap any of them. See the package comment for the
+// exact semantics every implementation must honor.
 type Backend interface {
 	// RegisterMetric binds a metric name to the prototype its bucket
 	// synopses are built from.
 	RegisterMetric(name string, proto store.Prototype) error
 	// Observe absorbs one observation.
 	Observe(obs store.Observation) error
+	// ObserveBatch absorbs all of obs or none of it.
+	ObserveBatch(obs []store.Observation) error
 	// Query answers one typed request; see store.QueryRequest and
 	// store.QueryResult.
 	Query(req store.QueryRequest) (store.QueryResult, error)
+	// QueryContext is Query aborted when ctx is cancelled or expires.
+	QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error)
 	// Keys returns the metric's resident keys.
 	Keys(metric string) []string
 	// Stats snapshots the backend's store counters.
 	Stats() store.Stats
-}
-
-// PointQuerier is the optional legacy surface: the inclusive-range point
-// query every backend keeps as a thin wrapper over Query. New code should
-// prefer Query; this exists so migrations can be mechanical.
-type PointQuerier interface {
-	QueryPoint(metric, key string, from, to int64) (store.Synopsis, error)
-}
-
-// Flusher is the optional producer-side flush a buffering backend (the
-// cluster router, Lambda in cluster mode) exposes; engine.SinkBolt calls
-// it when a topology run completes. Backends with synchronous writes
-// simply don't implement it.
-type Flusher interface {
+	// Flush settles producer-side buffers; a no-op on synchronous
+	// backends.
 	Flush()
 }
 
-// ContextQuerier is the optional deadline-aware query surface: a
-// backend that can abort an in-flight gather when the caller's context
-// is cancelled or its deadline passes. store.Store, dstore.Router and
-// lambda.Architecture all implement it (ctx threads through the store's
-// per-shard fan-out and the cluster's scatter-gather), and the serving
-// daemon drives every request through it. QueryContext with a live
-// context answers exactly what Query would; a cancelled context yields
-// an error wrapping ctx.Err(), never a partial answer.
-type ContextQuerier interface {
-	QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error)
+// QueryContext and ObserveBatch are one-line forwards to the methods of
+// the same name. They predate those methods being part of Backend and
+// stay only because the benchmark module (bench/ladder.go), which this
+// module may not edit, compiles against them; in-repo code calls the
+// methods.
+
+// QueryContext answers req through be honoring ctx.
+func QueryContext(ctx context.Context, be Backend, req store.QueryRequest) (store.QueryResult, error) {
+	return be.QueryContext(ctx, req)
 }
 
-// QueryContext answers req through be honoring ctx: backends that
-// implement ContextQuerier get the context threaded through their
-// gathers; for the rest, ctx is checked once up front and the plain
-// Query runs to completion (the contract every Backend already keeps).
-func QueryContext(ctx context.Context, be Backend, req store.QueryRequest) (store.QueryResult, error) {
-	if cq, ok := be.(ContextQuerier); ok {
-		return cq.QueryContext(ctx, req)
-	}
-	if err := ctx.Err(); err != nil {
-		return store.QueryResult{}, err
-	}
-	return be.Query(req)
+// ObserveBatch absorbs obs through be, all or nothing.
+func ObserveBatch(be Backend, obs []store.Observation) error {
+	return be.ObserveBatch(obs)
 }

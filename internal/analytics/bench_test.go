@@ -107,7 +107,7 @@ func BenchmarkIngestBatched(b *testing.B) {
 		for j := 0; j < n; j++ {
 			batch[j] = benchObs(i + j)
 		}
-		if err := ObserveBatch(be, batch[:n]); err != nil {
+		if err := be.ObserveBatch(batch[:n]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,43 +16,42 @@ import (
 	"repro/internal/admission"
 	"repro/internal/dstore"
 	"repro/internal/lambda"
+	"repro/internal/mqlog"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
 
-// Compile-time contract checks: dropping a Backend (or PointQuerier, or
-// the router's Flusher) method from any serving layer fails here, not at
-// a distant call site.
+// Compile-time contract checks: dropping a Backend method from any
+// serving layer fails here, not at a distant call site. (serve.Client's
+// assertion lives in that package — it imports this one.)
 var (
 	_ Backend = (*store.Store)(nil)
 	_ Backend = (*dstore.Router)(nil)
 	_ Backend = (*lambda.Architecture)(nil)
-
-	_ PointQuerier = (*store.Store)(nil)
-	_ PointQuerier = (*dstore.Router)(nil)
-	_ PointQuerier = (*lambda.Architecture)(nil)
-
-	_ Flusher = (*dstore.Router)(nil)
-	_ Flusher = (*lambda.Architecture)(nil)
-
-	// Batched ingest is part of the cross-backend contract too: all
-	// serving layers take the amortized path, never the Observe-loop
-	// fallback. (serve.Client's assertion lives in that package — it
-	// imports this one.)
-	_ BatchObserver = (*store.Store)(nil)
-	_ BatchObserver = (*dstore.Router)(nil)
-	_ BatchObserver = (*lambda.Architecture)(nil)
 )
 
 // harness is one Backend under conformance: the implementation plus a
-// drain to reach read-your-writes (teardowns are t.Cleanup's) and a
-// wire hook handing a tracer to the layer underneath (trace_test.go
-// runs the suite with tracing on).
+// drain to reach read-your-writes (teardowns are t.Cleanup's), a wire
+// hook handing a tracer to the layer underneath (trace_test.go runs the
+// suite with tracing on) and, for the log-backed layers, the number of
+// records on the ingest log (stack_test.go checks what Flush lands).
 type harness struct {
-	name  string
-	be    Backend
-	drain func() error
-	wire  func(*trace.Tracer)
+	name   string
+	be     Backend
+	drain  func() error
+	wire   func(*trace.Tracer)
+	logged func() uint64
+}
+
+// logLen counts the records appended to topic across its partitions.
+func logLen(topic *mqlog.Topic) func() uint64 {
+	return func() uint64 {
+		var n uint64
+		for _, end := range topic.EndOffsets() {
+			n += end
+		}
+		return n
+	}
 }
 
 func storeGeom() store.Config {
@@ -100,9 +99,9 @@ func newHarnesses(t *testing.T) []harness {
 				}
 			}
 			return cl.Drain()
-		}, wire: cl.SetTracer},
-		{name: "lambda-single", be: single, drain: single.Drain, wire: single.SetTracer},
-		{name: "lambda-cluster", be: clustered, drain: clustered.Drain, wire: clustered.SetTracer},
+		}, wire: cl.SetTracer, logged: logLen(cl.Topic())},
+		{name: "lambda-single", be: single, drain: single.Drain, wire: single.SetTracer, logged: logLen(single.Topic())},
+		{name: "lambda-cluster", be: clustered, drain: clustered.Drain, wire: clustered.SetTracer, logged: logLen(clustered.Topic())},
 	}
 }
 
@@ -152,19 +151,22 @@ func feed(t *testing.T, be Backend, span int64) {
 	}
 }
 
+// feedChunk is feedBatched's batch size: a prime, so chunk boundaries
+// drift across ticks, metrics and keys rather than aligning with any of
+// them, and every batch mixes all four metrics.
+const feedChunk = 57
+
 // feedBatched delivers the same dataset through ObserveBatch in uneven
-// chunks (a prime size, so chunk boundaries drift across ticks, metrics
-// and keys rather than aligning with any of them).
+// chunks.
 func feedBatched(t *testing.T, be Backend, span int64) {
 	t.Helper()
 	stream := conformanceStream(span)
-	const chunk = 57
-	for i := 0; i < len(stream); i += chunk {
-		j := i + chunk
+	for i := 0; i < len(stream); i += feedChunk {
+		j := i + feedChunk
 		if j > len(stream) {
 			j = len(stream)
 		}
-		if err := ObserveBatch(be, stream[i:j]); err != nil {
+		if err := be.ObserveBatch(stream[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,7 +414,7 @@ func marshalAnswers(t *testing.T, be Backend) [][]byte {
 	return out
 }
 
-// TestBackendConformanceObserveBatch pins the BatchObserver contract on
+// TestBackendConformanceObserveBatch pins the ObserveBatch contract on
 // every backend: a batched delivery is byte-identical to the Observe
 // loop, an empty batch is a no-op, and an invalid batch mutates nothing
 // (all-or-nothing).
@@ -445,7 +447,7 @@ func TestBackendConformanceObserveBatch(t *testing.T) {
 				}
 			}
 
-			if err := ObserveBatch(b.be, nil); err != nil {
+			if err := b.be.ObserveBatch(nil); err != nil {
 				t.Fatalf("empty batch: %v", err)
 			}
 
@@ -456,14 +458,14 @@ func TestBackendConformanceObserveBatch(t *testing.T) {
 				{Metric: "no-such-metric", Key: "k0", Item: "x", Time: 1},
 				{Metric: "uniq", Key: "k0", Item: "poison-b", Time: 1},
 			}
-			if err := ObserveBatch(b.be, bad); !errors.Is(err, store.ErrUnknownMetric) {
+			if err := b.be.ObserveBatch(bad); !errors.Is(err, store.ErrUnknownMetric) {
 				t.Fatalf("invalid batch error %v, want ErrUnknownMetric", err)
 			}
 			late := []store.Observation{
 				{Metric: "uniq", Key: "k0", Item: "poison-c", Time: 1},
 				{Metric: "uniq", Key: "k0", Item: "poison-d", Time: -1},
 			}
-			if err := ObserveBatch(b.be, late); err == nil {
+			if err := b.be.ObserveBatch(late); err == nil {
 				t.Fatal("negative-time batch accepted")
 			}
 			if err := b.drain(); err != nil {
@@ -550,7 +552,7 @@ func TestBackendConformanceOverloadShed(t *testing.T) {
 
 	// A shed batch is all-or-nothing too: with the bucket empty the
 	// whole batch bounces and nothing mutates.
-	if err := ObserveBatch(be, stream); !errors.Is(err, admission.ErrOverloaded) {
+	if err := be.ObserveBatch(stream); !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("batch under empty bucket: %v, want ErrOverloaded", err)
 	}
 	if got := st.Stats().Observed; got != uint64(len(accepted)) {

@@ -44,11 +44,7 @@ func WithTracer(tr *trace.Tracer) Option {
 // analytics_backend_query_seconds) and per-operation error counters
 // (analytics_backend_errors_total, labeled op=observe|query). The
 // wrapper delegates verbatim — answers are byte-identical to the bare
-// backend's, which the conformance suite pins — and implements
-// PointQuerier and Flusher: QueryPoint and Flush delegate when the
-// underlying backend has them, and otherwise fall back to the contract
-// equivalents (QueryPoint via Query on a PointRequest, Flush as a
-// no-op), matching the semantics every backend already guarantees.
+// backend's, which the conformance suite pins.
 //
 // A nil registry with no options returns be unchanged, so call sites
 // can wire instrumentation unconditionally; with WithTracer the wrapper
@@ -63,7 +59,7 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string, opts ...Opt
 		return be
 	}
 	return &instrumented{
-		be:      be,
+		Backend: be,
 		reg:     reg,
 		backend: backend,
 		trc:     o.tracer,
@@ -84,8 +80,11 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string, opts ...Opt
 	}
 }
 
+// instrumented embeds the wrapped Backend and overrides the methods it
+// measures — both query methods, so neither bypasses the counters and
+// the trace root; Keys, Stats and Flush are the backend's own.
 type instrumented struct {
-	be      Backend
+	Backend
 	reg     *telemetry.Registry
 	backend string
 	trc     *trace.Tracer // nil when tracing is off
@@ -143,7 +142,7 @@ func (in *instrumented) counterFor(m map[string]*telemetry.Counter, family, metr
 }
 
 func (in *instrumented) RegisterMetric(name string, proto store.Prototype) error {
-	if err := in.be.RegisterMetric(name, proto); err != nil {
+	if err := in.Backend.RegisterMetric(name, proto); err != nil {
 		return err
 	}
 	// Pre-create the metric's series so the hot paths take the RLock.
@@ -162,7 +161,7 @@ func (in *instrumented) Observe(obs store.Observation) error {
 		defer sp.Finish()
 	}
 	t0 := time.Now()
-	err := in.be.Observe(obs)
+	err := in.Backend.Observe(obs)
 	in.obsLat.ObserveSince(t0)
 	if err != nil {
 		in.obsErrs.Inc()
@@ -175,15 +174,13 @@ func (in *instrumented) Observe(obs store.Observation) error {
 // ObserveBatch counts and times the batch as one operation per
 // observation: the latency histogram records the whole call (batched
 // ingest is priced by the batch), the per-metric counters advance by
-// each metric's share, and errors count once. Delegation goes through
-// the package helper, so a backend without BatchObserver still absorbs
-// the batch as a loop.
+// each metric's share, and errors count once.
 func (in *instrumented) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	err := ObserveBatch(in.be, obs)
+	err := in.Backend.ObserveBatch(obs)
 	in.obsLat.ObserveSince(t0)
 	if err != nil {
 		in.obsErrs.Inc()
@@ -205,9 +202,8 @@ func (in *instrumented) Query(req store.QueryRequest) (store.QueryResult, error)
 }
 
 // QueryContext instruments exactly like Query while threading ctx into
-// the backend (see the package-level QueryContext helper); the wrapper
-// itself adds no cancellation points, so answers stay byte-identical
-// to the bare backend's.
+// the backend; the wrapper itself adds no cancellation points, so
+// answers stay byte-identical to the bare backend's.
 func (in *instrumented) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
 	if sp := in.trc.StartRoot("analytics.query"); sp != nil {
 		// Query roots always start; the tail decision at Finish keeps the
@@ -219,7 +215,7 @@ func (in *instrumented) QueryContext(ctx context.Context, req store.QueryRequest
 		defer sp.Finish()
 	}
 	t0 := time.Now()
-	res, err := QueryContext(ctx, in.be, req)
+	res, err := in.Backend.QueryContext(ctx, req)
 	in.qryLat.ObserveSince(t0)
 	if err != nil {
 		in.qryErrs.Inc()
@@ -234,44 +230,3 @@ func (in *instrumented) QueryContext(ctx context.Context, req store.QueryRequest
 	}
 	return res, nil
 }
-
-func (in *instrumented) Keys(metric string) []string { return in.be.Keys(metric) }
-
-func (in *instrumented) Stats() store.Stats { return in.be.Stats() }
-
-// QueryPoint counts as a query against the metric; it delegates to the
-// backend's own PointQuerier when it has one and otherwise takes the
-// contract-equivalent Query path (every backend's QueryPoint is pinned
-// to be a thin wrapper over Query, so the answers are identical).
-func (in *instrumented) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	// When tracing, take the Query path even if the backend has its own
-	// PointQuerier: the point-querier signature has nowhere to carry the
-	// trace context, and the contract pins both paths to identical
-	// answers, so tracing costs no fidelity.
-	if pq, ok := in.be.(PointQuerier); ok && in.trc == nil {
-		t0 := time.Now()
-		syn, err := pq.QueryPoint(metric, key, from, to)
-		in.qryLat.ObserveSince(t0)
-		if err != nil {
-			in.qryErrs.Inc()
-			return syn, err
-		}
-		in.counterFor(in.qryCount, "analytics_backend_query_total", metric).Inc()
-		return syn, nil
-	}
-	res, err := in.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
-// Flush settles the backend's producer-side buffers when it has any.
-func (in *instrumented) Flush() {
-	if f, ok := in.be.(Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap returns the wrapped backend.
-func (in *instrumented) Unwrap() Backend { return in.be }

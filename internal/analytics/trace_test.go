@@ -47,9 +47,7 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 			}{{bare[i].be, bare[i].drain}, {tbe, traced[i].drain}} {
 				registerFamilies(t, h.be)
 				feed(t, h.be, conformanceSpan)
-				if f, ok := h.be.(Flusher); ok {
-					f.Flush()
-				}
+				h.be.Flush()
 				if err := h.drain(); err != nil {
 					t.Fatal(err)
 				}
@@ -97,20 +95,6 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 						t.Errorf("%s/%s: median %d vs %d", a.Metric, a.Key, a.Quantile(0.5), b.Quantile(0.5))
 					}
 				}
-			}
-
-			// QueryPoint under tracing takes the Query path; the answer
-			// contract says nobody can tell.
-			pb, err := bare[i].be.(PointQuerier).QueryPoint("uniq", "k1", 0, conformanceSpan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pt, err := tbe.(PointQuerier).QueryPoint("uniq", "k1", 0, conformanceSpan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(pb, pt) {
-				t.Error("QueryPoint diverges under tracing")
 			}
 
 			// The tracer actually saw the traffic: every Observe opened a
@@ -165,7 +149,7 @@ func TestIngestTraceStitchesAcrossLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	be.(Flusher).Flush()
+	be.Flush()
 	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,10 @@
 // Commits use generation fencing (ConsumerGroup.CommitFenced), so a
 // preempted former owner can never clobber the new owner's position.
 //
-// Queries. Router.Query routes to the key's owner; Router.QueryMerged
-// fans a key set out to the owning nodes, each node combines its keys
-// locally, and the partials merge through store.CombineSnapshots — the
+// Queries. Router.Query groups a request's (metric, key) cells by the
+// node that owns each key's partition and fans them out in one
+// generation-fenced round; an aggregate request combines the per-key
+// partials through store.CombineSnapshots in sorted key order — the
 // mergeable-synopsis property is what makes the cluster answer equal a
 // single store fed the same log (experiment T3.1 checks this equality
 // through a kill-and-rejoin cycle).

@@ -363,20 +363,6 @@ func (n *Node) waitServingAt(ctx context.Context, gen int) (*store.Store, bool) 
 	}
 }
 
-// Query answers a legacy point query (inclusive [from, to]) from the
-// node's local store, waiting out an in-flight recovery first (callers
-// route here because the node owns the key's partition; an answer from a
-// half-recovered store would undercount). Router queries additionally
-// fence the answer against the group generation; direct callers get the
-// node's current serving store.
-func (n *Node) Query(metric, key string, from, to int64) (store.Synopsis, error) {
-	st, ok := n.waitServing()
-	if !ok {
-		return nil, errNodeStopped(n.name)
-	}
-	return st.QueryPoint(metric, key, from, to)
-}
-
 // queryKeys answers for a set of keys (sorted, deduplicated by the
 // router) out of the store recovered for generation >= gen: one batched
 // store query per node — the store groups the keys by shard and gathers

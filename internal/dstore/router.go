@@ -412,49 +412,6 @@ func (r *Router) QueryContext(ctx context.Context, req store.QueryRequest) (stor
 	}
 }
 
-// QueryPoint answers a legacy point query (inclusive [from, to]) for one
-// series by routing to the node that owns the key's partition — a thin
-// wrapper over Query; see its fencing contract.
-func (r *Router) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := r.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
-// QueryMerged answers for the union of the given keys over the inclusive
-// range [from, to] — e.g. site-wide uniques over a set of pages — as an
-// aggregate Query: keys deduplicate and sort, owning nodes range-merge
-// their keys locally, and the per-key partials combine in sorted key
-// order through store.CombineSnapshots. The merge is exact for
-// merge-invariant synopses (HLL, Count-Min) and within the usual sketch
-// guarantees for the rest, which is the tutorial's "algorithms should
-// scale out" property end to end. A failed fan-out reports which
-// partitions were unowned or which nodes were unreachable by name.
-func (r *Router) QueryMerged(metric string, keys []string, from, to int64) (store.Synopsis, error) {
-	if len(keys) == 0 {
-		// The union over no series is the empty synopsis; skip the fan-out
-		// (and its validation of an arbitrary placeholder key).
-		proto, err := r.c.proto(metric)
-		if err != nil {
-			return nil, err
-		}
-		if from > to {
-			return nil, core.Errf("Router", "range", "from %d > to %d", from, to)
-		}
-		return proto(), nil
-	}
-	req := store.PointRequest(metric, "", from, to)
-	req.Keys = keys
-	req.Aggregate = true
-	res, err := r.Query(req)
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
 // Keys returns every key of the metric resident in the cluster: the
 // union of the live nodes' key sets, sorted and deduplicated (a key can
 // transiently appear on two nodes around a rebalance).

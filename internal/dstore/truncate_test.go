@@ -51,15 +51,15 @@ func TestTruncateBelowShedsCoveredPrefix(t *testing.T) {
 	protos := testProtos(t)
 	mismatch := 0
 	for _, key := range full.Keys("uniq") {
-		want, err := full.QueryPoint("uniq", key, 0, to)
+		want, err := queryPoint(full, "uniq", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := view.QueryPoint("uniq", key, 0, to)
+		b, err := queryPoint(view, "uniq", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := r.QueryPoint("uniq", key, 0, to)
+		s, err := queryPoint(r, "uniq", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}

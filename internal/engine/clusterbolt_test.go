@@ -96,11 +96,11 @@ func TestClusterBoltSinksTopologyStream(t *testing.T) {
 	}
 	for k := 0; k < 8; k++ {
 		key := fmt.Sprintf("page%d", k)
-		got, err := c.Router().QueryPoint("uniques", key, 0, 299)
+		got, err := queryPoint(c.Router(), "uniques", key, 0, 299)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.QueryPoint("uniques", key, 0, 299)
+		want, err := queryPoint(oracle, "uniques", key, 0, 299)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestLambdaBoltDrivesBothLayers(t *testing.T) {
 	}
 	// Speed layer absorbed the stream (pre-batch merged answer is live).
 	for k := 0; k < 8; k++ {
-		syn, err := a.QueryPoint("hits", fmt.Sprintf("page%d", k), 0, 299)
+		syn, err := queryPoint(a, "hits", fmt.Sprintf("page%d", k), 0, 299)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestLambdaBoltDrivesBothLayers(t *testing.T) {
 		t.Fatalf("speed layer holds %d observations after handoff", obs)
 	}
 	for k := 0; k < 8; k++ {
-		syn, err := a.QueryPoint("hits", fmt.Sprintf("page%d", k), 0, 299)
+		syn, err := queryPoint(a, "hits", fmt.Sprintf("page%d", k), 0, 299)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,16 +67,12 @@ func (b *SinkBolt) Process(m Message, _ func(Message)) error {
 	return b.be.Observe(obs)
 }
 
-// Flush settles the backend's producer-side buffers, when it has any
-// (the cluster router's per-partition append batches, Lambda's cluster
-// mode); synchronous backends make it a no-op. Call it after a topology
-// run completes so the tail of the stream is not left sitting in
+// Flush settles the backend's producer-side buffers (the cluster
+// router's per-partition append batches, Lambda's cluster mode;
+// synchronous backends make it a no-op). Call it after a topology run
+// completes so the tail of the stream is not left sitting in
 // producer-side batches.
-func (b *SinkBolt) Flush() {
-	if f, ok := b.be.(analytics.Flusher); ok {
-		f.Flush()
-	}
-}
+func (b *SinkBolt) Flush() { b.be.Flush() }
 
 // Factory returns a BoltFactory handing every task this same bolt,
 // the common parallelism-N wiring for a SinkBolt.

@@ -92,7 +92,7 @@ func TestStoreBoltSinksTopologyStream(t *testing.T) {
 		t.Fatalf("entries %d, want 8", got.Entries)
 	}
 	for k := 0; k < 8; k++ {
-		syn, err := st.QueryPoint("uniques", fmt.Sprintf("page%d", k), 0, 299)
+		syn, err := queryPoint(st, "uniques", fmt.Sprintf("page%d", k), 0, 299)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,4 +129,16 @@ func TestStoreBoltSkipsForeignMessages(t *testing.T) {
 	if got := st.Stats().Observed; got != 2 {
 		t.Fatalf("observed %d, want 2", got)
 	}
+}
+
+// queryPoint answers one series over the inclusive range [from, to]
+// through the typed query API — the tests' point-query shorthand.
+func queryPoint(q interface {
+	Query(store.QueryRequest) (store.QueryResult, error)
+}, metric, key string, from, to int64) (store.Synopsis, error) {
+	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	if err != nil {
+		return nil, err
+	}
+	return res.Raw(), nil
 }

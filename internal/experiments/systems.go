@@ -340,7 +340,7 @@ func F1_Lambda() Table {
 		for i := 0; i < 200; i++ {
 			k := fmt.Sprintf("k%d", i)
 			b := count(arch.BatchOnlyQuery("hits", k, 0, total))
-			m := count(arch.QueryPoint("hits", k, 0, total))
+			m := count(queryPoint(arch, "hits", k, 0, total))
 			bErr += math.Abs(float64(b) - float64(exact[k]))
 			mErr += math.Abs(float64(m) - float64(exact[k]))
 		}

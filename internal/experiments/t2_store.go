@@ -273,7 +273,7 @@ func T2_4_SketchStore() Table {
 							from = 0
 						}
 						q0 := time.Now()
-						if _, err := st.QueryPoint("uniq", dist.keys[(r*7919+i*31)%len(dist.keys)], from, now); err != nil {
+						if _, err := st.Query(store.PointRequest("uniq", dist.keys[(r*7919+i*31)%len(dist.keys)], from, now)); err != nil {
 							panic(err)
 						}
 						us := float64(time.Since(q0).Microseconds())

@@ -291,11 +291,11 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 		keys := want.Keys(metric)
 		sort.Strings(keys)
 		for _, key := range keys {
-			g, err := got.QueryPoint(metric, key, 0, 620)
+			g, err := queryPoint(got, metric, key, 0, 620)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := want.QueryPoint(metric, key, 0, 620)
+			w, err := queryPoint(want, metric, key, 0, 620)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -699,23 +699,17 @@ func unionKeys(parts ...[]string) []string {
 	return slices.Compact(out)
 }
 
-// QueryPoint answers a legacy point query (inclusive [from, to]) for one
-// series — a thin wrapper over Query; see its layer-pairing contract.
-func (a *Architecture) QueryPoint(metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := a.Query(store.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
-}
-
 // BatchOnlyQuery answers from the serving layer alone — the stale answer
 // a batch-only system would give between recomputes, used by the F1
 // staleness experiment. Before the first batch run it answers empty.
-// The range is inclusive, as in QueryPoint.
+// The range is inclusive, as in store.PointRequest.
 func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store.Synopsis, error) {
 	if view := a.batch.Load(); view != nil {
-		return view.QueryPoint(metric, key, from, to)
+		res, err := view.Query(store.PointRequest(metric, key, from, to))
+		if err != nil {
+			return nil, err
+		}
+		return res.Raw(), nil
 	}
 	proto, err := a.proto(metric)
 	if err != nil {

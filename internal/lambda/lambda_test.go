@@ -90,7 +90,7 @@ func TestLambdaValidation(t *testing.T) {
 	if err := a.RegisterMetric("late", testProtos(t)["hits"]); err == nil {
 		t.Fatal("metric registration after first append accepted")
 	}
-	if _, err := a.QueryPoint("nope", "k", 0, 10); err == nil {
+	if _, err := queryPoint(a, "nope", "k", 0, 10); err == nil {
 		t.Fatal("query on unregistered metric accepted")
 	}
 }
@@ -119,7 +119,7 @@ func TestQueryMergesBatchAndSpeed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	merged, err := a.QueryPoint("hits", "clicks", 0, 100)
+	merged, err := queryPoint(a, "hits", "clicks", 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 		t.Fatalf("speed layer retains %d observations after batch handoff", obs)
 	}
 	// Merged query must not double count.
-	syn, err := a.QueryPoint("hits", "k0", 0, 1000)
+	syn, err := queryPoint(a, "hits", "k0", 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBatchOnlyGoesStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := a.QueryPoint("hits", "x", 0, 1000)
+		m, err := queryPoint(a, "hits", "x", 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,34 +236,34 @@ func assertParity(t *testing.T, a *Architecture, o *store.Store, values map[stri
 		t.Fatalf("%s: oracle has no keys", context)
 	}
 	for _, key := range keys {
-		merged, err := a.QueryPoint("hits", key, 0, to)
+		merged, err := queryPoint(a, "hits", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o.QueryPoint("hits", key, 0, to)
+		want, _ := queryPoint(o, "hits", key, 0, to)
 		for u := 0; u < 8; u++ {
 			item := fmt.Sprintf("u%d", u)
 			if g, w := hitCount(t, merged, item), want.(*store.Freq).Count(item); g != w {
 				t.Fatalf("%s: key %s item %s: merged count %d != oracle %d", context, key, item, g, w)
 			}
 		}
-		mu, err := a.QueryPoint("uniq", key, 0, to)
+		mu, err := queryPoint(a, "uniq", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wu, _ := o.QueryPoint("uniq", key, 0, to)
+		wu, _ := queryPoint(o, "uniq", key, 0, to)
 		if g, w := mu.(*store.Distinct).Estimate(), wu.(*store.Distinct).Estimate(); g != w {
 			t.Fatalf("%s: key %s: merged cardinality %v != oracle %v", context, key, g, w)
 		}
-		mt, err := a.QueryPoint("top", key, 0, to)
+		mt, err := queryPoint(a, "top", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wt, _ := o.QueryPoint("top", key, 0, to)
+		wt, _ := queryPoint(o, "top", key, 0, to)
 		if g, w := topCounts(mt), topCounts(wt); !sameCounts(g, w) {
 			t.Fatalf("%s: key %s: merged top-k %v != oracle %v", context, key, g, w)
 		}
-		ml, err := a.QueryPoint("lat", key, 0, to)
+		ml, err := queryPoint(a, "lat", key, 0, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +459,7 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := a.QueryPoint("hits", "k0", 0, int64(perWriter)); err != nil {
+			if _, err := queryPoint(a, "hits", "k0", 0, int64(perWriter)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -475,22 +475,22 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 	o := oracleStore(t, a)
 	for k := 0; k < 16; k++ {
 		key := fmt.Sprintf("k%d", k)
-		merged, err := a.QueryPoint("hits", key, 0, perWriter)
+		merged, err := queryPoint(a, "hits", key, 0, perWriter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := o.QueryPoint("hits", key, 0, perWriter)
+		want, _ := queryPoint(o, "hits", key, 0, perWriter)
 		for u := 0; u < 8; u++ {
 			item := fmt.Sprintf("u%d", u)
 			if g, w := hitCount(t, merged, item), want.(*store.Freq).Count(item); g != w {
 				t.Fatalf("key %s item %s: merged %d != oracle %d", key, item, g, w)
 			}
 		}
-		mu, err := a.QueryPoint("uniq", key, 0, perWriter)
+		mu, err := queryPoint(a, "uniq", key, 0, perWriter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wu, _ := o.QueryPoint("uniq", key, 0, perWriter)
+		wu, _ := queryPoint(o, "uniq", key, 0, perWriter)
 		if g, w := mu.(*store.Distinct).Estimate(), wu.(*store.Distinct).Estimate(); g != w {
 			t.Fatalf("key %s: merged cardinality %v != oracle %v", key, g, w)
 		}
@@ -557,7 +557,7 @@ func TestQueryBeforeFirstBatchServesSpeedOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	syn, err := a.QueryPoint("hits", "k", 0, 100)
+	syn, err := queryPoint(a, "hits", "k", 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func BenchmarkLambdaAppend(b *testing.B) {
 	}
 }
 
-func BenchmarkLambdaQueryMerged(b *testing.B) {
+func BenchmarkLambdaMergedQuery(b *testing.B) {
 	a := newArch(b, testConfig())
 	for i := 0; i < 50000; i++ {
 		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: fmt.Sprintf("u%d", i%8), Value: 1, Time: int64(i / 64)}); err != nil {
@@ -606,7 +606,7 @@ func BenchmarkLambdaQueryMerged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.QueryPoint("hits", fmt.Sprintf("k%d", i%64), 0, to); err != nil {
+		if _, err := queryPoint(a, "hits", fmt.Sprintf("k%d", i%64), 0, to); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -625,4 +625,16 @@ func BenchmarkLambdaRunBatch100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// queryPoint answers one series over the inclusive range [from, to]
+// through the typed query API — the tests' point-query shorthand.
+func queryPoint(q interface {
+	Query(store.QueryRequest) (store.QueryResult, error)
+}, metric, key string, from, to int64) (store.Synopsis, error) {
+	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	if err != nil {
+		return nil, err
+	}
+	return res.Raw(), nil
 }

@@ -22,11 +22,6 @@ import (
 	"repro/internal/store"
 )
 
-// The client takes the amortized ingest path (one POST per batch), so
-// it must advertise the BatchObserver surface the analytics helper
-// dispatches on.
-var _ analytics.BatchObserver = (*Client)(nil)
-
 // fakeClock is a hand-advanced clock for deterministic bucket refill.
 type fakeClock struct {
 	mu sync.Mutex

@@ -1,11 +1,10 @@
 // client.go: the HTTP client side of the serving API — an
 // analytics.Backend whose backend lives across a socket.
 //
-// The client satisfies the full contract (plus ContextQuerier), so
-// anything written against analytics.Backend — a dashboard, a test,
-// the conformance suite — can point at a remote analyticsd without
-// changing a call site. Two impedance mismatches are explicit rather
-// than papered over:
+// The client satisfies the full contract, so anything written against
+// analytics.Backend — a dashboard, a test, the conformance suite — can
+// point at a remote analyticsd without changing a call site. Two
+// impedance mismatches are explicit rather than papered over:
 //
 //   - RegisterMetric(name, proto) cannot cross the wire: a
 //     store.Prototype is a closure. It returns an error directing
@@ -239,7 +238,7 @@ func (c *Client) Query(req store.QueryRequest) (store.QueryResult, error) {
 	return c.QueryContext(context.Background(), req)
 }
 
-// QueryContext implements analytics.ContextQuerier: ctx cancels the
+// QueryContext implements analytics.Backend: ctx cancels the
 // in-flight HTTP request, and its deadline rides the timeout header so
 // the server aborts the backend gather too. The request's trace context
 // rides the trace header; the server adopts it, so the remote spans
@@ -282,6 +281,11 @@ func (c *Client) Keys(metric string) []string {
 	}
 	return out.Keys
 }
+
+// Flush implements analytics.Backend as a no-op: every write is a
+// completed request by the time it returns, so nothing is buffered on
+// this side of the socket.
+func (c *Client) Flush() {}
 
 // Stats implements analytics.Backend; transport errors answer zeros.
 func (c *Client) Stats() store.Stats {

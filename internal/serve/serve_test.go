@@ -27,10 +27,7 @@ import (
 )
 
 // The client must satisfy the full serving contract.
-var (
-	_ analytics.Backend        = (*Client)(nil)
-	_ analytics.ContextQuerier = (*Client)(nil)
-)
+var _ analytics.Backend = (*Client)(nil)
 
 const testBucket = 10
 

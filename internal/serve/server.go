@@ -12,7 +12,7 @@
 //     a Go duration ("250ms"). The server clamps it to MaxTimeout,
 //     derives a context, and threads it through the backend's gather
 //     (store shard fan-out, cluster scatter-gather) via
-//     analytics.QueryContext; an expired deadline aborts the gather and
+//     Backend.QueryContext; an expired deadline aborts the gather and
 //     answers 504. Absent header: DefaultTimeout.
 //   - X-Analytics-Trace carries the client's trace context (hex of
 //     trace.EncodeContext). The server adopts the remote trace
@@ -347,10 +347,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// One batched write per request: the backends validate the whole
-	// batch up front and absorb all of it or none (the BatchObserver
+	// batch up front and absorb all of it or none (the ObserveBatch
 	// contract), so a rejected batch reports accepted: 0 and the
 	// invalidation watermarks below only move for acknowledged writes.
-	if err := analytics.ObserveBatch(s.be, batch); err != nil {
+	if err := s.be.ObserveBatch(batch); err != nil {
 		s.observeError(w, sp, err)
 		return
 	}
@@ -438,7 +438,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, hit, tok = s.cache.Lookup(req)
 	}
 	if !hit {
-		res, err = analytics.QueryContext(ctx, s.be, req)
+		res, err = s.be.QueryContext(ctx, req)
 		if err != nil {
 			if sp != nil {
 				sp.SetAttrs(trace.Str("error", err.Error()))

@@ -90,7 +90,7 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 		if c.metric != "hits" && c.metric != "uniq" {
 			continue
 		}
-		got, err := st.QueryPoint(c.metric, c.key, c.bkt*cfg.BucketWidth, (c.bkt+1)*cfg.BucketWidth-1)
+		got, err := queryPoint(st, c.metric, c.key, c.bkt*cfg.BucketWidth, (c.bkt+1)*cfg.BucketWidth-1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			for i := 0; i < perGoro; i++ {
 				key := fmt.Sprintf("k%d", (r*perGoro+i)%keySpace)
 				metric := [...]string{"uniq", "top", "lat"}[i%3]
-				syn, err := st.QueryPoint(metric, key, 0, int64(writers*perGoro))
+				syn, err := queryPoint(st, metric, key, 0, int64(writers*perGoro))
 				if err != nil {
 					readErrs.Add(1)
 					continue
@@ -112,7 +112,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	// answers without error and the store is internally consistent.
 	for _, metric := range st.Metrics() {
 		for _, key := range st.Keys(metric) {
-			if _, err := st.QueryPoint(metric, key, 0, int64(writers*perGoro)); err != nil {
+			if _, err := queryPoint(st, metric, key, 0, int64(writers*perGoro)); err != nil {
 				t.Fatalf("post-run query %s/%s: %v", metric, key, err)
 			}
 		}
@@ -187,7 +187,7 @@ func TestConcurrentHotKeyWritersAndReaders(t *testing.T) {
 				} else if i%3 == 2 {
 					key = fmt.Sprintf("k%d", i%keySpace)
 				}
-				syn, err := st.QueryPoint("uniq", key, 0, int64(writers*perGoro))
+				syn, err := queryPoint(st, "uniq", key, 0, int64(writers*perGoro))
 				if err != nil {
 					t.Error(err)
 					return
@@ -327,7 +327,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 	}
 	// The store stays queryable and consistent after the combined load.
 	for _, key := range live.Keys("uniques") {
-		if _, err := live.QueryPoint("uniques", key, 0, 2000); err != nil {
+		if _, err := queryPoint(live, "uniques", key, 0, 2000); err != nil {
 			t.Fatalf("post-run query %s: %v", key, err)
 		}
 	}

@@ -157,12 +157,6 @@ func (v *FrozenView) Query(req QueryRequest) (QueryResult, error) {
 	return v.st.Query(req)
 }
 
-// QueryPoint answers a legacy point query (inclusive [from, to]) from the
-// sealed view; see Store.QueryPoint.
-func (v *FrozenView) QueryPoint(metric, key string, from, to int64) (Synopsis, error) {
-	return v.st.QueryPoint(metric, key, from, to)
-}
-
 // Keys returns the metric's keys resident in the view.
 func (v *FrozenView) Keys(metric string) []string { return v.st.Keys(metric) }
 

@@ -72,7 +72,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	before := make(map[string]float64)
 	for k := 0; k < 7; k++ {
 		key := fmt.Sprintf("k%d", k)
-		syn, err := v.QueryPoint("uniq", key, 0, 1000)
+		syn, err := queryPoint(v, "uniq", key, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	}
 	for k := 0; k < 7; k++ {
 		key := fmt.Sprintf("k%d", k)
-		syn, err := v.QueryPoint("uniq", key, 0, 1000)
+		syn, err := queryPoint(v, "uniq", key, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	}
 	for k := 0; k < 7; k++ {
 		key := fmt.Sprintf("k%d", k)
-		syn, err := again.QueryPoint("uniq", key, 0, 1000)
+		syn, err := queryPoint(again, "uniq", key, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func FuzzStoreObserve(f *testing.F) {
 				from := int64(ib) * 4
 				to := from + int64(tb)*4
 				for _, st := range []*Store{plain, splayed} {
-					if _, err := st.QueryPoint("uniq", key, from, to); err != nil && from <= to {
+					if _, err := queryPoint(st, "uniq", key, from, to); err != nil && from <= to {
 						t.Fatalf("query [%d,%d]: %v", from, to, err)
 					}
 				}
@@ -215,7 +215,7 @@ func FuzzStoreObserve(f *testing.F) {
 				want.Observe(fmt.Sprintf("i%d", item), 1)
 			}
 			for name, st := range map[string]*Store{"plain": plain, "splayed": splayed} {
-				got, err := st.QueryPoint("uniq", key, 0, maxTime)
+				got, err := queryPoint(st, "uniq", key, 0, maxTime)
 				if err != nil {
 					t.Fatal(err)
 				}

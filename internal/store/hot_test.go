@@ -61,22 +61,22 @@ func assertStoresAgree(t *testing.T, subject, control *Store, keys []string, now
 			if r[0] < 0 {
 				r[0] = 0
 			}
-			a, err := subject.QueryPoint("uniq", key, r[0], r[1])
+			a, err := queryPoint(subject, "uniq", key, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := control.QueryPoint("uniq", key, r[0], r[1])
+			b, err := queryPoint(control, "uniq", key, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ae, be := a.(*Distinct).Estimate(), b.(*Distinct).Estimate(); ae != be {
 				t.Fatalf("uniq/%s over [%d,%d]: splayed %f != control %f", key, r[0], r[1], ae, be)
 			}
-			fa, err := subject.QueryPoint("hits", key, r[0], r[1])
+			fa, err := queryPoint(subject, "hits", key, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			fb, err := control.QueryPoint("hits", key, r[0], r[1])
+			fb, err := queryPoint(control, "hits", key, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -440,7 +440,7 @@ func TestHotKeyFlushAndQueryDrainPending(t *testing.T) {
 		t.Fatalf("expected a pending backlog, all %d writes already flushed", got)
 	}
 	// A query of the hot key drains its pending batch first.
-	syn, err := st.QueryPoint("uniques", "hot", 0, 10)
+	syn, err := queryPoint(st, "uniques", "hot", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestHotKeyHomeEntrySurvivesIdleEviction(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("hot key listed %d times after idle churn (stats %+v)", count, st.Stats())
 	}
-	syn, err := st.QueryPoint("uniques", "hot", 0, 1000)
+	syn, err := queryPoint(st, "uniques", "hot", 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

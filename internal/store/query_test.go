@@ -107,7 +107,7 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range res.Answers() {
-			want, err := st.QueryPoint(metric, a.Key, 0, 499)
+			want, err := queryPoint(st, metric, a.Key, 0, 499)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestQueryAggregateMatchesCombine(t *testing.T) {
 		}
 		var parts []Synopsis
 		for _, key := range []string{"k0", "k1", "k3", "k5"} { // sorted, deduped
-			syn, err := st.QueryPoint(metric, key, 0, 399)
+			syn, err := queryPoint(st, metric, key, 0, 399)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 	if _, err := st.Query(QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10}); !errors.Is(err, ErrUnknownMetric) {
 		t.Fatalf("unknown metric error: %v", err)
 	}
-	if _, err := st.QueryPoint("nope", "k", 0, 9); !errors.Is(err, ErrUnknownMetric) {
+	if _, err := queryPoint(st, "nope", "k", 0, 9); !errors.Is(err, ErrUnknownMetric) {
 		t.Fatal("point path lost the sentinel")
 	}
 }
@@ -249,7 +249,7 @@ func TestQueryBatchWithHotKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range res.Answers() {
-		want, err := st.QueryPoint("uniq", a.Key, 0, 999)
+		want, err := queryPoint(st, "uniq", a.Key, 0, 999)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func BenchmarkQuerySingleKeyPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.QueryPoint("uniq", "k3", 0, 499); err != nil {
+		if _, err := queryPoint(st, "uniq", "k3", 0, 499); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,7 +360,7 @@ func BenchmarkQueryMultiKeyPointLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, key := range keys {
-			if _, err := st.QueryPoint("uniq", key, 0, 499); err != nil {
+			if _, err := queryPoint(st, "uniq", key, 0, 499); err != nil {
 				b.Fatal(err)
 			}
 		}

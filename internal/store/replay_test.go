@@ -45,7 +45,7 @@ func replayFixture(t *testing.T, parts, retention, n int) (*mqlog.Broker, *mqlog
 
 func queryEstimate(t *testing.T, st *Store, key string, to int64) float64 {
 	t.Helper()
-	syn, err := st.QueryPoint("uniq", key, 0, to)
+	syn, err := queryPoint(st, "uniq", key, 0, to)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,11 +281,9 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	ch := r.child(name, help, KindCounter, labels)
-	if ch.counter == nil {
+	return r.child(name, help, KindCounter, labels, func(ch *child) {
 		ch.counter = &Counter{}
-	}
-	return ch.counter
+	}).counter
 }
 
 // CounterFunc registers (or re-binds) a counter whose value is read
@@ -307,11 +305,9 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	ch := r.child(name, help, KindGauge, labels)
-	if ch.gauge == nil {
+	return r.child(name, help, KindGauge, labels, func(ch *child) {
 		ch.gauge = &Gauge{}
-	}
-	return ch.gauge
+	}).gauge
 }
 
 // GaugeFunc registers (or re-binds) a gauge read through fn at scrape
@@ -332,8 +328,7 @@ func (r *Registry) Histogram(name, help string, lo, hi float64, buckets int, lab
 	if r == nil {
 		return nil
 	}
-	ch := r.child(name, help, KindHistogram, labels)
-	if ch.hist == nil {
+	return r.child(name, help, KindHistogram, labels, func(ch *child) {
 		eq, err := histogram.NewEquiWidth(lo, hi, buckets)
 		if err != nil {
 			panic(fmt.Sprintf("telemetry: histogram %q: %v", name, err))
@@ -345,13 +340,14 @@ func (r *Registry) Histogram(name, help string, lo, hi float64, buckets int, lab
 			bounds: eq.BucketBounds(),
 			counts: make([]atomic.Uint64, buckets),
 		}
-	}
-	return ch.hist
+	}).hist
 }
 
 // child locates or creates the series for (name, labels), enforcing
-// kind consistency across the family.
-func (r *Registry) child(name, help string, kind Kind, labels []string) *child {
+// kind consistency across the family. A new series gets its instrument
+// from mk while the family lock is still held, so concurrent first
+// callers — and a concurrent encode — only ever see one, fully built.
+func (r *Registry) child(name, help string, kind Kind, labels []string, mk func(*child)) *child {
 	validateName(name)
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: metric %q: odd label pairs %v", name, labels))
@@ -375,6 +371,7 @@ func (r *Registry) child(name, help string, kind Kind, labels []string) *child {
 	ch, ok := fam.children[key]
 	if !ok {
 		ch = &child{labels: pairs, labelKey: key}
+		mk(ch)
 		fam.children[key] = ch
 	}
 	return ch

@@ -27,7 +27,6 @@
 package repro
 
 import (
-	"context"
 	"net/http"
 	"time"
 
@@ -801,12 +800,15 @@ func ReplayLogPartition(st *SketchStore, topic *LogTopic, pid int, from uint64, 
 
 // ---- Unified serving API (analytics.Backend) ----
 
-// Backend is the unified serving contract: SketchStore, ClusterRouter and
-// Lambda all satisfy it, so one call site can query the speed store, the
-// partitioned cluster or the Lambda batch+speed merge interchangeably.
-// See internal/analytics for the exact cross-backend semantics (unknown
-// metrics error with ErrUnknownMetric; registered metrics with no data
-// answer empty cells).
+// Backend is the unified serving contract: SketchStore, ClusterRouter,
+// Lambda and AnalyticsClient all satisfy it, so one call site can query
+// the speed store, the partitioned cluster, the Lambda batch+speed merge
+// or a remote daemon interchangeably. Eight methods, no optional ones:
+// RegisterMetric, Observe, ObserveBatch (all-or-nothing), Query,
+// QueryContext (Query under a deadline), Keys, Stats and Flush (a no-op
+// where writes are synchronous). See internal/analytics for the exact
+// cross-backend semantics (unknown metrics error with ErrUnknownMetric;
+// registered metrics with no data answer empty cells).
 type Backend = analytics.Backend
 
 // QueryRequest is one typed serving query: metric(s), one/many/all keys,
@@ -843,8 +845,9 @@ const (
 // observation names a metric that was never registered.
 var ErrUnknownMetric = store.ErrUnknownMetric
 
-// PointRequest maps a legacy point query (one metric, one key, inclusive
-// [from, to]) onto the QueryRequest it is equivalent to.
+// PointRequest maps a single-series question (one metric, one key,
+// inclusive [from, to]) onto the QueryRequest that answers it;
+// Query(PointRequest(...)).Raw() is the series' merged synopsis.
 func PointRequest(metric, key string, from, to int64) QueryRequest {
 	return store.PointRequest(metric, key, from, to)
 }
@@ -1150,8 +1153,8 @@ func NewAnalyticsServer(cfg AnalyticsServerConfig) (*AnalyticsServer, error) {
 	return serve.NewServer(cfg)
 }
 
-// AnalyticsClient is the client side of the serving API: a Backend (and
-// ContextQuerier) whose backend lives across a socket, so conformance
+// AnalyticsClient is the client side of the serving API: a Backend
+// whose backend lives across a socket, so conformance
 // tests and dashboards point at a remote analyticsd unchanged. Register
 // metrics with Register(name, MetricSpec) — or Sync to pull the
 // server's schema — so the client can rebuild answer synopses.
@@ -1214,36 +1217,7 @@ type ReadCacheStats = rcache.Stats
 // gather.
 func NewReadCache(cfg ReadCacheConfig) (*ReadCache, error) { return rcache.New(cfg) }
 
-// ContextQuerier is the optional deadline-aware query surface a Backend
-// may implement; QueryWithContext prefers it and falls back to Query.
-type ContextQuerier = analytics.ContextQuerier
-
-// QueryWithContext queries be under ctx: backends implementing
-// ContextQuerier (the cluster router, the serving client) get the
-// context threaded through their gather; others answer Query once the
-// context is still live.
-func QueryWithContext(ctx context.Context, be Backend, req QueryRequest) (QueryResult, error) {
-	return analytics.QueryContext(ctx, be, req)
-}
-
 // ---- Admission control (overload shedding and batched ingest) ----
-
-// BatchObserver is the optional batched-write surface a Backend may
-// implement: the whole batch is validated before anything mutates
-// (all-or-nothing), an accepted batch is byte-identical to the same
-// observations fed one Observe at a time, and an empty batch is a
-// no-op. SketchStore, ClusterRouter, Lambda and AnalyticsClient all
-// implement it.
-type BatchObserver = analytics.BatchObserver
-
-// ObserveBatch absorbs a batch through be: backends implementing
-// BatchObserver get the amortized path (one shard-group lock in the
-// store, one partition-buffer acquisition in the cluster, one HTTP
-// request from the client); for the rest it degrades to an Observe
-// loop, stopping at the first error.
-func ObserveBatch(be Backend, obs []StoreObservation) error {
-	return analytics.ObserveBatch(be, obs)
-}
 
 // AdmissionController prices writes against token buckets (global,
 // per-metric, per-tenant) and sheds what the budget cannot cover with

@@ -145,7 +145,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err := arch.Append(repro.StoreObservation{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := arch.QueryPoint("hits", "k", 0, 10)
+	syn, err := queryPoint(arch, "hits", "k", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := view.QueryPoint("hits", "k", 0, 10)
+	vs, err := queryPoint(view, "hits", "k", 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,16 +225,6 @@ func TestFacadeBackend(t *testing.T) {
 		}
 		if got := res.Distinct(); got < 35 || got > 45 {
 			t.Fatalf("typed distinct %d, want ~40", got)
-		}
-		// The typed path equals the legacy point wrapper.
-		syn, err := be.(interface {
-			QueryPoint(metric, key string, from, to int64) (repro.StoreSynopsis, error)
-		}).QueryPoint("uniques", "home", 0, 49)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := syn.(*repro.DistinctSynopsis).Estimate(); float64(res.Distinct()) != math.Round(want) {
-			t.Fatalf("typed %d != point %f", res.Distinct(), want)
 		}
 		// Unified error semantics: unknown metrics carry the sentinel...
 		if _, err := be.Query(repro.QueryRequest{Metric: "nope", Key: "home", From: 0, To: 50}); !errors.Is(err, repro.ErrUnknownMetric) {
@@ -436,11 +426,11 @@ func TestFacadeSketchStore(t *testing.T) {
 	}
 	for k := 0; k < 4; k++ {
 		key := fmt.Sprintf("page%d", k)
-		a, err := st.QueryPoint("uniques", key, 0, 499)
+		a, err := queryPoint(st, "uniques", key, 0, 499)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := batch.QueryPoint("uniques", key, 0, 499)
+		b, err := queryPoint(batch, "uniques", key, 0, 499)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -517,11 +507,11 @@ func TestFacadeStoreCluster(t *testing.T) {
 	}
 	var parts []repro.StoreSynopsis
 	for _, key := range keys {
-		a, err := r.QueryPoint("uniques", key, 0, 499)
+		a, err := queryPoint(r, "uniques", key, 0, 499)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := batch.QueryPoint("uniques", key, 0, 499)
+		b, err := queryPoint(batch, "uniques", key, 0, 499)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,10 +523,11 @@ func TestFacadeStoreCluster(t *testing.T) {
 		parts = append(parts, b)
 	}
 	// Scatter-gather union vs a manual combine of the oracle's parts.
-	union, err := r.QueryMerged("uniques", keys, 0, 499)
+	res, err := r.Query(repro.QueryRequest{Metric: "uniques", Keys: keys, From: 0, To: 500, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	union := res.Raw()
 	want, err := repro.CombineSnapshots(proto, parts...)
 	if err != nil {
 		t.Fatal(err)
@@ -544,4 +535,16 @@ func TestFacadeStoreCluster(t *testing.T) {
 	if g, w := union.(*repro.DistinctSynopsis).Estimate(), want.(*repro.DistinctSynopsis).Estimate(); g != w {
 		t.Fatalf("scatter-gather union %f != combined oracle %f", g, w)
 	}
+}
+
+// queryPoint answers one series over the inclusive range [from, to]
+// through the typed query API — the tests' point-query shorthand.
+func queryPoint(q interface {
+	Query(repro.QueryRequest) (repro.QueryResult, error)
+}, metric, key string, from, to int64) (repro.StoreSynopsis, error) {
+	res, err := q.Query(repro.PointRequest(metric, key, from, to))
+	if err != nil {
+		return nil, err
+	}
+	return res.Raw(), nil
 }
