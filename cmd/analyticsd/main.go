@@ -181,6 +181,21 @@ func preload(be analytics.Backend, cache *rcache.Cache, events int) error {
 	return nil
 }
 
+// newHTTPServer is the repo's one http.Server construction. It carries
+// defensive timeouts — ReadHeaderTimeout above all, since a zero value
+// leaves the listener open to slowloris header dribbling — sized so the
+// slowest legitimate responses (30s pprof CPU profiles, 60s execution
+// traces) still fit inside WriteTimeout.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	backend := flag.String("backend", "store", "serving layer: store, cluster or lambda")
@@ -300,13 +315,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "analyticsd:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	httpSrv := newHTTPServer(srv.Handler())
 	go func() { _ = httpSrv.Serve(ln) }()
 	// The "listening" line is the readiness signal scripts wait for —
 	// printed only after the listener is bound.

@@ -23,6 +23,7 @@ import (
 	"repro/internal/lambda"
 	"repro/internal/rcache"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -628,5 +629,60 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if resp := post("/v1/observe", `{"observations":[{"metric":"ghost","key":"k","time":1}]}`, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("observe of unknown metric answered %d", resp.StatusCode)
+	}
+}
+
+// TestServeBodyCap pins the edge's request-size cap: a POST body one
+// byte over maxBodyBytes answers 413 on every decoding route, counts
+// against the route's error counter and reaches the backend not at all;
+// a body of exactly the cap is still served.
+func TestServeBodyCap(t *testing.T) {
+	st, err := store.New(testGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Backend: st, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("uniq", DistinctSpec(12, 7)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Leading whitespace is legal JSON, so each body is valid but for
+	// its size.
+	post := func(route, body string, size int) int {
+		t.Helper()
+		padded := strings.Repeat(" ", size-len(body)) + body
+		resp, err := ts.Client().Post(ts.URL+"/v1/"+route, "application/json", strings.NewReader(padded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct{ route, body string }{
+		{"register", `{"name":"%s","spec":{"family":"distinct","precision":12,"seed":7}}`},
+		{"observe", `{"observations":[{"metric":"uniq","key":"%s","item":"u","time":1}]}`},
+		{"query", `{"metrics":["uniq"],"keys":["%s"],"from":0,"to":10}`},
+	} {
+		errsBefore, seenBefore := srv.errs[tc.route].Value(), st.Stats().Observed
+		if code := post(tc.route, fmt.Sprintf(tc.body, "over"), maxBodyBytes+1); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: cap+1 bytes answered %d, want 413", tc.route, code)
+		}
+		if got := srv.errs[tc.route].Value(); got != errsBefore+1 {
+			t.Fatalf("%s: errors_total moved %d → %d, want +1", tc.route, errsBefore, got)
+		}
+		if got := st.Stats().Observed; got != seenBefore {
+			t.Fatalf("%s: refused body reached the backend: observed %d → %d", tc.route, seenBefore, got)
+		}
+		if code := post(tc.route, fmt.Sprintf(tc.body, "at"), maxBodyBytes); code != http.StatusOK {
+			t.Fatalf("%s: body of exactly the cap answered %d, want 200", tc.route, code)
+		}
+	}
+	if got := st.Stats().Observed; got != 1 {
+		t.Fatalf("observed %d after the one at-cap write, want 1", got)
 	}
 }

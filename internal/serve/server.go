@@ -4,7 +4,7 @@
 // keys, stats — as a small JSON API, and mounts the telemetry handler
 // (/metrics, /debug/analytics, /debug/traces, /debug/slow, pprof) on
 // the same mux, so one port serves both the data plane and the
-// observability plane, exactly like the in-process demos do.
+// observability plane.
 //
 // Two pieces of request context cross the wire as headers:
 //
@@ -61,6 +61,11 @@ const (
 	DefaultTenantHeader = "X-Analytics-Tenant"
 )
 
+// maxBodyBytes caps every request body the edge decodes, so a hostile
+// POST cannot make the daemon allocate without bound. Far above any
+// legitimate request (a 256-observation batch is ~30 KB).
+const maxBodyBytes = 8 << 20
+
 // Config assembles a Server.
 type Config struct {
 	// Backend serves the contract. Required. Wrap it with
@@ -101,8 +106,8 @@ type Config struct {
 	NegCache int
 }
 
-// Server is the HTTP serving edge. Build with NewServer, mount
-// Handler() (or let cmd/analyticsd drive it).
+// Server is the HTTP serving edge. Build with NewServer and mount
+// Handler() on an http.Server of your own, as cmd/analyticsd does.
 type Server struct {
 	cfg   Config
 	be    analytics.Backend
@@ -183,22 +188,6 @@ func NewServer(cfg Config) (*Server, error) {
 // Handler returns the server's mux: data plane under /v1/, telemetry
 // and debug surfaces at their conventional paths.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Serve starts an HTTP server for the handler on addr with the same
-// hardened timeouts telemetry.ServeWith uses, returning the server for
-// Close. Prefer cmd/analyticsd for a full daemon.
-func (s *Server) Serve(addr string) *http.Server {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() { _ = srv.ListenAndServe() }()
-	return srv
-}
 
 // Register binds a metric in process — the daemon's preload path. It
 // registers the materialized prototype with the backend and records the
@@ -297,10 +286,26 @@ func errStatus(err error) int {
 	}
 }
 
+// decodeBody decodes the request's JSON body into v under maxBodyBytes.
+// On failure it returns the status to answer: 413 for a body over the
+// cap, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	default:
+		return http.StatusBadRequest, err
+	}
+}
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, "register", http.StatusBadRequest, err)
+	if code, err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, "register", code, err)
 		return
 	}
 	if req.Name == "" {
@@ -322,8 +327,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, "observe", http.StatusBadRequest, err)
+	if code, err := decodeBody(w, r, &req); err != nil {
+		s.fail(w, "observe", code, err)
 		return
 	}
 	sp := s.remoteSpan(r, "serve.observe")
@@ -393,8 +398,8 @@ func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var wq QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&wq); err != nil {
-		s.fail(w, "query", http.StatusBadRequest, err)
+	if code, err := decodeBody(w, r, &wq); err != nil {
+		s.fail(w, "query", code, err)
 		return
 	}
 	req, err := wq.Request().Normalize()

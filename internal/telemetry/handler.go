@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -28,7 +27,7 @@ type DebugOptions struct {
 //   - /metrics          — Prometheus text exposition (version 0.0.4)
 //   - /debug/analytics  — JSON snapshot with histogram quantiles
 //
-// A nil registry serves an empty (but valid) payload on both, so demos
+// A nil registry serves an empty (but valid) payload on both, so callers
 // can mount the handler unconditionally.
 func Handler(r *Registry) http.Handler {
 	return HandlerWith(r, DebugOptions{})
@@ -84,30 +83,4 @@ func HandlerWith(r *Registry, opts DebugOptions) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// Serve starts an HTTP server on addr exposing Handler(r) and returns
-// immediately; errors after startup (e.g. the listener closing) are
-// dropped. It is the one-liner the cmd demos use for their -metrics
-// flag. Returns the server so callers can Close it.
-func Serve(addr string, r *Registry) *http.Server {
-	return ServeWith(addr, r, DebugOptions{})
-}
-
-// ServeWith is Serve over HandlerWith. The server carries defensive
-// timeouts — ReadHeaderTimeout above all, since a zero value leaves the
-// listener open to slowloris header dribbling — sized so the slowest
-// legitimate responses (30s pprof CPU profiles, 60s execution traces)
-// still fit inside WriteTimeout.
-func ServeWith(addr string, r *Registry, opts DebugOptions) *http.Server {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           HandlerWith(r, opts),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go func() { _ = srv.ListenAndServe() }()
-	return srv
 }

@@ -78,21 +78,3 @@ func TestDebugSurfacesAbsentByDefault(t *testing.T) {
 		}
 	}
 }
-
-// TestServeTimeoutsHardened pins the slowloris fix: every server the
-// demos start must carry a nonzero ReadHeaderTimeout (and companions).
-func TestServeTimeoutsHardened(t *testing.T) {
-	srv := Serve("127.0.0.1:0", nil)
-	defer srv.Close()
-	if srv.ReadHeaderTimeout <= 0 {
-		t.Fatal("ReadHeaderTimeout unset: slowloris foot-gun")
-	}
-	if srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
-		t.Fatalf("timeouts unset: read=%v write=%v idle=%v",
-			srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
-	}
-	// pprof's 30s default CPU profile must fit inside WriteTimeout.
-	if srv.WriteTimeout < 31*time.Second {
-		t.Fatalf("WriteTimeout %v too small for a 30s pprof profile", srv.WriteTimeout)
-	}
-}

@@ -890,13 +890,8 @@ type TelemetryHistogram = telemetry.Histogram
 // MetricsHandler returns an http.Handler serving reg on two routes:
 // /metrics (Prometheus text exposition) and /debug/analytics (a JSON
 // snapshot including histogram quantiles). A nil registry serves valid
-// empty payloads.
+// empty payloads. Mount it on an http.Server of your own.
 func MetricsHandler(reg *Telemetry) http.Handler { return telemetry.Handler(reg) }
-
-// ServeMetrics starts an HTTP server on addr exposing MetricsHandler
-// and returns it (callers Close it on shutdown) — the one-liner behind
-// the cmd demos' -metrics flag.
-func ServeMetrics(addr string, reg *Telemetry) *http.Server { return telemetry.Serve(addr, reg) }
 
 // Instrument wraps a Backend so every Observe and Query is counted per
 // metric and timed into reg, labeled backend=name — SinkBolt topologies
@@ -972,14 +967,6 @@ type DebugOptions = telemetry.DebugOptions
 // when opts.Pprof is set, the standard pprof endpoints.
 func MetricsHandlerWith(reg *Telemetry, opts DebugOptions) http.Handler {
 	return telemetry.HandlerWith(reg, opts)
-}
-
-// ServeMetricsWith is ServeMetrics with debug surfaces — the one-liner
-// behind the cmd demos' -trace and -pprof flags. The returned server
-// has hardened timeouts (slowloris-resistant header/read deadlines, a
-// write deadline long enough for 30s CPU profiles).
-func ServeMetricsWith(addr string, reg *Telemetry, opts DebugOptions) *http.Server {
-	return telemetry.ServeWith(addr, reg, opts)
 }
 
 // ---- Partitioned store cluster (multi-node serving over mqlog) ----
@@ -1148,7 +1135,8 @@ type AnalyticsServer = serve.Server
 type AnalyticsServerConfig = serve.Config
 
 // NewAnalyticsServer returns a serving edge over cfg.Backend. Mount
-// Handler() or call Serve(addr); cmd/analyticsd is the packaged daemon.
+// Handler() on your own http.Server; cmd/analyticsd is the packaged
+// daemon.
 func NewAnalyticsServer(cfg AnalyticsServerConfig) (*AnalyticsServer, error) {
 	return serve.NewServer(cfg)
 }
