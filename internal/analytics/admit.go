@@ -44,22 +44,66 @@ func (a *admitted) Observe(obs store.Observation) error {
 }
 
 // ObserveBatch admits the whole batch before delegating any of it, so
-// a shed batch mutates nothing. Runs of the same metric are priced in
-// one Admit call (the common shape — the serving edge and the preload
-// both batch per metric or in metric-major order). When a later run
-// sheds, tokens granted to earlier runs in the same batch stay spent:
+// a shed batch mutates nothing. Each distinct metric is priced in one
+// Admit call for its share of the batch, whatever order the batch is in
+// (see eachMetric: the streams this repository generates interleave
+// their metrics observation by observation). When a later metric sheds,
+// tokens granted to earlier ones in the same batch stay spent:
 // admission accounting is conservative under partial-batch shed, but
 // backend state is untouched either way.
 func (a *admitted) ObserveBatch(obs []store.Observation) error {
-	for i := 0; i < len(obs); {
-		j := i + 1
-		for j < len(obs) && obs[j].Metric == obs[i].Metric {
-			j++
-		}
-		if err := a.ctrl.Admit(obs[i].Metric, j-i); err != nil {
-			return err
-		}
-		i = j
+	if err := eachMetric(obs, a.ctrl.Admit); err != nil {
+		return err
 	}
 	return a.Backend.ObserveBatch(obs)
+}
+
+// maxTally is how many distinct metrics eachMetric counts at a time.
+const maxTally = 8
+
+// eachMetric calls fn once per distinct metric of obs with the number
+// of observations naming it, in order of first appearance, and stops at
+// fn's first error. It is what both decorators price a batch by: the
+// demo stream, the daemon's preload and the benchmark all emit one
+// observation per metric per event, so the metric changes on every
+// observation and a run-length pass would call fn once per observation.
+// The tally is a fixed array scanned linearly — no allocation, and
+// cheaper than a map at the handful of metrics a deployment registers.
+// A batch with more than maxTally distinct metrics is reported in
+// parts: when a ninth metric turns up the tally so far goes to fn and
+// counting restarts, so a metric may then be reported more than once,
+// which costs fn's callers a repeated lock, never a wrong total.
+func eachMetric(obs []store.Observation, fn func(metric string, n int) error) error {
+	var tally [maxTally]struct {
+		metric string
+		n      int
+	}
+	used := 0
+	flush := func() error {
+		for _, t := range tally[:used] {
+			if err := fn(t.metric, t.n); err != nil {
+				return err
+			}
+		}
+		used = 0
+		return nil
+	}
+next:
+	for i := range obs {
+		m := obs[i].Metric
+		for j := range tally[:used] {
+			if tally[j].metric == m {
+				tally[j].n++
+				continue next
+			}
+		}
+		if used == maxTally {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		tally[used].metric, tally[used].n = m, 1
+		used++
+	}
+	return flush()
 }

@@ -37,7 +37,12 @@
 //     observations fed one Observe at a time, in order: per-(metric,key)
 //     arrival order is preserved, so every synopsis, counter and hot-key
 //     decision matches the loop exactly. An empty batch is a no-op,
-//     never an error.
+//     never an error. The slice is lent for the call only: a backend
+//     must not retain obs (or a sub-slice of it) after ObserveBatch
+//     returns — it copies the observations it buffers, as all four do —
+//     so a caller may reuse the slice at once, as the serving edge does
+//     with its pooled batch. The strings inside are ordinary immutable
+//     Go strings and may be kept.
 //   - Query answers a typed store.QueryRequest. A request naming an
 //     unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
@@ -87,7 +92,8 @@ type Backend interface {
 	RegisterMetric(name string, proto store.Prototype) error
 	// Observe absorbs one observation.
 	Observe(obs store.Observation) error
-	// ObserveBatch absorbs all of obs or none of it.
+	// ObserveBatch absorbs all of obs or none of it, and must not
+	// retain obs after it returns: the caller may reuse the slice.
 	ObserveBatch(obs []store.Observation) error
 	// Query answers one typed request; see store.QueryRequest and
 	// store.QueryResult.

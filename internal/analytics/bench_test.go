@@ -5,7 +5,9 @@
 package analytics
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/admission"
@@ -110,5 +112,73 @@ func BenchmarkIngestBatched(b *testing.B) {
 		if err := be.ObserveBatch(batch[:n]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestEachMetric pins the tally both decorators price a batch by: one
+// call per distinct metric with its exact share in first-appearance
+// order however the batch interleaves, totals preserved when a batch
+// names more metrics than the tally holds, the first error returned at
+// once, and no allocation on the decorated batch path.
+func TestEachMetric(t *testing.T) {
+	type call struct {
+		metric string
+		n      int
+	}
+	collect := func(obs []store.Observation) []call {
+		var calls []call
+		if err := eachMetric(obs, func(m string, n int) error {
+			calls = append(calls, call{m, n})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+	var interleaved []store.Observation
+	for i := 0; i < 64; i++ {
+		for _, m := range []string{"uniq", "hits", "top", "lat"} {
+			interleaved = append(interleaved, store.Observation{Metric: m})
+		}
+	}
+	interleaved = append(interleaved, store.Observation{Metric: "top"})
+	want := []call{{"uniq", 64}, {"hits", 64}, {"top", 65}, {"lat", 64}}
+	if got := collect(interleaved); !reflect.DeepEqual(got, want) {
+		t.Fatalf("interleaved batch tallied %v, want %v", got, want)
+	}
+	if got := collect(nil); got != nil {
+		t.Fatalf("empty batch tallied %v", got)
+	}
+
+	var wide []store.Observation
+	for i := 0; i < 3*(maxTally+3); i++ {
+		wide = append(wide, store.Observation{Metric: fmt.Sprintf("m%d", i%(maxTally+3))})
+	}
+	totals := map[string]int{}
+	for _, c := range collect(wide) {
+		totals[c.metric] += c.n
+	}
+	if len(totals) != maxTally+3 {
+		t.Fatalf("wide batch tallied %d metrics, want %d", len(totals), maxTally+3)
+	}
+	for m, n := range totals {
+		if n != 3 {
+			t.Fatalf("metric %s tallied %d, want 3", m, n)
+		}
+	}
+
+	boom := errors.New("boom")
+	calls := 0
+	if err := eachMetric(interleaved, func(string, int) error { calls++; return boom }); err != boom || calls != 1 {
+		t.Fatalf("error path: err %v after %d calls, want boom after 1", err, calls)
+	}
+
+	ctrl := openController(t)
+	total := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = eachMetric(interleaved, ctrl.Admit)
+		_ = eachMetric(interleaved, func(_ string, n int) error { total += n; return nil })
+	}); allocs != 0 {
+		t.Fatalf("tallying a batch allocates %.0f times, want 0", allocs)
 	}
 }

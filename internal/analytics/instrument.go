@@ -186,15 +186,10 @@ func (in *instrumented) ObserveBatch(obs []store.Observation) error {
 		in.obsErrs.Inc()
 		return err
 	}
-	for i := 0; i < len(obs); {
-		j := i + 1
-		for j < len(obs) && obs[j].Metric == obs[i].Metric {
-			j++
-		}
-		in.counterFor(in.obsCount, "analytics_backend_observe_total", obs[i].Metric).Add(uint64(j - i))
-		i = j
-	}
-	return nil
+	return eachMetric(obs, func(metric string, n int) error {
+		in.counterFor(in.obsCount, "analytics_backend_observe_total", metric).Add(uint64(n))
+		return nil
+	})
 }
 
 func (in *instrumented) Query(req store.QueryRequest) (store.QueryResult, error) {

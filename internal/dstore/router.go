@@ -111,12 +111,11 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 		}
 	}
 	tracer := r.c.tracer()
-	groups := make([][]int, len(r.parts))
-	for i := range obs {
-		pid := r.c.topic.PartitionFor(obs[i].Key)
-		groups[pid] = append(groups[pid], i)
-	}
-	for pid, group := range groups {
+	order, bounds := store.GroupIndices(len(obs), len(r.parts), func(i int) int {
+		return r.c.topic.PartitionFor(obs[i].Key)
+	})
+	for pid := range r.parts {
+		group := order[bounds[pid]:bounds[pid+1]]
 		if len(group) == 0 {
 			continue
 		}

@@ -120,6 +120,9 @@ type Server struct {
 	mu    sync.RWMutex
 	specs map[string]ProtoSpec
 
+	// scratch pools the per-request decode state (see observe.go).
+	scratch sync.Pool
+
 	queries  *telemetry.Counter
 	observes *telemetry.Counter
 	cached   *telemetry.Counter
@@ -163,6 +166,7 @@ func NewServer(cfg Config) (*Server, error) {
 			"Query latency at the serving edge, cache hits included.",
 			0, 50e-3, 64, "layer", "serve"),
 	}
+	s.scratch.New = func() any { return newScratch() }
 	for _, route := range []string{"register", "observe", "query", "keys"} {
 		s.errs[route] = reg.Counter("analytics_serve_errors_total",
 			"Requests answered with a non-2xx status.", "layer", "serve", "route", route)
@@ -243,9 +247,14 @@ func (s *Server) remoteSpan(r *http.Request, name string) *trace.Span {
 	return s.trc.AdoptRemote(tctx, name)
 }
 
+// jsonContentType is the Content-Type header value of every response,
+// shared so setting it allocates nothing (net/http never writes to a
+// header's value slice).
+var jsonContentType = []string{"application/json"}
+
 // writeJSON writes v with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -286,25 +295,9 @@ func errStatus(err error) int {
 	}
 }
 
-// decodeBody decodes the request's JSON body into v under maxBodyBytes.
-// On failure it returns the status to answer: 413 for a body over the
-// cap, 400 for anything else.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return http.StatusOK, nil
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, err
-	default:
-		return http.StatusBadRequest, err
-	}
-}
-
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if code, err := decodeBody(w, r, &req); err != nil {
+	if code, err := s.decodeBody(w, r, &req); err != nil {
 		s.fail(w, "register", code, err)
 		return
 	}
@@ -326,30 +319,34 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if code, err := decodeBody(w, r, &req); err != nil {
+	sc := s.scratch.Get().(*scratch)
+	defer s.release(sc)
+	body, code, err := sc.readBody(w, r)
+	if err != nil {
 		s.fail(w, "observe", code, err)
 		return
 	}
+	// batch is the scratch's: valid until release, which is why
+	// ObserveBatch must not keep the slice.
+	batch, err := sc.decodeObserve(body)
+	if err != nil {
+		s.fail(w, "observe", http.StatusBadRequest, err)
+		return
+	}
 	sp := s.remoteSpan(r, "serve.observe")
-	var tctx trace.Context
 	if sp != nil {
-		sp.SetAttrs(trace.Int("batch", int64(len(req.Observations))))
-		tctx = sp.Context()
+		sp.SetAttrs(trace.Int("batch", int64(len(batch))))
+		tctx := sp.Context()
+		for i := range batch {
+			batch[i].Trace = tctx
+		}
 		defer sp.Finish()
 	}
 	// Per-tenant fairness runs first, before anything can mutate: a shed
 	// request provably left no trace anywhere below the edge.
-	if err := s.ctrl.AdmitTenant(r.Header.Get(s.cfg.TenantHeader), len(req.Observations)); err != nil {
+	if err := s.ctrl.AdmitTenant(r.Header.Get(s.cfg.TenantHeader), len(batch)); err != nil {
 		s.observeError(w, sp, err)
 		return
-	}
-	batch := make([]store.Observation, len(req.Observations))
-	for i, wo := range req.Observations {
-		batch[i] = store.Observation{
-			Metric: wo.Metric, Key: wo.Key, Item: wo.Item,
-			Value: wo.Value, Time: wo.Time, Trace: tctx,
-		}
 	}
 	// One batched write per request: the backends validate the whole
 	// batch up front and absorb all of it or none (the ObserveBatch
@@ -367,7 +364,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.observes.Add(uint64(len(batch)))
-	writeJSON(w, http.StatusOK, ObserveResponse{Accepted: len(batch)})
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.renderAck(len(batch))) // a failed write is the client's hang-up
 }
 
 // observeError answers one failed observe batch: nothing was absorbed,
@@ -398,7 +397,7 @@ func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var wq QueryRequest
-	if code, err := decodeBody(w, r, &wq); err != nil {
+	if code, err := s.decodeBody(w, r, &wq); err != nil {
 		s.fail(w, "query", code, err)
 		return
 	}

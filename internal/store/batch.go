@@ -41,18 +41,40 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 			protos[o.Metric] = p
 		}
 	}
-	// Group by home shard, preserving input order within each group.
-	groups := make([][]int, len(s.shards))
-	for i := range obs {
-		idx := s.shardIndex(entryKey{metric: obs[i].Metric, key: obs[i].Key})
-		groups[idx] = append(groups[idx], i)
-	}
-	for idx, group := range groups {
-		if len(group) > 0 {
+	order, bounds := GroupIndices(len(obs), len(s.shards), func(i int) int {
+		return int(s.shardIndex(entryKey{metric: obs[i].Metric, key: obs[i].Key}))
+	})
+	for idx := range s.shards {
+		if group := order[bounds[idx]:bounds[idx+1]]; len(group) > 0 {
 			s.observeShardBatch(uint32(idx), group, obs, protos)
 		}
 	}
 	return nil
+}
+
+// GroupIndices sorts the indices 0..n-1 by group(i), which must lie in
+// [0, groups), keeping input order inside a group: group g's indices
+// are order[bounds[g]:bounds[g+1]]. It is a counting sort in one
+// allocation — the batched write paths (here by home shard, the
+// cluster router by partition) group every request this way.
+func GroupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
+	buf := make([]int, 2*n+groups+2)
+	home, order, next := buf[:n], buf[n:2*n], buf[2*n:]
+	// Count into next[g+2], so that after the prefix sums next[g+1] is
+	// where group g starts; filling advances it to where g ends, which
+	// leaves next[g] at g's start: next[:groups+1] are the bounds.
+	for i := range home {
+		home[i] = group(i)
+		next[home[i]+2]++
+	}
+	for g := 2; g < len(next); g++ {
+		next[g] += next[g-1]
+	}
+	for i, g := range home {
+		order[next[g+1]] = i
+		next[g+1]++
+	}
+	return order, next[:groups+1]
 }
 
 // observeShardBatch lands one shard's group. The shard lock is held

@@ -427,3 +427,29 @@ func queryPoint(q interface {
 	}
 	return res.Raw(), nil
 }
+
+// TestGroupIndices pins the batch paths' grouping: every index lands in
+// its group's run exactly once, runs follow group order, input order
+// holds inside a run, and empty groups get empty runs.
+func TestGroupIndices(t *testing.T) {
+	of := []int{3, 0, 3, 5, 0, 3, 5, 5, 0}
+	order, bounds := GroupIndices(len(of), 7, func(i int) int { return of[i] })
+	want := map[int][]int{0: {1, 4, 8}, 3: {0, 2, 5}, 5: {3, 6, 7}}
+	if len(order) != len(of) || len(bounds) != 8 {
+		t.Fatalf("order %v, bounds %v", order, bounds)
+	}
+	for g := 0; g < 7; g++ {
+		run := order[bounds[g]:bounds[g+1]]
+		if len(run) != len(want[g]) {
+			t.Fatalf("group %d run %v, want %v", g, run, want[g])
+		}
+		for j := range run {
+			if run[j] != want[g][j] {
+				t.Fatalf("group %d run %v, want %v", g, run, want[g])
+			}
+		}
+	}
+	if order, bounds := GroupIndices(0, 3, nil); len(order) != 0 || len(bounds) != 4 {
+		t.Fatalf("empty input: order %v, bounds %v", order, bounds)
+	}
+}
