@@ -7,6 +7,7 @@
 package analytics
 
 import (
+	"bytes"
 	"encoding"
 	"errors"
 	"fmt"
@@ -291,9 +292,38 @@ func TestBackendConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(agg.Raw(), want) {
-						t.Fatalf("%s: aggregate differs from per-key + CombineSnapshots", metric)
+					assertSameAnswer(t, metric+": aggregate vs per-key + CombineSnapshots", agg.Raw(), want)
+				}
+			})
+
+			t.Run("compact-answer", func(t *testing.T) {
+				// k2 over five buckets: a dozen observations, sparse enough
+				// for both compacting families. The reference is the dense
+				// merge every backend answered with before answers
+				// compacted: one dense synopsis per bucket, merged in
+				// bucket order into a dense accumulator.
+				const from, to, width = 100, 150, 10
+				for _, metric := range []string{"uniq", "hits"} {
+					res, err := h.be.Query(store.QueryRequest{Metric: metric, Key: "k2", From: from, To: to})
+					if err != nil {
+						t.Fatal(err)
 					}
+					ref := protos[metric]()
+					for b := int64(from); b < to; b += width {
+						bucket := protos[metric]()
+						for _, o := range conformanceStream(conformanceSpan) {
+							if o.Metric == metric && o.Key == "k2" && o.Time >= b && o.Time < b+width {
+								bucket.Observe(o.Item, o.Value)
+							}
+						}
+						if err := ref.Merge(bucket); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := res.Raw().Bytes(); got*4 > ref.Bytes() {
+						t.Errorf("%s: answer holds %d bytes, dense reference %d: not compact", metric, got, ref.Bytes())
+					}
+					assertSameAnswer(t, metric+": compact answer vs dense reference", res.Raw(), ref)
 				}
 			})
 
@@ -389,6 +419,40 @@ func TestBackendsAgreeExactly(t *testing.T) {
 	}
 }
 
+// marshalSynopsis is a synopsis' binary checkpoint bytes.
+func marshalSynopsis(t *testing.T, syn store.Synopsis) []byte {
+	t.Helper()
+	m, ok := syn.(encoding.BinaryMarshaler)
+	if !ok {
+		t.Fatalf("synopsis %T has no binary encoding", syn)
+	}
+	b, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertSameAnswer holds two answers to the byte-identity promise: equal
+// MarshalBinary bytes and equal readings through every typed accessor.
+// The in-memory forms may differ — one compact, one dense.
+func assertSameAnswer(t *testing.T, what string, got, want store.Synopsis) {
+	t.Helper()
+	if !bytes.Equal(marshalSynopsis(t, got), marshalSynopsis(t, want)) {
+		t.Fatalf("%s: MarshalBinary bytes differ", what)
+	}
+	g, w := store.NewAnswer("", "", got), store.NewAnswer("", "", want)
+	if g.Family() != w.Family() || g.Items() != w.Items() || g.Distinct() != w.Distinct() ||
+		g.Quantile(0.5) != w.Quantile(0.5) || !reflect.DeepEqual(g.TopK(5), w.TopK(5)) {
+		t.Fatalf("%s: accessors differ", what)
+	}
+	for u := 0; u < 13; u++ {
+		if item := fmt.Sprintf("u%d", u); g.Count(item) != w.Count(item) {
+			t.Fatalf("%s: Count(%s) %d vs %d", what, item, g.Count(item), w.Count(item))
+		}
+	}
+}
+
 // marshalAnswers snapshots every answer cell of the full-dataset query
 // as its binary checkpoint bytes — the strictest equality the synopses
 // offer.
@@ -404,15 +468,7 @@ func marshalAnswers(t *testing.T, be Backend) [][]byte {
 	}
 	out := make([][]byte, 0, res.Len())
 	for _, a := range res.Answers() {
-		m, ok := a.Raw().(encoding.BinaryMarshaler)
-		if !ok {
-			t.Fatalf("synopsis %T has no binary encoding", a.Raw())
-		}
-		b, err := m.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b)
+		out = append(out, marshalSynopsis(t, a.Raw()))
 	}
 	if len(out) == 0 {
 		t.Fatal("no answer cells to snapshot")

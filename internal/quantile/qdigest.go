@@ -63,6 +63,19 @@ func (q *QDigest) Compress() {
 		return
 	}
 	threshold := q.n / q.k
+	if threshold <= 1 {
+		// A family holding a non-zero count reaches the threshold, so
+		// nothing moves up the tree: only zero-count nodes (never the
+		// root) go, and their order does not matter. This is the common
+		// case for range merges of lightly loaded buckets, which would
+		// otherwise sort every node id once per merged bucket.
+		for id, c := range q.counts {
+			if c == 0 && id > 1 {
+				delete(q.counts, id)
+			}
+		}
+		return
+	}
 	// Process nodes from deepest level upward: descending id order.
 	scratch := idScratch.Get().(*[]uint64)
 	defer idScratch.Put(scratch)

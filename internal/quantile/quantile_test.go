@@ -1,7 +1,9 @@
 package quantile
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -346,5 +348,75 @@ func TestQDigestReset(t *testing.T) {
 	q.Update(7, 3)
 	if q.Count() != 3 || q.Query(0.5) != 7 {
 		t.Fatalf("post-reset digest wrong: count %d, median %d", q.Count(), q.Query(0.5))
+	}
+}
+
+// sortedCompress is Compress without its light-digest return: the full
+// bottom-up pass over every node id, deepest first.
+func sortedCompress(q *QDigest) {
+	if q.n == 0 {
+		return
+	}
+	threshold := q.n / q.k
+	ids := make([]uint64, 0, len(q.counts))
+	for id := range q.counts {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for i := len(ids) - 1; i >= 0; i-- {
+		id := ids[i]
+		if id <= 1 {
+			continue
+		}
+		c := q.counts[id]
+		if c == 0 {
+			delete(q.counts, id)
+			continue
+		}
+		sib, parent := id^1, id/2
+		if family := c + q.counts[sib] + q.counts[parent]; family < threshold {
+			q.counts[parent] = family
+			delete(q.counts, id)
+			delete(q.counts, sib)
+		}
+	}
+}
+
+// A merge whose threshold n/k is at most 1 skips the sorted pass: no
+// family holding a count can fall below it. The digest it leaves —
+// zero-weight leaves dropped, nothing moved — marshals to the bytes the
+// full pass leaves, light or not.
+func TestQDigestLightCompressMatchesSortedPass(t *testing.T) {
+	rng := workload.NewRNG(9)
+	light := 0
+	for trial := 0; trial < 200; trial++ {
+		k := uint64(1 + rng.Intn(64))
+		fast, _ := NewQDigest(10, k)
+		slow, _ := NewQDigest(10, k)
+		for step := 0; step < 20; step++ {
+			part, _ := NewQDigest(10, k)
+			for i := rng.Intn(8); i > 0; i-- {
+				part.Update(uint64(rng.Intn(1024)), uint64(rng.Intn(3))) // weight 0 leaves a zero-count leaf
+			}
+			if (fast.n+part.n)/k <= 1 {
+				light++
+			}
+			if err := fast.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+			for id, c := range part.counts {
+				slow.counts[id] += c
+			}
+			slow.n += part.n
+			sortedCompress(slow)
+			got, _ := fast.MarshalBinary()
+			want, _ := slow.MarshalBinary()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("trial %d step %d (n %d, k %d): digest differs from the sorted pass", trial, step, fast.n, k)
+			}
+		}
+	}
+	if light < 1000 {
+		t.Fatalf("only %d merges took the light path", light)
 	}
 }

@@ -25,8 +25,18 @@
 //
 // Entries shard by key hash, each shard holding an independent map and
 // FIFO eviction ring under its own mutex, so concurrent lookups on a
-// busy edge don't serialize. Cached results are shared across readers:
-// treat the answers as read-only (the serving tier only encodes them).
+// busy edge don't serialize. The ring records every fill; a refill moves
+// its key to the back, and the slots that leaves behind (or that a stale
+// drop left) are skipped at eviction and compacted away before the ring
+// outgrows twice the shard budget.
+//
+// The cache holds results in the form the backend returned them: the
+// store answers a sparse-enough cell with its compact synopsis (see the
+// store's finish), so a cached answer costs what it holds, and
+// Stats.Bytes sums what the resident answers report. Budgets are still
+// counted in entries, not bytes. Cached results are shared across
+// readers: treat the answers as read-only (the serving tier only
+// encodes them).
 package rcache
 
 import (
@@ -77,13 +87,23 @@ type metricState struct {
 	version atomic.Uint64
 }
 
-// cshard is one cache shard: a keyed map plus a FIFO ring of keys for
-// eviction in insertion order.
+// cshard is one cache shard: a keyed map plus a FIFO ring of fills for
+// eviction in fill order.
 type cshard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	order   []string
+	order   []fill
 	head    int
+	seq     uint64 // fills so far; stamps entries and ring slots
+	bytes   int    // sum of the resident entries' bytes
+}
+
+// fill is one ring slot: the key filled and the fill's sequence number.
+// The slot is live only while the key's entry carries the same number;
+// a refill or a stale drop leaves it dead.
+type fill struct {
+	key string
+	seq uint64
 }
 
 // entry is one cached result with the metric versions it was computed
@@ -92,6 +112,20 @@ type entry struct {
 	res     store.QueryResult
 	metrics []string
 	stamp   []uint64
+	seq     uint64 // the fill that stored it
+	bytes   int    // the answers' synopsis bytes
+}
+
+// live reports whether ring slot f still names its key's resident entry.
+func (sh *cshard) live(f fill) bool {
+	e := sh.entries[f.key]
+	return e != nil && e.seq == f.seq
+}
+
+// drop removes key's entry. Callers hold sh.mu.
+func (sh *cshard) drop(key string, e *entry) {
+	delete(sh.entries, key)
+	sh.bytes -= e.bytes
 }
 
 // New builds a Cache for stores with the given bucket geometry.
@@ -123,7 +157,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	for i := range c.shard {
 		c.shard[i].entries = make(map[string]*entry, per)
-		c.shard[i].order = make([]string, 0, per)
+		c.shard[i].order = make([]fill, 0, per)
 	}
 	return c, nil
 }
@@ -244,8 +278,8 @@ func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) 
 	}
 	if e != nil {
 		// Stale under the current versions; drop it lazily (the FIFO
-		// slot stays and is skipped at eviction time).
-		delete(sh.entries, key)
+		// slot stays, dead, until eviction or compaction skips it).
+		sh.drop(key, e)
 	}
 	sh.mu.Unlock()
 	c.misses.Add(1)
@@ -266,30 +300,49 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 			return
 		}
 	}
+	nb := 0
+	for _, a := range res.Answers() {
+		if syn := a.Raw(); syn != nil {
+			nb += syn.Bytes()
+		}
+	}
 	sh := &c.shard[tok.idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.entries[tok.key]; !dup && len(sh.entries) >= c.perShard() {
-		// Evict in FIFO order, skipping ring slots whose entries were
-		// already dropped by a stale lookup.
-		for len(sh.order) > 0 && len(sh.entries) >= c.perShard() {
-			old := sh.order[sh.head]
-			sh.order[sh.head] = ""
-			sh.head++
-			if sh.head == len(sh.order) {
-				sh.order = sh.order[:0]
-				sh.head = 0
-			}
-			if _, live := sh.entries[old]; live {
-				delete(sh.entries, old)
-				c.evictions.Add(1)
-			}
+	if old := sh.entries[tok.key]; old != nil {
+		// A refill replaces the entry and moves the key to the back of
+		// the ring; its earlier slot goes dead.
+		sh.drop(tok.key, old)
+	}
+	// Evict in FIFO order, skipping dead ring slots.
+	for len(sh.entries) >= c.perShard() && sh.head < len(sh.order) {
+		f := sh.order[sh.head]
+		sh.order[sh.head] = fill{}
+		sh.head++
+		if sh.live(f) {
+			sh.drop(f.key, sh.entries[f.key])
+			c.evictions.Add(1)
 		}
 	}
-	if _, dup := sh.entries[tok.key]; !dup {
-		sh.order = append(sh.order, tok.key)
+	if sh.head == len(sh.order) {
+		sh.order, sh.head = sh.order[:0], 0
+	} else if len(sh.order) >= 2*c.perShard() {
+		// Popped slots and dead ones (refills, stale drops, which pile
+		// up below the budget where eviction never pops) fill the ring:
+		// keep the live ones, at most one per entry.
+		live := sh.order[:0]
+		for _, f := range sh.order[sh.head:] {
+			if sh.live(f) {
+				live = append(live, f)
+			}
+		}
+		clear(sh.order[len(live):])
+		sh.order, sh.head = live, 0
 	}
-	sh.entries[tok.key] = &entry{res: res, metrics: tok.metrics, stamp: tok.stamp}
+	sh.seq++
+	sh.order = append(sh.order, fill{key: tok.key, seq: sh.seq})
+	sh.entries[tok.key] = &entry{res: res, metrics: tok.metrics, stamp: tok.stamp, seq: sh.seq, bytes: nb}
+	sh.bytes += nb
 }
 
 // cacheKey renders the normalized request unambiguously: %q quoting
@@ -320,29 +373,38 @@ type Stats struct {
 	Evictions     uint64
 	Invalidations uint64
 	Entries       int
+	Bytes         int // resident answers' synopsis bytes (Synopsis.Bytes)
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
+	n, b := c.resident()
 	return Stats{
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
-		Entries:       c.Len(),
+		Entries:       n,
+		Bytes:         b,
 	}
 }
 
 // Len counts the resident entries across all shards.
 func (c *Cache) Len() int {
-	n := 0
+	n, _ := c.resident()
+	return n
+}
+
+// resident sums the entries and answer bytes across all shards.
+func (c *Cache) resident() (entries, bytes int) {
 	for i := range c.shard {
 		sh := &c.shard[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		entries += len(sh.entries)
+		bytes += sh.bytes
 		sh.mu.Unlock()
 	}
-	return n
+	return entries, bytes
 }
 
 // HitRatio returns hits / (hits + misses), or 0 before any lookup.
@@ -380,6 +442,9 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	reg.GaugeFunc("analytics_serve_cache_entries",
 		"Resident cached results across all shards.",
 		func() float64 { return float64(c.Len()) }, labels...)
+	reg.GaugeFunc("analytics_serve_cache_bytes",
+		"Synopsis bytes of the resident cached answers, in the form each is held.",
+		func() float64 { _, b := c.resident(); return float64(b) }, labels...)
 	reg.GaugeFunc("analytics_serve_cache_hit_ratio",
 		"Hits over lookups since start (0 before the first lookup).",
 		func() float64 { return c.HitRatio() }, labels...)

@@ -250,3 +250,107 @@ func TestRCacheConcurrency(t *testing.T) {
 	wg.Wait()
 	c.Stats() // must not race with anything above
 }
+
+// Dashboard-shaped traffic: one panel invalidated and refilled forever,
+// far below the shard budget where eviction never runs. Each stale drop
+// plus refill used to leave one more ring slot (each pinning its key
+// string); the ring must stay within twice the budget.
+func TestRCacheRefillKeepsRingBounded(t *testing.T) {
+	c := mustCache(t, Config{Shards: 1, MaxEntries: 4})
+	c.NoteObserve("m", 10*width)
+	req := sealedReq("m")
+	for i := 0; i < 10000; i++ {
+		c.NoteObserve("m", 5) // late write: the cached answer goes stale
+		_, hit, tok := c.Lookup(req)
+		if hit {
+			t.Fatal("stale entry served")
+		}
+		c.Fill(tok, result("m"))
+	}
+	sh := &c.shard[0]
+	if c.Len() != 1 || len(sh.order) > 2*c.perShard() {
+		t.Fatalf("%d entries, ring of %d slots for a budget of %d", c.Len(), len(sh.order), c.perShard())
+	}
+}
+
+// FIFO follows the latest fill: a key refilled after a stale drop goes to
+// the back of the ring, so the next eviction takes the oldest other
+// entry — never the fresh refill through the key's earlier, dead slot.
+func TestRCacheRefillMovesToBack(t *testing.T) {
+	c := mustCache(t, Config{Shards: 1, MaxEntries: 2})
+	for _, m := range []string{"a", "b", "c"} {
+		c.NoteObserve(m, 10*width)
+	}
+	fill := func(m string) {
+		t.Helper()
+		_, hit, tok := c.Lookup(sealedReq(m))
+		if hit || !tok.Cacheable() {
+			t.Fatalf("%s: hit=%v cacheable=%v, want a cacheable miss", m, hit, tok.Cacheable())
+		}
+		c.Fill(tok, result(m))
+	}
+	fill("a")
+	fill("b")
+	c.NoteObserve("a", 5) // a goes stale; its lookup drops it
+	fill("a")             // refilled: now the newest
+	fill("c")             // evicts the oldest live entry: b
+	if _, hit, _ := c.Lookup(sealedReq("a")); !hit {
+		t.Fatal("the refilled entry was evicted through its stale slot")
+	}
+	if _, hit, _ := c.Lookup(sealedReq("b")); hit {
+		t.Fatal("the oldest entry survived the eviction")
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 entries / 1 eviction", s)
+	}
+}
+
+// Stats.Bytes and analytics_serve_cache_bytes sum the resident answers'
+// Synopsis.Bytes, in the form each is held, through fill, refill,
+// stale drop and eviction.
+func TestRCacheBytes(t *testing.T) {
+	c := mustCache(t, Config{Shards: 1, MaxEntries: 2})
+	reg := telemetry.New()
+	c.SetTelemetry(reg)
+	proto, err := store.NewFreqProto(64, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := func(m string, items int) (store.QueryResult, int) {
+		syn := proto()
+		for i := 0; i < items; i++ {
+			syn.Observe(fmt.Sprint(i), 1)
+		}
+		return store.NewQueryResult([]store.Answer{store.NewAnswer(m, "k", syn), store.NewAnswer(m, "nil", nil)}), syn.Bytes()
+	}
+	fill := func(m string, items int) int {
+		t.Helper()
+		_, _, tok := c.Lookup(sealedReq(m))
+		res, n := sized(m, items)
+		c.Fill(tok, res)
+		return n
+	}
+	for _, m := range []string{"a", "b", "c"} {
+		c.NoteObserve(m, 10*width)
+	}
+	na := fill("a", 3)
+	nb := fill("b", 5)
+	if got := c.Stats().Bytes; got != na+nb {
+		t.Fatalf("bytes %d after two fills, want %d", got, na+nb)
+	}
+	c.NoteObserve("a", 5)
+	c.Lookup(sealedReq("a")) // stale drop
+	if got := c.Stats().Bytes; got != nb {
+		t.Fatalf("bytes %d after a stale drop, want %d", got, nb)
+	}
+	na = fill("a", 1)
+	nc := fill("c", 2) // evicts b
+	if got := c.Stats().Bytes; got != na+nc {
+		t.Fatalf("bytes %d after an eviction, want %d", got, na+nc)
+	}
+	rec := httptest.NewRecorder()
+	telemetry.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := fmt.Sprintf(`analytics_serve_cache_bytes{layer="serve"} %d`, na+nc); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("scrape missing %q\n%s", want, rec.Body.String())
+	}
+}

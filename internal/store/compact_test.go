@@ -283,19 +283,80 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	}
 }
 
-// TestSealedFootprint is the deterministic footprint gate: the serving
-// benchmark's preload shape — 64 pages x 160 sealed buckets x 64 events
-// over the daemon's four-family demo schema — must stay under a pinned
-// byte ceiling, and a 64-bucket range query over it within its
-// allocation count. Dense history held 148 MB here; the ceiling leaves
-// room above the 3.6 MB measured when the gate landed, not for a return
-// of per-bucket dense arrays.
-func TestSealedFootprint(t *testing.T) {
+// A compact answer hands its dense accumulator back to the shape's pool,
+// and the next query on any goroutine merges into it. The answer must
+// share nothing with it: answers kept while concurrent queries recycle
+// the accumulators — per-key and aggregate, compact and not — keep their
+// bytes. Run under -race.
+func TestAnswersSurviveAccumulatorRecycling(t *testing.T) {
+	st := fourFamilyStore(t, Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}, 8, 500)
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+	type kept struct {
+		syn   Synopsis
+		bytes []byte
+	}
+	const workers, queries = 4, 150
+	got := make([][]kept, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < queries; i++ {
+				from := int64((g*7+i)%40) * 10
+				res, err := st.Query(QueryRequest{
+					Metrics: []string{"uniq", "hits"}, Keys: keys[i%4 : i%4+1+i%5],
+					From: from, To: from + 10*int64(1+i%11), Aggregate: i%3 == 0,
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, syn := range res.RawSynopses() {
+					b, err := syn.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got[g] = append(got[g], kept{syn, b})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	compact := 0
+	for _, answers := range got {
+		for i, a := range answers {
+			if !bytes.Equal(marshal(t, a.syn), a.bytes) {
+				t.Fatalf("answer %d changed after later queries recycled accumulators", i)
+			}
+			// Compacted copies belong to no pool.
+			switch s := a.syn.(type) {
+			case *Distinct:
+				if s.pool == nil {
+					compact++
+				}
+			case *Freq:
+				if s.pool == nil {
+					compact++
+				}
+			}
+		}
+	}
+	if compact == 0 {
+		t.Fatal("no answer took the compact form: nothing was recycled")
+	}
+}
+
+// SealedFootprintStore builds the serving benchmark's preload shape — 64
+// pages x 160 sealed buckets x 64 events over the daemon's four-family
+// demo schema (`page-%02d` keys, Zipf s = 1.1), bucket width 100 — with
+// bucket 160 left open. Exported to the external test package, whose
+// cached-answer gate runs range_scan-shaped queries over it.
+func SealedFootprintStore(t testing.TB) *Store {
 	const (
 		pages, buckets, perBucket = 64, 160, 64
 		width                     = 100
-		ceiling                   = 6 << 20
-		maxAllocs                 = 18
 	)
 	st := mustStore(t, Config{Shards: 8, BucketWidth: width, RingBuckets: 256})
 	uniq, _ := NewDistinctProto(12, 42)
@@ -327,6 +388,29 @@ func TestSealedFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return st
+}
+
+// TestSealedFootprint is the deterministic footprint gate: the serving
+// benchmark's preload shape must stay under a pinned byte ceiling, and a
+// 64-bucket range query over it within its allocation count. Dense
+// history held 148 MB here; the ceiling leaves room above the 3.6 MB
+// measured when the gate landed, not for a return of per-bucket dense
+// arrays. The query cost 18 allocations while it merged into a fresh
+// dense synopsis and grew its sealed-bucket list by append; a pooled
+// accumulator, a pooled list and a compact answer take 9. Under the race
+// detector the pools drop a quarter of what they are handed, so the gate
+// there is the old count.
+func TestSealedFootprint(t *testing.T) {
+	const (
+		width   = 100
+		ceiling = 6 << 20
+	)
+	maxAllocs := 9
+	if raceEnabled {
+		maxAllocs = 18
+	}
+	st := SealedFootprintStore(t)
 	stats := st.Stats()
 	t.Logf("sealed footprint: %d bytes in %d entries, %d seals compacted", stats.Bytes, stats.Entries, stats.Compacted)
 	if stats.Bytes > ceiling {
@@ -338,7 +422,8 @@ func TestSealedFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > maxAllocs {
+	t.Logf("64-bucket range query: %v allocations", allocs)
+	if allocs > float64(maxAllocs) {
 		t.Fatalf("64-bucket range query costs %v allocations, gate %d", allocs, maxAllocs)
 	}
 }

@@ -24,6 +24,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -425,13 +426,27 @@ func (s *Store) QueryContext(ctx context.Context, req QueryRequest) (QueryResult
 // keyGather accumulates one key's bucket merge during a batched gather.
 type keyGather struct {
 	k      entryKey
-	pos    int // index into the request's key slice
+	shard  uint32 // home shard index
+	pos    int    // index into the request's key slice
 	result Synopsis
-	sealed []Synopsis
+	lo, hi int // the key's sealed buckets in the shard gather's scratch
+}
+
+// sealedScratch recycles the list of sealed bucket pointers a gather
+// collects under a shard lock and merges outside it, which a 64-bucket
+// range would otherwise grow by append on every query.
+var sealedScratch = sync.Pool{New: func() any { return new([]Synopsis) }}
+
+// putScratch drops the scratch's references to sealed buckets (so a
+// pooled list never pins evicted history) and returns it to the pool.
+func putScratch(p *[]Synopsis, used []Synopsis) {
+	clear(used)
+	*p = used[:0]
+	sealedScratch.Put(p)
 }
 
 // queryKeys range-merges the metric's buckets of every key over bucket
-// range [fromB, toB] and returns one synopsis per key, in key order.
+// range [fromB, toB] and returns one answer per key, in key order.
 // Hot (splayed) keys take queryOne's settle+gather; cold keys are
 // grouped by home shard and gathered with one read-lock acquisition per
 // shard, shards fanning out in parallel when more than one is involved.
@@ -440,7 +455,7 @@ type keyGather struct {
 // attach concurrently, which StartRemote permits.
 func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, keys []string, fromB, toB int64, tctx trace.Context) ([]Synopsis, error) {
 	out := make([]Synopsis, len(keys))
-	perShard := make(map[uint32][]*keyGather)
+	cells := make([]keyGather, 0, len(keys))
 	for i, key := range keys {
 		k := entryKey{metric: metric, key: key}
 		if s.hotRouteFor(k) != nil {
@@ -461,105 +476,129 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 			out[i] = syn
 			continue
 		}
-		idx := s.shardIndex(k)
-		perShard[idx] = append(perShard[idx], &keyGather{k: k, pos: i, result: proto()})
+		cells = append(cells, keyGather{k: k, shard: s.shardIndex(k), pos: i})
 	}
-	gatherShard := func(idx uint32, cells []*keyGather) error {
-		// A cancelled request stops before paying for the shard lock;
-		// one Err check per shard, never per key, keeps the hot single-
-		// shard, single-key path at a single branch.
-		if err := ctx.Err(); err != nil {
-			return queryCancelled(err)
+	if len(cells) == 0 {
+		return out, nil
+	}
+	// One run of cells per home shard, keys in request order within it.
+	slices.SortFunc(cells, func(a, b keyGather) int {
+		return cmp.Or(cmp.Compare(a.shard, b.shard), cmp.Compare(a.pos, b.pos))
+	})
+	if cells[0].shard == cells[len(cells)-1].shard {
+		// The single-shard case (every single-key query lands here) runs
+		// inline: no goroutine, no WaitGroup.
+		if err := s.gatherShard(ctx, metric, proto, cells, fromB, toB, tctx, out); err != nil {
+			return nil, err
 		}
-		sh := s.shards[idx]
-		sp := s.traceGather(tctx, "store.gather")
-		defer sp.Finish()
-		var t0 time.Time
-		if sp != nil {
-			sp.SetAttrs(trace.Str("metric", metric),
-				trace.Int("shard", int64(idx)), trace.Int("keys", int64(len(cells))))
-			t0 = time.Now()
+		return out, nil
+	}
+	var wg sync.WaitGroup
+	var errMu sync.Mutex
+	var firstErr error
+	for lo := 0; lo < len(cells); {
+		hi := lo + 1
+		for hi < len(cells) && cells[hi].shard == cells[lo].shard {
+			hi++
 		}
-		sh.mu.RLock()
-		if sp != nil {
-			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
-		}
-		for _, c := range cells {
-			e, ok := sh.entries[c.k]
-			if !ok {
-				continue
+		wg.Add(1)
+		go func(run []keyGather) {
+			defer wg.Done()
+			if err := s.gatherShard(ctx, metric, proto, run, fromB, toB, tctx, out); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				errMu.Unlock()
 			}
+		}(cells[lo:hi])
+		lo = hi
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
+}
+
+// gatherShard range-merges one shard's run of cold keys under a single
+// read-lock acquisition: still-open buckets merge under the lock, sealed
+// ones are collected and merged lock-free after it, and each key's
+// accumulator is finished into out at the key's position.
+func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype, run []keyGather, fromB, toB int64, tctx trace.Context, out []Synopsis) error {
+	// A cancelled request stops before paying for the shard lock; one Err
+	// check per shard, never per key, keeps the hot single-shard,
+	// single-key path at a single branch.
+	if err := ctx.Err(); err != nil {
+		return queryCancelled(err)
+	}
+	idx := run[0].shard
+	sh := s.shards[idx]
+	sp := s.traceGather(tctx, "store.gather")
+	defer sp.Finish()
+	for i := range run {
+		run[i].result = proto()
+	}
+	scratch := sealedScratch.Get().(*[]Synopsis)
+	sealed := (*scratch)[:0]
+	var t0 time.Time
+	if sp != nil {
+		sp.SetAttrs(trace.Str("metric", metric),
+			trace.Int("shard", int64(idx)), trace.Int("keys", int64(len(run))))
+		t0 = time.Now()
+	}
+	sh.mu.RLock()
+	if sp != nil {
+		sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
+	}
+	for i := range run {
+		c := &run[i]
+		c.lo = len(sealed)
+		if e, ok := sh.entries[c.k]; ok {
 			for j := range e.slots {
 				sl := &e.slots[j]
 				if sl.idx < fromB || sl.idx > toB || sl.syn == nil {
 					continue
 				}
 				if sl.sealed {
-					c.sealed = append(c.sealed, sl.syn)
+					sealed = append(sealed, sl.syn)
 				} else if err := c.result.Merge(sl.syn); err != nil {
 					sh.mu.RUnlock()
 					return err
 				}
 			}
 		}
-		sh.mu.RUnlock()
-		// Sealed synopses are immutable; merge them lock-free, in the same
-		// slot order queryOne uses, so answers match byte for byte.
-		for _, c := range cells {
-			for _, syn := range c.sealed {
-				if err := c.result.Merge(syn); err != nil {
-					return err
-				}
-			}
-			out[c.pos] = c.result
-		}
-		return nil
+		c.hi = len(sealed)
 	}
-	switch len(perShard) {
-	case 0:
-	case 1:
-		// The single-shard case (every single-key query lands here) runs
-		// inline: no goroutine, no WaitGroup.
-		for idx, cells := range perShard {
-			if err := gatherShard(idx, cells); err != nil {
-				return nil, err
+	sh.mu.RUnlock()
+	// Sealed synopses are immutable; merge them lock-free, in the same
+	// slot order queryOne uses, so answers match byte for byte.
+	for i := range run {
+		c := &run[i]
+		for _, syn := range sealed[c.lo:c.hi] {
+			if err := c.result.Merge(syn); err != nil {
+				return err
 			}
 		}
-	default:
-		var wg sync.WaitGroup
-		errs := make([]error, 0, len(perShard))
-		var errMu sync.Mutex
-		for idx, cells := range perShard {
-			wg.Add(1)
-			go func(idx uint32, cells []*keyGather) {
-				defer wg.Done()
-				if err := gatherShard(idx, cells); err != nil {
-					errMu.Lock()
-					errs = append(errs, err)
-					errMu.Unlock()
-				}
-			}(idx, cells)
-		}
-		wg.Wait()
-		if len(errs) > 0 {
-			return nil, errs[0]
-		}
+		out[c.pos] = finish(c.result)
 	}
-	return out, nil
+	putScratch(scratch, sealed)
+	return nil
 }
 
 // queryOne merges one series' buckets overlapping bucket range
-// [fromB, toB] into a fresh synopsis. Sealed buckets merge outside the
-// shard lock (they are immutable); still-open buckets merge under the
-// read lock. For a splayed hot key the gather spans all replica shards
-// under the hot-key read lock, so a concurrent demotion cannot
-// double-count a bucket mid-drain. psp, when non-nil, is the traced
-// request's hot-gather span; the settle of the key's pending
-// write-combining batch records a child under it.
+// [fromB, toB] into a fresh accumulator and finishes it into the answer.
+// Sealed buckets merge outside the shard lock (they are immutable);
+// still-open buckets merge under the read lock. For a splayed hot key
+// the gather spans all replica shards under the hot-key read lock, so a
+// concurrent demotion cannot double-count a bucket mid-drain. psp, when
+// non-nil, is the traced request's hot-gather span; the settle of the
+// key's pending write-combining batch records a child under it.
 func (s *Store) queryOne(proto Prototype, k entryKey, fromB, toB int64, psp *trace.Span) (Synopsis, error) {
 	result := proto()
 
-	var sealed []Synopsis
+	scratch := sealedScratch.Get().(*[]Synopsis)
+	sealed := (*scratch)[:0]
 	var err error
 	gathered := false
 	if r := s.hotRouteFor(k); r != nil {
@@ -612,5 +651,6 @@ func (s *Store) queryOne(proto Prototype, k entryKey, fromB, toB int64, psp *tra
 			return nil, err
 		}
 	}
-	return result, nil
+	putScratch(scratch, sealed)
+	return finish(result), nil
 }

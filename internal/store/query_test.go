@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -150,8 +151,26 @@ func TestQueryAggregateMatchesCombine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Raw(), want) {
-			t.Fatalf("%s: aggregate differs from per-key + CombineSnapshots", metric)
+		assertSameAnswer(t, metric+": aggregate vs per-key + CombineSnapshots", res.Raw(), want)
+	}
+}
+
+// assertSameAnswer holds two answers to the byte-identity promise: equal
+// MarshalBinary bytes and equal readings through every typed accessor.
+// The in-memory forms may differ — one compact, one dense.
+func assertSameAnswer(t testing.TB, what string, got, want Synopsis) {
+	t.Helper()
+	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+		t.Fatalf("%s: MarshalBinary bytes differ", what)
+	}
+	g, w := NewAnswer("", "", got), NewAnswer("", "", want)
+	if g.Family() != w.Family() || g.Items() != w.Items() || g.Distinct() != w.Distinct() ||
+		g.Quantile(0.5) != w.Quantile(0.5) || !reflect.DeepEqual(g.TopK(5), w.TopK(5)) {
+		t.Fatalf("%s: accessors differ", what)
+	}
+	for i := 0; i < 17; i++ {
+		if item := fmt.Sprintf("u%d", i); g.Count(item) != w.Count(item) {
+			t.Fatalf("%s: Count(%s) %d vs %d", what, item, g.Count(item), w.Count(item))
 		}
 	}
 }

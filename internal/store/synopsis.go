@@ -6,13 +6,15 @@
 // and merge with another bucket of the same shape (the tutorial's
 // "algorithms should be able to scale out" requirement, reduced to one
 // interface). Each metric registered with the store picks its synopsis by
-// supplying a Prototype; range queries merge bucket synopses into a fresh
-// prototype instance and return it.
+// supplying a Prototype; range queries merge bucket synopses into a
+// prototype instance and answer with it — or, when the merged result is
+// sparse, with its compact copy (see finish).
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/cardinality"
 	"repro/internal/core"
@@ -47,17 +49,59 @@ type Resettable interface {
 	Reset()
 }
 
-// compactable is the synopsis extension seal-time compaction uses (see
-// entry.sealSlot). compacted returns an immutable copy of the synopsis in
-// a form sized by what it holds — answering every read, Merge-as-source
-// and MarshalBinary exactly as the receiver does — or nil when the
-// receiver is too full for such a copy to pay. Only the order-insensitive
-// families implement it: merging a compacted Distinct or Freq gives the
-// same bytes as merging the original, whereas q-digest and Space-Saving
-// are already sized by their contents and their merges are
-// order-sensitive, so the store leaves them as they are.
+// compactable is the synopsis extension seal-time compaction and query
+// answers use (see entry.sealSlot and finish). compacted returns an
+// immutable copy of the synopsis in a form sized by what it holds —
+// answering every read, Merge-as-source and MarshalBinary exactly as the
+// receiver does — or nil when the receiver is too full for such a copy
+// to pay. release empties the receiver and returns it to its shape's
+// accumulator pool, where the next Prototype call finds it. Only the
+// order-insensitive families implement it: merging a compacted Distinct
+// or Freq gives the same bytes as merging the original, whereas q-digest
+// and Space-Saving are already sized by their contents and their merges
+// are order-sensitive, so the store leaves them as they are.
 type compactable interface {
 	compacted() Synopsis
+	release()
+}
+
+// finish turns a query's merge accumulator into the answer the query
+// returns. A result sparse enough for its family's compact form (the
+// rule a seal applies) is answered by the compacted copy, and the dense
+// accumulator goes back to its pool; anything else — a result too full
+// to compact, or a family without a compact form — is its own answer.
+// The caller must own acc outright and not touch it afterwards.
+func finish(acc Synopsis) Synopsis {
+	c, ok := acc.(compactable)
+	if !ok {
+		return acc
+	}
+	small := c.compacted()
+	if small == nil {
+		return acc
+	}
+	c.release()
+	return small
+}
+
+// accShape identifies the synopses one accumulator pool may hold:
+// instances of equal shape are interchangeable once emptied.
+type accShape struct {
+	family Family
+	a, b   int // precision, or width and depth
+	seed   uint64
+}
+
+// accPools maps an accShape to its *sync.Pool. Pools are shared by every
+// Prototype of a shape — in practice one per registered metric — so an
+// accumulator released by one store's query serves the next query on any
+// store, and dense answers built by equal-shaped Prototypes stay equal
+// value for value.
+var accPools sync.Map
+
+func accPool(s accShape) *sync.Pool {
+	p, _ := accPools.LoadOrStore(s, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // Prototype constructs a fresh, empty Synopsis. The store calls it when a
@@ -73,7 +117,8 @@ type Prototype func() Synopsis
 // Parts are merged in argument order into a new proto() instance, so the
 // combination is deterministic for a deterministic part order; nil parts
 // are skipped (an absent partial is an empty answer, matching Query's
-// never-seen-this-series semantics). The inputs are not mutated.
+// never-seen-this-series semantics). The inputs are not mutated. Like a
+// query answer, the result is held compact when it is sparse enough.
 func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 	if proto == nil {
 		return nil, core.Errf("CombineSnapshots", "proto", "must be non-nil")
@@ -87,7 +132,7 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 			return nil, fmt.Errorf("store: combine snapshots: %w", err)
 		}
 	}
-	return out, nil
+	return finish(out), nil
 }
 
 // ---- Distinct counting (HyperLogLog) ----
@@ -95,19 +140,25 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 // Distinct is a bucket synopsis counting unique items with a HyperLogLog.
 // The observation value is ignored.
 type Distinct struct {
-	h *cardinality.HyperLogLog
+	h    *cardinality.HyperLogLog
+	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
 }
 
 // NewDistinctProto returns a Prototype of HyperLogLog synopses with 2^p
 // registers. The constructor is validated once, eagerly, so a bad
 // precision fails at registration time rather than on first write.
+// Instances come from the shape's accumulator pool when it holds one.
 func NewDistinctProto(precision uint8, seed uint64) (Prototype, error) {
 	if _, err := cardinality.NewHyperLogLog(precision, seed); err != nil {
 		return nil, err
 	}
+	pool := accPool(accShape{family: FamilyDistinct, a: int(precision), seed: seed})
 	return func() Synopsis {
+		if d, ok := pool.Get().(*Distinct); ok {
+			return d
+		}
 		h, _ := cardinality.NewHyperLogLog(precision, seed)
-		return &Distinct{h: h}
+		return &Distinct{h: h, pool: pool}
 	}, nil
 }
 
@@ -133,6 +184,13 @@ func (d *Distinct) compacted() Synopsis {
 	return nil
 }
 
+func (d *Distinct) release() {
+	if d.pool != nil {
+		d.h.Reset()
+		d.pool.Put(d)
+	}
+}
+
 // Items implements Synopsis.
 func (d *Distinct) Items() uint64 { return d.h.Items() }
 
@@ -147,17 +205,23 @@ func (d *Distinct) Estimate() float64 { return d.h.Estimate() }
 // Freq is a bucket synopsis estimating per-item counts with a Count-Min
 // sketch. The observation value is the occurrence weight (0 counts as 1).
 type Freq struct {
-	cm *frequency.CountMin
+	cm   *frequency.CountMin
+	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
 }
 
 // NewFreqProto returns a Prototype of width x depth Count-Min synopses.
+// Instances come from the shape's accumulator pool when it holds one.
 func NewFreqProto(width, depth int, seed uint64) (Prototype, error) {
 	if _, err := frequency.NewCountMin(width, depth, seed); err != nil {
 		return nil, err
 	}
+	pool := accPool(accShape{family: FamilyFreq, a: width, b: depth, seed: seed})
 	return func() Synopsis {
+		if f, ok := pool.Get().(*Freq); ok {
+			return f
+		}
 		cm, _ := frequency.NewCountMin(width, depth, seed)
-		return &Freq{cm: cm}
+		return &Freq{cm: cm, pool: pool}
 	}, nil
 }
 
@@ -186,6 +250,13 @@ func (f *Freq) compacted() Synopsis {
 		return &Freq{cm: c}
 	}
 	return nil
+}
+
+func (f *Freq) release() {
+	if f.pool != nil {
+		f.cm.Reset()
+		f.pool.Put(f)
+	}
 }
 
 // Items implements Synopsis.
