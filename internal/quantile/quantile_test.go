@@ -3,7 +3,6 @@ package quantile
 import (
 	"bytes"
 	"math"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -351,52 +350,24 @@ func TestQDigestReset(t *testing.T) {
 	}
 }
 
-// sortedCompress is Compress without its light-digest return: the full
-// bottom-up pass over every node id, deepest first.
-func sortedCompress(q *QDigest) {
-	if q.n == 0 {
-		return
-	}
-	threshold := q.n / q.k
-	ids := make([]uint64, 0, len(q.counts))
-	for id := range q.counts {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for i := len(ids) - 1; i >= 0; i-- {
-		id := ids[i]
-		if id <= 1 {
-			continue
-		}
-		c := q.counts[id]
-		if c == 0 {
-			delete(q.counts, id)
-			continue
-		}
-		sib, parent := id^1, id/2
-		if family := c + q.counts[sib] + q.counts[parent]; family < threshold {
-			q.counts[parent] = family
-			delete(q.counts, id)
-			delete(q.counts, sib)
-		}
-	}
-}
-
-// A merge whose threshold n/k is at most 1 skips the sorted pass: no
-// family holding a count can fall below it. The digest it leaves —
-// zero-weight leaves dropped, nothing moved — marshals to the bytes the
-// full pass leaves, light or not.
+// A merge whose threshold n/k is at most 1 skips the compress pass: every
+// count is at least 1, so no family can fall below the threshold. The
+// digest it leaves marshals to the bytes the map's full sorted pass
+// leaves, light or not.
 func TestQDigestLightCompressMatchesSortedPass(t *testing.T) {
 	rng := workload.NewRNG(9)
 	light := 0
 	for trial := 0; trial < 200; trial++ {
 		k := uint64(1 + rng.Intn(64))
 		fast, _ := NewQDigest(10, k)
-		slow, _ := NewQDigest(10, k)
+		slow := newMapDigest(10, k)
 		for step := 0; step < 20; step++ {
 			part, _ := NewQDigest(10, k)
+			ref := newMapDigest(10, k)
 			for i := rng.Intn(8); i > 0; i-- {
-				part.Update(uint64(rng.Intn(1024)), uint64(rng.Intn(3))) // weight 0 leaves a zero-count leaf
+				v, w := uint64(rng.Intn(1024)), uint64(1+rng.Intn(3))
+				part.Update(v, w)
+				ref.Update(v, w)
 			}
 			if (fast.n+part.n)/k <= 1 {
 				light++
@@ -404,10 +375,10 @@ func TestQDigestLightCompressMatchesSortedPass(t *testing.T) {
 			if err := fast.Merge(part); err != nil {
 				t.Fatal(err)
 			}
-			for id, c := range part.counts {
+			for id, c := range ref.counts {
 				slow.counts[id] += c
 			}
-			slow.n += part.n
+			slow.n += ref.n
 			sortedCompress(slow)
 			got, _ := fast.MarshalBinary()
 			want, _ := slow.MarshalBinary()

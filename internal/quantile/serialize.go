@@ -1,15 +1,17 @@
 // serialize.go gives the q-digest a binary codec for the store's
-// checkpoint path. The digest is a plain (node id -> count) map plus its
-// configuration, so the layout is the map written in ascending id order
-// (deterministic bytes for equal digests):
+// checkpoint path. The digest's nodes are held in ascending id order with
+// their counts, so the layout is those nodes, copied out in that order,
+// after the configuration (deterministic bytes for equal digests):
 //
 //	[magic u32][logU u8][k u64][n u64][nodes u32]
 //	[nodes x: id u64, count u64]
+//
+// Ids are strictly ascending, counts are non-zero and sum to n.
 package quantile
 
 import (
 	"encoding/binary"
-	"slices"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -20,28 +22,30 @@ const qdHeaderSize = 4 + 1 + 8 + 8 + 4
 
 // MarshalBinary encodes the digest.
 func (q *QDigest) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, qdHeaderSize+len(q.counts)*16)
-	out = binary.LittleEndian.AppendUint32(out, qdMagic)
-	out = append(out, q.logU)
-	out = binary.LittleEndian.AppendUint64(out, q.k)
-	out = binary.LittleEndian.AppendUint64(out, q.n)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(q.counts)))
-	ids := make([]uint64, 0, len(q.counts))
-	for id := range q.counts {
-		ids = append(ids, id)
+	s := getScratch()
+	ids, cnts := q.view(s)
+	out := make([]byte, qdHeaderSize+len(ids)*16)
+	binary.LittleEndian.PutUint32(out, qdMagic)
+	out[4] = q.logU
+	binary.LittleEndian.PutUint64(out[5:], q.k)
+	binary.LittleEndian.PutUint64(out[13:], q.n)
+	binary.LittleEndian.PutUint32(out[21:], uint32(len(ids)))
+	pos := qdHeaderSize
+	for i, id := range ids {
+		binary.LittleEndian.PutUint64(out[pos:], id)
+		binary.LittleEndian.PutUint64(out[pos+8:], cnts[i])
+		pos += 16
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		out = binary.LittleEndian.AppendUint64(out, id)
-		out = binary.LittleEndian.AppendUint64(out, q.counts[id])
-	}
+	scratchPool.Put(s)
 	return out, nil
 }
 
 // UnmarshalBinary decodes into the receiver, replacing its contents. The
 // receiver's universe (logU) and compression factor (k) must match the
 // encoder's: merging digests over different universes is already
-// rejected, and decode holds the same line with ErrIncompatible.
+// rejected, and decode holds the same line with ErrIncompatible. A body
+// whose header passes those checks but which breaks the layout's rules is
+// ErrCorrupt and leaves the receiver empty.
 func (q *QDigest) UnmarshalBinary(data []byte) error {
 	if len(data) < qdHeaderSize || binary.LittleEndian.Uint32(data[0:]) != qdMagic {
 		return core.ErrCorrupt
@@ -49,23 +53,36 @@ func (q *QDigest) UnmarshalBinary(data []byte) error {
 	if data[4] != q.logU || binary.LittleEndian.Uint64(data[5:]) != q.k {
 		return core.ErrIncompatible
 	}
+	q.Reset()
 	n := binary.LittleEndian.Uint64(data[13:])
 	nodes := int(binary.LittleEndian.Uint32(data[21:]))
 	if len(data) != qdHeaderSize+nodes*16 {
 		return core.ErrCorrupt
 	}
-	q.Reset()
-	q.n = n
-	pos := qdHeaderSize
+	ids, cnts := q.ids, q.cnts
+	if cap(ids) < nodes {
+		ids = make([]uint64, 0, nodes)
+	}
+	if cap(cnts) < nodes {
+		cnts = make([]uint64, 0, nodes)
+	}
 	maxID := (uint64(1) << (q.logU + 1)) - 1
-	for i := 0; i < nodes; i++ {
+	var sum, carry, prev uint64
+	for pos := qdHeaderSize; pos < len(data); pos += 16 {
 		id := binary.LittleEndian.Uint64(data[pos:])
 		c := binary.LittleEndian.Uint64(data[pos+8:])
-		pos += 16
-		if id < 1 || id > maxID || c == 0 {
+		if id <= prev || id > maxID || c == 0 {
 			return core.ErrCorrupt
 		}
-		q.counts[id] = c
+		if sum, carry = bits.Add64(sum, c, 0); carry != 0 {
+			return core.ErrCorrupt
+		}
+		ids, cnts = append(ids, id), append(cnts, c)
+		prev = id
 	}
+	if sum != n {
+		return core.ErrCorrupt
+	}
+	q.ids, q.cnts, q.n = ids, cnts, n
 	return nil
 }

@@ -140,6 +140,9 @@ func wireFamily(f store.Family) string {
 // viewTopK bounds the top-k view; the full summary rides in Synopsis.
 const viewTopK = 10
 
+// wirePhis are the quantile view's p50, p95 and p99.
+var wirePhis = [...]float64{0.50, 0.95, 0.99}
+
 // EncodeAnswer renders one answer cell for the wire.
 func EncodeAnswer(a store.Answer) (WireAnswer, error) {
 	syn := a.Raw()

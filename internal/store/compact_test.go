@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -425,5 +426,67 @@ func TestSealedFootprint(t *testing.T) {
 	t.Logf("64-bucket range query: %v allocations", allocs)
 	if allocs > float64(maxAllocs) {
 		t.Fatalf("64-bucket range query costs %v allocations, gate %d", allocs, maxAllocs)
+	}
+}
+
+// TestQuantileAnswerFootprint gates what a q-digest answer costs over the
+// serving benchmark's preload: a 64-bucket `latency-us` range query on
+// page-01 within its allocation count, and 410 such answers — about as
+// many as range_scan's read cache keeps — within a heap ceiling. The
+// merge accumulator is pooled and the answer is its exact-size copy, 16
+// bytes per node: 9 allocations and 3.43 MB of heap for 3.15 MB of
+// (id, count) pairs when the gate landed. With the digest in a map the
+// query cost 25 allocations and the same answers held 7.64 MB. Under the
+// race detector the pools drop a quarter of what they are handed, so a
+// query regrows its accumulator (30–36 allocations measured) and the
+// gate there is looser.
+func TestQuantileAnswerFootprint(t *testing.T) {
+	const (
+		width   = 100
+		answers = 410
+		ceiling = 3.5 * (1 << 20)
+	)
+	maxAllocs := 10
+	if raceEnabled {
+		maxAllocs = 48
+	}
+	st := SealedFootprintStore(t)
+	req := QueryRequest{Metric: "latency-us", Key: "page-01", From: 40 * width, To: 104 * width}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := st.Query(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("64-bucket latency-us range query: %v allocations", allocs)
+	if allocs > float64(maxAllocs) {
+		t.Fatalf("64-bucket latency-us range query costs %v allocations, gate %d", allocs, maxAllocs)
+	}
+
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		for i := 0; i < 3; i++ { // a pool's contents outlive one GC
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	kept := make([]QueryResult, 0, answers)
+	before := heap()
+	nodes := 0
+	for i := 0; i < answers; i++ {
+		from := int64(i % (160 - 64 + 1))
+		res, err := st.Query(QueryRequest{Metric: "latency-us", Key: "page-01", From: from * width, To: (from + 64) * width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes += res.Raw().(*Quantiles).q.Nodes()
+		kept = append(kept, res)
+	}
+	held := int64(heap()) - int64(before)
+	runtime.KeepAlive(st)
+	runtime.KeepAlive(kept)
+	t.Logf("%d latency-us answers hold %d heap bytes for %d nodes (%d bytes of id, count pairs)", answers, held, nodes, 16*nodes)
+	if held > ceiling {
+		t.Fatalf("%d latency-us answers hold %d heap bytes, ceiling %d", answers, held, int64(ceiling))
 	}
 }

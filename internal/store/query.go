@@ -271,6 +271,17 @@ func (a Answer) Quantile(phi float64) uint64 {
 	return 0
 }
 
+// QuantilesInto sets out[i] to Quantile(phis[i]) for every i, ordering a
+// FamilyQuantile answer's digest once for all of them; for other families
+// every out[i] is 0. out must be at least as long as phis.
+func (a Answer) QuantilesInto(phis []float64, out []uint64) {
+	if q, ok := a.syn.(*Quantiles); ok {
+		q.QuantilesInto(phis, out)
+		return
+	}
+	clear(out[:len(phis)])
+}
+
 // QueryResult is the typed response of a serving-API query: one Answer
 // per requested (metric, key) cell — or per metric when the request
 // aggregated — ordered by the request's metric order, then sorted key

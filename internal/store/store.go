@@ -21,7 +21,8 @@
 // clones the synopsis and swaps the pointer (copy-on-write), never
 // mutating in place. Sealing is also where a bucket takes the size of
 // what it holds: a low-occupancy HyperLogLog or Count-Min is replaced by
-// its compact form (see sealSlot), and the dense synopsis it vacates is
+// its compact form and a q-digest by its exact-size copy (see sealSlot),
+// and the synopsis it vacates is
 // kept for the entry's next open bucket. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
 // buckets under the read lock), then merge the sealed buckets lock-free
@@ -229,13 +230,14 @@ func (e *entry) recycle(syn Synopsis) {
 }
 
 // sealSlot makes an open bucket immutable and, where the synopsis offers
-// a compact form that pays (a low-occupancy HyperLogLog or Count-Min),
-// swaps that form in: seal -> compact -> recycle the dense one. Every
-// path that seals goes through here — time advancing, sealHistory,
-// checkpoint restore and the hot-key demotion install — so a sealed
-// bucket costs what it holds wherever it came from. The dense synopsis
-// was open until this call, so no reader holds it and it becomes the
-// entry's spare. Callers hold the shard lock.
+// a compact form that pays (a low-occupancy HyperLogLog or Count-Min, a
+// q-digest holding spare capacity or unfolded updates), swaps that form
+// in: seal -> compact -> recycle the vacated one. Every path that seals
+// goes through here — time advancing, sealHistory, checkpoint restore and
+// the hot-key demotion install — so a sealed bucket costs what it holds
+// wherever it came from. The vacated synopsis was open until this call,
+// so no reader holds it and it becomes the entry's spare. Callers hold
+// the shard lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
 	if sl.sealed {
 		return

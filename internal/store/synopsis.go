@@ -53,23 +53,23 @@ type Resettable interface {
 // answers use (see entry.sealSlot and finish). compacted returns an
 // immutable copy of the synopsis in a form sized by what it holds —
 // answering every read, Merge-as-source and MarshalBinary exactly as the
-// receiver does — or nil when the receiver is too full for such a copy
-// to pay. release empties the receiver and returns it to its shape's
-// accumulator pool, where the next Prototype call finds it. Only the
-// order-insensitive families implement it: merging a compacted Distinct
-// or Freq gives the same bytes as merging the original, whereas q-digest
-// and Space-Saving are already sized by their contents and their merges
-// are order-sensitive, so the store leaves them as they are.
+// receiver does — or nil when the receiver is already held so, or too
+// full for such a copy to pay. release empties the receiver and returns
+// it to its shape's accumulator pool, where the next Prototype call finds
+// it. Distinct and Freq copy into their sparse forms; Quantiles copies
+// its q-digest into exactly as many nodes as it holds. Space-Saving is
+// sized by its k counters and has no such copy.
 type compactable interface {
 	compacted() Synopsis
 	release()
 }
 
 // finish turns a query's merge accumulator into the answer the query
-// returns. A result sparse enough for its family's compact form (the
-// rule a seal applies) is answered by the compacted copy, and the dense
-// accumulator goes back to its pool; anything else — a result too full
-// to compact, or a family without a compact form — is its own answer.
+// returns. A result its family can hold smaller (the rule a seal applies:
+// a sparse HyperLogLog or Count-Min, a q-digest with capacity to spare)
+// is answered by the compacted copy, and the accumulator goes back to its
+// pool; anything else — a result too full to compact, or a family
+// without a compact form — is its own answer.
 // The caller must own acc outright and not touch it afterwards.
 func finish(acc Synopsis) Synopsis {
 	c, ok := acc.(compactable)
@@ -87,9 +87,8 @@ func finish(acc Synopsis) Synopsis {
 // accShape identifies the synopses one accumulator pool may hold:
 // instances of equal shape are interchangeable once emptied.
 type accShape struct {
-	family Family
-	a, b   int // precision, or width and depth
-	seed   uint64
+	family  Family
+	a, b, c uint64 // precision and seed; width, depth and seed; logU and k
 }
 
 // accPools maps an accShape to its *sync.Pool. Pools are shared by every
@@ -152,7 +151,7 @@ func NewDistinctProto(precision uint8, seed uint64) (Prototype, error) {
 	if _, err := cardinality.NewHyperLogLog(precision, seed); err != nil {
 		return nil, err
 	}
-	pool := accPool(accShape{family: FamilyDistinct, a: int(precision), seed: seed})
+	pool := accPool(accShape{family: FamilyDistinct, a: uint64(precision), b: seed})
 	return func() Synopsis {
 		if d, ok := pool.Get().(*Distinct); ok {
 			return d
@@ -215,7 +214,7 @@ func NewFreqProto(width, depth int, seed uint64) (Prototype, error) {
 	if _, err := frequency.NewCountMin(width, depth, seed); err != nil {
 		return nil, err
 	}
-	pool := accPool(accShape{family: FamilyFreq, a: width, b: depth, seed: seed})
+	pool := accPool(accShape{family: FamilyFreq, a: uint64(width), b: uint64(depth), c: seed})
 	return func() Synopsis {
 		if f, ok := pool.Get().(*Freq); ok {
 			return f
@@ -323,18 +322,24 @@ func (t *TopK) Count(item string) uint64 {
 // Quantiles is a bucket synopsis summarizing the distribution of the
 // observation values with a mergeable q-digest. The item is ignored.
 type Quantiles struct {
-	q *quantile.QDigest
+	q    *quantile.QDigest
+	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
 }
 
 // NewQuantileProto returns a Prototype of q-digest synopses over values in
-// [0, 2^logU) with compression factor k.
+// [0, 2^logU) with compression factor k. Instances come from the shape's
+// accumulator pool when it holds one.
 func NewQuantileProto(logU uint8, k uint64) (Prototype, error) {
 	if _, err := quantile.NewQDigest(logU, k); err != nil {
 		return nil, err
 	}
+	pool := accPool(accShape{family: FamilyQuantile, a: uint64(logU), b: k})
 	return func() Synopsis {
+		if qs, ok := pool.Get().(*Quantiles); ok {
+			return qs
+		}
 		q, _ := quantile.NewQDigest(logU, k)
-		return &Quantiles{q: q}
+		return &Quantiles{q: q, pool: pool}
 	}, nil
 }
 
@@ -355,6 +360,20 @@ func (qs *Quantiles) Merge(other Synopsis) error {
 // Reset implements Resettable.
 func (qs *Quantiles) Reset() { qs.q.Reset() }
 
+func (qs *Quantiles) compacted() Synopsis {
+	if c := qs.q.Compact(); c != nil {
+		return &Quantiles{q: c}
+	}
+	return nil
+}
+
+func (qs *Quantiles) release() {
+	if qs.pool != nil {
+		qs.q.Reset()
+		qs.pool.Put(qs)
+	}
+}
+
 // Items implements Synopsis.
 func (qs *Quantiles) Items() uint64 { return qs.q.Count() }
 
@@ -363,6 +382,10 @@ func (qs *Quantiles) Bytes() int { return qs.q.Bytes() }
 
 // Quantile returns the estimated phi-quantile of the observed values.
 func (qs *Quantiles) Quantile(phi float64) uint64 { return qs.q.Query(phi) }
+
+// QuantilesInto sets out[i] to Quantile(phis[i]) for every i, ordering
+// the digest once for all of them. out must be at least as long as phis.
+func (qs *Quantiles) QuantilesInto(phis []float64, out []uint64) { qs.q.QueryAll(phis, out) }
 
 // ---- Binary codecs (checkpoint/restore) ----
 //

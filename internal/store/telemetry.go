@@ -49,7 +49,7 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 		"Ring buckets sealed: by stream time advancing, a checkpoint, or a hot-key demotion.",
 		func() uint64 { return s.sealCount() }, labels...)
 	reg.CounterFunc("analytics_store_compacted_total",
-		"Bucket seals that replaced a low-occupancy synopsis by its compact form.",
+		"Bucket seals that replaced a synopsis by its compact form.",
 		func() uint64 { return s.Stats().Compacted }, labels...)
 	reg.GaugeFunc("analytics_store_entries",
 		"Live entries, including splayed sub-entries.",
