@@ -17,7 +17,6 @@ import (
 	"repro/internal/dstore"
 	"repro/internal/experiments"
 	"repro/internal/store"
-	"repro/internal/workload"
 )
 
 // benchTable runs an experiment table builder under the benchmark loop
@@ -62,9 +61,6 @@ func BenchmarkT2_2_Grouping(b *testing.B)   { benchTable(b, experiments.T2_2_Gro
 func BenchmarkT2_3_Broker(b *testing.B)     { benchTable(b, experiments.T2_3_Broker) }
 func BenchmarkT2_4_SketchStore(b *testing.B) {
 	benchTable(b, experiments.T2_4_SketchStore)
-}
-func BenchmarkT2_5_HotKeySplay(b *testing.B) {
-	benchTable(b, experiments.T2_5_HotKeySplay)
 }
 func BenchmarkT3_1_ClusterStore(b *testing.B) {
 	benchTable(b, experiments.T3_1_ClusterStore)
@@ -146,69 +142,6 @@ func BenchmarkStoreIngest(b *testing.B) {
 				}
 			})
 		})
-	}
-}
-
-// BenchmarkStoreIngestZipf is the hot-key acceptance benchmark: the same
-// parallel ingest as BenchmarkStoreIngest but under Zipf-skewed keys (the
-// distribution real streams have), with hot-key write combining off
-// (baseline — the pre-splay write path) and on. The hottest keys dominate
-// their home shards in baseline mode; with splaying on they are detected,
-// batched lock-free, spread across recycling replica rings, and show up
-// here as ~1.3x lower ns/op and ~3.5x fewer allocated bytes per write on
-// the 1-core reference container (GOMAXPROCS=1 hides the lock-holder
-// preemption a real multi-writer tier suffers; experiment T2.5 measures
-// the same store under 16 OS threads, where the wall-clock win at 16
-// shards is >= 1.5x):
-//
-//	go test -bench=BenchmarkStoreIngestZipf -benchmem
-func BenchmarkStoreIngestZipf(b *testing.B) {
-	items := benchKeys(64)
-	for _, skew := range []float64{1.1, 1.5} {
-		keys := make([]string, 1<<16)
-		rng := workload.NewRNG(505)
-		z := workload.NewZipf(rng, 128, skew)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("k%d", z.Draw())
-		}
-		for _, mode := range []struct {
-			name string
-			hot  store.HotKeyConfig
-		}{
-			{"baseline", store.HotKeyConfig{}},
-			{"splayed", store.HotKeyConfig{Replicas: 16, MaxHot: 256, PromotePct: 2, EpochWrites: 512}},
-		} {
-			b.Run(fmt.Sprintf("s=%.1f/%s/shards=16", skew, mode.name), func(b *testing.B) {
-				st, err := store.New(store.Config{Shards: 16, BucketWidth: 50, RingBuckets: 64, HotKey: mode.hot})
-				if err != nil {
-					b.Fatal(err)
-				}
-				proto, err := store.NewDistinctProto(12, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := st.RegisterMetric("uniq", proto); err != nil {
-					b.Fatal(err)
-				}
-				var seq atomic.Int64
-				// 16 writer goroutines per processor, matching the T2.4/T2.5
-				// ingest tier the hot-key work is sized against.
-				b.SetParallelism(16)
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := seq.Add(1)
-						st.Observe(store.Observation{
-							Metric: "uniq",
-							Key:    keys[int(i)&(len(keys)-1)],
-							Item:   items[int(i)%len(items)],
-							Time:   i,
-						})
-					}
-				})
-			})
-		}
 	}
 }
 

@@ -35,8 +35,8 @@
 //     and is what makes admission shedding provable — a rejected batch
 //     leaves no trace. An accepted batch is byte-identical to the same
 //     observations fed one Observe at a time, in order: per-(metric,key)
-//     arrival order is preserved, so every synopsis, counter and hot-key
-//     decision matches the loop exactly. An empty batch is a no-op,
+//     arrival order is preserved, so every synopsis and counter matches
+//     the loop exactly. An empty batch is a no-op,
 //     never an error. The slice is lent for the call only: a backend
 //     must not retain obs (or a sub-slice of it) after ObserveBatch
 //     returns — it copies the observations it buffers, as all four do —

@@ -474,16 +474,6 @@ func (c *Cluster) Checkpoint() error {
 	return first
 }
 
-// FlushHot settles pending hot-key batches on every serving node, as
-// store.FlushHot does for one store.
-func (c *Cluster) FlushHot() {
-	for _, n := range c.liveNodes() {
-		if st := n.currentStore(); st != nil {
-			st.FlushHot()
-		}
-	}
-}
-
 // Stats aggregates node counters and store stats across the cluster.
 func (c *Cluster) Stats() Stats {
 	nodes := c.liveNodes()

@@ -305,7 +305,6 @@ func (n *Node) recover(gen int) {
 			return
 		}
 	}
-	st.FlushHot()
 	if n.c.group.Generation() != gen {
 		return
 	}

@@ -119,7 +119,6 @@ func Builders() []Builder {
 		{"T2.2", "Table 2: stream groupings", T2_2_Grouping},
 		{"T2.3", "Table 2: partitioned log", T2_3_Broker},
 		{"T2.4", "Sharded sketch store serving", T2_4_SketchStore},
-		{"T2.5", "Hot-key write splaying", T2_5_HotKeySplay},
 		{"T3.1", "Partitioned store cluster", T3_1_ClusterStore},
 		{"F1", "Figure 1: Lambda Architecture", F1_Lambda},
 		{"F1.2", "Store-backed Lambda vs oracle", F1_2_StoreLambda},

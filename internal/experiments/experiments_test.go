@@ -102,7 +102,7 @@ func TestBuildersRegistryConsistent(t *testing.T) {
 			}
 		}
 	}
-	if count != 32 {
-		t.Fatalf("expected 32 experiments, registry has %d", count)
+	if count != 31 {
+		t.Fatalf("expected 31 experiments, registry has %d", count)
 	}
 }

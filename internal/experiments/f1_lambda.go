@@ -12,8 +12,7 @@ import (
 // F1_2_StoreLambda proves the offset-fenced batch/speed split end to end:
 // a store-backed Lambda serving all four synopsis families (counters,
 // cardinality, top-k, quantiles) must answer exactly like a single store
-// that replayed the whole master log, at every batch-recompute boundary —
-// while the speed layer sustains the T2.5 hot-key write-combining path
+// that replayed the whole master log, at every batch-recompute boundary,
 // under Zipf-skewed ingest.
 //
 // The mismatch column is the acceptance gate and must be zero: counters
@@ -21,21 +20,16 @@ import (
 // max) and top-k (Space-Saving in its exact regime: k counters >= item
 // universe) are compared for equality; quantiles are compared against the
 // exact value list within the merged q-digest's rank-error budget (two
-// constituents at logU/k = 16/256 each, checked at 4x slack). The
-// hot-keys / splayed-writes columns prove the speed layer actually ran
-// the splayed path, not the plain one — the speed store's stats reset at
-// every truncation, so they are sampled just before each handoff.
+// constituents at logU/k = 16/256 each, checked at 4x slack).
 func F1_2_StoreLambda() Table {
 	t := Table{
 		ID:     "F1.2",
 		Title:  "Store-backed Lambda: merged batch+speed answers vs single-store oracle",
-		Claim:  "across batch boundaries, merged answers equal a replay-everything oracle (counters/cardinality/top-k exact, quantiles within bound) with hot-key splaying active",
-		Header: []string{"boundary", "appended", "staleness-pre", "hot-keys", "splayed-writes", "checked", "mismatch"},
+		Claim:  "across batch boundaries, merged answers equal a replay-everything oracle (counters/cardinality/top-k exact, quantiles within bound)",
+		Header: []string{"boundary", "appended", "staleness-pre", "checked", "mismatch"},
 	}
 	geom := store.Config{Shards: 8, BucketWidth: 1000, RingBuckets: 64}
-	speed := geom
-	speed.HotKey = store.HotKeyConfig{Replicas: 8, MaxHot: 64, PromotePct: 2, EpochWrites: 512}
-	arch, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: speed})
+	arch, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: geom})
 	if err != nil {
 		panic(err)
 	}
@@ -84,15 +78,12 @@ func F1_2_StoreLambda() Table {
 			}
 			values[key] = append(values[key], val)
 		}
-		// Sample hot-key engagement before the handoff resets the store.
-		arch.FlushSpeedHot()
-		st := arch.SpeedStats()
 		stalePre := arch.Staleness()
 		if _, err := arch.RunBatch(); err != nil {
 			panic(err)
 		}
 		checked, mismatch := lambdaOracleCompare(arch, geom, protos, values, now)
-		t.AddRow(d(round), d(arch.Appended()), d(stalePre), d(st.HotKeys), d(st.SplayedWrites), d(checked), d(mismatch))
+		t.AddRow(d(round), d(arch.Appended()), d(stalePre), d(checked), d(mismatch))
 	}
 	return t
 }

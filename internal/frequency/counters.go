@@ -355,9 +355,9 @@ func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 }
 
 // Reset returns the summary to its freshly-constructed state, reusing the
-// counter map's allocation. Callers that track traffic in epochs (e.g. the
-// sketch store's per-shard hot-key detectors) reset at each boundary
-// instead of reallocating.
+// counter map's allocation. UnmarshalBinary decodes into a reset summary,
+// and callers that reuse one summary across windows reset it instead of
+// reallocating.
 func (ss *SpaceSaving) Reset() {
 	ss.n = 0
 	ss.head = nil

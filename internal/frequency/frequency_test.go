@@ -737,8 +737,7 @@ func TestSpaceSavingMergeIntoEmptyPreservesCounts(t *testing.T) {
 }
 
 // Reset must return a summary to its freshly-constructed behavior while
-// reusing allocations — the sketch store's per-shard hot-key trackers
-// reset at every detection epoch.
+// reusing allocations.
 func TestSpaceSavingReset(t *testing.T) {
 	ss, _ := NewSpaceSaving(8)
 	for i := 0; i < 500; i++ {

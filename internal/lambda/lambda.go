@@ -14,9 +14,9 @@
 //  3. the serving layer indexes the batch view for low-latency reads:
 //     the sealed store.FrozenView, swapped in atomically;
 //  4. the speed layer absorbs what the batch view does not yet cover: a
-//     sharded store.Store (hot-key splaying and all) fed synchronously by
-//     Append, or — behind Config.Cluster — a partitioned dstore cluster
-//     consuming the master topic through its router;
+//     sharded store.Store fed synchronously by Append, or — behind
+//     Config.Cluster — a partitioned dstore cluster consuming the master
+//     topic through its router;
 //  5. queries merge the batch and realtime views (Query): the two
 //     synopsis snapshots combine through store.CombineSnapshots, so one
 //     code path answers counters, cardinality, quantiles and top-k.
@@ -72,8 +72,7 @@ type Config struct {
 	Retention int
 	// Batch is the batch-layer store geometry views are recomputed with.
 	Batch store.Config
-	// Speed is the speed-layer store geometry (single-store mode). Enable
-	// Speed.HotKey to run the T2.5 write-combining path under Lambda.
+	// Speed is the speed-layer store geometry (single-store mode).
 	Speed store.Config
 	// Cluster, when non-nil, replaces the single speed store with a
 	// partitioned dstore cluster: Appends route through the cluster's
@@ -448,7 +447,6 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 				return BatchInfo{}, err
 			}
 		}
-		fresh.FlushHot()
 		a.speed = fresh
 		a.batch.Store(view)
 		a.version.Add(1)
@@ -822,19 +820,6 @@ func (a *Architecture) Flush() {
 	if a.cluster != nil {
 		a.cluster.Router().Flush()
 	}
-}
-
-// FlushSpeedHot settles pending hot-key write-combining batches in the
-// speed layer (a per-key Query already settles that key's batch; this is
-// the whole-store form stats snapshots want).
-func (a *Architecture) FlushSpeedHot() {
-	if a.cluster != nil {
-		a.cluster.FlushHot()
-		return
-	}
-	a.speedMu.RLock()
-	defer a.speedMu.RUnlock()
-	a.speed.FlushHot()
 }
 
 // Drain blocks until the speed layer has absorbed everything appended so

@@ -377,50 +377,6 @@ func TestMergedMatchesOracleAcrossBoundaries(t *testing.T) {
 	}
 }
 
-// TestLambdaParityHotKeySpeedLayer runs the boundary invariant with the
-// T2.5 hot-key write-combining path enabled on the speed store, and
-// checks the path actually engaged (writes were splayed).
-func TestLambdaParityHotKeySpeedLayer(t *testing.T) {
-	cfg := testConfig()
-	cfg.Speed.HotKey = store.HotKeyConfig{Replicas: 4, MaxHot: 64, PromotePct: 2, EpochWrites: 256}
-	a := newArch(t, cfg)
-	rng := workload.NewRNG(42)
-	z := workload.NewZipf(rng, 24, 1.4)
-	values := map[string][]uint64{}
-	now := int64(0)
-	var splayed uint64
-	for i := 0; i < 9000; i++ {
-		key := fmt.Sprintf("k%d", z.Draw())
-		item := fmt.Sprintf("u%d", rng.Uint64()%48)
-		val := rng.Uint64() % 40000
-		now = int64(i)
-		for _, obs := range []store.Observation{
-			{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: now},
-			{Metric: "uniq", Key: key, Item: item, Time: now},
-			{Metric: "top", Key: key, Item: item, Time: now},
-			{Metric: "lat", Key: key, Value: val, Time: now},
-		} {
-			if err := a.Append(obs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		values[key] = append(values[key], val)
-		if i%3000 == 2999 {
-			// Sample the splay counter before the boundary wipes the
-			// speed store (its stats reset with the truncation).
-			a.FlushSpeedHot()
-			splayed += a.SpeedStats().SplayedWrites
-			if _, err := a.RunBatch(); err != nil {
-				t.Fatal(err)
-			}
-			assertParity(t, a, oracleStore(t, a), values, now, fmt.Sprintf("hot boundary %d", i/3000))
-		}
-	}
-	if splayed == 0 {
-		t.Fatal("hot-key path never engaged: no splayed writes")
-	}
-}
-
 // TestLambdaParityUnderConcurrentIngest is the named -race CI target (the
 // F1.2 concurrency leg): writers append while batch recomputes and
 // queries run; after the dust settles, merged answers equal the oracle

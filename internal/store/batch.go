@@ -20,9 +20,7 @@ import (
 // order is what synopsis state depends on, and a key's writes all land
 // in the same group — and inside a group every per-write effect of the
 // plain path runs identically (late-drop accounting, ring advance,
-// eviction, hot-key sampling and epoch harvests). Writes to currently
-// hot keys divert to their routes' lock-free batches exactly as
-// Observe does, outside the shard lock. An empty batch is a no-op.
+// eviction). An empty batch is a no-op.
 func (s *Store) ObserveBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -77,61 +75,25 @@ func GroupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
 	return order, next[:groups+1]
 }
 
-// observeShardBatch lands one shard's group. The shard lock is held
-// across runs of cold writes and released around hot-route diversions
-// (observeHot seals and flushes batches, which takes shard locks of its
-// own). Epoch harvests collected under the lock run their sweeps and
-// promotions after release, in harvest order, exactly like the plain
-// path.
+// observeShardBatch lands one shard's group under a single acquisition
+// of the shard lock, running every per-write effect of the plain path
+// in input order.
 func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, protos map[string]Prototype) {
-	type harvest struct {
-		promote []entryKey
-		seq     uint64
-	}
 	sh := s.shards[idx]
-	var harvests []harvest
 	var observed, droppedLate uint64
-	locked := false
-	lock := func() {
-		if !locked {
-			if h := s.telLockWait; h != nil {
-				t0 := time.Now()
-				sh.mu.Lock()
-				h.ObserveSince(t0)
-			} else {
-				sh.mu.Lock()
-			}
-			locked = true
-		}
-	}
-	unlock := func() {
-		if locked {
-			sh.mu.Unlock()
-			locked = false
-		}
+	if h := s.telLockWait; h != nil {
+		t0 := time.Now()
+		sh.mu.Lock()
+		h.ObserveSince(t0)
+	} else {
+		sh.mu.Lock()
 	}
 	for _, i := range group {
 		o := obs[i]
-		k := entryKey{metric: o.Metric, key: o.Key}
-		var r *hotRoute
-		if r = s.hotRouteFor(k); r != nil {
-			unlock()
-			if s.observeHot(o, k, r) {
-				continue
-			}
-			// Demoted mid-flight or batch mid-seal: take the home path
-			// anchored to the route's high water, like Observe.
-		}
-		lock()
 		if o.Time > sh.maxTime {
 			sh.maxTime = o.Time
 		}
-		e := sh.getOrCreate(k, s.cfg.RingBuckets, false)
-		if r != nil {
-			if anchor := r.newest.Load(); anchor > e.newest {
-				e.advance(anchor, sh)
-			}
-		}
+		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key}, s.cfg.RingBuckets)
 		dropped, err := s.writeLocked(sh, e, o, protos[o.Metric])
 		if err != nil {
 			// Unreachable after up-front validation (only a copy-on-write
@@ -143,28 +105,10 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, pr
 			droppedLate++
 			continue
 		}
-		if s.hotEnabled() {
-			sh.epochWrites++
-			if sh.epochWrites%s.cfg.HotKey.SampleEvery == 0 {
-				sh.tracker.Update(packHotKey(k))
-			}
-			if sh.epochWrites >= s.cfg.HotKey.EpochWrites {
-				promote, seq := s.harvestLocked(sh)
-				harvests = append(harvests, harvest{promote, seq})
-			}
-		}
 		s.evict(sh)
 		observed++
 	}
-	unlock()
+	sh.mu.Unlock()
 	s.observed.Add(observed)
 	s.droppedLate.Add(droppedLate)
-	for _, h := range harvests {
-		// Sweep before promoting, matching the plain path: a just-promoted
-		// route must not be judged on an empty epoch.
-		s.sweepRoutes(idx, h.seq)
-		for _, pk := range h.promote {
-			s.promote(pk)
-		}
-	}
 }

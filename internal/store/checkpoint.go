@@ -85,22 +85,6 @@ type CheckpointInfo struct {
 	Bytes   int64
 }
 
-// quiesceHot retires every hot route so replica sub-entries drain into
-// their home series — after it, every resident bucket lives on its home
-// shard under its real key, which is the only layout the checkpoint
-// format records. Query answers are unchanged (demotion merges, never
-// drops) and the keys re-promote from live traffic after restore.
-func (s *Store) quiesceHot() {
-	s.FlushHot()
-	tab := s.hot.Load()
-	if tab == nil {
-		return
-	}
-	for _, r := range tab.m {
-		s.demote(r)
-	}
-}
-
 // WriteCheckpoint snapshots every resident bucket of st into dir as a
 // manifest + data file pair, stamped with the log position in meta (see
 // CheckpointManifest). The store must be quiesced — no concurrent
@@ -114,7 +98,6 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return info, err
 	}
-	st.quiesceHot()
 	// Seal history now, not just on restore: a store that has just been
 	// checkpointed and a store restored from that checkpoint then answer
 	// every query identically, including order-sensitive quantile merges
@@ -135,13 +118,6 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 		for _, sh := range st.shards {
 			sh.mu.RLock()
 			for k, e := range sh.entries {
-				if e.replica {
-					// quiesceHot drained every route; a replica here means
-					// a writer raced the checkpoint, which the quiescence
-					// contract forbids.
-					sh.mu.RUnlock()
-					return core.Errf("WriteCheckpoint", "store", "replica entry %q/%q present; store not quiesced", k.metric, k.key)
-				}
 				for i := range e.slots {
 					sl := &e.slots[i]
 					if sl.idx < 0 || sl.syn == nil {
@@ -363,7 +339,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 	sh := s.shards[s.shardIndex(k)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.getOrCreate(k, s.cfg.RingBuckets, false)
+	e := sh.getOrCreate(k, s.cfg.RingBuckets)
 	sl := e.slotFor(int64(bkt))
 	if sl.idx >= 0 {
 		return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q collide in the ring: %w", sl.idx, bkt, metric, key, core.ErrCorrupt)
@@ -403,10 +379,10 @@ func (s *Store) restoreRecord(payload []byte) error {
 // sealHistory seals every resident bucket, the newest included. Sealing
 // is always safe — it only forces the next write to that bucket to
 // copy-on-write clone, exactly as advance arranges for history buckets.
-// Both sides of a checkpoint end all-sealed: on write sealHistory erases
-// the copy-on-write and hot-key-drain stragglers a live store
-// accumulates, and restore seals every bucket as it installs it
-// (restoreRecord). The uniform pattern matters because the query path
+// Both sides of a checkpoint end all-sealed: on write sealHistory seals
+// each entry's open newest bucket and the unsealed copy-on-write clones
+// late writes leave behind, and restore seals every bucket as it
+// installs it (restoreRecord). The uniform pattern matters because the query path
 // merges open buckets under the shard lock and sealed ones after it —
 // for an order-sensitive synopsis (the q-digest compresses as it merges)
 // a different open/sealed split yields a different, if equally valid,

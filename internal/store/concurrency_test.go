@@ -119,106 +119,6 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 }
 
-// The hot-key machinery multiplies the concurrency surface: lock-free
-// batch claims, seal races, flush-vs-demotion diversion, drain-vs-query
-// exclusion, and synopsis recycling. Run the same write-heavy mixed load
-// with aggressive hot-key thresholds so promotions, splayed batches and
-// demotions all fire constantly while readers gather across replicas —
-// under -race in CI.
-func TestConcurrentHotKeyWritersAndReaders(t *testing.T) {
-	st := mustStore(t, Config{
-		Shards:      8,
-		BucketWidth: 10,
-		RingBuckets: 16,
-		HotKey: HotKeyConfig{
-			Replicas:         4,
-			EpochWrites:      256,
-			PromotePct:       10,
-			SampleEvery:      2,
-			MaxHot:           8,
-			DemoteHysteresis: 2,
-			BatchWrites:      32,
-		},
-	})
-	hll, _ := NewDistinctProto(10, 99)
-	st.RegisterMetric("uniq", hll)
-
-	const (
-		writers  = 8
-		readers  = 4
-		perGoro  = 5000
-		keySpace = 32
-	)
-	var wg sync.WaitGroup
-	var clock atomic.Int64
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perGoro; i++ {
-				ts := clock.Add(1)
-				// Zipf-ish skew: half the traffic hits two keys, so they
-				// promote; phase shifts make them cool and demote.
-				var key string
-				switch {
-				case i%2 == 0 && (i/4096)%2 == 0:
-					key = "hot0"
-				case i%4 == 1:
-					key = "hot1"
-				default:
-					key = fmt.Sprintf("k%d", (w*perGoro+i)%keySpace)
-				}
-				obs := Observation{Metric: "uniq", Key: key, Item: fmt.Sprintf("item%d", i%500), Time: ts}
-				if err := st.Observe(obs); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for i := 0; i < perGoro/2; i++ {
-				key := "hot0"
-				if i%3 == 1 {
-					key = "hot1"
-				} else if i%3 == 2 {
-					key = fmt.Sprintf("k%d", i%keySpace)
-				}
-				syn, err := queryPoint(st, "uniq", key, 0, int64(writers*perGoro))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_ = syn.(*Distinct).Estimate()
-			}
-		}(r)
-	}
-	wg.Wait()
-	st.FlushHot()
-	stats := st.Stats()
-	total := uint64(writers * perGoro)
-	if stats.Observed+stats.DroppedLate != total {
-		t.Fatalf("observed %d + dropped %d != %d", stats.Observed, stats.DroppedLate, total)
-	}
-	if stats.Promotions == 0 || stats.SplayedWrites == 0 {
-		t.Fatalf("hot path never exercised: %+v", stats)
-	}
-	if stats.Bytes < 0 {
-		t.Fatalf("negative byte accounting: %+v", stats)
-	}
-	// Keys must stay deduplicated whatever splay state each key ended in.
-	seen := map[string]bool{}
-	for _, k := range st.Keys("uniq") {
-		if seen[k] {
-			t.Fatalf("key %s listed twice", k)
-		}
-		seen[k] = true
-	}
-}
-
 // Replay and Rebuild are the batch layer; today they also run against
 // stores that are concurrently absorbing live traffic (warming a store
 // while it serves, rebuilding while producers keep appending). Race the
@@ -245,27 +145,35 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 		topic.Produce(obs.Key, EncodeObservation(obs))
 	}
 
-	live := mustStore(t, Config{
-		Shards:      8,
-		BucketWidth: 10,
-		RingBuckets: 128,
-		HotKey:      HotKeyConfig{Replicas: 4, EpochWrites: 256, SampleEvery: 2, BatchWrites: 32},
-	})
+	live := mustStore(t, Config{Shards: 8, BucketWidth: 10, RingBuckets: 128})
 	registerUniques(t, live)
 
 	var wg sync.WaitGroup
 	var replayed atomic.Uint64
 	var rebuilt atomic.Uint64
-	// Live writers into the same store the replay is warming.
+	// Live writers into the same store the replay is warming: two write
+	// one observation at a time, two in batches of 25.
 	const liveWrites = 6000
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var batch []Observation
 			for i := 0; i < liveWrites/4; i++ {
-				if err := live.Observe(mkObs(prefill + w*liveWrites/4 + i)); err != nil {
-					t.Error(err)
-					return
+				obs := mkObs(prefill + w*liveWrites/4 + i)
+				if w%2 == 0 {
+					if err := live.Observe(obs); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				if batch = append(batch, obs); len(batch) == 25 {
+					if err := live.ObserveBatch(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					batch = batch[:0]
 				}
 			}
 		}(w)
@@ -318,7 +226,6 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 	if rebuilt.Load() < prefill {
 		t.Fatalf("rebuild applied %d, want at least the %d prefilled", rebuilt.Load(), prefill)
 	}
-	live.FlushHot()
 	stats := live.Stats()
 	want := replayed.Load() + liveWrites
 	if stats.Observed+stats.DroppedLate != want {

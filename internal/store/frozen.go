@@ -31,7 +31,7 @@ type FrozenView struct {
 // FreezeAt recomputes a batch view: a fresh store with the given config
 // and metric prototypes, every partition of the topic replayed from its
 // oldest retained offset up to the frozen bound ends[pid] (exclusive),
-// hot-key batches settled, and the result sealed. ends is typically a
+// and the result sealed. ends is typically a
 // Topic.EndOffsets snapshot taken at the freeze point; it must have one
 // entry per partition. Messages the bound covers but retention has
 // already dropped are unrecoverable and reported via Truncated — the
@@ -120,7 +120,6 @@ func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, e
 			return nil, err
 		}
 	}
-	st.FlushHot()
 	return v, nil
 }
 

@@ -1,16 +1,18 @@
 // Native fuzz targets for the store's write/query paths. The fuzzer
 // drives a byte-script of operations — writes with random keys, deltas
 // and out-of-order (even far-backward) timestamps, interleaved queries,
-// stats reads and flushes — against two stores fed identically: one
-// plain, one with aggressive hot-key splaying so promotion, write
-// combining, demotion and drains all fire constantly. Invariants:
+// stats reads and flushes — against two stores fed the same stream: one
+// through Observe, one observation at a time, and its twin through
+// ObserveBatch, the writes collected into a batch that is flushed at
+// every query, stats read and flush op and at the end. Invariants:
 //
 //   - nothing panics and no valid operation returns an error;
 //   - byte accounting never goes negative (on either store);
 //   - observations are conserved: Observed + DroppedLate == writes issued;
 //   - a full-window query matches a serially-computed reference model of
-//     the ring-retention semantics, exactly, on both stores — splayed and
-//     plain alike.
+//     the ring-retention semantics, exactly, on both stores;
+//   - once flushed, the batch-fed twin is indistinguishable from the
+//     loop-fed store: equal Stats and MarshalBinary-equal answers.
 //
 // Seed corpus lives in testdata/fuzz/; run the fuzzer with
 //
@@ -18,6 +20,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -70,28 +73,17 @@ func (m *refModel) servedItems(key string) []int64 {
 	return out
 }
 
-func fuzzStores(t *testing.T) (plain, splayed *Store) {
+func fuzzStores(t *testing.T) (loop, batched *Store) {
 	t.Helper()
-	base := Config{Shards: 4, BucketWidth: fuzzWidth, RingBuckets: fuzzRing}
+	cfg := Config{Shards: 4, BucketWidth: fuzzWidth, RingBuckets: fuzzRing}
 	var err error
-	if plain, err = New(base); err != nil {
+	if loop, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	hot := base
-	hot.HotKey = HotKeyConfig{
-		Replicas:         4,
-		EpochWrites:      16,
-		PromotePct:       10,
-		SampleEvery:      1,
-		TrackerK:         8,
-		MaxHot:           4,
-		DemoteHysteresis: 2,
-		BatchWrites:      4,
-	}
-	if splayed, err = New(hot); err != nil {
+	if batched, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []*Store{plain, splayed} {
+	for _, st := range []*Store{loop, batched} {
 		proto, err := NewDistinctProto(10, 77)
 		if err != nil {
 			t.Fatal(err)
@@ -100,7 +92,23 @@ func fuzzStores(t *testing.T) (plain, splayed *Store) {
 			t.Fatal(err)
 		}
 	}
-	return plain, splayed
+	return loop, batched
+}
+
+// sameBytes fails unless the two synopses serialize identically.
+func sameBytes(t *testing.T, what string, got, want Synopsis) {
+	t.Helper()
+	gb, err := got.(*Distinct).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := want.(*Distinct).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gb, wb) {
+		t.Fatalf("%s: batch-fed answer differs from loop-fed answer", what)
+	}
 }
 
 func FuzzStoreObserve(f *testing.F) {
@@ -110,7 +118,8 @@ func FuzzStoreObserve(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 127, 0, 1, 2, 0, 0, 2, 3, 127, 0, 2, 4, 1})
 	// Writes with interleaved queries, stats and flushes.
 	f.Add([]byte{0, 1, 1, 16, 200, 1, 0, 0, 0, 1, 2, 16, 210, 0, 0, 0, 220, 0, 0, 0})
-	// A hot key: many writes to key 0 to force promotion and demotion.
+	// A skewed stream: a long run of writes to key 0, then a spread over
+	// the other keys, all in one batch.
 	f.Add(func() []byte {
 		var b []byte
 		for i := 0; i < 96; i++ {
@@ -137,8 +146,15 @@ func FuzzStoreObserve(f *testing.F) {
 	}())
 
 	f.Fuzz(func(t *testing.T, script []byte) {
-		plain, splayed := fuzzStores(t)
+		loop, batched := fuzzStores(t)
 		ref := newRefModel()
+		var pending []Observation
+		flush := func() {
+			if err := batched.ObserveBatch(pending); err != nil {
+				t.Fatalf("batch observe: %v", err)
+			}
+			pending = pending[:0]
+		}
 		var writes uint64
 		var now, maxTime int64
 		for i := 0; i+4 <= len(script); i += 4 {
@@ -157,37 +173,42 @@ func FuzzStoreObserve(f *testing.F) {
 				key := fmt.Sprintf("k%d", kb%fuzzKeys)
 				item := int64(ib)
 				obs := Observation{Metric: "uniq", Key: key, Item: fmt.Sprintf("i%d", item), Time: now}
-				if err := plain.Observe(obs); err != nil {
-					t.Fatalf("plain observe: %v", err)
+				if err := loop.Observe(obs); err != nil {
+					t.Fatalf("loop observe: %v", err)
 				}
-				if err := splayed.Observe(obs); err != nil {
-					t.Fatalf("splayed observe: %v", err)
-				}
+				pending = append(pending, obs)
 				ref.observe(key, item, now)
 				writes++
 			case op < 220:
+				flush()
 				key := fmt.Sprintf("k%d", kb%fuzzKeys)
 				from := int64(ib) * 4
 				to := from + int64(tb)*4
-				for _, st := range []*Store{plain, splayed} {
-					if _, err := queryPoint(st, "uniq", key, from, to); err != nil && from <= to {
-						t.Fatalf("query [%d,%d]: %v", from, to, err)
-					}
+				want, err := queryPoint(loop, "uniq", key, from, to)
+				if err != nil {
+					t.Fatalf("query [%d,%d]: %v", from, to, err)
 				}
+				got, err := queryPoint(batched, "uniq", key, from, to)
+				if err != nil {
+					t.Fatalf("query [%d,%d]: %v", from, to, err)
+				}
+				sameBytes(t, fmt.Sprintf("%s over [%d,%d]", key, from, to), got, want)
 			case op < 240:
-				for _, st := range []*Store{plain, splayed} {
-					if b := st.Stats().Bytes; b < 0 {
-						t.Fatalf("negative byte accounting: %d", b)
-					}
+				flush()
+				ls, bs := loop.Stats(), batched.Stats()
+				if ls.Bytes < 0 || bs.Bytes < 0 {
+					t.Fatalf("negative byte accounting: %d / %d", ls.Bytes, bs.Bytes)
+				}
+				if ls != bs {
+					t.Fatalf("stats diverge: loop %+v, batch %+v", ls, bs)
 				}
 			default:
-				splayed.FlushHot()
+				flush()
 			}
 		}
 
-		// Settle pending hot batches, then check the global invariants.
-		splayed.FlushHot()
-		for _, st := range []*Store{plain, splayed} {
+		flush()
+		for _, st := range []*Store{loop, batched} {
 			stats := st.Stats()
 			if stats.Bytes < 0 {
 				t.Fatalf("negative byte accounting: %+v", stats)
@@ -203,7 +224,7 @@ func FuzzStoreObserve(f *testing.F) {
 
 		// Full-window answers must equal the serial reference, exactly:
 		// bucketed HLL merging is lossless, so any deviation is a
-		// retention or splay bug, not sketch noise.
+		// retention or batching bug, not sketch noise.
 		for kb := 0; kb < fuzzKeys; kb++ {
 			key := fmt.Sprintf("k%d", kb)
 			direct, err := NewDistinctProto(10, 77)
@@ -214,7 +235,8 @@ func FuzzStoreObserve(f *testing.F) {
 			for _, item := range ref.servedItems(key) {
 				want.Observe(fmt.Sprintf("i%d", item), 1)
 			}
-			for name, st := range map[string]*Store{"plain": plain, "splayed": splayed} {
+			var answers []Synopsis
+			for name, st := range map[string]*Store{"loop": loop, "batch": batched} {
 				got, err := queryPoint(st, "uniq", key, 0, maxTime)
 				if err != nil {
 					t.Fatal(err)
@@ -222,7 +244,9 @@ func FuzzStoreObserve(f *testing.F) {
 				if ge, we := got.(*Distinct).Estimate(), want.(*Distinct).Estimate(); ge != we {
 					t.Fatalf("%s %s full-window estimate %f != reference %f", name, key, ge, we)
 				}
+				answers = append(answers, got)
 			}
+			sameBytes(t, key+" full window", answers[1], answers[0])
 		}
 	})
 }

@@ -7,15 +7,13 @@
 // stop type-asserting store.Synopsis at every call site.
 //
 // Batching is the point, not a convenience: a multi-key request against
-// the store groups its cold keys by home shard and gathers every key of a
+// the store groups its keys by home shard and gathers every key of a
 // shard under ONE read-lock acquisition (fanning the shards out in
 // parallel when more than one is involved), where N single-key queries
-// would pay N lock round-trips. Hot (splayed) keys take the settle+gather
-// path (queryOne) key by key, because their buckets live under the
-// hot-key lock. The per-key answers a batched gather produces are
-// byte-identical to N single-key queries': same prototype construction,
-// same slot visit order, same open-under-lock / sealed-outside merge
-// split.
+// would pay N lock round-trips. The per-key answers a batched gather
+// produces are byte-identical to N single-key queries': same prototype
+// construction, same slot visit order, same open-under-lock /
+// sealed-outside merge split.
 //
 // Aggregate answers merge the per-key synopses in sorted key order
 // through CombineSnapshots, so Aggregate is deterministically equal to
@@ -363,7 +361,7 @@ func (r QueryResult) Quantile(phi float64) uint64 { return r.first().Quantile(ph
 
 // Query answers one serving-API request (see QueryRequest): every
 // requested (metric, key) cell is range-merged as a single-series
-// query would be, but cold keys sharing a shard are gathered under one read-lock
+// query would be, but keys sharing a shard are gathered under one read-lock
 // acquisition and distinct shards gather in parallel, so a multi-key
 // request costs one lock round-trip per touched shard instead of one per
 // key. Unknown metrics fail with ErrUnknownMetric; series the store never
@@ -457,40 +455,21 @@ func putScratch(p *[]Synopsis, used []Synopsis) {
 }
 
 // queryKeys range-merges the metric's buckets of every key over bucket
-// range [fromB, toB] and returns one answer per key, in key order.
-// Hot (splayed) keys take queryOne's settle+gather; cold keys are
-// grouped by home shard and gathered with one read-lock acquisition per
-// shard, shards fanning out in parallel when more than one is involved.
-// A valid tctx (a traced request) hangs one child span off it per shard
-// gather and per hot-key gather; spans from parallel shard goroutines
-// attach concurrently, which StartRemote permits.
+// range [fromB, toB] and returns one answer per key, in key order. Keys
+// are grouped by home shard and gathered with one read-lock acquisition
+// per shard, shards fanning out in parallel when more than one is
+// involved. A valid tctx (a traced request) hangs one child span off it
+// per shard gather; spans from parallel shard goroutines attach
+// concurrently, which StartRemote permits.
 func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, keys []string, fromB, toB int64, tctx trace.Context) ([]Synopsis, error) {
 	out := make([]Synopsis, len(keys))
-	cells := make([]keyGather, 0, len(keys))
+	if len(keys) == 0 {
+		return out, nil
+	}
+	cells := make([]keyGather, len(keys))
 	for i, key := range keys {
 		k := entryKey{metric: metric, key: key}
-		if s.hotRouteFor(k) != nil {
-			// The hot gather settles the key's pending batch and reads the
-			// replica rings under the hot-key lock; it cannot batch with
-			// cold shard gathers. Promotion racing this check is benign:
-			// both paths serve the same history (see queryOne).
-			if err := ctx.Err(); err != nil {
-				return nil, queryCancelled(err)
-			}
-			hsp := s.traceGather(tctx, "store.hot_gather")
-			hsp.SetAttrs(trace.Str("metric", metric), trace.Str("key", key))
-			syn, err := s.queryOne(proto, k, fromB, toB, hsp)
-			hsp.Finish()
-			if err != nil {
-				return nil, err
-			}
-			out[i] = syn
-			continue
-		}
-		cells = append(cells, keyGather{k: k, shard: s.shardIndex(k), pos: i})
-	}
-	if len(cells) == 0 {
-		return out, nil
+		cells[i] = keyGather{k: k, shard: s.shardIndex(k), pos: i}
 	}
 	// One run of cells per home shard, keys in request order within it.
 	slices.SortFunc(cells, func(a, b keyGather) int {
@@ -532,7 +511,7 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 	return out, nil
 }
 
-// gatherShard range-merges one shard's run of cold keys under a single
+// gatherShard range-merges one shard's run of keys under a single
 // read-lock acquisition: still-open buckets merge under the lock, sealed
 // ones are collected and merged lock-free after it, and each key's
 // accumulator is finished into out at the key's position.
@@ -545,7 +524,7 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	}
 	idx := run[0].shard
 	sh := s.shards[idx]
-	sp := s.traceGather(tctx, "store.gather")
+	sp := s.traceGather(tctx)
 	defer sp.Finish()
 	for i := range run {
 		run[i].result = proto()
@@ -582,8 +561,8 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 		c.hi = len(sealed)
 	}
 	sh.mu.RUnlock()
-	// Sealed synopses are immutable; merge them lock-free, in the same
-	// slot order queryOne uses, so answers match byte for byte.
+	// Sealed synopses are immutable; merge them lock-free, in slot order,
+	// so a key answers byte for byte alike alone or in a batch.
 	for i := range run {
 		c := &run[i]
 		for _, syn := range sealed[c.lo:c.hi] {
@@ -595,73 +574,4 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	}
 	putScratch(scratch, sealed)
 	return nil
-}
-
-// queryOne merges one series' buckets overlapping bucket range
-// [fromB, toB] into a fresh accumulator and finishes it into the answer.
-// Sealed buckets merge outside the shard lock (they are immutable);
-// still-open buckets merge under the read lock. For a splayed hot key
-// the gather spans all replica shards under the hot-key read lock, so a
-// concurrent demotion cannot double-count a bucket mid-drain. psp, when
-// non-nil, is the traced request's hot-gather span; the settle of the
-// key's pending write-combining batch records a child under it.
-func (s *Store) queryOne(proto Prototype, k entryKey, fromB, toB int64, psp *trace.Span) (Synopsis, error) {
-	result := proto()
-
-	scratch := sealedScratch.Get().(*[]Synopsis)
-	sealed := (*scratch)[:0]
-	var err error
-	gathered := false
-	if r := s.hotRouteFor(k); r != nil {
-		// Settle the key's pending write-combining batch first, so a
-		// single-writer flow reads its own writes.
-		if b := r.cur.Load(); b != nil && b.pos.Load() > 0 {
-			ssp := psp.Child("store.hot_settle")
-			s.sealAndFlush(r, b, true)
-			ssp.Finish()
-		}
-	}
-	if s.hotRouteFor(k) != nil {
-		s.hotRW.RLock()
-		if r := s.hotRouteFor(k); r != nil { // re-check: demotion may have won
-			// A replica that hasn't absorbed a flush recently can retain
-			// buckets an unsplayed ring would have expired; clamp the
-			// range to the window anchored at the key's overall high
-			// water so splaying never serves extra history.
-			maxNewest := r.newest.Load()
-			for _, idx := range r.shards {
-				sh := s.shards[idx]
-				sh.mu.RLock()
-				if e, ok := sh.entries[k]; ok && e.newest > maxNewest {
-					maxNewest = e.newest
-				}
-				sh.mu.RUnlock()
-			}
-			hotFromB := fromB
-			if minB := maxNewest - int64(s.cfg.RingBuckets); hotFromB <= minB {
-				hotFromB = minB + 1
-			}
-			for _, idx := range r.shards {
-				if sealed, err = s.gather(s.shards[idx], k, hotFromB, toB, result, sealed, true); err != nil {
-					s.hotRW.RUnlock()
-					return nil, err
-				}
-			}
-			gathered = true
-		}
-		s.hotRW.RUnlock()
-	}
-	if !gathered {
-		if sealed, err = s.gather(s.shards[s.shardIndex(k)], k, fromB, toB, result, sealed, false); err != nil {
-			return nil, err
-		}
-	}
-
-	for _, syn := range sealed {
-		if err := result.Merge(syn); err != nil {
-			return nil, err
-		}
-	}
-	putScratch(scratch, sealed)
-	return finish(result), nil
 }

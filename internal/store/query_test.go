@@ -239,46 +239,6 @@ func TestQueryAllKeys(t *testing.T) {
 	}
 }
 
-// A hot (splayed) key inside a batched request takes the settle+gather
-// path and still answers exactly what a point query answers.
-func TestQueryBatchWithHotKeys(t *testing.T) {
-	st := mustStore(t, Config{
-		Shards: 8, BucketWidth: 10, RingBuckets: 64,
-		HotKey: HotKeyConfig{Replicas: 4, EpochWrites: 128, PromotePct: 10, SampleEvery: 1, BatchWrites: 16},
-	})
-	hll, _ := NewDistinctProto(12, 7)
-	if err := st.RegisterMetric("uniq", hll); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4000; i++ {
-		key := "hot"
-		if i%4 == 3 {
-			key = fmt.Sprintf("cold%d", i%16)
-		}
-		if err := st.Observe(Observation{Metric: "uniq", Key: key, Item: fmt.Sprintf("u%d", i%900), Time: int64(i / 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Stats().HotKeys == 0 {
-		t.Skip("hot key never promoted under this schedule")
-	}
-	keys := []string{"hot", "cold3", "cold7", "cold11"}
-	res, err := st.Query(QueryRequest{Metric: "uniq", Keys: keys, From: 0, To: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range res.Answers() {
-		want, err := queryPoint(st, "uniq", a.Key, 0, 999)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wd := want.(*Distinct).Estimate()
-		if got := float64(a.Distinct()); got < wd-1 || got > wd+1 {
-			t.Fatalf("%s: batched %f vs point %f", a.Key, got, wd)
-		}
-	}
-}
-
 func TestQueryRequestNormalize(t *testing.T) {
 	req, err := QueryRequest{Metric: "m", Keys: []string{"b", "a", "b"}, From: 0, To: 10}.Normalize()
 	if err != nil {

@@ -73,8 +73,7 @@ func WireDecoder(m mqlog.Message) (Observation, bool) {
 // Kafka's "earliest" reset — with truncated reporting that messages were
 // lost to retention. It returns the next offset to consume (commit this
 // to resume exactly where the replay stopped) and the number of decoded
-// observations applied. Unlike Replay it does NOT settle hot-key batches;
-// callers replaying several partitions flush once at the end.
+// observations applied.
 func ReplayPartition(st *Store, topic *mqlog.Topic, pid int, from uint64, decode Decoder) (next uint64, applied uint64, truncated bool, err error) {
 	if topic == nil {
 		return 0, 0, false, core.Errf("ReplayPartition", "topic", "must be non-nil")
@@ -142,10 +141,6 @@ func Replay(st *Store, topic *mqlog.Topic, decode Decoder) (uint64, error) {
 			return applied, err
 		}
 	}
-	// Settle any hot-key write-combining batches the replay filled, so the
-	// rebuilt store answers queries (and reports stats) for everything the
-	// log contained before Replay returns.
-	st.FlushHot()
 	return applied, nil
 }
 

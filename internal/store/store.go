@@ -29,20 +29,13 @@
 // outside it: a long query over mostly-sealed history does its heavy
 // merging without holding any lock at all.
 //
-// Hot keys. Skewed (Zipfian) streams serialize their hottest keys on one
-// shard lock; with HotKeyConfig enabled the store detects such keys with
-// per-shard Space-Saving trackers and splays their writes across several
-// shards, merging the sub-entries back together at query time and on
-// demotion — see hot.go.
-//
 // Retention. Three mechanisms bound memory, mirroring the mqlog
 // partition-retention design: the ring itself (a bucket falling out of
 // the ring window is dropped, and writes older than the window are
 // rejected and counted), per-shard byte budgets (least-recently-written
 // entries are evicted first), and idle-age eviction (entries whose last
 // write is older than MaxIdle stream-time units are reaped
-// opportunistically during writes). Splayed sub-entries are ordinary
-// entries of their shards, so they count against the same budgets.
+// opportunistically during writes).
 package store
 
 import (
@@ -52,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/frequency"
 	"repro/internal/hashutil"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -74,9 +66,7 @@ type Observation struct {
 	// sampled (zero otherwise — the common case). It rides the in-process
 	// struct only: the wire codec (EncodeObservation) does not serialize
 	// it; across the log it travels as a mqlog record header instead
-	// (see dstore). Hot-key write combining batches per-key and drops
-	// per-record contexts — a sampled write to a splayed key traces its
-	// route decision, not the deferred sketch update.
+	// (see dstore). Every sampled write traces its sketch update.
 	Trace trace.Context
 }
 
@@ -98,9 +88,6 @@ type Config struct {
 	// stream-time units behind the most recent write to their shard
 	// (0 = no idle eviction).
 	MaxIdle int64
-	// HotKey enables and tunes hot-key detection and write splaying
-	// (see hot.go); the zero value disables it.
-	HotKey HotKeyConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -119,32 +106,20 @@ func (c Config) withDefaults() Config {
 	if c.RingBuckets <= 0 {
 		c.RingBuckets = 60
 	}
-	c.HotKey = c.HotKey.withDefaults()
-	if c.HotKey.Replicas > c.Shards {
-		c.HotKey.Replicas = c.Shards
-	}
-	if c.HotKey.Replicas < 2 {
-		// Splaying within a single shard buys nothing; run the plain path.
-		c.HotKey = HotKeyConfig{}
-	}
 	return c
 }
 
 // Stats is a point-in-time snapshot of the store's counters. Add sums
 // snapshots from several stores; keep it in sync when adding fields.
 type Stats struct {
-	Observed      uint64 // observations absorbed
-	DroppedLate   uint64 // observations older than the ring window
-	Queries       uint64 // range queries served
-	EvictedSize   uint64 // entries evicted by the byte budget
-	EvictedIdle   uint64 // entries evicted by idle age
-	SplayedWrites uint64 // observations routed through a hot-key splay
-	Promotions    uint64 // cold -> splayed transitions
-	Demotions     uint64 // splayed -> cold transitions
-	Compacted     uint64 // bucket seals that took the compact form
-	HotKeys       int    // currently splayed keys
-	Entries       int    // live entries, including splayed sub-entries
-	Bytes         int    // synopsis bytes across all shards
+	Observed    uint64 // observations absorbed
+	DroppedLate uint64 // observations older than the ring window
+	Queries     uint64 // range queries served
+	EvictedSize uint64 // entries evicted by the byte budget
+	EvictedIdle uint64 // entries evicted by idle age
+	Compacted   uint64 // bucket seals that took the compact form
+	Entries     int    // live (metric, key) entries
+	Bytes       int    // synopsis bytes across all shards
 }
 
 // Add accumulates another snapshot into s — the aggregation a cluster of
@@ -156,11 +131,7 @@ func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.EvictedSize += o.EvictedSize
 	s.EvictedIdle += o.EvictedIdle
-	s.SplayedWrites += o.SplayedWrites
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
 	s.Compacted += o.Compacted
-	s.HotKeys += o.HotKeys
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
 }
@@ -173,31 +144,25 @@ type entryKey struct {
 
 // slot is one position of an entry's bucket ring.
 type slot struct {
-	idx     int64 // bucket index occupying the slot; -1 when empty
-	sealed  bool  // immutable: late writes must copy-on-write
-	compact bool  // syn is the compact form sealSlot installed
-	bytes   int   // last accounted footprint of syn
-	syn     Synopsis
+	idx    int64 // bucket index occupying the slot; -1 when empty
+	sealed bool  // immutable: late writes must copy-on-write
+	bytes  int   // last accounted footprint of syn
+	syn    Synopsis
 }
 
 // entry is the bucket ring of one (metric, key) series, plus its links in
-// the shard's recency list. A replica entry is one splayed sub-entry of a
-// hot key, resident on a shard other than the key's home shard.
+// the shard's recency list.
 type entry struct {
 	k         entryKey
 	slots     []slot
 	newest    int64 // highest bucket index written; -1 before first write
 	lastWrite int64 // stream time of the most recent write
 	bytes     int   // sum of slot footprints
-	replica   bool  // splayed sub-entry (excluded from Keys)
 	// spare is an emptied dense synopsis awaiting reuse as the entry's
 	// next open bucket. Only a synopsis no reader can still reference is
 	// kept: the dense form a seal just replaced by its compact copy (open
-	// buckets are merged under the shard lock and never handed out), and,
-	// on replica entries — read exclusively under the hot-key and shard
-	// locks — a synopsis expiring from the ring. A sealed synopsis of a
-	// home or cold entry escapes to lock-free readers and is never
-	// recycled.
+	// buckets are merged under the shard lock and never handed out). A
+	// sealed synopsis escapes to lock-free readers and is never recycled.
 	spare Synopsis
 	prev  *entry
 	next  *entry
@@ -233,11 +198,11 @@ func (e *entry) recycle(syn Synopsis) {
 // a compact form that pays (a low-occupancy HyperLogLog or Count-Min, a
 // q-digest holding spare capacity or unfolded updates), swaps that form
 // in: seal -> compact -> recycle the vacated one. Every path that seals
-// goes through here — time advancing, sealHistory, checkpoint restore and
-// the hot-key demotion install — so a sealed bucket costs what it holds
-// wherever it came from. The vacated synopsis was open until this call,
-// so no reader holds it and it becomes the entry's spare. Callers hold
-// the shard lock.
+// goes through here — time advancing, sealHistory and checkpoint
+// restore — so a sealed bucket costs what it holds wherever it came
+// from. The vacated synopsis was open until this call, so no reader
+// holds it and it becomes the entry's spare. Callers hold the shard
+// lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
 	if sl.sealed {
 		return
@@ -254,7 +219,7 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 	}
 	sh.compacted++
 	dense := sl.syn
-	sl.syn, sl.compact = small, true
+	sl.syn = small
 	nb := small.Bytes()
 	e.bytes += nb - sl.bytes
 	sh.bytes += nb - sl.bytes
@@ -278,9 +243,6 @@ func (e *entry) advance(bkt int64, sh *shard) {
 		if sl.idx <= horizon {
 			e.bytes -= sl.bytes
 			sh.bytes -= sl.bytes
-			if e.replica && !sl.compact && sl.syn != nil {
-				e.recycle(sl.syn)
-			}
 			*sl = slot{idx: -1}
 		} else if sl.idx < bkt {
 			e.sealSlot(sl, sh)
@@ -291,8 +253,7 @@ func (e *entry) advance(bkt int64, sh *shard) {
 
 // shard is one lock domain: a map of entries plus an intrusive
 // recency-of-write list (front = most recently written) driving both
-// eviction policies, and — when hot-key handling is on — the detection
-// epoch state.
+// eviction policies.
 type shard struct {
 	mu        sync.RWMutex
 	entries   map[entryKey]*entry
@@ -302,10 +263,6 @@ type shard struct {
 	maxTime   int64  // newest observation time seen by the shard
 	seals     uint64 // buckets sealed (telemetry)
 	compacted uint64 // seals that took the compact form
-
-	epochWrites int                    // writes since the last epoch boundary
-	epochSeq    uint64                 // completed detection epochs
-	tracker     *frequency.SpaceSaving // hot-key candidates (nil when disabled)
 }
 
 func (sh *shard) unlink(e *entry) {
@@ -350,10 +307,10 @@ func (sh *shard) remove(e *entry) {
 
 // getOrCreate returns the shard's entry for k, creating an empty ring if
 // absent. Callers hold sh.mu.
-func (sh *shard) getOrCreate(k entryKey, ring int, replica bool) *entry {
+func (sh *shard) getOrCreate(k entryKey, ring int) *entry {
 	e, ok := sh.entries[k]
 	if !ok {
-		e = &entry{k: k, slots: make([]slot, ring), newest: -1, replica: replica}
+		e = &entry{k: k, slots: make([]slot, ring), newest: -1}
 		for i := range e.slots {
 			e.slots[i].idx = -1
 		}
@@ -373,22 +330,11 @@ type Store struct {
 	mu      sync.RWMutex
 	metrics map[string]Prototype
 
-	// Hot-key state (hot.go): the table of splayed keys, swapped
-	// atomically; hotMu serializes table edits; hotRW excludes queries
-	// from gathering replica buckets while a demotion drains them.
-	hot      atomic.Pointer[hotTable]
-	hotMu    sync.Mutex
-	hotRW    sync.RWMutex
-	hotStale int64 // stream-time age at which a pending batch force-seals
-
 	observed    atomic.Uint64
 	droppedLate atomic.Uint64
 	queries     atomic.Uint64
 	evictedSize atomic.Uint64
 	evictedIdle atomic.Uint64
-	splayed     atomic.Uint64
-	promotions  atomic.Uint64
-	demotions   atomic.Uint64
 
 	// Checkpoint counters (checkpoint.go): the last written snapshot's
 	// size and the records rehydrated into this store at restore.
@@ -421,9 +367,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.MaxIdle < 0 {
 		return nil, core.Errf("Store", "MaxIdle", "%d must be >= 0", cfg.MaxIdle)
 	}
-	if err := cfg.HotKey.validate(); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	s := &Store{
 		cfg:     cfg,
@@ -432,26 +375,11 @@ func New(cfg Config) (*Store, error) {
 		shards:  make([]*shard, cfg.Shards),
 		metrics: make(map[string]Prototype),
 	}
-	s.hotStale = cfg.BucketWidth * int64(cfg.RingBuckets) / 4
-	if s.hotStale < cfg.BucketWidth {
-		s.hotStale = cfg.BucketWidth
-	}
 	for i := range s.shards {
 		s.shards[i] = &shard{entries: make(map[entryKey]*entry)}
-		if s.hotEnabled() {
-			tr, err := frequency.NewSpaceSaving(cfg.HotKey.TrackerK)
-			if err != nil {
-				return nil, err
-			}
-			s.shards[i].tracker = tr
-		}
 	}
 	return s, nil
 }
-
-// hotEnabled reports whether hot-key splaying is configured on (Replicas
-// is clamped and zeroed by withDefaults, so >= 2 means fully enabled).
-func (s *Store) hotEnabled() bool { return s.cfg.HotKey.Replicas >= 2 }
 
 // RegisterMetric binds a metric name to the Prototype that builds its
 // bucket synopses. Metrics must be registered before the first write or
@@ -507,33 +435,55 @@ func (s *Store) Observe(obs Observation) error {
 	if obs.Time < 0 {
 		return core.Errf("Store", "Time", "%d must be >= 0", obs.Time)
 	}
-	k := entryKey{metric: obs.Metric, key: obs.Key}
-	// Hot keys route before the metric-table lookup: a published route
-	// proves the metric is registered (it was promoted from real writes),
-	// and the flush resolves the prototype once per batch instead.
-	if r := s.hotRouteFor(k); r != nil {
-		if s.observeHot(obs, k, r) {
-			return nil
-		}
-		// The route was demoted mid-flight or the batch is mid-seal; fall
-		// through to the home path, anchored to the route's high water.
-		proto, err := s.proto(obs.Metric)
-		if err != nil {
-			return err
-		}
-		return s.observeHome(obs, proto, k, r)
-	}
 	proto, err := s.proto(obs.Metric)
 	if err != nil {
 		return err
 	}
-	return s.observeHome(obs, proto, k, nil)
+	k := entryKey{metric: obs.Metric, key: obs.Key}
+	idx := s.shardIndex(k)
+	sh := s.shards[idx]
+	var sp *trace.Span
+	if s.trc != nil && obs.Trace.Valid() {
+		sp = s.traceObserve(obs, idx)
+		defer sp.Finish()
+	}
+	h := s.telLockWait
+	if h != nil || sp != nil {
+		t0 := time.Now()
+		sh.mu.Lock()
+		if h != nil {
+			h.ObserveSince(t0)
+		}
+		if sp != nil {
+			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
+		}
+	} else {
+		sh.mu.Lock()
+	}
+	if obs.Time > sh.maxTime {
+		sh.maxTime = obs.Time
+	}
+	e := sh.getOrCreate(k, s.cfg.RingBuckets)
+	dropped, err := s.writeLocked(sh, e, obs, proto)
+	if err != nil {
+		sh.mu.Unlock()
+		return err
+	}
+	if dropped {
+		sh.mu.Unlock()
+		s.droppedLate.Add(1)
+		return nil
+	}
+	s.evict(sh)
+	sh.mu.Unlock()
+	s.observed.Add(1)
+	return nil
 }
 
 // writeLocked lands one observation in the entry's ring: late-drop check,
 // bucket advance (sealing + window expiry), slot (re)initialization or
 // copy-on-write, the sketch update, and byte accounting. Callers hold
-// sh.mu and handle counters/eviction/epochs.
+// sh.mu and handle counters and eviction.
 func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototype) (dropped bool, err error) {
 	bkt := obs.Time / s.cfg.BucketWidth
 	if e.newest >= 0 && bkt <= e.newest-int64(len(e.slots)) {
@@ -561,7 +511,7 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
 		}
 		sl.syn = clone
-		sl.sealed, sl.compact = false, false
+		sl.sealed = false
 	}
 	if sl.sealed {
 		// Writes only land on unsealed synopses; a sealed slot here means
@@ -576,150 +526,6 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 	e.lastWrite = obs.Time
 	sh.touch(e)
 	return false, nil
-}
-
-// observeHome is the plain write path: the series' home shard, with
-// hot-key tracking when enabled. r, when non-nil, is the key's hot route
-// (the write was diverted): the home ring advances to the route's bucket
-// high water first, so retention decisions match an unsplayed store's.
-func (s *Store) observeHome(obs Observation, proto Prototype, k entryKey, r *hotRoute) error {
-	idx := s.shardIndex(k)
-	sh := s.shards[idx]
-	var sp *trace.Span
-	if s.trc != nil && obs.Trace.Valid() {
-		sp = s.traceObserve(obs, idx)
-		defer sp.Finish()
-	}
-	h := s.telLockWait
-	if h != nil || sp != nil {
-		t0 := time.Now()
-		sh.mu.Lock()
-		if h != nil {
-			h.ObserveSince(t0)
-		}
-		if sp != nil {
-			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
-		}
-	} else {
-		sh.mu.Lock()
-	}
-	if obs.Time > sh.maxTime {
-		sh.maxTime = obs.Time
-	}
-	e := sh.getOrCreate(k, s.cfg.RingBuckets, false)
-	if r != nil {
-		if anchor := r.newest.Load(); anchor > e.newest {
-			e.advance(anchor, sh)
-		}
-	}
-	dropped, err := s.writeLocked(sh, e, obs, proto)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	if dropped {
-		sh.mu.Unlock()
-		s.droppedLate.Add(1)
-		return nil
-	}
-	var promote []entryKey
-	var seq uint64
-	sweep := false
-	if s.hotEnabled() {
-		sh.epochWrites++
-		if sh.epochWrites%s.cfg.HotKey.SampleEvery == 0 {
-			sh.tracker.Update(packHotKey(k))
-		}
-		if sh.epochWrites >= s.cfg.HotKey.EpochWrites {
-			promote, seq = s.harvestLocked(sh)
-			sweep = true
-		}
-	}
-	s.evict(sh)
-	sh.mu.Unlock()
-	s.observed.Add(1)
-	// Sweep before promoting so a just-promoted route is not immediately
-	// judged on an empty epoch.
-	if sweep {
-		s.sweepRoutes(idx, seq)
-	}
-	for _, pk := range promote {
-		s.promote(pk)
-	}
-	return nil
-}
-
-// applyLocked lands one hot key's sealed batch in the entry's ring. It
-// follows writeLocked's semantics observation-for-observation (in claim
-// order) but amortizes the bookkeeping: slot setup, copy-on-write checks
-// and byte accounting run once per run of same-bucket observations, and
-// the recency touch once per batch. Callers hold sh.mu.
-func (s *Store) applyLocked(sh *shard, e *entry, obs []hotObs, proto Prototype) (applied, dropped uint64) {
-	var sl *slot
-	cur := int64(-2) // bucket the run is writing; -2 = none yet
-	maxT := int64(-1)
-	settle := func() {
-		if sl == nil {
-			return
-		}
-		nb := sl.syn.Bytes()
-		e.bytes += nb - sl.bytes
-		sh.bytes += nb - sl.bytes
-		sl.bytes = nb
-	}
-	for i := range obs {
-		o := &obs[i]
-		bkt := o.time / s.cfg.BucketWidth
-		if bkt != cur {
-			settle()
-			cur, sl = bkt, nil
-			if e.newest >= 0 && bkt <= e.newest-int64(len(e.slots)) {
-				dropped++ // sl stays nil: the run is behind the window
-				continue
-			}
-			if bkt > e.newest {
-				e.advance(bkt, sh)
-			}
-			sl = e.slotFor(bkt)
-			switch {
-			case sl.idx != bkt:
-				e.bytes -= sl.bytes
-				sh.bytes -= sl.bytes
-				*sl = slot{idx: bkt, syn: e.fresh(proto)}
-			case sl.sealed:
-				// Copy-on-write for symmetry with writeLocked; on a replica
-				// the displaced synopsis is lock-protected, so it recycles.
-				clone := e.fresh(proto)
-				if clone.Merge(sl.syn) != nil {
-					// Families cannot mismatch within one metric; treat a
-					// failed clone like a dropped run rather than panic.
-					dropped++
-					sl = nil
-					continue
-				}
-				if e.replica && !sl.compact {
-					e.recycle(sl.syn)
-				}
-				sl.syn = clone
-				sl.sealed, sl.compact = false, false
-			}
-		} else if sl == nil {
-			dropped++
-			continue
-		}
-		sl.syn.Observe(o.item, o.value)
-		applied++
-		e.lastWrite = o.time
-		if o.time > maxT {
-			maxT = o.time
-		}
-	}
-	settle()
-	if maxT > sh.maxTime {
-		sh.maxTime = maxT
-	}
-	sh.touch(e)
-	return applied, dropped
 }
 
 // evict applies the byte budget and idle-age policies to one shard.
@@ -739,41 +545,14 @@ func (s *Store) evict(sh *shard) {
 	}
 }
 
-// gather collects one shard's buckets of k overlapping [fromB, toB]:
-// still-open buckets merge into result under the read lock; sealed
-// buckets are returned for the caller to merge lock-free (they are
-// immutable). In eager mode sealed buckets merge under the read lock too
-// — hot-key gathers require it, because replica synopses are recycled
-// and must never be referenced outside the hot-key and shard locks.
-func (s *Store) gather(sh *shard, k entryKey, fromB, toB int64, result Synopsis, sealed []Synopsis, eager bool) ([]Synopsis, error) {
-	sh.mu.RLock()
-	if e, ok := sh.entries[k]; ok {
-		for i := range e.slots {
-			sl := &e.slots[i]
-			if sl.idx < fromB || sl.idx > toB || sl.syn == nil {
-				continue
-			}
-			if sl.sealed && !eager {
-				sealed = append(sealed, sl.syn)
-			} else if err := result.Merge(sl.syn); err != nil {
-				sh.mu.RUnlock()
-				return sealed, err
-			}
-		}
-	}
-	sh.mu.RUnlock()
-	return sealed, nil
-}
-
 // Keys returns every key of the metric currently resident in the store,
-// across all shards (unordered). Splayed sub-entries are skipped so a hot
-// key appears once.
+// across all shards (unordered).
 func (s *Store) Keys(metric string) []string {
 	var out []string
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for k, e := range sh.entries {
-			if k.metric == metric && !e.replica {
+		for k := range sh.entries {
+			if k.metric == metric {
 				out = append(out, k.key)
 			}
 		}
@@ -790,15 +569,11 @@ func (s *Store) Flush() {}
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Observed:      s.observed.Load(),
-		DroppedLate:   s.droppedLate.Load(),
-		Queries:       s.queries.Load(),
-		EvictedSize:   s.evictedSize.Load(),
-		EvictedIdle:   s.evictedIdle.Load(),
-		SplayedWrites: s.splayed.Load(),
-		Promotions:    s.promotions.Load(),
-		Demotions:     s.demotions.Load(),
-		HotKeys:       lenHot(s.hot.Load()),
+		Observed:    s.observed.Load(),
+		DroppedLate: s.droppedLate.Load(),
+		Queries:     s.queries.Load(),
+		EvictedSize: s.evictedSize.Load(),
+		EvictedIdle: s.evictedIdle.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()

@@ -11,9 +11,10 @@
 // checked with equality. Space-Saving and q-digest reorganize state on
 // merge, so their laws are checked against each sketch's published
 // guarantee (overestimate bounded by Err; rank error bounded by
-// logU/k per constituent). The split/unsplit property is precisely the
-// invariant hot-key splaying leans on: a splayed entry is a split stream
-// whose parts merge at query time.
+// logU/k per constituent). The split/unsplit property is the invariant
+// every range query leans on: a series' buckets are a stream split by
+// time, and the cluster's scatter-gather and the Lambda batch/speed merge
+// split it again by partition and by log offset.
 //
 // The two exactly-invariant families also have a compact form that sealed
 // buckets are held in; TestCompactEqualsDense pins that compact(x) cannot

@@ -36,23 +36,14 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	reg.CounterFunc("analytics_store_evicted_idle_total",
 		"Entries evicted by idle age.",
 		func() uint64 { return s.evictedIdle.Load() }, labels...)
-	reg.CounterFunc("analytics_store_splayed_writes_total",
-		"Observations routed through a hot-key splay.",
-		func() uint64 { return s.splayed.Load() }, labels...)
-	reg.CounterFunc("analytics_store_hot_promotions_total",
-		"Cold-to-splayed hot-key promotions.",
-		func() uint64 { return s.promotions.Load() }, labels...)
-	reg.CounterFunc("analytics_store_hot_demotions_total",
-		"Splayed-to-cold hot-key demotions.",
-		func() uint64 { return s.demotions.Load() }, labels...)
 	reg.CounterFunc("analytics_store_bucket_seals_total",
-		"Ring buckets sealed: by stream time advancing, a checkpoint, or a hot-key demotion.",
+		"Ring buckets sealed: by stream time advancing, a checkpoint write, or a checkpoint restore.",
 		func() uint64 { return s.sealCount() }, labels...)
 	reg.CounterFunc("analytics_store_compacted_total",
 		"Bucket seals that replaced a synopsis by its compact form.",
 		func() uint64 { return s.Stats().Compacted }, labels...)
 	reg.GaugeFunc("analytics_store_entries",
-		"Live entries, including splayed sub-entries.",
+		"Live (metric, key) entries.",
 		func() float64 {
 			n := 0
 			for _, sh := range s.shards {
@@ -73,9 +64,6 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 			}
 			return float64(n)
 		}, labels...)
-	reg.GaugeFunc("analytics_store_hot_keys",
-		"Keys currently splayed across shards.",
-		func() float64 { return float64(lenHot(s.hot.Load())) }, labels...)
 	reg.GaugeFunc("analytics_store_checkpoint_bytes",
 		"Data bytes of the last checkpoint written from this store.",
 		func() float64 { return float64(s.ckptBytes.Load()) }, labels...)

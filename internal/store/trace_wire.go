@@ -25,12 +25,12 @@ func (s *Store) traceObserve(obs Observation, shard uint32) *trace.Span {
 	return sp
 }
 
-// traceGather opens one per-shard (or per-hot-key) gather child span on
-// the query path; nil when untraced.
-func (s *Store) traceGather(tctx trace.Context, name string) *trace.Span {
+// traceGather opens one per-shard gather child span on the query path;
+// nil when untraced.
+func (s *Store) traceGather(tctx trace.Context) *trace.Span {
 	tr := s.trc
 	if tr == nil || !tctx.Valid() {
 		return nil
 	}
-	return tr.StartRemote(tctx, name)
+	return tr.StartRemote(tctx, "store.gather")
 }

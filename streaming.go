@@ -704,13 +704,6 @@ var ErrLogInvalidFetchMax = mqlog.ErrInvalidFetchMax
 // synopses — the speed-layer serving subsystem (see internal/store).
 type SketchStore = store.Store
 
-// SketchStoreHotKeyConfig tunes the store's hot-key detection, write
-// combining and splaying; the zero value disables the feature.
-type SketchStoreHotKeyConfig = store.HotKeyConfig
-
-// SketchStoreHotKey names one currently-splayed (metric, key) series.
-type SketchStoreHotKey = store.HotKey
-
 // StoreResettable marks synopses the store can recycle in place.
 type StoreResettable = store.Resettable
 
