@@ -33,9 +33,12 @@ func queryCancelled(err error) error {
 // routerPart is one partition's producer-side buffer. The lock is held
 // across the batched append so batches reach the log in buffer order and
 // per-key ordering survives concurrent producers on the same partition.
+// The records' values are encoded into enc, which is reused after every
+// flush because the log copies values at append.
 type routerPart struct {
 	mu  sync.Mutex
 	buf []mqlog.Record
+	enc []byte
 }
 
 // Router is the cluster's ingest and query front end. One Router is safe
@@ -66,23 +69,31 @@ func (r *Router) Observe(obs store.Observation) error {
 	if _, err := r.c.proto(obs.Metric); err != nil {
 		return err
 	}
-	rec := mqlog.Record{Key: obs.Key, Value: store.EncodeObservation(obs)}
-	if obs.Trace.Valid() && r.c.tracer() != nil {
-		// The wire codec doesn't carry trace context; a sampled
-		// observation crosses the log as a record header instead, where
-		// the owning node's event loop stitches it back (trace_wire.go).
-		rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(obs.Trace)}}
-	}
 	pid := r.c.topic.PartitionFor(obs.Key)
 	p := &r.parts[pid]
 	p.mu.Lock()
-	p.buf = append(p.buf, rec)
-	if len(p.buf) >= r.c.cfg.BatchSize {
-		r.appendBatch(pid, p.buf)
-		p.buf = p.buf[:0]
-	}
+	r.bufferLocked(pid, p, &obs, r.c.tracer() != nil)
 	p.mu.Unlock()
 	return nil
+}
+
+// bufferLocked encodes one observation into the partition's buffer and
+// lands the buffer on the log once it holds BatchSize records. Callers
+// hold p.mu.
+func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, traced bool) {
+	at := len(p.enc)
+	p.enc = store.AppendObservation(p.enc, *o)
+	rec := mqlog.Record{Key: o.Key, Value: p.enc[at:]}
+	if traced && o.Trace.Valid() {
+		// The wire codec doesn't carry trace context; a sampled
+		// observation crosses the log as a record header instead, where
+		// the owning node's event loop stitches it back (trace_wire.go).
+		rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
+	}
+	p.buf = append(p.buf, rec)
+	if len(p.buf) >= r.c.cfg.BatchSize {
+		r.flushLocked(pid, p)
+	}
 }
 
 // ObserveBatch encodes a whole slice of observations onto the ingest
@@ -110,7 +121,7 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 			return err
 		}
 	}
-	tracer := r.c.tracer()
+	traced := r.c.tracer() != nil
 	order, bounds := store.GroupIndices(len(obs), len(r.parts), func(i int) int {
 		return r.c.topic.PartitionFor(obs[i].Key)
 	})
@@ -122,41 +133,33 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 		p := &r.parts[pid]
 		p.mu.Lock()
 		for _, i := range group {
-			o := obs[i]
-			rec := mqlog.Record{Key: o.Key, Value: store.EncodeObservation(o)}
-			if o.Trace.Valid() && tracer != nil {
-				rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
-			}
-			p.buf = append(p.buf, rec)
-			if len(p.buf) >= r.c.cfg.BatchSize {
-				r.appendBatch(pid, p.buf)
-				p.buf = p.buf[:0]
-			}
+			r.bufferLocked(pid, p, &obs[i], traced)
 		}
 		p.mu.Unlock()
 	}
 	return nil
 }
 
-// appendBatch lands one partition buffer on the log. When the batch
-// carries sampled records, the first one's trace gets an append-side
-// span — one per flush, not per record, matching the batch being the
-// unit of producer work. Callers hold the partition buffer lock.
-func (r *Router) appendBatch(pid int, buf []mqlog.Record) {
+// flushLocked lands one partition buffer on the log and empties it. When
+// the batch carries sampled records, the first one's trace gets an
+// append-side span — one per flush, not per record, matching the batch
+// being the unit of producer work. Callers hold p.mu.
+func (r *Router) flushLocked(pid int, p *routerPart) {
 	var sp *trace.Span
 	if tr := r.c.tracer(); tr != nil {
-		if ctx := firstTracedContext(buf); ctx.Valid() {
+		if ctx := firstTracedContext(p.buf); ctx.Valid() {
 			sp = tr.StartRemote(ctx, "mqlog.append")
 		}
 	}
-	first, err := r.c.topic.ProduceBatchTo(pid, buf)
+	first, err := r.c.topic.ProduceBatchTo(pid, p.buf)
 	if sp != nil {
-		sp.SetAttrs(trace.Int("partition", int64(pid)), trace.Int("records", int64(len(buf))))
+		sp.SetAttrs(trace.Int("partition", int64(pid)), trace.Int("records", int64(len(p.buf))))
 		if err == nil {
 			sp.SetAttrs(trace.Int("first_offset", int64(first)))
 		}
 		sp.Finish()
 	}
+	p.buf, p.enc = p.buf[:0], p.enc[:0]
 }
 
 // Flush appends every buffered observation to the log.
@@ -165,8 +168,7 @@ func (r *Router) Flush() {
 		p := &r.parts[pid]
 		p.mu.Lock()
 		if len(p.buf) > 0 {
-			r.appendBatch(pid, p.buf)
-			p.buf = p.buf[:0]
+			r.flushLocked(pid, p)
 		}
 		p.mu.Unlock()
 	}

@@ -311,7 +311,8 @@ func (a *Architecture) Append(obs store.Observation) error {
 	}
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
-	a.topic.Produce(obs.Key, store.EncodeObservation(obs))
+	var scratch [128]byte // Produce copies the value, so it can live on the stack
+	a.topic.Produce(obs.Key, store.AppendObservation(scratch[:0], obs))
 	a.appended.Add(1)
 	return a.speed.Observe(obs)
 }
@@ -352,8 +353,10 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	}
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
+	scratch := make([]byte, 0, 128) // reused per record: Produce copies the value
 	for i := range obs {
-		a.topic.Produce(obs[i].Key, store.EncodeObservation(obs[i]))
+		scratch = store.AppendObservation(scratch[:0], obs[i])
+		a.topic.Produce(obs[i].Key, scratch)
 	}
 	a.appended.Add(uint64(len(obs)))
 	return a.speed.ObserveBatch(obs)

@@ -82,8 +82,7 @@ type durPartition struct {
 	sealed []sealedSegment
 	dirty  bool // buffered or unsynced writes since the last fsync
 	closed bool
-	err    error  // first disk error; latched, disables further writes
-	buf    []byte // scratch encode buffer, reused across appends
+	err    error // first disk error; latched, disables further writes
 }
 
 // fail latches the partition's first disk error. The in-memory log keeps
@@ -97,19 +96,24 @@ func (d *durPartition) fail(err error) {
 }
 
 // durAppendLocked writes one record through to the active segment and
-// rolls it when full. Caller holds p.mu; off is the offset appendLocked
-// just assigned.
-func (p *partition) durAppendLocked(key string, value []byte, off uint64) {
+// rolls it when full: the frame, then the payload bytes appendLocked just
+// put in the tail chunk. Caller holds p.mu; off is the offset
+// appendLocked just assigned.
+func (p *partition) durAppendLocked(payload []byte, off uint64) {
 	d := p.dur
 	if d == nil || d.err != nil || d.closed {
 		return
 	}
-	d.buf = appendRecord(d.buf[:0], key, value)
-	if _, err := d.w.Write(d.buf); err != nil {
+	frame := frameHeader(payload)
+	if _, err := d.w.Write(frame[:]); err != nil {
 		d.fail(err)
 		return
 	}
-	d.size += int64(len(d.buf))
+	if _, err := d.w.Write(payload); err != nil {
+		d.fail(err)
+		return
+	}
+	d.size += int64(len(frame) + len(payload))
 	d.dirty = true
 	if d.cfg.SyncEveryAppend {
 		if err := d.flushSyncLocked(); err != nil {
@@ -192,20 +196,7 @@ func (p *partition) applyDiskRetentionLocked() {
 		}
 		total -= s.size
 		drop++
-		// Advance the in-memory log past the unlinked segment.
-		if s.end > p.base {
-			n := int(s.end - p.base)
-			if n > len(p.msgs)-p.head {
-				n = len(p.msgs) - p.head
-			}
-			p.head += n
-			p.base = s.end
-			if p.head > len(p.msgs)/2 {
-				kept := copy(p.msgs, p.msgs[p.head:])
-				p.msgs = p.msgs[:kept]
-				p.head = 0
-			}
-		}
+		p.dropBelowLocked(s.end) // the in-memory log follows the disk
 	}
 	if drop > 0 {
 		d.sealed = append(d.sealed[:0], d.sealed[drop:]...)
@@ -213,98 +204,95 @@ func (p *partition) applyDiskRetentionLocked() {
 }
 
 // openDurPartition opens (or creates) one partition's segment directory,
-// replays the segment chain into the in-memory log, truncates a torn
-// tail, and leaves the last segment open for appends. It returns the
-// recovered messages; the caller installs them and applies the
-// in-memory retention limit.
-func openDurPartition(dir string, cfg DurableConfig, t *Topic) (*durPartition, []Message, error) {
+// replays the segment chain into p's in-memory log (each intact payload
+// copied straight into p's chunks), truncates a torn tail, and leaves the
+// last segment open for appends. The caller applies the in-memory
+// retention limit.
+func openDurPartition(dir string, cfg DurableConfig, t *Topic, p *partition) (*durPartition, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d := &durPartition{dir: dir, cfg: cfg, t: t}
 	names, err := listSegments(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(names) == 0 {
 		f, err := createSegment(dir, 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		d.f = f
 		d.w = bufio.NewWriter(f)
 		d.size = segHeaderSize
-		return d, nil, nil
+		return d, nil
 	}
 
-	var msgs []Message
-	var scans []segmentScan
-	expect := uint64(0)
-	usable := 0
+	// segs[i] is names[i]'s offset range and intact size.
+	var segs []sealedSegment
+	var last segmentScan
 	for i, name := range names {
-		sc, err := scanSegment(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if i > 0 && sc.base != expect {
+		base, err := segmentHeader(name, data)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			p.base, p.end = base, base
+		} else if base != p.end {
 			// Offset gap after a torn or vanished segment: the readable
 			// log ends at the previous segment. Unlink the rest rather
 			// than serve a log with a hole in it.
 			break
 		}
-		scans = append(scans, sc)
-		msgs = append(msgs, sc.msgs...)
-		expect = sc.base + uint64(len(sc.msgs))
-		usable = i + 1
-		if sc.torn {
+		last = scanRecords(data, p.appendPayloadLocked)
+		segs = append(segs, sealedSegment{base: base, end: p.end, size: last.validEnd, path: filepath.Join(dir, name)})
+		if last.torn {
 			t.tornTruncations.Add(1)
 			break
 		}
 	}
-	if usable < len(names) {
-		if err := discardLater(dir, names, usable); err != nil {
-			return nil, nil, err
+	if len(segs) < len(names) {
+		if err := discardLater(dir, names, len(segs)); err != nil {
+			return nil, err
 		}
 	}
 
-	last := scans[usable-1]
-	lastPath := filepath.Join(dir, names[usable-1])
-	f, err := os.OpenFile(lastPath, os.O_RDWR, 0o644)
+	active := segs[len(segs)-1]
+	f, err := os.OpenFile(active.path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if last.torn {
 		if err := f.Truncate(last.validEnd); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if _, err := f.Seek(last.validEnd, 0); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	d.f = f
 	d.w = bufio.NewWriter(f)
-	d.base = last.base
-	d.size = last.validEnd
-	for _, sc := range scans[:usable-1] {
-		info, _ := os.Stat(filepath.Join(dir, segmentName(sc.base)))
-		sealedAt := time.Now()
-		if info != nil {
-			sealedAt = info.ModTime()
+	d.base = active.base
+	d.size = active.size
+	for _, s := range segs[:len(segs)-1] {
+		s.sealedAt = time.Now()
+		if info, _ := os.Stat(s.path); info != nil {
+			s.sealedAt = info.ModTime()
 		}
-		d.sealed = append(d.sealed, sealedSegment{
-			base: sc.base, end: sc.base + uint64(len(sc.msgs)),
-			size: sc.validEnd, sealedAt: sealedAt,
-			path: filepath.Join(dir, segmentName(sc.base)),
-		})
+		d.sealed = append(d.sealed, s)
 	}
-	t.recoveredRecords.Add(uint64(len(msgs)))
-	return d, msgs, nil
+	t.recoveredRecords.Add(p.end - p.base)
+	return d, nil
 }
 
 // CreateTopicDurable creates a topic whose partitions persist to disk
@@ -330,25 +318,14 @@ func (b *Broker) CreateTopicDurable(name string, partitions, retention int, d *D
 	start := time.Now()
 	for pid, p := range t.parts {
 		dir := filepath.Join(cfg.Dir, name, fmt.Sprintf("p%04d", pid))
-		dp, msgs, err := openDurPartition(dir, cfg, t)
+		dp, err := openDurPartition(dir, cfg, t, p)
 		if err != nil {
 			b.removeTopic(name)
 			return nil, fmt.Errorf("mqlog: open durable partition %d of %q: %w", pid, name, err)
 		}
 		p.dur = dp
-		if len(msgs) > 0 {
-			p.base = msgs[0].Offset
-			p.msgs = msgs
-			p.head = 0
-			if p.limit > 0 && len(p.msgs) > p.limit {
-				drop := len(p.msgs) - p.limit
-				p.head = drop
-				p.base += uint64(drop)
-			}
-		} else if dp.base > 0 {
-			// Segments existed but every record was retained away or the
-			// active segment is empty: offsets resume at the base.
-			p.base = dp.base
+		if p.limit > 0 && p.end-p.base > uint64(p.limit) {
+			p.dropBelowLocked(p.end - uint64(p.limit))
 		}
 	}
 	t.recoveryNanos.Store(time.Since(start).Nanoseconds())

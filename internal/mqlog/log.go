@@ -12,8 +12,10 @@
 package mqlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -36,8 +38,9 @@ var ErrInvalidFetchMax = errors.New("mqlog: fetch max must be positive")
 // Header is one key/value metadata pair attached to a message —
 // Kafka-style record headers. The broker is deliberately agnostic to
 // header contents (dstore uses them to carry trace context across the
-// log); like Value, a header's Value bytes are aliased under the
-// producer-ownership contract, never copied or mutated by the broker.
+// log). Like Value, headers are copied at append: the producer may reuse
+// its Header slice and value bytes as soon as the produce call returns,
+// and a fetched header is read-only.
 //
 // Headers are in-memory only: the durable write-through (durable.go)
 // persists key+value framing only, so headers do not survive a restart.
@@ -49,7 +52,9 @@ type Header struct {
 	Value []byte
 }
 
-// Message is one log entry.
+// Message is one log entry. A fetched Message's Value and header values
+// alias the log's own storage and are read-only; they stay valid after
+// later appends and after retention drops the record.
 type Message struct {
 	Key     string
 	Value   []byte
@@ -57,17 +62,44 @@ type Message struct {
 	Offset  uint64
 }
 
-// partition is a single append-only sequence with retention. Retention
-// advances a head index (amortized O(1) per append) and compacts the
-// backing slice only when more than half of it is dead, so a full
-// partition never pays a per-append copy.
+// chunkSize is the capacity of one log chunk. A record larger than this
+// gets a chunk of its own, sized to it.
+const chunkSize = 64 << 10
+
+// maxInternedKeys bounds a partition's fetch-side key table: past it, a
+// key not yet seen costs a string allocation per fetched record instead
+// of growing the table without limit.
+const maxInternedKeys = 4096
+
+// chunk is one append-only arena of records, each in the segment file's
+// payload layout ([4]key len | key | value — see segment.go), so the
+// durable write-through frames chunk bytes as they are and recovery
+// copies segment payloads straight in. ends[i] is where record i ends in
+// data (it starts where record i-1 ends, or at 0). Bytes below len(data)
+// are never written again, which is what lets fetch hand them out
+// without copying.
+type chunk struct {
+	first uint64 // offset of the chunk's first record
+	data  []byte
+	ends  []uint32
+	// hdrs is nil until a record in the chunk carries headers; from then
+	// on it runs parallel to ends.
+	hdrs [][]Header
+}
+
+// partition is a single append-only sequence with retention, held as a
+// list of chunks. The chunks hold no pointers (the header side table
+// aside), so the garbage collector does not walk the log's records.
+// Retention advances base and releases a chunk once every record in it
+// is below base: nothing is ever copied to reclaim space.
 type partition struct {
-	mu    sync.Mutex
-	base  uint64 // offset of msgs[head]
-	head  int    // index of the oldest retained message in msgs
-	msgs  []Message
-	limit int           // max retained messages (0 = unlimited)
-	dur   *durPartition // disk write-through state; nil for in-memory topics
+	mu     sync.Mutex
+	base   uint64            // oldest retained offset
+	end    uint64            // next offset to assign
+	chunks []*chunk          // chunks[0] holds base; records in it below base are dead
+	keys   map[string]string // fetched keys, interned (see intern)
+	limit  int               // max retained messages (0 = unlimited)
+	dur    *durPartition     // disk write-through state; nil for in-memory topics
 }
 
 func (p *partition) append(key string, value []byte, hdrs []Header) uint64 {
@@ -76,26 +108,98 @@ func (p *partition) append(key string, value []byte, hdrs []Header) uint64 {
 	return p.appendLocked(key, value, hdrs)
 }
 
-// appendLocked lands one message and applies retention. Callers hold p.mu.
-// Headers ride along in memory only; the durable write-through persists
-// key+value framing and deliberately drops them (see Header).
+// appendLocked copies one message into the tail chunk, writes it through
+// to disk and applies retention. Callers hold p.mu. Headers ride along in
+// memory only; the durable write-through persists key+value framing and
+// deliberately drops them (see Header).
 func (p *partition) appendLocked(key string, value []byte, hdrs []Header) uint64 {
-	off := p.base + uint64(len(p.msgs)-p.head)
-	p.msgs = append(p.msgs, Message{Key: key, Value: value, Headers: hdrs, Offset: off})
+	off := p.end
+	c := p.tailFor(4 + len(key) + len(value))
+	at := len(c.data)
+	c.data = appendPayload(c.data, key, value)
+	p.endRecordLocked(c, hdrs)
 	if p.dur != nil {
-		p.durAppendLocked(key, value, off)
+		p.durAppendLocked(c.data[at:], off)
 	}
-	if p.limit > 0 && len(p.msgs)-p.head > p.limit {
-		drop := len(p.msgs) - p.head - p.limit
-		p.head += drop
-		p.base += uint64(drop)
-		if p.head > len(p.msgs)/2 {
-			n := copy(p.msgs, p.msgs[p.head:])
-			p.msgs = p.msgs[:n]
-			p.head = 0
-		}
+	if p.limit > 0 && p.end-p.base > uint64(p.limit) {
+		p.dropBelowLocked(p.end - uint64(p.limit))
 	}
 	return off
+}
+
+// appendPayloadLocked installs one record already in payload layout —
+// recovery's path from a segment file into memory. Callers hold p.mu.
+func (p *partition) appendPayloadLocked(payload []byte) {
+	c := p.tailFor(len(payload))
+	c.data = append(c.data, payload...)
+	p.endRecordLocked(c, nil)
+}
+
+// endRecordLocked registers the record just written at the end of c's
+// data: its end position, a copy of its headers, its offset. Callers
+// hold p.mu.
+func (p *partition) endRecordLocked(c *chunk, hdrs []Header) {
+	c.ends = append(c.ends, uint32(len(c.data)))
+	if len(hdrs) > 0 && c.hdrs == nil {
+		c.hdrs = make([][]Header, len(c.ends)-1, cap(c.ends))
+	}
+	if c.hdrs != nil {
+		c.hdrs = append(c.hdrs, cloneHeaders(hdrs))
+	}
+	p.end++
+}
+
+// tailFor returns the chunk the next record of n payload bytes goes in,
+// opening a new one when the tail chunk has no room. The new chunk's
+// ends table is sized for as many records as the previous chunk held.
+func (p *partition) tailFor(n int) *chunk {
+	var records int
+	if k := len(p.chunks); k > 0 {
+		c := p.chunks[k-1]
+		if cap(c.data)-len(c.data) >= n {
+			return c
+		}
+		records = len(c.ends)
+	}
+	c := &chunk{first: p.end, data: make([]byte, 0, max(n, chunkSize)), ends: make([]uint32, 0, records)}
+	p.chunks = append(p.chunks, c)
+	return c
+}
+
+// dropBelowLocked retires every record below off (clamped to the end of
+// the log): base advances, and each chunk whose records all lie below
+// the new base is released. Callers hold p.mu.
+func (p *partition) dropBelowLocked(off uint64) {
+	off = min(off, p.end)
+	if off <= p.base {
+		return
+	}
+	p.base = off
+	for len(p.chunks) > 1 && p.chunks[1].first <= off {
+		p.chunks[0] = nil
+		p.chunks = p.chunks[1:]
+	}
+}
+
+// cloneHeaders copies hdrs, and their values into one shared buffer in
+// which each value is capped, so a reader's append cannot write into
+// the next value.
+func cloneHeaders(hdrs []Header) []Header {
+	if len(hdrs) == 0 {
+		return nil
+	}
+	n := 0
+	for _, h := range hdrs {
+		n += len(h.Value)
+	}
+	out := make([]Header, len(hdrs))
+	vals := make([]byte, 0, n)
+	for i, h := range hdrs {
+		at := len(vals)
+		vals = append(vals, h.Value...)
+		out[i] = Header{Key: h.Key, Value: vals[at:len(vals):len(vals)]}
+	}
+	return out
 }
 
 // appendBatch lands a batch of records under one lock acquisition and
@@ -106,7 +210,7 @@ func (p *partition) appendLocked(key string, value []byte, hdrs []Header) uint64
 func (p *partition) appendBatch(recs []Record) (first uint64, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	first = p.base + uint64(len(p.msgs)-p.head)
+	first = p.end
 	for _, r := range recs {
 		p.appendLocked(r.Key, r.Value, r.Headers)
 	}
@@ -117,19 +221,14 @@ func (p *partition) appendBatch(recs []Record) (first uint64, ok bool) {
 // truncated by retention, reading resumes at the oldest retained message
 // (Kafka's "earliest" reset semantics) and truncated reports the condition.
 //
-// Aliasing audit: the Message structs MUST be copied out (the returned
-// slice must not alias p.msgs) because retention compaction in
-// appendLocked shifts the live suffix down with copy(p.msgs, ...), which
-// would rewrite a returned subslice in place under a concurrent append.
-// Message.Value byte slices, by contrast, are safely shared: the broker
-// never mutates a value after append, and producers hand over ownership
-// (see Produce) — so fetch is zero-copy for payloads and copying for
-// struct headers, deliberately. Message.Headers follows the same split:
-// the struct copy duplicates the []Header slice header, moving it out
-// of compaction's way (compaction relocates Message structs, never the
-// header backing array), while the Header entries and their Value bytes
-// stay shared under the producer-ownership contract — trace-context
-// headers cross the log zero-copy. Regression: TestFetchHeadersSurviveCompaction.
+// Aliasing audit: only the []Message is allocated. Each Value is a
+// capped slice of chunk bytes, which appendLocked never writes again and
+// retention never moves (it drops whole chunks; a dropped chunk lives on
+// for as long as a fetched Value refers to it). Each Headers is the
+// side table's copy made at append, likewise never written again. Keys
+// come from the partition's intern table, so a key seen before costs no
+// allocation. Regressions: TestFetchCopiesOutOfCompaction,
+// TestFetchHeadersSurviveCompaction, TestFetchRaceWithRetention.
 func (p *partition) fetch(offset uint64, max int) (msgs []Message, next uint64, truncated bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -137,23 +236,77 @@ func (p *partition) fetch(offset uint64, max int) (msgs []Message, next uint64, 
 		offset = p.base
 		truncated = true
 	}
-	idx := p.head + int(offset-p.base)
-	if idx >= len(p.msgs) {
+	if offset >= p.end {
 		return nil, offset, truncated
 	}
-	end := idx + max
-	if end > len(p.msgs) {
-		end = len(p.msgs)
+	next = offset + min(p.end-offset, uint64(max))
+	out := make([]Message, next-offset)
+	var key string
+	ci := sort.Search(len(p.chunks), func(i int) bool { return p.chunks[i].first > offset }) - 1
+	for j := 0; j < len(out); ci++ {
+		c := p.chunks[ci]
+		i := int(offset + uint64(j) - c.first)
+		last := min(len(c.ends), i+len(out)-j)
+		var start uint32
+		if i > 0 {
+			start = c.ends[i-1]
+		}
+		for ; i < last; i++ {
+			end := c.ends[i]
+			rec := c.data[start:end:end]
+			start = end
+			keyEnd := 4 + binary.LittleEndian.Uint32(rec)
+			if string(rec[4:keyEnd]) != key {
+				key = p.intern(rec[4:keyEnd])
+			}
+			// Field stores, not a struct copy: no bulk write barrier.
+			m := &out[j]
+			m.Key, m.Offset = key, offset+uint64(j)
+			if len(rec) > int(keyEnd) {
+				m.Value = rec[keyEnd:]
+			}
+			if c.hdrs != nil {
+				m.Headers = c.hdrs[i]
+			}
+			j++
+		}
 	}
-	out := make([]Message, end-idx)
-	copy(out, p.msgs[idx:end])
-	return out, offset + uint64(len(out)), truncated
+	return out, next, truncated
+}
+
+// intern returns key as a string, allocating only the first time the
+// partition sees it (up to maxInternedKeys distinct keys). Callers hold
+// p.mu.
+func (p *partition) intern(key []byte) string {
+	if s, ok := p.keys[string(key)]; ok {
+		return s
+	}
+	s := string(key)
+	if len(p.keys) < maxInternedKeys {
+		if p.keys == nil {
+			p.keys = make(map[string]string)
+		}
+		p.keys[s] = s
+	}
+	return s
+}
+
+// retainedBytes is what the partition's chunks hold: every chunk's full
+// capacity, the partly filled tail included, plus the end tables.
+func (p *partition) retainedBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var n int64
+	for _, c := range p.chunks {
+		n += int64(cap(c.data)) + 4*int64(cap(c.ends))
+	}
+	return n
 }
 
 func (p *partition) endOffset() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.base + uint64(len(p.msgs)-p.head)
+	return p.end
 }
 
 func (p *partition) startOffset() uint64 {
@@ -251,8 +404,8 @@ func (t *Topic) Partitions() int { return len(t.parts) }
 
 // Produce appends a message, routing by key hash (empty keys round-robin
 // via the value hash, matching Kafka's sticky-less default closely enough
-// for experiments). The broker takes ownership of value: it is aliased,
-// not copied, and must not be mutated by the producer afterwards.
+// for experiments). The broker copies value, so the producer may reuse
+// its buffer as soon as Produce returns.
 func (t *Topic) Produce(key string, value []byte) (partitionID int, offset uint64) {
 	pid := t.route(key, value)
 	t.produced.Add(1)
@@ -278,8 +431,9 @@ func (t *Topic) PartitionFor(key string) int {
 }
 
 // Record is one key/value pair bound for a topic, the unit of batch
-// production. As with Produce, the broker aliases Value (and any
-// Headers) rather than copying them.
+// production. As with Produce, the broker copies Value (and any
+// Headers) at append, so a producer may encode every batch into the same
+// reused buffer.
 type Record struct {
 	Key     string
 	Value   []byte
@@ -387,6 +541,17 @@ func (t *Topic) EndOffsets() []uint64 {
 
 // StartOffset returns the oldest retained offset of the partition.
 func (t *Topic) StartOffset(partitionID int) uint64 { return t.parts[partitionID].startOffset() }
+
+// RetainedBytes returns the memory the topic's in-memory log holds: the
+// full capacity of every chunk still referenced by its partitions, each
+// partition's partly filled tail chunk included.
+func (t *Topic) RetainedBytes() int64 {
+	var n int64
+	for _, p := range t.parts {
+		n += p.retainedBytes()
+	}
+	return n
+}
 
 // Commit records a consumer group's position for one partition.
 func (b *Broker) Commit(group, topic string, partitionID int, offset uint64) {

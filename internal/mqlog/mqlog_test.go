@@ -1,7 +1,9 @@
 package mqlog
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -313,47 +315,55 @@ func TestEndOffsetsSnapshot(t *testing.T) {
 	}
 }
 
+// TestFetchCopiesOutOfCompaction pins the value half of fetch's aliasing
+// audit: values fetched from a chunk stay intact while later appends
+// fill the rest of it and open new chunks, retention drops the chunk
+// they live in, and the producer reuses the buffer it produced from.
 func TestFetchCopiesOutOfCompaction(t *testing.T) {
 	b := NewBroker()
 	topic, _ := b.CreateTopic("t", 1, 4)
+	buf := make([]byte, 0, 4096)
 	for i := 0; i < 4; i++ {
-		topic.ProduceTo(0, "k", []byte(fmt.Sprintf("v%d", i)))
+		buf = fmt.Appendf(buf[:0], "v%d", i)
+		topic.ProduceTo(0, "k", buf)
 	}
 	msgs, _, _, _ := topic.Fetch(0, 0, 4)
-	// Push retention far enough that the backing slice compacts (head
-	// crosses the halfway mark and the live suffix is shifted down).
-	for i := 4; i < 40; i++ {
-		topic.ProduceTo(0, "k", []byte(fmt.Sprintf("v%d", i)))
+	// Enough 4 KiB appends through the same buffer to fill several chunks,
+	// so retention releases the chunk the fetched values point into.
+	for i := 4; i < 100; i++ {
+		buf = fmt.Appendf(buf[:0], "v%d", i)
+		topic.ProduceTo(0, "k", buf[:cap(buf)])
+	}
+	if start := topic.StartOffset(0); start != 96 {
+		t.Fatalf("start offset %d, want 96", start)
 	}
 	for i, m := range msgs {
-		if want := fmt.Sprintf("v%d", i); string(m.Value) != want || m.Offset != uint64(i) {
-			t.Fatalf("fetched message %d rewritten under compaction: %+v (want value %q)", i, m, want)
+		if want := fmt.Sprintf("v%d", i); string(m.Value) != want || m.Offset != uint64(i) || m.Key != "k" {
+			t.Fatalf("fetched message %d rewritten by later appends: %+v (want value %q)", i, m, want)
 		}
 	}
 }
 
 // TestFetchHeadersSurviveCompaction pins the header half of fetch's
 // aliasing audit: record headers (the trace-context carrier) fetched
-// before retention compaction must stay intact while later appends
-// shift the partition's backing slice down in place.
+// before retention drops their chunk stay intact, and the producer may
+// reuse its header slice and value bytes once the produce call returns.
 func TestFetchHeadersSurviveCompaction(t *testing.T) {
 	b := NewBroker()
 	topic, _ := b.CreateTopic("t", 1, 4)
+	hdrs := []Header{{Key: "trace"}, {Key: "other"}}
 	for i := 0; i < 4; i++ {
-		topic.ProduceBatchTo(0, []Record{{
-			Key:   "k",
-			Value: []byte(fmt.Sprintf("v%d", i)),
-			Headers: []Header{
-				{Key: "trace", Value: []byte(fmt.Sprintf("ctx%d", i))},
-				{Key: "other", Value: []byte{byte(i)}},
-			},
-		}})
+		hdrs[0].Value = fmt.Appendf(hdrs[0].Value[:0], "ctx%d", i)
+		hdrs[1].Value = append(hdrs[1].Value[:0], byte(i))
+		topic.ProduceBatchTo(0, []Record{{Key: "k", Value: []byte(fmt.Sprintf("v%d", i)), Headers: hdrs}})
 	}
 	msgs, _, _, _ := topic.Fetch(0, 0, 4)
-	// Headerless appends push retention past the halfway mark so the
-	// live suffix compacts over the slots the fetch snapshotted.
-	for i := 4; i < 40; i++ {
-		topic.ProduceTo(0, "k", []byte(fmt.Sprintf("v%d", i)))
+	// Headered and headerless appends past several chunks: retention
+	// releases the chunk and header table the fetch read from.
+	big := make([]byte, 4096)
+	for i := 4; i < 100; i++ {
+		hdrs[0].Value = fmt.Appendf(hdrs[0].Value[:0], "ctx%d", i)
+		topic.ProduceBatchTo(0, []Record{{Key: "k", Value: big, Headers: hdrs}, {Key: "k", Value: big}})
 	}
 	for i, m := range msgs {
 		if len(m.Headers) != 2 {
@@ -529,5 +539,150 @@ func TestOwnersSnapshotAndCursorCleanup(t *testing.T) {
 		if member != "b" {
 			t.Fatalf("partition %d owned by %q after sole-survivor rebalance", pid, member)
 		}
+	}
+}
+
+// TestFetchHugeMaxClamps: a max larger than the records left is clamped
+// to them — offset + max must not overflow into an impossible slice.
+func TestFetchHugeMaxClamps(t *testing.T) {
+	topic, _ := NewBroker().CreateTopic("t", 1, 0)
+	for i := 0; i < 10; i++ {
+		topic.ProduceTo(0, "k", []byte{byte(i)})
+	}
+	for _, from := range []uint64{0, 1, 9, 10} {
+		msgs, next, truncated, err := topic.Fetch(0, from, math.MaxInt)
+		if err != nil || truncated {
+			t.Fatalf("Fetch(0, %d, MaxInt): err %v truncated %v", from, err, truncated)
+		}
+		if len(msgs) != int(10-from) || next != 10 {
+			t.Fatalf("Fetch(0, %d, MaxInt): %d messages, next %d; want %d, 10", from, len(msgs), next, 10-from)
+		}
+		for i, m := range msgs {
+			if m.Offset != from+uint64(i) || m.Value[0] != byte(from)+byte(i) {
+				t.Fatalf("Fetch(0, %d, MaxInt) message %d = %+v", from, i, m)
+			}
+		}
+	}
+}
+
+// TestFetchKeysInterned: fetching records whose keys the partition has
+// seen before allocates the message slice and nothing else.
+func TestFetchKeysInterned(t *testing.T) {
+	topic, _ := NewBroker().CreateTopic("t", 1, 0)
+	for i := 0; i < 256; i++ {
+		topic.ProduceTo(0, fmt.Sprintf("page-%02d", i%64), []byte("value"))
+	}
+	topic.Fetch(0, 0, 256) // first sight of every key
+	allocs := testing.AllocsPerRun(20, func() {
+		if msgs, _, _, _ := topic.Fetch(0, 0, 256); len(msgs) != 256 {
+			t.Fatalf("fetched %d", len(msgs))
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("fetch of 256 records with known keys: %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestRetainedBytes: the gauge counts whole chunks, the partly filled
+// tail included, and falls as retention releases chunks.
+func TestRetainedBytes(t *testing.T) {
+	topic, _ := NewBroker().CreateTopic("t", 2, 100)
+	if n := topic.RetainedBytes(); n != 0 {
+		t.Fatalf("empty topic retains %d bytes", n)
+	}
+	topic.ProduceTo(0, "k", []byte("v"))
+	if n := topic.RetainedBytes(); n < chunkSize || n > chunkSize+64 {
+		t.Fatalf("one record retains %d bytes, want one chunk (%d) and its end table", n, chunkSize)
+	}
+	val := make([]byte, 1000)
+	for i := 0; i < 10000; i++ {
+		topic.ProduceTo(1, "k", val)
+	}
+	// 100 retained records of ~1 KiB span at most three chunks.
+	if n := topic.RetainedBytes(); n > 4*chunkSize+4096 {
+		t.Fatalf("retention 100 of 1 KiB records retains %d bytes", n)
+	}
+}
+
+// TestFetchRaceWithRetention runs under -race in CI: fetchers hold the
+// values and headers of earlier fetches and re-check them while
+// producers append through reused buffers and retention drops chunks.
+func TestFetchRaceWithRetention(t *testing.T) {
+	topic, _ := NewBroker().CreateTopic("t", 1, 500)
+	const producers, perProducer = 2, 4000
+	// value encodes (producer, seq) and pads to a seq-dependent length
+	// with a seq-dependent byte; the trace header repeats it.
+	value := func(dst []byte, p, seq int) []byte {
+		dst = fmt.Appendf(dst[:0], "%d:%06d:", p, seq)
+		for i := 0; i < 40+seq%200; i++ {
+			dst = append(dst, byte(seq*31+p))
+		}
+		return dst
+	}
+	check := func(m Message) error {
+		var p, seq int
+		if _, err := fmt.Sscanf(string(m.Value), "%d:%06d:", &p, &seq); err != nil {
+			return fmt.Errorf("offset %d: unparseable value %q", m.Offset, m.Value)
+		}
+		if want := value(nil, p, seq); !bytes.Equal(m.Value, want) {
+			return fmt.Errorf("offset %d: value corrupted", m.Offset)
+		}
+		if len(m.Headers) != 1 || !bytes.Equal(m.Headers[0].Value, m.Value) {
+			return fmt.Errorf("offset %d: header corrupted", m.Offset)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var val []byte
+			hdrs := []Header{{Key: "trace"}}
+			for seq := 0; seq < perProducer; seq++ {
+				val = value(val, p, seq)
+				hdrs[0].Value = append(hdrs[0].Value[:0], val...)
+				topic.ProduceBatchTo(0, []Record{{Key: "k", Value: val, Headers: hdrs}})
+			}
+		}(p)
+	}
+	var fetchers sync.WaitGroup
+	for f := 0; f < 2; f++ {
+		fetchers.Add(1)
+		go func() {
+			defer fetchers.Done()
+			var held []Message
+			for off := uint64(0); ; {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				msgs, next, _, _ := topic.Fetch(0, off, 64)
+				held = append(held, msgs...)
+				if len(held) > 1024 {
+					held = held[len(held)-1024:]
+				}
+				for _, m := range held {
+					if err := check(m); err != nil {
+						errs <- err
+						return
+					}
+				}
+				off = next
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	fetchers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if end := topic.EndOffset(0); end != producers*perProducer {
+		t.Fatalf("end offset %d, want %d", end, producers*perProducer)
 	}
 }

@@ -11,6 +11,10 @@
 //	record  [4]payload len   [4]crc32(payload)  [payload]      (repeated)
 //	payload [4]key len       [key bytes]        [value bytes]
 //
+// The payload is also how a partition keeps the record in memory (see
+// chunk in log.go), so writing through frames bytes already in memory
+// and recovery copies payloads back without decoding them.
+//
 // All integers are little-endian. A record whose frame is incomplete or
 // whose CRC does not match ends the readable log; recovery truncates the
 // file there (a torn tail from a crash mid-write) and everything before
@@ -64,62 +68,74 @@ func appendSegmentHeader(buf []byte, base uint64) []byte {
 	return buf
 }
 
-// appendRecord appends one framed record to buf and returns the extended
-// slice — the single encode path shared by the writer and by tests that
-// construct segment files directly.
-func appendRecord(buf []byte, key string, value []byte) []byte {
-	payloadLen := 4 + len(key) + len(value)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc placeholder
-	payloadAt := len(buf)
+// appendPayload appends one record's payload ([4]key len | key | value)
+// to buf. It is the layout of a record both on disk and in a partition's
+// memory chunks.
+func appendPayload(buf []byte, key string, value []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
-	buf = append(buf, value...)
-	crc := crc32.ChecksumIEEE(buf[payloadAt:])
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc)
+	return append(buf, value...)
+}
+
+// frameHeader returns the frame written before payload on disk: its
+// length and CRC.
+func frameHeader(payload []byte) [recFrameSize]byte {
+	var h [recFrameSize]byte
+	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[4:8], crc32.ChecksumIEEE(payload))
+	return h
+}
+
+// appendRecord appends one framed record to buf and returns the extended
+// slice — what the writer puts on disk for (key, value), for tests that
+// construct or check segment files directly.
+func appendRecord(buf []byte, key string, value []byte) []byte {
+	at := len(buf)
+	buf = append(buf, make([]byte, recFrameSize)...)
+	buf = appendPayload(buf, key, value)
+	h := frameHeader(buf[at+recFrameSize:])
+	copy(buf[at:], h[:])
 	return buf
 }
 
-// recordSize is the on-disk footprint of one record.
-func recordSize(key string, value []byte) int64 {
-	return int64(recFrameSize + 4 + len(key) + len(value))
-}
-
-// segmentScan is the result of reading one segment file front to back.
-type segmentScan struct {
-	base     uint64    // base offset from the header
-	msgs     []Message // decoded records, offsets assigned from base
-	validEnd int64     // file offset just past the last intact record
-	torn     bool      // the file extended past validEnd with a bad frame
-}
-
-// scanSegment reads and validates an entire segment file. It never
-// modifies the file; the caller decides whether to truncate a torn tail.
-// Frame errors (short header, impossible length, CRC mismatch) end the
-// scan rather than failing it — everything before the first bad frame is
-// intact and usable. Only a corrupt segment header is a hard error.
-func scanSegment(path string) (segmentScan, error) {
-	var sc segmentScan
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return sc, err
-	}
+// segmentHeader validates a segment file's 16-byte header and returns
+// its base offset. A corrupt header is a hard error: unlike a bad record
+// frame, it is not what a crash mid-write leaves behind.
+func segmentHeader(name string, data []byte) (uint64, error) {
 	if len(data) < segHeaderSize {
-		return sc, fmt.Errorf("mqlog: segment %s: short header (%d bytes)", filepath.Base(path), len(data))
+		return 0, fmt.Errorf("mqlog: segment %s: short header (%d bytes)", name, len(data))
 	}
 	if magic := binary.LittleEndian.Uint32(data[0:4]); magic != segMagic {
-		return sc, fmt.Errorf("mqlog: segment %s: bad magic %#x", filepath.Base(path), magic)
+		return 0, fmt.Errorf("mqlog: segment %s: bad magic %#x", name, magic)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != segVersion {
-		return sc, fmt.Errorf("mqlog: segment %s: unsupported version %d", filepath.Base(path), v)
+		return 0, fmt.Errorf("mqlog: segment %s: unsupported version %d", name, v)
 	}
-	sc.base = binary.LittleEndian.Uint64(data[8:16])
-	if wantBase, ok := parseSegmentName(filepath.Base(path)); ok && wantBase != sc.base {
-		return sc, fmt.Errorf("mqlog: segment %s: header base %d does not match file name", filepath.Base(path), sc.base)
+	base := binary.LittleEndian.Uint64(data[8:16])
+	if wantBase, ok := parseSegmentName(name); ok && wantBase != base {
+		return 0, fmt.Errorf("mqlog: segment %s: header base %d does not match file name", name, base)
 	}
+	return base, nil
+}
+
+// segmentScan is the result of reading one segment file's records.
+type segmentScan struct {
+	records  int   // intact records, offsets assigned from the header's base
+	validEnd int64 // file offset just past the last intact record
+	torn     bool  // the file extended past validEnd with a bad frame
+}
+
+// scanRecords validates the records after a segment file's header and
+// calls fn with each intact record's payload, in order; the payload
+// aliases data. It never modifies the file; the caller decides whether
+// to truncate a torn tail. Frame errors (short frame, impossible length,
+// CRC mismatch, a key length past the payload) end the scan rather than
+// failing it — everything before the first bad frame is intact and
+// usable. The scan itself allocates nothing, whatever the length
+// prefixes claim. data must have passed segmentHeader.
+func scanRecords(data []byte, fn func(payload []byte)) segmentScan {
+	var sc segmentScan
 	pos := int64(segHeaderSize)
-	off := sc.base
 	for {
 		rest := data[pos:]
 		if len(rest) == 0 {
@@ -140,20 +156,16 @@ func scanSegment(path string) (segmentScan, error) {
 			sc.torn = true
 			break
 		}
-		keyLen := int64(binary.LittleEndian.Uint32(payload[0:4]))
-		if 4+keyLen > payloadLen {
+		if keyLen := int64(binary.LittleEndian.Uint32(payload[0:4])); 4+keyLen > payloadLen {
 			sc.torn = true
 			break
 		}
-		key := string(payload[4 : 4+keyLen])
-		value := make([]byte, payloadLen-4-keyLen)
-		copy(value, payload[4+keyLen:])
-		sc.msgs = append(sc.msgs, Message{Key: key, Value: value, Offset: off})
-		off++
+		fn(payload)
+		sc.records++
 		pos += recFrameSize + payloadLen
 	}
 	sc.validEnd = pos
-	return sc, nil
+	return sc
 }
 
 // listSegments returns the segment files in dir sorted by base offset.

@@ -1,0 +1,326 @@
+package mqlog
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// sliceLog is the partition as it was before chunk arenas: one Message
+// per record in a slice (values and headers aliased, never copied),
+// retention advancing a head index and compacting the slice once more
+// than half of it is dead. It is kept as the oracle the chunked
+// partition is held to.
+type sliceLog struct {
+	base  uint64 // offset of msgs[head]
+	head  int
+	msgs  []Message
+	limit int
+}
+
+func (s *sliceLog) append(key string, value []byte, hdrs []Header) uint64 {
+	off := s.end()
+	s.msgs = append(s.msgs, Message{Key: key, Value: value, Headers: hdrs, Offset: off})
+	if s.limit > 0 && len(s.msgs)-s.head > s.limit {
+		drop := len(s.msgs) - s.head - s.limit
+		s.head += drop
+		s.base += uint64(drop)
+		if s.head > len(s.msgs)/2 {
+			n := copy(s.msgs, s.msgs[s.head:])
+			s.msgs = s.msgs[:n]
+			s.head = 0
+		}
+	}
+	return off
+}
+
+func (s *sliceLog) end() uint64 { return s.base + uint64(len(s.msgs)-s.head) }
+
+func (s *sliceLog) fetch(offset uint64, max int) (msgs []Message, next uint64, truncated bool) {
+	if offset < s.base {
+		offset = s.base
+		truncated = true
+	}
+	idx := s.head + int(offset-s.base)
+	if idx >= len(s.msgs) {
+		return nil, offset, truncated
+	}
+	end := idx + min(max, len(s.msgs)-idx)
+	out := make([]Message, end-idx)
+	copy(out, s.msgs[idx:end])
+	return out, offset + uint64(len(out)), truncated
+}
+
+// read is what a Reader over [from, end) delivers from a log that does
+// not move while it reads: every retained record in the range, the
+// offset it parks at, and whether retention had cut into the range.
+func (s *sliceLog) read(from, end uint64) (msgs []Message, offset uint64, truncated bool) {
+	if from >= end {
+		return nil, from, false
+	}
+	start := max(from, s.base)
+	if start >= s.end() {
+		return nil, start, from < s.base
+	}
+	stop := min(end, s.end())
+	if start < stop {
+		msgs, _, _ = s.fetch(start, int(stop-start))
+	}
+	return msgs, stop, from < s.base
+}
+
+// sameMessages fails the test unless got and want hold the same records:
+// equal keys, offsets, value bytes and headers.
+func sameMessages(t *testing.T, what string, got, want []Message) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d messages, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Key != w.Key || g.Offset != w.Offset || !bytes.Equal(g.Value, w.Value) || len(g.Headers) != len(w.Headers) {
+			t.Fatalf("%s: message %d = {%q %d %d B %d hdrs}, want {%q %d %d B %d hdrs}", what, i,
+				g.Key, g.Offset, len(g.Value), len(g.Headers), w.Key, w.Offset, len(w.Value), len(w.Headers))
+		}
+		for j := range w.Headers {
+			if g.Headers[j].Key != w.Headers[j].Key || !bytes.Equal(g.Headers[j].Value, w.Headers[j].Value) {
+				t.Fatalf("%s: message %d header %d = %q=%x, want %q=%x", what, i, j,
+					g.Headers[j].Key, g.Headers[j].Value, w.Headers[j].Key, w.Headers[j].Value)
+			}
+		}
+	}
+}
+
+// logDriver produces the same random records into a topic and into one
+// sliceLog per partition. The topic gets buffers the driver scribbles
+// over once the produce call returns; the oracle gets its own copies.
+type logDriver struct {
+	rng    *rand.Rand
+	topic  *Topic
+	oracle []*sliceLog
+	bigOK  bool // allow values larger than a chunk
+}
+
+func (d *logDriver) record() (Record, Record) {
+	keys := []string{"", "all", "page-07", "page-42", "a-much-longer-key-than-the-demo-uses"}
+	n := d.rng.Intn(96)
+	if d.bigOK && d.rng.Intn(400) == 0 {
+		n = chunkSize + d.rng.Intn(3*chunkSize)
+	}
+	val := make([]byte, n)
+	d.rng.Read(val)
+	rec := Record{Key: keys[d.rng.Intn(len(keys))], Value: val}
+	if d.rng.Intn(5) == 0 {
+		for i := 0; i <= d.rng.Intn(2); i++ {
+			hv := make([]byte, d.rng.Intn(20))
+			d.rng.Read(hv)
+			rec.Headers = append(rec.Headers, Header{Key: fmt.Sprintf("h%d", i), Value: hv})
+		}
+	}
+	own := Record{Key: rec.Key, Value: bytes.Clone(rec.Value)}
+	for _, h := range rec.Headers {
+		own.Headers = append(own.Headers, Header{Key: h.Key, Value: bytes.Clone(h.Value)})
+	}
+	return rec, own
+}
+
+// scribble overwrites what the producer handed the topic.
+func scribble(recs []Record) {
+	for _, r := range recs {
+		for i := range r.Value {
+			r.Value[i] ^= 0xa5
+		}
+		for _, h := range r.Headers {
+			for i := range h.Value {
+				h.Value[i] ^= 0x5a
+			}
+		}
+	}
+}
+
+// step performs one random produce call on both sides.
+func (d *logDriver) step(t *testing.T) {
+	t.Helper()
+	nparts := len(d.oracle)
+	switch op := d.rng.Intn(4); op {
+	case 0, 1: // Produce, ProduceTo (no headers on the single-record paths)
+		rec, own := d.record()
+		rec.Headers, own.Headers = nil, nil
+		var pid int
+		var off uint64
+		if op == 0 {
+			pid, off = d.topic.Produce(rec.Key, rec.Value)
+		} else {
+			pid = d.rng.Intn(nparts)
+			var err error
+			if off, err = d.topic.ProduceTo(pid, rec.Key, rec.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := d.oracle[pid].append(own.Key, own.Value, own.Headers); off != want {
+			t.Fatalf("produce assigned offset %d, oracle %d", off, want)
+		}
+		scribble([]Record{rec})
+	default: // ProduceBatch, ProduceBatchTo
+		n := 1 + d.rng.Intn(40)
+		recs, owns := make([]Record, n), make([]Record, n)
+		for i := range recs {
+			recs[i], owns[i] = d.record()
+		}
+		if op == 2 {
+			routes := make([]int, n)
+			for i, r := range recs {
+				routes[i] = d.topic.route(r.Key, r.Value)
+			}
+			d.topic.ProduceBatch(recs)
+			for i, o := range owns {
+				d.oracle[routes[i]].append(o.Key, o.Value, o.Headers)
+			}
+		} else {
+			pid := d.rng.Intn(nparts)
+			first, err := d.topic.ProduceBatchTo(pid, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := d.oracle[pid].end(); first != want {
+				t.Fatalf("ProduceBatchTo first offset %d, oracle %d", first, want)
+			}
+			for _, o := range owns {
+				d.oracle[pid].append(o.Key, o.Value, o.Headers)
+			}
+		}
+		scribble(recs)
+	}
+}
+
+// check compares one random Fetch and one random bounded Reader drain.
+func (d *logDriver) check(t *testing.T, withHeaders bool) {
+	t.Helper()
+	pid := d.rng.Intn(len(d.oracle))
+	o := d.oracle[pid]
+	if got, want := d.topic.StartOffset(pid), o.base; got != want {
+		t.Fatalf("partition %d start %d, oracle %d", pid, got, want)
+	}
+	if got, want := d.topic.EndOffset(pid), o.end(); got != want {
+		t.Fatalf("partition %d end %d, oracle %d", pid, got, want)
+	}
+	off := uint64(d.rng.Int63n(int64(o.end()) + 6)) // below base and past the end included
+	fetchMax := []int{1, 2, 7, 64, 512, math.MaxInt}[d.rng.Intn(6)]
+	got, next, trunc, err := d.topic.Fetch(pid, off, fetchMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wnext, wtrunc := o.fetch(off, fetchMax)
+	what := fmt.Sprintf("Fetch(%d, %d, %d)", pid, off, fetchMax)
+	if !withHeaders {
+		got, want = stripHeaders(got), stripHeaders(want)
+	}
+	sameMessages(t, what, got, want)
+	if next != wnext || trunc != wtrunc {
+		t.Fatalf("%s: next %d truncated %v, oracle %d %v", what, next, trunc, wnext, wtrunc)
+	}
+
+	from := uint64(d.rng.Int63n(int64(o.end()) + 3))
+	end := from + uint64(d.rng.Int63n(int64(o.end()-min(from, o.end()))+4))
+	r, err := d.topic.NewReader(pid, from, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var read []Message
+	for batch := 1 + d.rng.Intn(100); ; {
+		msgs := r.Next(batch)
+		if msgs == nil {
+			break
+		}
+		read = append(read, msgs...)
+	}
+	want, woff, wtrunc := o.read(from, end)
+	if !withHeaders {
+		read, want = stripHeaders(read), stripHeaders(want)
+	}
+	what = fmt.Sprintf("Reader(%d, %d, %d)", pid, from, end)
+	sameMessages(t, what, read, want)
+	if r.Offset() != woff || r.Truncated() != wtrunc {
+		t.Fatalf("%s: offset %d truncated %v, oracle %d %v", what, r.Offset(), r.Truncated(), woff, wtrunc)
+	}
+}
+
+func stripHeaders(msgs []Message) []Message {
+	out := make([]Message, len(msgs))
+	for i, m := range msgs {
+		m.Headers = nil
+		out[i] = m
+	}
+	return out
+}
+
+// TestChunkLogMatchesSliceOracle drives random Produce / ProduceTo /
+// ProduceBatch / ProduceBatchTo sequences (headers on a fifth of the
+// batched records, values up to four chunks long) into the chunked log
+// and into the slice oracle, and requires equal Fetch results — messages,
+// next and truncated — at any offset, below the retained base and past
+// the end included, and equal bounded Reader drains, for retention
+// limits 0, 1, 7 and large. The producer scribbles over every buffer it
+// produced from, so a log that aliased instead of copying fails too.
+func TestChunkLogMatchesSliceOracle(t *testing.T) {
+	for _, limit := range []int{0, 1, 7, 5000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("limit=%d/seed=%d", limit, seed), func(t *testing.T) {
+				topic, err := NewBroker().CreateTopic("diff", 3, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := &logDriver{rng: rand.New(rand.NewSource(seed)), topic: topic, bigOK: true}
+				for range 3 {
+					d.oracle = append(d.oracle, &sliceLog{limit: limit})
+				}
+				for i := 0; i < 600; i++ {
+					d.step(t)
+					d.check(t, true)
+				}
+			})
+		}
+	}
+}
+
+// TestDurableReopenMatchesSliceOracle is the differential run on a
+// durable topic: the log recovered from its segment files — payloads
+// copied straight into chunks, values past a chunk's size included —
+// answers every fetch and read like the oracle, headers aside (they are
+// in-memory only).
+func TestDurableReopenMatchesSliceOracle(t *testing.T) {
+	for _, limit := range []int{0, 7} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := &DurableConfig{Dir: dir, SegmentBytes: 128 << 10}
+			topic, err := NewBroker().CreateTopicDurable("diff", 2, limit, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &logDriver{rng: rand.New(rand.NewSource(9)), topic: topic, bigOK: true}
+			for range 2 {
+				d.oracle = append(d.oracle, &sliceLog{limit: limit})
+			}
+			for i := 0; i < 600; i++ {
+				d.step(t)
+			}
+			if err := topic.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if d.topic, err = NewBroker().CreateTopicDurable("diff", 2, limit, cfg); err != nil {
+				t.Fatal(err)
+			}
+			defer d.topic.Close()
+			for i := 0; i < 300; i++ {
+				d.check(t, false)
+			}
+			// Appends after recovery continue the same log.
+			for i := 0; i < 200; i++ {
+				d.step(t)
+				d.check(t, false)
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 // telemetry.go wires the broker substrate into a telemetry.Registry:
-// produce/fetch throughput and per-partition end offsets per topic, and
-// consumer-group lag and rebalance counts per group. Everything except
-// the fetch-batch histogram is a scrape-time read of state the log
-// already maintains. Wire before serving traffic.
+// produce/fetch throughput, retained log memory and per-partition end
+// offsets per topic, and consumer-group lag and rebalance counts per
+// group. Everything except the fetch-batch histogram is a scrape-time
+// read of state the log already maintains. Wire before serving traffic.
 package mqlog
 
 import (
@@ -31,6 +31,9 @@ func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 			func() float64 { return float64(p.endOffset()) },
 			"topic", t.name, "partition", strconv.Itoa(pid))
 	}
+	reg.GaugeFunc("analytics_mqlog_retained_bytes",
+		"Memory held by the topic's in-memory log chunks, partly filled tails included.",
+		func() float64 { return float64(t.RetainedBytes()) }, "topic", t.name)
 	t.telFetchBatch.Store(reg.Histogram("analytics_mqlog_fetch_batch_records",
 		"Records per non-empty fetch (poll efficiency).",
 		0, 512, 64, "topic", t.name))

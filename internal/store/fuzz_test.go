@@ -21,6 +21,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -256,18 +257,45 @@ func FuzzObservationCodec(f *testing.F) {
 	f.Add(EncodeObservation(Observation{}))
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Add([]byte{3, 'a'})
+	f.Add(EncodeObservation(Observation{Metric: "latency-us", Key: "page-07", Value: 1 << 40, Time: -1 << 50}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		obs, err := DecodeObservation(data)
 		if err != nil {
 			return // corrupt input rejected: fine
 		}
 		// Anything that decodes must survive a round trip bit-exactly.
-		back, err := DecodeObservation(EncodeObservation(obs))
+		enc := EncodeObservation(obs)
+		back, err := DecodeObservation(enc)
 		if err != nil {
 			t.Fatalf("re-decode of %+v: %v", obs, err)
 		}
 		if back != obs {
 			t.Fatalf("round trip %+v != %+v", back, obs)
 		}
+		// The encoding is exact-size, writes the bytes the over-reserving
+		// encoder it replaced wrote, and AppendObservation writes the same
+		// bytes behind an existing prefix.
+		if cap(enc) != len(enc) {
+			t.Fatalf("EncodeObservation: %d bytes in a %d-byte buffer", len(enc), cap(enc))
+		}
+		if want := reserveEncodeObservation(obs); !bytes.Equal(enc, want) {
+			t.Fatalf("EncodeObservation = %x, want %x", enc, want)
+		}
+		prefix := []byte("prefix")
+		if got := AppendObservation(prefix, obs); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], enc) {
+			t.Fatalf("AppendObservation behind a prefix = %x, want prefix + %x", got, enc)
+		}
 	})
+}
+
+// reserveEncodeObservation is the encoder EncodeObservation replaced,
+// which reserved three maximal varints: the oracle for its bytes.
+func reserveEncodeObservation(obs Observation) []byte {
+	buf := make([]byte, 0, len(obs.Metric)+len(obs.Key)+len(obs.Item)+3*binary.MaxVarintLen64)
+	for _, s := range []string{obs.Metric, obs.Key, obs.Item} {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	}
+	buf = binary.AppendUvarint(buf, obs.Value)
+	return binary.AppendVarint(buf, obs.Time)
 }

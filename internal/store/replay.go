@@ -10,6 +10,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/mqlog"
@@ -17,18 +18,34 @@ import (
 
 // EncodeObservation serializes an observation to the store's wire format
 // (length-prefixed strings plus varints), suitable as an mqlog message
-// value. Use the observation's Key as the mqlog message key so a series
-// always lands in one partition and replays in order.
+// value, into a slice of exactly its size. Use the observation's Key as
+// the mqlog message key so a series always lands in one partition and
+// replays in order.
 func EncodeObservation(obs Observation) []byte {
-	buf := make([]byte, 0, len(obs.Metric)+len(obs.Key)+len(obs.Item)+3*binary.MaxVarintLen64)
-	for _, s := range []string{obs.Metric, obs.Key, obs.Item} {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+	n := uvarintLen(obs.Value) + uvarintLen(zigzag(obs.Time))
+	for _, s := range [...]string{obs.Metric, obs.Key, obs.Item} {
+		n += uvarintLen(uint64(len(s))) + len(s)
 	}
-	buf = binary.AppendUvarint(buf, obs.Value)
-	buf = binary.AppendVarint(buf, obs.Time)
-	return buf
+	return AppendObservation(make([]byte, 0, n), obs)
 }
+
+// AppendObservation appends obs in the EncodeObservation wire format to
+// dst and returns the extended slice. The log copies a value at append,
+// so a producer can encode every observation into one reused buffer.
+func AppendObservation(dst []byte, obs Observation) []byte {
+	for _, s := range [...]string{obs.Metric, obs.Key, obs.Item} {
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
+		dst = append(dst, s...)
+	}
+	dst = binary.AppendUvarint(dst, obs.Value)
+	return binary.AppendVarint(dst, obs.Time)
+}
+
+// uvarintLen is the length of x's unsigned varint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// zigzag maps x as binary.AppendVarint does before writing it unsigned.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 // DecodeObservation parses the EncodeObservation wire format.
 func DecodeObservation(data []byte) (Observation, error) {
