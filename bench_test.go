@@ -130,7 +130,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					i := seq.Add(1)
-					st.Observe(store.Observation{
+					st.ObserveBatch([]store.Observation{{
 						Metric: "uniq",
 						Key:    keys[int(i)%len(keys)],
 						Item:   items[int(i)%len(items)],
@@ -138,7 +138,7 @@ func BenchmarkStoreIngest(b *testing.B) {
 						// (key, bucket) absorbs ~BucketWidth writes instead
 						// of opening a fresh synopsis per write.
 						Time: i / int64(len(keys)),
-					})
+					}})
 				}
 			})
 		})
@@ -154,12 +154,12 @@ func BenchmarkStoreQuery(b *testing.B) {
 			// Populate ~16 buckets of history for every key.
 			const populate = 200000
 			for i := 0; i < populate; i++ {
-				st.Observe(store.Observation{
+				st.ObserveBatch([]store.Observation{{
 					Metric: "uniq",
 					Key:    keys[i%len(keys)],
 					Item:   items[i%len(items)],
 					Time:   int64(i / len(keys)),
-				})
+				}})
 			}
 			horizon := int64(populate / len(keys))
 			var seq atomic.Int64
@@ -235,12 +235,12 @@ func BenchmarkClusterIngest(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.Observe(store.Observation{
+				if err := r.ObserveBatch([]store.Observation{{
 					Metric: "uniq",
 					Key:    keys[i%len(keys)],
 					Item:   items[i%len(items)],
 					Time:   int64(i / len(keys)),
-				}); err != nil {
+				}}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,12 +261,12 @@ func BenchmarkClusterQuery(b *testing.B) {
 		r := c.Router()
 		const populate = 100000
 		for i := 0; i < populate; i++ {
-			if err := r.Observe(store.Observation{
+			if err := r.ObserveBatch([]store.Observation{{
 				Metric: "uniq",
 				Key:    keys[i%len(keys)],
 				Item:   items[i%len(items)],
 				Time:   int64(i / len(keys)),
-			}); err != nil {
+			}}); err != nil {
 				b.Fatal(err)
 			}
 		}

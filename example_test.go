@@ -29,9 +29,9 @@ func Example() {
 		if i%3 == 0 {
 			page = "/docs"
 		}
-		if err := be.Observe(repro.StoreObservation{
+		if err := be.ObserveBatch([]repro.StoreObservation{{
 			Metric: "hits", Key: page, Item: "get", Value: 1, Time: int64(i),
-		}); err != nil {
+		}}); err != nil {
 			panic(err)
 		}
 	}

@@ -38,7 +38,7 @@ func main() {
 	appendBurst := func(n int) {
 		for i := 0; i < n; i++ {
 			k := fmt.Sprintf("metric-%d", keys.Draw())
-			if err := arch.Append(repro.StoreObservation{Metric: "hits", Key: k, Item: "hit", Value: 1, Time: now}); err != nil {
+			if err := arch.ObserveBatch([]repro.StoreObservation{{Metric: "hits", Key: k, Item: "hit", Value: 1, Time: now}}); err != nil {
 				panic(err)
 			}
 			exact[k]++

@@ -10,12 +10,12 @@ import (
 	"repro/internal/store"
 )
 
-// Admit wraps be so every Observe and ObserveBatch first clears
-// ctrl.Admit for its metric. A shed write returns the controller's
-// typed *admission.Overload (matching admission.ErrOverloaded via
-// errors.Is) and provably never reaches the backend — batches are
-// admitted in full before a single observation is delegated, riding
-// the all-or-nothing ObserveBatch contract underneath.
+// Admit wraps be so every ObserveBatch first clears ctrl.Admit for
+// each of its metrics. A shed write returns the controller's typed
+// *admission.Overload (matching admission.ErrOverloaded via errors.Is)
+// and provably never reaches the backend — batches are admitted in full
+// before a single observation is delegated, riding the all-or-nothing
+// ObserveBatch contract underneath.
 //
 // A nil controller returns be unchanged, so call sites can wire
 // admission unconditionally. The admitted-but-unthrottled hot path
@@ -28,19 +28,12 @@ func Admit(be Backend, ctrl *admission.Controller) Backend {
 	return &admitted{Backend: be, ctrl: ctrl}
 }
 
-// admitted embeds the wrapped Backend and overrides the two write
-// methods; everything else (queries, Keys, Stats, Flush, registration)
-// is the backend's own.
+// admitted embeds the wrapped Backend and overrides the write method;
+// everything else (queries, Keys, Stats, Flush, registration) is the
+// backend's own.
 type admitted struct {
 	Backend
 	ctrl *admission.Controller
-}
-
-func (a *admitted) Observe(obs store.Observation) error {
-	if err := a.ctrl.Admit(obs.Metric, 1); err != nil {
-		return err
-	}
-	return a.Backend.Observe(obs)
 }
 
 // ObserveBatch admits the whole batch before delegating any of it, so

@@ -18,31 +18,30 @@
 //   - RegisterMetric binds a metric name to the store.Prototype its bucket
 //     synopses are built from. Registration happens before the first
 //     write; re-registering a name is an error.
-//   - Observe absorbs one observation. An observation naming an
-//     unregistered metric is an error wrapping store.ErrUnknownMetric;
-//     a negative time is an error. Durability and read-your-writes vary
-//     by backend (the store is synchronous; the cluster appends to its
-//     ingest log and is read-your-writes after Drain; Lambda dispatches
-//     to the master log and speed layer).
-//   - ObserveBatch absorbs a batch — the unit the admission layer
-//     prices, the serving edge decodes and the backends amortize (one
-//     shard lock per shard group in the store, one partition-buffer
-//     acquisition per partition in the Router, one speed RLock in
-//     Lambda). The whole batch is validated before anything mutates: an
-//     invalid observation (unknown metric, negative time) fails the call
-//     and the backend absorbs NONE of the batch. This is stricter than a
-//     loop of Observe (which mutates the prefix before the bad write)
-//     and is what makes admission shedding provable — a rejected batch
-//     leaves no trace. An accepted batch is byte-identical to the same
-//     observations fed one Observe at a time, in order: per-(metric,key)
-//     arrival order is preserved, so every synopsis and counter matches
-//     the loop exactly. An empty batch is a no-op,
-//     never an error. The slice is lent for the call only: a backend
-//     must not retain obs (or a sub-slice of it) after ObserveBatch
-//     returns — it copies the observations it buffers, as all four do —
-//     so a caller may reuse the slice at once, as the serving edge does
-//     with its pooled batch. The strings inside are ordinary immutable
-//     Go strings and may be kept.
+//   - ObserveBatch is the one write path: it absorbs a batch, and a
+//     caller with one observation passes a one-element slice. The batch
+//     is the unit the admission layer prices, the serving edge decodes
+//     and the backends amortize (one shard lock per shard group in the
+//     store, one partition-buffer acquisition per partition in the
+//     Router, one speed RLock in Lambda). The whole batch is validated
+//     before anything mutates: an observation naming an unregistered
+//     metric fails the call with an error wrapping
+//     store.ErrUnknownMetric, a negative time fails it too, and the
+//     backend absorbs NONE of the batch. This is what makes admission
+//     shedding provable — a rejected batch leaves no trace. An accepted
+//     batch is byte-identical to one observation per call, in order:
+//     per-(metric,key) arrival order is preserved, so every synopsis
+//     and counter matches exactly however the stream is chunked. An
+//     empty batch is a no-op, never an error. Durability and
+//     read-your-writes vary by backend (the store is synchronous; the
+//     cluster appends to its ingest log and is read-your-writes after
+//     Drain; Lambda dispatches to the master log and speed layer). The
+//     slice is lent for the call only: a backend must not retain obs
+//     (or a sub-slice of it) after ObserveBatch returns — it copies the
+//     observations it buffers, as all four do — so a caller may reuse
+//     the slice at once, as the serving edge does with its pooled
+//     batch. The strings inside are ordinary immutable Go strings and
+//     may be kept.
 //   - Query answers a typed store.QueryRequest. A request naming an
 //     unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
@@ -81,7 +80,8 @@ import (
 	"repro/internal/store"
 )
 
-// Backend is the unified serving API. store.Store, dstore.Router,
+// Backend is the unified serving API: seven methods, with ObserveBatch
+// the only way writes enter. store.Store, dstore.Router,
 // lambda.Architecture and serve.Client satisfy it; engine.SinkBolt sinks
 // topology streams into any of them through it, and the Instrument and
 // Admit decorators wrap any of them. See the package comment for the
@@ -90,10 +90,9 @@ type Backend interface {
 	// RegisterMetric binds a metric name to the prototype its bucket
 	// synopses are built from.
 	RegisterMetric(name string, proto store.Prototype) error
-	// Observe absorbs one observation.
-	Observe(obs store.Observation) error
 	// ObserveBatch absorbs all of obs or none of it, and must not
-	// retain obs after it returns: the caller may reuse the slice.
+	// retain obs after it returns: the caller may reuse the slice. It is
+	// the only write method; one observation is a one-element batch.
 	ObserveBatch(obs []store.Observation) error
 	// Query answers one typed request; see store.QueryRequest and
 	// store.QueryResult.

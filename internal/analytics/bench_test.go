@@ -45,16 +45,19 @@ func benchObs(i int) store.Observation {
 }
 
 // TestAdmittedObserveAllocGate is the alloc budget the Admit doc
-// promises: an admitted-but-unthrottled Observe adds at most one
-// allocation per op over the bare backend.
+// promises: an admitted-but-unthrottled one-observation ObserveBatch
+// adds at most one allocation per op over the bare backend. The batch
+// slice is the caller's and reused, as the contract allows.
 func TestAdmittedObserveAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate is timing-adjacent; skipped in -short")
 	}
 	measure := func(be Backend) float64 {
 		i := 0
+		batch := make([]store.Observation, 1)
 		return testing.AllocsPerRun(200, func() {
-			if err := be.Observe(benchObs(i)); err != nil {
+			batch[0] = benchObs(i)
+			if err := be.ObserveBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 			i++
@@ -67,26 +70,27 @@ func TestAdmittedObserveAllocGate(t *testing.T) {
 	}
 }
 
-// BenchmarkIngestBare is the floor: one Observe per op, no decorators.
+// BenchmarkIngestBare is the floor: one one-observation batch per op,
+// no decorators.
 func BenchmarkIngestBare(b *testing.B) {
-	be := benchStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := be.Observe(benchObs(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchIngestSingles(b, benchStore(b))
 }
 
 // BenchmarkIngestAdmitted is the same write through Admit with a bucket
 // that never empties: the per-write admission tax.
 func BenchmarkIngestAdmitted(b *testing.B) {
-	be := Admit(benchStore(b), openController(b))
+	benchIngestSingles(b, Admit(benchStore(b), openController(b)))
+}
+
+// benchIngestSingles writes one observation per op through be, as a
+// one-element batch in a reused slice.
+func benchIngestSingles(b *testing.B, be Backend) {
+	batch := make([]store.Observation, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := be.Observe(benchObs(i)); err != nil {
+		batch[0] = benchObs(i)
+		if err := be.ObserveBatch(batch); err != nil {
 			b.Fatal(err)
 		}
 	}

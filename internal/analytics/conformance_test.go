@@ -141,12 +141,13 @@ func conformanceStream(span int64) []store.Observation {
 	return out
 }
 
-// feed streams the deterministic conformance dataset one Observe at a
-// time — the reference delivery the batched path must match exactly.
+// feed streams the deterministic conformance dataset in one-observation
+// batches — the reference delivery the chunked batches must match
+// exactly.
 func feed(t *testing.T, be Backend, span int64) {
 	t.Helper()
 	for _, obs := range conformanceStream(span) {
-		if err := be.Observe(obs); err != nil {
+		if err := be.ObserveBatch([]store.Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +164,7 @@ const feedChunk = 57
 // same, which the contract allows because a backend must not keep obs.
 // A backend that does keep the slice absorbs the scribble (an unknown
 // metric at a negative time under an empty key) and falls off the
-// Observe-loop oracle its caller compares it with.
+// one-observation oracle its caller compares it with.
 func feedBatched(t *testing.T, be Backend, span int64) {
 	t.Helper()
 	stream := conformanceStream(span)
@@ -195,7 +196,7 @@ func TestBackendConformance(t *testing.T) {
 				if !errors.Is(err, store.ErrUnknownMetric) {
 					t.Fatalf("query error %v, want ErrUnknownMetric", err)
 				}
-				err = h.be.Observe(store.Observation{Metric: "nope", Key: "k0", Item: "x", Time: 0})
+				err = h.be.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k0", Item: "x", Time: 0}})
 				if !errors.Is(err, store.ErrUnknownMetric) {
 					t.Fatalf("observe error %v, want ErrUnknownMetric", err)
 				}
@@ -477,9 +478,9 @@ func marshalAnswers(t *testing.T, be Backend) [][]byte {
 }
 
 // TestBackendConformanceObserveBatch pins the ObserveBatch contract on
-// every backend: a batched delivery is byte-identical to the Observe
-// loop, an empty batch is a no-op, and an invalid batch mutates nothing
-// (all-or-nothing).
+// every backend: a delivery in chunked batches is byte-identical to
+// one-observation batches, an empty batch is a no-op, and an invalid
+// batch mutates nothing (all-or-nothing).
 func TestBackendConformanceObserveBatch(t *testing.T) {
 	looped := newHarnesses(t)
 	batched := newHarnesses(t)
@@ -505,7 +506,7 @@ func TestBackendConformanceObserveBatch(t *testing.T) {
 			}
 			for j := range want {
 				if !reflect.DeepEqual(got[j], want[j]) {
-					t.Fatalf("cell %d: batched synopsis bytes diverge from Observe loop", j)
+					t.Fatalf("cell %d: chunked-batch synopsis bytes diverge from one-observation batches", j)
 				}
 			}
 
@@ -572,7 +573,7 @@ func TestBackendConformanceOverloadShed(t *testing.T) {
 	stream := conformanceStream(10) // 40 observations against 10 tokens
 	var accepted []store.Observation
 	for _, obs := range stream {
-		err := be.Observe(obs)
+		err := be.ObserveBatch([]store.Observation{obs})
 		if err == nil {
 			accepted = append(accepted, obs)
 			continue
@@ -588,7 +589,7 @@ func TestBackendConformanceOverloadShed(t *testing.T) {
 		t.Fatalf("accepted %d writes, want exactly the 10-token burst", len(accepted))
 	}
 	for _, obs := range accepted {
-		if err := oracle.Observe(obs); err != nil {
+		if err := oracle.ObserveBatch([]store.Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -623,7 +624,7 @@ func TestBackendConformanceOverloadShed(t *testing.T) {
 
 	// Waiting exactly the quoted Retry-After re-admits: the sentinel's
 	// number is actionable, not advisory.
-	err = be.Observe(stream[0])
+	err = be.ObserveBatch([]store.Observation{stream[0]})
 	if !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("empty bucket admitted a write: %v", err)
 	}
@@ -632,7 +633,7 @@ func TestBackendConformanceOverloadShed(t *testing.T) {
 		t.Fatalf("shed error %v carries no Overload", err)
 	}
 	ns += int64(wait)
-	if err := be.Observe(stream[0]); err != nil {
+	if err := be.ObserveBatch([]store.Observation{stream[0]}); err != nil {
 		t.Fatalf("write after waiting the quoted Retry-After: %v", err)
 	}
 }

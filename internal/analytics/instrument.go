@@ -1,5 +1,5 @@
 // instrument.go is the generic telemetry decorator over the Backend
-// contract: wrap any serving backend and every Observe and Query is
+// contract: wrap any serving backend and every ObserveBatch and Query is
 // counted per metric and timed, without the backend knowing. It lives
 // in this package (not internal/telemetry) because the decorator speaks
 // the Backend contract and telemetry must stay a leaf package the store
@@ -8,6 +8,7 @@ package analytics
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,10 +26,11 @@ type options struct {
 }
 
 // WithTracer makes the wrapper the tracing root of the serving stack:
-// every Observe opens a head-sampled ingest root (analytics.observe)
-// whose context rides the observation into the backend — through the
-// store's shard spans or, in cluster mode, across the log via record
-// headers — and every Query opens an always-started root
+// every ObserveBatch that carries no trace context opens a head-sampled
+// ingest root (analytics.observe) whose context rides the batch into
+// the backend — through the store's shard spans or, in cluster mode,
+// across the log via record headers — and every Query opens an
+// always-started root
 // (analytics.query) carrying the request summary as attributes, kept
 // at Finish when sampled or over the tracer's slow threshold (the
 // latter also lands in the slow-query log). A nil tracer is a no-op.
@@ -36,7 +38,7 @@ func WithTracer(tr *trace.Tracer) Option {
 	return func(o *options) { o.tracer = tr }
 }
 
-// Instrument wraps be so every Observe and Query is recorded in reg:
+// Instrument wraps be so every ObserveBatch and Query is recorded in reg:
 // per-backend/per-metric operation counters
 // (analytics_backend_observe_total, analytics_backend_query_total,
 // labeled backend=<name>, metric=<metric>), per-backend latency
@@ -81,8 +83,9 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string, opts ...Opt
 }
 
 // instrumented embeds the wrapped Backend and overrides the methods it
-// measures — both query methods, so neither bypasses the counters and
-// the trace root; Keys, Stats and Flush are the backend's own.
+// measures — the write method and both query methods, so none bypasses
+// the counters and the trace root; Keys, Stats and Flush are the
+// backend's own.
 type instrumented struct {
 	Backend
 	reg     *telemetry.Registry
@@ -151,33 +154,30 @@ func (in *instrumented) RegisterMetric(name string, proto store.Prototype) error
 	return nil
 }
 
-func (in *instrumented) Observe(obs store.Observation) error {
-	if sp := in.trc.StartSampled("analytics.observe"); sp != nil {
-		// Head-sampled ingest root: the context rides the observation so
-		// every layer underneath stitches child spans onto this trace.
-		obs.Trace = sp.Context()
-		sp.SetAttrs(trace.Str("backend", in.backend),
-			trace.Str("metric", obs.Metric), trace.Str("key", obs.Key))
-		defer sp.Finish()
-	}
-	t0 := time.Now()
-	err := in.Backend.Observe(obs)
-	in.obsLat.ObserveSince(t0)
-	if err != nil {
-		in.obsErrs.Inc()
-		return err
-	}
-	in.counterFor(in.obsCount, "analytics_backend_observe_total", obs.Metric).Inc()
-	return nil
-}
-
 // ObserveBatch counts and times the batch as one operation per
 // observation: the latency histogram records the whole call (batched
 // ingest is priced by the batch), the per-metric counters advance by
-// each metric's share, and errors count once.
+// each metric's share, and errors count once. A batch that carries no
+// trace context yet is head-sampled for an analytics.observe root; a
+// sampled batch is copied so the root's context can ride every
+// observation into the backend without writing to the caller's slice,
+// and an unsampled one goes through untouched, allocating nothing.
 func (in *instrumented) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
+	}
+	if in.trc != nil && !slices.ContainsFunc(obs, hasTrace) {
+		if sp := in.trc.StartSampled("analytics.observe"); sp != nil {
+			defer sp.Finish()
+			sp.SetAttrs(trace.Str("backend", in.backend), trace.Int("batch", int64(len(obs))))
+			traced := make([]store.Observation, len(obs))
+			copy(traced, obs)
+			tctx := sp.Context()
+			for i := range traced {
+				traced[i].Trace = tctx
+			}
+			obs = traced
+		}
 	}
 	t0 := time.Now()
 	err := in.Backend.ObserveBatch(obs)
@@ -191,6 +191,9 @@ func (in *instrumented) ObserveBatch(obs []store.Observation) error {
 		return nil
 	})
 }
+
+// hasTrace reports whether an observation already rides a trace.
+func hasTrace(o store.Observation) bool { return o.Trace.Valid() }
 
 func (in *instrumented) Query(req store.QueryRequest) (store.QueryResult, error) {
 	return in.QueryContext(context.Background(), req)

@@ -114,7 +114,7 @@ func TestInstrumentErrorCounting(t *testing.T) {
 	}
 	reg := telemetry.New()
 	be := Instrument(st, reg, "store")
-	if err := be.Observe(store.Observation{Metric: "nope", Key: "k", Item: "x"}); !errors.Is(err, store.ErrUnknownMetric) {
+	if err := be.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Item: "x"}}); !errors.Is(err, store.ErrUnknownMetric) {
 		t.Fatalf("observe error %v", err)
 	}
 	if _, err := be.Query(store.QueryRequest{Metric: "nope", Key: "k", From: 0, To: 1}); !errors.Is(err, store.ErrUnknownMetric) {

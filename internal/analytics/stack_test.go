@@ -106,7 +106,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 					}
 				}
 				if got := l.observeCalls(); got != uint64(len(stream)) {
-					t.Errorf("loop recorded %d latency samples, want one per Observe (%d)", got, len(stream))
+					t.Errorf("loop recorded %d latency samples, want one per one-observation batch (%d)", got, len(stream))
 				}
 				batches := uint64((len(stream) + feedChunk - 1) / feedChunk)
 				if got := b.observeCalls(); got != batches {
@@ -145,7 +145,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 			l.settle(t)
 			want := marshalAnswers(t, l.be)
 			if got := marshalAnswers(t, b.top); !reflect.DeepEqual(got, want) {
-				t.Fatal("batched stack diverges from the Observe loop after Flush+Drain")
+				t.Fatal("chunk-fed stack diverges from the one-observation loop after Flush+Drain")
 			}
 			if got, want := b.top.Stats().Observed, b.be.Stats().Observed; got != want || want == 0 {
 				t.Fatalf("Stats through the stack observed %d, bare %d", got, want)
@@ -158,7 +158,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 				calls, errs, counted := b.observeCalls(), b.errs("observe"), b.observed("uniq")
 				seen := b.be.Stats().Observed
 				for name, write := range map[string]func() error{
-					"Observe":      func() error { return b.top.Observe(stream[0]) },
+					"single":       func() error { return b.top.ObserveBatch([]store.Observation{stream[0]}) },
 					"ObserveBatch": func() error { return b.top.ObserveBatch(stream[:8]) },
 					// The package helper bench/ladder.go drives the stack with.
 					"helper": func() error { return ObserveBatch(b.top, stream[:8]) },

@@ -97,7 +97,7 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 				}
 			}
 
-			// The tracer actually saw the traffic: every Observe opened a
+			// The tracer actually saw the traffic: every batch opened a
 			// root, and the slow threshold put the queries in the slow log.
 			if st := tr.Stats(); st.Started == 0 || st.Sampled == 0 {
 				t.Fatalf("tracer stats %+v, want started and sampled roots", st)
@@ -110,8 +110,8 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 }
 
 // TestIngestTraceStitchesAcrossLog is the cross-log acceptance: one
-// sampled observation through the cluster router must come back as one
-// trace whose spans cover the whole ingest path — the Instrument root,
+// sampled batch through the cluster router must come back as one trace
+// whose spans cover the whole ingest path — the Instrument root,
 // the router's batched append, and the consuming node's fetch, apply,
 // and store observe — even though the append and consume happen after
 // the root span finished.
@@ -143,11 +143,12 @@ func TestIngestTraceStitchesAcrossLog(t *testing.T) {
 	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		obs := store.Observation{Metric: "uniq", Key: fmt.Sprintf("k%d", i%3), Item: fmt.Sprintf("u%d", i), Time: int64(i)}
-		if err := be.Observe(obs); err != nil {
-			t.Fatal(err)
-		}
+	batch := make([]store.Observation, 8)
+	for i := range batch {
+		batch[i] = store.Observation{Metric: "uniq", Key: fmt.Sprintf("k%d", i%3), Item: fmt.Sprintf("u%d", i), Time: int64(i)}
+	}
+	if err := be.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	be.Flush()
 	if err := cl.Drain(); err != nil {
@@ -182,5 +183,60 @@ func TestIngestTraceStitchesAcrossLog(t *testing.T) {
 			seen = append(seen, names)
 		}
 		t.Fatalf("no trace stitched the full ingest path %v; traces held %v (stats %+v)", wantSpans, seen, tr.Stats())
+	}
+}
+
+// TestInstrumentObserveBatchOpensRoot: at sample rate 1 a batch written
+// through Instrument opens an analytics.observe root, and the store
+// underneath hangs its store.observe span off it — without the caller's
+// slice being written to. A batch that already rides a trace (as the
+// serving edge hands over) is not re-rooted.
+func TestInstrumentObserveBatchOpensRoot(t *testing.T) {
+	st, err := store.New(storeGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := tracedTracer()
+	st.SetTracer(tr)
+	be := Instrument(st, nil, "store", WithTracer(tr))
+	registerFamilies(t, be)
+	batch := conformanceStream(3)
+	if err := be.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range batch {
+		if o.Trace.Valid() {
+			t.Fatal("the sampled root wrote its context into the caller's slice")
+		}
+	}
+	rooted := false
+	for _, ts := range tr.Traces() {
+		var root trace.SpanID
+		for _, sp := range ts.Spans {
+			if sp.Name == "analytics.observe" && sp.Parent == 0 {
+				root = sp.ID
+			}
+		}
+		for _, sp := range ts.Spans {
+			if root != 0 && sp.Name == "store.observe" && sp.Parent == root {
+				rooted = true
+			}
+		}
+	}
+	if !rooted {
+		t.Fatal("no analytics.observe root with a store.observe child")
+	}
+
+	started := tr.Stats().Started
+	edge := tr.StartRoot("serve.observe")
+	for i := range batch {
+		batch[i].Trace = edge.Context()
+	}
+	if err := be.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	edge.Finish()
+	if got := tr.Stats().Started; got != started+1 {
+		t.Fatalf("a batch riding a trace opened %d roots beyond its own edge", got-started-1)
 	}
 }

@@ -14,7 +14,7 @@
 // not a thread pool — that polls the partitions the group assigns it,
 // decodes observations with the store wire codec, and applies them to its
 // own store.Store. Producers never talk to nodes: the Router partitions
-// Observe traffic by key onto the topic (batched appends via
+// ObserveBatch traffic by key onto the topic (batched appends via
 // Topic.ProduceBatch), so the log decouples producers from consumers
 // exactly as in Figure 1's Lambda input dispatch.
 //
@@ -124,7 +124,7 @@ type Stats struct {
 	Recoveries         uint64 // completed node recoveries (includes first starts)
 	Applied            uint64 // observations applied by live node event loops
 	Replayed           uint64 // observations applied by recovery replays
-	Rejected           uint64 // messages dropped by decode or store errors
+	Rejected           uint64 // poison log records skipped (see store.DecodeRecord)
 	Lag                uint64 // unconsumed messages across the group
 	CheckpointRestores uint64 // recoveries seeded from a checkpoint (suffix replay)
 	Store              store.Stats
@@ -139,7 +139,7 @@ type Cluster struct {
 	router *Router
 
 	// protos is the registered metric table, swapped copy-on-write under
-	// mu and read lock-free: Router.Observe validates every observation
+	// mu and read lock-free: Router.ObserveBatch validates every observation
 	// against it, and a mutex there would serialize all producers.
 	protos atomic.Pointer[map[string]store.Prototype]
 

@@ -66,14 +66,12 @@ func feed(t *testing.T, c *Cluster, events int, seed uint64) int64 {
 		key := fmt.Sprintf("k%d", z.Draw())
 		item := fmt.Sprintf("u%d", rng.Uint64()%4096)
 		val := rng.Uint64() % 50000
-		for _, obs := range []store.Observation{
+		if err := r.ObserveBatch([]store.Observation{
 			{Metric: "uniq", Key: key, Item: item, Time: now},
 			{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: now},
 			{Metric: "lat", Key: key, Value: val, Time: now},
-		} {
-			if err := r.Observe(obs); err != nil {
-				t.Fatal(err)
-			}
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return now
@@ -83,7 +81,7 @@ func feed(t *testing.T, c *Cluster, events int, seed uint64) int64 {
 // same stream, one process.
 func oracle(t *testing.T, c *Cluster) *store.Store {
 	t.Helper()
-	st, _, err := store.Rebuild(c.cfg.Store, testProtos(t), c.Topic(), nil)
+	st, _, err := store.Rebuild(c.cfg.Store, testProtos(t), c.Topic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,15 +172,15 @@ func TestClusterValidation(t *testing.T) {
 	if err := c.StopNode("node-99"); err == nil {
 		t.Fatal("unknown node stop accepted")
 	}
-	if err := c.Router().Observe(store.Observation{Metric: "nope", Key: "k", Time: 1}); err == nil {
+	if err := c.Router().ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Time: 1}}); err == nil {
 		t.Fatal("unregistered metric observed")
 	}
-	if err := c.Router().Observe(store.Observation{Metric: "uniq", Key: "k", Time: -1}); err == nil {
+	if err := c.Router().ObserveBatch([]store.Observation{{Metric: "uniq", Key: "k", Time: -1}}); err == nil {
 		t.Fatal("negative time observed")
 	}
 	// An empty key would round-robin by value hash in the log, scattering
 	// one series across partitions owned by different nodes.
-	if err := c.Router().Observe(store.Observation{Metric: "uniq", Key: "", Item: "x", Time: 1}); err == nil {
+	if err := c.Router().ObserveBatch([]store.Observation{{Metric: "uniq", Key: "", Item: "x", Time: 1}}); err == nil {
 		t.Fatal("empty key observed")
 	}
 }
@@ -255,6 +253,61 @@ func TestClusterKillRejoinMatchesOracle(t *testing.T) {
 	assertMatchesOracle(t, c, oracle(t, c), to, "after rejoin + more ingest")
 }
 
+// TestClusterPoisonSkippedLiveAndOnRecovery: records the router's
+// producer-side checks would have refused — bytes that do not decode, an
+// unregistered metric, a negative time — produced straight onto the
+// ingest topic among valid records are counted and skipped by the live
+// apply loop, and the recoveries a kill and a rejoin run over the same
+// log skip them too instead of wedging. Answers match the single-store
+// oracle (which skips the same records) throughout.
+func TestClusterPoisonSkippedLiveAndOnRecovery(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 4})
+	for i := 0; i < 2; i++ {
+		if _, err := c.StartNode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Settle the joins first, so the poison reaches the live loop rather
+	// than a recovery replay.
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, 400, 51)
+	c.Router().Flush()
+	topic := c.Topic()
+	topic.Produce("k1", []byte{0xff, 0xff})
+	for _, obs := range []store.Observation{
+		{Metric: "ghost", Key: "k2", Item: "x", Time: 3},
+		{Metric: "uniq", Key: "k3", Item: "x", Time: -1},
+	} {
+		topic.Produce(obs.Key, store.EncodeObservation(obs))
+	}
+	to := feed(t, c, 400, 52)
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Rejected; got != 3 {
+		t.Fatalf("live loop rejected %d records, want the 3 poison ones", got)
+	}
+	o := oracle(t, c)
+	assertMatchesOracle(t, c, o, to, "live")
+
+	if err := c.StopNode(c.NodeNames()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesOracle(t, c, o, to, "after kill")
+	if _, err := c.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesOracle(t, c, o, to, "after rejoin")
+}
+
 // TestClusterKillUnderIngest races a node kill against live producers:
 // at-least-once consumption plus rebuild-from-log recovery must neither
 // lose nor double-count a single observation.
@@ -277,12 +330,12 @@ func TestClusterKillUnderIngest(t *testing.T) {
 			r := c.Router()
 			for i := 0; i < perProducer; i++ {
 				key := fmt.Sprintf("k%d", (p*perProducer+i)%64)
-				if err := r.Observe(store.Observation{
+				if err := r.ObserveBatch([]store.Observation{{
 					Metric: "uniq",
 					Key:    key,
 					Item:   fmt.Sprintf("u%d-%d", p, i),
 					Time:   int64(i),
-				}); err != nil {
+				}}); err != nil {
 					panic(err)
 				}
 			}
@@ -399,12 +452,12 @@ func TestPerNodeBudgetsPartitionState(t *testing.T) {
 		// ~512 HLL series at 4 KB each = ~2 MB of working set vs a
 		// 256 KB per-node budget.
 		for i := 0; i < 4096; i++ {
-			if err := r.Observe(store.Observation{
+			if err := r.ObserveBatch([]store.Observation{{
 				Metric: "uniq",
 				Key:    fmt.Sprintf("k%d", i%512),
 				Item:   fmt.Sprintf("u%d", i),
 				Time:   1,
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -28,7 +28,7 @@ func feedAt(t *testing.T, c *Cluster, events int, seed uint64, base int64) int64
 			{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: now},
 			{Metric: "lat", Key: key, Value: val, Time: now},
 		} {
-			if err := r.Observe(obs); err != nil {
+			if err := r.ObserveBatch([]store.Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}

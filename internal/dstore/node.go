@@ -43,6 +43,10 @@ type Node struct {
 	// the state the committed offsets describe.
 	ckptReq chan chan error
 
+	// obs is the event loop's decode scratch, reused across polled
+	// batches (ObserveBatch does not keep it).
+	obs []store.Observation
+
 	recoveries   atomic.Uint64
 	applied      atomic.Uint64
 	replayed     atomic.Uint64
@@ -143,43 +147,7 @@ func (n *Node) run() {
 		st := n.currentStore()
 		trc := n.c.tracer()
 		for _, b := range batches {
-			for _, m := range b.Messages {
-				// A record carrying a trace header is a sampled ingest:
-				// stitch its consume (fetch) and apply onto the trace the
-				// router started on the far side of the log. Untraced
-				// records (the common case) pay a nil check and an empty
-				// header scan.
-				var fsp *trace.Span
-				if trc != nil {
-					if ctx := headerContext(m.Headers); ctx.Valid() {
-						fsp = trc.StartRemote(ctx, "mqlog.fetch")
-						fsp.SetAttrs(trace.Str("node", n.name),
-							trace.Int("partition", int64(b.Partition)),
-							trace.Int("offset", int64(m.Offset)))
-					}
-				}
-				obs, ok := store.WireDecoder(m)
-				if !ok {
-					n.rejected.Add(1)
-					fsp.Finish()
-					continue
-				}
-				asp := fsp.Child("dstore.apply")
-				if asp != nil {
-					obs.Trace = asp.Context()
-				}
-				err := st.Observe(obs)
-				asp.Finish()
-				fsp.Finish()
-				if err != nil {
-					// A poison message (unregistered metric, negative
-					// time) must not wedge the partition: count and move
-					// on, the log-consumer convention.
-					n.rejected.Add(1)
-					continue
-				}
-				n.applied.Add(1)
-			}
+			n.apply(st, trc, b)
 			if !n.c.group.CommitFenced(n.name, gen, b.Partition, b.Next) {
 				// A rebalance won mid-batch. The batch already landed in
 				// our store, which may now hold rows for partitions we no
@@ -190,6 +158,56 @@ func (n *Node) run() {
 				break
 			}
 		}
+	}
+}
+
+// apply lands one polled partition batch in st: the records decode into
+// the node's reused observation slice, poison (see store.DecodeRecord)
+// is counted and dropped — a record that can never apply must not wedge
+// the partition, the log-consumer convention — and the rest go in one
+// ObserveBatch. A batch holding a record with a trace header (a sampled
+// ingest) opens one mqlog.fetch → dstore.apply pair on the first such
+// record's trace, as the router opens one mqlog.append per flush, and
+// that trace's records carry the apply span into the store, stitching
+// onto the trace the router started on the far side of the log.
+func (n *Node) apply(st *store.Store, trc *trace.Tracer, b mqlog.PartitionBatch) {
+	n.obs = n.obs[:0]
+	var fsp, asp *trace.Span
+	var traced trace.TraceID
+	for _, m := range b.Messages {
+		obs, ok := st.DecodeRecord(m.Value)
+		if !ok {
+			continue
+		}
+		if trc != nil {
+			if ctx := headerContext(m.Headers); ctx.Valid() {
+				if fsp == nil {
+					fsp = trc.StartRemote(ctx, "mqlog.fetch")
+					fsp.SetAttrs(trace.Str("node", n.name),
+						trace.Int("partition", int64(b.Partition)),
+						trace.Int("offset", int64(m.Offset)))
+					asp = fsp.Child("dstore.apply")
+					traced = ctx.Trace
+				}
+				if ctx.Trace == traced {
+					obs.Trace = asp.Context()
+				}
+			}
+		}
+		n.obs = append(n.obs, obs)
+	}
+	n.rejected.Add(uint64(len(b.Messages) - len(n.obs)))
+	// DecodeRecord passes only what ObserveBatch accepts, so this cannot
+	// fail; were it to, the batch is counted rejected like any poison.
+	if err := st.ObserveBatch(n.obs); err != nil {
+		n.rejected.Add(uint64(len(n.obs)))
+	} else {
+		n.applied.Add(uint64(len(n.obs)))
+	}
+	if fsp != nil {
+		asp.SetAttrs(trace.Int("records", int64(len(n.obs))))
+		asp.Finish()
+		fsp.Finish()
 	}
 }
 
@@ -237,19 +255,6 @@ func (n *Node) recover(gen int) {
 	if !ok {
 		return
 	}
-	// Replay through a filtering decoder: a poison message (undecodable,
-	// unregistered metric, negative time) is counted and skipped, exactly
-	// as the live loop treats it — an Observe error inside ReplayPartition
-	// would otherwise wedge recovery in a retry loop.
-	metrics := n.c.metricTable()
-	decode := func(m mqlog.Message) (store.Observation, bool) {
-		obs, ok := store.WireDecoder(m)
-		if !ok || obs.Time < 0 || metrics[obs.Metric] == nil {
-			n.rejected.Add(1)
-			return store.Observation{}, false
-		}
-		return obs, true
-	}
 	// Each partition replays from its offset floor (0 when no
 	// TruncateBelow has fenced the cluster): fetch resumes at the oldest
 	// retained message above it, so this is "replay the whole retained,
@@ -282,25 +287,19 @@ func (n *Node) recover(gen int) {
 		}
 	}
 	for i, pid := range assignment {
-		next := starts[i]
-		for {
-			if n.stopped() || n.c.group.Generation() != gen {
-				return
-			}
-			end, applied, _, err := store.ReplayPartition(st, n.c.topic, pid, next, decode)
-			n.replayed.Add(applied)
-			if err == nil {
-				next = end
-				break
-			}
-			// A store error the decode filter did not anticipate (e.g. a
-			// misbehaving custom Prototype): treat the failing offset as
-			// poison like the live loop would — count it, step past it,
-			// resume — rather than rebuilding and rehitting it forever.
-			n.rejected.Add(1)
-			next = end + 1
+		if n.stopped() || n.c.group.Generation() != gen {
+			return
 		}
-		if !n.c.group.CommitFenced(n.name, gen, pid, next) {
+		// The replay skips and counts poison itself, so a bad record
+		// cannot wedge recovery; an error here is structural, and the
+		// event loop's next pass retries the whole recovery.
+		rs, err := store.ReplayPartition(st, n.c.topic, pid, starts[i])
+		n.replayed.Add(rs.Applied)
+		n.rejected.Add(rs.Rejected)
+		if err != nil {
+			return
+		}
+		if !n.c.group.CommitFenced(n.name, gen, pid, rs.Next) {
 			n.c.fenceRejected.Add(1)
 			return
 		}

@@ -1,4 +1,4 @@
-// router.go is the cluster's client surface: it partitions Observe
+// router.go is the cluster's client surface: it partitions ObserveBatch
 // traffic by key onto the ingest topic (batched appends, one partition
 // lock acquisition per batch) and answers queries by routing to the
 // owning node or scatter-gathering across nodes and combining the
@@ -42,7 +42,7 @@ type routerPart struct {
 }
 
 // Router is the cluster's ingest and query front end. One Router is safe
-// for concurrent use; Observe buffers per partition and appends in
+// for concurrent use; ObserveBatch buffers per partition and appends in
 // batches, so call Flush when a producer finishes (Drain does).
 type Router struct {
 	c     *Cluster
@@ -51,30 +51,6 @@ type Router struct {
 
 func newRouter(c *Cluster) *Router {
 	return &Router{c: c, parts: make([]routerPart, c.cfg.Partitions)}
-}
-
-// Observe encodes the observation onto the ingest topic, partitioned by
-// key — the same hash Produce uses, so a series always lands in one
-// partition and replays in order. Unknown metrics, empty keys and
-// negative times fail here, producer-side, rather than poisoning the
-// consumers (an empty key would round-robin by value hash in the log,
-// scattering one series across partitions that different nodes own).
-func (r *Router) Observe(obs store.Observation) error {
-	if obs.Time < 0 {
-		return core.Errf("Router", "Time", "%d must be >= 0", obs.Time)
-	}
-	if obs.Key == "" {
-		return core.Errf("Router", "Key", "must be non-empty (keys are the unit of partition ownership)")
-	}
-	if _, err := r.c.proto(obs.Metric); err != nil {
-		return err
-	}
-	pid := r.c.topic.PartitionFor(obs.Key)
-	p := &r.parts[pid]
-	p.mu.Lock()
-	r.bufferLocked(pid, p, &obs, r.c.tracer() != nil)
-	p.mu.Unlock()
-	return nil
 }
 
 // bufferLocked encodes one observation into the partition's buffer and
@@ -96,14 +72,18 @@ func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, trac
 	}
 }
 
-// ObserveBatch encodes a whole slice of observations onto the ingest
-// topic with one partition-buffer acquisition per partition group
-// instead of one per observation. The entire batch is validated first
-// (producer-side, like Observe) and a validation failure buffers
-// NOTHING; an accepted batch reaches the log in input order per
-// partition — a key's records all land in one partition group, so
-// per-series replay order matches a loop of Observe exactly. Buffers
-// still flush at BatchSize; call Flush (or Drain) when the producer
+// ObserveBatch encodes a slice of observations onto the ingest topic,
+// partitioned by key — the same hash Produce uses, so a series always
+// lands in one partition and replays in order — with one
+// partition-buffer acquisition per partition group. The entire batch is
+// validated first, producer-side, rather than poisoning the consumers:
+// an unknown metric, an empty key (which would round-robin by value
+// hash in the log, scattering one series across partitions that
+// different nodes own) or a negative time fails the call and buffers
+// NOTHING. An accepted batch reaches the log in input order per
+// partition — a key's records all land in one partition group — so
+// per-series replay order matches one observation per call exactly.
+// Buffers flush at BatchSize; call Flush (or Drain) when the producer
 // finishes.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
@@ -122,22 +102,31 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 		}
 	}
 	traced := r.c.tracer() != nil
+	if len(obs) == 1 {
+		// One write has one partition: skip the sort and its buffer.
+		r.bufferGroup(r.c.topic.PartitionFor(obs[0].Key), []int{0}, obs, traced)
+		return nil
+	}
 	order, bounds := store.GroupIndices(len(obs), len(r.parts), func(i int) int {
 		return r.c.topic.PartitionFor(obs[i].Key)
 	})
 	for pid := range r.parts {
-		group := order[bounds[pid]:bounds[pid+1]]
-		if len(group) == 0 {
-			continue
+		if group := order[bounds[pid]:bounds[pid+1]]; len(group) > 0 {
+			r.bufferGroup(pid, group, obs, traced)
 		}
-		p := &r.parts[pid]
-		p.mu.Lock()
-		for _, i := range group {
-			r.bufferLocked(pid, p, &obs[i], traced)
-		}
-		p.mu.Unlock()
 	}
 	return nil
+}
+
+// bufferGroup buffers one partition's group of obs, in input order,
+// under one acquisition of the partition's buffer lock.
+func (r *Router) bufferGroup(pid int, group []int, obs []store.Observation, traced bool) {
+	p := &r.parts[pid]
+	p.mu.Lock()
+	for _, i := range group {
+		r.bufferLocked(pid, p, &obs[i], traced)
+	}
+	p.mu.Unlock()
 }
 
 // flushLocked lands one partition buffer on the log and empties it. When

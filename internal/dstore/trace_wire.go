@@ -1,7 +1,7 @@
 // trace_wire.go wires the cluster into a trace.Tracer, following the
 // SetTelemetry discipline (atomic wiring, nil = no-op, node stores
 // re-wired on every recovery rebuild). The cluster is also where trace
-// context crosses the log: Router.Observe encodes a sampled
+// context crosses the log: Router.ObserveBatch encodes a sampled
 // observation's context into a mqlog record header (trace.HeaderKey),
 // and the node event loop decodes it on the far side, stitching the
 // append, fetch and apply spans into one trace.

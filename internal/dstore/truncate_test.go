@@ -25,7 +25,7 @@ func TestTruncateBelowShedsCoveredPrefix(t *testing.T) {
 
 	// Freeze the batch view at the covered prefix and fence the cluster.
 	ends := c.Topic().EndOffsets()
-	view, err := store.FreezeAt(c.cfg.Store, testProtos(t), c.Topic(), ends, nil)
+	view, err := store.FreezeAt(c.cfg.Store, testProtos(t), c.Topic(), ends)
 	if err != nil {
 		t.Fatal(err)
 	}

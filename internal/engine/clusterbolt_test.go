@@ -90,7 +90,7 @@ func TestClusterBoltSinksTopologyStream(t *testing.T) {
 	protos := map[string]store.Prototype{}
 	p, _ := store.NewDistinctProto(12, 42)
 	protos["uniques"] = p
-	oracle, _, err := store.Rebuild(store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100}, protos, c.Topic(), nil)
+	oracle, _, err := store.Rebuild(store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100}, protos, c.Topic())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // lambdabolt.go is the Lambda-Architecture face of the generic serving
 // sink — kept as a deprecated alias now that SinkBolt sinks into any
 // analytics.Backend. A Lambda-backed SinkBolt drives Figure 1's step 1:
-// every tuple's observation reaches Architecture.Observe, which appends
-// to the immutable master topic AND lands the observation in the speed
-// layer in one call — and because a rejected observation never reaches
-// the master log, an at-least-once replay cannot double-append.
+// every tuple's observation reaches Architecture.ObserveBatch, which
+// appends to the immutable master topic AND lands the observation in the
+// speed layer in one call — and because a rejected observation never
+// reaches the master log, an at-least-once replay cannot double-append.
 package engine
 
 import (

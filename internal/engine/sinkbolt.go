@@ -5,8 +5,8 @@
 // one bolt per serving layer (StoreBolt, ClusterBolt, LambdaBolt — kept
 // below as deprecated wrappers), a SinkBolt is written once against the
 // contract: it extracts an observation per tuple and hands it to
-// Backend.Observe, whatever partitioning, durability or batch/speed
-// split lives behind it.
+// Backend.ObserveBatch as a one-element batch, whatever partitioning,
+// durability or batch/speed split lives behind it.
 package engine
 
 import (
@@ -58,13 +58,15 @@ func (b *SinkBolt) Backend() analytics.Backend { return b.be }
 // Process implements Bolt. A backend error (unregistered metric, negative
 // time) fails the tuple tree, so under at-least-once semantics a
 // transient failure is replayed; skipped messages (extract false) and
-// late drops (counted by the backend's store) are not failures.
+// late drops (counted by the backend's store) are not failures. The
+// one-element batch is built per call: tasks share one SinkBolt, so it
+// keeps no scratch.
 func (b *SinkBolt) Process(m Message, _ func(Message)) error {
 	obs, ok := b.extract(m)
 	if !ok {
 		return nil
 	}
-	return b.be.Observe(obs)
+	return b.be.ObserveBatch([]store.Observation{obs})
 }
 
 // Flush settles the backend's producer-side buffers (the cluster

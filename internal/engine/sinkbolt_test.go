@@ -58,7 +58,7 @@ func sinkBackends(t *testing.T) []struct {
 }
 
 // One generic SinkBolt drives every serving backend through the same
-// topology wiring — parallel bolt tasks hammer Observe concurrently, so
+// topology wiring — parallel bolt tasks hammer ObserveBatch concurrently, so
 // this is also the -race pass over the Backend write paths (named
 // TestSinkBolt for the CI race step).
 func TestSinkBoltIntoEachBackend(t *testing.T) {

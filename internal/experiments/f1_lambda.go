@@ -66,15 +66,13 @@ func F1_2_StoreLambda() Table {
 			key := fmt.Sprintf("k%d", z.Draw())
 			item := fmt.Sprintf("u%d", rng.Uint64()%48)
 			val := rng.Uint64() % 50000
-			for _, obs := range []store.Observation{
+			if err := arch.ObserveBatch([]store.Observation{
 				{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: now},
 				{Metric: "uniq", Key: key, Item: item, Time: now},
 				{Metric: "top", Key: key, Item: item, Time: now},
 				{Metric: "lat", Key: key, Value: val, Time: now},
-			} {
-				if err := arch.Append(obs); err != nil {
-					panic(err)
-				}
+			}); err != nil {
+				panic(err)
 			}
 			values[key] = append(values[key], val)
 		}
@@ -108,7 +106,7 @@ func queryPoint(q querier, metric, key string, from, to int64) (store.Synopsis, 
 // geometry, returning how many answers were checked and how many
 // disagreed beyond each family's bound.
 func lambdaOracleCompare(arch *lambda.Architecture, geom store.Config, protos map[string]store.Prototype, values map[string][]uint64, to int64) (checked, mismatch int) {
-	oracle, _, err := store.Rebuild(geom, protos, arch.Topic(), nil)
+	oracle, _, err := store.Rebuild(geom, protos, arch.Topic())
 	if err != nil {
 		panic(err)
 	}

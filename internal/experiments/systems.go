@@ -348,7 +348,7 @@ func F1_Lambda() Table {
 	}
 	for i := 0; i < total; i++ {
 		k := fmt.Sprintf("k%d", z.Draw())
-		if err := arch.Append(store.Observation{Metric: "hits", Key: k, Item: "hit", Value: 1, Time: int64(i)}); err != nil {
+		if err := arch.ObserveBatch([]store.Observation{{Metric: "hits", Key: k, Item: "hit", Value: 1, Time: int64(i)}}); err != nil {
 			panic(err)
 		}
 		exact[k]++

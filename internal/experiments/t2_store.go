@@ -82,12 +82,12 @@ func T2_4_SketchStore() Table {
 			var clock atomic.Int64
 			write := func(i int) {
 				ts := clock.Add(1)
-				if err := st.Observe(store.Observation{
+				if err := st.ObserveBatch([]store.Observation{{
 					Metric: "uniq",
 					Key:    dist.keys[i%len(dist.keys)],
 					Item:   items[i%len(items)],
 					Time:   ts,
-				}); err != nil {
+				}}); err != nil {
 					panic(err)
 				}
 			}

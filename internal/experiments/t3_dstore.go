@@ -90,12 +90,12 @@ func T3_1_ClusterStore() Table {
 		runtime.GC()
 		start := time.Now()
 		for i := 0; i < events; i++ {
-			if err := r.Observe(store.Observation{
+			if err := r.ObserveBatch([]store.Observation{{
 				Metric: "uniq",
 				Key:    keys[i%keySpace],
 				Item:   items[i%len(items)],
 				Time:   1,
-			}); err != nil {
+			}}); err != nil {
 				panic(err)
 			}
 		}
@@ -175,20 +175,18 @@ func T3_1_ClusterStore() Table {
 		key := fmt.Sprintf("k%d", z.Draw())
 		item := fmt.Sprintf("u%d", rng.Uint64()%4096)
 		val := rng.Uint64() % 50000
-		for _, obs := range []store.Observation{
+		if err := r.ObserveBatch([]store.Observation{
 			{Metric: "uniq", Key: key, Item: item, Time: to},
 			{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: to},
 			{Metric: "lat", Key: key, Value: val, Time: to},
-		} {
-			if err := r.Observe(obs); err != nil {
-				panic(err)
-			}
+		}); err != nil {
+			panic(err)
 		}
 	}
 	if err := c.Drain(); err != nil {
 		panic(err)
 	}
-	oracle, _, err := store.Rebuild(exact, protos, c.Topic(), nil)
+	oracle, _, err := store.Rebuild(exact, protos, c.Topic())
 	if err != nil {
 		panic(err)
 	}

@@ -109,7 +109,7 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
 	cfg.Topic = "lambda-master"
-	// Every Append fsyncs before returning, so abandoning the
+	// Every write fsyncs before returning, so abandoning the
 	// architecture without Close models a kill -9 faithfully: everything
 	// acked is on disk, nothing is buffered in a background syncer.
 	cfg.Durable = &mqlog.DurableConfig{Dir: filepath.Join(dir, "log"), SyncEveryAppend: true}
@@ -127,7 +127,7 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	}
 	const pre, post = 600, 201
 	for i := 0; i < pre; i++ {
-		if err := a1.Append(durableObs(i)); err != nil {
+		if err := a1.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,14 +139,14 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 		t.Fatal("first batch run claims a checkpoint seed")
 	}
 	for i := pre; i < pre+post-1; i++ {
-		if err := a1.Append(durableObs(i)); err != nil {
+		if err := a1.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// The final append is the one the crash will tear: note which
 	// partition it lands on by diffing the end offsets around it.
 	before := a1.Topic().EndOffsets()
-	if err := a1.Append(durableObs(pre + post - 1)); err != nil {
+	if err := a1.ObserveBatch([]store.Observation{durableObs(pre + post - 1)}); err != nil {
 		t.Fatal(err)
 	}
 	victim := -1
@@ -203,7 +203,7 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	// never restarted.
 	oracle := newArch(t, testConfig())
 	for i := 0; i < pre+post-1; i++ {
-		if err := oracle.Append(durableObs(i)); err != nil {
+		if err := oracle.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	// batch boundary, still equal to the oracle fed the same tail.
 	for i := pre + post; i < pre+post+100; i++ {
 		for _, arch := range []*Architecture{a2, oracle} {
-			if err := arch.Append(durableObs(i)); err != nil {
+			if err := arch.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -247,7 +247,7 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 	cfg.CheckpointDir = filepath.Join(t.TempDir(), "batch")
 	a := newArch(t, cfg)
 	for i := 0; i < 500; i++ {
-		if err := a.Append(durableObs(i)); err != nil {
+		if err := a.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 		t.Fatalf("first batch applied %d, want 500", info.Applied)
 	}
 	for i := 500; i < 620; i++ {
-		if err := a.Append(durableObs(i)); err != nil {
+		if err := a.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +282,7 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 
 	// The incremental view equals a from-scratch freeze of the same log.
 	ends := a.Topic().EndOffsets()
-	want, err := store.FreezeAt(testConfig().Batch, testProtos(t), a.Topic(), ends, nil)
+	want, err := store.FreezeAt(testConfig().Batch, testProtos(t), a.Topic(), ends)
 	if err != nil {
 		t.Fatal(err)
 	}

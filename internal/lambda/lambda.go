@@ -3,10 +3,10 @@
 // figure as an explicit component:
 //
 //  1. incoming data is dispatched to both the batch and speed layers
-//     (Append): the master dataset is an immutable mqlog topic — every
-//     observation is encoded with the store wire codec and appended,
-//     keyed so a series always lands in one partition — and the same
-//     observation feeds the speed layer;
+//     (ObserveBatch): the master dataset is an immutable mqlog topic —
+//     every observation is encoded with the store wire codec and
+//     appended, keyed so a series always lands in one partition — and
+//     the same observation feeds the speed layer;
 //  2. the batch layer recomputes batch views from the master dataset
 //     alone (RunBatch): a fresh sketch store replayed up to a frozen
 //     end-offset snapshot (store.FreezeAt over an end-offset-bounded
@@ -14,7 +14,7 @@
 //  3. the serving layer indexes the batch view for low-latency reads:
 //     the sealed store.FrozenView, swapped in atomically;
 //  4. the speed layer absorbs what the batch view does not yet cover: a
-//     sharded store.Store fed synchronously by Append, or — behind
+//     sharded store.Store fed synchronously by ObserveBatch, or — behind
 //     Config.Cluster — a partitioned dstore cluster consuming the master
 //     topic through its router;
 //  5. queries merge the batch and realtime views (Query): the two
@@ -75,7 +75,7 @@ type Config struct {
 	// Speed is the speed-layer store geometry (single-store mode).
 	Speed store.Config
 	// Cluster, when non-nil, replaces the single speed store with a
-	// partitioned dstore cluster: Appends route through the cluster's
+	// partitioned dstore cluster: writes route through the cluster's
 	// Router onto its ingest topic (which becomes the master dataset) and
 	// speed queries are owner-routed. Cluster.Store supplies the per-node
 	// geometry; Config.Speed is ignored.
@@ -124,13 +124,13 @@ type Architecture struct {
 	cfg   Config
 	topic *mqlog.Topic
 
-	// protoMu guards protos; the map is read on every Append/Query in
+	// protoMu guards protos; the map is read on every write and query in
 	// single-store mode, so reads go through an RLock (cluster mode reads
 	// the cluster's lock-free table instead).
 	protoMu sync.RWMutex
 	protos  map[string]store.Prototype
 
-	// speedMu is the handoff lock: Append dispatches under RLock, RunBatch
+	// speedMu is the handoff lock: writes dispatch under RLock, RunBatch
 	// swaps the truncated speed store under Lock, so a batch cutover sees
 	// a drained, frozen log tail. Cluster mode never takes it on the write
 	// path (the router is the synchronization point).
@@ -159,7 +159,7 @@ type Architecture struct {
 }
 
 // New returns a store-backed Lambda Architecture. Register metrics, then
-// Append/Query; RunBatch whenever the batch cadence fires.
+// ObserveBatch/Query; RunBatch whenever the batch cadence fires.
 func New(cfg Config) (*Architecture, error) {
 	if cfg.Retention < 0 {
 		return nil, core.Errf("Lambda", "Retention", "%d must be >= 0", cfg.Retention)
@@ -201,7 +201,7 @@ func New(cfg Config) (*Architecture, error) {
 
 // RegisterMetric binds a metric name to the synopsis prototype both
 // layers build buckets with. Register every metric before the first
-// Append (cluster nodes rebuild stores from the registered set, and a
+// write (cluster nodes rebuild stores from the registered set, and a
 // batch view recomputed without a metric could not absorb its history).
 func (a *Architecture) RegisterMetric(name string, proto store.Prototype) error {
 	if a.started.Load() {
@@ -276,55 +276,19 @@ func (a *Architecture) ensureStarted() error {
 	return nil
 }
 
-// Append dispatches one observation to both layers (Figure 1, step 1):
-// the wire-encoded observation is appended to the master topic — keyed by
-// obs.Key, so a series replays in append order — and the same observation
-// lands in the speed layer. In single-store mode the speed write is
-// synchronous (read-your-writes); in cluster mode the router batches onto
-// the log and the owning node applies it (Drain the architecture's
-// Cluster for read-your-writes).
-func (a *Architecture) Append(obs store.Observation) error {
-	if err := a.ensureStarted(); err != nil {
-		return err
-	}
-	if a.cluster != nil {
-		// The router validates, encodes, and appends; nodes consume. One
-		// dispatch reaches both layers because both read the same log.
-		if err := a.cluster.Router().Observe(obs); err != nil {
-			return err
-		}
-		a.appended.Add(1)
-		return nil
-	}
-	// Validate before producing: the master dataset is immutable, so a
-	// rejected observation must not have been appended. The checks mirror
-	// the cluster router's, so a program can switch speed-layer modes
-	// without its accepted-input surface moving.
-	if obs.Time < 0 {
-		return core.Errf("Lambda", "Time", "%d must be >= 0", obs.Time)
-	}
-	if obs.Key == "" {
-		return core.Errf("Lambda", "Key", "must be non-empty (keys route the master log's partitions)")
-	}
-	if _, err := a.proto(obs.Metric); err != nil {
-		return err
-	}
-	a.speedMu.RLock()
-	defer a.speedMu.RUnlock()
-	var scratch [128]byte // Produce copies the value, so it can live on the stack
-	a.topic.Produce(obs.Key, store.AppendObservation(scratch[:0], obs))
-	a.appended.Add(1)
-	return a.speed.Observe(obs)
-}
-
-// ObserveBatch dispatches a whole slice of observations with amortized
-// overhead: in cluster mode the router's batched path groups records
-// per partition; in single-store mode the entire batch is validated
-// first (a rejected batch appends NOTHING to the immutable master
-// dataset), then one append-lock acquisition covers every Produce and
-// the speed store absorbs the batch through its own amortized path.
-// Per-key order is input order in both modes, so an accepted batch is
-// byte-identical to a loop of Append.
+// ObserveBatch dispatches a slice of observations to both layers
+// (Figure 1, step 1): each wire-encoded observation is appended to the
+// master topic — keyed by its Key, so a series replays in append order
+// — and the same observations land in the speed layer. The entire batch
+// is validated first: the master dataset is immutable, so a rejected
+// batch appends NOTHING. In single-store mode one append-lock
+// acquisition covers every Produce, the speed store absorbs the batch
+// through its own amortized path, and the write is synchronous
+// (read-your-writes). In cluster mode the router validates, groups
+// records per partition and batches them onto the log, and the owning
+// node applies them (Drain the architecture's Cluster for
+// read-your-writes). Per-key order is input order in both modes, so an
+// accepted batch is byte-identical to one observation per call.
 func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -333,12 +297,16 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 		return err
 	}
 	if a.cluster != nil {
+		// One dispatch reaches both layers because both read the same
+		// log: the router appends, the nodes consume.
 		if err := a.cluster.Router().ObserveBatch(obs); err != nil {
 			return err
 		}
 		a.appended.Add(uint64(len(obs)))
 		return nil
 	}
+	// The checks mirror the cluster router's, so a program can switch
+	// speed-layer modes without its accepted-input surface moving.
 	for i := range obs {
 		o := &obs[i]
 		if o.Time < 0 {
@@ -395,7 +363,7 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	// run's snapshot (possibly from a previous process) seeds the view
 	// and only the log suffix past it replays. Without one, or when the
 	// snapshot no longer fits, this is the full [0, ends) recompute.
-	view, err := store.FreezeAtFrom(a.cfg.Batch, a.protoTable(), a.topic, ends, nil, a.cfg.CheckpointDir)
+	view, err := store.FreezeAtFrom(a.cfg.Batch, a.protoTable(), a.topic, ends, a.cfg.CheckpointDir)
 	if err != nil {
 		return BatchInfo{}, err
 	}
@@ -445,7 +413,7 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 		}
 		a.speedMu.Lock()
 		for pid := 0; pid < a.topic.Partitions(); pid++ {
-			if _, _, _, err := store.ReplayPartitionTo(fresh, a.topic, pid, ends[pid], a.topic.EndOffset(pid), nil); err != nil {
+			if _, err := store.ReplayPartitionTo(fresh, a.topic, pid, ends[pid], a.topic.EndOffset(pid)); err != nil {
 				a.speedMu.Unlock()
 				return BatchInfo{}, err
 			}
@@ -478,12 +446,6 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	}
 	return info, nil
 }
-
-// Observe absorbs one observation — the analytics.Backend spelling of
-// Append (every observation a Lambda absorbs is dispatched to both
-// layers, so "observe" and "append to the master dataset" are the same
-// act here).
-func (a *Architecture) Observe(obs store.Observation) error { return a.Append(obs) }
 
 // Query answers one serving-API request by combining the batch and
 // realtime views (step 5): for every requested (metric, key) cell the
@@ -772,7 +734,7 @@ func (a *Architecture) Staleness() uint64 {
 	appended := a.appended.Load()
 	if appended < covered {
 		// Producers writing to the master topic directly (not through
-		// Append) inflate coverage past our own count; clamp.
+		// ObserveBatch) inflate coverage past our own count; clamp.
 		return 0
 	}
 	return appended - covered
@@ -789,7 +751,7 @@ func (a *Architecture) MasterLen() uint64 {
 	return total
 }
 
-// Appended returns the observations dispatched through Append.
+// Appended returns the observations dispatched through ObserveBatch.
 func (a *Architecture) Appended() uint64 { return a.appended.Load() }
 
 // Topic returns the master-dataset topic (the cluster's ingest topic in

@@ -72,19 +72,19 @@ func TestLambdaValidation(t *testing.T) {
 		t.Fatal("invalid cluster config accepted")
 	}
 	a := newArch(t, testConfig())
-	if err := a.Append(store.Observation{Metric: "nope", Key: "k", Time: 0}); err == nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Time: 0}}); err == nil {
 		t.Fatal("unregistered metric accepted")
 	}
-	if err := a.Append(store.Observation{Metric: "hits", Key: "k", Time: -1}); err == nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k", Time: -1}}); err == nil {
 		t.Fatal("negative time accepted")
 	}
-	if err := a.Append(store.Observation{Metric: "hits", Key: "", Item: "u", Time: 0}); err == nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "", Item: "u", Time: 0}}); err == nil {
 		t.Fatal("empty key accepted (cluster mode rejects it; modes must agree)")
 	}
 	if got := a.MasterLen(); got != 0 {
 		t.Fatalf("rejected appends reached the master dataset: %d", got)
 	}
-	if err := a.Append(store.Observation{Metric: "hits", Key: "k", Item: "u", Value: 1, Time: 0}); err != nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k", Item: "u", Value: 1, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.RegisterMetric("late", testProtos(t)["hits"]); err == nil {
@@ -103,7 +103,7 @@ func hitCount(t *testing.T, syn store.Synopsis, item string) uint64 {
 func TestQueryMergesBatchAndSpeed(t *testing.T) {
 	a := newArch(t, testConfig())
 	for i := 0; i < 10; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "clicks", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "clicks", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestQueryMergesBatchAndSpeed(t *testing.T) {
 		t.Fatalf("batch info %+v", info)
 	}
 	for i := 10; i < 15; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "clicks", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "clicks", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestQueryMergesBatchAndSpeed(t *testing.T) {
 func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 	a := newArch(t, testConfig())
 	for i := 0; i < 100; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%10), Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: fmt.Sprintf("k%d", i%10), Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 	}
 	// A second boundary with a live tail: only the tail stays realtime.
 	for i := 100; i < 130; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "k0", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k0", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +173,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 130; i < 140; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "k0", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k0", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 
 func TestBatchOnlyGoesStale(t *testing.T) {
 	a := newArch(t, testConfig())
-	if err := a.Append(store.Observation{Metric: "hits", Key: "x", Item: "u", Value: 1, Time: 0}); err != nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "x", Item: "u", Value: 1, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.RunBatch(); err != nil {
@@ -195,7 +195,7 @@ func TestBatchOnlyGoesStale(t *testing.T) {
 	}
 	stale := 0
 	for i := 1; i <= 50; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "x", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "x", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		b, err := a.BatchOnlyQuery("hits", "x", 0, 1000)
@@ -219,7 +219,7 @@ func TestBatchOnlyGoesStale(t *testing.T) {
 // replay-everything oracle merged answers must match.
 func oracleStore(t testing.TB, a *Architecture) *store.Store {
 	t.Helper()
-	st, _, err := store.Rebuild(a.cfg.Batch, testProtos(t), a.Topic(), nil)
+	st, _, err := store.Rebuild(a.cfg.Batch, testProtos(t), a.Topic())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestMergedMatchesOracleAcrossBoundaries(t *testing.T) {
 					{Metric: "top", Key: key, Item: item, Time: now},
 					{Metric: "lat", Key: key, Value: val, Time: now},
 				} {
-					if err := a.Append(obs); err != nil {
+					if err := a.ObserveBatch([]store.Observation{obs}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -395,12 +395,12 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				key := fmt.Sprintf("k%d", rng.Uint64()%16)
 				obs := store.Observation{Metric: "hits", Key: key, Item: fmt.Sprintf("u%d", rng.Uint64()%8), Value: 1, Time: int64(i)}
-				if err := a.Append(obs); err != nil {
+				if err := a.ObserveBatch([]store.Observation{obs}); err != nil {
 					t.Error(err)
 					return
 				}
 				obs.Metric = "uniq"
-				if err := a.Append(obs); err != nil {
+				if err := a.ObserveBatch([]store.Observation{obs}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -480,7 +480,7 @@ func TestClusterSpeedLayerParity(t *testing.T) {
 				{Metric: "top", Key: key, Item: item, Time: now},
 				{Metric: "lat", Key: key, Value: val, Time: now},
 			} {
-				if err := a.Append(obs); err != nil {
+				if err := a.ObserveBatch([]store.Observation{obs}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -497,7 +497,7 @@ func TestClusterSpeedLayerParity(t *testing.T) {
 		assertParity(t, a, oracleStore(t, a), values, now, fmt.Sprintf("cluster round %d", round))
 	}
 	// Post-boundary tail served by the speed layer alone.
-	if err := a.Append(store.Observation{Metric: "hits", Key: "k0", Item: "u0", Value: 3, Time: now}); err != nil {
+	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k0", Item: "u0", Value: 3, Time: now}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Drain(); err != nil {
@@ -509,7 +509,7 @@ func TestClusterSpeedLayerParity(t *testing.T) {
 func TestQueryBeforeFirstBatchServesSpeedOnly(t *testing.T) {
 	a := newArch(t, testConfig())
 	for i := 0; i < 20; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: "k", Item: "u", Value: 1, Time: int64(i)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k", Item: "u", Value: 1, Time: int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -540,7 +540,7 @@ func BenchmarkLambdaAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: "u", Value: 1, Time: int64(i / 64)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: "u", Value: 1, Time: int64(i / 64)}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -549,7 +549,7 @@ func BenchmarkLambdaAppend(b *testing.B) {
 func BenchmarkLambdaMergedQuery(b *testing.B) {
 	a := newArch(b, testConfig())
 	for i := 0; i < 50000; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: fmt.Sprintf("u%d", i%8), Value: 1, Time: int64(i / 64)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: fmt.Sprintf("u%d", i%8), Value: 1, Time: int64(i / 64)}}); err != nil {
 			b.Fatal(err)
 		}
 		if i == 25000 {
@@ -571,7 +571,7 @@ func BenchmarkLambdaMergedQuery(b *testing.B) {
 func BenchmarkLambdaRunBatch100k(b *testing.B) {
 	a := newArch(b, testConfig())
 	for i := 0; i < 100000; i++ {
-		if err := a.Append(store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%1000), Item: "u", Value: 1, Time: int64(i / 1000)}); err != nil {
+		if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: fmt.Sprintf("k%d", i%1000), Item: "u", Value: 1, Time: int64(i / 1000)}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 	}
 	labels := []string{"layer", "lambda"}
 	reg.CounterFunc("analytics_lambda_appended_total",
-		"Observations dispatched through Append to both layers.",
+		"Observations dispatched through ObserveBatch to both layers.",
 		func() uint64 { return a.appended.Load() }, labels...)
 	reg.GaugeFunc("analytics_lambda_batch_version",
 		"Batch views installed in the serving layer.",

@@ -47,7 +47,7 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 			Item:   fmt.Sprintf("u%d", i%13),
 			Time:   i,
 		}
-		if err := arch.Append(obs); err != nil {
+		if err := arch.ObserveBatch([]store.Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestTelemetryRebindsAcrossHandoff(t *testing.T) {
 	arch.SetTelemetry(reg)
 
 	for i := int64(0); i < 100; i++ {
-		if err := arch.Append(store.Observation{Metric: "uniq", Key: "k", Item: fmt.Sprintf("u%d", i), Time: i}); err != nil {
+		if err := arch.ObserveBatch([]store.Observation{{Metric: "uniq", Key: "k", Item: fmt.Sprintf("u%d", i), Time: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ func TestStoreQuantileAnswersMatchMapOracle(t *testing.T) {
 				}
 				for i := 0; i < n; i++ {
 					v := rng.Uint64() % (uint64(3) << logU >> 1) // a third above the universe
-					if err := st.Observe(store.Observation{Metric: "lat", Key: "k", Value: v, Time: int64(b*width + i%width)}); err != nil {
+					if err := st.ObserveBatch([]store.Observation{{Metric: "lat", Key: "k", Value: v, Time: int64(b*width + i%width)}}); err != nil {
 						t.Fatal(err)
 					}
 					refs[b].Update(v, 1)

@@ -204,16 +204,10 @@ func (c *Client) RegisterMetric(name string, _ store.Prototype) error {
 	return fmt.Errorf("serve: cannot register %q through RegisterMetric: a store.Prototype does not serialize; use Client.Register with a ProtoSpec", name)
 }
 
-// Observe implements analytics.Backend: one observation, one request.
-// Use ObserveBatch to amortize the round trip.
-func (c *Client) Observe(obs store.Observation) error {
-	return c.ObserveBatch([]store.Observation{obs})
-}
-
-// ObserveBatch posts a batch of observations in one request. The
-// observations' trace contexts do not cross the wire individually; the
-// first valid one rides the trace header and the server re-attaches it
-// to the whole batch.
+// ObserveBatch implements analytics.Backend: one batch of observations,
+// one request. The observations' trace contexts do not cross the wire
+// individually; the first valid one rides the trace header and the
+// server re-attaches it to the whole batch.
 func (c *Client) ObserveBatch(batch []store.Observation) error {
 	if len(batch) == 0 {
 		return nil

@@ -60,7 +60,7 @@ func feed(t *testing.T, be analytics.Backend, span int64) {
 			{Metric: "top", Key: key, Item: item, Time: i},
 			{Metric: "lat", Key: key, Value: uint64(i), Time: i},
 		} {
-			if err := be.Observe(obs); err != nil {
+			if err := be.ObserveBatch([]store.Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -375,7 +375,7 @@ func TestServeCacheFlow(t *testing.T) {
 	}
 
 	// A write advancing the open bucket invalidates the cached entry.
-	if err := h.client.Observe(store.Observation{Metric: "top", Key: "k1", Item: "late", Time: 120}); err != nil {
+	if err := h.client.ObserveBatch([]store.Observation{{Metric: "top", Key: "k1", Item: "late", Time: 120}}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := h.client.QueryWire(context.Background(), req)
@@ -486,7 +486,7 @@ func TestServeCancelledScatterGather(t *testing.T) {
 	}
 	r := cl.Router()
 	for i := int64(0); i < 100; i++ {
-		if err := r.Observe(store.Observation{Metric: "uniq", Key: fmt.Sprintf("k%d", i%4), Item: fmt.Sprint(i), Time: i}); err != nil {
+		if err := r.ObserveBatch([]store.Observation{{Metric: "uniq", Key: fmt.Sprintf("k%d", i%4), Item: fmt.Sprint(i), Time: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,7 +535,7 @@ func TestServeTraceAdoption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := client.Observe(store.Observation{Metric: "uniq", Key: "k0", Item: "u1", Time: 5}); err != nil {
+	if err := client.ObserveBatch([]store.Observation{{Metric: "uniq", Key: "k0", Item: "u1", Time: 5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -571,6 +571,68 @@ func TestServeTraceAdoption(t *testing.T) {
 	}
 	if st := serverTrc.Stats(); st.Started == 0 {
 		t.Fatal("adoption did not start a server-side root")
+	}
+}
+
+// TestServeObserveTraceReachesStore: a traced /v1/observe on the store
+// backend stitches the edge span and the store's write span into one
+// trace under the client's id, serve.observe -> store.observe: the
+// handler's ObserveBatch is the store's only write path, and it traces.
+func TestServeObserveTraceReachesStore(t *testing.T) {
+	st, err := store.New(testGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverTrc := trace.NewTracer(trace.Config{SampleRate: 1})
+	st.SetTracer(serverTrc)
+	srv, err := NewServer(Config{Backend: st, Tracer: serverTrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client())
+	for name, spec := range testSpecs() {
+		if err := client.Register(name, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp := trace.NewTracer(trace.Config{SampleRate: 1}).StartRoot("client.observe")
+	batch := []store.Observation{
+		{Metric: "uniq", Key: "k0", Item: "u1", Time: 5, Trace: sp.Context()},
+		{Metric: "uniq", Key: "k1", Item: "u2", Time: 5, Trace: sp.Context()},
+	}
+	if err := client.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	sp.Finish()
+
+	// The edge span finishes as the handler returns, which can trail the
+	// response the client already read.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var names []string
+		for _, snap := range serverTrc.Traces() {
+			if snap.ID != sp.Context().Trace {
+				continue
+			}
+			var edge trace.SpanID
+			for _, s := range snap.Spans {
+				names = append(names, s.Name)
+				if s.Name == "serve.observe" {
+					edge = s.ID
+				}
+			}
+			for _, s := range snap.Spans {
+				if edge != 0 && s.Name == "store.observe" && s.Parent == edge {
+					return
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no serve.observe -> store.observe trace under the client's id; spans seen %v", names)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -1,43 +1,49 @@
-// batch.go is the store's amortized write path: ObserveBatch lands a
-// whole slice of observations with one shard-lock acquisition per shard
-// group instead of one per observation, the write-side analogue of the
-// query path's single-RLock per-shard gather.
+// batch.go is the store's one write path: ObserveBatch lands a slice of
+// observations with one shard-lock acquisition per shard group, the
+// write-side analogue of the query path's single-RLock per-shard gather.
+// A caller with one observation passes a one-element slice.
 package store
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // ObserveBatch absorbs obs as one batched write. The entire batch is
-// validated first — every metric registered, every time non-negative —
-// and a validation failure absorbs NOTHING (stricter than a loop of
-// Observe, which mutates the prefix; this is what makes admission
-// shedding provable). An accepted batch is byte-identical to feeding
-// the same observations through Observe one at a time: observations
-// are grouped by home shard preserving input order — per-(metric,key)
-// order is what synopsis state depends on, and a key's writes all land
-// in the same group — and inside a group every per-write effect of the
-// plain path runs identically (late-drop accounting, ring advance,
-// eviction). An empty batch is a no-op.
+// validated first — every metric registered (else an error wrapping
+// ErrUnknownMetric), every time non-negative — and a validation failure
+// absorbs NOTHING, which is what makes admission shedding provable.
+// Observations older than their entry's ring window are silently
+// dropped and counted in Stats.DroppedLate (the caller cannot usefully
+// retry them, which is the Kafka-consumer convention for truncated
+// reads). An accepted batch is byte-identical to the same observations
+// fed one per call: observations are grouped by home shard preserving
+// input order — per-(metric,key) order is what synopsis state depends
+// on, and a key's writes all land in the same group — and inside a
+// group every per-write effect runs in input order (late-drop
+// accounting, ring advance, eviction). An empty batch is a no-op.
 func (s *Store) ObserveBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	protos := make(map[string]Prototype, 4)
+	protos := *s.metrics.Load()
 	for i := range obs {
 		o := &obs[i]
 		if o.Time < 0 {
 			return core.Errf("Store", "Time", "%d must be >= 0", o.Time)
 		}
-		if _, ok := protos[o.Metric]; !ok {
-			p, err := s.proto(o.Metric)
-			if err != nil {
-				return err
-			}
-			protos[o.Metric] = p
+		if protos[o.Metric] == nil {
+			return fmt.Errorf("store: %w %q", ErrUnknownMetric, o.Metric)
 		}
+	}
+	if len(obs) == 1 {
+		// One write has one group: skip the sort and its buffer, so a
+		// single observation allocates nothing.
+		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, protos)
+		return nil
 	}
 	order, bounds := GroupIndices(len(obs), len(s.shards), func(i int) int {
 		return int(s.shardIndex(entryKey{metric: obs[i].Metric, key: obs[i].Key}))
@@ -76,15 +82,31 @@ func GroupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
 }
 
 // observeShardBatch lands one shard's group under a single acquisition
-// of the shard lock, running every per-write effect of the plain path
-// in input order.
+// of the shard lock, running every per-write effect in input order.
+// When a tracer is wired and the group holds a sampled observation, the
+// group gets one store.observe span on the first such observation's
+// trace.
 func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, protos map[string]Prototype) {
 	sh := s.shards[idx]
+	var sp *trace.Span
+	if s.trc != nil {
+		for _, i := range group {
+			if o := &obs[i]; o.Trace.Valid() {
+				sp = s.trc.StartRemote(o.Trace, "store.observe")
+				sp.SetAttrs(trace.Str("metric", o.Metric), trace.Int("shard", int64(idx)),
+					trace.Int("observations", int64(len(group))))
+				break
+			}
+		}
+	}
 	var observed, droppedLate uint64
-	if h := s.telLockWait; h != nil {
+	if h := s.telLockWait; h != nil || sp != nil {
 		t0 := time.Now()
 		sh.mu.Lock()
 		h.ObserveSince(t0)
+		if sp != nil {
+			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
+		}
 	} else {
 		sh.mu.Lock()
 	}
@@ -111,4 +133,5 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, pr
 	sh.mu.Unlock()
 	s.observed.Add(observed)
 	s.droppedLate.Add(droppedLate)
+	sp.Finish()
 }

@@ -130,7 +130,7 @@ func TestCheckpointRestoreParity(t *testing.T) {
 	const n = 4000
 	for i := 0; i < n; i++ {
 		for _, obs := range ckptObs(i) {
-			if err := src.Observe(obs); err != nil {
+			if err := src.ObserveBatch([]Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -169,10 +169,10 @@ func TestCheckpointRestoreParity(t *testing.T) {
 	// would have left, so later writes land normally.
 	late := ckptObs(n)
 	for _, obs := range late {
-		if err := dst.Observe(obs); err != nil {
+		if err := dst.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.Observe(obs); err != nil {
+		if err := src.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestCheckpointSuffixReplayEqualsFullReplay(t *testing.T) {
 	// Prefix store: replay [0, cut), checkpoint stamped with cut.
 	prefix := ckptStore(t, ckptGeom())
 	for pid := 0; pid < topic.Partitions(); pid++ {
-		if _, _, _, err := ReplayPartitionTo(prefix, topic, pid, 0, cut[pid], nil); err != nil {
+		if _, err := ReplayPartitionTo(prefix, topic, pid, 0, cut[pid]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,17 +220,17 @@ func TestCheckpointSuffixReplayEqualsFullReplay(t *testing.T) {
 	}
 	var suffix uint64
 	for pid := 0; pid < topic.Partitions(); pid++ {
-		_, applied, _, err := ReplayPartitionTo(recovered, topic, pid, man.Offsets[pid], topic.EndOffset(pid), nil)
+		rs, err := ReplayPartitionTo(recovered, topic, pid, man.Offsets[pid], topic.EndOffset(pid))
 		if err != nil {
 			t.Fatal(err)
 		}
-		suffix += applied
+		suffix += rs.Applied
 	}
 	if want := uint64(half * 4); suffix != want {
 		t.Fatalf("suffix replay applied %d observations, want exactly the suffix %d", suffix, want)
 	}
 
-	oracle, _, err := Rebuild(ckptGeom(), ckptProtos(t), topic, nil)
+	oracle, _, err := Rebuild(ckptGeom(), ckptProtos(t), topic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 	src := ckptStore(t, ckptGeom())
 	for i := 0; i < 200; i++ {
 		for _, obs := range ckptObs(i) {
-			if err := src.Observe(obs); err != nil {
+			if err := src.ObserveBatch([]Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -261,7 +261,7 @@ func TestCheckpointRestoreValidation(t *testing.T) {
 
 	// Non-empty store.
 	dirty := ckptStore(t, ckptGeom())
-	if err := dirty.Observe(ckptObs(0)[0]); err != nil {
+	if err := dirty.ObserveBatch([]Observation{ckptObs(0)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RestoreCheckpoint(dirty, dir); err == nil {
@@ -313,7 +313,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 	produce(0, first)
 
 	dir := t.TempDir()
-	v1, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, topic.EndOffsets(), nil)
+	v1, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, topic.EndOffsets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 
 	produce(first, first+extra)
 	ends := topic.EndOffsets()
-	v2, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, nil, dir)
+	v2, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 	if want := uint64(extra * 4); v2.Applied() != want {
 		t.Fatalf("seeded freeze applied %d, want exactly the suffix %d", v2.Applied(), want)
 	}
-	oracleView, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, ends, nil)
+	oracleView, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, ends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 	st := ckptStore(t, ckptGeom())
 	for i := 0; i < 50; i++ {
 		for _, obs := range ckptObs(i) {
-			if err := st.Observe(obs); err != nil {
+			if err := st.ObserveBatch([]Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -361,7 +361,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 		if _, err := WriteCheckpoint(st, sub, meta); err != nil {
 			t.Fatal(err)
 		}
-		v, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, nil, sub)
+		v, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, sub)
 		if err != nil {
 			t.Fatal(err)
 		}

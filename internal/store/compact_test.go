@@ -57,7 +57,7 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 		all = append(all, ckptObs(i)...)
 	}
 	for _, o := range all {
-		if err := st.Observe(o); err != nil {
+		if err := st.ObserveBatch([]Observation{o}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 		)
 	}
 	for _, o := range late {
-		if err := st.Observe(o); err != nil {
+		if err := st.ObserveBatch([]Observation{o}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 	// The next roll seals the re-expanded buckets back into the compact
 	// form and the footprint returns.
 	for _, o := range ckptObs(1300) {
-		if err := st.Observe(o); err != nil {
+		if err := st.ObserveBatch([]Observation{o}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 					{Metric: "uniq", Key: key, Item: item, Time: now},
 					{Metric: "hits", Key: key, Item: item, Value: 1 + uint64(j), Time: now},
 				} {
-					if err := st.Observe(o); err != nil {
+					if err := st.ObserveBatch([]Observation{o}); err != nil {
 						t.Error(err)
 						return
 					}

@@ -60,7 +60,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					Value:  uint64(i % 1000),
 					Time:   ts,
 				}
-				if err := st.Observe(obs); err != nil {
+				if err := st.ObserveBatch([]Observation{obs}); err != nil {
 					writeErrs.Add(1)
 				}
 			}
@@ -162,7 +162,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 			for i := 0; i < liveWrites/4; i++ {
 				obs := mkObs(prefill + w*liveWrites/4 + i)
 				if w%2 == 0 {
-					if err := live.Observe(obs); err != nil {
+					if err := live.ObserveBatch([]Observation{obs}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -192,7 +192,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n, err := Replay(live, topic, nil)
+		n, err := Replay(live, topic)
 		if err != nil {
 			t.Error(err)
 			return
@@ -206,7 +206,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 		defer wg.Done()
 		hll, _ := NewDistinctProto(12, 42)
 		st, n, err := Rebuild(Config{Shards: 4, BucketWidth: 10, RingBuckets: 128},
-			map[string]Prototype{"uniques": hll}, topic, nil)
+			map[string]Prototype{"uniques": hll}, topic)
 		if err != nil {
 			t.Error(err)
 			return
@@ -254,7 +254,7 @@ func TestConcurrentRegistrationAndIngest(t *testing.T) {
 			proto, _ := NewDistinctProto(10, uint64(g+2))
 			st.RegisterMetric(fmt.Sprintf("m%d", g+1), proto)
 			for i := 0; i < 2000; i++ {
-				st.Observe(Observation{Metric: "m0", Key: "k", Item: fmt.Sprintf("i%d", i), Time: int64(i)})
+				st.ObserveBatch([]Observation{{Metric: "m0", Key: "k", Item: fmt.Sprintf("i%d", i), Time: int64(i)}})
 				st.Metrics()
 			}
 		}(g)

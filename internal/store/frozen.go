@@ -36,8 +36,8 @@ type FrozenView struct {
 // entry per partition. Messages the bound covers but retention has
 // already dropped are unrecoverable and reported via Truncated — the
 // retention-vs-recomputation trade every log-backed batch layer makes.
-func FreezeAt(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64, decode Decoder) (*FrozenView, error) {
-	return FreezeAtFrom(cfg, protos, topic, ends, decode, "")
+func FreezeAt(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64) (*FrozenView, error) {
+	return FreezeAtFrom(cfg, protos, topic, ends, "")
 }
 
 // FreezeAtFrom is FreezeAt with an incremental-recompute fast path: when
@@ -48,7 +48,7 @@ func FreezeAt(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends 
 // suffix, and Restored/FromCheckpoint report the snapshot's
 // contribution. Any incompatibility or corruption falls back to the
 // full [0, ends) recompute; an empty checkpointDir is exactly FreezeAt.
-func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64, decode Decoder, checkpointDir string) (*FrozenView, error) {
+func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64, checkpointDir string) (*FrozenView, error) {
 	if topic == nil {
 		return nil, core.Errf("FreezeAt", "topic", "must be non-nil")
 	}
@@ -87,35 +87,17 @@ func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, e
 		}
 	}
 	v.st = st
-	// Wrap the decoder with a poison filter, as the cluster's recovery
-	// replay does: a message that cannot decode, names an unregistered
-	// metric, or carries a negative time is counted and skipped. Without
-	// this, one poison record in the master log would wedge every future
-	// recompute at the same offset forever — the batch layer must be able
-	// to advance past garbage it can never fix.
-	if decode == nil {
-		decode = WireDecoder
-	}
-	inner := decode
-	filtered := func(m mqlog.Message) (Observation, bool) {
-		obs, ok := inner(m)
-		if !ok {
-			return Observation{}, false
-		}
-		if obs.Time < 0 || protos[obs.Metric] == nil {
-			v.rejected++
-			return Observation{}, false
-		}
-		return obs, true
-	}
 	for pid := 0; pid < topic.Partitions(); pid++ {
 		// From the checkpoint offset when restoring, else offset 0 — not
 		// StartOffset: a batch view claims the whole prefix [0, ends), so
 		// starting below the retention horizon lets the reader's
-		// "earliest" reset surface what was actually lost.
-		_, applied, trunc, err := ReplayPartitionTo(st, topic, pid, starts[pid], ends[pid], filtered)
-		v.applied += applied
-		v.truncated = v.truncated || trunc
+		// "earliest" reset surface what was actually lost. Poison is
+		// skipped and counted by the replay, so one bad record in the
+		// master log cannot wedge every future recompute at its offset.
+		rs, err := ReplayPartitionTo(st, topic, pid, starts[pid], ends[pid])
+		v.applied += rs.Applied
+		v.rejected += rs.Rejected
+		v.truncated = v.truncated || rs.Truncated
 		if err != nil {
 			return nil, err
 		}
@@ -167,8 +149,8 @@ func (v *FrozenView) EndOffsets() []uint64 { return append([]uint64(nil), v.ends
 // the view.
 func (v *FrozenView) Applied() uint64 { return v.applied }
 
-// Rejected returns the decodable messages the recompute skipped as
-// poison (unregistered metric or negative time).
+// Rejected returns the poison records the recompute skipped: values that
+// do not decode, name an unregistered metric or carry a negative time.
 func (v *FrozenView) Rejected() uint64 { return v.rejected }
 
 // Truncated reports whether retention had already dropped part of the

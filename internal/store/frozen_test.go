@@ -26,28 +26,28 @@ func TestReplayPartitionToStopsAtBound(t *testing.T) {
 		topic.Produce(obs.Key, EncodeObservation(obs))
 	}
 	st := newStore()
-	next, n, truncated, err := ReplayPartitionTo(st, topic, 0, 0, end, nil)
+	rs, err := ReplayPartitionTo(st, topic, 0, 0, end)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truncated {
+	if rs.Truncated {
 		t.Fatal("unexpected truncation")
 	}
-	if next != end {
-		t.Fatalf("next %d != frozen end %d", next, end)
+	if rs.Next != end {
+		t.Fatalf("next %d != frozen end %d", rs.Next, end)
 	}
-	if n != 100 {
-		t.Fatalf("applied %d, want the 100 pre-freeze observations", n)
+	if rs.Applied != 100 {
+		t.Fatalf("applied %d, want the 100 pre-freeze observations", rs.Applied)
 	}
 	// A second store covering the suffix [end, live-end) completes the log:
 	// the two applied counts partition the whole stream.
 	tail := newStore()
-	_, m, _, err := ReplayPartitionTo(tail, topic, 0, end, topic.EndOffset(0), nil)
+	suffix, err := ReplayPartitionTo(tail, topic, 0, end, topic.EndOffset(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n+m != 150 {
-		t.Fatalf("prefix %d + suffix %d != 150: the bound leaked or dropped", n, m)
+	if rs.Applied+suffix.Applied != 150 {
+		t.Fatalf("prefix %d + suffix %d != 150: the bound leaked or dropped", rs.Applied, suffix.Applied)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	protos := frozenProtos(t)
 	cfg := Config{Shards: 4, BucketWidth: 100, RingBuckets: 64}
 	ends := topic.EndOffsets()
-	v, err := FreezeAt(cfg, protos, topic, ends, nil)
+	v, err := FreezeAt(cfg, protos, topic, ends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	}
 	// And a view frozen at the same old bounds now answers identically:
 	// the bound, not the call time, defines the view.
-	again, err := FreezeAt(cfg, protos, topic, ends, nil)
+	again, err := FreezeAt(cfg, protos, topic, ends)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,37 +122,41 @@ func TestFreezeAtValidation(t *testing.T) {
 	_, topic, _ := replayFixture(t, 2, 0, 10)
 	protos := frozenProtos(t)
 	cfg := Config{Shards: 2, BucketWidth: 100, RingBuckets: 8}
-	if _, err := FreezeAt(cfg, protos, nil, []uint64{0, 0}, nil); err == nil {
+	if _, err := FreezeAt(cfg, protos, nil, []uint64{0, 0}); err == nil {
 		t.Fatal("nil topic accepted")
 	}
-	if _, err := FreezeAt(cfg, protos, topic, []uint64{0}, nil); err == nil {
+	if _, err := FreezeAt(cfg, protos, topic, []uint64{0}); err == nil {
 		t.Fatal("mismatched ends length accepted")
 	}
-	if _, err := FreezeAt(Config{Shards: -1}, protos, topic, topic.EndOffsets(), nil); err == nil {
+	if _, err := FreezeAt(Config{Shards: -1}, protos, topic, topic.EndOffsets()); err == nil {
 		t.Fatal("invalid store config accepted")
 	}
 }
 
 // TestFreezeAtSkipsPoisonMessages: a decodable message naming an
-// unregistered metric (or undecodable garbage) must not wedge the
-// recompute — the batch layer has to be able to advance past garbage it
-// can never fix, the same convention the cluster's recovery replay uses.
+// unregistered metric, one with a negative time, or undecodable garbage,
+// must not wedge the recompute — the batch layer has to be able to
+// advance past garbage it can never fix, the same convention the
+// cluster's recovery replay uses (both skip through ReplayPartitionTo).
+// Every kind counts as rejected.
 func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 	_, topic, _ := replayFixture(t, 1, 0, 20)
 	poison := Observation{Metric: "ghost", Key: "k0", Item: "u", Time: 1}
 	topic.Produce(poison.Key, EncodeObservation(poison))
 	topic.Produce("k0", []byte{0xff, 0xff})
+	backwards := Observation{Metric: "uniq", Key: "k0", Item: "u", Time: -1}
+	topic.Produce(backwards.Key, EncodeObservation(backwards))
 	good := Observation{Metric: "uniq", Key: "k0", Item: "u-last", Time: 2}
 	topic.Produce(good.Key, EncodeObservation(good))
-	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets(), nil)
+	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets())
 	if err != nil {
 		t.Fatalf("poison message wedged the recompute: %v", err)
 	}
 	if v.Applied() != 21 {
 		t.Fatalf("applied %d, want the 21 good observations", v.Applied())
 	}
-	if v.Rejected() != 1 {
-		t.Fatalf("rejected %d decodable poison messages, want 1", v.Rejected())
+	if v.Rejected() != 3 {
+		t.Fatalf("rejected %d poison messages, want 3", v.Rejected())
 	}
 }
 
@@ -161,7 +165,7 @@ func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 func TestFreezeAtReportsRetentionLoss(t *testing.T) {
 	const retention = 64
 	_, topic, _ := replayFixture(t, 1, retention, 500)
-	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets(), nil)
+	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets())
 	if err != nil {
 		t.Fatal(err)
 	}

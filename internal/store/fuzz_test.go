@@ -1,18 +1,19 @@
 // Native fuzz targets for the store's write/query paths. The fuzzer
 // drives a byte-script of operations — writes with random keys, deltas
 // and out-of-order (even far-backward) timestamps, interleaved queries,
-// stats reads and flushes — against two stores fed the same stream: one
-// through Observe, one observation at a time, and its twin through
-// ObserveBatch, the writes collected into a batch that is flushed at
-// every query, stats read and flush op and at the end. Invariants:
+// stats reads and flushes — against two stores fed the same stream through
+// ObserveBatch: one in one-observation batches, and its twin in chunks,
+// the writes collected into a batch that is flushed at every query,
+// stats read and flush op and at the end. Invariants:
 //
 //   - nothing panics and no valid operation returns an error;
 //   - byte accounting never goes negative (on either store);
 //   - observations are conserved: Observed + DroppedLate == writes issued;
 //   - a full-window query matches a serially-computed reference model of
 //     the ring-retention semantics, exactly, on both stores;
-//   - once flushed, the batch-fed twin is indistinguishable from the
-//     loop-fed store: equal Stats and MarshalBinary-equal answers.
+//   - once flushed, the chunk-fed twin is indistinguishable from the
+//     store fed one observation per batch: equal Stats and
+//     MarshalBinary-equal answers.
 //
 // Seed corpus lives in testdata/fuzz/; run the fuzzer with
 //
@@ -174,7 +175,7 @@ func FuzzStoreObserve(f *testing.F) {
 				key := fmt.Sprintf("k%d", kb%fuzzKeys)
 				item := int64(ib)
 				obs := Observation{Metric: "uniq", Key: key, Item: fmt.Sprintf("i%d", item), Time: now}
-				if err := loop.Observe(obs); err != nil {
+				if err := loop.ObserveBatch([]Observation{obs}); err != nil {
 					t.Fatalf("loop observe: %v", err)
 				}
 				pending = append(pending, obs)

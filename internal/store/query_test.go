@@ -31,7 +31,7 @@ func fourFamilyStore(t testing.TB, cfg Config, keys int, span int64) *Store {
 			{Metric: "top", Key: key, Item: item, Time: i},
 			{Metric: "lat", Key: key, Value: uint64(i) % 1000, Time: i},
 		} {
-			if err := st.Observe(obs); err != nil {
+			if err := st.ObserveBatch([]Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -183,7 +183,7 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 	}
 	// One observation per bucket at times 5, 15, 25.
 	for _, ts := range []int64{5, 15, 25} {
-		if err := st.Observe(Observation{Metric: "hits", Key: "k", Item: "x", Value: 1, Time: ts}); err != nil {
+		if err := st.ObserveBatch([]Observation{{Metric: "hits", Key: "k", Item: "x", Value: 1, Time: ts}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,10 +1,11 @@
-// replay.go is the batch-layer half of the Lambda split: where Observe
-// ingests the live stream, Rebuild replays the retained prefix of an
-// mqlog topic into a fresh store. A speed-layer store fed by a topology
-// and a batch-layer store rebuilt from the log converge to the same
-// synopses over the log's retention window, which is exactly the
-// recomputation guarantee Figure 1 of the tutorial assigns to the batch
-// layer — and the recovery path when a speed-layer process is lost.
+// replay.go is the batch-layer half of the Lambda split: where
+// ObserveBatch ingests the live stream, Rebuild replays the retained
+// prefix of an mqlog topic into a fresh store. A speed-layer store fed
+// by a topology and a batch-layer store rebuilt from the log converge to
+// the same synopses over the log's retention window, which is exactly
+// the recomputation guarantee Figure 1 of the tutorial assigns to the
+// batch layer — and the recovery path when a speed-layer process is
+// lost.
 package store
 
 import (
@@ -72,33 +73,50 @@ func DecodeObservation(data []byte) (Observation, error) {
 	return obs, nil
 }
 
-// Decoder maps a log message to an observation; returning false skips the
-// message (foreign payloads in a shared topic are not an error).
-type Decoder func(mqlog.Message) (Observation, bool)
-
-// WireDecoder decodes messages produced with EncodeObservation, skipping
-// any that fail to parse.
-func WireDecoder(m mqlog.Message) (Observation, bool) {
-	obs, err := DecodeObservation(m.Value)
-	return obs, err == nil
+// DecodeRecord decodes one log record value in the EncodeObservation
+// wire format and reports whether the store can absorb it. A value that
+// does not decode, names a metric the store has not registered, or
+// carries a negative time is poison: it can never apply, so a log
+// consumer skips and counts it instead of wedging on it. This is the
+// one poison test — ReplayPartitionTo and the cluster node's apply loop
+// both use it — and what it passes, ObserveBatch accepts.
+func (s *Store) DecodeRecord(value []byte) (Observation, bool) {
+	obs, err := DecodeObservation(value)
+	if err != nil || obs.Time < 0 {
+		return Observation{}, false
+	}
+	if _, err := s.proto(obs.Metric); err != nil {
+		return Observation{}, false
+	}
+	return obs, true
 }
 
-// ReplayPartition feeds one partition's messages in [from, end) into the
+// ReplayStats reports one partition replay.
+type ReplayStats struct {
+	Next      uint64 // next offset to consume: commit it to resume where the replay stopped
+	Applied   uint64 // observations handed to the store
+	Rejected  uint64 // poison records skipped (see DecodeRecord)
+	Truncated bool   // retention had already dropped part of the range
+}
+
+// replayChunk is how many records a replay reads, and applies in one
+// ObserveBatch, at a time.
+const replayChunk = 1024
+
+// ReplayPartition feeds one partition's records in [from, end) into the
 // store, where end is the partition's end offset as of the call (writes
 // racing the replay are left to the live ingest path) and a from older
-// than the retained prefix resumes at the oldest retained message —
-// Kafka's "earliest" reset — with truncated reporting that messages were
-// lost to retention. It returns the next offset to consume (commit this
-// to resume exactly where the replay stopped) and the number of decoded
-// observations applied.
-func ReplayPartition(st *Store, topic *mqlog.Topic, pid int, from uint64, decode Decoder) (next uint64, applied uint64, truncated bool, err error) {
+// than the retained prefix resumes at the oldest retained record —
+// Kafka's "earliest" reset — with Truncated reporting that records were
+// lost to retention.
+func ReplayPartition(st *Store, topic *mqlog.Topic, pid int, from uint64) (ReplayStats, error) {
 	if topic == nil {
-		return 0, 0, false, core.Errf("ReplayPartition", "topic", "must be non-nil")
+		return ReplayStats{}, core.Errf("ReplayPartition", "topic", "must be non-nil")
 	}
 	if pid < 0 || pid >= topic.Partitions() {
-		return 0, 0, false, core.Errf("ReplayPartition", "pid", "%d out of range", pid)
+		return ReplayStats{}, core.Errf("ReplayPartition", "pid", "%d out of range", pid)
 	}
-	return ReplayPartitionTo(st, topic, pid, from, topic.EndOffset(pid), decode)
+	return ReplayPartitionTo(st, topic, pid, from, topic.EndOffset(pid))
 }
 
 // ReplayPartitionTo is ReplayPartition with an explicit exclusive end
@@ -108,52 +126,54 @@ func ReplayPartition(st *Store, topic *mqlog.Topic, pid int, from uint64, decode
 // advanced the partition since the freeze (an mqlog.Reader enforces the
 // bound even when retention truncates the range mid-replay). A speed
 // layer resuming after a batch handoff is the same call with from = the
-// batch view's end offset.
-func ReplayPartitionTo(st *Store, topic *mqlog.Topic, pid int, from, end uint64, decode Decoder) (next uint64, applied uint64, truncated bool, err error) {
+// batch view's end offset. Each chunk the reader hands over is decoded,
+// stripped of poison (counted in Rejected, never an error: one bad
+// record must not wedge every future replay at its offset) and applied
+// in one ObserveBatch.
+func ReplayPartitionTo(st *Store, topic *mqlog.Topic, pid int, from, end uint64) (ReplayStats, error) {
+	rs := ReplayStats{Next: from}
 	if st == nil || topic == nil {
-		return 0, 0, false, core.Errf("ReplayPartitionTo", "store/topic", "must be non-nil")
-	}
-	if decode == nil {
-		decode = WireDecoder
+		return rs, core.Errf("ReplayPartitionTo", "store/topic", "must be non-nil")
 	}
 	reader, err := topic.NewReader(pid, from, end)
 	if err != nil {
-		return from, 0, false, err
+		return rs, err
 	}
-	for {
-		msgs := reader.Next(1024)
-		if msgs == nil {
-			break
-		}
+	var batch []Observation
+	for msgs := reader.Next(replayChunk); msgs != nil; msgs = reader.Next(replayChunk) {
+		batch = batch[:0]
 		for _, m := range msgs {
-			obs, ok := decode(m)
-			if !ok {
-				continue
+			if obs, ok := st.DecodeRecord(m.Value); ok {
+				batch = append(batch, obs)
 			}
-			if oerr := st.Observe(obs); oerr != nil {
-				return m.Offset, applied, reader.Truncated(), fmt.Errorf("store: replay partition %d offset %d: %w", pid, m.Offset, oerr)
-			}
-			applied++
 		}
+		rs.Rejected += uint64(len(msgs) - len(batch))
+		if err := st.ObserveBatch(batch); err != nil {
+			rs.Next, rs.Truncated = msgs[0].Offset, reader.Truncated()
+			return rs, fmt.Errorf("store: replay partition %d offset %d: %w", pid, msgs[0].Offset, err)
+		}
+		rs.Applied += uint64(len(batch))
 	}
-	return reader.Offset(), applied, reader.Truncated(), nil
+	rs.Next, rs.Truncated = reader.Offset(), reader.Truncated()
+	return rs, nil
 }
 
 // Replay feeds the retained prefix of every partition of the topic into
 // the store, from each partition's oldest retained offset up to its end
 // offset as of the call (writes racing the replay are picked up by the
 // live ingest path, not the replay). It returns the number of decoded
-// observations fed to the store; observations older than an entry's ring
-// window are dropped by the store itself and show up in
-// Stats().DroppedLate, not as a reduced count here.
-func Replay(st *Store, topic *mqlog.Topic, decode Decoder) (uint64, error) {
+// observations fed to the store; poison records are skipped, and
+// observations older than an entry's ring window are dropped by the
+// store itself and show up in Stats().DroppedLate, not as a reduced
+// count here.
+func Replay(st *Store, topic *mqlog.Topic) (uint64, error) {
 	if st == nil || topic == nil {
 		return 0, core.Errf("Replay", "store/topic", "must be non-nil")
 	}
 	var applied uint64
 	for pid := 0; pid < topic.Partitions(); pid++ {
-		_, n, _, err := ReplayPartition(st, topic, pid, topic.StartOffset(pid), decode)
-		applied += n
+		rs, err := ReplayPartition(st, topic, pid, topic.StartOffset(pid))
+		applied += rs.Applied
 		if err != nil {
 			return applied, err
 		}
@@ -165,7 +185,7 @@ func Replay(st *Store, topic *mqlog.Topic, decode Decoder) (uint64, error) {
 // prototypes and replays the topic into it — the batch-layer
 // recomputation. The returned store is independent of any live store
 // consuming the same topic.
-func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, decode Decoder) (*Store, uint64, error) {
+func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic) (*Store, uint64, error) {
 	st, err := New(cfg)
 	if err != nil {
 		return nil, 0, err
@@ -175,7 +195,7 @@ func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, decode
 			return nil, 0, err
 		}
 	}
-	applied, err := Replay(st, topic, decode)
+	applied, err := Replay(st, topic)
 	if err != nil {
 		return nil, applied, err
 	}

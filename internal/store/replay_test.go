@@ -84,11 +84,11 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range msgs {
-			obs, ok := WireDecoder(m)
+			obs, ok := st.DecodeRecord(m.Value)
 			if !ok {
 				t.Fatalf("undecodable message at pid %d offset %d", pid, m.Offset)
 			}
-			if err := st.Observe(obs); err != nil {
+			if err := st.ObserveBatch([]Observation{obs}); err != nil {
 				t.Fatal(err)
 			}
 			applied++
@@ -99,18 +99,18 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 	// Restart leg: resume each partition from its committed offset.
 	for pid := 0; pid < topic.Partitions(); pid++ {
 		from := broker.Committed("speed", "events", pid)
-		next, n, truncated, err := ReplayPartition(st, topic, pid, from, nil)
+		rs, err := ReplayPartition(st, topic, pid, from)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if truncated {
+		if rs.Truncated {
 			t.Fatalf("pid %d: unexpected truncation on an unbounded topic", pid)
 		}
-		if next != topic.EndOffset(pid) {
-			t.Fatalf("pid %d: resumed replay stopped at %d, end is %d", pid, next, topic.EndOffset(pid))
+		if rs.Next != topic.EndOffset(pid) {
+			t.Fatalf("pid %d: resumed replay stopped at %d, end is %d", pid, rs.Next, topic.EndOffset(pid))
 		}
-		applied += n
-		group.Commit(pid, next)
+		applied += rs.Applied
+		group.Commit(pid, rs.Next)
 	}
 	if applied != total {
 		t.Fatalf("two-leg replay applied %d observations, log has %d (double count or skip)", applied, total)
@@ -121,7 +121,7 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 
 	// One-pass oracle.
 	oracle := newStore()
-	if n, err := Replay(oracle, topic, nil); err != nil || n != total {
+	if n, err := Replay(oracle, topic); err != nil || n != total {
 		t.Fatalf("oracle replay: n=%d err=%v", n, err)
 	}
 	for k := 0; k < 7; k++ {
@@ -144,31 +144,31 @@ func TestReplayPartitionTruncatedOffset(t *testing.T) {
 		t.Fatal("retention did not truncate the partition")
 	}
 	st := newStore()
-	next, n, truncated, err := ReplayPartition(st, topic, 0, 3, nil)
+	rs, err := ReplayPartition(st, topic, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !truncated {
+	if !rs.Truncated {
 		t.Fatal("replay from a truncated offset did not report truncation")
 	}
-	if n != retention {
-		t.Fatalf("applied %d observations, retained suffix is %d", n, retention)
+	if rs.Applied != retention {
+		t.Fatalf("applied %d observations, retained suffix is %d", rs.Applied, retention)
 	}
-	if next != topic.EndOffset(0) {
-		t.Fatalf("next %d != end %d", next, topic.EndOffset(0))
+	if rs.Next != topic.EndOffset(0) {
+		t.Fatalf("next %d != end %d", rs.Next, topic.EndOffset(0))
 	}
 }
 
 // TestReplayPartitionValidation pins the error surface.
 func TestReplayPartitionValidation(t *testing.T) {
 	_, topic, newStore := replayFixture(t, 1, 0, 10)
-	if _, _, _, err := ReplayPartition(nil, topic, 0, 0, nil); err == nil {
+	if _, err := ReplayPartition(nil, topic, 0, 0); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, _, _, err := ReplayPartition(newStore(), nil, 0, 0, nil); err == nil {
+	if _, err := ReplayPartition(newStore(), nil, 0, 0); err == nil {
 		t.Fatal("nil topic accepted")
 	}
-	if _, _, _, err := ReplayPartition(newStore(), topic, 9, 0, nil); err == nil {
+	if _, err := ReplayPartition(newStore(), topic, 9, 0); err == nil {
 		t.Fatal("out-of-range partition accepted")
 	}
 }

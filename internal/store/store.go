@@ -15,7 +15,8 @@
 // (HyperLogLog, Count-Min, Space-Saving, q-digest — see synopsis.go)
 // built by the metric's registered Prototype.
 //
-// Concurrency. A write locks only its shard, for one sketch update. When
+// Concurrency. A write batch (ObserveBatch, the one write path) locks
+// each shard it touches once, for that shard's sketch updates. When
 // an entry's stream time advances to a new bucket, older buckets are
 // sealed; sealed synopses are immutable — a late write to a sealed bucket
 // clones the synopsis and swaps the pointer (copy-on-write), never
@@ -40,9 +41,9 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashutil"
@@ -66,7 +67,8 @@ type Observation struct {
 	// sampled (zero otherwise — the common case). It rides the in-process
 	// struct only: the wire codec (EncodeObservation) does not serialize
 	// it; across the log it travels as a mqlog record header instead
-	// (see dstore). Every sampled write traces its sketch update.
+	// (see dstore). A shard group holding a sampled write gets one
+	// store.observe span.
 	Trace trace.Context
 }
 
@@ -327,8 +329,11 @@ type Store struct {
 	seed   uint64
 	shards []*shard
 
-	mu      sync.RWMutex
-	metrics map[string]Prototype
+	// metrics is the registered metric table, swapped copy-on-write
+	// under regMu and read lock-free: every write batch, query and
+	// replayed log record looks its metric up here.
+	regMu   sync.Mutex
+	metrics atomic.Pointer[map[string]Prototype]
 
 	observed    atomic.Uint64
 	droppedLate atomic.Uint64
@@ -369,12 +374,12 @@ func New(cfg Config) (*Store, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Store{
-		cfg:     cfg,
-		mask:    uint64(cfg.Shards - 1),
-		seed:    hashutil.Sum64String("store", 0),
-		shards:  make([]*shard, cfg.Shards),
-		metrics: make(map[string]Prototype),
+		cfg:    cfg,
+		mask:   uint64(cfg.Shards - 1),
+		seed:   hashutil.Sum64String("store", 0),
+		shards: make([]*shard, cfg.Shards),
 	}
+	s.metrics.Store(&map[string]Prototype{})
 	for i := range s.shards {
 		s.shards[i] = &shard{entries: make(map[entryKey]*entry)}
 	}
@@ -391,30 +396,31 @@ func (s *Store) RegisterMetric(name string, proto Prototype) error {
 	if proto == nil {
 		return core.Errf("Store", "proto", "prototype for %q is nil", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.metrics[name]; exists {
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	cur := *s.metrics.Load()
+	if _, exists := cur[name]; exists {
 		return fmt.Errorf("store: metric %q already registered", name)
 	}
-	s.metrics[name] = proto
+	next := make(map[string]Prototype, len(cur)+1)
+	maps.Copy(next, cur)
+	next[name] = proto
+	s.metrics.Store(&next)
 	return nil
 }
 
 // Metrics returns the registered metric names (unordered).
 func (s *Store) Metrics() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.metrics))
-	for name := range s.metrics {
+	table := *s.metrics.Load()
+	out := make([]string, 0, len(table))
+	for name := range table {
 		out = append(out, name)
 	}
 	return out
 }
 
 func (s *Store) proto(metric string) (Prototype, error) {
-	s.mu.RLock()
-	p, ok := s.metrics[metric]
-	s.mu.RUnlock()
+	p, ok := (*s.metrics.Load())[metric]
 	if !ok {
 		return nil, fmt.Errorf("store: %w %q", ErrUnknownMetric, metric)
 	}
@@ -425,59 +431,6 @@ func (s *Store) proto(metric string) (Prototype, error) {
 func (s *Store) shardIndex(k entryKey) uint32 {
 	h := hashutil.Sum64String(k.key, hashutil.Sum64String(k.metric, s.seed))
 	return uint32(h & s.mask)
-}
-
-// Observe absorbs one observation. Unknown metrics and negative times are
-// errors; observations older than the entry's ring window are silently
-// dropped and counted in Stats.DroppedLate (the caller cannot usefully
-// retry them, which is the Kafka-consumer convention for truncated reads).
-func (s *Store) Observe(obs Observation) error {
-	if obs.Time < 0 {
-		return core.Errf("Store", "Time", "%d must be >= 0", obs.Time)
-	}
-	proto, err := s.proto(obs.Metric)
-	if err != nil {
-		return err
-	}
-	k := entryKey{metric: obs.Metric, key: obs.Key}
-	idx := s.shardIndex(k)
-	sh := s.shards[idx]
-	var sp *trace.Span
-	if s.trc != nil && obs.Trace.Valid() {
-		sp = s.traceObserve(obs, idx)
-		defer sp.Finish()
-	}
-	h := s.telLockWait
-	if h != nil || sp != nil {
-		t0 := time.Now()
-		sh.mu.Lock()
-		if h != nil {
-			h.ObserveSince(t0)
-		}
-		if sp != nil {
-			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
-		}
-	} else {
-		sh.mu.Lock()
-	}
-	if obs.Time > sh.maxTime {
-		sh.maxTime = obs.Time
-	}
-	e := sh.getOrCreate(k, s.cfg.RingBuckets)
-	dropped, err := s.writeLocked(sh, e, obs, proto)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	if dropped {
-		sh.mu.Unlock()
-		s.droppedLate.Add(1)
-		return nil
-	}
-	s.evict(sh)
-	sh.mu.Unlock()
-	s.observed.Add(1)
-	return nil
 }
 
 // writeLocked lands one observation in the entry's ring: late-drop check,
@@ -562,7 +515,7 @@ func (s *Store) Keys(metric string) []string {
 }
 
 // Flush is the serving contract's producer-side flush. The store's
-// writes are synchronous — an Observe that returned is visible to the
+// writes are synchronous — an ObserveBatch that returned is visible to the
 // next Query — so there is nothing to settle and Flush is a no-op.
 func (s *Store) Flush() {}
 

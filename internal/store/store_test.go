@@ -62,7 +62,7 @@ func TestRegisterMetricValidation(t *testing.T) {
 	if err := st.RegisterMetric("m", proto); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if err := st.Observe(Observation{Metric: "nope", Time: 0}); err == nil {
+	if err := st.ObserveBatch([]Observation{{Metric: "nope", Time: 0}}); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
 	if _, err := queryPoint(st, "nope", "k", 0, 1); err == nil {
@@ -79,7 +79,7 @@ func TestQueryMatchesDirectSketch(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		item := fmt.Sprintf("user%d", i%1300)
 		ts := int64(i % 400) // spans 40 buckets
-		if err := st.Observe(Observation{Metric: "uniques", Key: "page", Item: item, Value: 1, Time: ts}); err != nil {
+		if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "page", Item: item, Value: 1, Time: ts}}); err != nil {
 			t.Fatal(err)
 		}
 		direct.UpdateString(item)
@@ -101,7 +101,7 @@ func TestQueryRangeSelectsBuckets(t *testing.T) {
 	// One unique item per bucket, buckets 0..9.
 	for b := 0; b < 10; b++ {
 		obs := Observation{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", b), Time: int64(b * 10)}
-		if err := st.Observe(obs); err != nil {
+		if err := st.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 	registerUniques(t, st)
 	for b := 0; b < 10; b++ {
 		obs := Observation{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", b), Time: int64(b * 10)}
-		if err := st.Observe(obs); err != nil {
+		if err := st.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 		t.Fatalf("expired range estimate %f, want 0", got)
 	}
 	// A write more than the ring behind the newest bucket is dropped.
-	if err := st.Observe(Observation{Metric: "uniques", Key: "k", Item: "late", Time: 0}); err != nil {
+	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "k", Item: "late", Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats().DroppedLate; got != 1 {
@@ -166,7 +166,7 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 	}
 	// A late write still inside the window is applied (copy-on-write path:
 	// bucket 6 was sealed when time advanced to buckets 7..9).
-	if err := st.Observe(Observation{Metric: "uniques", Key: "k", Item: "late-ok", Time: 60}); err != nil {
+	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "k", Item: "late-ok", Time: 60}}); err != nil {
 		t.Fatal(err)
 	}
 	syn, _ = queryPoint(st, "uniques", "k", 60, 69)
@@ -182,14 +182,14 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 4})
 	registerUniques(t, st)
 	for b := 0; b < 3; b++ {
-		st.Observe(Observation{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", b), Time: int64(b * 10)})
+		st.ObserveBatch([]Observation{{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", b), Time: int64(b * 10)}})
 	}
 	bytesBefore := st.Stats().Bytes
 	if bytesBefore == 0 {
 		t.Fatal("no bytes accounted before jump")
 	}
 	// Jump far past the ring: buckets 0..2 are all behind the new window.
-	st.Observe(Observation{Metric: "uniques", Key: "k", Item: "new", Time: 10_000})
+	st.ObserveBatch([]Observation{{Metric: "uniques", Key: "k", Item: "new", Time: 10_000}})
 	syn, _ := queryPoint(st, "uniques", "k", 0, 29)
 	if got := syn.(*Distinct).Estimate(); got != 0 {
 		t.Fatalf("expired history still served: estimate %f", got)
@@ -211,7 +211,7 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 	registerUniques(t, st)
 	for i := 0; i < 50; i++ {
 		obs := Observation{Metric: "uniques", Key: fmt.Sprintf("k%d", i), Item: "x", Time: 0}
-		if err := st.Observe(obs); err != nil {
+		if err := st.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,11 +242,11 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 func TestIdleEvictionReapsStaleEntries(t *testing.T) {
 	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 8, MaxIdle: 100})
 	registerUniques(t, st)
-	if err := st.Observe(Observation{Metric: "uniques", Key: "stale", Item: "x", Time: 0}); err != nil {
+	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "stale", Item: "x", Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	// Advancing the shard clock past MaxIdle reaps the stale entry.
-	if err := st.Observe(Observation{Metric: "uniques", Key: "live", Item: "y", Time: 150}); err != nil {
+	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "live", Item: "y", Time: 150}}); err != nil {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
@@ -266,7 +266,7 @@ func TestStatsCounters(t *testing.T) {
 	st := mustStore(t, Config{Shards: 2, BucketWidth: 10, RingBuckets: 4})
 	registerUniques(t, st)
 	for i := 0; i < 10; i++ {
-		st.Observe(Observation{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", i), Time: int64(i)})
+		st.ObserveBatch([]Observation{{Metric: "uniques", Key: "k", Item: fmt.Sprintf("i%d", i), Time: int64(i)}})
 	}
 	queryPoint(st, "uniques", "k", 0, 9)
 	queryPoint(st, "uniques", "k", 0, 9)
@@ -295,10 +295,10 @@ func TestAllSynopsisFamiliesThroughStore(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		item := fmt.Sprintf("it%d", i%100)
 		ts := int64(i % 500)
-		st.Observe(Observation{Metric: "uniq", Key: "k", Item: item, Time: ts})
-		st.Observe(Observation{Metric: "hits", Key: "k", Item: item, Value: 2, Time: ts})
-		st.Observe(Observation{Metric: "top", Key: "k", Item: fmt.Sprintf("it%d", i%7), Time: ts})
-		st.Observe(Observation{Metric: "lat", Key: "k", Value: uint64(i % 1000), Time: ts})
+		st.ObserveBatch([]Observation{{Metric: "uniq", Key: "k", Item: item, Time: ts}})
+		st.ObserveBatch([]Observation{{Metric: "hits", Key: "k", Item: item, Value: 2, Time: ts}})
+		st.ObserveBatch([]Observation{{Metric: "top", Key: "k", Item: fmt.Sprintf("it%d", i%7), Time: ts}})
+		st.ObserveBatch([]Observation{{Metric: "lat", Key: "k", Value: uint64(i % 1000), Time: ts}})
 	}
 	if syn, _ := queryPoint(st, "uniq", "k", 0, 499); syn.(*Distinct).Estimate() < 90 {
 		t.Fatalf("uniq estimate %f", syn.(*Distinct).Estimate())
@@ -366,14 +366,14 @@ func TestRebuildFromLogMatchesLiveStore(t *testing.T) {
 			Time:   int64(i % 300),
 		}
 		topic.Produce(obs.Key, EncodeObservation(obs))
-		if err := live.Observe(obs); err != nil {
+		if err := live.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	protos := map[string]Prototype{}
 	hll, _ := NewDistinctProto(12, 42)
 	protos["uniques"] = hll
-	rebuilt, applied, err := Rebuild(cfg, protos, topic, nil)
+	rebuilt, applied, err := Rebuild(cfg, protos, topic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestRebuildRespectsLogRetention(t *testing.T) {
 	}
 	hll, _ := NewDistinctProto(12, 42)
 	st, applied, err := Rebuild(Config{Shards: 1, BucketWidth: 10, RingBuckets: 10},
-		map[string]Prototype{"uniques": hll}, topic, nil)
+		map[string]Prototype{"uniques": hll}, topic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestStoreTelemetryExposition(t *testing.T) {
 	st.SetTelemetry(reg)
 	for i := int64(0); i < 300; i++ {
 		obs := Observation{Metric: "uniq", Key: fmt.Sprintf("k%d", i%4), Item: fmt.Sprintf("u%d", i%29), Time: i}
-		if err := st.Observe(obs); err != nil {
+		if err := st.ObserveBatch([]Observation{obs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func benchIngest(b *testing.B, reg *telemetry.Registry) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obs := Observation{Metric: "uniq", Key: keys[i&15], Item: items[i&127], Time: int64(i)}
-		if err := st.Observe(obs); err != nil {
+		if err := st.ObserveBatch([]Observation{obs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,8 +97,8 @@ func benchIngest(b *testing.B, reg *telemetry.Registry) {
 
 // BenchmarkStoreIngest pins the cost of the telemetry layer on the
 // hottest path in the repo: bare is a store with no registry wired (the
-// shipped default), instrumented times lock-wait on every Observe. The
-// bare variant must stay within noise of the pre-telemetry baseline.
+// shipped default), instrumented times lock-wait on every shard group.
+// The bare variant must stay within noise of the pre-telemetry baseline.
 func BenchmarkStoreIngest(b *testing.B) {
 	b.Run("bare", func(b *testing.B) { benchIngest(b, nil) })
 	b.Run("instrumented", func(b *testing.B) { benchIngest(b, telemetry.New()) })

@@ -1,9 +1,9 @@
 // trace_bench_test.go pins the ingest-path cost of the tracing hooks —
 // the numbers behind the checked-in BENCH_trace.json. The contract: a
 // store with no tracer wired pays nothing measurable over the pre-trace
-// baseline (0 extra allocs, ~1 pointer check per observe), a wired
-// tracer with an untraced observation pays only the Context.Valid
-// check, and only a sampled observation buys the span machinery.
+// baseline (0 allocs, ~1 pointer check per shard group), a wired tracer
+// with untraced observations pays only the Context.Valid checks, and
+// only a sampled observation buys the span machinery.
 package store
 
 import (
@@ -41,14 +41,14 @@ func benchIngestTraced(b *testing.B, tr *trace.Tracer, sampleEvery int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obs := Observation{Metric: "uniq", Key: keys[i&15], Item: items[i&127], Time: int64(i)}
+		batch := [1]Observation{{Metric: "uniq", Key: keys[i&15], Item: items[i&127], Time: int64(i)}}
 		if sampleEvery > 0 && i%sampleEvery == 0 {
 			root := tr.StartSampled("analytics.observe")
-			obs.Trace = root.Context()
-			err = st.Observe(obs)
+			batch[0].Trace = root.Context()
+			err = st.ObserveBatch(batch[:])
 			root.Finish()
 		} else {
-			err = st.Observe(obs)
+			err = st.ObserveBatch(batch[:])
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -65,4 +65,43 @@ func BenchmarkStoreIngestTraced(b *testing.B) {
 	b.Run("wired-untraced", func(b *testing.B) { benchIngestTraced(b, trace.NewTracer(cfg), 0) })
 	b.Run("sampled-1-in-1024", func(b *testing.B) { benchIngestTraced(b, trace.NewTracer(cfg), 1024) })
 	b.Run("sampled-every", func(b *testing.B) { benchIngestTraced(b, trace.NewTracer(cfg), 1) })
+}
+
+// TestObserveBatchAllocGate: a one-observation ObserveBatch into a
+// resident entry allocates nothing with telemetry off, whether no
+// tracer is wired or one is wired and the observation is untraced, at
+// any shard count. A single observation skips the grouping sort, whose
+// buffer cost 1 allocation per call.
+func TestObserveBatchAllocGate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Tracer
+	}{{"no-tracer", nil}, {"wired-untraced", trace.NewTracer(trace.Config{SampleRate: 1})}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := New(Config{Shards: 64, BucketWidth: 10, RingBuckets: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hll, err := NewDistinctProto(12, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.RegisterMetric("uniq", hll); err != nil {
+				t.Fatal(err)
+			}
+			st.SetTracer(tc.tr)
+			batch := []Observation{{Metric: "uniq", Key: "k0", Item: "u0", Time: 1}}
+			if err := st.ObserveBatch(batch); err != nil { // make the entry resident
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := st.ObserveBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("one-observation ObserveBatch: %.1f allocations, want 0", allocs)
+			}
+		})
+	}
 }

@@ -13,18 +13,6 @@ import "repro/internal/trace"
 // pointer: set it before the store starts serving.
 func (s *Store) SetTracer(tr *trace.Tracer) { s.trc = tr }
 
-// traceObserve opens the store-side child span of a sampled write, or
-// nil for the (overwhelmingly common) untraced one.
-func (s *Store) traceObserve(obs Observation, shard uint32) *trace.Span {
-	tr := s.trc
-	if tr == nil || !obs.Trace.Valid() {
-		return nil
-	}
-	sp := tr.StartRemote(obs.Trace, "store.observe")
-	sp.SetAttrs(trace.Str("metric", obs.Metric), trace.Int("shard", int64(shard)))
-	return sp
-}
-
 // traceGather opens one per-shard gather child span on the query path;
 // nil when untraced.
 func (s *Store) traceGather(tctx trace.Context) *trace.Span {

@@ -784,11 +784,12 @@ func CombineSnapshots(proto StorePrototype, parts ...StoreSynopsis) (StoreSynops
 	return store.CombineSnapshots(proto, parts...)
 }
 
-// ReplayLogPartition feeds one partition's messages in [from, end) into
-// the store and returns the next offset to consume — the building block
-// of log-based recovery (ReplayLog covers the whole-topic batch rebuild).
-func ReplayLogPartition(st *SketchStore, topic *LogTopic, pid int, from uint64, decode store.Decoder) (next uint64, applied uint64, truncated bool, err error) {
-	return store.ReplayPartition(st, topic, pid, from, decode)
+// ReplayLogPartition feeds one partition's records in [from, end) into
+// the store, skipping and counting poison, and reports the next offset
+// to consume — the building block of log-based recovery (ReplayLog
+// covers the whole-topic batch rebuild).
+func ReplayLogPartition(st *SketchStore, topic *LogTopic, pid int, from uint64) (store.ReplayStats, error) {
+	return store.ReplayPartition(st, topic, pid, from)
 }
 
 // ---- Unified serving API (analytics.Backend) ----
@@ -796,10 +797,11 @@ func ReplayLogPartition(st *SketchStore, topic *LogTopic, pid int, from uint64, 
 // Backend is the unified serving contract: SketchStore, ClusterRouter,
 // Lambda and AnalyticsClient all satisfy it, so one call site can query
 // the speed store, the partitioned cluster, the Lambda batch+speed merge
-// or a remote daemon interchangeably. Eight methods, no optional ones:
-// RegisterMetric, Observe, ObserveBatch (all-or-nothing), Query,
-// QueryContext (Query under a deadline), Keys, Stats and Flush (a no-op
-// where writes are synchronous). See internal/analytics for the exact
+// or a remote daemon interchangeably. Seven methods, no optional ones:
+// RegisterMetric, ObserveBatch (the one write path, all-or-nothing; one
+// observation is a one-element batch), Query, QueryContext (Query under
+// a deadline), Keys, Stats and Flush (a no-op where writes are
+// synchronous). See internal/analytics for the exact
 // cross-backend semantics (unknown metrics error with ErrUnknownMetric;
 // registered metrics with no data answer empty cells).
 type Backend = analytics.Backend
@@ -886,7 +888,7 @@ type TelemetryHistogram = telemetry.Histogram
 // empty payloads. Mount it on an http.Server of your own.
 func MetricsHandler(reg *Telemetry) http.Handler { return telemetry.Handler(reg) }
 
-// Instrument wraps a Backend so every Observe and Query is counted per
+// Instrument wraps a Backend so every ObserveBatch and Query is counted per
 // metric and timed into reg, labeled backend=name — SinkBolt topologies
 // and demo drivers get serving telemetry without the backend knowing.
 // Answers are byte-identical to the bare backend's (the conformance
@@ -979,7 +981,7 @@ type StoreClusterStats = dstore.Stats
 // ClusterNode is one cluster member: an event loop plus its local store.
 type ClusterNode = dstore.Node
 
-// ClusterRouter partitions Observe traffic onto the ingest log and
+// ClusterRouter partitions ObserveBatch traffic onto the ingest log and
 // answers queries by owner routing or scatter-gather.
 type ClusterRouter = dstore.Router
 
@@ -1003,15 +1005,15 @@ func NewClusterBolt(r *ClusterRouter, extract func(TupleMessage) (StoreObservati
 }
 
 // ReplayLog feeds the retained prefix of an mqlog topic into the store —
-// the Lambda batch-layer recomputation (decode nil uses the wire codec).
-func ReplayLog(st *SketchStore, topic *LogTopic, decode store.Decoder) (uint64, error) {
-	return store.Replay(st, topic, decode)
+// the Lambda batch-layer recomputation (poison records are skipped).
+func ReplayLog(st *SketchStore, topic *LogTopic) (uint64, error) {
+	return store.Replay(st, topic)
 }
 
 // RebuildStore builds a fresh store from cfg and protos and replays the
 // topic into it.
-func RebuildStore(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic, decode store.Decoder) (*SketchStore, uint64, error) {
-	return store.Rebuild(cfg, protos, topic, decode)
+func RebuildStore(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic) (*SketchStore, uint64, error) {
+	return store.Rebuild(cfg, protos, topic)
 }
 
 // ---- Lambda Architecture (Figure 1), store-backed ----
@@ -1033,7 +1035,7 @@ type LambdaConfig = lambda.Config
 type LambdaBatchInfo = lambda.BatchInfo
 
 // NewLambda returns a store-backed Lambda Architecture. Register metrics,
-// then Append/Query; RunBatch on the batch cadence.
+// then ObserveBatch/Query; RunBatch on the batch cadence.
 func NewLambda(cfg LambdaConfig) (*Lambda, error) { return lambda.New(cfg) }
 
 // FrozenStoreView is a sealed batch view: a store recomputed from the log
@@ -1042,15 +1044,15 @@ type FrozenStoreView = store.FrozenView
 
 // FreezeStoreAt recomputes a sealed batch view of the topic's prefix
 // [0, ends) — the Lambda batch layer as a standalone helper.
-func FreezeStoreAt(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic, ends []uint64, decode store.Decoder) (*FrozenStoreView, error) {
-	return store.FreezeAt(cfg, protos, topic, ends, decode)
+func FreezeStoreAt(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic, ends []uint64) (*FrozenStoreView, error) {
+	return store.FreezeAt(cfg, protos, topic, ends)
 }
 
 // FreezeStoreAtFrom is FreezeStoreAt with a checkpoint fast path: a
 // compatible snapshot in checkpointDir seeds the view and only the log
 // suffix past its offsets replays (empty dir = full recompute).
-func FreezeStoreAtFrom(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic, ends []uint64, decode store.Decoder, checkpointDir string) (*FrozenStoreView, error) {
-	return store.FreezeAtFrom(cfg, protos, topic, ends, decode, checkpointDir)
+func FreezeStoreAtFrom(cfg SketchStoreConfig, protos map[string]StorePrototype, topic *LogTopic, ends []uint64, checkpointDir string) (*FrozenStoreView, error) {
+	return store.FreezeAtFrom(cfg, protos, topic, ends, checkpointDir)
 }
 
 // StoreCheckpointMeta stamps a checkpoint with the log position it
@@ -1086,8 +1088,8 @@ func ReadStoreCheckpointManifest(dir string) (*StoreCheckpointManifest, error) {
 // ReplayLogPartitionTo is ReplayLogPartition with an explicit exclusive
 // end bound — the offset-fenced replay batch views and speed-layer
 // truncation are built on.
-func ReplayLogPartitionTo(st *SketchStore, topic *LogTopic, pid int, from, end uint64, decode store.Decoder) (next uint64, applied uint64, truncated bool, err error) {
-	return store.ReplayPartitionTo(st, topic, pid, from, end, decode)
+func ReplayLogPartitionTo(st *SketchStore, topic *LogTopic, pid int, from, end uint64) (store.ReplayStats, error) {
+	return store.ReplayPartitionTo(st, topic, pid, from, end)
 }
 
 // LogReader is an end-offset-bounded sequential reader over one log
@@ -1226,8 +1228,8 @@ func NewAdmissionController(cfg AdmissionConfig) (*AdmissionController, error) {
 	return admission.New(cfg)
 }
 
-// AdmitBackend wraps be so every Observe and ObserveBatch first clears
-// ctrl: a shed write returns an error matching ErrOverloaded (carrying
+// AdmitBackend wraps be so every ObserveBatch first clears ctrl: a shed
+// write returns an error matching ErrOverloaded (carrying
 // a Retry-After via OverloadWait) and provably never reaches the
 // backend — batches are admitted whole before a single observation is
 // delegated. A nil controller returns be unchanged.

@@ -132,7 +132,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err := arch.RegisterMetric("hits", proto); err != nil {
 		t.Fatal(err)
 	}
-	if err := arch.Append(repro.StoreObservation{Metric: "hits", Key: "k", Item: "u", Value: 5, Time: 0}); err != nil {
+	if err := arch.ObserveBatch([]repro.StoreObservation{{Metric: "hits", Key: "k", Item: "u", Value: 5, Time: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := arch.RunBatch()
@@ -142,7 +142,7 @@ func TestFacadeLambda(t *testing.T) {
 	if info.Version != 1 || info.Applied != 1 {
 		t.Fatalf("facade batch info %+v", info)
 	}
-	if err := arch.Append(repro.StoreObservation{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}); err != nil {
+	if err := arch.ObserveBatch([]repro.StoreObservation{{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	syn, err := queryPoint(arch, "hits", "k", 0, 10)
@@ -156,7 +156,7 @@ func TestFacadeLambda(t *testing.T) {
 		t.Fatalf("facade staleness %d, want 1", arch.Staleness())
 	}
 	// The standalone batch-layer helpers compose over the same topic.
-	view, err := repro.FreezeStoreAt(geom, map[string]repro.StorePrototype{"hits": proto}, arch.Topic(), arch.Topic().EndOffsets(), nil)
+	view, err := repro.FreezeStoreAt(geom, map[string]repro.StorePrototype{"hits": proto}, arch.Topic(), arch.Topic().EndOffsets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +205,9 @@ func TestFacadeBackend(t *testing.T) {
 	}
 	for _, be := range backends {
 		for i := 0; i < 100; i++ {
-			if err := be.Observe(repro.StoreObservation{
+			if err := be.ObserveBatch([]repro.StoreObservation{{
 				Metric: "uniques", Key: "home", Item: fmt.Sprintf("u%d", i%40), Time: int64(i % 50),
-			}); err != nil {
+			}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -417,7 +417,7 @@ func TestFacadeSketchStore(t *testing.T) {
 	}
 
 	// Batch layer: rebuild from the log and compare.
-	batch, applied, err := repro.RebuildStore(cfg, protos, topic, nil)
+	batch, applied, err := repro.RebuildStore(cfg, protos, topic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,12 +470,12 @@ func TestFacadeStoreCluster(t *testing.T) {
 	const events = 3000
 	r := c.Router()
 	for i := 0; i < events; i++ {
-		if err := r.Observe(repro.StoreObservation{
+		if err := r.ObserveBatch([]repro.StoreObservation{{
 			Metric: "uniques",
 			Key:    fmt.Sprintf("page%d", i%8),
 			Item:   fmt.Sprintf("user%d", i%700),
 			Time:   int64(i % 500),
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -494,7 +494,7 @@ func TestFacadeStoreCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, applied, err := repro.RebuildStore(storeCfg, map[string]repro.StorePrototype{"uniques": proto}, c.Topic(), nil)
+	batch, applied, err := repro.RebuildStore(storeCfg, map[string]repro.StorePrototype{"uniques": proto}, c.Topic())
 	if err != nil {
 		t.Fatal(err)
 	}
