@@ -53,14 +53,16 @@ func demoEvents(batch []store.Observation, from, n int) []store.Observation {
 }
 
 // TestLogFootprint holds what a retained demo record costs the ingest
-// log: 100 000 records of the daemon's four-metric event, appended
-// through Router.ObserveBatch, must hold at most 48 bytes each of
-// HeapAlloc after a GC (a Message struct plus a separately allocated
-// value each cost ≈ 137).
+// log: 400 000 records of the daemon's four-metric event, appended
+// through Router.ObserveBatch, must hold at most 14 bytes each of
+// HeapAlloc after a GC and 10 bytes each of Topic.RetainedBytes. Raw
+// chunks cost ≈ 44 B of both, and a Message struct plus a separately
+// allocated value ≈ 145 B of heap; the heap budget also covers the
+// process's one deflate writer (≈ 1.2 MB).
 func TestLogFootprint(t *testing.T) {
 	c := newDemoCluster(t)
 	r := c.Router()
-	const records = 100_000
+	const records = 400_000
 	batch := make([]store.Observation, 0, 256)
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -83,9 +85,13 @@ func TestLogFootprint(t *testing.T) {
 		t.Fatalf("log holds %d records, want %d", end, records)
 	}
 	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / records
-	t.Logf("%d demo records: %.1f B/record of heap, log chunks %d B", records, perRecord, c.Topic().RetainedBytes())
-	if perRecord > 48 {
-		t.Fatalf("a retained demo record costs %.1f B of heap, budget 48", perRecord)
+	retained := float64(c.Topic().RetainedBytes()) / records
+	t.Logf("%d demo records: %.1f B/record of heap, %.1f B/record retained by the log", records, perRecord, retained)
+	if perRecord > 14 {
+		t.Errorf("a retained demo record costs %.1f B of heap, budget 14", perRecord)
+	}
+	if retained > 10 {
+		t.Errorf("a retained demo record costs %.1f B of RetainedBytes, budget 10", retained)
 	}
 	runtime.KeepAlive(c)
 }

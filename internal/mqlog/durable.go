@@ -207,7 +207,7 @@ func (p *partition) applyDiskRetentionLocked() {
 // replays the segment chain into p's in-memory log (each intact payload
 // copied straight into p's chunks), truncates a torn tail, and leaves the
 // last segment open for appends. The caller applies the in-memory
-// retention limit.
+// retention limit and then compresses the chunks it keeps.
 func openDurPartition(dir string, cfg DurableConfig, t *Topic, p *partition) (*durPartition, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -327,6 +327,7 @@ func (b *Broker) CreateTopicDurable(name string, partitions, retention int, d *D
 		if p.limit > 0 && p.end-p.base > uint64(p.limit) {
 			p.dropBelowLocked(p.end - uint64(p.limit))
 		}
+		p.compressHeldLocked()
 	}
 	t.recoveryNanos.Store(time.Since(start).Nanoseconds())
 	if !cfg.SyncEveryAppend {

@@ -54,7 +54,10 @@ type Header struct {
 
 // Message is one log entry. A fetched Message's Value and header values
 // alias the log's own storage and are read-only; they stay valid after
-// later appends and after retention drops the record.
+// later appends, after the chunk holding them is compressed and after
+// retention drops the record. A Value fetched from a compressed chunk
+// aliases a buffer inflated for that fetch (or shared with the fetch
+// before it), which the log never reuses.
 type Message struct {
 	Key     string
 	Value   []byte
@@ -78,13 +81,21 @@ const maxInternedKeys = 4096
 // data (it starts where record i-1 ends, or at 0). Bytes below len(data)
 // are never written again, which is what lets fetch hand them out
 // without copying.
+//
+// A sealed chunk may instead be compressed (see compress): data and ends
+// are nil, and z holds the n records deflated — their uvarint lengths,
+// then their payload bytes, zsize bytes once inflated.
 type chunk struct {
 	first uint64 // offset of the chunk's first record
 	data  []byte
 	ends  []uint32
 	// hdrs is nil until a record in the chunk carries headers; from then
-	// on it runs parallel to ends.
+	// on it runs parallel to ends. Compression leaves it as it is.
 	hdrs [][]Header
+
+	z     []byte
+	n     int
+	zsize int
 }
 
 // partition is a single append-only sequence with retention, held as a
@@ -92,6 +103,11 @@ type chunk struct {
 // aside), so the garbage collector does not walk the log's records.
 // Retention advances base and releases a chunk once every record in it
 // is below base: nothing is ever copied to reclaim space.
+//
+// A chunk's life: the tail takes appends; once a new tail opens it is
+// sealed and stays raw; when the next tail opens it is compressed, if
+// that halves it. A consumer trailing the head by less than a chunk
+// therefore never inflates anything.
 type partition struct {
 	mu     sync.Mutex
 	base   uint64            // oldest retained offset
@@ -100,6 +116,12 @@ type partition struct {
 	keys   map[string]string // fetched keys, interned (see intern)
 	limit  int               // max retained messages (0 = unlimited)
 	dur    *durPartition     // disk write-through state; nil for in-memory topics
+
+	// inflated is the raw form of inflatedFrom, the compressed chunk a
+	// fetch inflated last, so a sequential reader inflates each chunk
+	// once. inflations counts inflations (a cache hit is not one).
+	inflatedFrom, inflated *chunk
+	inflations             atomic.Uint64
 }
 
 func (p *partition) append(key string, value []byte, hdrs []Header) uint64 {
@@ -114,7 +136,7 @@ func (p *partition) append(key string, value []byte, hdrs []Header) uint64 {
 // deliberately drops them (see Header).
 func (p *partition) appendLocked(key string, value []byte, hdrs []Header) uint64 {
 	off := p.end
-	c := p.tailFor(4 + len(key) + len(value))
+	c := p.tailFor(4+len(key)+len(value), true)
 	at := len(c.data)
 	c.data = appendPayload(c.data, key, value)
 	p.endRecordLocked(c, hdrs)
@@ -128,11 +150,23 @@ func (p *partition) appendLocked(key string, value []byte, hdrs []Header) uint64
 }
 
 // appendPayloadLocked installs one record already in payload layout —
-// recovery's path from a segment file into memory. Callers hold p.mu.
+// recovery's path from a segment file into memory. It compresses
+// nothing: recovery reads the whole segment chain before it applies the
+// retention limit, and then compresses only the chunks the limit keeps
+// (compressHeldLocked). Callers hold p.mu.
 func (p *partition) appendPayloadLocked(payload []byte) {
-	c := p.tailFor(len(payload))
+	c := p.tailFor(len(payload), false)
 	c.data = append(c.data, payload...)
 	p.endRecordLocked(c, nil)
+}
+
+// compressHeldLocked offers every chunk but the tail and the one before
+// it to compress: the chunks a log appended one record at a time would
+// have compressed, to the same bytes. Callers hold p.mu.
+func (p *partition) compressHeldLocked() {
+	for _, c := range p.chunks[:max(len(p.chunks)-2, 0)] {
+		c.compress()
+	}
 }
 
 // endRecordLocked registers the record just written at the end of c's
@@ -152,7 +186,11 @@ func (p *partition) endRecordLocked(c *chunk, hdrs []Header) {
 // tailFor returns the chunk the next record of n payload bytes goes in,
 // opening a new one when the tail chunk has no room. The new chunk's
 // ends table is sized for as many records as the previous chunk held.
-func (p *partition) tailFor(n int) *chunk {
+// With compress set, opening a chunk compresses the one two back, so
+// every chunk is offered to compress exactly once, and the tail and the
+// chunk before it are always raw. Retention is applied record by record,
+// so the chunk two back still holds retained records when it is offered.
+func (p *partition) tailFor(n int, compress bool) *chunk {
 	var records int
 	if k := len(p.chunks); k > 0 {
 		c := p.chunks[k-1]
@@ -163,12 +201,15 @@ func (p *partition) tailFor(n int) *chunk {
 	}
 	c := &chunk{first: p.end, data: make([]byte, 0, max(n, chunkSize)), ends: make([]uint32, 0, records)}
 	p.chunks = append(p.chunks, c)
+	if k := len(p.chunks); compress && k >= 3 {
+		p.chunks[k-3].compress()
+	}
 	return c
 }
 
 // dropBelowLocked retires every record below off (clamped to the end of
 // the log): base advances, and each chunk whose records all lie below
-// the new base is released. Callers hold p.mu.
+// the new base is released, with its inflated copy. Callers hold p.mu.
 func (p *partition) dropBelowLocked(off uint64) {
 	off = min(off, p.end)
 	if off <= p.base {
@@ -176,9 +217,26 @@ func (p *partition) dropBelowLocked(off uint64) {
 	}
 	p.base = off
 	for len(p.chunks) > 1 && p.chunks[1].first <= off {
+		if p.chunks[0] == p.inflatedFrom {
+			p.inflatedFrom, p.inflated = nil, nil
+		}
 		p.chunks[0] = nil
 		p.chunks = p.chunks[1:]
 	}
+}
+
+// rawLocked returns c itself if it is raw, or its inflated form: the
+// partition's cached copy when c was the last chunk inflated, a freshly
+// inflated one (which replaces the cache) otherwise. Callers hold p.mu.
+func (p *partition) rawLocked(c *chunk) *chunk {
+	if c.z == nil {
+		return c
+	}
+	if c != p.inflatedFrom {
+		p.inflatedFrom, p.inflated = c, c.inflate()
+		p.inflations.Add(1)
+	}
+	return p.inflated
 }
 
 // cloneHeaders copies hdrs, and their values into one shared buffer in
@@ -221,14 +279,18 @@ func (p *partition) appendBatch(recs []Record) (first uint64, ok bool) {
 // truncated by retention, reading resumes at the oldest retained message
 // (Kafka's "earliest" reset semantics) and truncated reports the condition.
 //
-// Aliasing audit: only the []Message is allocated. Each Value is a
-// capped slice of chunk bytes, which appendLocked never writes again and
-// retention never moves (it drops whole chunks; a dropped chunk lives on
-// for as long as a fetched Value refers to it). Each Headers is the
-// side table's copy made at append, likewise never written again. Keys
-// come from the partition's intern table, so a key seen before costs no
-// allocation. Regressions: TestFetchCopiesOutOfCompaction,
-// TestFetchHeadersSurviveCompaction, TestFetchRaceWithRetention.
+// Aliasing audit: from raw chunks, only the []Message is allocated. Each
+// Value is a capped slice of chunk bytes, which appendLocked never writes
+// again and neither compression nor retention moves (compression and
+// retention drop a chunk's reference to its bytes; the bytes live on for
+// as long as a fetched Value refers to them). A compressed chunk is read
+// through its inflated copy (rawLocked), a buffer allocated for it and
+// never reused. Each Headers is the side table's copy made at append,
+// likewise never written again. Keys come from the partition's intern
+// table, so a key seen before costs no allocation. Regressions:
+// TestFetchCopiesOutOfCompaction, TestFetchHeadersSurviveCompaction,
+// TestFetchRaceWithRetention, TestFetchedValuesSurviveCompression,
+// TestCompressionRaceWithRetention.
 func (p *partition) fetch(offset uint64, max int) (msgs []Message, next uint64, truncated bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -244,7 +306,7 @@ func (p *partition) fetch(offset uint64, max int) (msgs []Message, next uint64, 
 	var key string
 	ci := sort.Search(len(p.chunks), func(i int) bool { return p.chunks[i].first > offset }) - 1
 	for j := 0; j < len(out); ci++ {
-		c := p.chunks[ci]
+		c := p.rawLocked(p.chunks[ci])
 		i := int(offset + uint64(j) - c.first)
 		last := min(len(c.ends), i+len(out)-j)
 		var start uint32
@@ -291,14 +353,19 @@ func (p *partition) intern(key []byte) string {
 	return s
 }
 
-// retainedBytes is what the partition's chunks hold: every chunk's full
-// capacity, the partly filled tail included, plus the end tables.
+// retainedBytes is what the partition's chunks hold: every compressed
+// chunk's deflated bytes, every raw chunk's full capacity (the partly
+// filled tail included) and end table, and the inflated copy fetch
+// keeps.
 func (p *partition) retainedBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var n int64
 	for _, c := range p.chunks {
-		n += int64(cap(c.data)) + 4*int64(cap(c.ends))
+		n += int64(cap(c.z)) + int64(cap(c.data)) + 4*int64(cap(c.ends))
+	}
+	if c := p.inflatedFrom; c != nil {
+		n += int64(c.zsize) + 4*int64(c.n)
 	}
 	return n
 }
@@ -543,12 +610,24 @@ func (t *Topic) EndOffsets() []uint64 {
 func (t *Topic) StartOffset(partitionID int) uint64 { return t.parts[partitionID].startOffset() }
 
 // RetainedBytes returns the memory the topic's in-memory log holds: the
-// full capacity of every chunk still referenced by its partitions, each
-// partition's partly filled tail chunk included.
+// deflated bytes of every compressed chunk, the full capacity and end
+// table of every raw chunk (each partition's partly filled tail
+// included), and each partition's one inflated chunk, the copy a fetch
+// from compressed history keeps for the next fetch.
 func (t *Topic) RetainedBytes() int64 {
 	var n int64
 	for _, p := range t.parts {
 		n += p.retainedBytes()
+	}
+	return n
+}
+
+// inflatedChunks counts the compressed chunks fetches have inflated
+// across the topic's partitions.
+func (t *Topic) inflatedChunks() uint64 {
+	var n uint64
+	for _, p := range t.parts {
+		n += p.inflations.Load()
 	}
 	return n
 }

@@ -604,37 +604,36 @@ func TestRetainedBytes(t *testing.T) {
 	}
 }
 
-// TestFetchRaceWithRetention runs under -race in CI: fetchers hold the
-// values and headers of earlier fetches and re-check them while
-// producers append through reused buffers and retention drops chunks.
-func TestFetchRaceWithRetention(t *testing.T) {
-	topic, _ := NewBroker().CreateTopic("t", 1, 500)
-	const producers, perProducer = 2, 4000
-	// value encodes (producer, seq) and pads to a seq-dependent length
-	// with a seq-dependent byte; the trace header repeats it.
-	value := func(dst []byte, p, seq int) []byte {
-		dst = fmt.Appendf(dst[:0], "%d:%06d:", p, seq)
-		for i := 0; i < 40+seq%200; i++ {
-			dst = append(dst, byte(seq*31+p))
-		}
-		return dst
+// racedValue encodes (producer, seq) and pads to a seq-dependent length
+// with a seq-dependent byte, which deflates well.
+func racedValue(dst []byte, p, seq int) []byte {
+	dst = fmt.Appendf(dst[:0], "%d:%06d:", p, seq)
+	for i := 0; i < 40+seq%200; i++ {
+		dst = append(dst, byte(seq*31+p))
 	}
-	check := func(m Message) error {
-		var p, seq int
-		if _, err := fmt.Sscanf(string(m.Value), "%d:%06d:", &p, &seq); err != nil {
-			return fmt.Errorf("offset %d: unparseable value %q", m.Offset, m.Value)
-		}
-		if want := value(nil, p, seq); !bytes.Equal(m.Value, want) {
-			return fmt.Errorf("offset %d: value corrupted", m.Offset)
-		}
-		if len(m.Headers) != 1 || !bytes.Equal(m.Headers[0].Value, m.Value) {
-			return fmt.Errorf("offset %d: header corrupted", m.Offset)
-		}
-		return nil
+	return dst
+}
+
+// checkRaced reports a message whose value is not a racedValue or whose
+// one header does not repeat it.
+func checkRaced(m Message) error {
+	var p, seq int
+	if _, err := fmt.Sscanf(string(m.Value), "%d:%06d:", &p, &seq); err != nil {
+		return fmt.Errorf("offset %d: unparseable value %q", m.Offset, m.Value)
 	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	errs := make(chan error, 4)
+	if want := racedValue(nil, p, seq); !bytes.Equal(m.Value, want) {
+		return fmt.Errorf("offset %d: value corrupted", m.Offset)
+	}
+	if len(m.Headers) != 1 || !bytes.Equal(m.Headers[0].Value, m.Value) {
+		return fmt.Errorf("offset %d: header corrupted", m.Offset)
+	}
+	return nil
+}
+
+// produceRaced starts producers goroutines appending perProducer
+// racedValue records each to partition 0 through reused value and header
+// buffers, the header repeating the value.
+func produceRaced(topic *Topic, wg *sync.WaitGroup, producers, perProducer int) {
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -642,12 +641,24 @@ func TestFetchRaceWithRetention(t *testing.T) {
 			var val []byte
 			hdrs := []Header{{Key: "trace"}}
 			for seq := 0; seq < perProducer; seq++ {
-				val = value(val, p, seq)
+				val = racedValue(val, p, seq)
 				hdrs[0].Value = append(hdrs[0].Value[:0], val...)
 				topic.ProduceBatchTo(0, []Record{{Key: "k", Value: val, Headers: hdrs}})
 			}
 		}(p)
 	}
+}
+
+// TestFetchRaceWithRetention runs under -race in CI: fetchers hold the
+// values and headers of earlier fetches and re-check them while
+// producers append through reused buffers and retention drops chunks.
+func TestFetchRaceWithRetention(t *testing.T) {
+	topic, _ := NewBroker().CreateTopic("t", 1, 500)
+	const producers, perProducer = 2, 4000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	produceRaced(topic, &wg, producers, perProducer)
 	var fetchers sync.WaitGroup
 	for f := 0; f < 2; f++ {
 		fetchers.Add(1)
@@ -666,7 +677,7 @@ func TestFetchRaceWithRetention(t *testing.T) {
 					held = held[len(held)-1024:]
 				}
 				for _, m := range held {
-					if err := check(m); err != nil {
+					if err := checkRaced(m); err != nil {
 						errs <- err
 						return
 					}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -101,16 +104,47 @@ type logDriver struct {
 	topic  *Topic
 	oracle []*sliceLog
 	bigOK  bool // allow values larger than a chunk
+	// compressible values are runs of a few tokens, which deflate to well
+	// under half their size; otherwise values are random bytes, which do
+	// not, so their chunks stay raw.
+	compressible bool
+	// compressed collects every chunk seen in compressed form (see
+	// noteCompressed).
+	compressed map[*chunk]bool
+}
+
+// compressibleValue returns n bytes of demo-like tokens.
+func (d *logDriver) compressibleValue(n int) []byte {
+	tokens := []string{"uniques|", "page-", "07", "42", "|user-", "latency-us|", "all"}
+	val := make([]byte, 0, n+16)
+	for len(val) < n {
+		val = append(val, tokens[d.rng.Intn(len(tokens))]...)
+	}
+	return val[:n]
 }
 
 func (d *logDriver) record() (Record, Record) {
 	keys := []string{"", "all", "page-07", "page-42", "a-much-longer-key-than-the-demo-uses"}
 	n := d.rng.Intn(96)
-	if d.bigOK && d.rng.Intn(400) == 0 {
-		n = chunkSize + d.rng.Intn(3*chunkSize)
+	if d.compressible {
+		n = d.rng.Intn(192)
 	}
-	val := make([]byte, n)
-	d.rng.Read(val)
+	if d.bigOK && d.rng.Intn(400) == 0 {
+		// Up to four chunks; up to two for compressible values, which
+		// inflate slowly under -race.
+		if d.compressible {
+			n = chunkSize + d.rng.Intn(chunkSize)
+		} else {
+			n = chunkSize + d.rng.Intn(3*chunkSize)
+		}
+	}
+	var val []byte
+	if d.compressible {
+		val = d.compressibleValue(n)
+	} else {
+		val = make([]byte, n)
+		d.rng.Read(val)
+	}
 	rec := Record{Key: keys[d.rng.Intn(len(keys))], Value: val}
 	if d.rng.Intn(5) == 0 {
 		for i := 0; i <= d.rng.Intn(2); i++ {
@@ -247,6 +281,72 @@ func (d *logDriver) check(t *testing.T, withHeaders bool) {
 	}
 }
 
+// noteCompressed adds every chunk the topic now holds compressed to
+// d.compressed.
+func (d *logDriver) noteCompressed() {
+	if d.compressed == nil {
+		d.compressed = make(map[*chunk]bool)
+	}
+	for _, p := range d.topic.parts {
+		p.mu.Lock()
+		for _, c := range p.chunks {
+			if c.z != nil {
+				d.compressed[c] = true
+			}
+		}
+		p.mu.Unlock()
+	}
+}
+
+// compression reports how many chunks the run has seen compressed, how
+// many of those retention has since dropped, and the fewest compressed
+// chunks any partition holds now.
+func (d *logDriver) compression() (seen, dropped, fewestHeld int) {
+	fewestHeld = math.MaxInt
+	held := make(map[*chunk]bool)
+	for _, p := range d.topic.parts {
+		n := 0
+		p.mu.Lock()
+		for _, c := range p.chunks {
+			held[c] = true
+			if c.z != nil {
+				n++
+			}
+		}
+		p.mu.Unlock()
+		fewestHeld = min(fewestHeld, n)
+	}
+	for c := range d.compressed {
+		seen++
+		if !held[c] {
+			dropped++
+		}
+	}
+	return seen, dropped, fewestHeld
+}
+
+// layout renders a partition's chunks — first offset and, for a
+// compressed chunk, its deflated bytes — for comparing two logs' chunk
+// forms.
+func layout(p *partition) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []string
+	for _, c := range p.chunks {
+		out = append(out, fmt.Sprintf("first %d: %d raw bytes, z %x", c.first, len(c.data), c.z))
+	}
+	return out
+}
+
+// valuesName prefixes the subtests of compressible values; those of
+// random values keep the names they had before compression.
+func valuesName(compressible bool) string {
+	if compressible {
+		return "compressible/"
+	}
+	return ""
+}
+
 func stripHeaders(msgs []Message) []Message {
 	out := make([]Message, len(msgs))
 	for i, m := range msgs {
@@ -261,26 +361,53 @@ func stripHeaders(msgs []Message) []Message {
 // batched records, values up to four chunks long) into the chunked log
 // and into the slice oracle, and requires equal Fetch results — messages,
 // next and truncated — at any offset, below the retained base and past
-// the end included, and equal bounded Reader drains, for retention
-// limits 0, 1, 7 and large. The producer scribbles over every buffer it
-// produced from, so a log that aliased instead of copying fails too.
+// the end included, and equal bounded Reader drains from any offset,
+// for retention limits 0, 1, 7, about two chunks and large. The
+// producer scribbles over every buffer it produced from, so a log that
+// aliased instead of copying fails too.
+//
+// Random values never compress (the ½ rule). Compressible values, up to
+// two chunks long, take every partition past three chunks, so fetches and reads land in
+// compressed chunks, headered records and oversized single-record
+// chunks included, and the two-chunk limit drops compressed chunks.
+// Limits 1 and 5000 are left out for them: the first keeps no chunk
+// long enough to compress it, the second drops nothing, like 0.
 func TestChunkLogMatchesSliceOracle(t *testing.T) {
-	for _, limit := range []int{0, 1, 7, 5000} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("limit=%d/seed=%d", limit, seed), func(t *testing.T) {
-				topic, err := NewBroker().CreateTopic("diff", 3, limit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := &logDriver{rng: rand.New(rand.NewSource(seed)), topic: topic, bigOK: true}
-				for range 3 {
-					d.oracle = append(d.oracle, &sliceLog{limit: limit})
-				}
-				for i := 0; i < 600; i++ {
-					d.step(t)
-					d.check(t, true)
-				}
-			})
+	for _, compressible := range []bool{false, true} {
+		limits := []int{0, 1, 7, 1000, 5000}
+		if compressible {
+			limits = []int{0, 7, 1000}
+		}
+		for _, limit := range limits {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(valuesName(compressible)+fmt.Sprintf("limit=%d/seed=%d", limit, seed), func(t *testing.T) {
+					topic, err := NewBroker().CreateTopic("diff", 3, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := &logDriver{rng: rand.New(rand.NewSource(seed)), topic: topic, bigOK: true, compressible: compressible}
+					for range 3 {
+						d.oracle = append(d.oracle, &sliceLog{limit: limit})
+					}
+					for i := 0; i < 600; i++ {
+						d.step(t)
+						d.noteCompressed()
+						d.check(t, true)
+					}
+					seen, dropped, fewestHeld := d.compression()
+					t.Logf("%d chunks compressed, %d dropped, %d inflations", seen, dropped, topic.inflatedChunks())
+					switch {
+					case !compressible && seen > 0:
+						t.Fatalf("%d chunks of random values compressed; the ½ rule keeps them raw", seen)
+					case compressible && limit == 0 && fewestHeld == 0:
+						t.Fatal("a partition of compressible values holds no compressed chunk")
+					case compressible && limit == 0 && topic.inflatedChunks() == 0:
+						t.Fatal("no fetch or read inflated a compressed chunk")
+					case compressible && limit == 1000 && dropped == 0:
+						t.Fatalf("retention dropped none of the %d compressed chunks", seen)
+					}
+				})
+			}
 		}
 	}
 }
@@ -289,38 +416,79 @@ func TestChunkLogMatchesSliceOracle(t *testing.T) {
 // durable topic: the log recovered from its segment files — payloads
 // copied straight into chunks, values past a chunk's size included —
 // answers every fetch and read like the oracle, headers aside (they are
-// in-memory only).
+// in-memory only). The segment files hold the raw records, framed, and
+// the reopened log compresses the same chunks to the same bytes as the
+// log that wrote them.
 func TestDurableReopenMatchesSliceOracle(t *testing.T) {
-	for _, limit := range []int{0, 7} {
-		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := &DurableConfig{Dir: dir, SegmentBytes: 128 << 10}
-			topic, err := NewBroker().CreateTopicDurable("diff", 2, limit, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := &logDriver{rng: rand.New(rand.NewSource(9)), topic: topic, bigOK: true}
-			for range 2 {
-				d.oracle = append(d.oracle, &sliceLog{limit: limit})
-			}
-			for i := 0; i < 600; i++ {
-				d.step(t)
-			}
-			if err := topic.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if d.topic, err = NewBroker().CreateTopicDurable("diff", 2, limit, cfg); err != nil {
-				t.Fatal(err)
-			}
-			defer d.topic.Close()
-			for i := 0; i < 300; i++ {
-				d.check(t, false)
-			}
-			// Appends after recovery continue the same log.
-			for i := 0; i < 200; i++ {
-				d.step(t)
-				d.check(t, false)
-			}
-		})
+	for _, compressible := range []bool{false, true} {
+		for _, limit := range []int{0, 7} {
+			t.Run(valuesName(compressible)+fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := &DurableConfig{Dir: dir, SegmentBytes: 128 << 10}
+				topic, err := NewBroker().CreateTopicDurable("diff", 2, limit, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := &logDriver{rng: rand.New(rand.NewSource(9)), topic: topic, bigOK: true, compressible: compressible}
+				for range 2 {
+					d.oracle = append(d.oracle, &sliceLog{limit: limit})
+				}
+				for i := 0; i < 600; i++ {
+					d.step(t)
+				}
+				if err := topic.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if limit == 0 {
+					for pid, o := range d.oracle {
+						sameSegments(t, filepath.Join(dir, "diff", fmt.Sprintf("p%04d", pid)), o.msgs)
+					}
+				}
+				if d.topic, err = NewBroker().CreateTopicDurable("diff", 2, limit, cfg); err != nil {
+					t.Fatal(err)
+				}
+				defer d.topic.Close()
+				for pid := range d.oracle {
+					if got, want := layout(d.topic.parts[pid]), layout(topic.parts[pid]); !slices.Equal(got, want) {
+						t.Fatalf("partition %d reopened as %d chunks %q,\nwritten as %d %q", pid, len(got), got, len(want), want)
+					}
+				}
+				if _, _, fewestHeld := d.compression(); compressible && limit == 0 && fewestHeld == 0 {
+					t.Fatal("a reopened partition of compressible values holds no compressed chunk")
+				}
+				for i := 0; i < 300; i++ {
+					d.check(t, false)
+				}
+				// Appends after recovery continue the same log.
+				for i := 0; i < 200; i++ {
+					d.step(t)
+					d.check(t, false)
+				}
+			})
+		}
+	}
+}
+
+// sameSegments fails the test unless the segment files in dir, header
+// aside, are exactly msgs framed one after another.
+func sameSegments(t *testing.T, dir string, msgs []Message) {
+	t.Helper()
+	names, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []byte
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, data[segHeaderSize:]...)
+	}
+	for _, m := range msgs {
+		want = appendRecord(want, m.Key, m.Value)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: segment records (%d B) differ from the %d records produced (%d B framed)", dir, len(got), len(msgs), len(want))
 	}
 }

@@ -32,8 +32,11 @@ func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 			"topic", t.name, "partition", strconv.Itoa(pid))
 	}
 	reg.GaugeFunc("analytics_mqlog_retained_bytes",
-		"Memory held by the topic's in-memory log chunks, partly filled tails included.",
+		"Memory held by the topic's in-memory log: compressed chunks, raw chunks (partly filled tails included) and their end tables, and each partition's inflated chunk.",
 		func() float64 { return float64(t.RetainedBytes()) }, "topic", t.name)
+	reg.CounterFunc("analytics_mqlog_inflated_chunks_total",
+		"Compressed log chunks inflated by fetches (history reads, or consumers more than a chunk behind).",
+		t.inflatedChunks, "topic", t.name)
 	t.telFetchBatch.Store(reg.Histogram("analytics_mqlog_fetch_batch_records",
 		"Records per non-empty fetch (poll efficiency).",
 		0, 512, 64, "topic", t.name))
