@@ -73,7 +73,7 @@ func storeGeom(shards int) store.Config {
 // cleanup tears the layer down; lag, when non-nil, samples the
 // backend's consumer-group lag for the admission controller's
 // backpressure ladder.
-func buildBackend(kind string, shards int, reg *telemetry.Registry, trc *trace.Tracer) (be analytics.Backend, start, drain func() error, cleanup func(), lag func() uint64, err error) {
+func buildBackend(kind string, shards int, reg *telemetry.Registry) (be analytics.Backend, start, drain func() error, cleanup func(), lag func() uint64, err error) {
 	none := func() error { return nil }
 	switch kind {
 	case "store":
@@ -82,7 +82,6 @@ func buildBackend(kind string, shards int, reg *telemetry.Registry, trc *trace.T
 			return nil, nil, nil, nil, nil, err
 		}
 		st.SetTelemetry(reg)
-		st.SetTracer(trc)
 		return st, none, none, func() {}, nil, nil
 	case "cluster":
 		cl, err := dstore.New(dstore.Config{Partitions: 4, Store: storeGeom(shards)})
@@ -90,7 +89,6 @@ func buildBackend(kind string, shards int, reg *telemetry.Registry, trc *trace.T
 			return nil, nil, nil, nil, nil, err
 		}
 		cl.SetTelemetry(reg)
-		cl.SetTracer(trc)
 		start = func() error {
 			for i := 0; i < 2; i++ {
 				if _, err := cl.StartNode(); err != nil {
@@ -106,7 +104,6 @@ func buildBackend(kind string, shards int, reg *telemetry.Registry, trc *trace.T
 			return nil, nil, nil, nil, nil, err
 		}
 		ar.SetTelemetry(reg)
-		ar.SetTracer(trc)
 		return ar, none, ar.Drain, func() { ar.Close() }, nil, nil
 	default:
 		return nil, nil, nil, nil, nil, fmt.Errorf("unknown -backend %q (store, cluster or lambda)", kind)
@@ -213,13 +210,13 @@ func main() {
 	negCache := flag.Int("negcache", 256, "negative-result cache entries for unknown-metric probes (0 disables)")
 	flag.Parse()
 
-	reg := telemetry.New()
 	var trc *trace.Tracer
 	if *traceRate > 0 {
 		trc = trace.NewTracer(trace.Config{SampleRate: *traceRate, SlowThreshold: *slowThresh})
 	}
+	reg := telemetry.NewTraced(trc)
 
-	be, start, drain, cleanup, lag, err := buildBackend(*backend, *shards, reg, trc)
+	be, start, drain, cleanup, lag, err := buildBackend(*backend, *shards, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyticsd:", err)
 		os.Exit(1)
@@ -268,10 +265,9 @@ func main() {
 	// histograms only see admitted traffic (the shed side is accounted by
 	// analytics_admission_*).
 	srv, err := serve.NewServer(serve.Config{
-		Backend:        analytics.Admit(analytics.Instrument(be, reg, *backend, analytics.WithTracer(trc)), ctrl),
+		Backend:        analytics.Admit(analytics.Instrument(be, reg, *backend), ctrl),
 		Cache:          cache,
 		Registry:       reg,
-		Tracer:         trc,
 		Pprof:          *pprofOn,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
@@ -323,7 +319,7 @@ func main() {
 		ln.Addr(), *backend, *cacheEntries)
 	fmt.Printf("  data plane: POST /v1/query /v1/observe /v1/register, GET /v1/keys /v1/stats /v1/metrics\n")
 	fmt.Printf("  telemetry:  GET /metrics /debug/analytics")
-	if trc != nil {
+	if reg.Tracer() != nil {
 		fmt.Printf(" /debug/traces /debug/slow")
 	}
 	if *pprofOn {

@@ -20,12 +20,13 @@ import (
 const testEvents = 2000
 
 // bringUp runs the daemon's own bring-up sequence for one backend kind,
-// in main's order, and returns the serving edge and the layer's cleanup.
-func bringUp(t *testing.T, kind string) (*serve.Server, func()) {
+// in main's order, with one registry carrying a sample-everything
+// tracer, and returns the serving edge, the layer's drain and its
+// cleanup.
+func bringUp(t *testing.T, kind string) (*serve.Server, func() error, func()) {
 	t.Helper()
-	reg := telemetry.New()
-	trc := trace.NewTracer(trace.Config{SampleRate: 1})
-	be, start, drain, cleanup, _, err := buildBackend(kind, 8, reg, trc)
+	reg := telemetry.NewTraced(trace.NewTracer(trace.Config{SampleRate: 1}))
+	be, start, drain, cleanup, _, err := buildBackend(kind, 8, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +35,9 @@ func bringUp(t *testing.T, kind string) (*serve.Server, func()) {
 		t.Fatal(err)
 	}
 	srv, err := serve.NewServer(serve.Config{
-		Backend:  analytics.Instrument(be, reg, kind, analytics.WithTracer(trc)),
+		Backend:  analytics.Instrument(be, reg, kind),
 		Cache:    cache,
 		Registry: reg,
-		Tracer:   trc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,99 @@ func bringUp(t *testing.T, kind string) (*serve.Server, func()) {
 	if err := drain(); err != nil {
 		t.Fatal(err)
 	}
-	return srv, cleanup
+	return srv, drain, cleanup
+}
+
+// post sends body to path on h and fails unless it answers 200.
+func post(t *testing.T, h http.Handler, path, body string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+	}
+}
+
+// spanChains reads /debug/traces from h and returns every span's
+// ancestry, span names joined root first: "analytics.query > store.gather".
+func spanChains(t *testing.T, h http.Handler) map[string]bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/traces answered %d", rec.Code)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ name, parent string }
+	spans := map[[2]string]span{} // (trace id, span id)
+	for _, ev := range doc.TraceEvents {
+		spans[[2]string{ev.Args["trace_id"], ev.Args["span_id"]}] = span{ev.Name, ev.Args["parent_id"]}
+	}
+	chains := map[string]bool{}
+	for id, sp := range spans {
+		chain := sp.name
+		for p := sp.parent; p != ""; {
+			up, ok := spans[[2]string{id[0], p}]
+			if !ok {
+				chain = "(unretained) > " + chain
+				break
+			}
+			chain = up.name + " > " + chain
+			p = up.parent
+		}
+		chains[chain] = true
+	}
+	return chains
+}
+
+// TestBringUpTracesEveryLayer: the one traced registry the daemon builds
+// reaches every layer below the edge. One observe and one query through
+// the handler leave DESIGN.md's span topology on /debug/traces, on each
+// backend.
+func TestBringUpTracesEveryLayer(t *testing.T) {
+	want := map[string][]string{
+		"store": {
+			"analytics.observe > store.observe",
+			"analytics.query > store.gather",
+		},
+		"cluster": {
+			"analytics.observe > mqlog.append",
+			"analytics.observe > mqlog.fetch > dstore.apply > store.observe",
+			"analytics.query > dstore.scatter > dstore.node > store.gather",
+		},
+		"lambda": {
+			"analytics.observe > store.observe",
+			"analytics.query > lambda.speed > store.gather",
+			"analytics.query > lambda.batch",
+			"analytics.query > lambda.merge",
+		},
+	}
+	for _, kind := range []string{"store", "cluster", "lambda"} {
+		t.Run(kind, func(t *testing.T) {
+			srv, drain, cleanup := bringUp(t, kind)
+			defer cleanup()
+			h := srv.Handler()
+			post(t, h, "/v1/observe", `{"observations":[{"metric":"uniques","key":"page-01","item":"user-new","time":1999}]}`)
+			if err := drain(); err != nil {
+				t.Fatal(err)
+			}
+			post(t, h, "/v1/query", `{"metrics":["uniques"],"keys":["page-01"],"from":0,"to":1999}`)
+			chains := spanChains(t, h)
+			for _, w := range want[kind] {
+				if !chains[w] {
+					t.Errorf("no %q span chain; /debug/traces holds %v", w, chains)
+				}
+			}
+		})
+	}
 }
 
 // sealedSynopses asks the edge for every key of all four demo metrics
@@ -100,7 +192,7 @@ func internalGoroutines() int {
 func TestBringUpBackendsAgree(t *testing.T) {
 	var want map[string][]byte
 	for _, kind := range []string{"store", "cluster", "lambda"} {
-		srv, cleanup := bringUp(t, kind)
+		srv, _, cleanup := bringUp(t, kind)
 		got := sealedSynopses(t, srv.Handler())
 		cleanup()
 
@@ -135,7 +227,7 @@ func TestBringUpBackendsAgree(t *testing.T) {
 }
 
 func TestUnknownBackendErrors(t *testing.T) {
-	if _, _, _, _, _, err := buildBackend("kafka", 8, nil, nil); err == nil {
+	if _, _, _, _, _, err := buildBackend("kafka", 8, nil); err == nil {
 		t.Fatal("unknown -backend must error")
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"repro/internal/lambda"
 	"repro/internal/mqlog"
 	"repro/internal/store"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 )
 
 // Compile-time contract checks: dropping a Backend method from any
@@ -32,15 +32,16 @@ var (
 )
 
 // harness is one Backend under conformance: the implementation plus a
-// drain to reach read-your-writes (teardowns are t.Cleanup's), a wire
-// hook handing a tracer to the layer underneath (trace_test.go runs the
-// suite with tracing on) and, for the log-backed layers, the number of
-// records on the ingest log (stack_test.go checks what Flush lands).
+// drain to reach read-your-writes (teardowns are t.Cleanup's), the
+// traced registry the layer is wired with (nil for an unwired harness;
+// trace_test.go runs the suite with tracing on) and, for the log-backed
+// layers, the number of records on the ingest log (stack_test.go checks
+// what Flush lands).
 type harness struct {
 	name   string
 	be     Backend
 	drain  func() error
-	wire   func(*trace.Tracer)
+	reg    *telemetry.Registry
 	logged func() uint64
 }
 
@@ -59,7 +60,10 @@ func storeGeom() store.Config {
 	return store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}
 }
 
-func newHarnesses(t *testing.T) []harness {
+// newHarnesses builds one harness per serving backend. With traced set,
+// each layer is wired with a registry of its own carrying a
+// sample-everything tracer (tracedTracer), before any traffic.
+func newHarnesses(t *testing.T, traced bool) []harness {
 	t.Helper()
 	st, err := store.New(storeGeom())
 	if err != nil {
@@ -89,8 +93,8 @@ func newHarnesses(t *testing.T) []harness {
 	t.Cleanup(func() { clustered.Close() })
 
 	none := func() error { return nil }
-	return []harness{
-		{name: "store", be: st, drain: none, wire: st.SetTracer},
+	hs := []harness{
+		{name: "store", be: st, drain: none},
 		{name: "cluster-router", be: cl.Router(), drain: func() error {
 			if len(cl.NodeNames()) == 0 {
 				for i := 0; i < 2; i++ {
@@ -100,10 +104,20 @@ func newHarnesses(t *testing.T) []harness {
 				}
 			}
 			return cl.Drain()
-		}, wire: cl.SetTracer, logged: logLen(cl.Topic())},
-		{name: "lambda-single", be: single, drain: single.Drain, wire: single.SetTracer, logged: logLen(single.Topic())},
-		{name: "lambda-cluster", be: clustered, drain: clustered.Drain, wire: clustered.SetTracer, logged: logLen(clustered.Topic())},
+		}, logged: logLen(cl.Topic())},
+		{name: "lambda-single", be: single, drain: single.Drain, logged: logLen(single.Topic())},
+		{name: "lambda-cluster", be: clustered, drain: clustered.Drain, logged: logLen(clustered.Topic())},
 	}
+	if traced {
+		for i := range hs {
+			hs[i].reg = telemetry.NewTraced(tracedTracer())
+		}
+		st.SetTelemetry(hs[0].reg)
+		cl.SetTelemetry(hs[1].reg)
+		single.SetTelemetry(hs[2].reg)
+		clustered.SetTelemetry(hs[3].reg)
+	}
+	return hs
 }
 
 // registerFamilies binds one metric per synopsis family. Identical
@@ -183,7 +197,7 @@ func feedBatched(t *testing.T, be Backend, span int64) {
 const conformanceSpan = 400
 
 func TestBackendConformance(t *testing.T) {
-	for _, h := range newHarnesses(t) {
+	for _, h := range newHarnesses(t, false) {
 		t.Run(h.name, func(t *testing.T) {
 			protos := registerFamilies(t, h.be)
 			feed(t, h.be, conformanceSpan)
@@ -363,7 +377,7 @@ func TestBackendConformance(t *testing.T) {
 // platform design space differs in partitioning and staleness tradeoffs,
 // never in what a query means.
 func TestBackendsAgreeExactly(t *testing.T) {
-	hs := newHarnesses(t)
+	hs := newHarnesses(t, false)
 	for _, h := range hs {
 		registerFamilies(t, h.be)
 		feed(t, h.be, conformanceSpan)
@@ -482,8 +496,8 @@ func marshalAnswers(t *testing.T, be Backend) [][]byte {
 // one-observation batches, an empty batch is a no-op, and an invalid
 // batch mutates nothing (all-or-nothing).
 func TestBackendConformanceObserveBatch(t *testing.T) {
-	looped := newHarnesses(t)
-	batched := newHarnesses(t)
+	looped := newHarnesses(t, false)
+	batched := newHarnesses(t, false)
 	for i, h := range looped {
 		h := h
 		b := batched[i]

@@ -18,26 +18,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Option configures an Instrument wrapper beyond its registry.
-type Option func(*options)
-
-type options struct {
-	tracer *trace.Tracer
-}
-
-// WithTracer makes the wrapper the tracing root of the serving stack:
-// every ObserveBatch that carries no trace context opens a head-sampled
-// ingest root (analytics.observe) whose context rides the batch into
-// the backend — through the store's shard spans or, in cluster mode,
-// across the log via record headers — and every Query opens an
-// always-started root
-// (analytics.query) carrying the request summary as attributes, kept
-// at Finish when sampled or over the tracer's slow threshold (the
-// latter also lands in the slow-query log). A nil tracer is a no-op.
-func WithTracer(tr *trace.Tracer) Option {
-	return func(o *options) { o.tracer = tr }
-}
-
 // Instrument wraps be so every ObserveBatch and Query is recorded in reg:
 // per-backend/per-metric operation counters
 // (analytics_backend_observe_total, analytics_backend_query_total,
@@ -48,23 +28,26 @@ func WithTracer(tr *trace.Tracer) Option {
 // wrapper delegates verbatim — answers are byte-identical to the bare
 // backend's, which the conformance suite pins.
 //
-// A nil registry with no options returns be unchanged, so call sites
-// can wire instrumentation unconditionally; with WithTracer the wrapper
-// also traces (a nil registry then just mutes the metrics — every
-// telemetry handle is nil-safe).
-func Instrument(be Backend, reg *telemetry.Registry, backend string, opts ...Option) Backend {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if reg == nil && o.tracer == nil {
+// When reg carries a tracer the wrapper is also the tracing root of the
+// serving stack: every ObserveBatch that carries no trace context opens
+// a head-sampled ingest root (analytics.observe) whose context rides the
+// batch into the backend — through the store's shard spans or, in
+// cluster mode, across the log via record headers — and every Query
+// opens an always-started root (analytics.query) carrying the request
+// summary as attributes, kept at Finish when sampled or over the
+// tracer's slow threshold (the latter also lands in the slow-query log).
+//
+// A nil registry returns be unchanged, so call sites can wire
+// instrumentation unconditionally.
+func Instrument(be Backend, reg *telemetry.Registry, backend string) Backend {
+	if reg == nil {
 		return be
 	}
 	return &instrumented{
 		Backend: be,
 		reg:     reg,
 		backend: backend,
-		trc:     o.tracer,
+		trc:     reg.Tracer(),
 		obsLat: reg.Histogram("analytics_backend_observe_seconds",
 			"Observe latency through the Backend contract.",
 			0, 1e-3, 64, "backend", backend),

@@ -21,8 +21,8 @@ import (
 // serving implementations, and requires identical answers — the wrapper
 // may only ever count and time, never change a byte of the result.
 func TestInstrumentTransparent(t *testing.T) {
-	bare := newHarnesses(t)
-	wrapped := newHarnesses(t)
+	bare := newHarnesses(t, false)
+	wrapped := newHarnesses(t, false)
 	reg := telemetry.New()
 	for i := range wrapped {
 		wrapped[i].be = Instrument(wrapped[i].be, reg, wrapped[i].name)

@@ -1,11 +1,11 @@
 // stack_test.go is the conformance leg over the path production takes:
-// every backend behind Admit(Instrument(be, reg, name, WithTracer(tr)),
-// ctrl), exactly as cmd/analyticsd stacks them. The decorators embed the
-// Backend they wrap and override only what they change, so this leg
-// pins both halves of that bargain — the overridden methods count, time
-// and shed on every route in (no write or query slips past through a
-// promoted method), and the promoted ones (Keys, Stats, Flush) reach the
-// backend underneath.
+// every backend behind Admit(Instrument(be, reg, name), ctrl) with a
+// traced registry, exactly as cmd/analyticsd stacks them. The
+// decorators embed the Backend they wrap and override only what they
+// change, so this leg pins both halves of that bargain — the overridden
+// methods count, time and shed on every route in (no write or query
+// slips past through a promoted method), and the promoted ones (Keys,
+// Stats, Flush) reach the backend underneath.
 package analytics
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // stack is one harness wrapped the way the daemon wraps its backend,
@@ -26,7 +25,6 @@ type stack struct {
 	harness
 	top  Backend
 	reg  *telemetry.Registry
-	trc  *trace.Tracer
 	ctrl *admission.Controller
 }
 
@@ -39,8 +37,8 @@ func newStack(t *testing.T, h harness, burst float64) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &stack{harness: h, reg: telemetry.New(), trc: tracedTracer(), ctrl: ctrl}
-	s.top = Admit(Instrument(h.be, s.reg, h.name, WithTracer(s.trc)), ctrl)
+	s := &stack{harness: h, reg: telemetry.NewTraced(tracedTracer()), ctrl: ctrl}
+	s.top = Admit(Instrument(h.be, s.reg, h.name), ctrl)
 	return s
 }
 
@@ -90,7 +88,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 	}
 	burst := float64(len(stream) + len(bad))
 
-	looped, batched := newHarnesses(t), newHarnesses(t)
+	looped, batched := newHarnesses(t, false), newHarnesses(t, false)
 	for i := range looped {
 		t.Run(looped[i].name, func(t *testing.T) {
 			l, b := newStack(t, looped[i], burst), newStack(t, batched[i], burst)
@@ -195,7 +193,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 					func() (store.QueryResult, error) { return QueryContext(ctx, b.top, req) },
 				}
 				for n, route := range routes {
-					counted, calls, roots := b.queried("uniq"), b.queryCalls(), b.trc.Stats().Started
+					counted, calls, roots := b.queried("uniq"), b.queryCalls(), b.reg.Tracer().Stats().Started
 					got, err := route()
 					if err != nil {
 						t.Fatal(err)
@@ -206,7 +204,7 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 					if b.queried("uniq") != counted+1 || b.queryCalls() != calls+1 {
 						t.Errorf("route %d bypassed the query counters", n)
 					}
-					if b.trc.Stats().Started != roots+1 {
+					if b.reg.Tracer().Stats().Started != roots+1 {
 						t.Errorf("route %d opened no analytics.query root", n)
 					}
 				}

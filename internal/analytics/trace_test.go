@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dstore"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -28,18 +29,17 @@ func tracedTracer() *trace.Tracer {
 }
 
 // TestTracedBackendsAnswerLikeBare runs every serving backend twice on
-// the conformance dataset — bare, and wrapped in Instrument with a
-// sample-everything tracer wired through the layer underneath — and
-// requires identical answers. Tracing is observation, never
+// the conformance dataset — bare, and wired with a registry carrying a
+// sample-everything tracer, wrapped in Instrument over that registry —
+// and requires identical answers. Tracing is observation, never
 // computation.
 func TestTracedBackendsAnswerLikeBare(t *testing.T) {
-	bare := newHarnesses(t)
-	traced := newHarnesses(t)
+	bare := newHarnesses(t, false)
+	traced := newHarnesses(t, true)
 	for i := range bare {
 		t.Run(bare[i].name, func(t *testing.T) {
-			tr := tracedTracer()
-			traced[i].wire(tr)
-			tbe := Instrument(traced[i].be, nil, traced[i].name, WithTracer(tr))
+			tr := traced[i].reg.Tracer()
+			tbe := Instrument(traced[i].be, traced[i].reg, traced[i].name)
 
 			for _, h := range []struct {
 				be    Backend
@@ -121,9 +121,10 @@ func TestIngestTraceStitchesAcrossLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	tr := tracedTracer()
-	cl.SetTracer(tr)
-	be := Instrument(cl.Router(), nil, "cluster", WithTracer(tr))
+	reg := telemetry.NewTraced(tracedTracer())
+	tr := reg.Tracer()
+	cl.SetTelemetry(reg)
+	be := Instrument(cl.Router(), reg, "cluster")
 
 	hll, err := store.NewDistinctProto(12, 7)
 	if err != nil {
@@ -196,9 +197,10 @@ func TestInstrumentObserveBatchOpensRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracedTracer()
-	st.SetTracer(tr)
-	be := Instrument(st, nil, "store", WithTracer(tr))
+	reg := telemetry.NewTraced(tracedTracer())
+	tr := reg.Tracer()
+	st.SetTelemetry(reg)
+	be := Instrument(st, reg, "store")
 	registerFamilies(t, be)
 	batch := conformanceStream(3)
 	if err := be.ObserveBatch(batch); err != nil {

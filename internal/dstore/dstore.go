@@ -59,7 +59,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mqlog"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Config tunes a Cluster.
@@ -118,12 +117,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats aggregates the cluster's counters.
+// Stats aggregates the cluster's counters. The counters are totals over
+// the cluster's life, stopped nodes included, so they never fall; Nodes,
+// Lag and Store describe the live nodes now.
 type Stats struct {
 	Nodes              int    // live nodes
 	Recoveries         uint64 // completed node recoveries (includes first starts)
-	Applied            uint64 // observations applied by live node event loops
-	Replayed           uint64 // observations applied by recovery replays
+	Applied            uint64 // observations applied by node event loops
+	Replayed           uint64 // observations applied by node recovery replays
 	Rejected           uint64 // poison log records skipped (see store.DecodeRecord)
 	Lag                uint64 // unconsumed messages across the group
 	CheckpointRestores uint64 // recoveries seeded from a checkpoint (suffix replay)
@@ -149,17 +150,20 @@ type Cluster struct {
 	// floor are excluded from every store rebuilt after the fence moved.
 	floors atomic.Pointer[[]uint64]
 
-	// tel is the cluster's telemetry wiring (telemetry.go), swapped
-	// atomically because SetTelemetry may race already-running node
-	// event loops. fenceRejected and unreachable are always-on atomics:
-	// generation-fence commit rejections and failed query fan-outs.
+	// tel is the cluster's telemetry and tracer wiring (telemetry.go),
+	// swapped atomically because SetTelemetry may race already-running
+	// node event loops. The rest are always-on atomics every node adds
+	// to, so they count over the cluster's life: generation-fence commit
+	// rejections, failed query fan-outs, and the node counters Stats
+	// reports.
 	tel           atomic.Pointer[clusterTel]
 	fenceRejected atomic.Uint64
 	unreachable   atomic.Uint64
-
-	// trc is the cluster's tracer (trace_wire.go), atomic for the same
-	// reason tel is: SetTracer may race running node event loops.
-	trc atomic.Pointer[trace.Tracer]
+	recoveries    atomic.Uint64
+	applied       atomic.Uint64
+	replayed      atomic.Uint64
+	rejected      atomic.Uint64
+	ckptRestores  atomic.Uint64
 
 	mu     sync.Mutex
 	nodes  map[string]*Node
@@ -301,7 +305,9 @@ func (c *Cluster) StartNode() (string, error) {
 // StopNode kills a node: it leaves the group (survivors rebalance and
 // recover its partitions from the log) and its local store is discarded —
 // the crash model, not a graceful handoff, because log-based recovery
-// must not depend on the dead node's state.
+// must not depend on the dead node's state. Its store's series leave the
+// wired registry, which would otherwise keep exporting (and keep alive)
+// the dead store; what the node counted stays in the cluster totals.
 func (c *Cluster) StopNode(name string) error {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -314,6 +320,10 @@ func (c *Cluster) StopNode(name string) error {
 	}
 	c.group.Leave(name)
 	n.stop()
+	// After the event loop exits, so no rebuild can register them again.
+	if t := c.tel.Load(); t != nil {
+		t.reg.RemoveSeries("node", name)
+	}
 	return nil
 }
 
@@ -474,16 +484,19 @@ func (c *Cluster) Checkpoint() error {
 	return first
 }
 
-// Stats aggregates node counters and store stats across the cluster.
+// Stats reports the cluster's counters and the live nodes' store stats.
 func (c *Cluster) Stats() Stats {
 	nodes := c.liveNodes()
-	out := Stats{Nodes: len(nodes), Lag: c.Lag()}
+	out := Stats{
+		Nodes:              len(nodes),
+		Recoveries:         c.recoveries.Load(),
+		Applied:            c.applied.Load(),
+		Replayed:           c.replayed.Load(),
+		Rejected:           c.rejected.Load(),
+		Lag:                c.Lag(),
+		CheckpointRestores: c.ckptRestores.Load(),
+	}
 	for _, n := range nodes {
-		out.Recoveries += n.recoveries.Load()
-		out.Applied += n.applied.Load()
-		out.Replayed += n.replayed.Load()
-		out.Rejected += n.rejected.Load()
-		out.CheckpointRestores += n.ckptRestores.Load()
 		if st := n.currentStore(); st != nil {
 			out.Store.Add(st.Stats())
 		}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mqlog"
@@ -46,12 +45,6 @@ type Node struct {
 	// obs is the event loop's decode scratch, reused across polled
 	// batches (ObserveBatch does not keep it).
 	obs []store.Observation
-
-	recoveries   atomic.Uint64
-	applied      atomic.Uint64
-	replayed     atomic.Uint64
-	rejected     atomic.Uint64
-	ckptRestores atomic.Uint64
 }
 
 func newNode(c *Cluster, name string) *Node {
@@ -196,13 +189,13 @@ func (n *Node) apply(st *store.Store, trc *trace.Tracer, b mqlog.PartitionBatch)
 		}
 		n.obs = append(n.obs, obs)
 	}
-	n.rejected.Add(uint64(len(b.Messages) - len(n.obs)))
+	n.c.rejected.Add(uint64(len(b.Messages) - len(n.obs)))
 	// DecodeRecord passes only what ObserveBatch accepts, so this cannot
 	// fail; were it to, the batch is counted rejected like any poison.
 	if err := st.ObserveBatch(n.obs); err != nil {
-		n.rejected.Add(uint64(len(n.obs)))
+		n.c.rejected.Add(uint64(len(n.obs)))
 	} else {
-		n.applied.Add(uint64(len(n.obs)))
+		n.c.applied.Add(uint64(len(n.obs)))
 	}
 	if fsp != nil {
 		asp.SetAttrs(trace.Int("records", int64(len(n.obs))))
@@ -233,7 +226,7 @@ func (n *Node) recover(gen int) {
 			// Config errors are permanent; park until stopped rather than
 			// hot-loop (New validated the same store config up front, so
 			// this is effectively unreachable).
-			n.rejected.Add(1)
+			n.c.rejected.Add(1)
 			select {
 			case <-n.stopCh:
 			case <-time.After(time.Millisecond):
@@ -243,11 +236,8 @@ func (n *Node) recover(gen int) {
 		if t := n.c.tel.Load(); t != nil {
 			// Wire the fresh store before it serves: re-registration
 			// re-binds the node's metric series to the rebuilt store's
-			// counters.
+			// counters, and the store traces into the registry's tracer.
 			st.SetTelemetry(t.reg, "layer", "dstore", "node", n.name)
-		}
-		if tr := n.c.tracer(); tr != nil {
-			st.SetTracer(tr)
 		}
 		return st, true
 	}
@@ -272,7 +262,7 @@ func (n *Node) recover(gen int) {
 		offs, restored, dirty := n.tryRestore(st, assignment)
 		switch {
 		case restored:
-			n.ckptRestores.Add(1)
+			n.c.ckptRestores.Add(1)
 			for i, pid := range assignment {
 				if offs[pid] > starts[i] {
 					starts[i] = offs[pid]
@@ -294,8 +284,8 @@ func (n *Node) recover(gen int) {
 		// cannot wedge recovery; an error here is structural, and the
 		// event loop's next pass retries the whole recovery.
 		rs, err := store.ReplayPartition(st, n.c.topic, pid, starts[i])
-		n.replayed.Add(rs.Applied)
-		n.rejected.Add(rs.Rejected)
+		n.c.replayed.Add(rs.Applied)
+		n.c.rejected.Add(rs.Rejected)
 		if err != nil {
 			return
 		}
@@ -312,7 +302,7 @@ func (n *Node) recover(gen int) {
 	n.gen = gen
 	close(n.serveCh)
 	n.mu.Unlock()
-	n.recoveries.Add(1)
+	n.c.recoveries.Add(1)
 	n.c.observeRecovery(start)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -16,8 +17,9 @@ import (
 // first one's.
 func TestNodeTracesOncePerPolledBatch(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 1})
-	tr := trace.NewTracer(trace.Config{SampleRate: 1})
-	c.SetTracer(tr)
+	reg := telemetry.NewTraced(trace.NewTracer(trace.Config{SampleRate: 1}))
+	tr := reg.Tracer()
+	c.SetTelemetry(reg)
 	if _, err := c.StartNode(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
-// trace_wire.go wires the cluster into a trace.Tracer, following the
-// SetTelemetry discipline (atomic wiring, nil = no-op, node stores
-// re-wired on every recovery rebuild). The cluster is also where trace
-// context crosses the log: Router.ObserveBatch encodes a sampled
-// observation's context into a mqlog record header (trace.HeaderKey),
-// and the node event loop decodes it on the far side, stitching the
-// append, fetch and apply spans into one trace.
+// trace_wire.go is where trace context crosses the cluster's log: the
+// tracer comes with the registry SetTelemetry wires, Router.ObserveBatch
+// encodes a sampled observation's context into a mqlog record header
+// (trace.HeaderKey), and the node event loop decodes it on the far side,
+// stitching the append, fetch and apply spans into one trace.
 package dstore
 
 import (
@@ -12,25 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// SetTracer wires the cluster's ingest and query paths to tr. Safe to
-// call on a live cluster: the router and node event loops pick the
-// tracer up atomically, stores already serving are wired immediately,
-// and each node re-wires its fresh store when it is next rebuilt. A
-// nil tracer is a no-op.
-func (c *Cluster) SetTracer(tr *trace.Tracer) {
-	if tr == nil {
-		return
+// tracer returns the wired registry's tracer, nil when tracing is off.
+func (c *Cluster) tracer() *trace.Tracer {
+	if t := c.tel.Load(); t != nil {
+		return t.trc
 	}
-	c.trc.Store(tr)
-	for _, n := range c.liveNodes() {
-		if st := n.currentStore(); st != nil {
-			st.SetTracer(tr)
-		}
-	}
+	return nil
 }
-
-// tracer returns the wired tracer, nil when tracing is off.
-func (c *Cluster) tracer() *trace.Tracer { return c.trc.Load() }
 
 // headerContext extracts the trace context a router attached to a
 // record's headers; zero when the record is untraced.

@@ -149,13 +149,10 @@ type Architecture struct {
 
 	appended atomic.Uint64
 
-	// tel is the architecture's telemetry wiring (telemetry.go), swapped
-	// atomically so SetTelemetry can be called on a live architecture.
+	// tel is the architecture's telemetry and tracer wiring
+	// (telemetry.go), swapped atomically so SetTelemetry can be called on
+	// a live architecture.
 	tel atomic.Pointer[archTel]
-
-	// trc is the architecture's tracer (trace_wire.go), same live-wiring
-	// discipline as tel; nil means tracing is off.
-	trc atomic.Pointer[trace.Tracer]
 }
 
 // New returns a store-backed Lambda Architecture. Register metrics, then
@@ -404,12 +401,10 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 			}
 		}
 		if tel != nil {
-			// Re-bind the speed layer's metric series to the replacement
-			// store before it serves (re-registration swaps the callbacks).
+			// Re-bind the speed layer's metric series and tracer to the
+			// replacement store before it serves (re-registration swaps
+			// the callbacks).
 			fresh.SetTelemetry(tel.reg, "layer", "lambda_speed")
-		}
-		if tr := a.trc.Load(); tr != nil {
-			fresh.SetTracer(tr)
 		}
 		a.speedMu.Lock()
 		for pid := 0; pid < a.topic.Partitions(); pid++ {
@@ -499,7 +494,9 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 	// finishes only matter on error returns (Finish is idempotent).
 	var tr *trace.Tracer
 	if req.Trace.Valid() {
-		tr = a.trc.Load()
+		if t := a.tel.Load(); t != nil {
+			tr = t.trc
+		}
 	}
 
 	// Phase 1: snapshot the (batch view, speed layer) pair and gather the

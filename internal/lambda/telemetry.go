@@ -4,25 +4,35 @@
 // query path, staleness and batch-version gauges at scrape time — plus
 // the master topic's mqlog metrics and the speed layer's own wiring
 // (the single store labeled layer="lambda_speed", or the whole dstore
-// cluster).
+// cluster). The registry's tracer times a traced Query's three stages —
+// lambda.speed (realtime gather), lambda.batch (sealed-view read),
+// lambda.merge (cell-wise CombineSnapshots) — parented on the request's
+// trace context, with the store and cluster layers hanging their own
+// child spans off lambda.speed.
 package lambda
 
-import "repro/internal/telemetry"
+import (
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+)
 
-// archTel is the architecture's published telemetry wiring; the append,
-// query and batch paths read it through an atomic pointer so
+// archTel is the architecture's published observability wiring; the
+// append, query and batch paths read it through one atomic pointer so
 // SetTelemetry can be called on a live architecture.
 type archTel struct {
 	reg      *telemetry.Registry // for re-wiring the swapped speed store
+	trc      *trace.Tracer       // reg's tracer; nil when untraced
 	handoff  *telemetry.Histogram
 	freeze   *telemetry.Histogram
 	truncate *telemetry.Histogram
 	merges   *telemetry.Counter
 }
 
-// SetTelemetry registers the architecture's metrics with reg and wires
-// the layers underneath it (master topic, speed store or cluster). A
-// nil registry is a no-op; calling again re-binds the callbacks.
+// SetTelemetry registers the architecture's metrics with reg, wires its
+// query path to the tracer reg carries, and wires the layers underneath
+// it (master topic, speed store or cluster) with the same registry; each
+// batch cutover's fresh speed store is wired before it serves. A nil
+// registry is a no-op; calling again re-binds the callbacks.
 func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -48,6 +58,7 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 
 	tel := &archTel{
 		reg: reg,
+		trc: reg.Tracer(),
 		handoff: reg.Histogram("analytics_lambda_batch_handoff_seconds",
 			"Total RunBatch duration: freeze, install, truncate, drain.",
 			0, 5.0, 64, labels...),

@@ -194,7 +194,7 @@ func TestRCacheTelemetry(t *testing.T) {
 	c.Lookup(sealedReq("m"))
 
 	rec := httptest.NewRecorder()
-	telemetry.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	telemetry.Handler(reg, false).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		`analytics_serve_cache_hits_total{layer="serve"} 1`,
@@ -349,7 +349,7 @@ func TestRCacheBytes(t *testing.T) {
 		t.Fatalf("bytes %d after an eviction, want %d", got, na+nc)
 	}
 	rec := httptest.NewRecorder()
-	telemetry.Handler(reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	telemetry.Handler(reg, false).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if want := fmt.Sprintf(`analytics_serve_cache_bytes{layer="serve"} %d`, na+nc); !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("scrape missing %q\n%s", want, rec.Body.String())
 	}

@@ -521,9 +521,10 @@ func TestServeTraceAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverTrc := trace.NewTracer(trace.Config{SampleRate: 1})
-	st.SetTracer(serverTrc)
-	srv, err := NewServer(Config{Backend: st, Tracer: serverTrc})
+	reg := telemetry.NewTraced(trace.NewTracer(trace.Config{SampleRate: 1}))
+	serverTrc := reg.Tracer()
+	st.SetTelemetry(reg)
+	srv, err := NewServer(Config{Backend: st, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,9 +584,10 @@ func TestServeObserveTraceReachesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serverTrc := trace.NewTracer(trace.Config{SampleRate: 1})
-	st.SetTracer(serverTrc)
-	srv, err := NewServer(Config{Backend: st, Tracer: serverTrc})
+	reg := telemetry.NewTraced(trace.NewTracer(trace.Config{SampleRate: 1}))
+	serverTrc := reg.Tracer()
+	st.SetTelemetry(reg)
+	srv, err := NewServer(Config{Backend: st, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

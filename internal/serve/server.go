@@ -77,12 +77,11 @@ type Config struct {
 	// edge. The server owns feeding its invalidation watermarks.
 	Cache *rcache.Cache
 	// Registry, when non-nil, receives the server's own metrics
-	// (analytics_serve_*) and backs the mounted /metrics surface.
+	// (analytics_serve_*) and backs the mounted /metrics surface. When it
+	// carries a tracer, the server adopts remote trace contexts into it
+	// and mounts /debug/traces and /debug/slow.
 	Registry *telemetry.Registry
-	// Tracer, when non-nil, adopts remote trace contexts and backs the
-	// mounted /debug/traces and /debug/slow surfaces.
-	Tracer *trace.Tracer
-	// Pprof mounts /debug/pprof/ (see telemetry.DebugOptions).
+	// Pprof mounts /debug/pprof/ (see telemetry.Handler).
 	Pprof bool
 	// DefaultTimeout bounds requests that carry no TimeoutHeader
 	// (default 5s). MaxTimeout clamps the header (default 60s).
@@ -114,7 +113,6 @@ type Server struct {
 	cache *rcache.Cache
 	neg   *rcache.Negative
 	ctrl  *admission.Controller
-	trc   *trace.Tracer
 	mux   *http.ServeMux
 
 	mu    sync.RWMutex
@@ -152,7 +150,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cache: cfg.Cache,
 		neg:   rcache.NewNegative(cfg.NegCache),
 		ctrl:  cfg.Admission,
-		trc:   cfg.Tracer,
 		mux:   http.NewServeMux(),
 		specs: make(map[string]ProtoSpec),
 		queries: reg.Counter("analytics_serve_queries_total",
@@ -182,10 +179,7 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/keys", s.handleKeys)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.Handle("/", telemetry.HandlerWith(reg, telemetry.DebugOptions{
-		Tracer: cfg.Tracer,
-		Pprof:  cfg.Pprof,
-	}))
+	s.mux.Handle("/", telemetry.Handler(reg, cfg.Pprof))
 	return s, nil
 }
 
@@ -233,7 +227,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // remote client's request is retained and slow-logged like a local one.
 func (s *Server) remoteSpan(r *http.Request, name string) *trace.Span {
 	h := r.Header.Get(TraceHeader)
-	if h == "" || s.trc == nil {
+	trc := s.cfg.Registry.Tracer()
+	if h == "" || trc == nil {
 		return nil
 	}
 	raw, err := hex.DecodeString(h)
@@ -244,7 +239,7 @@ func (s *Server) remoteSpan(r *http.Request, name string) *trace.Span {
 	if !tctx.Valid() {
 		return nil
 	}
-	return s.trc.AdoptRemote(tctx, name)
+	return trc.AdoptRemote(tctx, name)
 }
 
 // jsonContentType is the Content-Type header value of every response,

@@ -354,8 +354,9 @@ type Store struct {
 	telLockWait *telemetry.Histogram
 	telGather   *telemetry.Histogram
 
-	// Tracer hook (trace_wire.go). Same discipline as the histograms:
-	// nil when unwired, set before serving; traced paths additionally
+	// Tracer hook, the tracer of the registry SetTelemetry wired. Same
+	// discipline as the histograms: nil when unwired or the registry is
+	// untraced, set before serving; traced paths additionally
 	// gate on the request/observation carrying a valid trace context,
 	// so an unwired or unsampled operation pays one pointer check.
 	trc *trace.Tracer

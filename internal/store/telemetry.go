@@ -9,11 +9,13 @@ package store
 import "repro/internal/telemetry"
 
 // SetTelemetry registers the store's metrics with reg under the given
-// label pairs (default layer="store"); pass distinguishing labels
-// (e.g. layer="dstore", node="n1") when several stores share one
-// registry. Safe to call again — re-registration re-binds the scrape
-// callbacks to this store, which is exactly what a rebuilt cluster
-// node store needs. A nil registry is a no-op.
+// label pairs (default layer="store"), and wires its observe and gather
+// paths to the tracer reg carries; pass distinguishing labels (e.g.
+// layer="dstore", node="n1") when several stores share one registry.
+// Safe to call again — re-registration re-binds the scrape callbacks to
+// this store, which is exactly what a rebuilt cluster node store needs.
+// Like the histograms, the tracer is a plain pointer: wire before the
+// store starts serving. A nil registry is a no-op.
 func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	if reg == nil {
 		return
@@ -80,6 +82,7 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	s.telGather = reg.Histogram("analytics_store_gather_seconds",
 		"Per-metric gather time of a range query (all requested keys).",
 		0, 10e-3, 64, labels...)
+	s.trc = reg.Tracer()
 }
 
 // sealCount sums the per-shard sealed-bucket counters.

@@ -1,21 +1,23 @@
 // trace_bench_test.go pins the ingest-path cost of the tracing hooks —
 // the numbers behind the checked-in BENCH_trace.json. The contract: a
-// store with no tracer wired pays nothing measurable over the pre-trace
-// baseline (0 allocs, ~1 pointer check per shard group), a wired tracer
-// with untraced observations pays only the Context.Valid checks, and
-// only a sampled observation buys the span machinery.
+// store with nothing wired pays nothing measurable over the pre-trace
+// baseline (0 allocs, ~1 pointer check per shard group), a traced
+// registry with untraced observations pays only the registry's lock-wait
+// timing and the Context.Valid checks, and only a sampled observation
+// buys the span machinery.
 package store
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// benchIngestTraced is benchIngest with a tracer wired and a fraction
-// of observations carrying a sampled trace context (sampleEvery == 0
-// means none do).
+// benchIngestTraced is benchIngest with a registry carrying tr wired (none
+// when tr is nil) and a fraction of observations carrying a sampled trace
+// context (sampleEvery == 0 means none do).
 func benchIngestTraced(b *testing.B, tr *trace.Tracer, sampleEvery int) {
 	b.Helper()
 	st, err := New(Config{Shards: 8, BucketWidth: 10, RingBuckets: 64})
@@ -29,7 +31,9 @@ func benchIngestTraced(b *testing.B, tr *trace.Tracer, sampleEvery int) {
 	if err := st.RegisterMetric("uniq", hll); err != nil {
 		b.Fatal(err)
 	}
-	st.SetTracer(tr)
+	if tr != nil {
+		st.SetTelemetry(telemetry.NewTraced(tr))
+	}
 	keys := make([]string, 16)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
@@ -68,9 +72,8 @@ func BenchmarkStoreIngestTraced(b *testing.B) {
 }
 
 // TestObserveBatchAllocGate: a one-observation ObserveBatch into a
-// resident entry allocates nothing with telemetry off, whether no
-// tracer is wired or one is wired and the observation is untraced, at
-// any shard count. A single observation skips the grouping sort, whose
+// resident entry allocates nothing, whether nothing is wired or a traced
+// registry is wired and the observation is untraced, at any shard count. A single observation skips the grouping sort, whose
 // buffer cost 1 allocation per call.
 func TestObserveBatchAllocGate(t *testing.T) {
 	for _, tc := range []struct {
@@ -89,7 +92,9 @@ func TestObserveBatchAllocGate(t *testing.T) {
 			if err := st.RegisterMetric("uniq", hll); err != nil {
 				t.Fatal(err)
 			}
-			st.SetTracer(tc.tr)
+			if tc.tr != nil {
+				st.SetTelemetry(telemetry.NewTraced(tc.tr))
+			}
 			batch := []Observation{{Metric: "uniq", Key: "k0", Item: "u0", Time: 1}}
 			if err := st.ObserveBatch(batch); err != nil { // make the entry resident
 				t.Fatal(err)

@@ -74,7 +74,7 @@ func TestEncodeIsDeterministic(t *testing.T) {
 }
 
 func TestHandlerSurfaces(t *testing.T) {
-	srv := httptest.NewServer(Handler(goldenRegistry()))
+	srv := httptest.NewServer(Handler(goldenRegistry(), false))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
@@ -120,7 +120,7 @@ func TestHandlerSurfaces(t *testing.T) {
 }
 
 func TestNilHandlerServesEmpty(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(Handler(nil, false))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/analytics")
 	if err != nil {

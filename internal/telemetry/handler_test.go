@@ -17,7 +17,7 @@ func TestDebugTraceSurfaces(t *testing.T) {
 	root.Child("store.gather").Finish()
 	root.Finish()
 
-	srv := httptest.NewServer(HandlerWith(nil, DebugOptions{Tracer: tr, Pprof: true}))
+	srv := httptest.NewServer(Handler(NewTraced(tr), true))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/debug/traces")
@@ -65,7 +65,7 @@ func TestDebugTraceSurfaces(t *testing.T) {
 }
 
 func TestDebugSurfacesAbsentByDefault(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(Handler(New(), false))
 	defer srv.Close()
 	for _, path := range []string{"/debug/traces", "/debug/slow", "/debug/pprof/"} {
 		resp, err := srv.Client().Get(srv.URL + path)

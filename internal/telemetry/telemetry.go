@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/histogram"
+	"repro/internal/trace"
 )
 
 // Kind discriminates the instrument families a Registry holds.
@@ -66,17 +67,60 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Registry holds metric families keyed by name. The zero value is not
-// usable; construct with New. A nil *Registry is a valid "telemetry
-// off" value: all registration methods return nil instruments.
+// Registry holds metric families keyed by name, and optionally the
+// tracer every layer wired with it traces into: the registry is the one
+// observability handle a subsystem's SetTelemetry takes. The zero value
+// is not usable; construct with New or NewTraced. A nil *Registry is a
+// valid "telemetry off" value: all registration methods return nil
+// instruments and Tracer returns nil.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	trc      *trace.Tracer // fixed at construction; nil = untraced
 }
 
-// New returns an empty registry.
-func New() *Registry {
-	return &Registry{families: make(map[string]*family)}
+// New returns an empty, untraced registry.
+func New() *Registry { return NewTraced(nil) }
+
+// NewTraced returns an empty registry carrying tr: every layer wired
+// with it traces into tr, and Handler mounts tr's debug surfaces. A nil
+// tr is exactly New().
+func NewTraced(tr *trace.Tracer) *Registry {
+	return &Registry{families: make(map[string]*family), trc: tr}
+}
+
+// Tracer returns the tracer the registry carries; nil when untraced or
+// on a nil registry.
+func (r *Registry) Tracer() *trace.Tracer {
+	if r == nil {
+		return nil
+	}
+	return r.trc
+}
+
+// RemoveSeries drops every series, in every family, whose labels hold
+// key=value — how a subsystem retiring a labelled member (a stopped
+// cluster node) stops exporting it and releases whatever the member's
+// Func callbacks capture. Families stay registered. No-op on a nil
+// registry.
+func (r *Registry) RemoveSeries(key, value string) {
+	if r == nil {
+		return
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, fam := range r.families {
+		fam.mu.Lock()
+		for k, ch := range fam.children {
+			for i := 0; i < len(ch.labels); i += 2 {
+				if ch.labels[i] == key && ch.labels[i+1] == value {
+					delete(fam.children, k)
+					break
+				}
+			}
+		}
+		fam.mu.Unlock()
+	}
 }
 
 // family is one named metric family; children are the label-set series.

@@ -33,6 +33,35 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	if snap := r.Snapshot(); len(snap) != 0 {
 		t.Fatalf("nil Snapshot = %v", snap)
 	}
+	r.RemoveSeries("node", "n1")
+	if r.Tracer() != nil || New().Tracer() != nil || NewTraced(nil).Tracer() != nil {
+		t.Fatal("an untraced registry must carry no tracer")
+	}
+}
+
+// TestRemoveSeries: dropping a label pair removes exactly the series that
+// carry it, across families and kinds, and releases the Func callbacks.
+func TestRemoveSeries(t *testing.T) {
+	r := New()
+	r.CounterFunc("analytics_x_total", "x", func() uint64 { return 1 }, "layer", "dstore", "node", "n0")
+	r.CounterFunc("analytics_x_total", "x", func() uint64 { return 2 }, "layer", "dstore", "node", "n1")
+	r.Gauge("analytics_y", "y", "node", "n0").Set(3)
+	r.Histogram("analytics_z_seconds", "z", 0, 1, 4, "node", "n0").Observe(0.5)
+	r.Counter("analytics_w_total", "w", "layer", "n0").Inc() // n0 as another key's value stays
+	r.RemoveSeries("node", "n0")
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if strings.Contains(out, `node="n0"`) {
+		t.Fatalf("node=n0 series survived RemoveSeries:\n%s", out)
+	}
+	for _, want := range []string{`analytics_x_total{layer="dstore",node="n1"} 2`, `analytics_w_total{layer="n0"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("RemoveSeries dropped %s:\n%s", want, out)
+		}
+	}
 }
 
 func TestCounterGaugeBasics(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package trace is a zero-dependency request tracer for the analytics
-// stack. It mirrors the telemetry package's wiring discipline — every
-// layer accepts a *Tracer through a SetTracer hook, a nil *Tracer (and
-// a nil *Span) is a no-op on every method — so tracing can be compiled
+// stack. It follows the telemetry package's wiring discipline — a
+// layer takes its *Tracer from the telemetry registry it is wired with
+// (telemetry.NewTraced), and a nil *Tracer (and a nil *Span) is a no-op
+// on every method — so tracing can be compiled
 // in everywhere and cost nothing until a process opts in.
 //
 // Model. A trace is a tree of spans sharing one TraceID. Each span has

@@ -859,18 +859,20 @@ func NewSinkBolt(be Backend, extract func(TupleMessage) (StoreObservation, bool)
 
 // ---- Telemetry (self-instrumentation) ----
 
-// Telemetry is the metrics registry every subsystem can report into:
-// atomic counters, gauges and fixed-bucket latency histograms with
-// p50/p95/p99 accessors, encoded in the Prometheus text exposition
-// format. Wire a registry into a subsystem with its SetTelemetry method
-// (SketchStore, LogTopic, LogConsumerGroup, StoreCluster, Lambda), wrap
-// any Backend with Instrument, and serve the scrape surface with
-// MetricsHandler. A nil *Telemetry everywhere means "telemetry off":
-// instruments become no-ops and hot paths pay one pointer check.
+// Telemetry is the one observability handle every subsystem reports
+// into: a metrics registry (atomic counters, gauges and fixed-bucket
+// latency histograms with p50/p95/p99 accessors, encoded in the
+// Prometheus text exposition format) that optionally carries the Tracer
+// every layer traces into. Wire it into a subsystem with its
+// SetTelemetry method (SketchStore, LogTopic, LogConsumerGroup,
+// StoreCluster, Lambda), wrap any Backend with Instrument, and serve the
+// scrape and debug surfaces with MetricsHandler. A nil *Telemetry
+// everywhere means "telemetry off": instruments become no-ops and hot
+// paths pay one pointer check.
 type Telemetry = telemetry.Registry
 
-// NewTelemetry returns an empty metrics registry.
-func NewTelemetry() *Telemetry { return telemetry.New() }
+// NewTelemetry returns an empty registry carrying tr (nil = untraced).
+func NewTelemetry(tr *Tracer) *Telemetry { return telemetry.NewTraced(tr) }
 
 // TelemetryCounter is a monotonically increasing counter instrument.
 type TelemetryCounter = telemetry.Counter
@@ -882,25 +884,29 @@ type TelemetryGauge = telemetry.Gauge
 // with Quantile/P50/P95/P99 accessors.
 type TelemetryHistogram = telemetry.Histogram
 
-// MetricsHandler returns an http.Handler serving reg on two routes:
-// /metrics (Prometheus text exposition) and /debug/analytics (a JSON
-// snapshot including histogram quantiles). A nil registry serves valid
-// empty payloads. Mount it on an http.Server of your own.
-func MetricsHandler(reg *Telemetry) http.Handler { return telemetry.Handler(reg) }
+// MetricsHandler returns an http.Handler serving reg: /metrics
+// (Prometheus text exposition) and /debug/analytics (a JSON snapshot
+// including histogram quantiles); /debug/traces (Chrome trace-event
+// JSON, loadable in chrome://tracing or Perfetto) and /debug/slow (the
+// slow-query log) when reg carries a Tracer; and the standard pprof
+// endpoints under /debug/pprof/ when pprof is set. A nil registry serves
+// valid empty payloads. Mount it on an http.Server of your own.
+func MetricsHandler(reg *Telemetry, pprof bool) http.Handler {
+	return telemetry.Handler(reg, pprof)
+}
 
 // Instrument wraps a Backend so every ObserveBatch and Query is counted per
 // metric and timed into reg, labeled backend=name — SinkBolt topologies
 // and demo drivers get serving telemetry without the backend knowing.
-// Answers are byte-identical to the bare backend's (the conformance
-// suite pins this); a nil registry with no options returns be
-// unchanged. Pass WithTracer to also open a root span per operation.
-func Instrument(be Backend, reg *Telemetry, name string, opts ...InstrumentOption) Backend {
-	return analytics.Instrument(be, reg, name, opts...)
+// When reg carries a Tracer it also opens a root span per operation:
+// head-sampled ingest roots whose context rides the observation through
+// every layer (and across the cluster's log), and always-started query
+// roots kept when sampled or slow. Answers are byte-identical to the
+// bare backend's (the conformance suite pins this); a nil registry
+// returns be unchanged.
+func Instrument(be Backend, reg *Telemetry, name string) Backend {
+	return analytics.Instrument(be, reg, name)
 }
-
-// InstrumentOption configures an Instrument wrapper beyond its
-// registry (currently: WithTracer).
-type InstrumentOption = analytics.Option
 
 // ---- Tracing (request spans and the slow-query log) ----
 
@@ -931,16 +937,9 @@ type TraceAttr = trace.Attr
 // duration and attributes plus per-stage child durations.
 type SlowQueryEntry = trace.SlowEntry
 
-// NewTracer returns a Tracer for cfg. Wire it with a subsystem's
-// SetTracer method (SketchStore, StoreCluster, Lambda) and hand it to
-// Instrument via WithTracer so roots open at the serving boundary.
+// NewTracer returns a Tracer for cfg. Hand it to NewTelemetry: every
+// subsystem wired with that registry traces into it.
 func NewTracer(cfg TraceConfig) *Tracer { return trace.NewTracer(cfg) }
-
-// WithTracer makes an Instrument wrapper open a root span per backend
-// operation: head-sampled ingest roots whose context rides the
-// observation through every layer (and across the cluster's log), and
-// always-started query roots kept when sampled or slow.
-func WithTracer(tr *Tracer) InstrumentOption { return analytics.WithTracer(tr) }
 
 // TraceStr returns a string-valued span attribute.
 func TraceStr(key, value string) TraceAttr { return trace.Str(key, value) }
@@ -950,19 +949,6 @@ func TraceInt(key string, value int64) TraceAttr { return trace.Int(key, value) 
 
 // TraceBool returns a bool-valued span attribute.
 func TraceBool(key string, value bool) TraceAttr { return trace.Bool(key, value) }
-
-// DebugOptions selects the optional debug surfaces MetricsHandlerWith
-// mounts next to /metrics: a Tracer (adds /debug/traces and
-// /debug/slow) and net/http/pprof (adds /debug/pprof/...).
-type DebugOptions = telemetry.DebugOptions
-
-// MetricsHandlerWith is MetricsHandler plus the optional debug
-// surfaces: /debug/traces (Chrome trace-event JSON, loadable in
-// chrome://tracing or Perfetto), /debug/slow (the slow-query log) and,
-// when opts.Pprof is set, the standard pprof endpoints.
-func MetricsHandlerWith(reg *Telemetry, opts DebugOptions) http.Handler {
-	return telemetry.HandlerWith(reg, opts)
-}
 
 // ---- Partitioned store cluster (multi-node serving over mqlog) ----
 
