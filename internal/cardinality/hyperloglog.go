@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hashutil"
@@ -194,18 +195,25 @@ func (h *HyperLogLog) Merge(other *HyperLogLog) error {
 // The layout is the dense one in either form, so equal sketches marshal
 // to equal bytes however they are held.
 func (h *HyperLogLog) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 1+8+8+h.m())
-	out[0] = h.precision
-	binary.LittleEndian.PutUint64(out[1:], h.seed)
-	binary.LittleEndian.PutUint64(out[9:], h.items)
+	return h.AppendBinary(make([]byte, 0, 1+8+8+h.m()))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (h *HyperLogLog) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, h.precision)
+	b = binary.LittleEndian.AppendUint64(b, h.seed)
+	b = binary.LittleEndian.AppendUint64(b, h.items)
 	if h.registers != nil {
-		copy(out[17:], h.registers)
-	} else {
-		for _, e := range h.sparse {
-			out[17+e>>8] = uint8(e)
-		}
+		return append(b, h.registers...), nil
 	}
-	return out, nil
+	n := len(b)
+	b = slices.Grow(b, h.m())[:n+h.m()]
+	regs := b[n:]
+	clear(regs)
+	for _, e := range h.sparse {
+		regs[e>>8] = uint8(e)
+	}
+	return b, nil
 }
 
 // UnmarshalBinary decodes a sketch previously encoded with MarshalBinary

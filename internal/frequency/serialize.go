@@ -2,6 +2,7 @@ package frequency
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -28,15 +29,26 @@ const cmHeaderSize = 4 + 4 + 4 + 1 + 8 + 8
 // the dense one in either form, so equal sketches marshal to equal bytes
 // however they are held.
 func (cm *CountMin) MarshalBinary() ([]byte, error) {
-	out := make([]byte, cmHeaderSize+cm.width*cm.depth*8)
+	return cm.AppendBinary(make([]byte, 0, cmHeaderSize+cm.width*cm.depth*8))
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (cm *CountMin) AppendBinary(b []byte) ([]byte, error) {
+	n, size := len(b), cmHeaderSize+cm.width*cm.depth*8
+	b = slices.Grow(b, size)[:n+size]
+	out := b[n:]
 	binary.LittleEndian.PutUint32(out[0:], cmMagic)
 	binary.LittleEndian.PutUint32(out[4:], uint32(cm.width))
 	binary.LittleEndian.PutUint32(out[8:], uint32(cm.depth))
+	out[12] = 0
 	if cm.conservative {
 		out[12] = cmFlagConservative
 	}
 	binary.LittleEndian.PutUint64(out[13:], cm.n)
 	binary.LittleEndian.PutUint64(out[21:], cm.fam.Seed(0))
+	if cm.counts == nil {
+		clear(out[cmHeaderSize:])
+	}
 	pos := cmHeaderSize
 	for _, row := range cm.counts {
 		for _, c := range row {
@@ -47,7 +59,7 @@ func (cm *CountMin) MarshalBinary() ([]byte, error) {
 	for _, e := range cm.sparse {
 		binary.LittleEndian.PutUint64(out[cmHeaderSize+e.cell*8:], e.count)
 	}
-	return out, nil
+	return b, nil
 }
 
 // cmGeometry validates the header of an encoded sketch and returns its
@@ -130,12 +142,17 @@ const ssMagic = 0x53534156 // "SSAV"
 // MarshalBinary encodes the summary. Space-Saving has no hash seeds, so
 // unlike Count-Min the bytes are self-contained up to k.
 func (ss *SpaceSaving) MarshalBinary() ([]byte, error) {
+	return ss.AppendBinary(nil)
+}
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (ss *SpaceSaving) AppendBinary(b []byte) ([]byte, error) {
 	entries := ss.TopK(len(ss.elem)) // descending; reversed on write
 	size := 4 + 4 + 8 + 4
 	for _, e := range entries {
 		size += 8 + 8 + 4 + len(e.Item)
 	}
-	out := make([]byte, 0, size)
+	out := slices.Grow(b, size)
 	out = binary.LittleEndian.AppendUint32(out, ssMagic)
 	out = binary.LittleEndian.AppendUint32(out, uint32(ss.k))
 	out = binary.LittleEndian.AppendUint64(out, ss.n)

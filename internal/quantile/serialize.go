@@ -12,6 +12,7 @@ package quantile
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -21,23 +22,24 @@ const qdMagic = 0x51444947 // "QDIG"
 const qdHeaderSize = 4 + 1 + 8 + 8 + 4
 
 // MarshalBinary encodes the digest.
-func (q *QDigest) MarshalBinary() ([]byte, error) {
+func (q *QDigest) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (q *QDigest) AppendBinary(b []byte) ([]byte, error) {
 	s := getScratch()
 	ids, cnts := q.view(s)
-	out := make([]byte, qdHeaderSize+len(ids)*16)
-	binary.LittleEndian.PutUint32(out, qdMagic)
-	out[4] = q.logU
-	binary.LittleEndian.PutUint64(out[5:], q.k)
-	binary.LittleEndian.PutUint64(out[13:], q.n)
-	binary.LittleEndian.PutUint32(out[21:], uint32(len(ids)))
-	pos := qdHeaderSize
+	b = slices.Grow(b, qdHeaderSize+len(ids)*16)
+	b = binary.LittleEndian.AppendUint32(b, qdMagic)
+	b = append(b, q.logU)
+	b = binary.LittleEndian.AppendUint64(b, q.k)
+	b = binary.LittleEndian.AppendUint64(b, q.n)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
 	for i, id := range ids {
-		binary.LittleEndian.PutUint64(out[pos:], id)
-		binary.LittleEndian.PutUint64(out[pos+8:], cnts[i])
-		pos += 16
+		b = binary.LittleEndian.AppendUint64(b, id)
+		b = binary.LittleEndian.AppendUint64(b, cnts[i])
 	}
 	scratchPool.Put(s)
-	return out, nil
+	return b, nil
 }
 
 // UnmarshalBinary decodes into the receiver, replacing its contents. The

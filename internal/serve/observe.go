@@ -36,23 +36,28 @@ import (
 
 // What one pooled scratch may keep between requests. Constants, not
 // knobs: together they bound a scratch at 64 KiB of body + 40 KiB of
-// batch + ≤ 48 KiB of interned strings, well under 256 KiB, and a
-// request that needs more (an 8 MiB body, a 100 000-observation batch)
-// gets it for its own lifetime only.
+// batch + ≤ 48 KiB of interned strings + 2 × 64 KiB of query response
+// and synopsis bytes, under 320 KiB, and a request that needs more (an
+// 8 MiB body, a 100 000-observation batch, a response with a dozen
+// Count-Min answers) gets it for its own lifetime only.
 const (
-	maxPooledBody  = 64 << 10 // body buffer capacity kept, bytes
+	maxPooledBody  = 64 << 10 // body, response and synopsis buffer capacity kept, bytes
 	maxPooledBatch = 512      // batch capacity kept, observations
 	internSets     = 512      // intern table sets of two (a power of two)
 	maxInternLen   = 32       // longer strings are allocated per use
 )
 
 // scratch is what a request borrows from Server.scratch: the buffer its
-// body is read into and, for /v1/observe, the batch it is decoded into
-// and the intern table its strings come from.
+// body is read into; for /v1/observe, the batch it is decoded into and
+// the intern table its strings come from; for /v1/query, the buffers its
+// response and each answer's synopsis bytes are rendered into
+// (encode.go).
 type scratch struct {
 	body   bytes.Buffer
 	batch  []store.Observation
 	intern internTable
+	out    []byte
+	syn    []byte
 }
 
 func newScratch() *scratch {
@@ -67,6 +72,12 @@ func (s *Server) release(sc *scratch) {
 	}
 	if cap(sc.batch) > maxPooledBatch {
 		sc.batch = nil
+	}
+	if cap(sc.out) > maxPooledBody {
+		sc.out = nil
+	}
+	if cap(sc.syn) > maxPooledBody {
+		sc.syn = nil
 	}
 	s.scratch.Put(sc)
 }
@@ -106,10 +117,9 @@ func decodeJSON(body []byte, v any) error {
 	return nil
 }
 
-// decodeBody reads the request's JSON body and decodes it into v.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	sc := s.scratch.Get().(*scratch)
-	defer s.release(sc)
+// decodeBody reads the request's JSON body into the scratch and decodes
+// it into v; on failure it returns the status to answer.
+func (sc *scratch) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	body, code, err := sc.readBody(w, r)
 	if err != nil {
 		return code, err

@@ -247,6 +247,14 @@ func (s *Server) remoteSpan(r *http.Request, name string) *trace.Span {
 // header's value slice).
 var jsonContentType = []string{"application/json"}
 
+// writeBody answers 200 with a body already rendered as writeJSON
+// would render it.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's hang-up
+}
+
 // writeJSON writes v with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
@@ -256,22 +264,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// fail writes the error body and counts it against route. An overload
-// error additionally carries its suggested backoff as a Retry-After
-// header (integer seconds, rounded up so a sub-second wait never
-// becomes "retry immediately").
+// fail writes the error body and counts it against route.
 func (s *Server) fail(w http.ResponseWriter, route string, code int, err error) {
 	if c := s.errs[route]; c != nil {
 		c.Inc()
 	}
+	setRetryAfter(w, code, err)
+	writeJSON(w, code, ErrorResponse{Error: err.Error()})
+}
+
+// setRetryAfter gives a 429 for an overload error its suggested backoff
+// as a Retry-After header (integer seconds, rounded up so a sub-second
+// wait never becomes "retry immediately").
+func setRetryAfter(w http.ResponseWriter, code int, err error) {
 	if d, ok := admission.Wait(err); ok && code == http.StatusTooManyRequests {
-		secs := int64(math.Ceil(d.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
+		secs := max(int64(math.Ceil(d.Seconds())), 1)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
 // errStatus maps a backend error to its wire status.
@@ -291,8 +300,10 @@ func errStatus(err error) int {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	sc := s.scratch.Get().(*scratch)
+	defer s.release(sc)
 	var req RegisterRequest
-	if code, err := s.decodeBody(w, r, &req); err != nil {
+	if code, err := sc.decodeBody(w, r, &req); err != nil {
 		s.fail(w, "register", code, err)
 		return
 	}
@@ -359,14 +370,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.observes.Add(uint64(len(batch)))
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(sc.renderAck(len(batch))) // a failed write is the client's hang-up
+	writeBody(w, sc.renderAck(len(batch)))
 }
 
 // observeError answers one failed observe batch: nothing was absorbed,
-// so accepted is 0; overloads carry Retry-After like every other
-// route's fail path.
+// so accepted is 0; overloads carry Retry-After as on every other
+// route.
 func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) {
 	code := errStatus(err)
 	if code == http.StatusInternalServerError {
@@ -376,13 +385,7 @@ func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) 
 		sp.SetAttrs(trace.Str("error", err.Error()))
 	}
 	s.errs["observe"].Inc()
-	if d, ok := admission.Wait(err); ok && code == http.StatusTooManyRequests {
-		secs := int64(math.Ceil(d.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
+	setRetryAfter(w, code, err)
 	writeJSON(w, code, struct {
 		Accepted int    `json:"accepted"`
 		Error    string `json:"error"`
@@ -391,8 +394,10 @@ func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) 
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
+	sc := s.scratch.Get().(*scratch)
+	defer s.release(sc)
 	var wq QueryRequest
-	if code, err := s.decodeBody(w, r, &wq); err != nil {
+	if code, err := sc.decodeBody(w, r, &wq); err != nil {
 		s.fail(w, "query", code, err)
 		return
 	}
@@ -455,12 +460,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := EncodeResult(res)
+	out, err := sc.renderQuery(res, hit)
 	if err != nil {
 		s.fail(w, "query", http.StatusInternalServerError, err)
 		return
 	}
-	body.Cached = hit
 	if hit {
 		s.cached.Inc()
 		if sp != nil {
@@ -469,7 +473,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.queries.Inc()
 	s.qryLat.ObserveSince(t0)
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, out)
 }
 
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {

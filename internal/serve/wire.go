@@ -140,19 +140,27 @@ func wireFamily(f store.Family) string {
 // viewTopK bounds the top-k view; the full summary rides in Synopsis.
 const viewTopK = 10
 
-// wirePhis are the quantile view's p50, p95 and p99.
-var wirePhis = [...]float64{0.50, 0.95, 0.99}
+// wirePhis are the quantile view's p50, p95 and p99, keyed in the view
+// by wirePhiNames (which sort as encoding/json writes map keys).
+var (
+	wirePhis     = [...]float64{0.50, 0.95, 0.99}
+	wirePhiNames = [len(wirePhis)]string{"p50", "p95", "p99"}
+)
+
+// synopsisBytes appends the binary encoding of a's synopsis to dst.
+func synopsisBytes(dst []byte, a store.Answer) ([]byte, error) {
+	b, err := store.AppendBinary(dst, a.Raw())
+	if err != nil {
+		return dst, fmt.Errorf("serve: encode answer %s/%s: %w", a.Metric, a.Key, err)
+	}
+	return b, nil
+}
 
 // EncodeAnswer renders one answer cell for the wire.
 func EncodeAnswer(a store.Answer) (WireAnswer, error) {
-	syn := a.Raw()
-	m, ok := syn.(encoding.BinaryMarshaler)
-	if !ok {
-		return WireAnswer{}, fmt.Errorf("serve: synopsis %T has no binary encoding", syn)
-	}
-	b, err := m.MarshalBinary()
+	b, err := synopsisBytes(nil, a)
 	if err != nil {
-		return WireAnswer{}, fmt.Errorf("serve: encode answer %s/%s: %w", a.Metric, a.Key, err)
+		return WireAnswer{}, err
 	}
 	w := WireAnswer{
 		Metric:    a.Metric,
@@ -170,16 +178,19 @@ func EncodeAnswer(a store.Answer) (WireAnswer, error) {
 			w.Top = append(w.Top, WireCounted{Item: c.Item, Count: c.Count})
 		}
 	case store.FamilyQuantile:
-		w.Quantiles = map[string]uint64{
-			"p50": a.Quantile(0.50),
-			"p95": a.Quantile(0.95),
-			"p99": a.Quantile(0.99),
+		var qs [len(wirePhis)]uint64
+		a.QuantilesInto(wirePhis[:], qs[:])
+		w.Quantiles = make(map[string]uint64, len(qs))
+		for i, q := range qs {
+			w.Quantiles[wirePhiNames[i]] = q
 		}
 	}
 	return w, nil
 }
 
-// EncodeResult renders a full result for the wire.
+// EncodeResult renders a full result for the wire. Marshaled as
+// writeJSON marshals, it is the specification of the /v1/query body,
+// which the server writes without it (see encode.go).
 func EncodeResult(res store.QueryResult) (QueryResponse, error) {
 	answers := res.Answers()
 	out := QueryResponse{Answers: make([]WireAnswer, 0, len(answers))}

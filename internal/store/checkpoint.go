@@ -113,7 +113,7 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 	crc := crc32.NewIEEE()
 	var dataBytes int64
 	var records uint64
-	var buf []byte
+	var buf, sb []byte // reused by every record
 	writeErr := func() error {
 		for _, sh := range st.shards {
 			sh.mu.RLock()
@@ -123,15 +123,10 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 					if sl.idx < 0 || sl.syn == nil {
 						continue
 					}
-					m, ok := sl.syn.(interface{ MarshalBinary() ([]byte, error) })
-					if !ok {
+					var err error
+					if sb, err = AppendBinary(sb[:0], sl.syn); err != nil {
 						sh.mu.RUnlock()
-						return core.Errf("WriteCheckpoint", "synopsis", "%T of metric %q has no binary codec", sl.syn, k.metric)
-					}
-					sb, err := m.MarshalBinary()
-					if err != nil {
-						sh.mu.RUnlock()
-						return err
+						return fmt.Errorf("store: WriteCheckpoint: metric %q: %w", k.metric, err)
 					}
 					buf = appendCheckpointRecord(buf[:0], k, sl.idx, sb)
 					if _, err := tmp.Write(buf); err != nil {
@@ -207,18 +202,22 @@ func writeManifest(dir string, man CheckpointManifest) error {
 }
 
 // appendCheckpointRecord frames one (series, bucket, synopsis) record.
+// The payload is built in place behind its 8-byte header, which is
+// filled in last.
 func appendCheckpointRecord(buf []byte, k entryKey, bkt int64, syn []byte) []byte {
-	var payload []byte
-	payload = binary.AppendUvarint(payload, uint64(len(k.metric)))
-	payload = append(payload, k.metric...)
-	payload = binary.AppendUvarint(payload, uint64(len(k.key)))
-	payload = append(payload, k.key...)
-	payload = binary.AppendUvarint(payload, uint64(bkt))
-	payload = binary.AppendUvarint(payload, uint64(len(syn)))
-	payload = append(payload, syn...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = binary.AppendUvarint(buf, uint64(len(k.metric)))
+	buf = append(buf, k.metric...)
+	buf = binary.AppendUvarint(buf, uint64(len(k.key)))
+	buf = append(buf, k.key...)
+	buf = binary.AppendUvarint(buf, uint64(bkt))
+	buf = binary.AppendUvarint(buf, uint64(len(syn)))
+	buf = append(buf, syn...)
+	payload := buf[start+8:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
 }
 
 // RemoveCheckpoint deletes dir's checkpoint pair, manifest first — a

@@ -16,11 +16,22 @@ import (
 	"repro/internal/workload"
 )
 
+// marshal returns syn's MarshalBinary bytes, first checking that its
+// AppendBinary writes the same bytes behind a prefix into a reused
+// buffer whose spare capacity holds stale bytes.
 func marshal(t testing.TB, syn Synopsis) []byte {
 	t.Helper()
 	b, err := syn.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
+	}
+	dirty := bytes.Repeat([]byte{0xa5}, 2+len(b))[:2]
+	got, err := syn.(interface{ AppendBinary([]byte) ([]byte, error) }).AppendBinary(dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:2], dirty) || !bytes.Equal(got[2:], b) {
+		t.Fatalf("%T: AppendBinary wrote other bytes than MarshalBinary", syn)
 	}
 	return b
 }

@@ -12,6 +12,7 @@
 package store
 
 import (
+	"encoding"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -392,13 +393,33 @@ func (qs *Quantiles) QuantilesInto(phis []float64, out []uint64) { qs.q.QueryAll
 // All four built-in adapters implement encoding.BinaryMarshaler and
 // encoding.BinaryUnmarshaler by delegating to their sketches — the
 // optional extension the store's checkpoint writer requires of a
-// Prototype's synopses. Unmarshal always decodes into a receiver the
+// Prototype's synopses — plus AppendBinary, the same bytes appended to a
+// caller's buffer, which the checkpoint writer and the serving edge's
+// response encoder use when a synopsis has it. Unmarshal always decodes into a receiver the
 // restoring store constructed from its own registered Prototype, so the
 // receiver carries the configuration (widths, seeds, universes) and the
 // codecs verify the bytes against it where the underlying sketch can.
 
+// AppendBinary appends syn's binary encoding to b: by syn's own
+// AppendBinary when it has one, else by its MarshalBinary. A synopsis
+// with neither is an error.
+func AppendBinary(b []byte, syn Synopsis) ([]byte, error) {
+	switch m := syn.(type) {
+	case interface{ AppendBinary([]byte) ([]byte, error) }:
+		return m.AppendBinary(b)
+	case encoding.BinaryMarshaler:
+		raw, err := m.MarshalBinary()
+		return append(b, raw...), err
+	default:
+		return b, fmt.Errorf("store: synopsis %T has no binary encoding", syn)
+	}
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (d *Distinct) MarshalBinary() ([]byte, error) { return d.h.MarshalBinary() }
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (d *Distinct) AppendBinary(b []byte) ([]byte, error) { return d.h.AppendBinary(b) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The
 // HyperLogLog's own decoder adopts whatever precision and seed the bytes
@@ -415,17 +436,26 @@ func (d *Distinct) UnmarshalBinary(data []byte) error {
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (f *Freq) MarshalBinary() ([]byte, error) { return f.cm.MarshalBinary() }
 
+// AppendBinary appends the MarshalBinary encoding to b.
+func (f *Freq) AppendBinary(b []byte) ([]byte, error) { return f.cm.AppendBinary(b) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (f *Freq) UnmarshalBinary(data []byte) error { return f.cm.UnmarshalBinary(data) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (t *TopK) MarshalBinary() ([]byte, error) { return t.ss.MarshalBinary() }
 
+// AppendBinary appends the MarshalBinary encoding to b.
+func (t *TopK) AppendBinary(b []byte) ([]byte, error) { return t.ss.AppendBinary(b) }
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (t *TopK) UnmarshalBinary(data []byte) error { return t.ss.UnmarshalBinary(data) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (qs *Quantiles) MarshalBinary() ([]byte, error) { return qs.q.MarshalBinary() }
+
+// AppendBinary appends the MarshalBinary encoding to b.
+func (qs *Quantiles) AppendBinary(b []byte) ([]byte, error) { return qs.q.AppendBinary(b) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (qs *Quantiles) UnmarshalBinary(data []byte) error { return qs.q.UnmarshalBinary(data) }
