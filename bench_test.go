@@ -322,3 +322,15 @@ func BenchmarkClusterQuery(b *testing.B) {
 		c.Close()
 	}
 }
+
+// queryPoint answers one series over the inclusive range [from, to]
+// through the typed query API — the benchmarks' point-query shorthand.
+func queryPoint(q interface {
+	Query(store.QueryRequest) (store.QueryResult, error)
+}, metric, key string, from, to int64) (store.Synopsis, error) {
+	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	if err != nil {
+		return nil, err
+	}
+	return res.Raw(), nil
+}

@@ -111,5 +111,5 @@ func main() {
 		fmt.Printf("  %2d. %-8s ~%d occurrences\n", i+1, c.Item, c.Count)
 	}
 	fmt.Println("\n(at-least-once: counts may include duplicates from replayed tuples;")
-	fmt.Println(" wrap the counting bolt in repro.NewDedup for effectively-once counts)")
+	fmt.Println(" the engine's Dedup bolt wrapper, internal/engine, makes them effectively-once)")
 }

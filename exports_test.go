@@ -6,19 +6,25 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // The root package is the public API; removing an export is a breaking
-// change for every downstream import. This golden test pins the exported
-// surface: an unintended removal (e.g. facade churn during a refactor)
-// fails with the missing names listed, and an intended addition or
-// removal is recorded explicitly by regenerating the golden file:
+// change for every downstream import. Two tests pin the exported
+// surface. TestRootExportsGolden fails on an unrecorded change (e.g.
+// facade churn during a refactor) with the names listed; an intended
+// addition or removal is recorded by regenerating the golden file:
 //
 //	go test -run TestRootExportsGolden . -update-exports
+//
+// TestRootExportsHaveCallers keeps the surface to what a compiled caller
+// uses: every recorded export must be named somewhere in examples/, in
+// cmd/, or in a runnable Example function of this package.
 var updateExports = flag.Bool("update-exports", false, "rewrite testdata/exports.golden from the current API surface")
 
 const exportsGolden = "testdata/exports.golden"
@@ -117,5 +123,68 @@ func TestRootExportsGolden(t *testing.T) {
 	}
 	if t.Failed() {
 		fmt.Println("golden file:", exportsGolden)
+	}
+}
+
+// reproSelectors adds to named every X that node spells as repro.X.
+func reproSelectors(node ast.Node, named map[string]bool) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "repro" {
+				named[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+}
+
+func TestRootExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	named := map[string]bool{}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			reproSelectors(f, named)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				reproSelectors(fd.Body, named)
+			}
+		}
+	}
+
+	raw, err := os.ReadFile(exportsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orphans []string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if _, name, _ := strings.Cut(line, " "); !named[name] {
+			orphans = append(orphans, line)
+		}
+	}
+	if len(orphans) > 0 {
+		t.Errorf("root exports no example, command or Example function names — drop them, or show the call in an Example:\n  %s",
+			strings.Join(orphans, "\n  "))
 	}
 }

@@ -1,15 +1,15 @@
 // sinkbolt.go sinks topology streams into any serving backend — the one
 // terminal bolt the platform design space needs now that the sharded
 // store, the partitioned cluster and the Lambda Architecture all answer
-// the same analytics.Backend contract. Where the engine previously grew
-// one bolt per serving layer (StoreBolt, ClusterBolt, LambdaBolt — kept
-// below as deprecated wrappers), a SinkBolt is written once against the
-// contract: it extracts an observation per tuple and hands it to
-// Backend.ObserveBatch as a one-element batch, whatever partitioning,
-// durability or batch/speed split lives behind it.
+// the same analytics.Backend contract. A SinkBolt is written once
+// against the contract: it extracts an observation per tuple and hands
+// it to Backend.ObserveBatch as a one-element batch, whatever
+// partitioning, durability or batch/speed split lives behind it.
 package engine
 
 import (
+	"reflect"
+
 	"repro/internal/analytics"
 	"repro/internal/core"
 	"repro/internal/store"
@@ -29,7 +29,9 @@ type SinkBolt struct {
 // BoltFactory returning the same instance): every Backend implementation
 // is safe for concurrent writers.
 func NewSinkBolt(be analytics.Backend, extract func(Message) (store.Observation, bool)) (*SinkBolt, error) {
-	if be == nil {
+	// A nil *store.Store (or router, or architecture) is a non-nil
+	// interface value; catch it here, not at the first Process.
+	if rv := reflect.ValueOf(be); be == nil || rv.Kind() == reflect.Pointer && rv.IsNil() {
 		return nil, core.Errf("SinkBolt", "backend", "must be non-nil")
 	}
 	if extract == nil {

@@ -44,6 +44,13 @@ func TestSpanningForestSizeAndConnectivity(t *testing.T) {
 	if len(sf.Edges()) != n-1 {
 		t.Fatalf("forest edges %d, want %d", len(sf.Edges()), n-1)
 	}
+	// Connected answers reachability through the forest, not adjacency.
+	path, _ := NewSpanningForest(4)
+	path.Update(workload.Edge{U: 0, V: 1})
+	path.Update(workload.Edge{U: 1, V: 2})
+	if !path.Connected(0, 2) || path.Connected(0, 3) {
+		t.Fatal("path 0-1-2: want 0~2 connected and 3 isolated")
+	}
 }
 
 func TestGreedyMatchingMaximal(t *testing.T) {

@@ -141,6 +141,9 @@ func TestWeightedReservoirFavorsHeavy(t *testing.T) {
 			}
 			w.Update(i, weight)
 		}
+		if n := len(w.Sample()); n != 10 {
+			t.Fatalf("sample size %d, want 10", n)
+		}
 		for _, v := range w.Sample() {
 			if v == 0 {
 				heavyHits++

@@ -62,16 +62,6 @@ func TestFacadeGenericSamplers(t *testing.T) {
 	if len(res.Sample()) != 10 {
 		t.Fatalf("facade reservoir size %d", len(res.Sample()))
 	}
-	wr, err := repro.NewWeightedReservoir[int](5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		wr.Update(i, float64(i+1))
-	}
-	if len(wr.Sample()) != 5 {
-		t.Fatalf("facade weighted reservoir size %d", len(wr.Sample()))
-	}
 }
 
 func TestFacadeTopologyWordcount(t *testing.T) {
@@ -104,7 +94,7 @@ func TestFacadeTopologyWordcount(t *testing.T) {
 	top, err := repro.NewTopologyBuilder().
 		AddSpout("src", spout).
 		AddBolt("split", split, 2, repro.ShuffleFrom("src")).
-		AddBolt("count", count, 1, repro.GlobalFrom("split")).
+		AddBolt("count", count, 1, repro.FieldsFrom("split")).
 		Build(repro.TopologyConfig{Semantics: repro.AtLeastOnce})
 	if err != nil {
 		t.Fatal(err)
@@ -145,27 +135,15 @@ func TestFacadeLambda(t *testing.T) {
 	if err := arch.ObserveBatch([]repro.StoreObservation{{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	syn, err := queryPoint(arch, "hits", "k", 0, 10)
+	res, err := arch.Query(repro.QueryRequest{Metric: "hits", Key: "k", From: 0, To: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := syn.(*repro.FreqSynopsis).Count("u"); got != 8 {
+	if got := res.Count("u"); got != 8 {
 		t.Fatalf("facade lambda merged count %d, want 8", got)
 	}
 	if arch.Staleness() != 1 {
 		t.Fatalf("facade staleness %d, want 1", arch.Staleness())
-	}
-	// The standalone batch-layer helpers compose over the same topic.
-	view, err := repro.FreezeStoreAt(geom, map[string]repro.StorePrototype{"hits": proto}, arch.Topic(), arch.Topic().EndOffsets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := queryPoint(view, "hits", "k", 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := vs.(*repro.FreqSynopsis).Count("u"); got != 8 {
-		t.Fatalf("facade frozen view count %d, want 8", got)
 	}
 }
 
@@ -220,7 +198,7 @@ func TestFacadeBackend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Family() != repro.FamilyDistinct {
+		if res.Family().String() != "distinct" {
 			t.Fatalf("family %v, want distinct", res.Family())
 		}
 		if got := res.Distinct(); got < 35 || got > 45 {
@@ -277,177 +255,10 @@ func TestFacadeBrokerConsumerGroup(t *testing.T) {
 	}
 }
 
-func TestFacadeGraphAndWindows(t *testing.T) {
-	sf, err := repro.NewSpanningForest(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf.Update(repro.GraphEdge{U: 0, V: 1})
-	sf.Update(repro.GraphEdge{U: 1, V: 2})
-	if !sf.Connected(0, 2) {
-		t.Fatal("facade forest connectivity")
-	}
-	dg, err := repro.NewDGIM(100, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		dg.Update(true)
-	}
-	if est := dg.Estimate(); est < 40 || est > 60 {
-		t.Fatalf("facade DGIM estimate %d", est)
-	}
-}
-
-func TestFacadeWindowedQuantileAndMinCut(t *testing.T) {
-	wq, err := repro.NewWindowedQuantile(1000, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		wq.Update(float64(i % 100))
-	}
-	if med := wq.Query(0.5); med < 30 || med > 70 {
-		t.Fatalf("facade windowed median %v", med)
-	}
-	mc, err := repro.NewMinCut(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc.Update(repro.GraphEdge{U: 0, V: 1})
-	mc.Update(repro.GraphEdge{U: 1, V: 2})
-	mc.Update(repro.GraphEdge{U: 2, V: 3})
-	if cut := mc.Estimate(50); cut != 1 {
-		t.Fatalf("facade path min cut %d", cut)
-	}
-}
-
-func TestFacadePredictors(t *testing.T) {
-	truth := []float64{1, 2, 3, 4, 5, 6}
-	masked := []float64{1, 2, math.NaN(), 4, math.NaN(), 6}
-	k, _ := repro.NewKalman(0.1, 1)
-	rmse := repro.ImputeRMSE(k, truth, masked)
-	base := repro.ImputeRMSE(repro.NewLastValue(), truth, masked)
-	if rmse < 0 || base < 0 {
-		t.Fatal("negative RMSE")
-	}
-}
-
-// The sketch-store facade covers the full speed/batch loop: ingest via a
-// SinkBolt topology, concurrent range queries, and a rebuild from the
-// log that matches the live store.
-func TestFacadeSketchStore(t *testing.T) {
-	protos := map[string]repro.StorePrototype{}
-	hll, err := repro.NewDistinctProto(12, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topk, err := repro.NewTopKProto(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protos["uniques"], protos["top"] = hll, topk
-	cfg := repro.SketchStoreConfig{Shards: 8, BucketWidth: 10, RingBuckets: 100}
-	st, err := repro.NewSketchStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range protos {
-		if err := st.RegisterMetric(name, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	broker := repro.NewBroker()
-	topic, err := broker.CreateTopic("events", 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const events = 3000
-	for i := 0; i < events; i++ {
-		obs := repro.StoreObservation{
-			Metric: "uniques",
-			Key:    fmt.Sprintf("page%d", i%4),
-			Item:   fmt.Sprintf("user%d", i%800),
-			Time:   int64(i % 500),
-		}
-		topic.Produce(obs.Key, repro.EncodeObservation(obs))
-	}
-
-	// Speed layer: topology ingest from the log.
-	var pos int
-	var queue []repro.StoreObservation
-	spout := repro.SpoutFunc(func() (repro.TupleMessage, bool) {
-		for len(queue) == 0 {
-			if pos >= topic.Partitions() {
-				return repro.TupleMessage{}, false
-			}
-			off := topic.StartOffset(pos)
-			msgs, next, _, err := topic.Fetch(pos, off, events)
-			if err != nil || len(msgs) == 0 {
-				pos++
-				continue
-			}
-			for _, m := range msgs {
-				if obs, err := repro.DecodeObservation(m.Value); err == nil {
-					queue = append(queue, obs)
-				}
-			}
-			_ = next
-			pos++
-		}
-		obs := queue[0]
-		queue = queue[1:]
-		return repro.TupleMessage{Key: obs.Key, Value: obs}, true
-	})
-	sink, err := repro.NewSinkBolt(st, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := repro.NewTopologyBuilder().
-		AddSpout("log", spout).
-		AddBolt("store", sink.Factory(), 4, repro.FieldsFrom("log")).
-		Build(repro.TopologyConfig{Semantics: repro.AtLeastOnce})
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo.Run()
-	if got := st.Stats().Observed; got != events {
-		t.Fatalf("speed layer observed %d, want %d", got, events)
-	}
-
-	// Batch layer: rebuild from the log and compare.
-	batch, applied, err := repro.RebuildStore(cfg, protos, topic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != events {
-		t.Fatalf("replayed %d, want %d", applied, events)
-	}
-	for k := 0; k < 4; k++ {
-		key := fmt.Sprintf("page%d", k)
-		a, err := queryPoint(st, "uniques", key, 0, 499)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := queryPoint(batch, "uniques", key, 0, 499)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sa := a.(*repro.DistinctSynopsis).Estimate()
-		sb := b.(*repro.DistinctSynopsis).Estimate()
-		if sa != sb {
-			t.Fatalf("%s: speed %f != batch %f", key, sa, sb)
-		}
-		if sa < 150 || sa > 250 {
-			t.Fatalf("%s: implausible estimate %f", key, sa)
-		}
-	}
-}
-
 // The partitioned store cluster through the facade: cluster up, ingest
-// through the router, scatter-gather a union, survive a kill/rejoin, and
-// agree with a single-store rebuild of the same log.
+// through the router, survive a kill/rejoin, and answer every key and
+// the scatter-gathered union exactly like one sketch store fed the same
+// stream.
 func TestFacadeStoreCluster(t *testing.T) {
 	storeCfg := repro.SketchStoreConfig{Shards: 4, BucketWidth: 10, RingBuckets: 100}
 	c, err := repro.NewStoreCluster(repro.StoreClusterConfig{Partitions: 8, Store: storeCfg})
@@ -455,11 +266,18 @@ func TestFacadeStoreCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	oracle, err := repro.NewSketchStore(storeCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	proto, err := repro.NewDistinctProto(12, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RegisterMetric("uniques", proto); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.RegisterMetric("uniques", proto); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -470,12 +288,16 @@ func TestFacadeStoreCluster(t *testing.T) {
 	const events = 3000
 	r := c.Router()
 	for i := 0; i < events; i++ {
-		if err := r.ObserveBatch([]repro.StoreObservation{{
+		obs := []repro.StoreObservation{{
 			Metric: "uniques",
 			Key:    fmt.Sprintf("page%d", i%8),
 			Item:   fmt.Sprintf("user%d", i%700),
 			Time:   int64(i % 500),
-		}}); err != nil {
+		}}
+		if err := r.ObserveBatch(obs); err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.ObserveBatch(obs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -494,57 +316,25 @@ func TestFacadeStoreCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch, applied, err := repro.RebuildStore(storeCfg, map[string]repro.StorePrototype{"uniques": proto}, c.Topic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != events {
-		t.Fatalf("replayed %d, want %d", applied, events)
-	}
 	keys := r.Keys("uniques")
 	if len(keys) != 8 {
 		t.Fatalf("cluster serves %d keys, want 8", len(keys))
 	}
-	var parts []repro.StoreSynopsis
+	reqs := []repro.QueryRequest{{Metric: "uniques", Keys: keys, From: 0, To: 500, Aggregate: true}}
 	for _, key := range keys {
-		a, err := queryPoint(r, "uniques", key, 0, 499)
+		reqs = append(reqs, repro.QueryRequest{Metric: "uniques", Key: key, From: 0, To: 500})
+	}
+	for _, req := range reqs {
+		got, err := r.Query(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := queryPoint(batch, "uniques", key, 0, 499)
+		want, err := oracle.Query(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa := a.(*repro.DistinctSynopsis).Estimate()
-		sb := b.(*repro.DistinctSynopsis).Estimate()
-		if sa != sb {
-			t.Fatalf("%s: cluster %f != batch rebuild %f", key, sa, sb)
+		if g, w := got.Distinct(), want.Distinct(); g != w {
+			t.Fatalf("%s: cluster %d != single store %d", req.Key, g, w)
 		}
-		parts = append(parts, b)
 	}
-	// Scatter-gather union vs a manual combine of the oracle's parts.
-	res, err := r.Query(repro.QueryRequest{Metric: "uniques", Keys: keys, From: 0, To: 500, Aggregate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	union := res.Raw()
-	want, err := repro.CombineSnapshots(proto, parts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := union.(*repro.DistinctSynopsis).Estimate(), want.(*repro.DistinctSynopsis).Estimate(); g != w {
-		t.Fatalf("scatter-gather union %f != combined oracle %f", g, w)
-	}
-}
-
-// queryPoint answers one series over the inclusive range [from, to]
-// through the typed query API — the tests' point-query shorthand.
-func queryPoint(q interface {
-	Query(repro.QueryRequest) (repro.QueryResult, error)
-}, metric, key string, from, to int64) (repro.StoreSynopsis, error) {
-	res, err := q.Query(repro.PointRequest(metric, key, from, to))
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw(), nil
 }
