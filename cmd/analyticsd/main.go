@@ -104,7 +104,7 @@ func buildBackend(kind string, shards int, reg *telemetry.Registry) (be analytic
 			return nil, nil, nil, nil, nil, err
 		}
 		ar.SetTelemetry(reg)
-		return ar, none, ar.Drain, func() { ar.Close() }, nil, nil
+		return ar, none, none, func() { ar.Close() }, nil, nil
 	default:
 		return nil, nil, nil, nil, nil, fmt.Errorf("unknown -backend %q (store, cluster or lambda)", kind)
 	}

@@ -67,9 +67,9 @@
 //     aggregate across cluster nodes, or the Lambda speed layer's (its
 //     sealed batch view reports separately via BatchView().Stats()).
 //   - Flush settles producer-side buffers: the cluster router's
-//     per-partition append batches, Lambda's in cluster mode. Backends
-//     whose writes are synchronous (the store, the serving client) make
-//     it a no-op. engine.SinkBolt calls it when a topology run completes
+//     per-partition append batches. Backends whose writes are
+//     synchronous (the store, Lambda, the serving client) make it a
+//     no-op. engine.SinkBolt calls it when a topology run completes
 //     and analyticsd on shutdown; read-your-writes on the cluster is
 //     Flush followed by the cluster's Drain.
 package analytics

@@ -1,6 +1,6 @@
 // The Backend conformance suite: one set of assertions, run against
 // every serving implementation (sharded store, partitioned cluster
-// router, Lambda in both speed-layer modes), pinning the cross-backend
+// router, Lambda), pinning the cross-backend
 // contract the package comment documents — identical unknown-metric
 // errors, identical empty-answer semantics, typed accessors per synopsis
 // family, half-open range bounds, and aggregate-equals-combined answers.
@@ -82,16 +82,6 @@ func newHarnesses(t *testing.T, traced bool) []harness {
 	}
 	t.Cleanup(func() { single.Close() })
 
-	clustered, err := lambda.New(lambda.Config{
-		Batch:        storeGeom(),
-		Cluster:      &dstore.Config{Partitions: 4, Store: storeGeom()},
-		ClusterNodes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { clustered.Close() })
-
 	none := func() error { return nil }
 	hs := []harness{
 		{name: "store", be: st, drain: none},
@@ -105,8 +95,7 @@ func newHarnesses(t *testing.T, traced bool) []harness {
 			}
 			return cl.Drain()
 		}, logged: logLen(cl.Topic())},
-		{name: "lambda-single", be: single, drain: single.Drain, logged: logLen(single.Topic())},
-		{name: "lambda-cluster", be: clustered, drain: clustered.Drain, logged: logLen(clustered.Topic())},
+		{name: "lambda-single", be: single, drain: none, logged: logLen(single.Topic())},
 	}
 	if traced {
 		for i := range hs {
@@ -115,7 +104,6 @@ func newHarnesses(t *testing.T, traced bool) []harness {
 		st.SetTelemetry(hs[0].reg)
 		cl.SetTelemetry(hs[1].reg)
 		single.SetTelemetry(hs[2].reg)
-		clustered.SetTelemetry(hs[3].reg)
 	}
 	return hs
 }

@@ -144,12 +144,6 @@ type Cluster struct {
 	// against it, and a mutex there would serialize all producers.
 	protos atomic.Pointer[map[string]store.Prototype]
 
-	// floors is the per-partition offset fence TruncateBelow installs
-	// (nil = serve the whole retained prefix): node recovery replays each
-	// owned partition from max(floor, earliest), so offsets below the
-	// floor are excluded from every store rebuilt after the fence moved.
-	floors atomic.Pointer[[]uint64]
-
 	// tel is the cluster's telemetry and tracer wiring (telemetry.go),
 	// swapped atomically because SetTelemetry may race already-running
 	// node event loops. The rest are always-on atomics every node adds
@@ -411,66 +405,15 @@ func (c *Cluster) Drain() error {
 	}
 }
 
-// TruncateBelow fences the cluster's serving state to log offsets at or
-// above ends[pid] per partition: it installs the per-partition floor and
-// forces a group rebalance, so every node rebuilds its store from the log
-// with the fenced prefix excluded. This is the speed-layer truncation
-// move of a Lambda handoff — once a batch view is frozen at ends
-// (store.FreezeAt over the same topic), the cluster sheds the covered
-// prefix and the two layers partition the log exactly, no double counting.
-// Floors only ratchet forward: a bound below the current floor keeps the
-// higher fence (un-truncating would resurrect history the batch layer
-// already owns). The call returns once the fence is installed; nodes
-// rebuild asynchronously — Drain to wait for the cutover.
-func (c *Cluster) TruncateBelow(ends []uint64) error {
-	if len(ends) != c.topic.Partitions() {
-		return core.Errf("Cluster", "ends", "%d bounds for %d partitions", len(ends), c.topic.Partitions())
-	}
-	next := append([]uint64(nil), ends...)
-	// The merge-and-store runs under the cluster lock so two concurrent
-	// truncations cannot interleave their ratchets and regress a floor.
-	c.mu.Lock()
-	if prev := c.floors.Load(); prev != nil {
-		for pid, f := range *prev {
-			if next[pid] < f {
-				next[pid] = f
-			}
-		}
-	}
-	c.floors.Store(&next)
-	c.mu.Unlock()
-	c.group.ForceRebalance()
-	return nil
-}
-
-// Floors returns the current per-partition offset fence (nil before the
-// first TruncateBelow).
-func (c *Cluster) Floors() []uint64 {
-	p := c.floors.Load()
-	if p == nil {
-		return nil
-	}
-	return append([]uint64(nil), *p...)
-}
-
-// floor returns the partition's current offset fence (0 = none).
-func (c *Cluster) floor(pid int) uint64 {
-	p := c.floors.Load()
-	if p == nil {
-		return 0
-	}
-	return (*p)[pid]
-}
-
 // Checkpoint snapshots every live node's store into
 // CheckpointDir/<node name> (manifest + data pair, see
-// store.WriteCheckpoint), stamped with the node's committed offsets, its
-// partition assignment, and the floors in force. Each snapshot is taken
-// on the owning node's event loop — the store's only writer — so it
-// captures exactly the committed state, and a later recovery with the
-// same assignment and floors restores it and replays only the log suffix
-// past the recorded offsets. Returns the first node error; nodes after a
-// failing one are still attempted.
+// store.WriteCheckpoint), stamped with the node's committed offsets and
+// its partition assignment. Each snapshot is taken on the owning node's
+// event loop — the store's only writer — so it captures exactly the
+// committed state, and a later recovery with the same assignment
+// restores it and replays only the log suffix past the recorded offsets.
+// Returns the first node error; nodes after a failing one are still
+// attempted.
 func (c *Cluster) Checkpoint() error {
 	if c.cfg.CheckpointDir == "" {
 		return fmt.Errorf("dstore: Checkpoint requires Config.CheckpointDir")

@@ -165,3 +165,67 @@ func TestClusterRestartMultiNodeMatchesOracle(t *testing.T) {
 		t.Fatal("nothing checked")
 	}
 }
+
+// TestClusterRestartRefusesFlooredCheckpoint: a checkpoint whose manifest
+// records offset floors was written by a floor-fenced cluster and holds
+// only [floor, offset) of each partition. Offsets and assignment match
+// the restarting node, so only the floors mark it unusable; the node must
+// ignore it, recover by a full replay, and answer like the oracle.
+func TestClusterRestartRefusesFlooredCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableClusterConfig(dir)
+
+	c1 := newTestCluster(t, cfg)
+	if _, err := c1.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	to := feedAt(t, c1, 400, 27, 0)
+	if err := c1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The fenced snapshot: each partition from the middle of its log.
+	ends := c1.Topic().EndOffsets()
+	floors := make([]uint64, len(ends))
+	parts := make([]int, len(ends))
+	fenced, err := store.New(c1.cfg.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, proto := range testProtos(t) {
+		if err := fenced.RegisterMetric(name, proto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pid, end := range ends {
+		floors[pid], parts[pid] = end/2, pid
+		if _, err := store.ReplayPartitionTo(fenced, c1.Topic(), pid, floors[pid], end); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := store.CheckpointMeta{Offsets: ends, Partitions: parts, Floors: floors}
+	if _, err := store.WriteCheckpoint(fenced, filepath.Join(cfg.CheckpointDir, "node-0"), meta); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := newTestCluster(t, cfg)
+	if _, err := c2.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := c2.Stats()
+	if st.CheckpointRestores != 0 {
+		t.Fatalf("CheckpointRestores = %d, want 0 (a floored checkpoint must not seed a store)", st.CheckpointRestores)
+	}
+	if st.Replayed != 1200 {
+		t.Fatalf("Replayed = %d, want 1200 (the full log)", st.Replayed)
+	}
+	if n := assertMatchesOracle(t, c2, oracle(t, c2), to, "after floored checkpoint"); n == 0 {
+		t.Fatal("nothing checked")
+	}
+}

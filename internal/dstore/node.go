@@ -245,28 +245,21 @@ func (n *Node) recover(gen int) {
 	if !ok {
 		return
 	}
-	// Each partition replays from its offset floor (0 when no
-	// TruncateBelow has fenced the cluster): fetch resumes at the oldest
-	// retained message above it, so this is "replay the whole retained,
-	// owned prefix" regardless of where retention has truncated — the
-	// history below the horizon is unrecoverable by construction, and the
-	// history below the floor belongs to the batch layer. A still-valid
+	// Each partition replays from offset 0: fetch resumes at the oldest
+	// retained message, so this is "replay the whole retained, owned
+	// prefix" regardless of where retention has truncated — the history
+	// below the horizon is unrecoverable by construction. A still-valid
 	// checkpoint raises the start to its recorded offset: the snapshot
-	// already holds [floor, offset), so only the suffix replays.
+	// already holds [0, offset), so only the suffix replays.
 	assignment := n.c.group.Assignment(n.name)
 	starts := make([]uint64, len(assignment))
-	for i, pid := range assignment {
-		starts[i] = n.c.floor(pid)
-	}
 	if n.c.cfg.CheckpointDir != "" {
 		offs, restored, dirty := n.tryRestore(st, assignment)
 		switch {
 		case restored:
 			n.c.ckptRestores.Add(1)
 			for i, pid := range assignment {
-				if offs[pid] > starts[i] {
-					starts[i] = offs[pid]
-				}
+				starts[i] = offs[pid]
 			}
 		case dirty:
 			// The restore failed mid-flight and left partial state: fall
@@ -400,12 +393,12 @@ func (n *Node) requestCheckpoint() error {
 }
 
 // writeCheckpoint snapshots the serving store, stamped with the committed
-// offsets of the owned partitions, the assignment itself, and the floors
-// in force — everything a later recovery needs to decide whether the
-// snapshot still matches its world. Runs on the event loop; gen is the
-// generation the loop is serving at, and a rebalance racing the write
-// invalidates it (the manifest would describe an assignment the data does
-// not match), so the pair is removed and the call fails.
+// offsets of the owned partitions and the assignment itself — everything a
+// later recovery needs to decide whether the snapshot still matches its
+// world. Runs on the event loop; gen is the generation the loop is serving
+// at, and a rebalance racing the write invalidates it (the manifest would
+// describe an assignment the data does not match), so the pair is removed
+// and the call fails.
 func (n *Node) writeCheckpoint(gen int) error {
 	st := n.currentStore()
 	if st == nil {
@@ -420,7 +413,6 @@ func (n *Node) writeCheckpoint(gen int) error {
 	if _, err := store.WriteCheckpoint(st, dir, store.CheckpointMeta{
 		Offsets:    offsets,
 		Partitions: parts,
-		Floors:     n.c.Floors(),
 	}); err != nil {
 		return err
 	}
@@ -432,12 +424,12 @@ func (n *Node) writeCheckpoint(gen int) error {
 }
 
 // tryRestore seeds st from the node's checkpoint when the snapshot still
-// matches this recovery's world: the same owned-partition set, the same
-// offset floors as when it was written (a moved floor bakes in history
-// the batch layer now owns, which no replay can subtract), and geometry
-// the restore itself verifies. On success it returns the full
-// per-partition offset array replay resumes from. A restore that fails
-// mid-flight leaves partial state in st; dirty tells the caller to
+// matches this recovery's world: the same owned-partition set, no offset
+// floors (a snapshot a floor-fenced cluster wrote holds only
+// [floor, offset), and resuming past it would never put back the history
+// below the floor), and geometry the restore itself verifies. On success it returns
+// the full per-partition offset array replay resumes from. A restore that
+// fails mid-flight leaves partial state in st; dirty tells the caller to
 // rebuild the store before falling back to the full replay.
 func (n *Node) tryRestore(st *store.Store, assignment []int) (offsets []uint64, ok, dirty bool) {
 	dir := n.checkpointDir()
@@ -445,13 +437,8 @@ func (n *Node) tryRestore(st *store.Store, assignment []int) (offsets []uint64, 
 	if err != nil {
 		return nil, false, false
 	}
-	if len(man.Offsets) != n.c.topic.Partitions() || !sameIntSet(man.Partitions, assignment) {
+	if len(man.Floors) != 0 || len(man.Offsets) != n.c.topic.Partitions() || !sameIntSet(man.Partitions, assignment) {
 		return nil, false, false
-	}
-	for _, pid := range assignment {
-		if floorAt(man.Floors, pid) != n.c.floor(pid) {
-			return nil, false, false
-		}
 	}
 	if _, err := store.RestoreCheckpoint(st, dir); err != nil {
 		return nil, false, true
@@ -475,14 +462,6 @@ func sameIntSet(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// floorAt reads a manifest floor array (nil or short = no fence).
-func floorAt(floors []uint64, pid int) uint64 {
-	if pid < len(floors) {
-		return floors[pid]
-	}
-	return 0
 }
 
 // keys returns the metric's keys resident on this node.

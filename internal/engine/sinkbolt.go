@@ -72,8 +72,8 @@ func (b *SinkBolt) Process(m Message, _ func(Message)) error {
 }
 
 // Flush settles the backend's producer-side buffers (the cluster
-// router's per-partition append batches, Lambda's cluster mode;
-// synchronous backends make it a no-op). Call it after a topology run
+// router's per-partition append batches; synchronous backends make it a
+// no-op). Call it after a topology run
 // completes so the tail of the stream is not left sitting in
 // producer-side batches.
 func (b *SinkBolt) Flush() { b.be.Flush() }

@@ -53,7 +53,7 @@ func sinkBackends(t *testing.T) []sinkHarness {
 			}
 			return cl.Drain()
 		}, (*dstore.Router)(nil)},
-		{"lambda", arch, arch.Drain, (*lambda.Architecture)(nil)},
+		{"lambda", arch, func() error { return nil }, (*lambda.Architecture)(nil)},
 	}
 }
 

@@ -158,8 +158,8 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("could not locate the last append's partition")
 	}
-	// Crash: no Close, no Drain. Tear the victim partition's newest
-	// segment mid-record, as a power cut during the last write would.
+	// Crash: no Close. Tear the victim partition's newest segment
+	// mid-record, as a power cut during the last write would.
 	segs, err := filepath.Glob(filepath.Join(dir, "log", cfg.Topic, fmt.Sprintf("p%04d", victim), "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments for partition %d: %v", victim, err)
@@ -236,6 +236,72 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertAnswersEqual(t, a2, oracle, to+100, "after post-restart traffic")
+}
+
+// TestLambdaDurableReopenServesBeforeBatch: an architecture reopened over
+// a durable master must serve the history it recovered before any
+// RunBatch covers it. The first use replays the retained log into the
+// speed layer, so answers equal an oracle that never restarted — before
+// the first batch run, across it, and with fresh appends on top — and the
+// recovered records count as stale until a batch view covers them.
+func TestLambdaDurableReopenServesBeforeBatch(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Durable = &mqlog.DurableConfig{Dir: filepath.Join(dir, "log"), SyncEveryAppend: true}
+	const n = 400
+
+	a1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, proto := range testProtos(t) {
+		if err := a1.RegisterMetric(name, proto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := newArch(t, testConfig())
+	for i := 0; i < n; i++ {
+		for _, arch := range []*Architecture{a1, oracle} {
+			if err := arch.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	a2 := newArch(t, cfg)
+	to := int64(n)
+	if c := assertAnswersEqual(t, a2, oracle, to, "reopened, before any batch"); c == 0 {
+		t.Fatal("nothing checked")
+	}
+	if got, want := a2.Staleness(), a2.MasterLen(); got != n || got != want {
+		t.Fatalf("reopened staleness %d, want %d (MasterLen %d: nothing is batch-covered yet)", got, n, want)
+	}
+	if got := a2.Appended(); got != 0 {
+		t.Fatalf("reopened Appended %d, want 0 (it counts this process's dispatches)", got)
+	}
+
+	if _, err := a2.RunBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if s := a2.Staleness(); s != 0 {
+		t.Fatalf("staleness after RunBatch %d, want 0", s)
+	}
+	assertAnswersEqual(t, a2, oracle, to, "reopened, after the first batch")
+
+	for i := n; i < n+50; i++ {
+		for _, arch := range []*Architecture{a2, oracle} {
+			if err := arch.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s := a2.Staleness(); s != 50 {
+		t.Fatalf("staleness after 50 appends %d, want 50", s)
+	}
+	assertAnswersEqual(t, a2, oracle, to+50, "reopened, with fresh appends")
 }
 
 // TestRunBatchIncrementalWithinProcess checks the checkpoint fast path

@@ -14,9 +14,7 @@
 //  3. the serving layer indexes the batch view for low-latency reads:
 //     the sealed store.FrozenView, swapped in atomically;
 //  4. the speed layer absorbs what the batch view does not yet cover: a
-//     sharded store.Store fed synchronously by ObserveBatch, or — behind
-//     Config.Cluster — a partitioned dstore cluster consuming the master
-//     topic through its router;
+//     sharded store.Store fed synchronously by ObserveBatch;
 //  5. queries merge the batch and realtime views (Query): the two
 //     synopsis snapshots combine through store.CombineSnapshots, so one
 //     code path answers counters, cardinality, quantiles and top-k.
@@ -24,20 +22,21 @@
 // # Offset fencing
 //
 // The two layers partition the log by offset, per partition: a batch view
-// frozen at end-offset snapshot E answers exactly for [0, E), and the
-// speed layer is truncated to [E, ...) at every batch handoff — a fresh
-// speed store replayed from the fence (single-store mode, atomically
-// under the append lock) or dstore.TruncateBelow + rebuild (cluster
-// mode). Merged answers therefore cover every appended observation
-// exactly once; TestMergedMatchesOracleAcrossBoundaries and experiment
-// F1.2 pin this against a replay-everything oracle across batch
-// boundaries. Retention on the master topic bounds recomputation the
-// usual way: history the log has dropped is gone for every layer equally
-// (FrozenView.Truncated reports it).
+// frozen at end-offset snapshot E answers exactly for [0, E), and at every
+// batch handoff the speed layer is swapped, atomically under the append
+// lock, for a fresh store replayed from the fence, so it holds exactly
+// [E, ...). Before the first handoff E is zero: the first use replays
+// whatever a reopened durable master already retains. Merged answers
+// therefore cover every appended observation exactly once;
+// TestMergedMatchesOracleAcrossBoundaries and experiment F1.2 pin this
+// against a replay-everything oracle across batch boundaries. Retention on
+// the master topic bounds recomputation the usual way: history the log
+// has dropped is gone for every layer equally (FrozenView.Truncated
+// reports it).
 //
 // The old package-local master dataset (an event slice) and keyed-counter
-// speed layer are gone: the same store/mqlog/dstore seams the rest of the
-// repo serves production traffic through are the only implementation.
+// speed layer are gone: the same store/mqlog seams the rest of the repo
+// serves production traffic through are the only implementation.
 package lambda
 
 import (
@@ -50,7 +49,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dstore"
 	"repro/internal/mqlog"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -59,34 +57,20 @@ import (
 // Config tunes an Architecture.
 type Config struct {
 	// Topic names the master-dataset topic (default "lambda-master").
-	// Ignored in cluster mode, where the cluster's ingest topic — named,
-	// partitioned and retained by Cluster's own config — is the master.
 	Topic string
 	// Partitions is the master topic's partition count (default 4).
-	// Ignored in cluster mode (see Topic).
 	Partitions int
 	// Retention is the per-partition retention limit in messages
 	// (0 = unlimited). Batch recomputation replays the retained prefix,
-	// so retention bounds how far back a batch view can reach. Ignored in
-	// cluster mode (see Topic): set Cluster.Retention instead.
+	// so retention bounds how far back a batch view can reach.
 	Retention int
 	// Batch is the batch-layer store geometry views are recomputed with.
 	Batch store.Config
-	// Speed is the speed-layer store geometry (single-store mode).
+	// Speed is the speed-layer store geometry.
 	Speed store.Config
-	// Cluster, when non-nil, replaces the single speed store with a
-	// partitioned dstore cluster: writes route through the cluster's
-	// Router onto its ingest topic (which becomes the master dataset) and
-	// speed queries are owner-routed. Cluster.Store supplies the per-node
-	// geometry; Config.Speed is ignored.
-	Cluster *dstore.Config
-	// ClusterNodes is how many nodes to start in cluster mode (default 2).
-	ClusterNodes int
 	// Durable, when non-nil, backs the master topic with segmented
 	// on-disk persistence (see mqlog.DurableConfig), so the master
-	// dataset survives a process restart. In cluster mode it is copied
-	// into the cluster config (unless Cluster.Durable is already set),
-	// since the cluster's ingest topic is the master.
+	// dataset survives a process restart.
 	Durable *mqlog.DurableConfig
 	// CheckpointDir, when non-empty, makes batch recomputation
 	// incremental across restarts: RunBatch writes each installed view's
@@ -102,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = 4
-	}
-	if c.ClusterNodes <= 0 {
-		c.ClusterNodes = 2
 	}
 	return c
 }
@@ -124,20 +105,17 @@ type Architecture struct {
 	cfg   Config
 	topic *mqlog.Topic
 
-	// protoMu guards protos; the map is read on every write and query in
-	// single-store mode, so reads go through an RLock (cluster mode reads
-	// the cluster's lock-free table instead).
+	// protoMu guards protos; the map is read on every write and query,
+	// so reads go through an RLock.
 	protoMu sync.RWMutex
 	protos  map[string]store.Prototype
 
 	// speedMu is the handoff lock: writes dispatch under RLock, RunBatch
 	// swaps the truncated speed store under Lock, so a batch cutover sees
-	// a drained, frozen log tail. Cluster mode never takes it on the write
-	// path (the router is the synchronization point).
+	// a drained, frozen log tail.
 	speedMu sync.RWMutex
 	speed   *store.Store
 
-	cluster *dstore.Cluster
 	started atomic.Bool
 	startMu sync.Mutex
 
@@ -168,21 +146,6 @@ func New(cfg Config) (*Architecture, error) {
 	if _, err := store.New(cfg.Batch); err != nil {
 		return nil, fmt.Errorf("lambda: batch store config: %w", err)
 	}
-	if cfg.Cluster != nil {
-		ccfg := *cfg.Cluster
-		if ccfg.Durable == nil {
-			// The cluster's ingest topic is the master dataset, so the
-			// architecture's durability setting belongs to it.
-			ccfg.Durable = cfg.Durable
-		}
-		cl, err := dstore.New(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("lambda: cluster speed layer: %w", err)
-		}
-		a.cluster = cl
-		a.topic = cl.Topic()
-		return a, nil
-	}
 	speed, err := store.New(cfg.Speed)
 	if err != nil {
 		return nil, fmt.Errorf("lambda: speed store config: %w", err)
@@ -198,20 +161,14 @@ func New(cfg Config) (*Architecture, error) {
 
 // RegisterMetric binds a metric name to the synopsis prototype both
 // layers build buckets with. Register every metric before the first
-// write (cluster nodes rebuild stores from the registered set, and a
-// batch view recomputed without a metric could not absorb its history).
+// write (a batch view recomputed without a metric could not absorb its
+// history).
 func (a *Architecture) RegisterMetric(name string, proto store.Prototype) error {
 	if a.started.Load() {
 		return fmt.Errorf("lambda: register metric %q before the first append", name)
 	}
-	if a.cluster != nil {
-		if err := a.cluster.RegisterMetric(name, proto); err != nil {
-			return err
-		}
-	} else {
-		if err := a.speed.RegisterMetric(name, proto); err != nil {
-			return err
-		}
+	if err := a.speed.RegisterMetric(name, proto); err != nil {
+		return err
 	}
 	a.protoMu.Lock()
 	a.protos[name] = proto
@@ -251,8 +208,31 @@ func (a *Architecture) protoTable() map[string]store.Prototype {
 	return out
 }
 
-// ensureStarted performs the lazy cluster-node start on the first append
-// or query, after which the metric set is immutable.
+// newSpeed builds an empty speed store carrying every registered metric,
+// wired to the architecture's registry before it serves (re-registration
+// swaps the layer="lambda_speed" callbacks over to it).
+func (a *Architecture) newSpeed() (*store.Store, error) {
+	st, err := store.New(a.cfg.Speed)
+	if err != nil {
+		return nil, err
+	}
+	for name, proto := range a.protoTable() {
+		if err := st.RegisterMetric(name, proto); err != nil {
+			return nil, err
+		}
+	}
+	if tel := a.tel.Load(); tel != nil {
+		st.SetTelemetry(tel.reg, "layer", "lambda_speed")
+	}
+	return st, nil
+}
+
+// ensureStarted seals the metric set on the first append, query, key
+// listing or batch run. A durable master reopened over an earlier
+// process's directory already holds history no batch view covers yet, so
+// the speed layer starts as a replay of the retained log, swapped in
+// under the handoff lock: until the first RunBatch it is the only layer
+// serving.
 func (a *Architecture) ensureStarted() error {
 	if a.started.Load() {
 		return nil
@@ -262,13 +242,16 @@ func (a *Architecture) ensureStarted() error {
 	if a.started.Load() {
 		return nil
 	}
-	if a.cluster != nil {
-		for i := 0; i < a.cfg.ClusterNodes; i++ {
-			if _, err := a.cluster.StartNode(); err != nil {
-				return err
-			}
-		}
+	fresh, err := a.newSpeed()
+	if err != nil {
+		return err
 	}
+	a.speedMu.Lock()
+	defer a.speedMu.Unlock()
+	if _, err := store.Replay(fresh, a.topic); err != nil {
+		return err
+	}
+	a.speed = fresh
 	a.started.Store(true)
 	return nil
 }
@@ -278,14 +261,11 @@ func (a *Architecture) ensureStarted() error {
 // master topic — keyed by its Key, so a series replays in append order
 // — and the same observations land in the speed layer. The entire batch
 // is validated first: the master dataset is immutable, so a rejected
-// batch appends NOTHING. In single-store mode one append-lock
-// acquisition covers every Produce, the speed store absorbs the batch
-// through its own amortized path, and the write is synchronous
-// (read-your-writes). In cluster mode the router validates, groups
-// records per partition and batches them onto the log, and the owning
-// node applies them (Drain the architecture's Cluster for
-// read-your-writes). Per-key order is input order in both modes, so an
-// accepted batch is byte-identical to one observation per call.
+// batch appends NOTHING. One append-lock acquisition covers every
+// Produce, the speed store absorbs the batch through its own amortized
+// path, and the write is synchronous (read-your-writes). Per-key order is
+// input order, so an accepted batch is byte-identical to one observation
+// per call.
 func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -293,17 +273,8 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if err := a.ensureStarted(); err != nil {
 		return err
 	}
-	if a.cluster != nil {
-		// One dispatch reaches both layers because both read the same
-		// log: the router appends, the nodes consume.
-		if err := a.cluster.Router().ObserveBatch(obs); err != nil {
-			return err
-		}
-		a.appended.Add(uint64(len(obs)))
-		return nil
-	}
 	// The checks mirror the cluster router's, so a program can switch
-	// speed-layer modes without its accepted-input surface moving.
+	// backends without its accepted-input surface moving.
 	for i := range obs {
 		o := &obs[i]
 		if o.Time < 0 {
@@ -333,8 +304,7 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 // end-offset snapshot taken at entry; appends keep flowing into the old
 // speed layer while the recompute runs, and the cutover — install view,
 // swap in a speed store replayed from the fence — is atomic under the
-// append lock (single-store mode) or handed to the cluster's truncation
-// rebuild (cluster mode; exact once RunBatch returns, because it drains).
+// append lock.
 func (a *Architecture) RunBatch() (BatchInfo, error) {
 	if err := a.ensureStarted(); err != nil {
 		return BatchInfo{}, err
@@ -346,10 +316,6 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	var handoffStart time.Time
 	if tel != nil {
 		handoffStart = time.Now()
-	}
-	if a.cluster != nil {
-		// Settle producer-side batches so the freeze covers them.
-		a.cluster.Router().Flush()
 	}
 	ends := a.topic.EndOffsets()
 	var freezeStart time.Time
@@ -372,52 +338,25 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 		truncStart = time.Now()
 	}
 
-	if a.cluster != nil {
-		// Install the view first, then shed the covered prefix: the brief
-		// overlap double-covers (never drops) history, and the drain below
-		// restores exactness before RunBatch returns. The version bumps
-		// with the install, so even an error from the truncation or drain
-		// below leaves BatchVersion counting the views actually serving.
-		a.batch.Store(view)
-		a.version.Add(1)
-		if err := a.cluster.TruncateBelow(ends); err != nil {
-			return BatchInfo{}, err
-		}
-		if err := a.cluster.Drain(); err != nil {
-			return BatchInfo{}, err
-		}
-	} else {
-		// Single-store cutover: block appends, replay the post-freeze
-		// suffix [ends, live end) into a fresh speed store, swap both
-		// pointers. The replay cost is one inter-batch delta — the same
-		// work the old buffer-expiry rebuild paid, against the log.
-		fresh, err := store.New(a.cfg.Speed)
-		if err != nil {
-			return BatchInfo{}, err
-		}
-		for name, proto := range a.protoTable() {
-			if err := fresh.RegisterMetric(name, proto); err != nil {
-				return BatchInfo{}, err
-			}
-		}
-		if tel != nil {
-			// Re-bind the speed layer's metric series and tracer to the
-			// replacement store before it serves (re-registration swaps
-			// the callbacks).
-			fresh.SetTelemetry(tel.reg, "layer", "lambda_speed")
-		}
-		a.speedMu.Lock()
-		for pid := 0; pid < a.topic.Partitions(); pid++ {
-			if _, err := store.ReplayPartitionTo(fresh, a.topic, pid, ends[pid], a.topic.EndOffset(pid)); err != nil {
-				a.speedMu.Unlock()
-				return BatchInfo{}, err
-			}
-		}
-		a.speed = fresh
-		a.batch.Store(view)
-		a.version.Add(1)
-		a.speedMu.Unlock()
+	// Cutover: block appends, replay the post-freeze suffix
+	// [ends, live end) into a fresh speed store, swap both pointers. The
+	// replay cost is one inter-batch delta — the same work the old
+	// buffer-expiry rebuild paid, against the log.
+	fresh, err := a.newSpeed()
+	if err != nil {
+		return BatchInfo{}, err
 	}
+	a.speedMu.Lock()
+	for pid := 0; pid < a.topic.Partitions(); pid++ {
+		if _, err := store.ReplayPartitionTo(fresh, a.topic, pid, ends[pid], a.topic.EndOffset(pid)); err != nil {
+			a.speedMu.Unlock()
+			return BatchInfo{}, err
+		}
+	}
+	a.speed = fresh
+	a.batch.Store(view)
+	a.version.Add(1)
+	a.speedMu.Unlock()
 	if tel != nil {
 		tel.truncate.ObserveSince(truncStart)
 		tel.handoff.ObserveSince(handoffStart)
@@ -447,15 +386,13 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 // sealed batch snapshot and the live speed snapshot merge through
 // store.CombineSnapshots, whatever the metric's family; aggregate
 // requests then merge the per-key cells in sorted key order. Before the
-// first batch run the answer is the speed layer's alone. In single-store
-// mode the (batch view, speed store) pair is snapshotted under the same
-// read lock RunBatch's cutover writes both sides under, so a query can
-// never pair an old speed store with a new batch view (which would
-// double-count the inter-batch delta) or the reverse (which would drop
-// it); the speed side of every requested cell is gathered under that one
-// read lock, so a multi-key query costs one handoff-lock round-trip, not
-// one per key. In cluster mode the speed side is one generation-fenced
-// scatter-gather per metric.
+// first batch run the answer is the speed layer's alone. The (batch view,
+// speed store) pair is snapshotted under the same read lock RunBatch's
+// cutover writes both sides under, so a query can never pair an old speed
+// store with a new batch view (which would double-count the inter-batch
+// delta) or the reverse (which would drop it); the speed side of every
+// requested cell is gathered under that one read lock, so a multi-key
+// query costs one handoff-lock round-trip, not one per key.
 func (a *Architecture) Query(req store.QueryRequest) (store.QueryResult, error) {
 	return a.QueryContext(context.Background(), req)
 }
@@ -467,8 +404,8 @@ func queryCancelled(err error) error {
 }
 
 // QueryContext is Query honoring a deadline: ctx threads into the speed
-// layer's gather (the store's per-shard fan-out, or the cluster's
-// scatter-gather in cluster mode) and is re-checked between the merge
+// layer's gather (the store's per-shard fan-out) and is re-checked
+// between the merge
 // phases, so a cancelled or expired context aborts the request with an
 // error wrapping ctx.Err(). The batch view is sealed and the merge
 // allocates only private state, so an aborted query leaves nothing to
@@ -508,50 +445,29 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 		ssp = tr.StartRemote(req.Trace, "lambda.speed")
 		defer ssp.Finish()
 	}
-	var view *store.FrozenView
 	keysPerMetric := make([][]string, len(req.Metrics))
 	speedPerMetric := make([][]store.Synopsis, len(req.Metrics))
-	gather := func(speed func(store.QueryRequest) (store.QueryResult, error), speedKeys func(string) []string) error {
-		for i, metric := range req.Metrics {
-			keys := req.Keys
-			if req.AllKeys {
-				keys = unionKeys(speedKeys(metric), viewKeys(view, metric))
-			}
-			keysPerMetric[i] = keys
-			if len(keys) == 0 {
-				continue
-			}
-			// The sub-request carries the speed span's context, so the
-			// store's per-shard gather spans (and, in cluster mode, the
-			// router's scatter spans) nest under lambda.speed.
-			res, err := speed(store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To, Trace: ssp.Context()})
-			if err != nil {
-				return err
-			}
-			speedPerMetric[i] = res.RawSynopses()
+	a.speedMu.RLock()
+	view := a.batch.Load()
+	for i, metric := range req.Metrics {
+		keys := req.Keys
+		if req.AllKeys {
+			keys = unionKeys(a.speed.Keys(metric), viewKeys(view, metric))
 		}
-		return nil
-	}
-	if a.cluster != nil {
-		// Cluster mode: the handoff is install-view-then-truncate, so a
-		// query racing a rebuild transiently double-covers (never drops)
-		// history; RunBatch drains before returning to restore exactness.
-		view = a.batch.Load()
-		r := a.cluster.Router()
-		speed := func(q store.QueryRequest) (store.QueryResult, error) { return r.QueryContext(ctx, q) }
-		if err := gather(speed, r.Keys); err != nil {
-			return store.QueryResult{}, err
+		keysPerMetric[i] = keys
+		if len(keys) == 0 {
+			continue
 		}
-	} else {
-		a.speedMu.RLock()
-		view = a.batch.Load()
-		speed := func(q store.QueryRequest) (store.QueryResult, error) { return a.speed.QueryContext(ctx, q) }
-		err := gather(speed, a.speed.Keys)
-		a.speedMu.RUnlock()
+		// The sub-request carries the speed span's context, so the
+		// store's per-shard gather spans nest under lambda.speed.
+		res, err := a.speed.QueryContext(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To, Trace: ssp.Context()})
 		if err != nil {
+			a.speedMu.RUnlock()
 			return store.QueryResult{}, err
 		}
+		speedPerMetric[i] = res.RawSynopses()
 	}
+	a.speedMu.RUnlock()
 	if ssp != nil {
 		cells := 0
 		for _, keys := range keysPerMetric {
@@ -679,24 +595,20 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 }
 
 // Keys returns the union of keys for the metric across the batch and
-// speed layers (unordered, deduplicated). As in Query, single-store mode
-// snapshots the layer pair under the cutover's read lock.
+// speed layers (unordered, deduplicated). As in Query, the layer pair is
+// snapshotted under the cutover's read lock. Like any read it is a first
+// use; a start that fails lists nothing, and the next Query reports why.
 func (a *Architecture) Keys(metric string) []string {
-	seen := make(map[string]struct{})
-	var view *store.FrozenView
-	if a.cluster != nil {
-		view = a.batch.Load()
-		for _, k := range a.cluster.Router().Keys(metric) {
-			seen[k] = struct{}{}
-		}
-	} else {
-		a.speedMu.RLock()
-		view = a.batch.Load()
-		for _, k := range a.speed.Keys(metric) {
-			seen[k] = struct{}{}
-		}
-		a.speedMu.RUnlock()
+	if a.ensureStarted() != nil {
+		return nil
 	}
+	seen := make(map[string]struct{})
+	a.speedMu.RLock()
+	view := a.batch.Load()
+	for _, k := range a.speed.Keys(metric) {
+		seen[k] = struct{}{}
+	}
+	a.speedMu.RUnlock()
 	if view != nil {
 		for _, k := range view.Keys(metric) {
 			seen[k] = struct{}{}
@@ -716,11 +628,10 @@ func (a *Architecture) BatchView() *store.FrozenView { return a.batch.Load() }
 // BatchVersion returns how many batch views have been installed.
 func (a *Architecture) BatchVersion() uint64 { return a.version.Load() }
 
-// Staleness returns the number of appended observations not yet covered
-// by the batch view — the speed layer's raison d'être. It counts against
-// Appended rather than the log's end offsets so cluster-mode router
-// buffers (appended from the caller's point of view, not yet flushed to
-// the log) are included.
+// Staleness returns the number of master-log records not yet covered by
+// the batch view — the speed layer's raison d'être. It counts the log, not
+// this process's appends, so the history a reopened durable master
+// carries is stale until the first RunBatch covers it.
 func (a *Architecture) Staleness() uint64 {
 	var covered uint64
 	if view := a.batch.Load(); view != nil {
@@ -728,13 +639,7 @@ func (a *Architecture) Staleness() uint64 {
 			covered += e
 		}
 	}
-	appended := a.appended.Load()
-	if appended < covered {
-		// Producers writing to the master topic directly (not through
-		// ObserveBatch) inflate coverage past our own count; clamp.
-		return 0
-	}
-	return appended - covered
+	return a.MasterLen() - covered
 }
 
 // MasterLen returns the total number of messages ever appended to the
@@ -751,19 +656,13 @@ func (a *Architecture) MasterLen() uint64 {
 // Appended returns the observations dispatched through ObserveBatch.
 func (a *Architecture) Appended() uint64 { return a.appended.Load() }
 
-// Topic returns the master-dataset topic (the cluster's ingest topic in
-// cluster mode) — the replay surface oracles and audits rebuild from.
+// Topic returns the master-dataset topic — the replay surface oracles
+// and audits rebuild from.
 func (a *Architecture) Topic() *mqlog.Topic { return a.topic }
 
-// Cluster returns the cluster speed layer, or nil in single-store mode.
-func (a *Architecture) Cluster() *dstore.Cluster { return a.cluster }
-
-// SpeedStats returns the speed layer's store counters (aggregated across
-// nodes in cluster mode) — how much the realtime view currently absorbs.
+// SpeedStats returns the speed layer's store counters — how much the
+// realtime view currently absorbs.
 func (a *Architecture) SpeedStats() store.Stats {
-	if a.cluster != nil {
-		return a.cluster.Stats().Store
-	}
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
 	return a.speed.Stats()
@@ -774,33 +673,12 @@ func (a *Architecture) SpeedStats() store.Stats {
 // separately via BatchView().Stats()).
 func (a *Architecture) Stats() store.Stats { return a.SpeedStats() }
 
-// Flush settles producer-side buffers: in cluster mode the router's
-// per-partition append batches reach the ingest log; in single-store mode
-// appends are synchronous and Flush is a no-op. engine.SinkBolt calls it
-// when a topology run completes.
-func (a *Architecture) Flush() {
-	if a.cluster != nil {
-		a.cluster.Router().Flush()
-	}
-}
+// Flush is the analytics.Backend no-op: appends are synchronous, so
+// there are no producer-side buffers to settle.
+func (a *Architecture) Flush() {}
 
-// Drain blocks until the speed layer has absorbed everything appended so
-// far: a no-op in single-store mode (appends are synchronous), the
-// cluster drain otherwise. Call before exact comparisons in cluster mode.
-func (a *Architecture) Drain() error {
-	if a.cluster != nil {
-		return a.cluster.Drain()
-	}
-	return nil
-}
-
-// Close releases the architecture: cluster nodes stop, and the master
-// topic is closed — for a durable topic that is the final flush+fsync
-// of its segment files. The topic's in-memory state survives: a closed
-// architecture's log can still be replayed.
-func (a *Architecture) Close() error {
-	if a.cluster != nil {
-		return a.cluster.Close()
-	}
-	return a.topic.Close()
-}
+// Close releases the architecture: the master topic is closed — for a
+// durable topic that is the final flush+fsync of its segment files. The
+// topic's in-memory state survives: a closed architecture's log can still
+// be replayed.
+func (a *Architecture) Close() error { return a.topic.Close() }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dstore"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -68,9 +67,6 @@ func TestLambdaValidation(t *testing.T) {
 	if _, err := New(Config{Speed: store.Config{MaxIdle: -1}}); err == nil {
 		t.Fatal("invalid speed store config accepted")
 	}
-	if _, err := New(Config{Cluster: &dstore.Config{Retention: -1}}); err == nil {
-		t.Fatal("invalid cluster config accepted")
-	}
 	a := newArch(t, testConfig())
 	if err := a.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Time: 0}}); err == nil {
 		t.Fatal("unregistered metric accepted")
@@ -79,7 +75,7 @@ func TestLambdaValidation(t *testing.T) {
 		t.Fatal("negative time accepted")
 	}
 	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "", Item: "u", Time: 0}}); err == nil {
-		t.Fatal("empty key accepted (cluster mode rejects it; modes must agree)")
+		t.Fatal("empty key accepted (the cluster router rejects it; backends must agree)")
 	}
 	if got := a.MasterLen(); got != 0 {
 		t.Fatalf("rejected appends reached the master dataset: %d", got)
@@ -451,59 +447,6 @@ func TestLambdaParityUnderConcurrentIngest(t *testing.T) {
 			t.Fatalf("key %s: merged cardinality %v != oracle %v", key, g, w)
 		}
 	}
-}
-
-// TestClusterSpeedLayerParity runs the architecture with the dstore
-// cluster as the speed layer: appends route through the cluster's router
-// onto the shared master topic, batch handoffs truncate the cluster, and
-// merged answers equal the oracle once drained.
-func TestClusterSpeedLayerParity(t *testing.T) {
-	cfg := Config{
-		Batch:        storeGeom(),
-		Cluster:      &dstore.Config{Partitions: 8, Store: storeGeom(), Topic: "lambda-cluster"},
-		ClusterNodes: 3,
-	}
-	a := newArch(t, cfg)
-	rng := workload.NewRNG(99)
-	z := workload.NewZipf(rng, 24, 1.2)
-	values := map[string][]uint64{}
-	now := int64(0)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 1200; i++ {
-			key := fmt.Sprintf("k%d", z.Draw())
-			item := fmt.Sprintf("u%d", rng.Uint64()%48)
-			val := rng.Uint64() % 40000
-			now = int64(round*1200 + i)
-			for _, obs := range []store.Observation{
-				{Metric: "hits", Key: key, Item: item, Value: 1 + val%5, Time: now},
-				{Metric: "uniq", Key: key, Item: item, Time: now},
-				{Metric: "top", Key: key, Item: item, Time: now},
-				{Metric: "lat", Key: key, Value: val, Time: now},
-			} {
-				if err := a.ObserveBatch([]store.Observation{obs}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			values[key] = append(values[key], val)
-		}
-		if _, err := a.RunBatch(); err != nil {
-			t.Fatal(err)
-		}
-		// The cluster speed layer holds only the uncovered suffix, which
-		// right after a drained batch handoff is nothing.
-		if obs := a.SpeedStats().Observed; obs != 0 {
-			t.Fatalf("round %d: cluster speed layer retains %d observations", round, obs)
-		}
-		assertParity(t, a, oracleStore(t, a), values, now, fmt.Sprintf("cluster round %d", round))
-	}
-	// Post-boundary tail served by the speed layer alone.
-	if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k0", Item: "u0", Value: 3, Time: now}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	assertParity(t, a, oracleStore(t, a), values, now, "cluster tail")
 }
 
 func TestQueryBeforeFirstBatchServesSpeedOnly(t *testing.T) {

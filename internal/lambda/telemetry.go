@@ -2,13 +2,12 @@
 // batch-handoff, frozen-view-build and speed-truncation latency
 // histograms on the RunBatch path, batch/speed merge counts on the
 // query path, staleness and batch-version gauges at scrape time — plus
-// the master topic's mqlog metrics and the speed layer's own wiring
-// (the single store labeled layer="lambda_speed", or the whole dstore
-// cluster). The registry's tracer times a traced Query's three stages —
-// lambda.speed (realtime gather), lambda.batch (sealed-view read),
-// lambda.merge (cell-wise CombineSnapshots) — parented on the request's
-// trace context, with the store and cluster layers hanging their own
-// child spans off lambda.speed.
+// the master topic's mqlog metrics and the speed store's own wiring
+// (labeled layer="lambda_speed"). The registry's tracer times a traced
+// Query's three stages — lambda.speed (realtime gather), lambda.batch
+// (sealed-view read), lambda.merge (cell-wise CombineSnapshots) —
+// parented on the request's trace context, with the store hanging its
+// own child spans off lambda.speed.
 package lambda
 
 import (
@@ -30,8 +29,8 @@ type archTel struct {
 
 // SetTelemetry registers the architecture's metrics with reg, wires its
 // query path to the tracer reg carries, and wires the layers underneath
-// it (master topic, speed store or cluster) with the same registry; each
-// batch cutover's fresh speed store is wired before it serves. A nil
+// it (master topic and speed store) with the same registry; each fresh
+// speed store is wired before it serves. A nil
 // registry is a no-op; calling again re-binds the callbacks.
 func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
@@ -60,13 +59,13 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 		reg: reg,
 		trc: reg.Tracer(),
 		handoff: reg.Histogram("analytics_lambda_batch_handoff_seconds",
-			"Total RunBatch duration: freeze, install, truncate, drain.",
+			"Total RunBatch duration: freeze, install, truncate.",
 			0, 5.0, 64, labels...),
 		freeze: reg.Histogram("analytics_lambda_freeze_seconds",
 			"Frozen batch view build time (replay of the master dataset).",
 			0, 5.0, 64, labels...),
 		truncate: reg.Histogram("analytics_lambda_truncate_seconds",
-			"Speed-layer truncation: suffix replay and swap, or cluster rebuild.",
+			"Speed-layer truncation: suffix replay and swap.",
 			0, 5.0, 64, labels...),
 		merges: reg.Counter("analytics_lambda_merges_total",
 			"Per-cell batch+speed snapshot merges performed by queries.",
@@ -75,10 +74,6 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 	a.tel.Store(tel)
 
 	a.topic.SetTelemetry(reg)
-	if a.cluster != nil {
-		a.cluster.SetTelemetry(reg)
-		return
-	}
 	a.speedMu.RLock()
 	a.speed.SetTelemetry(reg, "layer", "lambda_speed")
 	a.speedMu.RUnlock()

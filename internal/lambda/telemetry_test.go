@@ -1,30 +1,29 @@
 package lambda
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/dstore"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
-// TestTelemetryCoversAllLayers wires a cluster-mode architecture — which
-// contains every subsystem: the lambda dispatch itself, the dstore
-// cluster, a sketch store per node, and the mqlog master topic — into
-// one registry, runs a full ingest/batch/query cycle, and requires the
-// scrape to expose at least one counter, one gauge and one histogram
-// from each of the four layers, with real traffic behind the counters.
+// TestTelemetryCoversAllLayers wires an architecture — the lambda
+// dispatch itself, the mqlog master topic and the speed store — into one
+// registry, runs a full ingest/batch/query cycle, and requires the scrape
+// to expose at least one counter, one gauge and one histogram from each
+// of the three layers, with real traffic behind the counters. The dstore
+// layer's share of this check is TestTelemetryCoversClusterLayers.
 func TestTelemetryCoversAllLayers(t *testing.T) {
 	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}
-	arch, err := New(Config{
-		Batch:        geom,
-		Cluster:      &dstore.Config{Partitions: 4, Store: geom},
-		ClusterNodes: 2,
-	})
+	arch, err := New(Config{Batch: geom, Speed: geom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +50,6 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := arch.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := arch.RunBatch(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +73,7 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 		}
 		kinds[layer][m[2]] = true
 	}
-	for _, layer := range []string{"store", "mqlog", "dstore", "lambda"} {
+	for _, layer := range []string{"store", "mqlog", "lambda"} {
 		for _, kind := range []string{"counter", "gauge", "histogram"} {
 			if !kinds[layer][kind] {
 				t.Errorf("scrape has no %s from layer %q", kind, layer)
@@ -101,23 +97,15 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 	if got := sample("analytics_lambda_appended_total", `layer="lambda"`); got != span {
 		t.Errorf("appended_total %v, want %d", got, span)
 	}
-	// In cluster mode the master dataset IS the cluster's ingest topic.
-	if got := sample("analytics_mqlog_produced_records_total", `topic="dstore-ingest"`); got < span {
-		t.Errorf("produced_records_total %v, want >= %d", got, span)
-	}
-	// RunBatch rebuilds every node store from the log, so the pre-handoff
-	// live-applied counters reset; the traffic reappears as replays.
-	applied := sample("analytics_dstore_applied_total", `layer="dstore"`)
-	replayed := sample("analytics_dstore_replayed_total", `layer="dstore"`)
-	if applied+replayed <= 0 {
-		t.Errorf("dstore applied %v + replayed %v, want > 0", applied, replayed)
+	if got := sample("analytics_mqlog_produced_records_total", `topic="lambda-master"`); got != span {
+		t.Errorf("produced_records_total %v, want %d", got, span)
 	}
 	if got := sample("analytics_lambda_merges_total", `layer="lambda"`); got <= 0 {
 		t.Errorf("merges_total %v, want > 0 after a merged query", got)
 	}
-	// The cluster's node stores registered under their own label sets.
-	if !strings.Contains(text, `analytics_store_observations_total{layer="dstore",node=`) {
-		t.Error("scrape has no per-node store counters from the cluster")
+	// The speed store registered under its own label set.
+	if !strings.Contains(text, `analytics_store_observations_total{layer="lambda_speed"}`) {
+		t.Error("scrape has no speed-store counters")
 	}
 	// Histograms saw the batch handoff.
 	if got := sample("analytics_lambda_batch_handoff_seconds_count", `layer="lambda"`); got != 1 {
@@ -151,9 +139,6 @@ func TestTelemetryRebindsAcrossHandoff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := arch.Drain(); err != nil {
-		t.Fatal(err)
-	}
 	observed := func() string {
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {
@@ -175,5 +160,61 @@ func TestTelemetryRebindsAcrossHandoff(t *testing.T) {
 	// replayed an empty suffix, and the scrape must say 0, not 100.
 	if got := observed(); got != "0" {
 		t.Fatalf("post-handoff speed observations %s, want 0 (fresh store)", got)
+	}
+}
+
+// TestTelemetryTracesQueryStages: a traced query records the three merge
+// stages — lambda.speed, lambda.batch, lambda.merge — as children of the
+// caller's span, with the store's own spans free to nest under
+// lambda.speed; a cancelled context aborts the query with an error
+// wrapping context.Canceled.
+func TestTelemetryTracesQueryStages(t *testing.T) {
+	tr := trace.NewTracer(trace.Config{SampleRate: 1, Seed: 7})
+	arch := newArch(t, testConfig())
+	arch.SetTelemetry(telemetry.NewTraced(tr))
+	for i := 0; i < 60; i++ {
+		if err := arch.ObserveBatch([]store.Observation{durableObs(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 40 {
+			if _, err := arch.RunBatch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	root := tr.StartRoot("test.query")
+	req := store.QueryRequest{Metrics: []string{"hits", "lat"}, AllKeys: true, From: 0, To: 60, Trace: root.Context()}
+	if _, err := arch.Query(req); err != nil {
+		t.Fatal(err)
+	}
+	rootID := root.Context().Span
+	root.Finish()
+	stages := map[string]trace.SpanSnapshot{}
+	for _, ts := range tr.Traces() {
+		for _, sp := range ts.Spans {
+			if strings.HasPrefix(sp.Name, "lambda.") {
+				stages[sp.Name] = sp
+			}
+		}
+	}
+	for _, name := range []string{"lambda.speed", "lambda.batch", "lambda.merge"} {
+		sp, ok := stages[name]
+		if !ok {
+			t.Fatalf("traced query recorded no %s span (have %v)", name, stages)
+		}
+		if sp.Parent != rootID {
+			t.Errorf("%s parent %v, want the caller's span %v", name, sp.Parent, rootID)
+		}
+	}
+	if !slices.Contains(stages["lambda.batch"].Attrs, trace.Bool("view", true)) {
+		t.Errorf("lambda.batch attrs %v, want view=true after a batch run", stages["lambda.batch"].Attrs)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req.Trace = trace.Context{}
+	if _, err := arch.QueryContext(ctx, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query error %v, want one wrapping context.Canceled", err)
 	}
 }

@@ -88,19 +88,6 @@ func (g *ConsumerGroup) rebalance() {
 	}
 }
 
-// ForceRebalance bumps the group generation and recomputes the
-// assignment without any membership change. Members holding work fenced
-// at the old generation are fenced out (CommitFenced fails), and
-// consumers keyed to the generation rebuild — the administrative "bounce
-// the group" every log-backed state store needs when the state it must
-// rebuild from the log changes out from under the members (e.g. an
-// offset floor moved by a batch-layer handoff).
-func (g *ConsumerGroup) ForceRebalance() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.rebalance()
-}
-
 // Assignment returns the member's current partitions.
 func (g *ConsumerGroup) Assignment(member string) []int {
 	g.mu.Lock()

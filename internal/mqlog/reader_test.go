@@ -1,9 +1,6 @@
 package mqlog
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func newReaderTopic(t *testing.T, partitions, retention int) (*Broker, *Topic) {
 	t.Helper()
@@ -186,32 +183,5 @@ func TestReaderValidation(t *testing.T) {
 	}
 	if msgs := r.Next(10); msgs != nil {
 		t.Fatal("empty range returned messages")
-	}
-}
-
-func TestForceRebalanceBumpsGenerationKeepsAssignment(t *testing.T) {
-	b, topic := newReaderTopic(t, 4, 0)
-	g, err := NewConsumerGroup(b, topic, "grp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Join("a")
-	g.Join("b")
-	gen := g.Generation()
-	before := fmt.Sprintf("%v/%v", g.Assignment("a"), g.Assignment("b"))
-	g.ForceRebalance()
-	if g.Generation() != gen+1 {
-		t.Fatalf("generation %d, want %d", g.Generation(), gen+1)
-	}
-	after := fmt.Sprintf("%v/%v", g.Assignment("a"), g.Assignment("b"))
-	if before != after {
-		t.Fatalf("assignment changed across force-rebalance: %s -> %s", before, after)
-	}
-	// Work fenced at the old generation is fenced out.
-	if g.CommitFenced("a", gen, g.Assignment("a")[0], 1) {
-		t.Fatal("stale-generation commit accepted")
-	}
-	if !g.CommitFenced("a", gen+1, g.Assignment("a")[0], 1) {
-		t.Fatal("current-generation commit rejected")
 	}
 }

@@ -215,7 +215,7 @@ func newHarness(t *testing.T, kind string, withCache bool) *serveHarness {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ar.Close() })
-		h.be, h.drain = ar, ar.Drain
+		h.be = ar
 	default:
 		t.Fatalf("unknown backend kind %q", kind)
 	}

@@ -1,5 +1,5 @@
-// trace_bench_test.go pins the ingest-path cost of the tracing hooks —
-// the numbers behind the checked-in BENCH_trace.json. The contract: a
+// trace_bench_test.go measures the ingest-path cost of the tracing hooks
+// (TestObserveBatchAllocGate is the allocation gate). The contract: a
 // store with nothing wired pays nothing measurable over the pre-trace
 // baseline (0 allocs, ~1 pointer check per shard group), a traced
 // registry with untraced observations pays only the registry's lock-wait
@@ -62,7 +62,8 @@ func benchIngestTraced(b *testing.B, tr *trace.Tracer, sampleEvery int) {
 
 // BenchmarkStoreIngestTraced is the tracing cost ladder. "off" must
 // match BenchmarkStoreIngest/bare (same harness, nil tracer): that pair
-// is the 0-extra-allocs, <=1% ns/op acceptance BENCH_trace.json pins.
+// is the 0-extra-allocs, <=1% ns/op acceptance; run it with
+// `go test -run NONE -bench StoreIngestTraced -benchmem ./internal/store`.
 func BenchmarkStoreIngestTraced(b *testing.B) {
 	cfg := trace.Config{SampleRate: 1, Seed: 7}
 	b.Run("off", func(b *testing.B) { benchIngestTraced(b, nil, 0) })
