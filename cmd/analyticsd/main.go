@@ -7,9 +7,9 @@
 //
 // The backend is selectable: the sharded store (default), the
 // partitioned cluster behind its ingest log, or the full Lambda
-// Architecture. Sealed-range query answers are cached at the edge
-// (internal/rcache) and invalidated as writes arrive; responses carry
-// "cached": true when served from the cache.
+// Architecture. Sealed-range query answers asked for more than once are
+// cached at the edge (internal/rcache) and invalidated as writes arrive;
+// responses carry "cached": true when served from the cache.
 //
 // With -rate > 0 the daemon runs admission control (internal/admission):
 // token buckets bound total ingest, each metric and each tenant (billed
@@ -198,7 +198,7 @@ func main() {
 	backend := flag.String("backend", "store", "serving layer: store, cluster or lambda")
 	shards := flag.Int("shards", 8, "store shard count per node")
 	events := flag.Int("events", 50000, "demo observations to preload (0 = start empty)")
-	cacheEntries := flag.Int("cache", 4096, "read-cache entry budget (0 disables the cache)")
+	cacheEntries := flag.Int("cache", 4096, "read-cache entry budget: answers held, and shapes each generation of the admission doorkeeper remembers (0 disables the cache)")
 	traceRate := flag.Float64("trace", 0.05, "trace sample rate in [0,1]; 0 disables tracing")
 	slowThresh := flag.Duration("slow", 2*time.Millisecond, "queries at or over this duration are slow-logged (needs -trace)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof")

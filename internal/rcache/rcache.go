@@ -16,8 +16,21 @@
 //
 // The contract requires every write to pass through NoteObserve — the
 // serving daemon sits on the only ingest path, so it calls NoteObserve
-// per observation before handing it to the backend. Writes that bypass
-// the daemon bypass invalidation, exactly like any look-aside cache.
+// per observation once the backend has absorbed the write. Writes that
+// bypass the daemon bypass invalidation, exactly like any look-aside
+// cache.
+//
+// Only answers asked for more than once are kept. A miss records the
+// request's shape in a doorkeeper — a two-generation Bloom filter, as in
+// TinyLFU — and Fill stores the answer only if that shape had been
+// recorded before. The shape is the metrics, the keys, the aggregate
+// flag, the span To−From and the lag frontier−To, where the frontier is
+// the lowest open-bucket start among the request's metrics: a dashboard
+// panel that slides forward one bucket with every roll keeps its shape,
+// so after a roll it is admitted on its first ask, while a request
+// asked once (a distinct ad-hoc range) never becomes resident. A request
+// the doorkeeper has not seen is filled on its second ask and served
+// from the cache from its third.
 //
 // AllKeys requests are never cached: the resident key set grows with
 // writes to the open bucket (which bump no version), so the answer's
@@ -25,7 +38,8 @@
 //
 // Entries shard by key hash, each shard holding an independent map and
 // FIFO eviction ring under its own mutex, so concurrent lookups on a
-// busy edge don't serialize. The ring records every fill; a refill moves
+// busy edge don't serialize. Both grow on first fill: a shard the
+// doorkeeper keeps empty costs nothing. The ring records every fill; a refill moves
 // its key to the back, and the slots that leaves behind (or that a stale
 // drop left) are skipped at eviction and compacted away before the ring
 // outgrows twice the shard budget.
@@ -33,7 +47,7 @@
 // The cache holds results in the form the backend returned them: the
 // store answers a sparse-enough cell with its compact synopsis (see the
 // store's finish), so a cached answer costs what it holds, and
-// Stats.Bytes sums what the resident answers report. Budgets are still
+// Stats.Bytes sums what the resident answers report. Budgets are
 // counted in entries, not bytes. Cached results are shared across
 // readers: treat the answers as read-only (the serving tier only
 // encodes them).
@@ -41,7 +55,8 @@ package rcache
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -60,7 +75,9 @@ type Config struct {
 	// (default 16).
 	Shards int
 	// MaxEntries bounds the total cached results, split evenly across
-	// shards; a full shard evicts its oldest entry (default 4096).
+	// shards; a full shard evicts its oldest entry (default 4096). It
+	// also sizes the doorkeeper: each of its generations remembers
+	// MaxEntries shapes.
 	MaxEntries int
 }
 
@@ -69,6 +86,7 @@ type Cache struct {
 	cfg   Config
 	mask  uint32
 	shard []cshard
+	door  *doorkeeper
 
 	mu      sync.RWMutex
 	metrics map[string]*metricState
@@ -77,6 +95,7 @@ type Cache struct {
 	misses        atomic.Uint64
 	evictions     atomic.Uint64
 	invalidations atomic.Uint64
+	declined      atomic.Uint64
 }
 
 // metricState is one metric's write watermark: the current open bucket
@@ -109,6 +128,7 @@ type fill struct {
 // entry is one cached result with the metric versions it was computed
 // under.
 type entry struct {
+	key     string // shared with its ring slot
 	res     store.QueryResult
 	metrics []string
 	stamp   []uint64
@@ -122,9 +142,9 @@ func (sh *cshard) live(f fill) bool {
 	return e != nil && e.seq == f.seq
 }
 
-// drop removes key's entry. Callers hold sh.mu.
-func (sh *cshard) drop(key string, e *entry) {
-	delete(sh.entries, key)
+// drop removes a resident entry. Callers hold sh.mu.
+func (sh *cshard) drop(e *entry) {
+	delete(sh.entries, e.key)
 	sh.bytes -= e.bytes
 }
 
@@ -149,17 +169,13 @@ func New(cfg Config) (*Cache, error) {
 		per = 1
 	}
 	cfg.MaxEntries = per * cfg.Shards
-	c := &Cache{
+	return &Cache{
 		cfg:     cfg,
 		mask:    uint32(cfg.Shards - 1),
 		shard:   make([]cshard, cfg.Shards),
+		door:    newDoorkeeper(cfg.MaxEntries),
 		metrics: make(map[string]*metricState),
-	}
-	for i := range c.shard {
-		c.shard[i].entries = make(map[string]*entry, per)
-		c.shard[i].order = make([]fill, 0, per)
-	}
-	return c, nil
+	}, nil
 }
 
 // perShard is the per-shard entry budget.
@@ -224,54 +240,68 @@ func (c *Cache) NoteObserve(metric string, t int64) {
 	}
 }
 
-// Token carries a Lookup's fill-eligibility between Lookup and Fill.
-// The zero Token is ineligible, so a caller can thread it through
-// unconditionally.
+// Token carries a Lookup's verdict between Lookup and Fill: whether
+// the request was eligible, and whether the doorkeeper admits its
+// answer. The zero Token is ineligible, so a caller can thread it
+// through unconditionally.
 type Token struct {
 	key     string
 	idx     uint32
 	metrics []string
 	stamp   []uint64
 	ok      bool
+	admit   bool
 }
 
-// Cacheable reports whether a Fill with this token could store the
-// result (the request was eligible at Lookup time).
+// Cacheable reports whether the request was eligible for the cache at
+// Lookup time: a hit, or a miss counted as one. Whether Fill stores the
+// answer also depends on the doorkeeper's verdict.
 func (t Token) Cacheable() bool { return t.ok }
 
+// keyBuf is the stack buffer a lookup renders its key into; longer
+// keys spill to the heap.
+const keyBuf = 256
+
 // Lookup checks the cache for req's answer. It returns (result, true)
-// on an exact hit. On a miss it returns a Token: run the query against
-// the backend and hand the result to Fill with the token, which stores
-// it only if no invalidating write raced the query. Requests that are
-// not cacheable — malformed, AllKeys, or ranges not yet fully sealed —
-// return an ineligible token and are not counted as misses.
+// on an exact hit. On a miss it records the request's shape with the
+// doorkeeper and returns a Token: run the query against the backend and
+// hand the result to Fill with the token, which stores it only if the
+// shape had been seen before and no invalidating write raced the query.
+// Requests that are not cacheable — malformed, AllKeys, or ranges not
+// yet fully sealed — return an ineligible token and are not counted as
+// misses.
 func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) {
 	req, err := req.Normalize()
 	if err != nil || req.AllKeys {
 		return store.QueryResult{}, false, Token{}
 	}
-	// The range must lie entirely below every metric's open bucket.
-	metrics := req.Metrics
-	stamp := make([]uint64, len(metrics))
-	for i, m := range metrics {
+	// The range must lie entirely below every metric's open bucket; the
+	// lowest open-bucket start is the frontier the shape's lag counts
+	// from.
+	var sbuf [4]uint64
+	stamp, frontier := sbuf[:0], int64(math.MaxInt64)
+	for _, m := range req.Metrics {
 		st := c.peek(m)
 		if st == nil {
 			return store.QueryResult{}, false, Token{}
 		}
-		if req.To > st.open.Load()*c.cfg.BucketWidth {
+		open := st.open.Load() * c.cfg.BucketWidth
+		if req.To > open {
 			return store.QueryResult{}, false, Token{}
 		}
-		stamp[i] = st.version.Load()
+		frontier = min(frontier, open)
+		stamp = append(stamp, st.version.Load())
 	}
-	key := cacheKey(req)
-	idx := uint32(hashutil.Sum64String(key, 0)) & c.mask
-	tok := Token{key: key, idx: idx, metrics: metrics, stamp: stamp, ok: true}
+	var kbuf [keyBuf]byte
+	key, shape := appendKey(kbuf[:0], req, frontier)
+	idx := uint32(hashutil.Sum64(key, 0)) & c.mask
 
 	sh := &c.shard[idx]
 	sh.mu.Lock()
-	e := sh.entries[key]
+	e := sh.entries[string(key)]
 	if e != nil && stampEqual(e.stamp, stamp) {
 		res := e.res
+		tok := Token{key: e.key, idx: idx, metrics: e.metrics, stamp: e.stamp, ok: true, admit: true}
 		sh.mu.Unlock()
 		c.hits.Add(1)
 		return res, true, tok
@@ -279,19 +309,28 @@ func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) 
 	if e != nil {
 		// Stale under the current versions; drop it lazily (the FIFO
 		// slot stays, dead, until eviction or compaction skips it).
-		sh.drop(key, e)
+		sh.drop(e)
 	}
 	sh.mu.Unlock()
 	c.misses.Add(1)
+	tok := Token{idx: idx, metrics: req.Metrics, ok: true}
+	if c.door.record(shape) {
+		tok.key, tok.stamp, tok.admit = string(key), append([]uint64(nil), stamp...), true
+	}
 	return store.QueryResult{}, false, tok
 }
 
-// Fill stores res under the token's key, unless an invalidating write
-// for one of its metrics raced the backend query (the version stamp
-// moved since Lookup), in which case the result is silently discarded
-// — the next lookup recomputes.
+// Fill stores res under the token's key, unless the doorkeeper did not
+// admit the request (counted in Stats.Declined) or an invalidating
+// write for one of its metrics raced the backend query (the version
+// stamp moved since Lookup). Either way the result is silently
+// discarded — the next lookup recomputes.
 func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	if !tok.ok {
+		return
+	}
+	if !tok.admit {
+		c.declined.Add(1)
 		return
 	}
 	for i, m := range tok.metrics {
@@ -309,10 +348,13 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	sh := &c.shard[tok.idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.entries == nil {
+		sh.entries = make(map[string]*entry)
+	}
 	if old := sh.entries[tok.key]; old != nil {
 		// A refill replaces the entry and moves the key to the back of
 		// the ring; its earlier slot goes dead.
-		sh.drop(tok.key, old)
+		sh.drop(old)
 	}
 	// Evict in FIFO order, skipping dead ring slots.
 	for len(sh.entries) >= c.perShard() && sh.head < len(sh.order) {
@@ -320,7 +362,7 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 		sh.order[sh.head] = fill{}
 		sh.head++
 		if sh.live(f) {
-			sh.drop(f.key, sh.entries[f.key])
+			sh.drop(sh.entries[f.key])
 			c.evictions.Add(1)
 		}
 	}
@@ -341,16 +383,46 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	}
 	sh.seq++
 	sh.order = append(sh.order, fill{key: tok.key, seq: sh.seq})
-	sh.entries[tok.key] = &entry{res: res, metrics: tok.metrics, stamp: tok.stamp, seq: sh.seq, bytes: nb}
+	sh.entries[tok.key] = &entry{key: tok.key, res: res, metrics: tok.metrics, stamp: tok.stamp, seq: sh.seq, bytes: nb}
 	sh.bytes += nb
 }
 
-// cacheKey renders the normalized request unambiguously: %q quoting
-// keeps metric and key names containing separators from colliding.
-func cacheKey(req store.QueryRequest) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%q|%q|%d|%d|%t", req.Metrics, req.Keys, req.From, req.To, req.Aggregate)
-	return b.String()
+// appendKey appends the normalized request's cache key to dst — the
+// bytes fmt's "%q|%q|%d|%d|%t" renders of Metrics, Keys, From, To and
+// Aggregate, whose quoting keeps names containing separators from
+// colliding — and returns the hash of the request's shape for the
+// doorkeeper: the quoted names, the aggregate flag, the span To−From
+// and the lag frontier−To.
+func appendKey(dst []byte, req store.QueryRequest, frontier int64) ([]byte, uint64) {
+	dst = appendQuoted(dst, req.Metrics)
+	dst = append(dst, '|')
+	dst = appendQuoted(dst, req.Keys)
+	dst = append(dst, '|')
+	shape := hashutil.Sum64(dst, 0)
+	agg := uint64(0)
+	if req.Aggregate {
+		agg = 1
+	}
+	shape = hashutil.Mix64(shape ^ uint64(req.To-req.From))
+	shape = hashutil.Mix64(shape ^ uint64(frontier-req.To)<<1 ^ agg)
+	dst = strconv.AppendInt(dst, req.From, 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, req.To, 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendBool(dst, req.Aggregate)
+	return dst, shape
+}
+
+// appendQuoted appends names as fmt's %q renders a []string.
+func appendQuoted(dst []byte, names []string) []byte {
+	dst = append(dst, '[')
+	for i, n := range names {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendQuote(dst, n)
+	}
+	return append(dst, ']')
 }
 
 // stampEqual compares version stamps.
@@ -372,6 +444,7 @@ type Stats struct {
 	Misses        uint64
 	Evictions     uint64
 	Invalidations uint64
+	Declined      uint64 // fills the doorkeeper turned down
 	Entries       int
 	Bytes         int // resident answers' synopsis bytes (Synopsis.Bytes)
 }
@@ -384,6 +457,7 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
+		Declined:      c.declined.Load(),
 		Entries:       n,
 		Bytes:         b,
 	}
@@ -439,6 +513,9 @@ func (c *Cache) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	reg.CounterFunc("analytics_serve_cache_invalidations_total",
 		"Per-metric version bumps (bucket advances and late writes).",
 		func() uint64 { return c.invalidations.Load() }, labels...)
+	reg.CounterFunc("analytics_serve_cache_declined_total",
+		"Fills the admission doorkeeper turned down: the request's shape had not been asked before.",
+		func() uint64 { return c.declined.Load() }, labels...)
 	reg.GaugeFunc("analytics_serve_cache_entries",
 		"Resident cached results across all shards.",
 		func() float64 { return float64(c.Len()) }, labels...)

@@ -2,6 +2,7 @@ package rcache
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -35,6 +36,27 @@ func sealedReq(metric string) store.QueryRequest {
 	return store.QueryRequest{Metric: metric, Key: "k", From: 0, To: width}
 }
 
+// seen records req's shape with the doorkeeper the way a miss does,
+// without counting a lookup, so the next miss's answer is admitted.
+// Tests of what a fill does call it first and keep their counts.
+func seen(t *testing.T, c *Cache, req store.QueryRequest) {
+	t.Helper()
+	req, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier := int64(math.MaxInt64)
+	for _, m := range req.Metrics {
+		st := c.peek(m)
+		if st == nil {
+			t.Fatalf("metric %q never observed", m)
+		}
+		frontier = min(frontier, st.open.Load()*c.cfg.BucketWidth)
+	}
+	_, shape := appendKey(nil, req, frontier)
+	c.door.record(shape)
+}
+
 func TestRCacheMissFillHit(t *testing.T) {
 	c := mustCache(t, Config{})
 	// Writes in buckets 0 and 1: bucket 0 is sealed once bucket 1 opens.
@@ -42,6 +64,7 @@ func TestRCacheMissFillHit(t *testing.T) {
 	c.NoteObserve("m", width+10)
 
 	req := sealedReq("m")
+	seen(t, c, req)
 	if _, hit, tok := c.Lookup(req); hit || !tok.Cacheable() {
 		t.Fatalf("first lookup: hit=%v cacheable=%v, want miss+cacheable", hit, tok.Cacheable())
 	} else {
@@ -91,6 +114,7 @@ func TestRCacheIneligibleRequests(t *testing.T) {
 func TestRCacheAdvanceInvalidates(t *testing.T) {
 	c := mustCache(t, Config{})
 	c.NoteObserve("m", width+10)
+	seen(t, c, sealedReq("m"))
 	_, _, tok := c.Lookup(sealedReq("m"))
 	c.Fill(tok, result("m"))
 	if _, hit, _ := c.Lookup(sealedReq("m")); !hit {
@@ -115,6 +139,7 @@ func TestRCacheAdvanceInvalidates(t *testing.T) {
 func TestRCacheLateWriteInvalidates(t *testing.T) {
 	c := mustCache(t, Config{})
 	c.NoteObserve("m", 2*width+10) // open bucket 2
+	seen(t, c, sealedReq("m"))
 	_, _, tok := c.Lookup(sealedReq("m"))
 	c.Fill(tok, result("m"))
 
@@ -133,8 +158,10 @@ func TestRCachePerMetricIsolation(t *testing.T) {
 	c := mustCache(t, Config{})
 	c.NoteObserve("a", width+1)
 	c.NoteObserve("b", width+1)
+	seen(t, c, sealedReq("a"))
 	_, _, ta := c.Lookup(sealedReq("a"))
 	c.Fill(ta, result("a"))
+	seen(t, c, sealedReq("b"))
 	_, _, tb := c.Lookup(sealedReq("b"))
 	c.Fill(tb, result("b"))
 
@@ -166,6 +193,7 @@ func TestRCacheEvictionFIFO(t *testing.T) {
 		return store.QueryRequest{Metric: "m", Key: "k", From: int64(i) * width, To: int64(i+1) * width}
 	}
 	for i := 0; i < 5; i++ {
+		seen(t, c, reqAt(i))
 		_, _, tok := c.Lookup(reqAt(i))
 		if !tok.Cacheable() {
 			t.Fatalf("req %d not cacheable", i)
@@ -189,6 +217,7 @@ func TestRCacheTelemetry(t *testing.T) {
 	c.SetTelemetry(reg)
 
 	c.NoteObserve("m", width+1)
+	seen(t, c, sealedReq("m"))
 	_, _, tok := c.Lookup(sealedReq("m"))
 	c.Fill(tok, result("m"))
 	c.Lookup(sealedReq("m"))
@@ -283,6 +312,7 @@ func TestRCacheRefillMovesToBack(t *testing.T) {
 	}
 	fill := func(m string) {
 		t.Helper()
+		seen(t, c, sealedReq(m))
 		_, hit, tok := c.Lookup(sealedReq(m))
 		if hit || !tok.Cacheable() {
 			t.Fatalf("%s: hit=%v cacheable=%v, want a cacheable miss", m, hit, tok.Cacheable())
@@ -325,6 +355,7 @@ func TestRCacheBytes(t *testing.T) {
 	}
 	fill := func(m string, items int) int {
 		t.Helper()
+		seen(t, c, sealedReq(m))
 		_, _, tok := c.Lookup(sealedReq(m))
 		res, n := sized(m, items)
 		c.Fill(tok, res)

@@ -264,6 +264,7 @@ func TestQueryHandlerWritesSpecBody(t *testing.T) {
 		cache.NoteObserve(m, 299) // encodeStore's writes bypassed the edge
 	}
 	req := store.QueryRequest{Metrics: metrics, Keys: awkward[:4], From: 0, To: 200}
+	askedBefore(t, cache, req)
 	res, err := st.Query(req)
 	if err != nil {
 		t.Fatal(err)

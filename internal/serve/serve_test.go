@@ -347,6 +347,7 @@ func TestServeCacheFlow(t *testing.T) {
 	h.feedWire(t, 100) // open bucket is 9; [0, 90) fully sealed
 
 	req := store.QueryRequest{Metric: "top", Key: "k1", From: 0, To: 90}
+	askedBefore(t, h.cache, req)
 	cold, err := h.client.QueryWire(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -387,6 +388,16 @@ func TestServeCacheFlow(t *testing.T) {
 	}
 	if st := h.cache.Stats(); st.Hits != 1 {
 		t.Fatalf("cache stats = %+v, want exactly 1 hit", st)
+	}
+}
+
+// askedBefore looks req up once on cache, as an earlier ask would have:
+// the cache's doorkeeper then admits the answer of the next miss, so a
+// test can see an answer cached on its first query over the edge.
+func askedBefore(t *testing.T, cache *rcache.Cache, req store.QueryRequest) {
+	t.Helper()
+	if _, hit, tok := cache.Lookup(req); hit || !tok.Cacheable() {
+		t.Fatalf("priming lookup: hit=%v cacheable=%v, want a cacheable miss", hit, tok.Cacheable())
 	}
 }
 

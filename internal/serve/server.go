@@ -22,9 +22,11 @@
 //     end.
 //
 // When a read cache (internal/rcache) is configured, every observation
-// the edge forwards first bumps the cache's invalidation watermarks and
-// every query consults the cache before the backend; responses carry
-// "cached": true when served from it. The cache is exact from the
+// batch the edge forwards is written to the backend first and then bumps
+// the cache's invalidation watermarks, and every query consults the
+// cache before the backend; responses carry "cached": true when served
+// from it. The cache keeps an answer only once its request shape was
+// asked before, so a repeated query is cached from its third ask. The cache is exact from the
 // edge's point of view as long as all writes enter through the edge —
 // see the rcache package comment for the contract (and for the
 // eventual-consistency caveat cluster-backed deployments inherit).
