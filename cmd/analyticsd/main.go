@@ -207,7 +207,6 @@ func main() {
 	rate := flag.Float64("rate", 0, "admission rate in observations/sec shared by the global, per-metric and per-tenant buckets (0 = no admission control)")
 	burst := flag.Float64("burst", 0, "admission burst size in observations (0 = 2x -rate)")
 	tenantHeader := flag.String("tenant-header", serve.DefaultTenantHeader, "request header naming the tenant a write batch is billed to")
-	negCache := flag.Int("negcache", 256, "negative-result cache entries for unknown-metric probes (0 disables)")
 	flag.Parse()
 
 	var trc *trace.Tracer
@@ -273,7 +272,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Admission:      ctrl,
 		TenantHeader:   *tenantHeader,
-		NegCache:       *negCache,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "analyticsd:", err)

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -547,6 +548,23 @@ func TestQueryReportsUnreachableNodes(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unowned") || !strings.Contains(err.Error(), "partitions") {
 		t.Fatalf("error does not name unowned partitions: %v", err)
+	}
+}
+
+// An unknown metric is answered from the cluster's registry before any
+// fan-out: even with no node to own a partition, the error is
+// ErrUnknownMetric and never an unreachable-partition error. The serving
+// edge relies on this to keep no cache of unknown names.
+func TestQueryUnknownMetricNeedsNoNode(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 4})
+	_, err := c.Router().Query(store.QueryRequest{
+		Metric: "ghost", Keys: []string{"a", "b", "c", "d"}, From: 0, To: 10,
+	})
+	if !errors.Is(err, store.ErrUnknownMetric) {
+		t.Fatalf("unknown metric on a node-less cluster: %v, want ErrUnknownMetric", err)
+	}
+	if strings.Contains(err.Error(), "unowned") {
+		t.Fatalf("unknown metric fanned out: %v", err)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestRCachePanelAdmittedAfterRoll(t *testing.T) {
 // MaxEntries new shapes, then forgets it.
 func TestRCacheDoorkeeperForgets(t *testing.T) {
 	const budget = 64
-	c := mustCache(t, Config{Shards: 1, MaxEntries: budget})
+	c := mustCache(t, Config{MaxEntries: budget})
 	c.NoteObserve("m", 10*width)
 	req := func(key string) store.QueryRequest {
 		return store.QueryRequest{Metric: "m", Key: key, From: 0, To: width}
@@ -126,7 +126,7 @@ func TestRCacheDoorkeeperForgets(t *testing.T) {
 // doorkeeper turning over generations underneath: every hit answers
 // its own request's payload, and the budget holds.
 func TestRCacheDoorkeeperConcurrency(t *testing.T) {
-	c := mustCache(t, Config{Shards: 4, MaxEntries: 32})
+	c := mustCache(t, Config{MaxEntries: 32})
 	for _, m := range []string{"m", "n"} {
 		c.NoteObserve(m, 100*width)
 	}

@@ -37,12 +37,11 @@
 // cell list is not a pure function of sealed history.
 //
 // Entries shard by key hash, each shard holding an independent map and
-// FIFO eviction ring under its own mutex, so concurrent lookups on a
-// busy edge don't serialize. Both grow on first fill: a shard the
-// doorkeeper keeps empty costs nothing. The ring records every fill; a refill moves
-// its key to the back, and the slots that leaves behind (or that a stale
-// drop left) are skipped at eviction and compacted away before the ring
-// outgrows twice the shard budget.
+// a list of its resident entries in fill order under its own mutex, so
+// concurrent lookups on a busy edge don't serialize. Both grow on first
+// fill: a shard the doorkeeper keeps empty costs nothing. A refill or a
+// stale drop unlinks the entry's element, so a refilled key goes to the
+// back; a full shard evicts from the front.
 //
 // The cache holds results in the form the backend returned them: the
 // store answers a sparse-enough cell with its compact synopsis (see the
@@ -54,6 +53,7 @@
 package rcache
 
 import (
+	"container/list"
 	"fmt"
 	"math"
 	"strconv"
@@ -71,9 +71,6 @@ type Config struct {
 	// units — the cache needs the same geometry to know where the open
 	// bucket starts. Required (New fails on <= 0).
 	BucketWidth int64
-	// Shards is the shard count, rounded up to a power of two
-	// (default 16).
-	Shards int
 	// MaxEntries bounds the total cached results, split evenly across
 	// shards; a full shard evicts its oldest entry (default 4096). It
 	// also sizes the doorkeeper: each of its generations remembers
@@ -84,6 +81,7 @@ type Config struct {
 // Cache is a sharded sealed-range read cache. Safe for concurrent use.
 type Cache struct {
 	cfg   Config
+	per   int // entry budget of each shard
 	mask  uint32
 	shard []cshard
 	door  *doorkeeper
@@ -106,45 +104,30 @@ type metricState struct {
 	version atomic.Uint64
 }
 
-// cshard is one cache shard: a keyed map plus a FIFO ring of fills for
-// eviction in fill order.
+// cshard is one cache shard: a keyed map plus its entries in fill
+// order, oldest at the front.
 type cshard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	order   []fill
-	head    int
-	seq     uint64 // fills so far; stamps entries and ring slots
-	bytes   int    // sum of the resident entries' bytes
-}
-
-// fill is one ring slot: the key filled and the fill's sequence number.
-// The slot is live only while the key's entry carries the same number;
-// a refill or a stale drop leaves it dead.
-type fill struct {
-	key string
-	seq uint64
+	order   list.List // of *entry
+	bytes   int       // sum of the resident entries' bytes
 }
 
 // entry is one cached result with the metric versions it was computed
 // under.
 type entry struct {
-	key     string // shared with its ring slot
+	key     string
 	res     store.QueryResult
 	metrics []string
 	stamp   []uint64
-	seq     uint64 // the fill that stored it
-	bytes   int    // the answers' synopsis bytes
-}
-
-// live reports whether ring slot f still names its key's resident entry.
-func (sh *cshard) live(f fill) bool {
-	e := sh.entries[f.key]
-	return e != nil && e.seq == f.seq
+	elem    *list.Element // its place in the shard's fill order
+	bytes   int           // the answers' synopsis bytes
 }
 
 // drop removes a resident entry. Callers hold sh.mu.
 func (sh *cshard) drop(e *entry) {
 	delete(sh.entries, e.key)
+	sh.order.Remove(e.elem)
 	sh.bytes -= e.bytes
 }
 
@@ -153,33 +136,26 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.BucketWidth <= 0 {
 		return nil, fmt.Errorf("rcache: BucketWidth %d must be > 0", cfg.BucketWidth)
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	cfg.Shards = n
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
 	}
-	per := cfg.MaxEntries / cfg.Shards
-	if per < 1 {
-		per = 1
+	// The most shards, up to 16, that leave each at least 256 entries:
+	// a small cache keeps one shard and so an exact FIFO.
+	shards := 16
+	for shards > 1 && cfg.MaxEntries/shards < 256 {
+		shards >>= 1
 	}
-	cfg.MaxEntries = per * cfg.Shards
+	per := cfg.MaxEntries / shards
+	cfg.MaxEntries = per * shards
 	return &Cache{
 		cfg:     cfg,
-		mask:    uint32(cfg.Shards - 1),
-		shard:   make([]cshard, cfg.Shards),
+		per:     per,
+		mask:    uint32(shards - 1),
+		shard:   make([]cshard, shards),
 		door:    newDoorkeeper(cfg.MaxEntries),
 		metrics: make(map[string]*metricState),
 	}, nil
 }
-
-// perShard is the per-shard entry budget.
-func (c *Cache) perShard() int { return c.cfg.MaxEntries / c.cfg.Shards }
 
 // state returns the metric's watermark, creating it on first sight.
 func (c *Cache) state(metric string) *metricState {
@@ -307,8 +283,7 @@ func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) 
 		return res, true, tok
 	}
 	if e != nil {
-		// Stale under the current versions; drop it lazily (the FIFO
-		// slot stays, dead, until eviction or compaction skips it).
+		// Stale under the current versions; drop it lazily.
 		sh.drop(e)
 	}
 	sh.mu.Unlock()
@@ -352,38 +327,16 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 		sh.entries = make(map[string]*entry)
 	}
 	if old := sh.entries[tok.key]; old != nil {
-		// A refill replaces the entry and moves the key to the back of
-		// the ring; its earlier slot goes dead.
+		// A refill replaces the entry and moves the key to the back.
 		sh.drop(old)
 	}
-	// Evict in FIFO order, skipping dead ring slots.
-	for len(sh.entries) >= c.perShard() && sh.head < len(sh.order) {
-		f := sh.order[sh.head]
-		sh.order[sh.head] = fill{}
-		sh.head++
-		if sh.live(f) {
-			sh.drop(sh.entries[f.key])
-			c.evictions.Add(1)
-		}
+	for len(sh.entries) >= c.per {
+		sh.drop(sh.order.Front().Value.(*entry))
+		c.evictions.Add(1)
 	}
-	if sh.head == len(sh.order) {
-		sh.order, sh.head = sh.order[:0], 0
-	} else if len(sh.order) >= 2*c.perShard() {
-		// Popped slots and dead ones (refills, stale drops, which pile
-		// up below the budget where eviction never pops) fill the ring:
-		// keep the live ones, at most one per entry.
-		live := sh.order[:0]
-		for _, f := range sh.order[sh.head:] {
-			if sh.live(f) {
-				live = append(live, f)
-			}
-		}
-		clear(sh.order[len(live):])
-		sh.order, sh.head = live, 0
-	}
-	sh.seq++
-	sh.order = append(sh.order, fill{key: tok.key, seq: sh.seq})
-	sh.entries[tok.key] = &entry{key: tok.key, res: res, metrics: tok.metrics, stamp: tok.stamp, seq: sh.seq, bytes: nb}
+	e := &entry{key: tok.key, res: res, metrics: tok.metrics, stamp: tok.stamp, bytes: nb}
+	e.elem = sh.order.PushBack(e)
+	sh.entries[tok.key] = e
 	sh.bytes += nb
 }
 

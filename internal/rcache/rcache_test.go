@@ -187,7 +187,7 @@ func TestRCacheFillDiscardsOnRace(t *testing.T) {
 
 func TestRCacheEvictionFIFO(t *testing.T) {
 	// One shard, four slots: the fifth insert evicts the oldest.
-	c := mustCache(t, Config{Shards: 1, MaxEntries: 4})
+	c := mustCache(t, Config{MaxEntries: 4})
 	c.NoteObserve("m", 10*width)
 	reqAt := func(i int) store.QueryRequest {
 		return store.QueryRequest{Metric: "m", Key: "k", From: int64(i) * width, To: int64(i+1) * width}
@@ -252,8 +252,23 @@ func TestRCacheRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// The shard count follows the budget: the most shards, up to 16, that
+// leave each at least 256 entries.
+func TestRCacheShardCount(t *testing.T) {
+	for _, tc := range []struct{ max, shards, total int }{
+		{0, 16, 4096}, {4096, 16, 4096}, {8192, 16, 8192}, {1000, 2, 1000},
+		{512, 2, 512}, {511, 1, 511}, {64, 1, 64}, {4, 1, 4},
+	} {
+		c := mustCache(t, Config{MaxEntries: tc.max})
+		if len(c.shard) != tc.shards || c.cfg.MaxEntries != tc.total {
+			t.Errorf("MaxEntries %d: %d shards holding %d, want %d holding %d",
+				tc.max, len(c.shard), c.cfg.MaxEntries, tc.shards, tc.total)
+		}
+	}
+}
+
 func TestRCacheConcurrency(t *testing.T) {
-	c := mustCache(t, Config{Shards: 4, MaxEntries: 64})
+	c := mustCache(t, Config{MaxEntries: 64})
 	c.NoteObserve("m", 100*width)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -282,10 +297,10 @@ func TestRCacheConcurrency(t *testing.T) {
 
 // Dashboard-shaped traffic: one panel invalidated and refilled forever,
 // far below the shard budget where eviction never runs. Each stale drop
-// plus refill used to leave one more ring slot (each pinning its key
-// string); the ring must stay within twice the budget.
+// and refill must unlink the key's old place in the fill order, which
+// holds exactly the resident entries.
 func TestRCacheRefillKeepsRingBounded(t *testing.T) {
-	c := mustCache(t, Config{Shards: 1, MaxEntries: 4})
+	c := mustCache(t, Config{MaxEntries: 4})
 	c.NoteObserve("m", 10*width)
 	req := sealedReq("m")
 	for i := 0; i < 10000; i++ {
@@ -297,16 +312,16 @@ func TestRCacheRefillKeepsRingBounded(t *testing.T) {
 		c.Fill(tok, result("m"))
 	}
 	sh := &c.shard[0]
-	if c.Len() != 1 || len(sh.order) > 2*c.perShard() {
-		t.Fatalf("%d entries, ring of %d slots for a budget of %d", c.Len(), len(sh.order), c.perShard())
+	if c.Len() != 1 || sh.order.Len() != c.Len() {
+		t.Fatalf("%d entries, fill order of %d elements", c.Len(), sh.order.Len())
 	}
 }
 
 // FIFO follows the latest fill: a key refilled after a stale drop goes to
-// the back of the ring, so the next eviction takes the oldest other
-// entry — never the fresh refill through the key's earlier, dead slot.
+// the back of the fill order, so the next eviction takes the oldest other
+// entry — never the fresh refill.
 func TestRCacheRefillMovesToBack(t *testing.T) {
-	c := mustCache(t, Config{Shards: 1, MaxEntries: 2})
+	c := mustCache(t, Config{MaxEntries: 2})
 	for _, m := range []string{"a", "b", "c"} {
 		c.NoteObserve(m, 10*width)
 	}
@@ -339,7 +354,7 @@ func TestRCacheRefillMovesToBack(t *testing.T) {
 // Synopsis.Bytes, in the form each is held, through fill, refill,
 // stale drop and eviction.
 func TestRCacheBytes(t *testing.T) {
-	c := mustCache(t, Config{Shards: 1, MaxEntries: 2})
+	c := mustCache(t, Config{MaxEntries: 2})
 	reg := telemetry.New()
 	c.SetTelemetry(reg)
 	proto, err := store.NewFreqProto(64, 2, 1)

@@ -1,9 +1,7 @@
 // admission_test.go: the serving edge's overload contract — a shed
 // batch answers 429 with a Retry-After the client rehydrates into the
-// same typed *admission.Overload an in-process caller sees, tenant
-// buckets isolate noisy neighbors at the front door, and the negative
-// result cache answers repeated unknown-metric queries without a
-// backend round trip.
+// same typed *admission.Overload an in-process caller sees, and tenant
+// buckets isolate noisy neighbors at the front door.
 package serve
 
 import (
@@ -211,68 +209,5 @@ func TestServeTenantAdmission(t *testing.T) {
 	}
 	if stats := ctrl.Stats(); stats.ShedTenant != 1 {
 		t.Fatalf("controller shed %d tenant observations, want 1", stats.ShedTenant)
-	}
-}
-
-// TestServeNegativeCache pins the negative result cache: a repeated
-// unknown-metric query answers 404 at the edge, registering the metric
-// forgets the entry, and multi-metric failures are never cached (the
-// error does not name the missing metric).
-func TestServeNegativeCache(t *testing.T) {
-	st, err := store.New(testGeom())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(Config{Backend: st, NegCache: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClient(ts.URL, ts.Client())
-	if err := client.Register("uniq", DistinctSpec(12, 7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	ghost := store.QueryRequest{Metric: "ghost", Key: "k0", From: 0, To: 10}
-	// Miss: the backend answers the 404 and the edge notes the metric.
-	if _, err := client.Query(ghost); !errors.Is(err, store.ErrUnknownMetric) {
-		t.Fatalf("first ghost query error %v, want ErrUnknownMetric", err)
-	}
-	if srv.neg.Len() != 1 {
-		t.Fatalf("negative cache holds %d entries after a single-metric 404, want 1", srv.neg.Len())
-	}
-	// Hit: same 404 contract, answered at the edge.
-	if _, err := client.Query(ghost); !errors.Is(err, store.ErrUnknownMetric) {
-		t.Fatalf("cached ghost query error %v, want ErrUnknownMetric", err)
-	}
-	hits, _, _ := srv.neg.Stats()
-	if hits != 1 {
-		t.Fatalf("negative cache hits %d, want 1", hits)
-	}
-
-	// Multi-metric failures are not cached: the error cannot name which
-	// metric is missing.
-	multi := store.QueryRequest{Metrics: []string{"uniq", "ghost2"}, Key: "k0", From: 0, To: 10}
-	if _, err := client.Query(multi); !errors.Is(err, store.ErrUnknownMetric) {
-		t.Fatalf("multi-metric ghost query error %v, want ErrUnknownMetric", err)
-	}
-	if srv.neg.Len() != 1 {
-		t.Fatalf("negative cache holds %d entries, want 1 (multi-metric failure cached)", srv.neg.Len())
-	}
-
-	// Register forgets the entry: the metric is immediately queryable.
-	if err := client.Register("ghost", DistinctSpec(12, 7)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := client.Query(ghost)
-	if err != nil {
-		t.Fatalf("ghost query after register: %v", err)
-	}
-	if res.Len() != 1 {
-		t.Fatalf("ghost answer cells %d, want 1 empty cell", res.Len())
 	}
 }

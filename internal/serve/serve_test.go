@@ -674,6 +674,56 @@ func TestServeRegisterValidation(t *testing.T) {
 
 // TestServeBadRequests covers wire validation: malformed JSON, empty
 // ranges and bad timeout headers answer 400 with an error body.
+// An unknown metric is answered by the backend, every time: a 404 at
+// the edge leaves nothing behind that could shadow the metric once it is
+// registered on the backend directly, behind the edge's back.
+func TestServeBackendRegisterNotShadowed(t *testing.T) {
+	st, err := store.New(testGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Backend: st, NegCache: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := mustJSON(t, QueryRequest{Metrics: []string{"ghost"}, Keys: []string{"k0"}, From: 0, To: 10})
+	query := func() (int, QueryResponse) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qr QueryResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, qr
+	}
+
+	if code, _ := query(); code != http.StatusNotFound {
+		t.Fatalf("ghost query answered %d, want 404", code)
+	}
+	proto, err := DistinctSpec(12, 7).Prototype()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.RegisterMetric("ghost", proto); err != nil {
+		t.Fatal(err)
+	}
+	code, qr := query()
+	if code != http.StatusOK {
+		t.Fatalf("ghost query after a backend register answered %d, want 200", code)
+	}
+	if len(qr.Answers) != 1 || qr.Answers[0].Items != 0 {
+		t.Fatalf("ghost answer %+v, want 1 empty cell", qr.Answers)
+	}
+}
+
 func TestServeBadRequests(t *testing.T) {
 	h := newHarness(t, "store", false)
 	post := func(path, body string, hdr map[string]string) *http.Response {

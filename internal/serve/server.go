@@ -37,7 +37,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -100,10 +99,10 @@ type Config struct {
 	// TenantHeader overrides the header AdmitTenant bills to (default
 	// DefaultTenantHeader).
 	TenantHeader string
-	// NegCache bounds the negative-result cache for unknown-metric
-	// query probes: repeats of a 404'd metric answer at the edge
-	// without touching the backend, until the name is registered or the
-	// entry ages out FIFO. 0 disables it.
+	// NegCache is ignored: the backend answers an unknown metric from
+	// its own registry before any fan-out.
+	//
+	// Deprecated: kept so existing callers compile; set nothing.
 	NegCache int
 }
 
@@ -113,7 +112,6 @@ type Server struct {
 	cfg   Config
 	be    analytics.Backend
 	cache *rcache.Cache
-	neg   *rcache.Negative
 	ctrl  *admission.Controller
 	mux   *http.ServeMux
 
@@ -125,7 +123,6 @@ type Server struct {
 
 	queries  *telemetry.Counter
 	observes *telemetry.Counter
-	cached   *telemetry.Counter
 	errs     map[string]*telemetry.Counter
 	qryLat   *telemetry.Histogram
 }
@@ -150,7 +147,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		be:    cfg.Backend,
 		cache: cfg.Cache,
-		neg:   rcache.NewNegative(cfg.NegCache),
 		ctrl:  cfg.Admission,
 		mux:   http.NewServeMux(),
 		specs: make(map[string]ProtoSpec),
@@ -158,8 +154,6 @@ func NewServer(cfg Config) (*Server, error) {
 			"Queries answered by the serving edge.", "layer", "serve"),
 		observes: reg.Counter("analytics_serve_observations_total",
 			"Observations ingested through the serving edge.", "layer", "serve"),
-		cached: reg.Counter("analytics_serve_cached_answers_total",
-			"Queries answered from the read cache.", "layer", "serve"),
 		errs: map[string]*telemetry.Counter{},
 		qryLat: reg.Histogram("analytics_serve_query_seconds",
 			"Query latency at the serving edge, cache hits included.",
@@ -173,7 +167,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.cache != nil {
 		s.cache.SetTelemetry(reg)
 	}
-	s.neg.SetTelemetry(reg)
 
 	s.mux.HandleFunc("POST /v1/register", s.handleRegister)
 	s.mux.HandleFunc("POST /v1/observe", s.handleObserve)
@@ -203,8 +196,6 @@ func (s *Server) Register(name string, spec ProtoSpec) error {
 	s.mu.Lock()
 	s.specs[name] = spec
 	s.mu.Unlock()
-	// A fresh registration must not be shadowed by its own 404s.
-	s.neg.Forget(name)
 	return nil
 }
 
@@ -408,18 +399,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "query", http.StatusBadRequest, err)
 		return
 	}
-	// Recently-404'd metrics answer at the edge without a backend round
-	// trip (in cluster mode an unknown metric otherwise costs a
-	// scatter-gather just to re-learn its absence).
-	if s.neg != nil {
-		for _, m := range req.Metrics {
-			if s.neg.Lookup(m) {
-				s.fail(w, "query", http.StatusNotFound,
-					fmt.Errorf("serve: %w %q (negative-cached)", store.ErrUnknownMetric, m))
-				return
-			}
-		}
-	}
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
 		s.fail(w, "query", http.StatusBadRequest, err)
@@ -449,11 +428,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if sp != nil {
 				sp.SetAttrs(trace.Str("error", err.Error()))
 			}
-			// Pin the verdict for single-metric requests only — a
-			// multi-metric error does not say which name was unknown.
-			if errors.Is(err, store.ErrUnknownMetric) && len(req.Metrics) == 1 {
-				s.neg.Note(req.Metrics[0])
-			}
 			s.fail(w, "query", errStatus(err), err)
 			return
 		}
@@ -467,11 +441,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "query", http.StatusInternalServerError, err)
 		return
 	}
-	if hit {
-		s.cached.Inc()
-		if sp != nil {
-			sp.SetAttrs(trace.Bool("cached", true))
-		}
+	if hit && sp != nil {
+		sp.SetAttrs(trace.Bool("cached", true))
 	}
 	s.queries.Inc()
 	s.qryLat.ObserveSince(t0)
