@@ -20,7 +20,8 @@
 // Usage:
 //
 //	go run ./cmd/analyticsd [-addr :8080] [-backend store|cluster|lambda]
-//	    [-events 50000] [-cache 4096] [-trace 0.05] [-pprof]
+//	    [-shards 8] [-events 50000] [-cache 4096] [-trace 0.05] [-slow 2ms]
+//	    [-pprof] [-timeout 5s] [-maxtimeout 1m]
 //	    [-rate 0] [-burst 0] [-tenant-header X-Analytics-Tenant]
 //
 // With -events > 0 the daemon preloads a deterministic demo dataset
@@ -99,7 +100,7 @@ func buildBackend(kind string, shards int, reg *telemetry.Registry) (be analytic
 		}
 		return cl.Router(), start, cl.Drain, func() { cl.Close() }, cl.Lag, nil
 	case "lambda":
-		ar, err := lambda.New(lambda.Config{Batch: storeGeom(shards), Speed: storeGeom(shards)})
+		ar, err := lambda.New(lambda.Config{Store: storeGeom(shards)})
 		if err != nil {
 			return nil, nil, nil, nil, nil, err
 		}

@@ -126,7 +126,7 @@ func ExampleNewStoreCluster() {
 // truncates the speed layer, and queries merge the two.
 func ExampleNewLambda() {
 	geom := repro.SketchStoreConfig{Shards: 8, BucketWidth: 60, RingBuckets: 60}
-	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 4, Batch: geom, Speed: geom})
+	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 4, Store: geom})
 	if err != nil {
 		panic(err)
 	}

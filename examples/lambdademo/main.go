@@ -17,7 +17,7 @@ import (
 
 func main() {
 	geom := repro.SketchStoreConfig{Shards: 8, BucketWidth: 1000, RingBuckets: 64}
-	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 4, Batch: geom, Speed: geom})
+	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 4, Store: geom})
 	if err != nil {
 		panic(err)
 	}

@@ -76,7 +76,7 @@ func newHarnesses(t *testing.T, traced bool) []harness {
 	}
 	t.Cleanup(func() { cl.Close() })
 
-	single, err := lambda.New(lambda.Config{Partitions: 2, Batch: storeGeom(), Speed: storeGeom()})
+	single, err := lambda.New(lambda.Config{Partitions: 2, Store: storeGeom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +204,26 @@ func TestBackendConformance(t *testing.T) {
 				}
 				if keys := h.be.Keys("nope"); len(keys) != 0 {
 					t.Fatalf("keys of unknown metric %v, want none (discovery, not validation)", keys)
+				}
+			})
+
+			t.Run("empty-key", func(t *testing.T) {
+				// Keys route the log-backed layers' partitions, so every
+				// backend refuses a batch holding an empty one, and the
+				// valid observation beside it lands nowhere.
+				before := marshalAnswers(t, h.be)
+				err := h.be.ObserveBatch([]store.Observation{
+					{Metric: "uniq", Key: "k0", Item: "empty-key-mate", Time: 1},
+					{Metric: "uniq", Key: "", Item: "x", Time: 1},
+				})
+				if err == nil {
+					t.Fatal("empty-key batch accepted")
+				}
+				if err := h.drain(); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(marshalAnswers(t, h.be), before) {
+					t.Fatal("rejected empty-key batch mutated backend state")
 				}
 			})
 

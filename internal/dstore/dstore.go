@@ -66,25 +66,11 @@ type Config struct {
 	// Partitions is the ingest topic's partition count (default 8). It
 	// bounds the useful node count: partitions are the unit of ownership.
 	Partitions int
-	// Retention is the per-partition retention limit in messages
-	// (0 = unlimited). Recovery replays the retained prefix, so retention
-	// bounds how much history a rejoining node can restore — the same
-	// tradeoff Kafka-backed state stores make.
-	Retention int
-	// Topic and Group name the ingest topic and consumer group
-	// (defaults "dstore-ingest", "dstore").
-	Topic string
-	Group string
 	// Store configures each node's local store. Per-node budgets
 	// (MaxShardBytes) model per-node memory: adding nodes multiplies the
 	// cluster's aggregate synopsis budget, which is the scaling story
 	// T3.1 measures.
 	Store store.Config
-	// PollBatch is the max messages a node takes per poll (default 512).
-	PollBatch int
-	// BatchSize is how many observations the Router buffers per partition
-	// before one batched append (default 64; 1 = unbatched).
-	BatchSize int
 	// Durable, when non-nil, backs the ingest topic with segmented on-disk
 	// persistence (see mqlog.DurableConfig): the log survives a process
 	// restart, and a cluster rebuilt over the same directory recovers its
@@ -98,24 +84,17 @@ type Config struct {
 	CheckpointDir string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Partitions <= 0 {
-		c.Partitions = 8
-	}
-	if c.Topic == "" {
-		c.Topic = "dstore-ingest"
-	}
-	if c.Group == "" {
-		c.Group = "dstore"
-	}
-	if c.PollBatch <= 0 {
-		c.PollBatch = 512
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 64
-	}
-	return c
-}
+const (
+	// ingestTopic and ingestGroup name the ingest topic and the nodes'
+	// consumer group.
+	ingestTopic = "dstore-ingest"
+	ingestGroup = "dstore"
+	// pollBatch is the most messages a node takes per poll.
+	pollBatch = 512
+	// routerBatch is how many observations the Router buffers per
+	// partition before one batched append.
+	routerBatch = 64
+)
 
 // Stats aggregates the cluster's counters. The counters are totals over
 // the cluster's life, stopped nodes included, so they never fall; Nodes,
@@ -167,25 +146,24 @@ type Cluster struct {
 
 // New returns a cluster with no nodes. Register metrics, then StartNode.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Retention < 0 {
-		return nil, core.Errf("Cluster", "Retention", "%d must be >= 0", cfg.Retention)
-	}
 	// Validate the per-node store config now: node recovery builds stores
 	// from it forever after, and a config that cannot construct would
 	// otherwise leave every node retrying recovery and Drain hanging.
 	if _, err := store.New(cfg.Store); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Partitions <= 0 {
+		cfg.Partitions = 8
+	}
 	broker := mqlog.NewBroker()
 	// CreateTopicDurable with a nil DurableConfig is exactly CreateTopic,
 	// so the in-memory path is untouched; with one, the ingest log is
 	// recovered from disk before the first node starts.
-	topic, err := broker.CreateTopicDurable(cfg.Topic, cfg.Partitions, cfg.Retention, cfg.Durable)
+	topic, err := broker.CreateTopicDurable(ingestTopic, cfg.Partitions, 0, cfg.Durable)
 	if err != nil {
 		return nil, err
 	}
-	group, err := mqlog.NewConsumerGroup(broker, topic, cfg.Group)
+	group, err := mqlog.NewConsumerGroup(broker, topic, ingestGroup)
 	if err != nil {
 		topic.Close()
 		return nil, err
@@ -372,7 +350,7 @@ func (c *Cluster) Topic() *mqlog.Topic { return c.topic }
 
 // Lag returns unconsumed messages across the group (router buffers not
 // included; Flush first for an end-to-end figure).
-func (c *Cluster) Lag() uint64 { return c.broker.Lag(c.cfg.Group, c.topic) }
+func (c *Cluster) Lag() uint64 { return c.broker.Lag(ingestGroup, c.topic) }
 
 // Drain flushes the router and blocks until every live node is serving
 // its current assignment and the group lag is zero — the quiesced state

@@ -151,9 +151,6 @@ func assertMatchesOracle(t *testing.T, c *Cluster, o *store.Store, to int64, con
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := New(Config{Retention: -1}); err == nil {
-		t.Fatal("negative retention accepted")
-	}
 	c := newTestCluster(t, Config{Partitions: 2})
 	if err := c.RegisterMetric("", nil); err == nil {
 		t.Fatal("empty metric accepted")
@@ -256,11 +253,11 @@ func TestClusterKillRejoinMatchesOracle(t *testing.T) {
 
 // TestClusterPoisonSkippedLiveAndOnRecovery: records the router's
 // producer-side checks would have refused — bytes that do not decode, an
-// unregistered metric, a negative time — produced straight onto the
-// ingest topic among valid records are counted and skipped by the live
-// apply loop, and the recoveries a kill and a rejoin run over the same
-// log skip them too instead of wedging. Answers match the single-store
-// oracle (which skips the same records) throughout.
+// unregistered metric, an empty key, a negative time — produced straight
+// onto the ingest topic among valid records are counted and skipped by
+// the live apply loop, and the recoveries a kill and a rejoin run over
+// the same log skip them too instead of wedging. Answers match the
+// single-store oracle (which skips the same records) throughout.
 func TestClusterPoisonSkippedLiveAndOnRecovery(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 4})
 	for i := 0; i < 2; i++ {
@@ -279,6 +276,7 @@ func TestClusterPoisonSkippedLiveAndOnRecovery(t *testing.T) {
 	topic.Produce("k1", []byte{0xff, 0xff})
 	for _, obs := range []store.Observation{
 		{Metric: "ghost", Key: "k2", Item: "x", Time: 3},
+		{Metric: "uniq", Key: "", Item: "x", Time: 3},
 		{Metric: "uniq", Key: "k3", Item: "x", Time: -1},
 	} {
 		topic.Produce(obs.Key, store.EncodeObservation(obs))
@@ -287,8 +285,8 @@ func TestClusterPoisonSkippedLiveAndOnRecovery(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().Rejected; got != 3 {
-		t.Fatalf("live loop rejected %d records, want the 3 poison ones", got)
+	if got := c.Stats().Rejected; got != 4 {
+		t.Fatalf("live loop rejected %d records, want the 4 poison ones", got)
 	}
 	o := oracle(t, c)
 	assertMatchesOracle(t, c, o, to, "live")

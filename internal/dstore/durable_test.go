@@ -1,7 +1,9 @@
 package dstore
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -206,8 +208,22 @@ func TestClusterRestartRefusesFlooredCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	meta := store.CheckpointMeta{Offsets: ends, Partitions: parts, Floors: floors}
-	if _, err := store.WriteCheckpoint(fenced, filepath.Join(cfg.CheckpointDir, "node-0"), meta); err != nil {
+	ckpt := filepath.Join(cfg.CheckpointDir, "node-0")
+	if _, err := store.WriteCheckpoint(fenced, ckpt, store.CheckpointMeta{Offsets: ends, Partitions: parts}); err != nil {
+		t.Fatal(err)
+	}
+	// No writer stamps floors any more; write the manifest an older one
+	// left by hand.
+	man, err := store.ReadCheckpointManifest(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Floors = floors
+	b, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(ckpt, "manifest.json"), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

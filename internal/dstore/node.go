@@ -128,7 +128,7 @@ func (n *Node) run() {
 		default:
 		}
 
-		batches := n.c.group.Poll(n.name, n.c.cfg.PollBatch)
+		batches := n.c.group.Poll(n.name, pollBatch)
 		if len(batches) == 0 {
 			// Caught up (or unassigned): yield rather than spin on the
 			// broker locks. A plain Sleep (not time.After in a select)
@@ -407,7 +407,7 @@ func (n *Node) writeCheckpoint(gen int) error {
 	parts := n.c.group.Assignment(n.name)
 	offsets := make([]uint64, n.c.topic.Partitions())
 	for _, pid := range parts {
-		offsets[pid] = n.c.broker.Committed(n.c.cfg.Group, n.c.cfg.Topic, pid)
+		offsets[pid] = n.c.broker.Committed(ingestGroup, ingestTopic, pid)
 	}
 	dir := n.checkpointDir()
 	if _, err := store.WriteCheckpoint(st, dir, store.CheckpointMeta{

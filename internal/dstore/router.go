@@ -54,7 +54,7 @@ func newRouter(c *Cluster) *Router {
 }
 
 // bufferLocked encodes one observation into the partition's buffer and
-// lands the buffer on the log once it holds BatchSize records. Callers
+// lands the buffer on the log once it holds routerBatch records. Callers
 // hold p.mu.
 func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, traced bool) {
 	at := len(p.enc)
@@ -67,7 +67,7 @@ func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, trac
 		rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
 	}
 	p.buf = append(p.buf, rec)
-	if len(p.buf) >= r.c.cfg.BatchSize {
+	if len(p.buf) >= routerBatch {
 		r.flushLocked(pid, p)
 	}
 }
@@ -83,8 +83,8 @@ func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, trac
 // NOTHING. An accepted batch reaches the log in input order per
 // partition — a key's records all land in one partition group — so
 // per-series replay order matches one observation per call exactly.
-// Buffers flush at BatchSize; call Flush (or Drain) when the producer
-// finishes.
+// Buffers flush at routerBatch records; call Flush (or Drain) when the
+// producer finishes.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil

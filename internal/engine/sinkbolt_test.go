@@ -35,7 +35,7 @@ func sinkBackends(t *testing.T) []sinkHarness {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	arch, err := lambda.New(lambda.Config{Partitions: 2, Batch: sinkGeom(), Speed: sinkGeom()})
+	arch, err := lambda.New(lambda.Config{Partitions: 2, Store: sinkGeom()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestClusterBoltSinksTopologyStream(t *testing.T) {
 // the run and the merged query agree with the tuple count.
 func TestLambdaBoltDrivesBothLayers(t *testing.T) {
 	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 100}
-	a, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: geom})
+	a, err := lambda.New(lambda.Config{Partitions: 4, Store: geom})
 	if err != nil {
 		t.Fatal(err)
 	}

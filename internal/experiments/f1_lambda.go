@@ -29,7 +29,7 @@ func F1_2_StoreLambda() Table {
 		Header: []string{"boundary", "appended", "staleness-pre", "checked", "mismatch"},
 	}
 	geom := store.Config{Shards: 8, BucketWidth: 1000, RingBuckets: 64}
-	arch, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: geom})
+	arch, err := lambda.New(lambda.Config{Partitions: 4, Store: geom})
 	if err != nil {
 		panic(err)
 	}

@@ -312,7 +312,7 @@ func F1_Lambda() Table {
 		Header: []string{"tick", "staleness", "batch-only-err", "merged-err", "speed-obs"},
 	}
 	geom := store.Config{Shards: 8, BucketWidth: 1000, RingBuckets: 64}
-	arch, err := lambda.New(lambda.Config{Partitions: 4, Batch: geom, Speed: geom})
+	arch, err := lambda.New(lambda.Config{Partitions: 4, Store: geom})
 	if err != nil {
 		panic(err)
 	}

@@ -108,7 +108,6 @@ func assertAnswersEqual(t *testing.T, got, want interface {
 func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
-	cfg.Topic = "lambda-master"
 	// Every write fsyncs before returning, so abandoning the
 	// architecture without Close models a kill -9 faithfully: everything
 	// acked is on disk, nothing is buffered in a background syncer.
@@ -160,7 +159,7 @@ func TestLambdaDurableRestartRoundTrip(t *testing.T) {
 	}
 	// Crash: no Close. Tear the victim partition's newest segment
 	// mid-record, as a power cut during the last write would.
-	segs, err := filepath.Glob(filepath.Join(dir, "log", cfg.Topic, fmt.Sprintf("p%04d", victim), "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(dir, "log", masterTopic, fmt.Sprintf("p%04d", victim), "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments for partition %d: %v", victim, err)
 	}
@@ -348,7 +347,7 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 
 	// The incremental view equals a from-scratch freeze of the same log.
 	ends := a.Topic().EndOffsets()
-	want, err := store.FreezeAt(testConfig().Batch, testProtos(t), a.Topic(), ends)
+	want, err := store.FreezeAt(testConfig().Store, testProtos(t), a.Topic(), ends)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,10 +29,11 @@
 // whatever a reopened durable master already retains. Merged answers
 // therefore cover every appended observation exactly once;
 // TestMergedMatchesOracleAcrossBoundaries and experiment F1.2 pin this
-// against a replay-everything oracle across batch boundaries. Retention on
-// the master topic bounds recomputation the usual way: history the log
-// has dropped is gone for every layer equally (FrozenView.Truncated
-// reports it).
+// against a replay-everything oracle across batch boundaries. A durable
+// master's disk retention (mqlog.DurableConfig's MaxLogBytes and
+// MaxSegmentAge) bounds recomputation the usual way: history the log has
+// dropped is gone for every layer equally (FrozenView.Truncated reports
+// it).
 //
 // The old package-local master dataset (an event slice) and keyed-counter
 // speed layer are gone: the same store/mqlog seams the rest of the repo
@@ -56,18 +57,12 @@ import (
 
 // Config tunes an Architecture.
 type Config struct {
-	// Topic names the master-dataset topic (default "lambda-master").
-	Topic string
 	// Partitions is the master topic's partition count (default 4).
 	Partitions int
-	// Retention is the per-partition retention limit in messages
-	// (0 = unlimited). Batch recomputation replays the retained prefix,
-	// so retention bounds how far back a batch view can reach.
-	Retention int
-	// Batch is the batch-layer store geometry views are recomputed with.
-	Batch store.Config
-	// Speed is the speed-layer store geometry.
-	Speed store.Config
+	// Store is the store geometry both layers share: batch views are
+	// recomputed with it and the speed layer absorbs with it, so a merged
+	// answer combines buckets of one width.
+	Store store.Config
 	// Durable, when non-nil, backs the master topic with segmented
 	// on-disk persistence (see mqlog.DurableConfig), so the master
 	// dataset survives a process restart.
@@ -80,15 +75,8 @@ type Config struct {
 	CheckpointDir string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Topic == "" {
-		c.Topic = "lambda-master"
-	}
-	if c.Partitions <= 0 {
-		c.Partitions = 4
-	}
-	return c
-}
+// masterTopic names the master-dataset topic.
+const masterTopic = "lambda-master"
 
 // BatchInfo describes one completed batch run.
 type BatchInfo struct {
@@ -136,22 +124,17 @@ type Architecture struct {
 // New returns a store-backed Lambda Architecture. Register metrics, then
 // ObserveBatch/Query; RunBatch whenever the batch cadence fires.
 func New(cfg Config) (*Architecture, error) {
-	if cfg.Retention < 0 {
-		return nil, core.Errf("Lambda", "Retention", "%d must be >= 0", cfg.Retention)
+	if cfg.Partitions <= 0 {
+		cfg.Partitions = 4
 	}
-	cfg = cfg.withDefaults()
-	a := &Architecture{cfg: cfg, protos: make(map[string]store.Prototype)}
-	// Validate both layer geometries eagerly: a config that cannot build a
-	// store must fail here, not at the first batch run.
-	if _, err := store.New(cfg.Batch); err != nil {
-		return nil, fmt.Errorf("lambda: batch store config: %w", err)
-	}
-	speed, err := store.New(cfg.Speed)
+	// Validate the geometry eagerly: a config that cannot build a store
+	// must fail here, not at the first batch run.
+	speed, err := store.New(cfg.Store)
 	if err != nil {
-		return nil, fmt.Errorf("lambda: speed store config: %w", err)
+		return nil, fmt.Errorf("lambda: store config: %w", err)
 	}
-	a.speed = speed
-	topic, err := mqlog.NewBroker().CreateTopicDurable(cfg.Topic, cfg.Partitions, cfg.Retention, cfg.Durable)
+	a := &Architecture{cfg: cfg, protos: make(map[string]store.Prototype), speed: speed}
+	topic, err := mqlog.NewBroker().CreateTopicDurable(masterTopic, cfg.Partitions, 0, cfg.Durable)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +195,7 @@ func (a *Architecture) protoTable() map[string]store.Prototype {
 // wired to the architecture's registry before it serves (re-registration
 // swaps the layer="lambda_speed" callbacks over to it).
 func (a *Architecture) newSpeed() (*store.Store, error) {
-	st, err := store.New(a.cfg.Speed)
+	st, err := store.New(a.cfg.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +309,7 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	// run's snapshot (possibly from a previous process) seeds the view
 	// and only the log suffix past it replays. Without one, or when the
 	// snapshot no longer fits, this is the full [0, ends) recompute.
-	view, err := store.FreezeAtFrom(a.cfg.Batch, a.protoTable(), a.topic, ends, a.cfg.CheckpointDir)
+	view, err := store.FreezeAtFrom(a.cfg.Store, a.protoTable(), a.topic, ends, a.cfg.CheckpointDir)
 	if err != nil {
 		return BatchInfo{}, err
 	}

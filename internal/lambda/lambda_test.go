@@ -15,7 +15,7 @@ func storeGeom() store.Config {
 }
 
 func testConfig() Config {
-	return Config{Partitions: 4, Batch: storeGeom(), Speed: storeGeom()}
+	return Config{Partitions: 4, Store: storeGeom()}
 }
 
 // testProtos returns the four synopsis families one Lambda code path must
@@ -58,14 +58,8 @@ func newArch(t testing.TB, cfg Config) *Architecture {
 }
 
 func TestLambdaValidation(t *testing.T) {
-	if _, err := New(Config{Retention: -1}); err == nil {
-		t.Fatal("negative retention accepted")
-	}
-	if _, err := New(Config{Batch: store.Config{Shards: -1}}); err == nil {
-		t.Fatal("invalid batch store config accepted")
-	}
-	if _, err := New(Config{Speed: store.Config{MaxIdle: -1}}); err == nil {
-		t.Fatal("invalid speed store config accepted")
+	if _, err := New(Config{Store: store.Config{Shards: -1}}); err == nil {
+		t.Fatal("invalid store config accepted")
 	}
 	a := newArch(t, testConfig())
 	if err := a.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Time: 0}}); err == nil {
@@ -215,7 +209,7 @@ func TestBatchOnlyGoesStale(t *testing.T) {
 // replay-everything oracle merged answers must match.
 func oracleStore(t testing.TB, a *Architecture) *store.Store {
 	t.Helper()
-	st, _, err := store.Rebuild(a.cfg.Batch, testProtos(t), a.Topic())
+	st, _, err := store.Rebuild(a.cfg.Store, testProtos(t), a.Topic())
 	if err != nil {
 		t.Fatal(err)
 	}

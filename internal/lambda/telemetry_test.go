@@ -23,7 +23,7 @@ import (
 // layer's share of this check is TestTelemetryCoversClusterLayers.
 func TestTelemetryCoversAllLayers(t *testing.T) {
 	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}
-	arch, err := New(Config{Batch: geom, Speed: geom})
+	arch, err := New(Config{Store: geom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 // keep reading the retired one.
 func TestTelemetryRebindsAcrossHandoff(t *testing.T) {
 	geom := store.Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}
-	arch, err := New(Config{Partitions: 2, Batch: geom, Speed: geom})
+	arch, err := New(Config{Partitions: 2, Store: geom})
 	if err != nil {
 		t.Fatal(err)
 	}

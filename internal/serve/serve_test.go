@@ -210,7 +210,7 @@ func newHarness(t *testing.T, kind string, withCache bool) *serveHarness {
 		}
 		h.be, h.drain = cl.Router(), cl.Drain
 	case "lambda":
-		ar, err := lambda.New(lambda.Config{Partitions: 2, Batch: testGeom(), Speed: testGeom()})
+		ar, err := lambda.New(lambda.Config{Partitions: 2, Store: testGeom()})
 		if err != nil {
 			t.Fatal(err)
 		}

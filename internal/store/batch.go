@@ -14,7 +14,8 @@ import (
 
 // ObserveBatch absorbs obs as one batched write. The entire batch is
 // validated first — every metric registered (else an error wrapping
-// ErrUnknownMetric), every time non-negative — and a validation failure
+// ErrUnknownMetric), every key non-empty, every time non-negative, as
+// the cluster router and Lambda check — and a validation failure
 // absorbs NOTHING, which is what makes admission shedding provable.
 // Observations older than their entry's ring window are silently
 // dropped and counted in Stats.DroppedLate (the caller cannot usefully
@@ -34,6 +35,9 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 		o := &obs[i]
 		if o.Time < 0 {
 			return core.Errf("Store", "Time", "%d must be >= 0", o.Time)
+		}
+		if o.Key == "" {
+			return core.Errf("Store", "Key", "must be non-empty")
 		}
 		if protos[o.Metric] == nil {
 			return fmt.Errorf("store: %w %q", ErrUnknownMetric, o.Metric)
@@ -112,9 +116,6 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, pr
 	}
 	for _, i := range group {
 		o := obs[i]
-		if o.Time > sh.maxTime {
-			sh.maxTime = o.Time
-		}
 		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key}, s.cfg.RingBuckets)
 		dropped, err := s.writeLocked(sh, e, o, protos[o.Metric])
 		if err != nil {

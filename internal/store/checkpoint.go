@@ -63,11 +63,12 @@ type CheckpointManifest struct {
 	// differs must not use the checkpoint: it would double-count moved
 	// partitions and miss new ones.
 	Partitions []int `json:"partitions,omitempty"`
-	// Floors are the per-partition lower offset fences in force when the
-	// snapshot was written (nil = no fence): the snapshot covers
-	// [Floors[pid], Offsets[pid]). A restorer whose fence has moved must
-	// not use the snapshot — it bakes in history below the new fence
-	// that no replay can subtract.
+	// Floors are the per-partition lower offset fences an older writer
+	// stamped (nil = no fence): such a snapshot covers only
+	// [Floors[pid], Offsets[pid]), and no replay can put back the history
+	// below the fence, so every restorer refuses a floored manifest. No
+	// writer stamps floors now; the field is decoded so one already on
+	// disk is still refused.
 	Floors []uint64 `json:"floors,omitempty"`
 }
 
@@ -76,7 +77,6 @@ type CheckpointManifest struct {
 type CheckpointMeta struct {
 	Offsets    []uint64
 	Partitions []int
-	Floors     []uint64
 }
 
 // CheckpointInfo summarizes a written checkpoint.
@@ -166,7 +166,6 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 		DataCRC:     crc.Sum32(),
 		Offsets:     append([]uint64(nil), meta.Offsets...),
 		Partitions:  append([]int(nil), meta.Partitions...),
-		Floors:      append([]uint64(nil), meta.Floors...),
 	}
 	if err := writeManifest(dir, man); err != nil {
 		return info, err
@@ -362,15 +361,6 @@ func (s *Store) restoreRecord(payload []byte) error {
 	e.sealSlot(sl, sh)
 	if int64(bkt) > e.newest {
 		e.newest = int64(bkt)
-	}
-	// The exact stream time of the bucket's last write is not recorded;
-	// anchor recency at the bucket's end so idle eviction never reaps a
-	// just-restored entry before live traffic resumes.
-	if lw := (int64(bkt)+1)*s.cfg.BucketWidth - 1; lw > e.lastWrite {
-		e.lastWrite = lw
-		if lw > sh.maxTime {
-			sh.maxTime = lw
-		}
 	}
 	return nil
 }

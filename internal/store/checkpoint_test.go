@@ -137,7 +137,7 @@ func TestCheckpointRestoreParity(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	meta := CheckpointMeta{Offsets: []uint64{7, 11}, Partitions: []int{0, 3}, Floors: []uint64{2, 5}}
+	meta := CheckpointMeta{Offsets: []uint64{7, 11}, Partitions: []int{0, 3}}
 	info, err := WriteCheckpoint(src, dir, meta)
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +157,8 @@ func TestCheckpointRestoreParity(t *testing.T) {
 			t.Fatalf("manifest offsets %v, want %v", man.Offsets, meta.Offsets)
 		}
 	}
-	if len(man.Partitions) != 2 || man.Partitions[1] != 3 || len(man.Floors) != 2 || man.Floors[1] != 5 {
-		t.Fatalf("manifest partitions %v floors %v, want %v %v", man.Partitions, man.Floors, meta.Partitions, meta.Floors)
+	if len(man.Partitions) != 2 || man.Partitions[1] != 3 || man.Floors != nil {
+		t.Fatalf("manifest partitions %v floors %v, want %v and none", man.Partitions, man.Floors, meta.Partitions)
 	}
 	if man.Records != info.Records {
 		t.Fatalf("manifest records %d, checkpoint wrote %d", man.Records, info.Records)
@@ -353,13 +353,19 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 			}
 		}
 	}
-	for name, meta := range map[string]CheckpointMeta{
-		"owned-subset": {Offsets: ends, Partitions: []int{0, 1}},
-		"floored":      {Offsets: ends, Floors: []uint64{1, 1, 1, 1}},
+	for name, c := range map[string]struct {
+		meta   CheckpointMeta
+		floors []uint64
+	}{
+		"owned-subset": {meta: CheckpointMeta{Offsets: ends, Partitions: []int{0, 1}}},
+		"floored":      {meta: CheckpointMeta{Offsets: ends}, floors: []uint64{1, 1, 1, 1}},
 	} {
 		sub := t.TempDir()
-		if _, err := WriteCheckpoint(st, sub, meta); err != nil {
+		if _, err := WriteCheckpoint(st, sub, c.meta); err != nil {
 			t.Fatal(err)
+		}
+		if c.floors != nil {
+			stampFloors(t, sub, c.floors)
 		}
 		v, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, sub)
 		if err != nil {
@@ -368,5 +374,20 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 		if v.FromCheckpoint() {
 			t.Fatalf("%s checkpoint seeded a batch view", name)
 		}
+	}
+}
+
+// stampFloors rewrites dir's manifest with per-partition offset floors,
+// as an older writer left it: no writer stamps floors now, but a floored
+// manifest on disk must still be refused.
+func stampFloors(t *testing.T, dir string, floors []uint64) {
+	t.Helper()
+	man, err := ReadCheckpointManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Floors = floors
+	if err := writeManifest(dir, *man); err != nil {
+		t.Fatal(err)
 	}
 }

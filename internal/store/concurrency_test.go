@@ -21,7 +21,6 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		BucketWidth:   10,
 		RingBuckets:   16,
 		MaxShardBytes: 1 << 20,
-		MaxIdle:       10_000,
 	})
 	hll, _ := NewDistinctProto(10, 99)
 	topk, _ := NewTopKProto(32)

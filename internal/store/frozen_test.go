@@ -134,16 +134,18 @@ func TestFreezeAtValidation(t *testing.T) {
 }
 
 // TestFreezeAtSkipsPoisonMessages: a decodable message naming an
-// unregistered metric, one with a negative time, or undecodable garbage,
-// must not wedge the recompute — the batch layer has to be able to
-// advance past garbage it can never fix, the same convention the
-// cluster's recovery replay uses (both skip through ReplayPartitionTo).
-// Every kind counts as rejected.
+// unregistered metric, one with an empty key, one with a negative time,
+// or undecodable garbage, must not wedge the recompute — the batch
+// layer has to be able to advance past garbage it can never fix, the
+// same convention the cluster's recovery replay uses (both skip through
+// ReplayPartitionTo). Every kind counts as rejected.
 func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 	_, topic, _ := replayFixture(t, 1, 0, 20)
 	poison := Observation{Metric: "ghost", Key: "k0", Item: "u", Time: 1}
 	topic.Produce(poison.Key, EncodeObservation(poison))
 	topic.Produce("k0", []byte{0xff, 0xff})
+	keyless := Observation{Metric: "uniq", Item: "u", Time: 1}
+	topic.Produce("k0", EncodeObservation(keyless))
 	backwards := Observation{Metric: "uniq", Key: "k0", Item: "u", Time: -1}
 	topic.Produce(backwards.Key, EncodeObservation(backwards))
 	good := Observation{Metric: "uniq", Key: "k0", Item: "u-last", Time: 2}
@@ -155,8 +157,8 @@ func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 	if v.Applied() != 21 {
 		t.Fatalf("applied %d, want the 21 good observations", v.Applied())
 	}
-	if v.Rejected() != 3 {
-		t.Fatalf("rejected %d poison messages, want 3", v.Rejected())
+	if v.Rejected() != 4 {
+		t.Fatalf("rejected %d poison messages, want 4", v.Rejected())
 	}
 }
 

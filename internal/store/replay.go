@@ -75,14 +75,14 @@ func DecodeObservation(data []byte) (Observation, error) {
 
 // DecodeRecord decodes one log record value in the EncodeObservation
 // wire format and reports whether the store can absorb it. A value that
-// does not decode, names a metric the store has not registered, or
-// carries a negative time is poison: it can never apply, so a log
-// consumer skips and counts it instead of wedging on it. This is the
-// one poison test — ReplayPartitionTo and the cluster node's apply loop
-// both use it — and what it passes, ObserveBatch accepts.
+// does not decode, names a metric the store has not registered, has an
+// empty key or carries a negative time is poison: it can never apply, so
+// a log consumer skips and counts it instead of wedging on it. This is
+// the one poison test — ReplayPartitionTo and the cluster node's apply
+// loop both use it — and what it passes, ObserveBatch accepts.
 func (s *Store) DecodeRecord(value []byte) (Observation, bool) {
 	obs, err := DecodeObservation(value)
-	if err != nil || obs.Time < 0 {
+	if err != nil || obs.Time < 0 || obs.Key == "" {
 		return Observation{}, false
 	}
 	if _, err := s.proto(obs.Metric); err != nil {

@@ -30,13 +30,10 @@
 // outside it: a long query over mostly-sealed history does its heavy
 // merging without holding any lock at all.
 //
-// Retention. Three mechanisms bound memory, mirroring the mqlog
-// partition-retention design: the ring itself (a bucket falling out of
-// the ring window is dropped, and writes older than the window are
-// rejected and counted), per-shard byte budgets (least-recently-written
-// entries are evicted first), and idle-age eviction (entries whose last
-// write is older than MaxIdle stream-time units are reaped
-// opportunistically during writes).
+// Retention. Two mechanisms bound memory: the ring itself (a bucket
+// falling out of the ring window is dropped, and writes older than the
+// window are rejected and counted) and per-shard byte budgets
+// (least-recently-written entries are evicted first).
 package store
 
 import (
@@ -86,10 +83,6 @@ type Config struct {
 	// pushes a shard past it, least-recently-written entries are evicted
 	// until it fits (0 = unlimited).
 	MaxShardBytes int
-	// MaxIdle evicts entries whose last write is more than MaxIdle
-	// stream-time units behind the most recent write to their shard
-	// (0 = no idle eviction).
-	MaxIdle int64
 }
 
 func (c Config) withDefaults() Config {
@@ -118,7 +111,6 @@ type Stats struct {
 	DroppedLate uint64 // observations older than the ring window
 	Queries     uint64 // range queries served
 	EvictedSize uint64 // entries evicted by the byte budget
-	EvictedIdle uint64 // entries evicted by idle age
 	Compacted   uint64 // bucket seals that took the compact form
 	Entries     int    // live (metric, key) entries
 	Bytes       int    // synopsis bytes across all shards
@@ -132,7 +124,6 @@ func (s *Stats) Add(o Stats) {
 	s.DroppedLate += o.DroppedLate
 	s.Queries += o.Queries
 	s.EvictedSize += o.EvictedSize
-	s.EvictedIdle += o.EvictedIdle
 	s.Compacted += o.Compacted
 	s.Entries += o.Entries
 	s.Bytes += o.Bytes
@@ -155,11 +146,10 @@ type slot struct {
 // entry is the bucket ring of one (metric, key) series, plus its links in
 // the shard's recency list.
 type entry struct {
-	k         entryKey
-	slots     []slot
-	newest    int64 // highest bucket index written; -1 before first write
-	lastWrite int64 // stream time of the most recent write
-	bytes     int   // sum of slot footprints
+	k      entryKey
+	slots  []slot
+	newest int64 // highest bucket index written; -1 before first write
+	bytes  int   // sum of slot footprints
 	// spare is an emptied dense synopsis awaiting reuse as the entry's
 	// next open bucket. Only a synopsis no reader can still reference is
 	// kept: the dense form a seal just replaced by its compact copy (open
@@ -254,15 +244,14 @@ func (e *entry) advance(bkt int64, sh *shard) {
 }
 
 // shard is one lock domain: a map of entries plus an intrusive
-// recency-of-write list (front = most recently written) driving both
-// eviction policies.
+// recency-of-write list (front = most recently written) driving the
+// byte-budget eviction.
 type shard struct {
 	mu        sync.RWMutex
 	entries   map[entryKey]*entry
 	head      *entry // most recently written
 	tail      *entry // least recently written
 	bytes     int
-	maxTime   int64  // newest observation time seen by the shard
 	seals     uint64 // buckets sealed (telemetry)
 	compacted uint64 // seals that took the compact form
 }
@@ -339,7 +328,6 @@ type Store struct {
 	droppedLate atomic.Uint64
 	queries     atomic.Uint64
 	evictedSize atomic.Uint64
-	evictedIdle atomic.Uint64
 
 	// Checkpoint counters (checkpoint.go): the last written snapshot's
 	// size and the records rehydrated into this store at restore.
@@ -369,9 +357,6 @@ func New(cfg Config) (*Store, error) {
 	}
 	if cfg.MaxShardBytes < 0 {
 		return nil, core.Errf("Store", "MaxShardBytes", "%d must be >= 0", cfg.MaxShardBytes)
-	}
-	if cfg.MaxIdle < 0 {
-		return nil, core.Errf("Store", "MaxIdle", "%d must be >= 0", cfg.MaxIdle)
 	}
 	cfg = cfg.withDefaults()
 	s := &Store{
@@ -477,24 +462,16 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 	e.bytes += nb - sl.bytes
 	sh.bytes += nb - sl.bytes
 	sl.bytes = nb
-	e.lastWrite = obs.Time
 	sh.touch(e)
 	return false, nil
 }
 
-// evict applies the byte budget and idle-age policies to one shard.
-// Callers hold sh.mu.
+// evict applies the byte budget to one shard. Callers hold sh.mu.
 func (s *Store) evict(sh *shard) {
 	if max := s.cfg.MaxShardBytes; max > 0 {
 		for sh.bytes > max && len(sh.entries) > 1 {
 			sh.remove(sh.tail)
 			s.evictedSize.Add(1)
-		}
-	}
-	if idle := s.cfg.MaxIdle; idle > 0 {
-		for sh.tail != nil && len(sh.entries) > 1 && sh.maxTime-sh.tail.lastWrite > idle {
-			sh.remove(sh.tail)
-			s.evictedIdle.Add(1)
 		}
 	}
 }
@@ -527,7 +504,6 @@ func (s *Store) Stats() Stats {
 		DroppedLate: s.droppedLate.Load(),
 		Queries:     s.queries.Load(),
 		EvictedSize: s.evictedSize.Load(),
-		EvictedIdle: s.evictedIdle.Load(),
 	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()

@@ -35,9 +35,6 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 	if _, err := New(Config{MaxShardBytes: -1}); err == nil {
 		t.Fatal("negative byte budget accepted")
 	}
-	if _, err := New(Config{MaxIdle: -1}); err == nil {
-		t.Fatal("negative idle age accepted")
-	}
 	st := mustStore(t, Config{Shards: 5})
 	if st.Shards() != 8 {
 		t.Fatalf("shards %d, want next power of two 8", st.Shards())
@@ -236,29 +233,6 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 	syn, _ = queryPoint(st, "uniques", "k0", 0, 9)
 	if syn.(*Distinct).Estimate() != 0 {
 		t.Fatal("coldest key survived a full budget")
-	}
-}
-
-func TestIdleEvictionReapsStaleEntries(t *testing.T) {
-	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 8, MaxIdle: 100})
-	registerUniques(t, st)
-	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "stale", Item: "x", Time: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	// Advancing the shard clock past MaxIdle reaps the stale entry.
-	if err := st.ObserveBatch([]Observation{{Metric: "uniques", Key: "live", Item: "y", Time: 150}}); err != nil {
-		t.Fatal(err)
-	}
-	stats := st.Stats()
-	if stats.EvictedIdle != 1 {
-		t.Fatalf("idle evictions %d, want 1", stats.EvictedIdle)
-	}
-	if stats.Entries != 1 {
-		t.Fatalf("entries %d, want 1", stats.Entries)
-	}
-	syn, _ := queryPoint(st, "uniques", "stale", 0, 200)
-	if syn.(*Distinct).Estimate() != 0 {
-		t.Fatal("stale entry still answering")
 	}
 }
 

@@ -35,9 +35,6 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	reg.CounterFunc("analytics_store_evicted_size_total",
 		"Entries evicted by the per-shard byte budget.",
 		func() uint64 { return s.evictedSize.Load() }, labels...)
-	reg.CounterFunc("analytics_store_evicted_idle_total",
-		"Entries evicted by idle age.",
-		func() uint64 { return s.evictedIdle.Load() }, labels...)
 	reg.CounterFunc("analytics_store_bucket_seals_total",
 		"Ring buckets sealed: by stream time advancing, a checkpoint write, or a checkpoint restore.",
 		func() uint64 { return s.sealCount() }, labels...)

@@ -210,8 +210,8 @@ func NewFreqProto(width, depth int, seed uint64) (store.Prototype, error) {
 	return store.NewFreqProto(width, depth, seed)
 }
 
-// StoreClusterConfig tunes a store cluster (partitions, retention,
-// per-node store config, batch sizes).
+// StoreClusterConfig tunes a store cluster (partitions, per-node store
+// config, optional durable log and checkpoint directory).
 type StoreClusterConfig = dstore.Config
 
 // NewStoreCluster returns a partitioned store cluster with no nodes: N
@@ -221,14 +221,15 @@ type StoreClusterConfig = dstore.Config
 // Router is the Backend.
 func NewStoreCluster(cfg StoreClusterConfig) (*dstore.Cluster, error) { return dstore.New(cfg) }
 
-// LambdaConfig tunes a Lambda architecture (master topic geometry,
-// batch/speed store configs, optional cluster speed layer).
+// LambdaConfig tunes a Lambda architecture (master topic partitions,
+// the store geometry both layers share, optional durable log and
+// checkpoint directory).
 type LambdaConfig = lambda.Config
 
 // NewLambda returns the Figure 1 architecture on the real subsystems:
 // the master dataset is an mqlog topic, batch views are sealed stores
 // recomputed up to frozen end-offset snapshots, the speed layer is a
-// sketch store (or a store cluster), and queries merge the two (see
+// sketch store, and queries merge the two (see
 // internal/lambda). Register metrics, then ObserveBatch/Query; RunBatch
 // on the batch cadence.
 func NewLambda(cfg LambdaConfig) (*lambda.Architecture, error) { return lambda.New(cfg) }

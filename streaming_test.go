@@ -110,7 +110,7 @@ func TestFacadeTopologyWordcount(t *testing.T) {
 
 func TestFacadeLambda(t *testing.T) {
 	geom := repro.SketchStoreConfig{Shards: 4, BucketWidth: 10, RingBuckets: 64}
-	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 2, Batch: geom, Speed: geom})
+	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 2, Store: geom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFacadeBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 2, Batch: geom, Speed: geom})
+	arch, err := repro.NewLambda(repro.LambdaConfig{Partitions: 2, Store: geom})
 	if err != nil {
 		t.Fatal(err)
 	}
