@@ -26,8 +26,10 @@
 //     Router, one speed RLock in Lambda). The whole batch is validated
 //     before anything mutates: an observation naming an unregistered
 //     metric fails the call with an error wrapping
-//     store.ErrUnknownMetric, a negative time fails it too, and the
-//     backend absorbs NONE of the batch. This is what makes admission
+//     store.ErrUnknownMetric, a negative time or an empty Key fails it
+//     too, and the backend absorbs NONE of the batch. The rule lives in
+//     one place, store.MetricTable.Check, which every backend's
+//     registry runs. This is what makes admission
 //     shedding provable — a rejected batch leaves no trace. An accepted
 //     batch is byte-identical to one observation per call, in order:
 //     per-(metric,key) arrival order is preserved, so every synopsis

@@ -15,7 +15,7 @@
 // decodes observations with the store wire codec, and applies them to its
 // own store.Store. Producers never talk to nodes: the Router partitions
 // ObserveBatch traffic by key onto the topic (batched appends via
-// Topic.ProduceBatch), so the log decouples producers from consumers
+// Topic.ProduceBatchTo), so the log decouples producers from consumers
 // exactly as in Figure 1's Lambda input dispatch.
 //
 // Ownership and recovery. Keys hash to partitions (Topic.PartitionFor)
@@ -56,7 +56,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mqlog"
 	"repro/internal/store"
 )
@@ -118,10 +117,10 @@ type Cluster struct {
 	group  *mqlog.ConsumerGroup
 	router *Router
 
-	// protos is the registered metric table, swapped copy-on-write under
-	// mu and read lock-free: Router.ObserveBatch validates every observation
-	// against it, and a mutex there would serialize all producers.
-	protos atomic.Pointer[map[string]store.Prototype]
+	// metrics is the registered metric table, read lock-free:
+	// Router.ObserveBatch checks every observation against it, and node
+	// recovery builds each store from it.
+	metrics store.MetricTable
 
 	// tel is the cluster's telemetry and tracer wiring (telemetry.go),
 	// swapped atomically because SetTelemetry may race already-running
@@ -175,8 +174,6 @@ func New(cfg Config) (*Cluster, error) {
 		group:  group,
 		nodes:  make(map[string]*Node),
 	}
-	empty := make(map[string]store.Prototype)
-	c.protos.Store(&empty)
 	c.router = newRouter(c)
 	return c, nil
 }
@@ -187,66 +184,12 @@ func New(cfg Config) (*Cluster, error) {
 // recovery, and a metric appearing mid-flight would leave already-serving
 // nodes unable to absorb its observations.
 func (c *Cluster) RegisterMetric(name string, proto store.Prototype) error {
-	if name == "" {
-		return core.Errf("Cluster", "metric", "name must be non-empty")
-	}
-	if proto == nil {
-		return core.Errf("Cluster", "proto", "prototype for %q is nil", name)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.nodes) > 0 {
 		return fmt.Errorf("dstore: register metric %q before starting nodes", name)
 	}
-	cur := *c.protos.Load()
-	if _, exists := cur[name]; exists {
-		return fmt.Errorf("dstore: metric %q already registered", name)
-	}
-	next := make(map[string]store.Prototype, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[name] = proto
-	c.protos.Store(&next)
-	return nil
-}
-
-// metricTable returns the registered metric table (read-only; swapped
-// copy-on-write by RegisterMetric).
-func (c *Cluster) metricTable() map[string]store.Prototype { return *c.protos.Load() }
-
-// Metrics returns the registered metric names, sorted.
-func (c *Cluster) Metrics() []string {
-	table := c.metricTable()
-	out := make([]string, 0, len(table))
-	for name := range table {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (c *Cluster) proto(metric string) (store.Prototype, error) {
-	p, ok := c.metricTable()[metric]
-	if !ok {
-		return nil, fmt.Errorf("dstore: %w %q", store.ErrUnknownMetric, metric)
-	}
-	return p, nil
-}
-
-// newNodeStore builds one node's empty local store with every registered
-// metric bound.
-func (c *Cluster) newNodeStore() (*store.Store, error) {
-	st, err := store.New(c.cfg.Store)
-	if err != nil {
-		return nil, err
-	}
-	for name, proto := range c.metricTable() {
-		if err := st.RegisterMetric(name, proto); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
+	return c.metrics.Register(name, proto)
 }
 
 // StartNode adds a node to the cluster and returns its name. The join

@@ -221,7 +221,7 @@ func (n *Node) recover(gen int) {
 	n.mu.Unlock()
 
 	freshStore := func() (*store.Store, bool) {
-		st, err := n.c.newNodeStore()
+		st, err := store.NewWith(n.c.cfg.Store, n.c.metrics.Table())
 		if err != nil {
 			// Config errors are permanent; park until stopped rather than
 			// hot-loop (New validated the same store config up front, so

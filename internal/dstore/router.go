@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mqlog"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -76,30 +75,22 @@ func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, trac
 // partitioned by key — the same hash Produce uses, so a series always
 // lands in one partition and replays in order — with one
 // partition-buffer acquisition per partition group. The entire batch is
-// validated first, producer-side, rather than poisoning the consumers:
-// an unknown metric, an empty key (which would round-robin by value
-// hash in the log, scattering one series across partitions that
-// different nodes own) or a negative time fails the call and buffers
-// NOTHING. An accepted batch reaches the log in input order per
-// partition — a key's records all land in one partition group — so
-// per-series replay order matches one observation per call exactly.
-// Buffers flush at routerBatch records; call Flush (or Drain) when the
-// producer finishes.
+// validated first, producer-side, by the store's rule
+// (store.MetricTable.Check) rather than poisoning the consumers: an
+// unknown metric, an empty key (which would round-robin by value hash
+// in the log, scattering one series across partitions that different
+// nodes own) or a negative time fails the call and buffers NOTHING. An
+// accepted batch reaches the log in input order per partition — a key's
+// records all land in one partition group — so per-series replay order
+// matches one observation per call exactly. Buffers flush at
+// routerBatch records; call Flush (or Drain) when the producer
+// finishes.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	for i := range obs {
-		o := &obs[i]
-		if o.Time < 0 {
-			return core.Errf("Router", "Time", "%d must be >= 0", o.Time)
-		}
-		if o.Key == "" {
-			return core.Errf("Router", "Key", "must be non-empty (keys are the unit of partition ownership)")
-		}
-		if _, err := r.c.proto(o.Metric); err != nil {
-			return err
-		}
+	if err := r.c.metrics.Check(obs); err != nil {
+		return err
 	}
 	traced := r.c.tracer() != nil
 	if len(obs) == 1 {
@@ -238,9 +229,9 @@ func (r *Router) QueryContext(ctx context.Context, req store.QueryRequest) (stor
 	if err != nil {
 		return store.QueryResult{}, err
 	}
-	protos := make([]store.Prototype, len(req.Metrics))
+	prototypes := make([]store.Prototype, len(req.Metrics))
 	for i, metric := range req.Metrics {
-		if protos[i], err = r.c.proto(metric); err != nil {
+		if prototypes[i], err = r.c.metrics.Lookup(metric); err != nil {
 			return store.QueryResult{}, err
 		}
 	}
@@ -386,16 +377,8 @@ func (r *Router) QueryContext(ctx context.Context, req store.QueryRequest) (stor
 					syns[pos] = partials[i][mi][j]
 				}
 			}
-			if req.Aggregate {
-				comb, err := store.CombineSnapshots(protos[mi], syns...)
-				if err != nil {
-					return store.QueryResult{}, err
-				}
-				answers = append(answers, store.NewAggregateAnswer(metric, comb))
-				continue
-			}
-			for j, key := range keysPer[mi] {
-				answers = append(answers, store.NewAnswer(metric, key, syns[j]))
+			if answers, err = store.AppendAnswers(answers, metric, prototypes[mi], keysPer[mi], syns, req.Aggregate); err != nil {
+				return store.QueryResult{}, err
 			}
 		}
 		return store.NewQueryResult(answers), nil

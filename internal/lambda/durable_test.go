@@ -347,7 +347,7 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 
 	// The incremental view equals a from-scratch freeze of the same log.
 	ends := a.Topic().EndOffsets()
-	want, err := store.FreezeAt(testConfig().Store, testProtos(t), a.Topic(), ends)
+	want, err := store.FreezeAtFrom(testConfig().Store, testProtos(t), a.Topic(), ends, "")
 	if err != nil {
 		t.Fatal(err)
 	}

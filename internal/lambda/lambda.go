@@ -9,8 +9,8 @@
 //     the same observation feeds the speed layer;
 //  2. the batch layer recomputes batch views from the master dataset
 //     alone (RunBatch): a fresh sketch store replayed up to a frozen
-//     end-offset snapshot (store.FreezeAt over an end-offset-bounded
-//     mqlog reader), never patched incrementally;
+//     end-offset snapshot (store.FreezeAtFrom over an
+//     end-offset-bounded mqlog reader), never patched incrementally;
 //  3. the serving layer indexes the batch view for low-latency reads:
 //     the sealed store.FrozenView, swapped in atomically;
 //  4. the speed layer absorbs what the batch view does not yet cover: a
@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mqlog"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -93,10 +92,9 @@ type Architecture struct {
 	cfg   Config
 	topic *mqlog.Topic
 
-	// protoMu guards protos; the map is read on every write and query,
-	// so reads go through an RLock.
-	protoMu sync.RWMutex
-	protos  map[string]store.Prototype
+	// metrics is the registered metric table both layers are built
+	// from; startMu seals it at the first use.
+	metrics store.MetricTable
 
 	// speedMu is the handoff lock: writes dispatch under RLock, RunBatch
 	// swaps the truncated speed store under Lock, so a batch cutover sees
@@ -133,7 +131,7 @@ func New(cfg Config) (*Architecture, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lambda: store config: %w", err)
 	}
-	a := &Architecture{cfg: cfg, protos: make(map[string]store.Prototype), speed: speed}
+	a := &Architecture{cfg: cfg, speed: speed}
 	topic, err := mqlog.NewBroker().CreateTopicDurable(masterTopic, cfg.Partitions, 0, cfg.Durable)
 	if err != nil {
 		return nil, err
@@ -145,64 +143,25 @@ func New(cfg Config) (*Architecture, error) {
 // RegisterMetric binds a metric name to the synopsis prototype both
 // layers build buckets with. Register every metric before the first
 // write (a batch view recomputed without a metric could not absorb its
-// history).
+// history). Registration holds the start lock, so the first use builds
+// its speed store from every metric registered before it, and none
+// after.
 func (a *Architecture) RegisterMetric(name string, proto store.Prototype) error {
+	a.startMu.Lock()
+	defer a.startMu.Unlock()
 	if a.started.Load() {
 		return fmt.Errorf("lambda: register metric %q before the first append", name)
 	}
-	if err := a.speed.RegisterMetric(name, proto); err != nil {
-		return err
-	}
-	a.protoMu.Lock()
-	a.protos[name] = proto
-	a.protoMu.Unlock()
-	return nil
-}
-
-// Metrics returns the registered metric names (unordered).
-func (a *Architecture) Metrics() []string {
-	a.protoMu.RLock()
-	defer a.protoMu.RUnlock()
-	out := make([]string, 0, len(a.protos))
-	for name := range a.protos {
-		out = append(out, name)
-	}
-	return out
-}
-
-func (a *Architecture) proto(metric string) (store.Prototype, error) {
-	a.protoMu.RLock()
-	p, ok := a.protos[metric]
-	a.protoMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lambda: %w %q", store.ErrUnknownMetric, metric)
-	}
-	return p, nil
-}
-
-// protoTable snapshots the registered metrics for a batch recompute.
-func (a *Architecture) protoTable() map[string]store.Prototype {
-	a.protoMu.RLock()
-	defer a.protoMu.RUnlock()
-	out := make(map[string]store.Prototype, len(a.protos))
-	for name, p := range a.protos {
-		out[name] = p
-	}
-	return out
+	return a.metrics.Register(name, proto)
 }
 
 // newSpeed builds an empty speed store carrying every registered metric,
 // wired to the architecture's registry before it serves (re-registration
 // swaps the layer="lambda_speed" callbacks over to it).
 func (a *Architecture) newSpeed() (*store.Store, error) {
-	st, err := store.New(a.cfg.Store)
+	st, err := store.NewWith(a.cfg.Store, a.metrics.Table())
 	if err != nil {
 		return nil, err
-	}
-	for name, proto := range a.protoTable() {
-		if err := st.RegisterMetric(name, proto); err != nil {
-			return nil, err
-		}
 	}
 	if tel := a.tel.Load(); tel != nil {
 		st.SetTelemetry(tel.reg, "layer", "lambda_speed")
@@ -256,19 +215,10 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if err := a.ensureStarted(); err != nil {
 		return err
 	}
-	// The checks mirror the cluster router's, so a program can switch
-	// backends without its accepted-input surface moving.
-	for i := range obs {
-		o := &obs[i]
-		if o.Time < 0 {
-			return core.Errf("Lambda", "Time", "%d must be >= 0", o.Time)
-		}
-		if o.Key == "" {
-			return core.Errf("Lambda", "Key", "must be non-empty (keys route the master log's partitions)")
-		}
-		if _, err := a.proto(o.Metric); err != nil {
-			return err
-		}
+	// The store's rule, shared with the cluster router, so a program can
+	// switch backends without its accepted-input surface moving.
+	if err := a.metrics.Check(obs); err != nil {
+		return err
 	}
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
@@ -309,7 +259,7 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	// run's snapshot (possibly from a previous process) seeds the view
 	// and only the log suffix past it replays. Without one, or when the
 	// snapshot no longer fits, this is the full [0, ends) recompute.
-	view, err := store.FreezeAtFrom(a.cfg.Store, a.protoTable(), a.topic, ends, a.cfg.CheckpointDir)
+	view, err := store.FreezeAtFrom(a.cfg.Store, a.metrics.Table(), a.topic, ends, a.cfg.CheckpointDir)
 	if err != nil {
 		return BatchInfo{}, err
 	}
@@ -401,9 +351,9 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 	if err != nil {
 		return store.QueryResult{}, err
 	}
-	protos := make([]store.Prototype, len(req.Metrics))
+	prototypes := make([]store.Prototype, len(req.Metrics))
 	for i, metric := range req.Metrics {
-		if protos[i], err = a.proto(metric); err != nil {
+		if prototypes[i], err = a.metrics.Lookup(metric); err != nil {
 			return store.QueryResult{}, err
 		}
 	}
@@ -512,7 +462,7 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 			if speedPerMetric[i] != nil {
 				speedSyn = speedPerMetric[i][j]
 			}
-			if merged[j], err = store.CombineSnapshots(protos[i], batchSyn, speedSyn); err != nil {
+			if merged[j], err = store.CombineSnapshots(prototypes[i], batchSyn, speedSyn); err != nil {
 				return store.QueryResult{}, err
 			}
 		}
@@ -520,16 +470,8 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 			t.merges.Add(uint64(len(keys)))
 		}
 		mergedCells += len(keys)
-		if req.Aggregate {
-			comb, err := store.CombineSnapshots(protos[i], merged...)
-			if err != nil {
-				return store.QueryResult{}, err
-			}
-			answers = append(answers, store.NewAggregateAnswer(metric, comb))
-			continue
-		}
-		for j, key := range keys {
-			answers = append(answers, store.NewAnswer(metric, key, merged[j]))
+		if answers, err = store.AppendAnswers(answers, metric, prototypes[i], keys, merged, req.Aggregate); err != nil {
+			return store.QueryResult{}, err
 		}
 	}
 	if msp != nil {
@@ -570,7 +512,7 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 		}
 		return res.Raw(), nil
 	}
-	proto, err := a.proto(metric)
+	proto, err := a.metrics.Lookup(metric)
 	if err != nil {
 		return nil, err
 	}

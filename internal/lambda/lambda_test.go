@@ -85,6 +85,52 @@ func TestLambdaValidation(t *testing.T) {
 	}
 }
 
+// TestLambdaRegisterRacesFirstWrite: a registration racing the first
+// write either loses (the metric is refused) or lands in the speed store
+// that first write builds. A metric accepted by the registry but absent
+// from the speed store would let a write reach the immutable master log
+// and then fail, breaking all-or-nothing.
+func TestLambdaRegisterRacesFirstWrite(t *testing.T) {
+	protos := testProtos(t)
+	for run := 0; run < 300; run++ {
+		a, err := New(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.RegisterMetric("hits", protos["hits"]); err != nil {
+			t.Fatal(err)
+		}
+		var regErr error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			regErr = a.RegisterMetric("m1", protos["hits"])
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := a.ObserveBatch([]store.Observation{{Metric: "hits", Key: "k", Item: "u", Value: 1}}); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		before := a.MasterLen()
+		err = a.ObserveBatch([]store.Observation{{Metric: "m1", Key: "k", Item: "u", Value: 1}})
+		after := a.MasterLen()
+		a.Close()
+		if err != nil && after != before {
+			t.Fatalf("run %d: a failed write reached the master log (MasterLen %d -> %d): %v", run, before, after, err)
+		}
+		if regErr == nil && err != nil {
+			t.Fatalf("run %d: m1 registered, yet its write failed: %v", run, err)
+		}
+	}
+}
+
 func hitCount(t *testing.T, syn store.Synopsis, item string) uint64 {
 	t.Helper()
 	return syn.(*store.Freq).Count(item)

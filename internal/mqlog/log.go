@@ -6,9 +6,11 @@
 //
 // It provides topics with a fixed number of partitions, append-only
 // segments with monotonically increasing offsets, key-based partitioning,
-// consumer groups with offset tracking and rebalancing, and size-based
-// retention — the semantic core of the real system, minus the network and
-// disk, which the experiments do not need (see DESIGN.md substitutions).
+// consumer groups with offset tracking and rebalancing, and retention: a
+// per-partition message count in memory and, for a topic persisted to
+// disk (durable.go), segment size and age limits — the semantic core of
+// the real system, minus the network, which the experiments do not need
+// (see DESIGN.md substitutions).
 package mqlog
 
 import (

@@ -672,8 +672,92 @@ func TestServeRegisterValidation(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests covers wire validation: malformed JSON, empty
-// ranges and bad timeout headers answer 400 with an error body.
+// TestServeRegisterDuplicateConflict pins /v1/register's 409 for a name
+// the backend already holds, on every backend (the cluster before its
+// nodes start, the only time it takes a registration). The status comes
+// from the shared registry's "already registered" error, and the first
+// registration keeps serving.
+func TestServeRegisterDuplicateConflict(t *testing.T) {
+	for _, kind := range []string{"store", "cluster", "lambda"} {
+		t.Run(kind, func(t *testing.T) {
+			var be analytics.Backend
+			start, drain := func() {}, func() error { return nil }
+			switch kind {
+			case "store":
+				st, err := store.New(testGeom())
+				if err != nil {
+					t.Fatal(err)
+				}
+				be = st
+			case "cluster":
+				cl, err := dstore.New(dstore.Config{Partitions: 2, Store: testGeom()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cl.Close() })
+				be, drain = cl.Router(), cl.Drain
+				start = func() {
+					if _, err := cl.StartNode(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "lambda":
+				ar, err := lambda.New(lambda.Config{Partitions: 2, Store: testGeom()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ar.Close() })
+				be = ar
+			}
+			srv, err := NewServer(Config{Backend: be})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			post := func(path string, v any) *http.Response {
+				t.Helper()
+				resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(mustJSON(t, v)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			register := func(spec ProtoSpec) int {
+				t.Helper()
+				resp := post("/v1/register", RegisterRequest{Name: "uniq", Spec: spec})
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if code := register(DistinctSpec(12, 7)); code != http.StatusOK {
+				t.Fatalf("first register answered %d, want 200", code)
+			}
+			if code := register(FreqSpec(512, 4, 7)); code != http.StatusConflict {
+				t.Fatalf("duplicate register answered %d, want 409", code)
+			}
+			start()
+			if err := be.ObserveBatch([]store.Observation{{Metric: "uniq", Key: "k0", Item: "u1", Time: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := drain(); err != nil {
+				t.Fatal(err)
+			}
+			resp := post("/v1/query", QueryRequest{Metrics: []string{"uniq"}, Keys: []string{"k0"}, From: 0, To: 10})
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("query after the refused duplicate answered %d, want 200", resp.StatusCode)
+			}
+			var qr QueryResponse
+			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+				t.Fatal(err)
+			}
+			if len(qr.Answers) != 1 || qr.Answers[0].Family != FamilyDistinct || qr.Answers[0].Distinct != 1 {
+				t.Fatalf("answers %+v, want one distinct cell counting 1 (the first registration's family)", qr.Answers)
+			}
+		})
+	}
+}
+
 // An unknown metric is answered by the backend, every time: a 404 at
 // the edge leaves nothing behind that could shadow the metric once it is
 // registered on the backend directly, behind the edge's back.
@@ -724,6 +808,8 @@ func TestServeBackendRegisterNotShadowed(t *testing.T) {
 	}
 }
 
+// TestServeBadRequests covers wire validation: malformed JSON, empty
+// ranges and bad timeout headers answer 400 with an error body.
 func TestServeBadRequests(t *testing.T) {
 	h := newHarness(t, "store", false)
 	post := func(path, body string, hdr map[string]string) *http.Response {

@@ -5,17 +5,16 @@
 package store
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/trace"
 )
 
 // ObserveBatch absorbs obs as one batched write. The entire batch is
-// validated first — every metric registered (else an error wrapping
-// ErrUnknownMetric), every key non-empty, every time non-negative, as
-// the cluster router and Lambda check — and a validation failure
+// validated first by MetricTable.Check — every metric registered (else
+// an error wrapping ErrUnknownMetric), every key non-empty, every time
+// non-negative, the rule the cluster router and Lambda share — and a
+// validation failure
 // absorbs NOTHING, which is what makes admission shedding provable.
 // Observations older than their entry's ring window are silently
 // dropped and counted in Stats.DroppedLate (the caller cannot usefully
@@ -30,19 +29,12 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	protos := *s.metrics.Load()
-	for i := range obs {
-		o := &obs[i]
-		if o.Time < 0 {
-			return core.Errf("Store", "Time", "%d must be >= 0", o.Time)
-		}
-		if o.Key == "" {
-			return core.Errf("Store", "Key", "must be non-empty")
-		}
-		if protos[o.Metric] == nil {
-			return fmt.Errorf("store: %w %q", ErrUnknownMetric, o.Metric)
-		}
+	if err := s.metrics.Check(obs); err != nil {
+		return err
 	}
+	// Registration only adds, so this later snapshot holds every metric
+	// Check saw.
+	protos := s.metrics.Table()
 	if len(obs) == 1 {
 		// One write has one group: skip the sort and its buffer, so a
 		// single observation allocates nothing.

@@ -328,7 +328,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err != nil || len(rest) != 0 {
 		return core.ErrCorrupt
 	}
-	proto, err := s.proto(metric)
+	proto, err := s.metrics.Lookup(metric)
 	if err != nil {
 		return err
 	}

@@ -313,7 +313,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 	produce(0, first)
 
 	dir := t.TempDir()
-	v1, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, topic.EndOffsets())
+	v1, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, topic.EndOffsets(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 	if want := uint64(extra * 4); v2.Applied() != want {
 		t.Fatalf("seeded freeze applied %d, want exactly the suffix %d", v2.Applied(), want)
 	}
-	oracleView, err := FreezeAt(ckptGeom(), ckptProtos(t), topic, ends)
+	oracleView, err := FreezeAtFrom(ckptGeom(), ckptProtos(t), topic, ends, "")
 	if err != nil {
 		t.Fatal(err)
 	}

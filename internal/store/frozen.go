@@ -1,13 +1,14 @@
 // frozen.go is the batch-serving half of the Lambda split: a store
 // recomputed from the log up to a frozen end-offset snapshot and then
-// sealed. Where replay.go's Rebuild answers "what would a fresh store say
-// about everything retained right now", FreezeAt answers the question the
-// batch layer actually asks — "what did the log say up to exactly this
-// cut" — so that a speed layer serving [ends, ...) composes with it into
-// a complete, double-count-free answer (lambda.Architecture.Query merges
-// the two through CombineSnapshots). The view is sealed by construction:
-// it exposes no write path, so its answers are immutable once built, the
-// property Figure 1 assigns to batch views.
+// sealed. Where replay.go's Rebuild answers "what would a fresh store
+// say about everything retained right now", FreezeAtFrom answers the
+// question the batch layer actually asks — "what did the log say up to
+// exactly this cut" — so that a speed layer serving [ends, ...)
+// composes with it into a complete, double-count-free answer
+// (lambda.Architecture.Query merges the two through CombineSnapshots).
+// The view is sealed by construction: it exposes no write path, so its
+// answers are immutable once built, the property Figure 1 assigns to
+// batch views.
 package store
 
 import (
@@ -28,46 +29,32 @@ type FrozenView struct {
 	fromCheckpoint bool
 }
 
-// FreezeAt recomputes a batch view: a fresh store with the given config
-// and metric prototypes, every partition of the topic replayed from its
-// oldest retained offset up to the frozen bound ends[pid] (exclusive),
-// and the result sealed. ends is typically a
-// Topic.EndOffsets snapshot taken at the freeze point; it must have one
-// entry per partition. Messages the bound covers but retention has
-// already dropped are unrecoverable and reported via Truncated — the
-// retention-vs-recomputation trade every log-backed batch layer makes.
-func FreezeAt(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64) (*FrozenView, error) {
-	return FreezeAtFrom(cfg, protos, topic, ends, "")
-}
-
-// FreezeAtFrom is FreezeAt with an incremental-recompute fast path: when
-// checkpointDir holds a compatible checkpoint (same geometry, offsets
-// that do not exceed ends, no owned-partition restriction), the view is
+// FreezeAtFrom recomputes a batch view: a fresh store with the given
+// config and metric prototypes, every partition of the topic replayed
+// up to the frozen bound ends[pid] (exclusive), and the result sealed.
+// ends is typically a Topic.EndOffsets snapshot taken at the freeze
+// point; it must have one entry per partition. Messages the bound
+// covers but retention has already dropped are unrecoverable and
+// reported via Truncated — the retention-vs-recomputation trade every
+// log-backed batch layer makes.
+//
+// With a non-empty checkpointDir the recompute is incremental: when the
+// directory holds a compatible checkpoint (same geometry, offsets that
+// do not exceed ends, no owned-partition restriction), the view is
 // rehydrated from the snapshot and only the log suffix
 // [checkpoint offsets, ends) is replayed — Applied then counts just the
 // suffix, and Restored/FromCheckpoint report the snapshot's
 // contribution. Any incompatibility or corruption falls back to the
-// full [0, ends) recompute; an empty checkpointDir is exactly FreezeAt.
+// full [0, ends) recompute, which is also what an empty checkpointDir
+// asks for.
 func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, ends []uint64, checkpointDir string) (*FrozenView, error) {
 	if topic == nil {
-		return nil, core.Errf("FreezeAt", "topic", "must be non-nil")
+		return nil, core.Errf("FreezeAtFrom", "topic", "must be non-nil")
 	}
 	if len(ends) != topic.Partitions() {
-		return nil, core.Errf("FreezeAt", "ends", "%d bounds for %d partitions", len(ends), topic.Partitions())
+		return nil, core.Errf("FreezeAtFrom", "ends", "%d bounds for %d partitions", len(ends), topic.Partitions())
 	}
-	build := func() (*Store, error) {
-		st, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		for name, proto := range protos {
-			if err := st.RegisterMetric(name, proto); err != nil {
-				return nil, err
-			}
-		}
-		return st, nil
-	}
-	st, err := build()
+	st, err := NewWith(cfg, protos)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +66,7 @@ func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, e
 				copy(starts, man.Offsets)
 				v.restored = man.Records
 				v.fromCheckpoint = true
-			} else if st, err = build(); err != nil {
+			} else if st, err = NewWith(cfg, protos); err != nil {
 				// A failed restore leaves partial state; recompute from a
 				// fresh store instead.
 				return nil, err

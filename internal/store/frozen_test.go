@@ -59,7 +59,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	protos := frozenProtos(t)
 	cfg := Config{Shards: 4, BucketWidth: 100, RingBuckets: 64}
 	ends := topic.EndOffsets()
-	v, err := FreezeAt(cfg, protos, topic, ends)
+	v, err := FreezeAtFrom(cfg, protos, topic, ends, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFreezeAtIsSealedAgainstLaterProduce(t *testing.T) {
 	}
 	// And a view frozen at the same old bounds now answers identically:
 	// the bound, not the call time, defines the view.
-	again, err := FreezeAt(cfg, protos, topic, ends)
+	again, err := FreezeAtFrom(cfg, protos, topic, ends, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestFreezeAtValidation(t *testing.T) {
 	_, topic, _ := replayFixture(t, 2, 0, 10)
 	protos := frozenProtos(t)
 	cfg := Config{Shards: 2, BucketWidth: 100, RingBuckets: 8}
-	if _, err := FreezeAt(cfg, protos, nil, []uint64{0, 0}); err == nil {
+	if _, err := FreezeAtFrom(cfg, protos, nil, []uint64{0, 0}, ""); err == nil {
 		t.Fatal("nil topic accepted")
 	}
-	if _, err := FreezeAt(cfg, protos, topic, []uint64{0}); err == nil {
+	if _, err := FreezeAtFrom(cfg, protos, topic, []uint64{0}, ""); err == nil {
 		t.Fatal("mismatched ends length accepted")
 	}
-	if _, err := FreezeAt(Config{Shards: -1}, protos, topic, topic.EndOffsets()); err == nil {
+	if _, err := FreezeAtFrom(Config{Shards: -1}, protos, topic, topic.EndOffsets(), ""); err == nil {
 		t.Fatal("invalid store config accepted")
 	}
 }
@@ -150,7 +150,7 @@ func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 	topic.Produce(backwards.Key, EncodeObservation(backwards))
 	good := Observation{Metric: "uniq", Key: "k0", Item: "u-last", Time: 2}
 	topic.Produce(good.Key, EncodeObservation(good))
-	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets())
+	v, err := FreezeAtFrom(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets(), "")
 	if err != nil {
 		t.Fatalf("poison message wedged the recompute: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestFreezeAtSkipsPoisonMessages(t *testing.T) {
 func TestFreezeAtReportsRetentionLoss(t *testing.T) {
 	const retention = 64
 	_, topic, _ := replayFixture(t, 1, retention, 500)
-	v, err := FreezeAt(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets())
+	v, err := FreezeAtFrom(Config{Shards: 2, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

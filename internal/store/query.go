@@ -207,6 +207,25 @@ func NewAggregateAnswer(metric string, syn Synopsis) Answer {
 	return Answer{Metric: metric, Aggregate: true, syn: syn}
 }
 
+// AppendAnswers appends one metric's answer cells to dst: a cell per
+// key (syns[i] answers keys[i]), or, when aggregate is set, the single
+// CombineSnapshots merge of syns in key order. Every backend builds its
+// answers here, which is what keeps Aggregate equal to per-key cells
+// combined caller-side on all of them.
+func AppendAnswers(dst []Answer, metric string, proto Prototype, keys []string, syns []Synopsis, aggregate bool) ([]Answer, error) {
+	if aggregate {
+		comb, err := CombineSnapshots(proto, syns...)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, NewAggregateAnswer(metric, comb)), nil
+	}
+	for i, key := range keys {
+		dst = append(dst, NewAnswer(metric, key, syns[i]))
+	}
+	return dst, nil
+}
+
 // Raw returns the merged synopsis itself — the escape hatch for custom
 // families and for callers that need Merge/Bytes. Nil only on the zero
 // Answer.
@@ -395,7 +414,7 @@ func (s *Store) QueryContext(ctx context.Context, req QueryRequest) (QueryResult
 		if err := ctx.Err(); err != nil {
 			return QueryResult{}, queryCancelled(err)
 		}
-		proto, err := s.proto(metric)
+		proto, err := s.metrics.Lookup(metric)
 		if err != nil {
 			return QueryResult{}, err
 		}
@@ -417,16 +436,8 @@ func (s *Store) QueryContext(ctx context.Context, req QueryRequest) (QueryResult
 			return QueryResult{}, err
 		}
 		s.queries.Add(uint64(len(keys)))
-		if req.Aggregate {
-			comb, err := CombineSnapshots(proto, syns...)
-			if err != nil {
-				return QueryResult{}, err
-			}
-			answers = append(answers, NewAggregateAnswer(metric, comb))
-			continue
-		}
-		for i, key := range keys {
-			answers = append(answers, NewAnswer(metric, key, syns[i]))
+		if answers, err = AppendAnswers(answers, metric, proto, keys, syns, req.Aggregate); err != nil {
+			return QueryResult{}, err
 		}
 	}
 	return NewQueryResult(answers), nil

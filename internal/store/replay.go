@@ -82,10 +82,7 @@ func DecodeObservation(data []byte) (Observation, error) {
 // loop both use it — and what it passes, ObserveBatch accepts.
 func (s *Store) DecodeRecord(value []byte) (Observation, bool) {
 	obs, err := DecodeObservation(value)
-	if err != nil || obs.Time < 0 || obs.Key == "" {
-		return Observation{}, false
-	}
-	if _, err := s.proto(obs.Metric); err != nil {
+	if err != nil || s.metrics.Check([]Observation{obs}) != nil {
 		return Observation{}, false
 	}
 	return obs, true
@@ -186,14 +183,9 @@ func Replay(st *Store, topic *mqlog.Topic) (uint64, error) {
 // recomputation. The returned store is independent of any live store
 // consuming the same topic.
 func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic) (*Store, uint64, error) {
-	st, err := New(cfg)
+	st, err := NewWith(cfg, protos)
 	if err != nil {
 		return nil, 0, err
-	}
-	for name, proto := range protos {
-		if err := st.RegisterMetric(name, proto); err != nil {
-			return nil, 0, err
-		}
 	}
 	applied, err := Replay(st, topic)
 	if err != nil {

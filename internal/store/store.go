@@ -39,6 +39,7 @@ package store
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -318,11 +319,9 @@ type Store struct {
 	seed   uint64
 	shards []*shard
 
-	// metrics is the registered metric table, swapped copy-on-write
-	// under regMu and read lock-free: every write batch, query and
-	// replayed log record looks its metric up here.
-	regMu   sync.Mutex
-	metrics atomic.Pointer[map[string]Prototype]
+	// metrics is the registered metric table: every write batch, query
+	// and replayed log record looks its metric up here.
+	metrics MetricTable
 
 	observed    atomic.Uint64
 	droppedLate atomic.Uint64
@@ -365,52 +364,38 @@ func New(cfg Config) (*Store, error) {
 		seed:   hashutil.Sum64String("store", 0),
 		shards: make([]*shard, cfg.Shards),
 	}
-	s.metrics.Store(&map[string]Prototype{})
 	for i := range s.shards {
 		s.shards[i] = &shard{entries: make(map[entryKey]*entry)}
 	}
 	return s, nil
 }
 
+// NewWith returns an empty store with every metric in protos
+// registered — how the cluster's nodes, Lambda's layers and the batch
+// recomputes build a store from a backend's MetricTable.
+func NewWith(cfg Config, protos map[string]Prototype) (*Store, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for name, proto := range protos {
+		if err := s.RegisterMetric(name, proto); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // RegisterMetric binds a metric name to the Prototype that builds its
-// bucket synopses. Metrics must be registered before the first write or
-// query that names them; re-registering is an error.
+// bucket synopses (see MetricTable.Register). Metrics must be
+// registered before the first write or query that names them.
 func (s *Store) RegisterMetric(name string, proto Prototype) error {
-	if name == "" {
-		return core.Errf("Store", "metric", "name must be non-empty")
-	}
-	if proto == nil {
-		return core.Errf("Store", "proto", "prototype for %q is nil", name)
-	}
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	cur := *s.metrics.Load()
-	if _, exists := cur[name]; exists {
-		return fmt.Errorf("store: metric %q already registered", name)
-	}
-	next := make(map[string]Prototype, len(cur)+1)
-	maps.Copy(next, cur)
-	next[name] = proto
-	s.metrics.Store(&next)
-	return nil
+	return s.metrics.Register(name, proto)
 }
 
 // Metrics returns the registered metric names (unordered).
 func (s *Store) Metrics() []string {
-	table := *s.metrics.Load()
-	out := make([]string, 0, len(table))
-	for name := range table {
-		out = append(out, name)
-	}
-	return out
-}
-
-func (s *Store) proto(metric string) (Prototype, error) {
-	p, ok := (*s.metrics.Load())[metric]
-	if !ok {
-		return nil, fmt.Errorf("store: %w %q", ErrUnknownMetric, metric)
-	}
-	return p, nil
+	return slices.Collect(maps.Keys(s.metrics.Table()))
 }
 
 // shardIndex routes a series to its home shard.
