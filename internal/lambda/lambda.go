@@ -512,11 +512,11 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 		}
 		return res.Raw(), nil
 	}
-	proto, err := a.metrics.Lookup(metric)
+	newSynopsis, err := a.metrics.Lookup(metric)
 	if err != nil {
 		return nil, err
 	}
-	return proto(), nil
+	return newSynopsis(), nil
 }
 
 // Keys returns the union of keys for the metric across the batch and
