@@ -24,10 +24,12 @@
 // membership change bumps the group generation; each node notices and
 // runs the recovery state machine:
 //
-//	serving ──(generation changed)──► recovering: build a fresh store,
-//	   ▲                              replay every now-owned partition's
-//	   │                              retained prefix up to an end-offset
-//	   │                              snapshot (store.ReplayPartition),
+//	serving ──(generation changed)──► recovering: snapshot the end
+//	   ▲                              offsets, build a store (seeded from
+//	   │                              a checkpoint store.NewFromCheckpoint
+//	   │                              accepts, else fresh), replay every
+//	   │                              now-owned partition up to the
+//	   │                              snapshot (store.ReplayPartitionTo),
 //	   │                              commit the replay ends (fenced)
 //	   └──────(replay complete)────── and swap the store in.
 //
@@ -288,7 +290,8 @@ func (c *Cluster) NodeNames() []string {
 func (c *Cluster) Router() *Router { return c.router }
 
 // Topic returns the ingest topic — the durable input log, shared with the
-// batch layer (store.Rebuild over this topic is the cluster's oracle).
+// batch layer (store.Rebuild over this topic, the same bounded replay
+// node recovery runs, is the cluster's oracle).
 func (c *Cluster) Topic() *mqlog.Topic { return c.topic }
 
 // Lag returns unconsumed messages across the group (router buffers not

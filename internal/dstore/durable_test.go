@@ -3,9 +3,11 @@ package dstore
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/mqlog"
 	"repro/internal/store"
@@ -242,6 +244,80 @@ func TestClusterRestartRefusesFlooredCheckpoint(t *testing.T) {
 		t.Fatalf("Replayed = %d, want 1200 (the full log)", st.Replayed)
 	}
 	if n := assertMatchesOracle(t, c2, oracle(t, c2), to, "after floored checkpoint"); n == 0 {
+		t.Fatal("nothing checked")
+	}
+}
+
+// TestClusterRestartRefusesCheckpointAheadOfLog: a crash can lose the
+// log's unsynced tail while the checkpoint that covered it survives, so
+// the reopened log ends short of the checkpoint's offsets. The snapshot
+// holds observations the log no longer has and no replay from its
+// offsets can start; the node must refuse it, rebuild from the log it
+// has, and answer like the oracle over that log.
+func TestClusterRestartRefusesCheckpointAheadOfLog(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableClusterConfig(dir)
+
+	c1 := newTestCluster(t, cfg)
+	if _, err := c1.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	to := feedAt(t, c1, 400, 37, 0)
+	if err := c1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Cut every segment to 60% of its bytes: torn-tail recovery then
+	// ends each partition short of the checkpoint's offsets.
+	err := filepath.WalkDir(cfg.Durable.Dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".seg" {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		return os.Truncate(path, info.Size()*6/10)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := newTestCluster(t, cfg)
+	var want uint64
+	for _, end := range c2.Topic().EndOffsets() {
+		want += end
+	}
+	if want == 0 || want >= 1200 {
+		t.Fatalf("reopened log holds %d records, want a cut tail (0 < n < 1200)", want)
+	}
+	if _, err := c2.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- c2.Drain() }()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Drain did not return within 5s (%d checkpoint restores): recovery is wedged on the checkpoint", c2.Stats().CheckpointRestores)
+	}
+	st := c2.Stats()
+	if st.Store.Observed != want {
+		t.Fatalf("Store.Observed = %d, want %d (every record the reopened log holds)", st.Store.Observed, want)
+	}
+	if st.CheckpointRestores != 0 {
+		t.Fatalf("CheckpointRestores = %d, want 0 (a checkpoint ahead of the log must not seed a store)", st.CheckpointRestores)
+	}
+	if n := assertMatchesOracle(t, c2, oracle(t, c2), to, "after checkpoint ahead of log"); n == 0 {
 		t.Fatal("nothing checked")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -89,16 +88,6 @@ func (n *Node) currentStore() *store.Store {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.st
-}
-
-// StoreStats returns the serving store's counters; ok is false while the
-// node is recovering.
-func (n *Node) StoreStats() (st store.Stats, ok bool) {
-	s := n.currentStore()
-	if s == nil {
-		return store.Stats{}, false
-	}
-	return s.Stats(), true
 }
 
 // run is the event loop: recover on generation change, otherwise poll the
@@ -204,12 +193,13 @@ func (n *Node) apply(st *store.Store, trc *trace.Tracer, b mqlog.PartitionBatch)
 	}
 }
 
-// recover rebuilds the node's store for the given generation: a fresh
-// store, the full retained prefix of every now-owned partition replayed
-// up to an end-offset snapshot, the replay ends committed (fenced), and
-// only then the store swapped in for serving. If the generation moves
-// again mid-recovery the attempt is abandoned; the event loop retries
-// against the new assignment.
+// recover rebuilds the node's store for the given generation: a store
+// seeded from the node's checkpoint when store.NewFromCheckpoint accepts
+// it for this assignment and an end-offset snapshot (else fresh), every
+// now-owned partition replayed up to that snapshot, the replay ends
+// committed (fenced), and only then the store swapped in for serving. If
+// the generation moves again mid-recovery the attempt is abandoned; the
+// event loop retries against the new assignment.
 func (n *Node) recover(gen int) {
 	start := time.Now()
 	// Leave serving mode: queries block on serveCh until the swap.
@@ -220,63 +210,49 @@ func (n *Node) recover(gen int) {
 	}
 	n.mu.Unlock()
 
-	freshStore := func() (*store.Store, bool) {
-		st, err := store.NewWith(n.c.cfg.Store, n.c.metrics.Table())
-		if err != nil {
-			// Config errors are permanent; park until stopped rather than
-			// hot-loop (New validated the same store config up front, so
-			// this is effectively unreachable).
-			n.c.rejected.Add(1)
-			select {
-			case <-n.stopCh:
-			case <-time.After(time.Millisecond):
-			}
-			return nil, false
-		}
-		if t := n.c.tel.Load(); t != nil {
-			// Wire the fresh store before it serves: re-registration
-			// re-binds the node's metric series to the rebuilt store's
-			// counters, and the store traces into the registry's tracer.
-			st.SetTelemetry(t.reg, "layer", "dstore", "node", n.name)
-		}
-		return st, true
+	assignment := n.c.group.Assignment(n.name)
+	ends := n.c.topic.EndOffsets()
+	var dir string
+	if n.c.cfg.CheckpointDir != "" {
+		dir = n.checkpointDir()
 	}
-	st, ok := freshStore()
-	if !ok {
+	st, starts, err := store.NewFromCheckpoint(n.c.cfg.Store, n.c.metrics.Table(), dir, assignment, ends)
+	if err != nil {
+		// Config errors are permanent; park until stopped rather than
+		// hot-loop (New validated the same store config up front, so
+		// this is effectively unreachable).
+		n.c.rejected.Add(1)
+		select {
+		case <-n.stopCh:
+		case <-time.After(time.Millisecond):
+		}
 		return
 	}
-	// Each partition replays from offset 0: fetch resumes at the oldest
-	// retained message, so this is "replay the whole retained, owned
-	// prefix" regardless of where retention has truncated — the history
-	// below the horizon is unrecoverable by construction. A still-valid
-	// checkpoint raises the start to its recorded offset: the snapshot
-	// already holds [0, offset), so only the suffix replays.
-	assignment := n.c.group.Assignment(n.name)
-	starts := make([]uint64, len(assignment))
-	if n.c.cfg.CheckpointDir != "" {
-		offs, restored, dirty := n.tryRestore(st, assignment)
-		switch {
-		case restored:
-			n.c.ckptRestores.Add(1)
-			for i, pid := range assignment {
-				starts[i] = offs[pid]
-			}
-		case dirty:
-			// The restore failed mid-flight and left partial state: fall
-			// back to a full replay into a rebuilt store.
-			if st, ok = freshStore(); !ok {
-				return
-			}
-		}
+	// Without a checkpoint each partition replays from offset 0: fetch
+	// resumes at the oldest retained message, so this is "replay the
+	// whole retained, owned prefix" regardless of where retention has
+	// truncated — the history below the horizon is unrecoverable by
+	// construction. A restored snapshot already holds [0, offset), so
+	// only the suffix replays.
+	if starts != nil {
+		n.c.ckptRestores.Add(1)
+	} else {
+		starts = make([]uint64, len(ends))
 	}
-	for i, pid := range assignment {
+	if t := n.c.tel.Load(); t != nil {
+		// Wire the store before it serves: re-registration re-binds the
+		// node's metric series to the rebuilt store's counters, and the
+		// store traces into the registry's tracer.
+		st.SetTelemetry(t.reg, "layer", "dstore", "node", n.name)
+	}
+	for _, pid := range assignment {
 		if n.stopped() || n.c.group.Generation() != gen {
 			return
 		}
 		// The replay skips and counts poison itself, so a bad record
 		// cannot wedge recovery; an error here is structural, and the
 		// event loop's next pass retries the whole recovery.
-		rs, err := store.ReplayPartition(st, n.c.topic, pid, starts[i])
+		rs, err := store.ReplayPartitionTo(st, n.c.topic, pid, starts[pid], ends[pid])
 		n.c.replayed.Add(rs.Applied)
 		n.c.rejected.Add(rs.Rejected)
 		if err != nil {
@@ -421,47 +397,6 @@ func (n *Node) writeCheckpoint(gen int) error {
 		return fmt.Errorf("dstore: node %s rebalanced during checkpoint", n.name)
 	}
 	return nil
-}
-
-// tryRestore seeds st from the node's checkpoint when the snapshot still
-// matches this recovery's world: the same owned-partition set, no offset
-// floors (a snapshot a floor-fenced cluster wrote holds only
-// [floor, offset), and resuming past it would never put back the history
-// below the floor), and geometry the restore itself verifies. On success it returns
-// the full per-partition offset array replay resumes from. A restore that
-// fails mid-flight leaves partial state in st; dirty tells the caller to
-// rebuild the store before falling back to the full replay.
-func (n *Node) tryRestore(st *store.Store, assignment []int) (offsets []uint64, ok, dirty bool) {
-	dir := n.checkpointDir()
-	man, err := store.ReadCheckpointManifest(dir)
-	if err != nil {
-		return nil, false, false
-	}
-	if len(man.Floors) != 0 || len(man.Offsets) != n.c.topic.Partitions() || !sameIntSet(man.Partitions, assignment) {
-		return nil, false, false
-	}
-	if _, err := store.RestoreCheckpoint(st, dir); err != nil {
-		return nil, false, true
-	}
-	return man.Offsets, true, false
-}
-
-// sameIntSet reports whether a and b hold the same partition ids,
-// ignoring order.
-func sameIntSet(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]int(nil), a...)
-	bs := append([]int(nil), b...)
-	sort.Ints(as)
-	sort.Ints(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // keys returns the metric's keys resident on this node.

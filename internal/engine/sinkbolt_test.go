@@ -167,7 +167,7 @@ func TestSinkBoltIntoEachBackend(t *testing.T) {
 			if _, err := arch.RunBatch(); err != nil {
 				t.Fatal(err)
 			}
-			if got := arch.SpeedStats().Observed; got != 0 {
+			if got := arch.Stats().Observed; got != 0 {
 				t.Fatalf("speed layer holds %d observations after the handoff", got)
 			}
 			matchesRef(t, h.be)
@@ -462,7 +462,7 @@ func TestLambdaBoltDrivesBothLayers(t *testing.T) {
 	if _, err := a.RunBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if obs := a.SpeedStats().Observed; obs != 0 {
+	if obs := a.Stats().Observed; obs != 0 {
 		t.Fatalf("speed layer holds %d observations after handoff", obs)
 	}
 	counts("post-batch")

@@ -354,7 +354,7 @@ func F1_Lambda() Table {
 		exact[k]++
 		if i%batchEvery == batchEvery-1 {
 			bErr, mErr := probeErr()
-			t.AddRow(d(i+1)+" (pre-batch)", d(arch.Staleness()), f(bErr), f(mErr), d(arch.SpeedStats().Observed))
+			t.AddRow(d(i+1)+" (pre-batch)", d(arch.Staleness()), f(bErr), f(mErr), d(arch.Stats().Observed))
 			start := time.Now()
 			if _, err := arch.RunBatch(); err != nil {
 				panic(err)
@@ -362,7 +362,7 @@ func F1_Lambda() Table {
 			recompute := time.Since(start)
 			bErr, mErr = probeErr()
 			t.AddRow(fmt.Sprintf("%d (post-batch %.1fms)", i+1, recompute.Seconds()*1000),
-				d(arch.Staleness()), f(bErr), f(mErr), d(arch.SpeedStats().Observed))
+				d(arch.Staleness()), f(bErr), f(mErr), d(arch.Stats().Observed))
 		}
 	}
 	return t

@@ -190,11 +190,23 @@ func (a *Architecture) ensureStarted() error {
 	}
 	a.speedMu.Lock()
 	defer a.speedMu.Unlock()
-	if _, err := store.Replay(fresh, a.topic); err != nil {
+	if err := a.replayMaster(fresh, make([]uint64, a.topic.Partitions())); err != nil {
 		return err
 	}
 	a.speed = fresh
 	a.started.Store(true)
+	return nil
+}
+
+// replayMaster replays every master partition from from[pid] to the
+// log's end into a fresh speed store. Callers hold speedMu for writing,
+// so the end is the whole log: no append can land past it unseen.
+func (a *Architecture) replayMaster(st *store.Store, from []uint64) error {
+	for pid, end := range a.topic.EndOffsets() {
+		if _, err := store.ReplayPartitionTo(st, a.topic, pid, from[pid], end); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -280,11 +292,9 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 		return BatchInfo{}, err
 	}
 	a.speedMu.Lock()
-	for pid := 0; pid < a.topic.Partitions(); pid++ {
-		if _, err := store.ReplayPartitionTo(fresh, a.topic, pid, ends[pid], a.topic.EndOffset(pid)); err != nil {
-			a.speedMu.Unlock()
-			return BatchInfo{}, err
-		}
+	if err := a.replayMaster(fresh, ends); err != nil {
+		a.speedMu.Unlock()
+		return BatchInfo{}, err
 	}
 	a.speed = fresh
 	a.batch.Store(view)
@@ -520,38 +530,22 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 }
 
 // Keys returns the union of keys for the metric across the batch and
-// speed layers (unordered, deduplicated). As in Query, the layer pair is
-// snapshotted under the cutover's read lock. Like any read it is a first
-// use; a start that fails lists nothing, and the next Query reports why.
+// speed layers (sorted, deduplicated — the union QueryContext resolves
+// AllKeys against). As in Query, the layer pair is snapshotted under the
+// cutover's read lock. Like any read it is a first use; a start that
+// fails lists nothing, and the next Query reports why.
 func (a *Architecture) Keys(metric string) []string {
 	if a.ensureStarted() != nil {
 		return nil
 	}
-	seen := make(map[string]struct{})
 	a.speedMu.RLock()
-	view := a.batch.Load()
-	for _, k := range a.speed.Keys(metric) {
-		seen[k] = struct{}{}
-	}
-	a.speedMu.RUnlock()
-	if view != nil {
-		for _, k := range view.Keys(metric) {
-			seen[k] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
+	defer a.speedMu.RUnlock()
+	return unionKeys(a.speed.Keys(metric), viewKeys(a.batch.Load(), metric))
 }
 
 // BatchView returns the current sealed batch view (nil before the first
 // RunBatch).
 func (a *Architecture) BatchView() *store.FrozenView { return a.batch.Load() }
-
-// BatchVersion returns how many batch views have been installed.
-func (a *Architecture) BatchVersion() uint64 { return a.version.Load() }
 
 // Staleness returns the number of master-log records not yet covered by
 // the batch view — the speed layer's raison d'être. It counts the log, not
@@ -585,18 +579,14 @@ func (a *Architecture) Appended() uint64 { return a.appended.Load() }
 // and audits rebuild from.
 func (a *Architecture) Topic() *mqlog.Topic { return a.topic }
 
-// SpeedStats returns the speed layer's store counters — how much the
-// realtime view currently absorbs.
-func (a *Architecture) SpeedStats() store.Stats {
+// Stats snapshots the speed layer's store counters — how much the
+// realtime view currently absorbs (the sealed batch view reports
+// separately via BatchView().Stats()).
+func (a *Architecture) Stats() store.Stats {
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
 	return a.speed.Stats()
 }
-
-// Stats snapshots the speed layer's store counters — the
-// analytics.Backend form of SpeedStats (the sealed batch view reports
-// separately via BatchView().Stats()).
-func (a *Architecture) Stats() store.Stats { return a.SpeedStats() }
 
 // Flush is the analytics.Backend no-op: appends are synchronous, so
 // there are no producer-side buffers to settle.

@@ -188,7 +188,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The speed layer holds exactly the uncovered suffix: nothing.
-	if obs := a.SpeedStats().Observed; obs != 0 {
+	if obs := a.Stats().Observed; obs != 0 {
 		t.Fatalf("speed layer retains %d observations after batch handoff", obs)
 	}
 	// Merged query must not double count.
@@ -213,7 +213,7 @@ func TestRunBatchTruncatesSpeedLayer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if obs := a.SpeedStats().Observed; obs != 10 {
+	if obs := a.Stats().Observed; obs != 10 {
 		t.Fatalf("speed layer holds %d, want the 10-event tail", obs)
 	}
 	if s := a.Staleness(); s != 10 {

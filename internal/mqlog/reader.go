@@ -4,9 +4,9 @@
 // end of the log. This is the primitive batch-layer recomputation needs —
 // a batch view is defined by the log prefix it covers, so the reader must
 // stop at the freeze point no matter how far producers have advanced the
-// partition since — and the primitive log-based recovery already used
-// implicitly by clamping fetches inside store.ReplayPartition, now
-// exposed where it belongs: next to the log.
+// partition since — and the one log-based recovery uses too: every
+// store rebuild (store.ReplayPartitionTo, under cluster node recovery,
+// frozen batch views and Lambda's speed layer) reads through it.
 package mqlog
 
 import "repro/internal/core"

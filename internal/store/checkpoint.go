@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -234,8 +235,8 @@ func RemoveCheckpoint(dir string) error {
 }
 
 // ReadCheckpointManifest loads and sanity-checks dir's manifest without
-// touching the data file — the cheap compatibility probe recovery runs
-// before deciding whether to restore or fall back to a full replay.
+// touching the data file — the cheap probe NewFromCheckpoint runs before
+// deciding whether to restore or fall back to a full replay.
 func ReadCheckpointManifest(dir string) (*CheckpointManifest, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -249,6 +250,48 @@ func ReadCheckpointManifest(dir string) (*CheckpointManifest, error) {
 		return nil, fmt.Errorf("store: checkpoint manifest version %d: %w", man.Version, core.ErrIncompatible)
 	}
 	return &man, nil
+}
+
+// NewFromCheckpoint returns a fresh store built from cfg and protos,
+// restored from dir's checkpoint when that checkpoint may stand for the
+// log prefix a replay is about to skip, together with the per-partition
+// offsets the replay resumes from — nil when the store is empty. This is
+// the one seed rule every restorer uses. The manifest must carry no
+// floors (a fenced snapshot lacks the history below them), one offset per
+// partition (len(ends)), exactly the partition set parts (nil: an
+// unrestricted checkpoint; a cluster node passes its assignment), and no
+// offset past its bound in ends: a snapshot ahead of the bound holds
+// observations the replay's prefix must not contain — a freeze at an
+// older cut, or a log that lost its unsynced tail in a crash — and no
+// replay can subtract them. Geometry is RestoreCheckpoint's to check.
+// An empty dir, a missing or refused checkpoint, and a restore that
+// fails part-way all yield a fresh empty store.
+func NewFromCheckpoint(cfg Config, protos map[string]Prototype, dir string, parts []int, ends []uint64) (*Store, []uint64, error) {
+	st, err := NewWith(cfg, protos)
+	if err != nil || dir == "" {
+		return st, nil, err
+	}
+	man, err := ReadCheckpointManifest(dir)
+	if err != nil || len(man.Floors) != 0 || len(man.Offsets) != len(ends) {
+		return st, nil, nil
+	}
+	for pid, off := range man.Offsets {
+		if off > ends[pid] {
+			return st, nil, nil
+		}
+	}
+	have, want := slices.Clone(man.Partitions), slices.Clone(parts)
+	slices.Sort(have)
+	slices.Sort(want)
+	if !slices.Equal(have, want) {
+		return st, nil, nil
+	}
+	if _, err := RestoreCheckpoint(st, dir); err != nil {
+		// The failed restore left partial state; start over empty.
+		st, err = NewWith(cfg, protos)
+		return st, nil, err
+	}
+	return st, man.Offsets, nil
 }
 
 // RestoreCheckpoint rehydrates st — which must be empty, with every

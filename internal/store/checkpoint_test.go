@@ -344,7 +344,9 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 
 	// A checkpoint restricted to an owned partition subset, or written
 	// under an offset floor, covers [floor, off) per partition — a batch
-	// view claims [0, ends), so both must be rejected, not restored.
+	// view claims [0, ends), so both must be rejected, not restored. So
+	// must one with an offset past ends (it holds records the cut
+	// excludes) and one with too few offsets.
 	st := ckptStore(t, ckptGeom())
 	for i := 0; i < 50; i++ {
 		for _, obs := range ckptObs(i) {
@@ -353,12 +355,16 @@ func TestFreezeAtFromCheckpointSeedsSuffix(t *testing.T) {
 			}
 		}
 	}
+	ahead := append([]uint64(nil), ends...)
+	ahead[len(ahead)-1]++
 	for name, c := range map[string]struct {
 		meta   CheckpointMeta
 		floors []uint64
 	}{
-		"owned-subset": {meta: CheckpointMeta{Offsets: ends, Partitions: []int{0, 1}}},
-		"floored":      {meta: CheckpointMeta{Offsets: ends}, floors: []uint64{1, 1, 1, 1}},
+		"owned-subset":  {meta: CheckpointMeta{Offsets: ends, Partitions: []int{0, 1}}},
+		"floored":       {meta: CheckpointMeta{Offsets: ends}, floors: []uint64{1, 1, 1, 1}},
+		"ahead-of-ends": {meta: CheckpointMeta{Offsets: ahead}},
+		"wrong-width":   {meta: CheckpointMeta{Offsets: ends[:3]}},
 	} {
 		sub := t.TempDir()
 		if _, err := WriteCheckpoint(st, sub, c.meta); err != nil {

@@ -121,8 +121,8 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // Replay and Rebuild are the batch layer; today they also run against
 // stores that are concurrently absorbing live traffic (warming a store
 // while it serves, rebuilding while producers keep appending). Race the
-// three against each other — live writers into the same store Replay is
-// feeding, producers appending to the topic mid-replay, and a Rebuild of
+// three against each other — live writers into the same store a replay
+// is feeding, producers appending to the topic mid-replay, and a Rebuild of
 // an independent store from the same topic — under -race in CI.
 func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 	broker := mqlog.NewBroker()
@@ -177,7 +177,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 			}
 		}(w)
 	}
-	// Producers appending while the replay below runs: Replay clamps to
+	// Producers appending while the replay below runs: the replay clamps to
 	// the end offsets it snapshots, so these belong to live ingest.
 	wg.Add(1)
 	go func() {
@@ -191,7 +191,7 @@ func TestReplayRebuildConcurrentWithObserve(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		n, err := Replay(live, topic)
+		n, err := replayAll(live, topic)
 		if err != nil {
 			t.Error(err)
 			return

@@ -1,10 +1,11 @@
 // frozen.go is the batch-serving half of the Lambda split: a store
 // recomputed from the log up to a frozen end-offset snapshot and then
-// sealed. Where replay.go's Rebuild answers "what would a fresh store
-// say about everything retained right now", FreezeAtFrom answers the
-// question the batch layer actually asks — "what did the log say up to
-// exactly this cut" — so that a speed layer serving [ends, ...)
-// composes with it into a complete, double-count-free answer
+// sealed. FreezeAtFrom answers the question the batch layer asks — "what
+// did the log say up to exactly this cut" — with the same two steps as
+// every other rebuild: NewFromCheckpoint seeds the store when a snapshot
+// may stand for a prefix of the cut, and ReplayPartitionTo replays each
+// partition up to the cut. A speed layer serving [ends, ...) composes
+// with the view into a complete, double-count-free answer
 // (lambda.Architecture.Query merges the two through CombineSnapshots).
 // The view is sealed by construction: it exposes no write path, so its
 // answers are immutable once built, the property Figure 1 assigns to
@@ -39,9 +40,9 @@ type FrozenView struct {
 // log-backed batch layer makes.
 //
 // With a non-empty checkpointDir the recompute is incremental: when the
-// directory holds a compatible checkpoint (same geometry, offsets that
-// do not exceed ends, no owned-partition restriction), the view is
-// rehydrated from the snapshot and only the log suffix
+// directory holds a checkpoint NewFromCheckpoint accepts for ends with no
+// partition restriction (same geometry, no offset past ends), the view
+// is rehydrated from the snapshot and only the log suffix
 // [checkpoint offsets, ends) is replayed — Applied then counts just the
 // suffix, and Restored/FromCheckpoint report the snapshot's
 // contribution. Any incompatibility or corruption falls back to the
@@ -54,26 +55,16 @@ func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, e
 	if len(ends) != topic.Partitions() {
 		return nil, core.Errf("FreezeAtFrom", "ends", "%d bounds for %d partitions", len(ends), topic.Partitions())
 	}
-	st, err := NewWith(cfg, protos)
+	st, starts, err := NewFromCheckpoint(cfg, protos, checkpointDir, nil, ends)
 	if err != nil {
 		return nil, err
 	}
-	v := &FrozenView{ends: append([]uint64(nil), ends...)}
-	starts := make([]uint64, topic.Partitions())
-	if checkpointDir != "" {
-		if man, err := ReadCheckpointManifest(checkpointDir); err == nil && checkpointCoversFreeze(man, st, ends) {
-			if _, err := RestoreCheckpoint(st, checkpointDir); err == nil {
-				copy(starts, man.Offsets)
-				v.restored = man.Records
-				v.fromCheckpoint = true
-			} else if st, err = NewWith(cfg, protos); err != nil {
-				// A failed restore leaves partial state; recompute from a
-				// fresh store instead.
-				return nil, err
-			}
-		}
+	v := &FrozenView{st: st, ends: append([]uint64(nil), ends...), fromCheckpoint: starts != nil}
+	if v.fromCheckpoint {
+		v.restored = st.restored.Load()
+	} else {
+		starts = make([]uint64, len(ends))
 	}
-	v.st = st
 	for pid := 0; pid < topic.Partitions(); pid++ {
 		// From the checkpoint offset when restoring, else offset 0 — not
 		// StartOffset: a batch view claims the whole prefix [0, ends), so
@@ -90,26 +81,6 @@ func FreezeAtFrom(cfg Config, protos map[string]Prototype, topic *mqlog.Topic, e
 		}
 	}
 	return v, nil
-}
-
-// checkpointCoversFreeze reports whether a manifest can seed a freeze at
-// ends on a store with st's geometry: same bucketing, a full (unowned)
-// partition set of the right width, and no offset past its bound — a
-// checkpoint ahead of ends would bake in observations the view must not
-// contain, and no replay can subtract them.
-func checkpointCoversFreeze(man *CheckpointManifest, st *Store, ends []uint64) bool {
-	if man.BucketWidth != st.cfg.BucketWidth || man.RingBuckets != st.cfg.RingBuckets {
-		return false
-	}
-	if len(man.Partitions) != 0 || len(man.Floors) != 0 || len(man.Offsets) != len(ends) {
-		return false
-	}
-	for pid, off := range man.Offsets {
-		if off > ends[pid] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteCheckpoint snapshots the sealed view into dir, stamped with the

@@ -1,11 +1,12 @@
-// replay.go is the batch-layer half of the Lambda split: where
-// ObserveBatch ingests the live stream, Rebuild replays the retained
-// prefix of an mqlog topic into a fresh store. A speed-layer store fed
-// by a topology and a batch-layer store rebuilt from the log converge to
-// the same synopses over the log's retention window, which is exactly
+// replay.go is the way back from the log: ReplayPartitionTo, the one
+// bounded replay, feeds a partition's records in [from, end) into a store.
+// Where ObserveBatch ingests the live stream, every rebuild of serving
+// state — a cluster node's recovery, a frozen batch view (frozen.go),
+// Lambda's speed layer, and Rebuild's fresh recomputation — is a loop of
+// this call over the partitions, so a store rebuilt from the log and one
+// fed live converge to the same synopses over the log's retention window:
 // the recomputation guarantee Figure 1 of the tutorial assigns to the
-// batch layer — and the recovery path when a speed-layer process is
-// lost.
+// batch layer, and the recovery path when a speed-layer process is lost.
 package store
 
 import (
@@ -100,33 +101,19 @@ type ReplayStats struct {
 // ObserveBatch, at a time.
 const replayChunk = 1024
 
-// ReplayPartition feeds one partition's records in [from, end) into the
-// store, where end is the partition's end offset as of the call (writes
-// racing the replay are left to the live ingest path) and a from older
-// than the retained prefix resumes at the oldest retained record —
-// Kafka's "earliest" reset — with Truncated reporting that records were
-// lost to retention.
-func ReplayPartition(st *Store, topic *mqlog.Topic, pid int, from uint64) (ReplayStats, error) {
-	if topic == nil {
-		return ReplayStats{}, core.Errf("ReplayPartition", "topic", "must be non-nil")
-	}
-	if pid < 0 || pid >= topic.Partitions() {
-		return ReplayStats{}, core.Errf("ReplayPartition", "pid", "%d out of range", pid)
-	}
-	return ReplayPartitionTo(st, topic, pid, from, topic.EndOffset(pid))
-}
-
-// ReplayPartitionTo is ReplayPartition with an explicit exclusive end
-// bound — the offset-fenced form batch-view recomputation is built on: a
-// batch view is defined by the log prefix [.., ends) it covers, so its
-// replay must stop at the frozen bound no matter how far producers have
-// advanced the partition since the freeze (an mqlog.Reader enforces the
-// bound even when retention truncates the range mid-replay). A speed
-// layer resuming after a batch handoff is the same call with from = the
-// batch view's end offset. Each chunk the reader hands over is decoded,
-// stripped of poison (counted in Rejected, never an error: one bad
-// record must not wedge every future replay at its offset) and applied
-// in one ObserveBatch.
+// ReplayPartitionTo feeds one partition's records in [from, end) into
+// the store — the one way back from the log. end is an exclusive bound
+// the caller snapshotted (Topic.EndOffsets): a batch view is defined by
+// the log prefix it covers and a recovering node by the prefix it
+// commits, so the replay stops at the bound no matter how far producers
+// have advanced the partition since (an mqlog.Reader enforces it even
+// when retention truncates the range mid-replay), and writes past it are
+// left to the live ingest path. A from older than the retained prefix
+// resumes at the oldest retained record — Kafka's "earliest" reset —
+// with Truncated reporting that records were lost to retention. Each
+// chunk the reader hands over is decoded, stripped of poison (counted in
+// Rejected, never an error: one bad record must not wedge every future
+// replay at its offset) and applied in one ObserveBatch.
 func ReplayPartitionTo(st *Store, topic *mqlog.Topic, pid int, from, end uint64) (ReplayStats, error) {
 	rs := ReplayStats{Next: from}
 	if st == nil || topic == nil {
@@ -155,41 +142,40 @@ func ReplayPartitionTo(st *Store, topic *mqlog.Topic, pid int, from, end uint64)
 	return rs, nil
 }
 
-// Replay feeds the retained prefix of every partition of the topic into
-// the store, from each partition's oldest retained offset up to its end
-// offset as of the call (writes racing the replay are picked up by the
-// live ingest path, not the replay). It returns the number of decoded
-// observations fed to the store; poison records are skipped, and
-// observations older than an entry's ring window are dropped by the
-// store itself and show up in Stats().DroppedLate, not as a reduced
-// count here.
-func Replay(st *Store, topic *mqlog.Topic) (uint64, error) {
-	if st == nil || topic == nil {
-		return 0, core.Errf("Replay", "store/topic", "must be non-nil")
+// Rebuild constructs a fresh store with the given config and metric
+// prototypes and replays every partition's retained prefix, up to its end
+// offset as of the call, into it — the batch-layer recomputation, and
+// the oracle tests and experiments hold the other backends to. The
+// returned store is independent of any live store consuming the same
+// topic. The count is the observations fed to the store: poison records
+// are skipped, and observations older than an entry's ring window are
+// dropped by the store itself and show up in Stats().DroppedLate, not as
+// a reduced count here.
+func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic) (*Store, uint64, error) {
+	st, err := NewWith(cfg, protos)
+	if err != nil {
+		return nil, 0, err
+	}
+	applied, err := replayAll(st, topic)
+	if err != nil {
+		return nil, applied, err
+	}
+	return st, applied, nil
+}
+
+// replayAll replays every partition of the topic from offset 0 (the
+// oldest retained record) up to an end-offset snapshot taken at entry.
+func replayAll(st *Store, topic *mqlog.Topic) (uint64, error) {
+	if topic == nil {
+		return 0, core.Errf("Rebuild", "topic", "must be non-nil")
 	}
 	var applied uint64
-	for pid := 0; pid < topic.Partitions(); pid++ {
-		rs, err := ReplayPartition(st, topic, pid, topic.StartOffset(pid))
+	for pid, end := range topic.EndOffsets() {
+		rs, err := ReplayPartitionTo(st, topic, pid, 0, end)
 		applied += rs.Applied
 		if err != nil {
 			return applied, err
 		}
 	}
 	return applied, nil
-}
-
-// Rebuild constructs a fresh store with the given config and metric
-// prototypes and replays the topic into it — the batch-layer
-// recomputation. The returned store is independent of any live store
-// consuming the same topic.
-func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic) (*Store, uint64, error) {
-	st, err := NewWith(cfg, protos)
-	if err != nil {
-		return nil, 0, err
-	}
-	applied, err := Replay(st, topic)
-	if err != nil {
-		return nil, applied, err
-	}
-	return st, applied, nil
 }

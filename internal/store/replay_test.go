@@ -99,7 +99,7 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 	// Restart leg: resume each partition from its committed offset.
 	for pid := 0; pid < topic.Partitions(); pid++ {
 		from := broker.Committed("speed", "events", pid)
-		rs, err := ReplayPartition(st, topic, pid, from)
+		rs, err := ReplayPartitionTo(st, topic, pid, from, topic.EndOffset(pid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestReplayResumesFromCommittedOffsets(t *testing.T) {
 
 	// One-pass oracle.
 	oracle := newStore()
-	if n, err := Replay(oracle, topic); err != nil || n != total {
+	if n, err := replayAll(oracle, topic); err != nil || n != total {
 		t.Fatalf("oracle replay: n=%d err=%v", n, err)
 	}
 	for k := 0; k < 7; k++ {
@@ -144,7 +144,7 @@ func TestReplayPartitionTruncatedOffset(t *testing.T) {
 		t.Fatal("retention did not truncate the partition")
 	}
 	st := newStore()
-	rs, err := ReplayPartition(st, topic, 0, 3)
+	rs, err := ReplayPartitionTo(st, topic, 0, 3, topic.EndOffset(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +162,13 @@ func TestReplayPartitionTruncatedOffset(t *testing.T) {
 // TestReplayPartitionValidation pins the error surface.
 func TestReplayPartitionValidation(t *testing.T) {
 	_, topic, newStore := replayFixture(t, 1, 0, 10)
-	if _, err := ReplayPartition(nil, topic, 0, 0); err == nil {
+	if _, err := ReplayPartitionTo(nil, topic, 0, 0, 0); err == nil {
 		t.Fatal("nil store accepted")
 	}
-	if _, err := ReplayPartition(newStore(), nil, 0, 0); err == nil {
+	if _, err := ReplayPartitionTo(newStore(), nil, 0, 0, 0); err == nil {
 		t.Fatal("nil topic accepted")
 	}
-	if _, err := ReplayPartition(newStore(), topic, 9, 0); err == nil {
+	if _, err := ReplayPartitionTo(newStore(), topic, 9, 0, 0); err == nil {
 		t.Fatal("out-of-range partition accepted")
 	}
 }
