@@ -299,6 +299,47 @@ func TestSparseHLLStartsSparseAndConverts(t *testing.T) {
 	}
 }
 
+// A sparse receiver decodes into the form and footprint the encoded
+// sketch was in: the occupied registers while they fit the sparse form,
+// counted by capacity as updates grew them; dense past the crossover. A
+// dense receiver always decodes dense.
+func TestSparseHLLDecodeKeepsForm(t *testing.T) {
+	live, _ := NewSparseHLL(10, 5)
+	for i := uint64(0); i < 400; i++ {
+		live.UpdateUint64(i)
+		raw, _ := live.MarshalBinary()
+		recv, _ := NewSparseHLL(10, 5)
+		if err := recv.UnmarshalBinary(raw); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := recv.MarshalBinary()
+		if !bytes.Equal(got, raw) || recv.Estimate() != live.Estimate() {
+			t.Fatalf("after %d items: decoded sketch differs", i+1)
+		}
+		if recv.IsSparse() != live.IsSparse() || recv.Bytes() != live.Bytes() {
+			t.Fatalf("after %d items: decoded sparse %v in %d bytes, live %v in %d",
+				i+1, recv.IsSparse(), recv.Bytes(), live.IsSparse(), live.Bytes())
+		}
+		dense, _ := NewHyperLogLog(10, 5)
+		if err := dense.UnmarshalBinary(raw); err != nil || dense.IsSparse() {
+			t.Fatalf("after %d items: dense receiver decoded sparse %v (%v)", i+1, dense.IsSparse(), err)
+		}
+	}
+	if live.IsSparse() {
+		t.Fatal("400 distinct items left a p10 sketch sparse")
+	}
+	// Bytes counts the sparse entries' allocation, which Reset keeps.
+	small, _ := NewSparseHLL(10, 5)
+	for i := uint64(0); i < 20; i++ {
+		small.UpdateUint64(i)
+	}
+	held := small.Bytes()
+	small.Reset()
+	if small.Bytes() != held {
+		t.Fatalf("a reset sparse sketch reports %d bytes, its allocation is %d", small.Bytes(), held)
+	}
+}
+
 func TestSparseHLLMergeMixedModes(t *testing.T) {
 	mkPair := func() (*SparseHLL, *SparseHLL) {
 		a, _ := NewSparseHLL(12, 31)

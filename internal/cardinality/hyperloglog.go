@@ -150,8 +150,8 @@ func (h *HyperLogLog) Seed() uint64 { return h.seed }
 // Reset empties the sketch in its current form, reusing the register
 // array. Zeroing 2^precision bytes in place is far cheaper than
 // allocating (and later garbage-collecting) a replacement, which is what
-// makes recycling HLL buckets worthwhile for high-churn callers like the
-// sketch store's bucket rings.
+// makes recycling HLLs worthwhile for high-churn callers like the sketch
+// store's pooled query accumulators.
 func (h *HyperLogLog) Reset() {
 	clear(h.registers)
 	h.sparse = h.sparse[:0]
@@ -162,8 +162,9 @@ func (h *HyperLogLog) Reset() {
 func (h *HyperLogLog) m() int { return 1 << h.precision }
 
 // Bytes returns the footprint of the form the sketch is in: the register
-// array, or the sparse entries.
-func (h *HyperLogLog) Bytes() int { return len(h.registers) + sparseEntryBytes*len(h.sparse) + 16 }
+// array, or the sparse entries' allocation — its capacity, which updates
+// grow by append, not just the entries in use.
+func (h *HyperLogLog) Bytes() int { return len(h.registers) + sparseEntryBytes*cap(h.sparse) + 16 }
 
 // Merge folds another HLL into h. Both must share precision and seed;
 // merging is register-wise max and is exactly equivalent to having streamed
@@ -216,9 +217,12 @@ func (h *HyperLogLog) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary decodes a sketch previously encoded with MarshalBinary
-// into the dense form, reusing the receiver's register array when it
-// already has the encoded size.
+// UnmarshalBinary decodes a sketch previously encoded with MarshalBinary.
+// A dense receiver takes the registers into its array, reused when it
+// already has the encoded size. A sparse one stays sparse when the
+// occupied registers fit (see sparseFits), appending them one by one from
+// empty as updates grow the entries, so the decoded sketch has the
+// footprint the encoded one had; otherwise it turns dense.
 func (h *HyperLogLog) UnmarshalBinary(data []byte) error {
 	if len(data) < 17 {
 		return core.ErrCorrupt
@@ -230,11 +234,21 @@ func (h *HyperLogLog) UnmarshalBinary(data []byte) error {
 	h.precision = p
 	h.seed = binary.LittleEndian.Uint64(data[1:])
 	h.items = binary.LittleEndian.Uint64(data[9:])
+	regs := data[17:]
+	sparse := h.registers == nil && h.sparseFits(occupiedCount(regs))
+	h.sparse = nil
+	if sparse {
+		for i, r := range regs {
+			if r != 0 {
+				h.sparse = append(h.sparse, uint32(i)<<8|uint32(r))
+			}
+		}
+		return nil
+	}
 	if len(h.registers) != 1<<p {
 		h.registers = make([]uint8, 1<<p)
 	}
-	h.sparse = nil
-	copy(h.registers, data[17:])
+	copy(h.registers, regs)
 	return nil
 }
 

@@ -46,12 +46,9 @@ func (h *HyperLogLog) Compact() *HyperLogLog {
 		return nil
 	}
 	// Both passes take eight registers per step, free of per-register
-	// branches: seals run under a shard's write lock, and at the
-	// occupancies that compact a register-by-register test mispredicts.
-	n := 0
-	for base := 0; base < len(h.registers); base += 8 {
-		n += bits.OnesCount64(occupied(binary.LittleEndian.Uint64(h.registers[base:])))
-	}
+	// branches: at the occupancies that compact a register-by-register
+	// test mispredicts.
+	n := occupiedCount(h.registers)
 	if !h.sparseFits(n) {
 		return nil
 	}
@@ -64,6 +61,16 @@ func (h *HyperLogLog) Compact() *HyperLogLog {
 		}
 	}
 	return c
+}
+
+// occupiedCount returns how many of the registers are non-zero; their
+// count is a multiple of eight.
+func occupiedCount(registers []uint8) int {
+	n := 0
+	for base := 0; base < len(registers); base += 8 {
+		n += bits.OnesCount64(occupied(binary.LittleEndian.Uint64(registers[base:])))
+	}
+	return n
 }
 
 // occupied marks the non-zero bytes of word: bit 8i+7 of the result is set

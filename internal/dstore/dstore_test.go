@@ -449,14 +449,20 @@ func TestPerNodeBudgetsPartitionState(t *testing.T) {
 		}
 		r := c.Router()
 		// ~512 HLL series at 4 KB each = ~2 MB of working set vs a
-		// 256 KB per-node budget.
-		for i := 0; i < 4096; i++ {
-			if err := r.ObserveBatch([]store.Observation{{
-				Metric: "uniq",
-				Key:    fmt.Sprintf("k%d", i%512),
-				Item:   fmt.Sprintf("u%d", i),
-				Time:   1,
-			}}); err != nil {
+		// 256 KB per-node budget. Buckets open sparse, so each series
+		// gets 800 distinct items — well past the 512 occupied registers
+		// where a precision-12 HLL turns dense.
+		for k := 0; k < 512; k++ {
+			batch := make([]store.Observation, 0, 800)
+			for j := 0; j < 800; j++ {
+				batch = append(batch, store.Observation{
+					Metric: "uniq",
+					Key:    fmt.Sprintf("k%d", k),
+					Item:   fmt.Sprintf("u%d", j),
+					Time:   1,
+				})
+			}
+			if err := r.ObserveBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,9 +29,10 @@ import (
 // probability 1-delta for width=e/eps, depth=ln(1/delta).
 //
 // A sketch that has absorbed little holds mostly zeros, so it has a
-// second, read-mostly representation: Compact returns a copy holding only
-// the non-zero cells, sorted. Every method answers identically in either
-// form; the first update to a sparse sketch converts it back.
+// second representation holding only the non-zero cells, sorted: a sketch
+// from NewSparseCountMin starts in it and turns dense by itself once the
+// entries stop fitting (see sparseFits), and Compact returns such a copy
+// of a dense sketch. Every method answers identically in either form.
 type CountMin struct {
 	width        int
 	depth        int
@@ -58,15 +59,26 @@ func (cm *CountMin) sparseFits(n int) bool { return 2*cmCellBytes*n < 8*cm.width
 
 // NewCountMin returns a sketch with the given width and depth.
 func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
+	cm, err := NewSparseCountMin(width, depth, seed)
+	if err != nil {
+		return nil, err
+	}
+	cm.counts = cm.newRows()
+	return cm, nil
+}
+
+// NewSparseCountMin returns an empty sketch with the given width and
+// depth in the sparse form: it allocates no counter matrix until its
+// non-zero counters stop fitting the sparse entries, then converts
+// itself to dense in place.
+func NewSparseCountMin(width, depth int, seed uint64) (*CountMin, error) {
 	if width <= 0 {
 		return nil, core.Errf("CountMin", "width", "%d must be positive", width)
 	}
 	if depth <= 0 {
 		return nil, core.Errf("CountMin", "depth", "%d must be positive", depth)
 	}
-	cm := &CountMin{width: width, depth: depth, fam: hashutil.NewFamily(seed)}
-	cm.counts = cm.newRows()
-	return cm, nil
+	return &CountMin{width: width, depth: depth, fam: hashutil.NewFamily(seed)}, nil
 }
 
 func (cm *CountMin) newRows() [][]uint64 {
@@ -129,6 +141,30 @@ func (cm *CountMin) expand() {
 	}
 }
 
+// IsSparse reports whether the sketch is in its sparse representation.
+func (cm *CountMin) IsSparse() bool { return cm.counts == nil }
+
+// findCell returns the position of cell in the sparse entries, or where
+// it would be inserted, and whether it is there.
+func (cm *CountMin) findCell(cell uint64) (int, bool) {
+	return slices.BinarySearchFunc(cm.sparse, cell, func(e cmCell, c uint64) int { return cmp.Compare(e.cell, c) })
+}
+
+// addSparse is the sparse form's counter update: add count to cell,
+// inserting it in order if it was zero, and convert to the dense form
+// when the entries stop fitting.
+func (cm *CountMin) addSparse(cell, count uint64) {
+	i, ok := cm.findCell(cell)
+	if ok {
+		cm.sparse[i].count += count
+		return
+	}
+	cm.sparse = slices.Insert(cm.sparse, i, cmCell{cell: cell, count: count})
+	if !cm.sparseFits(len(cm.sparse)) {
+		cm.expand()
+	}
+}
+
 // NewCountMinWithError returns a sketch sized for additive error eps*N with
 // failure probability delta (width = ceil(e/eps), depth = ceil(ln(1/delta))).
 func NewCountMinWithError(eps, delta float64, seed uint64) (*CountMin, error) {
@@ -164,16 +200,24 @@ func (cm *CountMin) UpdateString(item string, count uint64) {
 }
 
 func (cm *CountMin) updateHashed(h1, h2 uint64, count uint64) {
-	cm.expand()
+	if count == 0 {
+		return // a sparse entry is never zero; the dense form adds nothing
+	}
 	cm.n += count
 	if !cm.conservative {
 		for d := 0; d < cm.depth; d++ {
 			idx := hashutil.DoubleHash(h1, h2, uint(d)) % uint64(cm.width)
-			cm.counts[d][idx] += count
+			if cm.counts != nil {
+				cm.counts[d][idx] += count
+			} else {
+				cm.addSparse(uint64(d*cm.width)+idx, count)
+			}
 		}
 		return
 	}
-	// Conservative update: new value is max(cell, estimate+count).
+	// Conservative update: new value is max(cell, estimate+count). It
+	// reads every row's cell before it writes any, on the dense form.
+	cm.expand()
 	est := ^uint64(0)
 	idxs := make([]uint64, cm.depth)
 	for d := 0; d < cm.depth; d++ {
@@ -199,11 +243,8 @@ func (cm *CountMin) Estimate(item []byte) uint64 {
 		var v uint64
 		if cm.counts != nil {
 			v = cm.counts[d][idx]
-		} else {
-			cell := uint64(d*cm.width) + idx
-			if i, ok := slices.BinarySearchFunc(cm.sparse, cell, func(e cmCell, c uint64) int { return cmp.Compare(e.cell, c) }); ok {
-				v = cm.sparse[i].count
-			}
+		} else if i, ok := cm.findCell(uint64(d*cm.width) + idx); ok {
+			v = cm.sparse[i].count
 		}
 		if v < est {
 			est = v
@@ -235,19 +276,25 @@ func (cm *CountMin) Width() int { return cm.width }
 // Depth returns the sketch's row count.
 func (cm *CountMin) Depth() int { return cm.depth }
 
+// Seed returns the construction seed; sketches merge only under equal
+// seeds.
+func (cm *CountMin) Seed() uint64 { return cm.fam.Base() }
+
 // Bytes returns the footprint of the form the sketch is in: the counter
-// matrix, or the sparse entries.
+// matrix, or the sparse entries' allocation — its capacity, which updates
+// grow by append, not just the entries in use.
 func (cm *CountMin) Bytes() int {
 	if cm.counts == nil {
-		return len(cm.sparse)*cmCellBytes + 32
+		return cap(cm.sparse)*cmCellBytes + 32
 	}
 	return cm.width*cm.depth*8 + 32
 }
 
 // Merge adds another sketch cell-wise. Conservative sketches refuse to
 // merge: cell-wise addition would overstate their tightened counts. A
-// sparse other costs its non-zero cells, not width x depth; other is only
-// read, whichever form it is in.
+// sparse other costs its non-zero cells, not width x depth, and a sparse
+// receiver stays sparse while the sum fits; other is only read,
+// whichever form it is in.
 func (cm *CountMin) Merge(other *CountMin) error {
 	if other == nil || cm.width != other.width || cm.depth != other.depth || cm.fam != other.fam {
 		return core.ErrIncompatible
@@ -255,16 +302,20 @@ func (cm *CountMin) Merge(other *CountMin) error {
 	if cm.conservative || other.conservative {
 		return core.ErrIncompatible
 	}
-	cm.expand()
 	if other.counts == nil {
 		d, base := 0, uint64(0) // row of the current entry and its first cell
 		for _, e := range other.sparse {
+			if cm.counts == nil {
+				cm.addSparse(e.cell, e.count)
+				continue
+			}
 			for e.cell >= base+uint64(cm.width) {
 				d, base = d+1, base+uint64(cm.width)
 			}
 			cm.counts[d][e.cell-base] += e.count
 		}
 	} else {
+		cm.expand()
 		for d := range cm.counts {
 			for w := range cm.counts[d] {
 				cm.counts[d][w] += other.counts[d][w]

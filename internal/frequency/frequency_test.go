@@ -842,7 +842,7 @@ func TestCountMinSparseForm(t *testing.T) {
 			t.Fatalf("%s inner product %d (%v), want %d", c.name, got, err, c.want)
 		}
 	}
-	// An update converts the sketch back in place and counts on.
+	// An update counts on in place, in the sparse form while it fits.
 	sparse.UpdateString("k0", 10)
 	dense.UpdateString("k0", 10)
 	a, _ := sparse.MarshalBinary()
@@ -859,9 +859,14 @@ func TestCountMinSparseForm(t *testing.T) {
 		t.Fatal("decode into a sparse receiver lost counters")
 	}
 	empty := dense.Compact()
+	held := empty.Bytes()
 	empty.Reset()
 	if empty.Items() != 0 || empty.EstimateString("k0") != 0 {
 		t.Fatal("Reset left counts in a sparse sketch")
+	}
+	// Bytes counts the entries' allocation, which Reset keeps.
+	if empty.Bytes() != held {
+		t.Fatalf("a reset sparse sketch reports %d bytes, its allocation is %d", empty.Bytes(), held)
 	}
 	// Too full to pay: a quarter of the cells occupied is the limit.
 	full, _ := NewCountMin(8, 2, 9)
@@ -870,5 +875,192 @@ func TestCountMinSparseForm(t *testing.T) {
 	}
 	if full.Compact() != nil {
 		t.Fatal("a saturated sketch compacted")
+	}
+}
+
+// nonZero counts a dense sketch's non-zero counters.
+func nonZero(cm *CountMin) int {
+	n := 0
+	for _, row := range cm.counts {
+		for _, c := range row {
+			if c != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// probeItems returns the items i0 .. i(n-1).
+func probeItems(n int) []string {
+	items := make([]string, n)
+	for i := range items {
+		items[i] = fmt.Sprintf("i%d", i)
+	}
+	return items
+}
+
+// sameSketch fails unless a and b marshal to the same bytes, count the
+// same items and estimate every probe item alike.
+func sameSketch(t *testing.T, what string, a, b *CountMin, probes []string) {
+	t.Helper()
+	ab, _ := a.MarshalBinary()
+	bb, _ := b.MarshalBinary()
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("%s: MarshalBinary bytes differ", what)
+	}
+	if a.Items() != b.Items() {
+		t.Fatalf("%s: items %d != %d", what, a.Items(), b.Items())
+	}
+	for _, item := range probes {
+		if x, y := a.EstimateString(item), b.EstimateString(item); x != y {
+			t.Fatalf("%s: estimate[%s] %d != %d", what, item, x, y)
+		}
+	}
+}
+
+// A sketch born sparse is the dense sketch in another form: fed the same
+// weighted stream across the quarter-occupancy crossover, it answers
+// every estimate, item count and MarshalBinary byte alike after every
+// update; it turns dense exactly when its non-zero counters stop
+// fitting; and a decode into a sparse receiver restores its form and
+// footprint.
+func TestSparseCountMinMatchesDense(t *testing.T) {
+	const width, depth, universe = 64, 4, 120
+	rng := workload.NewRNG(17)
+	items := probeItems(universe + 3) // three items never observed
+	for trial := 0; trial < 8; trial++ {
+		sparse, err := NewSparseCountMin(width, depth, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sparse.IsSparse() || sparse.Bytes() != 32 {
+			t.Fatalf("trial %d: a new sparse sketch is %d bytes, sparse %v", trial, sparse.Bytes(), sparse.IsSparse())
+		}
+		dense, _ := NewCountMin(width, depth, 3)
+		flipped := false
+		for step := 0; step < 2*universe; step++ {
+			item := items[rng.Uint64()%universe]
+			w := 1 + rng.Uint64()%5
+			sparse.UpdateString(item, w)
+			dense.UpdateString(item, w)
+			what := fmt.Sprintf("trial %d step %d", trial, step)
+			sameSketch(t, what, sparse, dense, items)
+			if want := sparse.sparseFits(nonZero(dense)); sparse.IsSparse() != want {
+				t.Fatalf("%s: sparse %v with %d non-zero counters", what, sparse.IsSparse(), nonZero(dense))
+			}
+			flipped = flipped || !sparse.IsSparse()
+			raw, _ := dense.MarshalBinary()
+			recv, _ := NewSparseCountMin(width, depth, 3)
+			if err := recv.UnmarshalBinary(raw); err != nil {
+				t.Fatal(err)
+			}
+			if recv.IsSparse() != sparse.IsSparse() || recv.Bytes() != sparse.Bytes() {
+				t.Fatalf("%s: decoded sparse %v in %d bytes, live %v in %d", what, recv.IsSparse(), recv.Bytes(), sparse.IsSparse(), sparse.Bytes())
+			}
+			sameSketch(t, what+" decoded", recv, dense, items)
+		}
+		if !flipped {
+			t.Fatalf("trial %d: the stream never crossed into the dense form", trial)
+		}
+	}
+}
+
+// Merging gives the dense <- dense bytes in all four form pairings, and
+// a sparse receiver stays sparse exactly while the sum fits.
+func TestSparseCountMinMergePairings(t *testing.T) {
+	const width, depth = 64, 4
+	rng := workload.NewRNG(23)
+	items := probeItems(200)
+	build := func(n int) (sparse, dense *CountMin) {
+		sparse, _ = NewSparseCountMin(width, depth, 5)
+		dense, _ = NewCountMin(width, depth, 5)
+		for i := 0; i < n; i++ {
+			item := items[rng.Uint64()%200]
+			w := 1 + rng.Uint64()%5
+			sparse.UpdateString(item, w)
+			dense.UpdateString(item, w)
+		}
+		return sparse, dense
+	}
+	// copyAs decodes src's bytes into a fresh receiver of the given form.
+	copyAs := func(src *CountMin, sparseForm bool) *CountMin {
+		recv, _ := NewCountMin(width, depth, 5)
+		if sparseForm {
+			recv, _ = NewSparseCountMin(width, depth, 5)
+		}
+		raw, _ := src.MarshalBinary()
+		if err := recv.UnmarshalBinary(raw); err != nil {
+			t.Fatal(err)
+		}
+		return recv
+	}
+	sawSparse, sawDense := false, false
+	for trial := 0; trial < 60; trial++ {
+		xs, xd := build(int(rng.Uint64() % 24))
+		ys, yd := build(int(rng.Uint64() % 24))
+		want := copyAs(xd, false)
+		if err := want.Merge(yd); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			recv *CountMin
+			arg  *CountMin
+		}{
+			{"dense<-sparse", copyAs(xd, false), ys},
+			{"sparse<-dense", copyAs(xs, true), yd},
+			{"sparse<-sparse", copyAs(xs, true), ys},
+		} {
+			wasSparse := c.recv.IsSparse()
+			before, _ := c.arg.MarshalBinary()
+			if err := c.recv.Merge(c.arg); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("trial %d %s", trial, c.name)
+			sameSketch(t, what, c.recv, want, items)
+			if after, _ := c.arg.MarshalBinary(); !bytes.Equal(before, after) {
+				t.Fatalf("%s: merge mutated its argument", what)
+			}
+			if wasSparse && c.arg.IsSparse() {
+				if fits := c.recv.sparseFits(nonZero(want)); c.recv.IsSparse() != fits {
+					t.Fatalf("%s: sparse %v with %d non-zero counters", what, c.recv.IsSparse(), nonZero(want))
+				}
+				sawSparse = sawSparse || c.recv.IsSparse()
+				sawDense = sawDense || !c.recv.IsSparse()
+			}
+		}
+	}
+	if !sawSparse || !sawDense {
+		t.Fatalf("sparse<-sparse merges stayed sparse %v, turned dense %v: both must be exercised", sawSparse, sawDense)
+	}
+}
+
+// Conservative update reads every row before it writes; a sparse-born
+// sketch switched to it, from birth or part-way through a stream,
+// answers like a dense conservative one.
+func TestSparseCountMinConservative(t *testing.T) {
+	for _, switchAt := range []int{0, 5} {
+		sparse, _ := NewSparseCountMin(32, 4, 8)
+		dense, _ := NewCountMin(32, 4, 8)
+		rng := workload.NewRNG(4)
+		items := probeItems(53)
+		for i := 0; i < 300; i++ {
+			if i == switchAt {
+				if !sparse.IsSparse() {
+					t.Fatalf("switch at %d: already dense", switchAt)
+				}
+				sparse.SetConservative(true)
+				dense.SetConservative(true)
+			}
+			item := items[rng.Uint64()%50]
+			w := 1 + rng.Uint64()%3
+			sparse.UpdateString(item, w)
+			dense.UpdateString(item, w)
+			sameSketch(t, fmt.Sprintf("switch at %d, update %d", switchAt, i), sparse, dense, items)
+		}
+		if err := sparse.Merge(dense); err == nil {
+			t.Fatal("a conservative sparse-born sketch merged")
+		}
 	}
 }

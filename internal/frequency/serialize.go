@@ -81,10 +81,14 @@ func cmGeometry(data []byte) (width, depth int, err error) {
 
 // UnmarshalBinary decodes into the receiver, which must already be
 // constructed with the encoder's geometry and seed (the checkpoint
-// restore path: the store rehydrates into a fresh Prototype instance, so
-// the receiver carries the configuration and the bytes must match it).
-// A width/depth mismatch or a different hash family is ErrIncompatible,
-// not silently-wrong estimates.
+// restore path: the store rehydrates into a fresh bucket of the metric's
+// Prototype, so the receiver carries the configuration and the bytes
+// must match it). A width/depth mismatch or a different hash family is
+// ErrIncompatible, not silently-wrong estimates. A dense receiver takes
+// the counters into its matrix. A sparse one stays sparse when the
+// non-zero counters fit (see sparseFits), appending them one by one from
+// empty as updates grow the entries, so the decoded sketch has the
+// footprint the encoded one had; otherwise it turns dense.
 func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	width, depth, err := cmGeometry(data)
 	if err != nil {
@@ -96,9 +100,27 @@ func (cm *CountMin) UnmarshalBinary(data []byte) error {
 	if binary.LittleEndian.Uint64(data[21:]) != cm.fam.Seed(0) {
 		return core.ErrIncompatible
 	}
-	cm.expand()
 	cm.conservative = data[12]&cmFlagConservative != 0
 	cm.n = binary.LittleEndian.Uint64(data[13:])
+	body := data[cmHeaderSize:]
+	if cm.counts == nil {
+		nonzero := 0
+		for pos := 0; pos < len(body) && cm.sparseFits(nonzero); pos += 8 {
+			if binary.LittleEndian.Uint64(body[pos:]) != 0 {
+				nonzero++
+			}
+		}
+		cm.sparse = nil
+		if cm.sparseFits(nonzero) {
+			for pos := 0; pos < len(body); pos += 8 {
+				if c := binary.LittleEndian.Uint64(body[pos:]); c != 0 {
+					cm.sparse = append(cm.sparse, cmCell{cell: uint64(pos / 8), count: c})
+				}
+			}
+			return nil
+		}
+		cm.counts = cm.newRows()
+	}
 	pos := cmHeaderSize
 	for _, row := range cm.counts {
 		for w := range row {

@@ -34,11 +34,11 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	}
 	// Registration only adds, so this later snapshot holds every metric
 	// Check saw.
-	protos := s.metrics.Table()
+	buckets := s.metrics.buckets()
 	if len(obs) == 1 {
 		// One write has one group: skip the sort and its buffer, so a
 		// single observation allocates nothing.
-		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, protos)
+		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, buckets)
 		return nil
 	}
 	order, bounds := GroupIndices(len(obs), len(s.shards), func(i int) int {
@@ -46,7 +46,7 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	})
 	for idx := range s.shards {
 		if group := order[bounds[idx]:bounds[idx+1]]; len(group) > 0 {
-			s.observeShardBatch(uint32(idx), group, obs, protos)
+			s.observeShardBatch(uint32(idx), group, obs, buckets)
 		}
 	}
 	return nil
@@ -81,8 +81,8 @@ func GroupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
 // of the shard lock, running every per-write effect in input order.
 // When a tracer is wired and the group holds a sampled observation, the
 // group gets one store.observe span on the first such observation's
-// trace.
-func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, protos map[string]Prototype) {
+// trace. buckets maps each metric to the Prototype its buckets open with.
+func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, buckets map[string]Prototype) {
 	sh := s.shards[idx]
 	var sp *trace.Span
 	if s.trc != nil {
@@ -109,7 +109,7 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, pr
 	for _, i := range group {
 		o := obs[i]
 		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key}, s.cfg.RingBuckets)
-		dropped, err := s.writeLocked(sh, e, o, protos[o.Metric])
+		dropped, err := s.writeLocked(sh, e, o, buckets[o.Metric])
 		if err != nil {
 			// Unreachable after up-front validation (only a copy-on-write
 			// clone of a mismatched family can fail, impossible within one

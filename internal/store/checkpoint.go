@@ -371,10 +371,10 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err != nil || len(rest) != 0 {
 		return core.ErrCorrupt
 	}
-	proto, err := s.metrics.Lookup(metric)
-	if err != nil {
+	if _, err := s.metrics.Lookup(metric); err != nil {
 		return err
 	}
+	open := s.metrics.buckets()[metric]
 
 	k := entryKey{metric: metric, key: key}
 	sh := s.shards[s.shardIndex(k)]
@@ -385,10 +385,10 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if sl.idx >= 0 {
 		return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q collide in the ring: %w", sl.idx, bkt, metric, key, core.ErrCorrupt)
 	}
-	// Decode into the entry's spare when the previous record's seal left
-	// one, so restoring a series allocates one dense synopsis, not one
-	// per bucket.
-	syn := e.fresh(proto)
+	// Decode into a bucket opened like a live one: a HyperLogLog or
+	// Count-Min record that fits the sparse form lands in it, holding what
+	// the checkpointed bucket held.
+	syn := open()
 	u, ok := syn.(interface{ UnmarshalBinary([]byte) error })
 	if !ok {
 		return core.Errf("RestoreCheckpoint", "synopsis", "%T of metric %q has no binary codec", syn, metric)

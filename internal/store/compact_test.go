@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -56,9 +57,11 @@ func denseReference(protos map[string]Prototype, width int64, obs []Observation)
 	return ref
 }
 
-// A late write lands in a bucket that sealed into the compact form: the
-// copy-on-write clone re-expands it, and the answer is byte-equal to a
-// dense synopsis built directly from the same observations.
+// A late write lands in a sealed bucket held in a compact form — an HLL or
+// Count-Min bucket born sparse, a q-digest compacted at its seal: the
+// copy-on-write clone opens like any bucket and takes the sealed one's
+// contents, and the answer is byte-equal to a dense synopsis built
+// directly from the same observations.
 func TestLateWriteIntoCompactedBucket(t *testing.T) {
 	cfg := ckptGeom()
 	st := ckptStore(t, cfg)
@@ -84,6 +87,7 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 		late = append(late,
 			Observation{Metric: "hits", Key: key, Item: fmt.Sprintf("late%d", i%7), Value: 2, Time: now},
 			Observation{Metric: "uniq", Key: key, Item: fmt.Sprintf("late%d", i), Time: now},
+			Observation{Metric: "lat", Key: key, Value: uint64(i*7919) % 50000, Time: now},
 		)
 	}
 	for _, o := range late {
@@ -110,8 +114,8 @@ func TestLateWriteIntoCompactedBucket(t *testing.T) {
 			t.Fatalf("%s/%s bucket %d: answer differs from the dense reference", c.metric, c.key, c.bkt)
 		}
 	}
-	// The next roll seals the re-expanded buckets back into the compact
-	// form and the footprint returns.
+	// The next roll seals the late-written buckets again: the q-digest
+	// clones compact once more.
 	for _, o := range ckptObs(1300) {
 		if err := st.ObserveBatch([]Observation{o}); err != nil {
 			t.Fatal(err)
@@ -204,10 +208,12 @@ func TestCheckpointOfCompactedHistory(t *testing.T) {
 	assertCheckpointAgree(t, dst, src, n, "restored vs live")
 }
 
-// Queries race bucket rolls: every roll seals a bucket into its compact
-// form, empties the dense synopsis it vacated and reopens it as the next
-// bucket. A reader must never see that recycled synopsis — the finished
-// history it asks for answers the same bytes throughout. Run under -race.
+// Queries race bucket rolls: every roll seals a q-digest bucket into its
+// compact form and hands the synopsis it vacated back to the shape's
+// pool, where the next bucket or a query's accumulator takes it. (HLL and
+// Count-Min buckets open sparse and have nothing to vacate.) A reader
+// must never see that recycled synopsis — the finished history it asks
+// for answers the same bytes throughout. Run under -race.
 func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	cfg := Config{Shards: 2, BucketWidth: 10, RingBuckets: 256}
 	st := ckptStore(t, cfg)
@@ -220,6 +226,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 				for _, o := range []Observation{
 					{Metric: "uniq", Key: key, Item: item, Time: now},
 					{Metric: "hits", Key: key, Item: item, Value: 1 + uint64(j), Time: now},
+					{Metric: "lat", Key: key, Value: uint64(bkt*31+int64(i*7+j)) % 5000, Time: now},
 				} {
 					if err := st.ObserveBatch([]Observation{o}); err != nil {
 						t.Error(err)
@@ -234,7 +241,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 		write(bkt)
 	}
 	// Buckets [0, history) are sealed and final from here on.
-	sealedReq := QueryRequest{Metrics: []string{"uniq", "hits"}, Keys: keys, From: 0, To: history * cfg.BucketWidth}
+	sealedReq := QueryRequest{Metrics: []string{"uniq", "hits", "lat"}, Keys: keys, From: 0, To: history * cfg.BucketWidth}
 	want, err := st.Query(sealedReq)
 	if err != nil {
 		t.Fatal(err)
@@ -292,6 +299,85 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	wg.Wait()
 	if st.Stats().Compacted < rolls {
 		t.Fatalf("rolls did not compact: %+v", st.Stats())
+	}
+}
+
+// Buckets are born sparse: a freshly opened HyperLogLog or Count-Min
+// bucket holds only what it absorbed, and a roll that opens a new bucket
+// for every series allocates far less than one dense array per series —
+// under a dense HLL's 4 KiB register array, let alone the 32 KiB
+// Count-Min matrix. Query accumulators stay dense: the Prototype's own
+// instances.
+func TestBucketsOpenSparse(t *testing.T) {
+	const keys, width = 64, 100
+	st := mustStore(t, Config{Shards: 8, BucketWidth: width, RingBuckets: 16})
+	uniq, _ := NewDistinctProto(12, 42)
+	hits, _ := NewFreqProto(1024, 4, 42)
+	for name, p := range map[string]Prototype{"uniques": uniq, "page-hits": hits} {
+		if err := st.RegisterMetric(name, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bucket := func(bkt int64) []Observation {
+		var batch []Observation
+		for k := 0; k < keys; k++ {
+			page := fmt.Sprintf("page-%02d", k)
+			now := bkt*width + int64(k%width)
+			batch = append(batch,
+				Observation{Metric: "uniques", Key: page, Item: fmt.Sprintf("user-%d", bkt), Time: now},
+				Observation{Metric: "page-hits", Key: page, Item: page, Time: now})
+		}
+		return batch
+	}
+	if err := st.ObserveBatch(bucket(0)); err != nil {
+		t.Fatal(err)
+	}
+	open := 0
+	for _, sh := range st.shards {
+		for k, e := range sh.entries {
+			sl := e.slotFor(0)
+			var sparse bool
+			switch syn := sl.syn.(type) {
+			case *Distinct:
+				sparse = syn.h.IsSparse()
+			case *Freq:
+				sparse = syn.cm.IsSparse()
+			}
+			if !sparse || sl.sealed {
+				t.Fatalf("%s/%s: open bucket is %T, sparse %v, sealed %v", k.metric, k.key, sl.syn, sparse, sl.sealed)
+			}
+			open++
+		}
+	}
+	if open != 2*keys {
+		t.Fatalf("%d open buckets, want %d", open, 2*keys)
+	}
+	// The least of three rolls: TotalAlloc is process-wide.
+	least := uint64(math.MaxUint64)
+	for bkt := int64(1); bkt <= 3; bkt++ {
+		batch := bucket(bkt)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := st.ObserveBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a roll over %d series allocates %d bytes", 2*keys, least)
+	if perSeries := least / (2 * keys); perSeries >= 4096 {
+		t.Fatalf("a roll allocates %d bytes per series, a dense HLL is 4096", perSeries)
+	}
+	res, err := st.Query(QueryRequest{Metric: "page-hits", Keys: []string{"page-00", "page-01"}, From: 0, To: 4 * width, Aggregate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Raw().(*Freq); f.pool != nil || !f.cm.IsSparse() {
+		t.Fatalf("a 2-key 4-bucket answer is not a compact copy: pooled %v, sparse %v", f.pool != nil, f.cm.IsSparse())
+	}
+	acc := hits().(*Freq)
+	if acc.pool == nil || acc.cm.IsSparse() {
+		t.Fatal("the Prototype's instance is not a dense pooled accumulator")
 	}
 }
 

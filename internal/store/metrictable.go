@@ -18,12 +18,19 @@ import (
 // the table itself accepts a new name at any time.
 type MetricTable struct {
 	mu sync.Mutex
-	m  atomic.Pointer[map[string]Prototype]
+	m  atomic.Pointer[metricMaps]
+}
+
+// metricMaps is one snapshot of the table: each metric's Prototype, and
+// the Prototype its buckets open with (see bucketProtoOf).
+type metricMaps struct {
+	protos, buckets map[string]Prototype
 }
 
 // Register binds a metric name to the Prototype that builds its bucket
-// synopses. Re-registering a name is an error whose text says "already
-// registered" (the serving edge answers it with 409).
+// synopses and query accumulators. Re-registering a name is an error
+// whose text says "already registered" (the serving edge answers it with
+// 409).
 func (t *MetricTable) Register(name string, proto Prototype) error {
 	if name == "" {
 		return core.Errf("Store", "metric", "name must be non-empty")
@@ -33,13 +40,21 @@ func (t *MetricTable) Register(name string, proto Prototype) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.Table()
-	if _, exists := cur[name]; exists {
+	var cur metricMaps
+	if p := t.m.Load(); p != nil {
+		cur = *p
+	}
+	if _, exists := cur.protos[name]; exists {
 		return fmt.Errorf("store: metric %q already registered", name)
 	}
-	next := make(map[string]Prototype, len(cur)+1)
-	maps.Copy(next, cur)
-	next[name] = proto
+	next := metricMaps{
+		protos:  make(map[string]Prototype, len(cur.protos)+1),
+		buckets: make(map[string]Prototype, len(cur.buckets)+1),
+	}
+	maps.Copy(next.protos, cur.protos)
+	maps.Copy(next.buckets, cur.buckets)
+	next.protos[name] = proto
+	next.buckets[name] = bucketProtoOf(proto)
 	t.m.Store(&next)
 	return nil
 }
@@ -58,7 +73,16 @@ func (t *MetricTable) Lookup(metric string) (Prototype, error) {
 // never mutated: a later Register swaps in a new map.
 func (t *MetricTable) Table() map[string]Prototype {
 	if p := t.m.Load(); p != nil {
-		return *p
+		return p.protos
+	}
+	return nil
+}
+
+// buckets returns a snapshot of the Prototypes the registered metrics'
+// buckets open with, shared and never mutated like Table's.
+func (t *MetricTable) buckets() map[string]Prototype {
+	if p := t.m.Load(); p != nil {
+		return p.buckets
 	}
 	return nil
 }

@@ -13,18 +13,20 @@
 // of production in-memory caches). Each entry holds a fixed ring of time
 // buckets of configurable width; each bucket is one mergeable synopsis
 // (HyperLogLog, Count-Min, Space-Saving, q-digest — see synopsis.go)
-// built by the metric's registered Prototype.
+// built by the metric's registered Prototype. A bucket costs what it
+// holds: HyperLogLog and Count-Min buckets are born in their sparse
+// form, from the Prototype's sparse-born sibling, and turn dense by
+// themselves only when too full for it.
 //
 // Concurrency. A write batch (ObserveBatch, the one write path) locks
 // each shard it touches once, for that shard's sketch updates. When
 // an entry's stream time advances to a new bucket, older buckets are
 // sealed; sealed synopses are immutable — a late write to a sealed bucket
 // clones the synopsis and swaps the pointer (copy-on-write), never
-// mutating in place. Sealing is also where a bucket takes the size of
-// what it holds: a low-occupancy HyperLogLog or Count-Min is replaced by
-// its compact form and a q-digest by its exact-size copy (see sealSlot),
-// and the synopsis it vacates is
-// kept for the entry's next open bucket. Range queries RLock the shard
+// mutating in place. Sealing is where a q-digest takes the size of what
+// it holds: it is replaced by its exact-size copy (see sealSlot), and
+// the synopsis it vacates goes back to its shape's pool for the next
+// bucket or query accumulator. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
 // buckets under the read lock), then merge the sealed buckets lock-free
 // outside it: a long query over mostly-sealed history does its heavy
@@ -112,7 +114,7 @@ type Stats struct {
 	DroppedLate uint64 // observations older than the ring window
 	Queries     uint64 // range queries served
 	EvictedSize uint64 // entries evicted by the byte budget
-	Compacted   uint64 // bucket seals that took the compact form
+	Compacted   uint64 // bucket seals that took the compact form (q-digest; see sealSlot)
 	Entries     int    // live (metric, key) entries
 	Bytes       int    // synopsis bytes across all shards
 }
@@ -151,51 +153,24 @@ type entry struct {
 	slots  []slot
 	newest int64 // highest bucket index written; -1 before first write
 	bytes  int   // sum of slot footprints
-	// spare is an emptied dense synopsis awaiting reuse as the entry's
-	// next open bucket. Only a synopsis no reader can still reference is
-	// kept: the dense form a seal just replaced by its compact copy (open
-	// buckets are merged under the shard lock and never handed out). A
-	// sealed synopsis escapes to lock-free readers and is never recycled.
-	spare Synopsis
-	prev  *entry
-	next  *entry
+	prev   *entry
+	next   *entry
 }
 
 func (e *entry) slotFor(bkt int64) *slot {
 	return &e.slots[int(bkt%int64(len(e.slots)))]
 }
 
-// fresh returns an empty dense synopsis for a bucket about to open: the
-// entry's spare when it has one, a new prototype instance otherwise.
-func (e *entry) fresh(proto Prototype) Synopsis {
-	if syn := e.spare; syn != nil {
-		e.spare = nil
-		return syn
-	}
-	return proto()
-}
-
-// recycle empties syn and keeps it as the entry's spare. The caller
-// vouches that nothing else references syn.
-func (e *entry) recycle(syn Synopsis) {
-	if e.spare != nil {
-		return
-	}
-	if r, ok := syn.(Resettable); ok {
-		r.Reset()
-		e.spare = syn
-	}
-}
-
 // sealSlot makes an open bucket immutable and, where the synopsis offers
-// a compact form that pays (a low-occupancy HyperLogLog or Count-Min, a
-// q-digest holding spare capacity or unfolded updates), swaps that form
-// in: seal -> compact -> recycle the vacated one. Every path that seals
-// goes through here — time advancing, sealHistory and checkpoint
-// restore — so a sealed bucket costs what it holds wherever it came
-// from. The vacated synopsis was open until this call, so no reader
-// holds it and it becomes the entry's spare. Callers hold the shard
-// lock.
+// a compact form that pays (a q-digest holding spare capacity or
+// unfolded updates), swaps that form in: seal -> compact -> release the
+// vacated one. Every path that seals goes through here — time advancing,
+// sealHistory and checkpoint restore — so a sealed bucket costs what it
+// holds wherever it came from. HyperLogLog and Count-Min buckets already
+// do from their first write (they open sparse) and pass through. The
+// vacated synopsis was open until this call, so no reader holds it: it
+// goes back to its shape's pool, where the next bucket of the metric (or
+// a query's accumulator) picks it up. Callers hold the shard lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
 	if sl.sealed {
 		return
@@ -211,13 +186,12 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 		return
 	}
 	sh.compacted++
-	dense := sl.syn
 	sl.syn = small
 	nb := small.Bytes()
 	e.bytes += nb - sl.bytes
 	sh.bytes += nb - sl.bytes
 	sl.bytes = nb
-	e.recycle(dense)
+	c.release()
 }
 
 // advance moves the entry's newest bucket forward to bkt: everything
@@ -406,9 +380,10 @@ func (s *Store) shardIndex(k entryKey) uint32 {
 
 // writeLocked lands one observation in the entry's ring: late-drop check,
 // bucket advance (sealing + window expiry), slot (re)initialization or
-// copy-on-write, the sketch update, and byte accounting. Callers hold
-// sh.mu and handle counters and eviction.
-func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototype) (dropped bool, err error) {
+// copy-on-write, the sketch update, and byte accounting. open is the
+// metric's bucket Prototype (MetricTable.buckets). Callers hold sh.mu and
+// handle counters and eviction.
+func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype) (dropped bool, err error) {
 	bkt := obs.Time / s.cfg.BucketWidth
 	if e.newest >= 0 && bkt <= e.newest-int64(len(e.slots)) {
 		return true, nil
@@ -424,13 +399,14 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		// even for a late bucket; the next time advance re-seals it.
 		e.bytes -= sl.bytes
 		sh.bytes -= sl.bytes
-		*sl = slot{idx: bkt, syn: e.fresh(proto)}
+		*sl = slot{idx: bkt, syn: open()}
 	case sl.sealed:
 		// Late write to a sealed bucket: a reader may hold the sealed
 		// pointer outside the shard lock, so mutate a private clone and
-		// swap it in — which is also what re-expands a compacted bucket.
-		// The clone stays unsealed until time next advances.
-		clone := e.fresh(proto)
+		// swap it in. The clone opens like any bucket and takes the
+		// sealed one's contents; it stays unsealed until time next
+		// advances.
+		clone := open()
 		if err := clone.Merge(sl.syn); err != nil {
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
 		}

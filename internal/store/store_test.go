@@ -202,13 +202,18 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 }
 
 func TestSizeEvictionHonorsByteBudget(t *testing.T) {
-	// An HLL at precision 12 is ~4KB, so a 20KB budget holds only a few
-	// entries per shard; 50 keys on one shard must evict the cold ones.
+	// A dense HLL at precision 12 is ~4KB, so a 20KB budget holds only a
+	// few entries per shard; 50 keys on one shard must evict the cold
+	// ones. Buckets open sparse, so each key gets 800 distinct items —
+	// well past the 512 occupied registers where its HLL turns dense.
 	st := mustStore(t, Config{Shards: 1, BucketWidth: 10, RingBuckets: 4, MaxShardBytes: 20 << 10})
 	registerUniques(t, st)
 	for i := 0; i < 50; i++ {
-		obs := Observation{Metric: "uniques", Key: fmt.Sprintf("k%d", i), Item: "x", Time: 0}
-		if err := st.ObserveBatch([]Observation{obs}); err != nil {
+		var batch []Observation
+		for j := 0; j < 800; j++ {
+			batch = append(batch, Observation{Metric: "uniques", Key: fmt.Sprintf("k%d", i), Item: fmt.Sprintf("x%d", j), Time: 0})
+		}
+		if err := st.ObserveBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,14 +42,6 @@ type Synopsis interface {
 	Bytes() int
 }
 
-// Resettable is the optional synopsis extension the store's bucket
-// recycling uses: a synopsis that can return to its empty state in place,
-// keeping its allocations. All four built-in adapters implement it; a
-// custom Synopsis that does not is simply never recycled.
-type Resettable interface {
-	Reset()
-}
-
 // compactable is the synopsis extension seal-time compaction and query
 // answers use (see entry.sealSlot and finish). compacted returns an
 // immutable copy of the synopsis in a form sized by what it holds —
@@ -57,17 +49,48 @@ type Resettable interface {
 // receiver does — or nil when the receiver is already held so, or too
 // full for such a copy to pay. release empties the receiver and returns
 // it to its shape's accumulator pool, where the next Prototype call finds
-// it. Distinct and Freq copy into their sparse forms; Quantiles copies
-// its q-digest into exactly as many nodes as it holds. Space-Saving is
-// sized by its k counters and has no such copy.
+// it; a synopsis no Prototype built (a bucket opened sparse, a compacted
+// copy) is left alone. Distinct and Freq copy into their sparse forms;
+// Quantiles copies its q-digest into exactly as many nodes as it holds.
+// Space-Saving is sized by its k counters and has no such copy. A store
+// bucket of Distinct or Freq opens, clones and restores in the sparse
+// form (see sparseBorn) and turns dense only when too full for it, so it
+// never has a compact copy to take at its seal: the seals that compact
+// are the q-digest's.
 type compactable interface {
 	compacted() Synopsis
 	release()
 }
 
+// sparseBorn is the synopsis extension of the families whose store
+// buckets open in the sparse form: bucketProto returns a Prototype of
+// empty synopses of the receiver's shape that allocate no dense array
+// and turn dense by themselves once what they hold stops fitting the
+// sparse form. Distinct and Freq have it. The instances a Prototype
+// itself returns stay dense and pooled: they are the merge accumulators
+// of queries.
+type sparseBorn interface {
+	bucketProto() Prototype
+}
+
+// bucketProtoOf returns the Prototype a metric's buckets open with: the
+// family's sparse-born one where it has one, proto itself otherwise. It
+// builds one instance of proto to ask and hands it back to its pool.
+func bucketProtoOf(proto Prototype) Prototype {
+	syn := proto()
+	open := proto
+	if s, ok := syn.(sparseBorn); ok {
+		open = s.bucketProto()
+	}
+	if c, ok := syn.(compactable); ok {
+		c.release()
+	}
+	return open
+}
+
 // finish turns a query's merge accumulator into the answer the query
-// returns. A result its family can hold smaller (the rule a seal applies:
-// a sparse HyperLogLog or Count-Min, a q-digest with capacity to spare)
+// returns. A result its family can hold smaller (a HyperLogLog or
+// Count-Min that fits its sparse form, a q-digest with capacity to spare)
 // is answered by the compacted copy, and the accumulator goes back to its
 // pool; anything else — a result too full to compact, or a family
 // without a compact form — is its own answer.
@@ -108,7 +131,9 @@ func accPool(s accShape) *sync.Pool {
 // new time bucket opens, when a sealed bucket needs a copy-on-write clone,
 // and to build the merge target of a range query, so a Prototype must
 // return independent instances with identical parameters (including hash
-// seeds, or merges will fail).
+// seeds, or merges will fail). For the families with a sparse form the
+// buckets come from the Prototype's sparse-born sibling instead (see
+// sparseBorn).
 type Prototype func() Synopsis
 
 // CombineSnapshots merges partial query answers into one fresh synopsis —
@@ -141,13 +166,14 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 // The observation value is ignored.
 type Distinct struct {
 	h    *cardinality.HyperLogLog
-	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
+	pool *sync.Pool // the shape's accumulator pool; nil on buckets and compacted copies
 }
 
 // NewDistinctProto returns a Prototype of HyperLogLog synopses with 2^p
 // registers. The constructor is validated once, eagerly, so a bad
 // precision fails at registration time rather than on first write.
-// Instances come from the shape's accumulator pool when it holds one.
+// Instances are dense and come from the shape's accumulator pool when it
+// holds one; store buckets open as sparse HyperLogLogs instead.
 func NewDistinctProto(precision uint8, seed uint64) (Prototype, error) {
 	if _, err := cardinality.NewHyperLogLog(precision, seed); err != nil {
 		return nil, err
@@ -174,8 +200,13 @@ func (d *Distinct) Merge(other Synopsis) error {
 	return d.h.Merge(o.h)
 }
 
-// Reset implements Resettable.
-func (d *Distinct) Reset() { d.h.Reset() }
+func (d *Distinct) bucketProto() Prototype {
+	precision, seed := d.h.Precision(), d.h.Seed()
+	return func() Synopsis {
+		h, _ := cardinality.NewSparseHLL(precision, seed)
+		return &Distinct{h: h}
+	}
+}
 
 func (d *Distinct) compacted() Synopsis {
 	if c := d.h.Compact(); c != nil {
@@ -206,13 +237,14 @@ func (d *Distinct) Estimate() float64 { return d.h.Estimate() }
 // sketch. The observation value is the occurrence weight (0 counts as 1).
 type Freq struct {
 	cm   *frequency.CountMin
-	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
+	pool *sync.Pool // the shape's accumulator pool; nil on buckets and compacted copies
 }
 
 // NewFreqProto returns a Prototype of width x depth Count-Min synopses.
-// Instances come from the shape's accumulator pool when it holds one.
+// Instances are dense and come from the shape's accumulator pool when it
+// holds one; store buckets open as sparse Count-Min sketches instead.
 func NewFreqProto(width, depth int, seed uint64) (Prototype, error) {
-	if _, err := frequency.NewCountMin(width, depth, seed); err != nil {
+	if _, err := frequency.NewSparseCountMin(width, depth, seed); err != nil {
 		return nil, err
 	}
 	pool := accPool(accShape{family: FamilyFreq, a: uint64(width), b: uint64(depth), c: seed})
@@ -242,8 +274,13 @@ func (f *Freq) Merge(other Synopsis) error {
 	return f.cm.Merge(o.cm)
 }
 
-// Reset implements Resettable.
-func (f *Freq) Reset() { f.cm.Reset() }
+func (f *Freq) bucketProto() Prototype {
+	width, depth, seed := f.cm.Width(), f.cm.Depth(), f.cm.Seed()
+	return func() Synopsis {
+		cm, _ := frequency.NewSparseCountMin(width, depth, seed)
+		return &Freq{cm: cm}
+	}
+}
 
 func (f *Freq) compacted() Synopsis {
 	if c := f.cm.Compact(); c != nil {
@@ -298,9 +335,6 @@ func (t *TopK) Merge(other Synopsis) error {
 	}
 	return t.ss.Merge(o.ss)
 }
-
-// Reset implements Resettable.
-func (t *TopK) Reset() { t.ss.Reset() }
 
 // Items implements Synopsis.
 func (t *TopK) Items() uint64 { return t.ss.Items() }
@@ -357,9 +391,6 @@ func (qs *Quantiles) Merge(other Synopsis) error {
 	}
 	return qs.q.Merge(o.q)
 }
-
-// Reset implements Resettable.
-func (qs *Quantiles) Reset() { qs.q.Reset() }
 
 func (qs *Quantiles) compacted() Synopsis {
 	if c := qs.q.Compact(); c != nil {
