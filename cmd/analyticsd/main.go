@@ -172,11 +172,7 @@ func preload(be analytics.Backend, cache *rcache.Cache, events int) error {
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	be.Flush()
-	return nil
+	return flush()
 }
 
 // newHTTPServer is the repo's one http.Server construction. It carries
@@ -331,15 +327,14 @@ func main() {
 	<-sig
 	fmt.Println("analyticsd: shutting down")
 	// Stop accepting, let in-flight requests finish within the grace
-	// (cutting whatever is still running after it), then settle what they
-	// wrote — producer-side buffers, then the backend's own log — before
-	// the deferred cleanup tears the layer down.
+	// (cutting whatever is still running after it), then drain what they
+	// wrote — every acknowledged write is already on the backend's log —
+	// before the deferred cleanup tears the layer down.
 	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		_ = httpSrv.Close()
 	}
-	be.Flush()
 	if err := drain(); err != nil {
 		fmt.Fprintln(os.Stderr, "analyticsd: drain:", err)
 	}

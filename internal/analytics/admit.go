@@ -29,7 +29,7 @@ func Admit(be Backend, ctrl *admission.Controller) Backend {
 }
 
 // admitted embeds the wrapped Backend and overrides the write method;
-// everything else (queries, Keys, Stats, Flush, registration) is the
+// everything else (queries, Keys, Stats, registration) is the
 // backend's own.
 type admitted struct {
 	Backend

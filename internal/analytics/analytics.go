@@ -22,8 +22,8 @@
 //     caller with one observation passes a one-element slice. The batch
 //     is the unit the admission layer prices, the serving edge decodes
 //     and the backends amortize (one shard lock per shard group in the
-//     store, one partition-buffer acquisition per partition in the
-//     Router, one speed RLock in Lambda). The whole batch is validated
+//     store, one batched log append per partition in the Router, one
+//     speed RLock in Lambda). The whole batch is validated
 //     before anything mutates: an observation naming an unregistered
 //     metric fails the call with an error wrapping
 //     store.ErrUnknownMetric, a negative time or an empty Key fails it
@@ -34,16 +34,21 @@
 //     batch is byte-identical to one observation per call, in order:
 //     per-(metric,key) arrival order is preserved, so every synopsis
 //     and counter matches exactly however the stream is chunked. An
-//     empty batch is a no-op, never an error. Durability and
-//     read-your-writes vary by backend (the store is synchronous; the
-//     cluster appends to its ingest log and is read-your-writes after
-//     Drain; Lambda dispatches to the master log and speed layer). The
-//     slice is lent for the call only: a backend must not retain obs
-//     (or a sub-slice of it) after ObserveBatch returns — it copies the
-//     observations it buffers, as all four do — so a caller may reuse
-//     the slice at once, as the serving edge does with its pooled
-//     batch. The strings inside are ordinary immutable Go strings and
-//     may be kept.
+//     empty batch is a no-op, never an error. A returned ObserveBatch is
+//     an ack, and an ack means the write has landed where the backend
+//     keeps its record: the store has applied it, so the next Query
+//     sees it; the cluster has appended it to its ingest log, where
+//     Cluster.Lag counts it and after Drain every query sees it;
+//     Lambda has appended it to the master log and applied it to the
+//     speed layer; the serving client has had the daemon's ack. No
+//     backend holds acknowledged writes back, so there is nothing to
+//     flush. What an ack survives on a durable log is the log's fsync
+//     policy (DESIGN.md). The slice is lent for the call only: a
+//     backend must not retain obs (or a sub-slice of it) after
+//     ObserveBatch returns — it copies the observations it keeps, as
+//     all four do — so a caller may reuse the slice at once, as the
+//     serving edge does with its pooled batch. The strings inside are
+//     ordinary immutable Go strings and may be kept.
 //   - Query answers a typed store.QueryRequest. A request naming an
 //     unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
@@ -68,12 +73,6 @@
 //   - Stats snapshots the backend's store counters: the store's own, the
 //     aggregate across cluster nodes, or the Lambda speed layer's (its
 //     sealed batch view reports separately via BatchView().Stats()).
-//   - Flush settles producer-side buffers: the cluster router's
-//     per-partition append batches. Backends whose writes are
-//     synchronous (the store, Lambda, the serving client) make it a
-//     no-op. engine.SinkBolt calls it when a topology run completes
-//     and analyticsd on shutdown; read-your-writes on the cluster is
-//     Flush followed by the cluster's Drain.
 package analytics
 
 import (
@@ -82,7 +81,7 @@ import (
 	"repro/internal/store"
 )
 
-// Backend is the unified serving API: seven methods, with ObserveBatch
+// Backend is the unified serving API: six methods, with ObserveBatch
 // the only way writes enter. store.Store, dstore.Router,
 // lambda.Architecture and serve.Client satisfy it; engine.SinkBolt sinks
 // topology streams into any of them through it, and the Instrument and
@@ -105,9 +104,6 @@ type Backend interface {
 	Keys(metric string) []string
 	// Stats snapshots the backend's store counters.
 	Stats() store.Stats
-	// Flush settles producer-side buffers; a no-op on synchronous
-	// backends.
-	Flush()
 }
 
 // QueryContext and ObserveBatch are one-line forwards to the methods of

@@ -36,7 +36,7 @@ var (
 // traced registry the layer is wired with (nil for an unwired harness;
 // trace_test.go runs the suite with tracing on) and, for the log-backed
 // layers, the number of records on the ingest log (stack_test.go checks
-// what Flush lands).
+// that every ack is on it).
 type harness struct {
 	name   string
 	be     Backend

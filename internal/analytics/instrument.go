@@ -67,8 +67,7 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string) Backend {
 
 // instrumented embeds the wrapped Backend and overrides the methods it
 // measures — the write method and both query methods, so none bypasses
-// the counters and the trace root; Keys, Stats and Flush are the
-// backend's own.
+// the counters and the trace root; Keys and Stats are the backend's own.
 type instrumented struct {
 	Backend
 	reg     *telemetry.Registry

@@ -5,7 +5,7 @@
 // change, so this leg pins both halves of that bargain — the overridden
 // methods count, time and shed on every route in (no write or query
 // slips past through a promoted method), and the promoted ones (Keys,
-// Stats, Flush) reach the backend underneath.
+// Stats) reach the backend underneath.
 package analytics
 
 import (
@@ -65,11 +65,10 @@ func (s *stack) queryCalls() uint64 {
 	return s.reg.Histogram("analytics_backend_query_seconds", "", 0, 50e-3, 64, "backend", s.name).Count()
 }
 
-// settle reaches read-your-writes through the stack: Flush from the top
-// (a promoted method on both decorators), then the backend's drain.
+// settle reaches read-your-writes: the backend's drain waits for the
+// nodes to apply what the acks already put on the log.
 func (s *stack) settle(t *testing.T) {
 	t.Helper()
-	s.top.Flush()
 	if err := s.drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,21 +128,20 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 				}
 			})
 
-			// Flush is promoted through both decorators. On the log-backed
-			// harnesses it must land every accepted record (the tail sits in
-			// the router's partition buffers until then); the drain that
-			// follows only waits for the nodes to apply what is logged.
-			b.top.Flush()
+			// An ack through both decorators means the write is on the log:
+			// on the log-backed harnesses every accepted record is logged
+			// before any drain; the drain that follows only waits for the
+			// nodes to apply it.
 			if b.logged != nil {
 				if got := b.logged(); got != uint64(len(stream)) {
-					t.Fatalf("after Flush through the stack the log holds %d records, want %d", got, len(stream))
+					t.Fatalf("after the acks the log holds %d records, want %d", got, len(stream))
 				}
 			}
 			b.settle(t)
 			l.settle(t)
 			want := marshalAnswers(t, l.be)
 			if got := marshalAnswers(t, b.top); !reflect.DeepEqual(got, want) {
-				t.Fatal("chunk-fed stack diverges from the one-observation loop after Flush+Drain")
+				t.Fatal("chunk-fed stack diverges from the one-observation loop after Drain")
 			}
 			if got, want := b.top.Stats().Observed, b.be.Stats().Observed; got != want || want == 0 {
 				t.Fatalf("Stats through the stack observed %d, bare %d", got, want)

@@ -47,7 +47,6 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 			}{{bare[i].be, bare[i].drain}, {tbe, traced[i].drain}} {
 				registerFamilies(t, h.be)
 				feed(t, h.be, conformanceSpan)
-				h.be.Flush()
 				if err := h.drain(); err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +150,6 @@ func TestIngestTraceStitchesAcrossLog(t *testing.T) {
 	if err := be.ObserveBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	be.Flush()
 	if err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -92,9 +92,6 @@ const (
 	ingestGroup = "dstore"
 	// pollBatch is the most messages a node takes per poll.
 	pollBatch = 512
-	// routerBatch is how many observations the Router buffers per
-	// partition before one batched append.
-	routerBatch = 64
 )
 
 // Stats aggregates the cluster's counters. The counters are totals over
@@ -294,16 +291,17 @@ func (c *Cluster) Router() *Router { return c.router }
 // node recovery runs, is the cluster's oracle).
 func (c *Cluster) Topic() *mqlog.Topic { return c.topic }
 
-// Lag returns unconsumed messages across the group (router buffers not
-// included; Flush first for an end-to-end figure).
+// Lag returns unconsumed messages across the group. Every acknowledged
+// ObserveBatch is already on the log, so Lag counts every acknowledged
+// observation no node has applied yet.
 func (c *Cluster) Lag() uint64 { return c.broker.Lag(ingestGroup, c.topic) }
 
-// Drain flushes the router and blocks until every live node is serving
-// its current assignment and the group lag is zero — the quiesced state
-// experiments query in. It requires at least one live node (an empty
-// cluster can never drain a non-empty log).
+// Drain blocks until every live node is serving its current assignment
+// and the group lag is zero — the quiesced state experiments query in,
+// where every acknowledged observation is visible to queries. It
+// requires at least one live node (an empty cluster can never drain a
+// non-empty log).
 func (c *Cluster) Drain() error {
-	c.router.Flush()
 	for {
 		c.mu.Lock()
 		closed, n := c.closed, len(c.nodes)

@@ -204,6 +204,82 @@ func TestClusterServesAndMatchesOracle(t *testing.T) {
 	}
 }
 
+// An ack means the write is on the log: the moment ObserveBatch returns
+// on a running cluster, the log's end offsets hold every acknowledged
+// observation and Lag counts every one no node has consumed, with no
+// Drain in between; after Drain a query counts all of them.
+func TestClusterAckIsOnLog(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 4})
+	var names []string
+	for i := 0; i < 2; i++ {
+		name, err := c.StartNode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	r := c.Router()
+	logged := func() uint64 {
+		var end uint64
+		for _, e := range c.Topic().EndOffsets() {
+			end += e
+		}
+		return end
+	}
+	batch := func(at int64) []store.Observation {
+		return []store.Observation{
+			{Metric: "hits", Key: "a", Item: "x", Value: 1, Time: at},
+			{Metric: "hits", Key: "b", Item: "x", Value: 1, Time: at},
+			{Metric: "hits", Key: "c", Item: "x", Value: 1, Time: at},
+		}
+	}
+	counted := func(want uint64) {
+		t.Helper()
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Query(store.QueryRequest{Metric: "hits", AllKeys: true, From: 0, To: 100, Aggregate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Count("x"); got != want {
+			t.Fatalf("after Drain a query counts %d observations, want %d", got, want)
+		}
+	}
+
+	// Live nodes may apply the batch at once, so Lag is checked below
+	// with none consuming; the end offsets do not depend on them.
+	if err := r.ObserveBatch(batch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); got != 3 {
+		t.Fatalf("an acknowledged 3-observation batch left %d records on the log, want 3", got)
+	}
+	counted(3)
+
+	for _, name := range names {
+		if err := c.StopNode(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.ObserveBatch(batch(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); got != 6 {
+		t.Fatalf("the log holds %d records after two acknowledged batches, want 6", got)
+	}
+	if got := c.Lag(); got != 3 {
+		t.Fatalf("Lag counts %d of the 3 acknowledged, unconsumed observations", got)
+	}
+	if _, err := c.StartNode(); err != nil {
+		t.Fatal(err)
+	}
+	counted(6)
+}
+
 // TestClusterKillRejoinMatchesOracle is T3.1's correctness half and this
 // package's race-suite anchor: ingest a stream, kill a node (survivors
 // recover its partitions from the log), verify every query still matches
@@ -271,7 +347,6 @@ func TestClusterPoisonSkippedLiveAndOnRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, c, 400, 51)
-	c.Router().Flush()
 	topic := c.Topic()
 	topic.Produce("k1", []byte{0xff, 0xff})
 	for _, obs := range []store.Observation{

@@ -73,7 +73,6 @@ func TestLogFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.Flush()
 	batch = nil
 	runtime.GC()
 	runtime.ReadMemStats(&after)

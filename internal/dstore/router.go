@@ -1,8 +1,8 @@
 // router.go is the cluster's client surface: it partitions ObserveBatch
-// traffic by key onto the ingest topic (batched appends, one partition
-// lock acquisition per batch) and answers queries by routing to the
-// owning node or scatter-gathering across nodes and combining the
-// partial synopses.
+// traffic by key onto the ingest topic (one batched append per
+// partition group, on the log before the call returns) and answers
+// queries by routing to the owning node or scatter-gathering across
+// nodes and combining the partial synopses.
 package dstore
 
 import (
@@ -29,11 +29,11 @@ func queryCancelled(err error) error {
 	return fmt.Errorf("dstore: query cancelled: %w", err)
 }
 
-// routerPart is one partition's producer-side buffer. The lock is held
-// across the batched append so batches reach the log in buffer order and
-// per-key ordering survives concurrent producers on the same partition.
-// The records' values are encoded into enc, which is reused after every
-// flush because the log copies values at append.
+// routerPart is one partition's encode scratch. The lock is held across
+// the batched append so concurrent producers on the same partition reach
+// the log one whole group at a time and per-key ordering survives. buf
+// and enc are reused after every append because the log copies values
+// at append.
 type routerPart struct {
 	mu  sync.Mutex
 	buf []mqlog.Record
@@ -41,8 +41,9 @@ type routerPart struct {
 }
 
 // Router is the cluster's ingest and query front end. One Router is safe
-// for concurrent use; ObserveBatch buffers per partition and appends in
-// batches, so call Flush when a producer finishes (Drain does).
+// for concurrent use. ObserveBatch returns only once every accepted
+// observation is on the ingest log, so an ack is a write Cluster.Lag
+// counts and Drain waits for.
 type Router struct {
 	c     *Cluster
 	parts []routerPart
@@ -52,39 +53,18 @@ func newRouter(c *Cluster) *Router {
 	return &Router{c: c, parts: make([]routerPart, c.cfg.Partitions)}
 }
 
-// bufferLocked encodes one observation into the partition's buffer and
-// lands the buffer on the log once it holds routerBatch records. Callers
-// hold p.mu.
-func (r *Router) bufferLocked(pid int, p *routerPart, o *store.Observation, traced bool) {
-	at := len(p.enc)
-	p.enc = store.AppendObservation(p.enc, *o)
-	rec := mqlog.Record{Key: o.Key, Value: p.enc[at:]}
-	if traced && o.Trace.Valid() {
-		// The wire codec doesn't carry trace context; a sampled
-		// observation crosses the log as a record header instead, where
-		// the owning node's event loop stitches it back (trace_wire.go).
-		rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
-	}
-	p.buf = append(p.buf, rec)
-	if len(p.buf) >= routerBatch {
-		r.flushLocked(pid, p)
-	}
-}
-
 // ObserveBatch encodes a slice of observations onto the ingest topic,
 // partitioned by key — the same hash Produce uses, so a series always
-// lands in one partition and replays in order — with one
-// partition-buffer acquisition per partition group. The entire batch is
-// validated first, producer-side, by the store's rule
-// (store.MetricTable.Check) rather than poisoning the consumers: an
-// unknown metric, an empty key (which would round-robin by value hash
-// in the log, scattering one series across partitions that different
-// nodes own) or a negative time fails the call and buffers NOTHING. An
-// accepted batch reaches the log in input order per partition — a key's
-// records all land in one partition group — so per-series replay order
-// matches one observation per call exactly. Buffers flush at
-// routerBatch records; call Flush (or Drain) when the producer
-// finishes.
+// lands in one partition and replays in order — with one batched append
+// per partition group. The entire batch is validated first,
+// producer-side, by the store's rule (store.MetricTable.Check) rather
+// than poisoning the consumers: an unknown metric, an empty key (which
+// would round-robin by value hash in the log, scattering one series
+// across partitions that different nodes own) or a negative time fails
+// the call and appends NOTHING. An accepted batch reaches the log in
+// input order per partition — a key's records all land in one partition
+// group — so per-series replay order matches one observation per call
+// exactly. When ObserveBatch returns, every observation is on the log.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -92,10 +72,10 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if err := r.c.metrics.Check(obs); err != nil {
 		return err
 	}
-	traced := r.c.tracer() != nil
+	trc := r.c.tracer()
 	if len(obs) == 1 {
-		// One write has one partition: skip the sort and its buffer.
-		r.bufferGroup(r.c.topic.PartitionFor(obs[0].Key), []int{0}, obs, traced)
+		// One write has one partition: skip the sort.
+		r.appendGroup(r.c.topic.PartitionFor(obs[0].Key), []int{0}, obs, trc)
 		return nil
 	}
 	order, bounds := store.GroupIndices(len(obs), len(r.parts), func(i int) int {
@@ -103,32 +83,39 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 	})
 	for pid := range r.parts {
 		if group := order[bounds[pid]:bounds[pid+1]]; len(group) > 0 {
-			r.bufferGroup(pid, group, obs, traced)
+			r.appendGroup(pid, group, obs, trc)
 		}
 	}
 	return nil
 }
 
-// bufferGroup buffers one partition's group of obs, in input order,
-// under one acquisition of the partition's buffer lock.
-func (r *Router) bufferGroup(pid int, group []int, obs []store.Observation, traced bool) {
+// appendGroup encodes one partition's group of obs, in input order, into
+// the partition's scratch and appends it to the log as one batch under
+// one acquisition of the partition's lock. When the group carries
+// sampled records, the first one's trace gets an append-side span — one
+// per append, not per record, matching the batch being the unit of
+// producer work.
+func (r *Router) appendGroup(pid int, group []int, obs []store.Observation, trc *trace.Tracer) {
 	p := &r.parts[pid]
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, i := range group {
-		r.bufferLocked(pid, p, &obs[i], traced)
+		o := &obs[i]
+		at := len(p.enc)
+		p.enc = store.AppendObservation(p.enc, *o)
+		rec := mqlog.Record{Key: o.Key, Value: p.enc[at:]}
+		if trc != nil && o.Trace.Valid() {
+			// The wire codec doesn't carry trace context; a sampled
+			// observation crosses the log as a record header instead, where
+			// the owning node's event loop stitches it back (trace_wire.go).
+			rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
+		}
+		p.buf = append(p.buf, rec)
 	}
-	p.mu.Unlock()
-}
-
-// flushLocked lands one partition buffer on the log and empties it. When
-// the batch carries sampled records, the first one's trace gets an
-// append-side span — one per flush, not per record, matching the batch
-// being the unit of producer work. Callers hold p.mu.
-func (r *Router) flushLocked(pid int, p *routerPart) {
 	var sp *trace.Span
-	if tr := r.c.tracer(); tr != nil {
+	if trc != nil {
 		if ctx := firstTracedContext(p.buf); ctx.Valid() {
-			sp = tr.StartRemote(ctx, "mqlog.append")
+			sp = trc.StartRemote(ctx, "mqlog.append")
 		}
 	}
 	first, err := r.c.topic.ProduceBatchTo(pid, p.buf)
@@ -140,18 +127,6 @@ func (r *Router) flushLocked(pid int, p *routerPart) {
 		sp.Finish()
 	}
 	p.buf, p.enc = p.buf[:0], p.enc[:0]
-}
-
-// Flush appends every buffered observation to the log.
-func (r *Router) Flush() {
-	for pid := range r.parts {
-		p := &r.parts[pid]
-		p.mu.Lock()
-		if len(p.buf) > 0 {
-			r.flushLocked(pid, p)
-		}
-		p.mu.Unlock()
-	}
 }
 
 // RegisterMetric binds a metric on the cluster (see

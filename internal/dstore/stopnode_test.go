@@ -80,7 +80,6 @@ func TestStopNodeCountersNeverFall(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, c, 300, 62)
-	c.Router().Flush()
 	c.Topic().Produce("k1", []byte{0xff}) // poison, for a nonzero rejected count
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func headerContext(hdrs []mqlog.Header) trace.Context {
 
 // firstTracedContext scans a producer batch for the first record
 // carrying a trace header — the batch's representative for the
-// append-side span (one span per flush, not per record).
+// append-side span (one span per append, not per record).
 func firstTracedContext(recs []mqlog.Record) trace.Context {
 	for i := range recs {
 		if ctx := headerContext(recs[i].Headers); ctx.Valid() {

@@ -4,7 +4,10 @@
 // the same analytics.Backend contract. A SinkBolt is written once
 // against the contract: it extracts an observation per tuple and hands
 // it to Backend.ObserveBatch as a one-element batch, whatever
-// partitioning, durability or batch/speed split lives behind it.
+// partitioning, durability or batch/speed split lives behind it. Process
+// returns, and the engine acks the tuple, only once the backend has
+// acknowledged the write — on the cluster that means the record is on
+// the ingest log — so a topology run needs no flush when it completes.
 package engine
 
 import (
@@ -70,13 +73,6 @@ func (b *SinkBolt) Process(m Message, _ func(Message)) error {
 	}
 	return b.be.ObserveBatch([]store.Observation{obs})
 }
-
-// Flush settles the backend's producer-side buffers (the cluster
-// router's per-partition append batches; synchronous backends make it a
-// no-op). Call it after a topology run
-// completes so the tail of the stream is not left sitting in
-// producer-side batches.
-func (b *SinkBolt) Flush() { b.be.Flush() }
 
 // Factory returns a BoltFactory handing every task this same bolt,
 // the common parallelism-N wiring for a SinkBolt.

@@ -136,7 +136,6 @@ func TestSinkBoltIntoEachBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := topo.Run()
-			sink.Flush() // settles buffering backends; no-op for the store
 			if err := h.drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -205,7 +204,6 @@ func TestSinkBoltSkipsForeignMessages(t *testing.T) {
 				t.Fatal(err)
 			}
 			stats := topo.Run()
-			sink.Flush()
 			if err := h.drain(); err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +307,7 @@ func pageSpout(tuples int, metric string, item func(i int) string) Spout {
 
 // runSink runs spout through four parallel SinkBolt tasks into be and
 // fails the test on any dropped or failed tuple.
-func runSink(t *testing.T, be analytics.Backend, spout Spout) *SinkBolt {
+func runSink(t *testing.T, be analytics.Backend, spout Spout) {
 	t.Helper()
 	sink, err := NewSinkBolt(be, nil)
 	if err != nil {
@@ -325,7 +323,6 @@ func runSink(t *testing.T, be analytics.Backend, spout Spout) *SinkBolt {
 	if stats := topo.Run(); stats.Dropped != 0 || stats.Errors["sink"] != 0 {
 		t.Fatalf("topology failures: %+v", stats)
 	}
-	return sink
 }
 
 // A topology with parallel SinkBolt tasks sinks a keyed stream into one
@@ -389,8 +386,7 @@ func TestClusterBoltSinksTopologyStream(t *testing.T) {
 		}
 	}
 	const tuples = 4000
-	sink := runSink(t, c.Router(), pageSpout(tuples, "uniques", func(i int) string { return fmt.Sprintf("user%d", i%900) }))
-	sink.Flush()
+	runSink(t, c.Router(), pageSpout(tuples, "uniques", func(i int) string { return fmt.Sprintf("user%d", i%900) }))
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}

@@ -588,10 +588,6 @@ func (a *Architecture) Stats() store.Stats {
 	return a.speed.Stats()
 }
 
-// Flush is the analytics.Backend no-op: appends are synchronous, so
-// there are no producer-side buffers to settle.
-func (a *Architecture) Flush() {}
-
 // Close releases the architecture: the master topic is closed — for a
 // durable topic that is the final flush+fsync of its segment files. The
 // topic's in-memory state survives: a closed architecture's log can still

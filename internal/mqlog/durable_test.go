@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // syncEvery returns a DurableConfig with inline fsync, so every produced
@@ -267,6 +268,95 @@ func TestGroupCommitCloseFlushesEverything(t *testing.T) {
 	if ds.RecoveredRecords != n || end != n || ds.TornTruncations != 0 {
 		t.Fatalf("recovered %d records, ends sum %d, torn %d; want %d records, 0 torn",
 			ds.RecoveredRecords, end, ds.TornTruncations, n)
+	}
+}
+
+// copyDir copies a topic directory's files as they stand, with no Sync
+// or Close on the producing topic: the disk state a kill -9 of the
+// producing process leaves behind (its unflushed write buffers are lost
+// with it; what it wrote is in the OS's hands).
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableProcessKillWindow pins what an ack survives when the
+// process is killed: with group commit (a long FsyncInterval, so no
+// sync runs during the test) acknowledged appends still sit in the
+// partition's write buffer, and a copy of the directory taken without
+// Sync or Close reopens to a strict prefix of them — a kill loses the
+// unflushed tail, not only a power loss. With SyncEveryAppend the copy
+// reopens to every acknowledged append.
+func TestDurableProcessKillWindow(t *testing.T) {
+	const parts, n = 2, 1000
+	for _, tc := range []struct {
+		name string
+		cfg  DurableConfig
+	}{
+		{"group-commit", DurableConfig{FsyncInterval: time.Hour}},
+		{"sync-every-append", DurableConfig{SyncEveryAppend: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, killed := t.TempDir(), t.TempDir()
+			cfg := tc.cfg
+			cfg.Dir = dir
+			live, err := NewBroker().CreateTopicDurable("t", parts, 0, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { live.Close() })
+			for i := 0; i < n; i++ {
+				if _, err := live.ProduceTo(i%parts, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%04d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			copyDir(t, dir, killed)
+
+			cfg.Dir = killed
+			reopened, err := NewBroker().CreateTopicDurable("t", parts, 0, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
+			recovered := reopened.DurabilityStats().RecoveredRecords
+			for pid := 0; pid < parts; pid++ {
+				for j, m := range fetchAll(t, reopened, pid) {
+					i := parts*j + pid
+					if m.Offset != uint64(j) || m.Key != fmt.Sprintf("k%d", i) || string(m.Value) != fmt.Sprintf("value-%04d", i) {
+						t.Fatalf("partition %d record %d recovered as %+v: not a prefix of the acknowledged appends", pid, j, m)
+					}
+				}
+			}
+			if cfg.SyncEveryAppend {
+				if recovered != n {
+					t.Fatalf("SyncEveryAppend: the killed copy recovered %d of %d acknowledged appends", recovered, n)
+				}
+				return
+			}
+			if recovered >= n {
+				t.Fatalf("group commit: the killed copy recovered all %d acknowledged appends; the unflushed write buffer should be lost", n)
+			}
+			t.Logf("group commit: a kill kept %d of %d acknowledged appends", recovered, n)
+		})
 	}
 }
 

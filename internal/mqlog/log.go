@@ -264,17 +264,16 @@ func cloneHeaders(hdrs []Header) []Header {
 
 // appendBatch lands a batch of records under one lock acquisition and
 // returns the offset of the first record (they are assigned
-// contiguously). An empty batch assigns nothing and reports ok=false:
-// the returned offset is the partition's current end, which is NOT the
-// offset of any record in this batch and must not be used as a fence.
-func (p *partition) appendBatch(recs []Record) (first uint64, ok bool) {
+// contiguously). For an empty batch that is the partition's current end,
+// the offset of no record, so callers append only non-empty batches.
+func (p *partition) appendBatch(recs []Record) (first uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	first = p.end
 	for _, r := range recs {
 		p.appendLocked(r.Key, r.Value, r.Headers)
 	}
-	return first, len(recs) > 0
+	return first
 }
 
 // fetch returns up to max messages starting at offset. When offset has been
@@ -557,8 +556,7 @@ func (t *Topic) ProduceBatchTo(partitionID int, recs []Record) (uint64, error) {
 		return 0, ErrEmptyBatch
 	}
 	t.produced.Add(uint64(len(recs)))
-	first, _ := t.parts[partitionID].appendBatch(recs)
-	return first, nil
+	return t.parts[partitionID].appendBatch(recs), nil
 }
 
 // ProduceTo appends a message to an explicit partition.

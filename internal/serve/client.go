@@ -276,11 +276,6 @@ func (c *Client) Keys(metric string) []string {
 	return out.Keys
 }
 
-// Flush implements analytics.Backend as a no-op: every write is a
-// completed request by the time it returns, so nothing is buffered on
-// this side of the socket.
-func (c *Client) Flush() {}
-
 // Stats implements analytics.Backend; transport errors answer zeros.
 func (c *Client) Stats() store.Stats {
 	var out StatsResponse

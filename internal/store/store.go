@@ -453,11 +453,6 @@ func (s *Store) Keys(metric string) []string {
 	return out
 }
 
-// Flush is the serving contract's producer-side flush. The store's
-// writes are synchronous — an ObserveBatch that returned is visible to the
-// next Query — so there is nothing to settle and Flush is a no-op.
-func (s *Store) Flush() {}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
