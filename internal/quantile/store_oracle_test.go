@@ -16,14 +16,29 @@ import (
 // releasing the accumulator for the next query. The answers must marshal
 // to the bytes the map-based digest gives for the same buckets merged in
 // the store's order — the open bucket first, under the shard lock, then
-// the sealed ones in slot order — and answer every phi alike.
+// the sealed ones in ascending bucket order — and answer every phi alike.
 func TestStoreQuantileAnswersMatchMapOracle(t *testing.T) {
-	const width, buckets = 10, 40 // bucket `buckets` stays open
+	checkStoreQuantileOracle(t, 0, 40, 64)
+}
+
+// The same oracle over buckets 40–80 with a 64-bucket window: the range
+// straddles bucket 64, where a ring of 64 places wraps, and the sealed
+// buckets still merge in ascending bucket order, not by ring position.
+func TestStoreQuantileAcrossRingWrapMatchesMapOracle(t *testing.T) {
+	checkStoreQuantileOracle(t, 40, 80, 64)
+}
+
+// checkStoreQuantileOracle writes buckets first..last of one series (last
+// stays open) into stores of window ring and holds random range answers
+// to the map oracle.
+func checkStoreQuantileOracle(t *testing.T, first, last, ring int) {
+	t.Helper()
+	const width = 10
 	phis := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
 	rng := workload.NewRNG(41)
 	for _, logU := range []uint8{1, 8, 20, 32} {
 		for _, k := range []uint64{1, 2, 7, 64, 512} {
-			st, err := store.New(store.Config{Shards: 2, BucketWidth: width, RingBuckets: 64})
+			st, err := store.New(store.Config{Shards: 2, BucketWidth: width, RingBuckets: ring})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,8 +49,8 @@ func TestStoreQuantileAnswersMatchMapOracle(t *testing.T) {
 			if err := st.RegisterMetric("lat", proto); err != nil {
 				t.Fatal(err)
 			}
-			refs := make([]*quantile.MapDigest, buckets+1)
-			for b := range refs {
+			refs := make([]*quantile.MapDigest, last+1)
+			for b := first; b <= last; b++ {
 				refs[b] = quantile.NewMapDigest(logU, k)
 				n := rng.Intn(40)
 				if b%5 == 0 {
@@ -50,8 +65,8 @@ func TestStoreQuantileAnswersMatchMapOracle(t *testing.T) {
 				}
 			}
 			for query := 0; query < 20; query++ {
-				from := rng.Intn(buckets + 1)
-				to := from + 1 + rng.Intn(buckets+1-from)
+				from := first + rng.Intn(last+1-first)
+				to := from + 1 + rng.Intn(last+1-from)
 				what := fmt.Sprintf("logU %d k %d buckets [%d, %d)", logU, k, from, to)
 				res, err := st.Query(store.QueryRequest{Metric: "lat", Key: "k", From: int64(from * width), To: int64(to * width)})
 				if err != nil {
@@ -59,10 +74,10 @@ func TestStoreQuantileAnswersMatchMapOracle(t *testing.T) {
 				}
 				want := quantile.NewMapDigest(logU, k)
 				order := make([]int, 0, to-from)
-				if to == buckets+1 {
-					order = append(order, buckets)
+				if to == last+1 {
+					order = append(order, last)
 				}
-				for b := from; b < min(to, buckets); b++ {
+				for b := from; b < min(to, last); b++ {
 					order = append(order, b)
 				}
 				for _, b := range order {

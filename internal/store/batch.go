@@ -16,7 +16,7 @@ import (
 // non-negative, the rule the cluster router and Lambda share — and a
 // validation failure
 // absorbs NOTHING, which is what makes admission shedding provable.
-// Observations older than their entry's ring window are silently
+// Observations older than their entry's retention window are silently
 // dropped and counted in Stats.DroppedLate (the caller cannot usefully
 // retry them, which is the Kafka-consumer convention for truncated
 // reads). An accepted batch is byte-identical to the same observations
@@ -24,7 +24,7 @@ import (
 // input order — per-(metric,key) order is what synopsis state depends
 // on, and a key's writes all land in the same group — and inside a
 // group every per-write effect runs in input order (late-drop
-// accounting, ring advance, eviction). An empty batch is a no-op.
+// accounting, bucket advance, eviction). An empty batch is a no-op.
 func (s *Store) ObserveBatch(obs []Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -108,7 +108,7 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, bu
 	}
 	for _, i := range group {
 		o := obs[i]
-		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key}, s.cfg.RingBuckets)
+		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key})
 		dropped, err := s.writeLocked(sh, e, o, buckets[o.Metric])
 		if err != nil {
 			// Unreachable after up-front validation (only a copy-on-write

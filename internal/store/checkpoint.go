@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -121,9 +122,6 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 			for k, e := range sh.entries {
 				for i := range e.slots {
 					sl := &e.slots[i]
-					if sl.idx < 0 || sl.syn == nil {
-						continue
-					}
 					var err error
 					if sb, err = AppendBinary(sb[:0], sl.syn); err != nil {
 						sh.mu.RUnlock()
@@ -362,10 +360,11 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	bkt, n := binary.Uvarint(rest)
-	if n <= 0 {
+	ubkt, n := binary.Uvarint(rest)
+	if n <= 0 || ubkt > math.MaxInt64 {
 		return core.ErrCorrupt
 	}
+	bkt := int64(ubkt)
 	rest = rest[n:]
 	synBytes, rest, err := cutUvarintBytes(rest)
 	if err != nil || len(rest) != 0 {
@@ -380,10 +379,17 @@ func (s *Store) restoreRecord(payload []byte) error {
 	sh := s.shards[s.shardIndex(k)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.getOrCreate(k, s.cfg.RingBuckets)
-	sl := e.slotFor(int64(bkt))
-	if sl.idx >= 0 {
-		return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q collide in the ring: %w", sl.idx, bkt, metric, key, core.ErrCorrupt)
+	e := sh.getOrCreate(k)
+	// A writer emits each held bucket once, all within one retention
+	// window; a checkpoint that breaks either rule is not one of ours.
+	i, held := e.find(bkt)
+	if held {
+		return fmt.Errorf("store: checkpoint names bucket %d of %q/%q twice: %w", bkt, metric, key, core.ErrCorrupt)
+	}
+	if n := len(e.slots); n > 0 {
+		if lo, hi := min(e.slots[0].idx, bkt), max(e.slots[n-1].idx, bkt); hi-lo >= int64(s.cfg.RingBuckets) {
+			return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q lie a retention window or more apart: %w", lo, hi, metric, key, core.ErrCorrupt)
+		}
 	}
 	// Decode into a bucket opened like a live one: a HyperLogLog or
 	// Count-Min record that fits the sparse form lands in it, holding what
@@ -396,15 +402,13 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err := u.UnmarshalBinary(synBytes); err != nil {
 		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
 	}
-	*sl = slot{idx: int64(bkt), syn: syn, bytes: syn.Bytes()}
+	e.insert(i, slot{idx: bkt, syn: syn, bytes: syn.Bytes()}, s.cfg.RingBuckets)
+	sl := &e.slots[i]
 	e.bytes += sl.bytes
 	sh.bytes += sl.bytes
 	// Restored buckets are history: seal each as it lands (see
 	// sealHistory for why a restored store must be all-sealed).
 	e.sealSlot(sl, sh)
-	if int64(bkt) > e.newest {
-		e.newest = int64(bkt)
-	}
 	return nil
 }
 
@@ -425,9 +429,7 @@ func (s *Store) sealHistory() {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
 			for i := range e.slots {
-				if sl := &e.slots[i]; sl.idx >= 0 && sl.syn != nil {
-					e.sealSlot(sl, sh)
-				}
+				e.sealSlot(&e.slots[i], sh)
 			}
 		}
 		sh.mu.Unlock()

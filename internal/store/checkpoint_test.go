@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -395,5 +396,85 @@ func stampFloors(t *testing.T, dir string, floors []uint64) {
 	man.Floors = floors
 	if err := writeManifest(dir, *man); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// writeHandCheckpoint writes a checkpoint of uniq buckets of series "k",
+// one record per entry of bkts, each holding one item — the records a
+// writer never emits, such as a duplicate bucket, made by hand.
+func writeHandCheckpoint(t *testing.T, dir string, cfg Config, bkts ...int64) {
+	t.Helper()
+	proto := ckptProtos(t)["uniq"]
+	var data []byte
+	for _, bkt := range bkts {
+		syn := proto()
+		syn.Observe(fmt.Sprintf("u%d", bkt), 0)
+		data = appendCheckpointRecord(data, entryKey{metric: "uniq", key: "k"}, bkt, marshal(t, syn))
+	}
+	if err := os.WriteFile(filepath.Join(dir, checkpointDataName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man := CheckpointManifest{
+		Version:     checkpointVersion,
+		BucketWidth: cfg.BucketWidth,
+		RingBuckets: cfg.RingBuckets,
+		Records:     uint64(len(bkts)),
+		DataBytes:   int64(len(data)),
+		DataCRC:     crc32.ChecksumIEEE(data),
+		Offsets:     []uint64{0},
+	}
+	if err := writeManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A checkpoint naming a bucket twice, or two buckets of a series a whole
+// retention window apart, holds what no store could have held: restore
+// refuses it as corrupt, in either record order. Buckets one short of a
+// window apart are both retained, so that checkpoint restores.
+func TestRestoreRefusesBucketsNoWindowHolds(t *testing.T) {
+	cfg := ckptGeom()
+	ring := int64(cfg.RingBuckets)
+	for _, tc := range []struct {
+		name string
+		bkts []int64
+	}{
+		{"duplicate bucket", []int64{5, 6, 5}},
+		{"a window apart", []int64{5, 5 + ring}},
+		{"a window apart, newest first", []int64{5 + ring, 5}},
+	} {
+		dir := t.TempDir()
+		writeHandCheckpoint(t, dir, cfg, tc.bkts...)
+		if _, err := RestoreCheckpoint(ckptStore(t, cfg), dir); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("%s %v: got %v, want ErrCorrupt", tc.name, tc.bkts, err)
+		}
+	}
+	dir := t.TempDir()
+	writeHandCheckpoint(t, dir, cfg, 5+ring-1, 5)
+	st := ckptStore(t, cfg)
+	if _, err := RestoreCheckpoint(st, dir); err != nil {
+		t.Fatalf("buckets %d apart: %v", ring-1, err)
+	}
+	res, err := st.Query(QueryRequest{Metric: "uniq", Key: "k", From: 0, To: (5 + ring) * cfg.BucketWidth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Items() != 2 {
+		t.Fatalf("restored series holds %d items, want 2", res.Items())
+	}
+}
+
+// Buckets further apart than a window, not only a whole window, and a
+// bucket index past int64 (its uvarint read as a negative bucket) are
+// refused too: no store holds them.
+func TestRestoreRefusesBucketsPastTheWindow(t *testing.T) {
+	cfg := ckptGeom()
+	ring := int64(cfg.RingBuckets)
+	for _, bkts := range [][]int64{{5, 5 + ring + 1}, {5 + 3*ring, 6, 7}, {-1}} {
+		dir := t.TempDir()
+		writeHandCheckpoint(t, dir, cfg, bkts...)
+		if _, err := RestoreCheckpoint(ckptStore(t, cfg), dir); !errors.Is(err, core.ErrCorrupt) {
+			t.Fatalf("buckets %v: got %v, want ErrCorrupt", bkts, err)
+		}
 	}
 }

@@ -335,7 +335,10 @@ func TestBucketsOpenSparse(t *testing.T) {
 	open := 0
 	for _, sh := range st.shards {
 		for k, e := range sh.entries {
-			sl := e.slotFor(0)
+			if len(e.slots) != 1 {
+				t.Fatalf("%s/%s holds %d buckets, want 1", k.metric, k.key, len(e.slots))
+			}
+			sl := e.slots[0]
 			var sparse bool
 			switch syn := sl.syn.(type) {
 			case *Distinct:

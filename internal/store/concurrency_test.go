@@ -99,7 +99,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	if stats.Observed+stats.DroppedLate != total {
 		t.Fatalf("observed %d + dropped %d != %d", stats.Observed, stats.DroppedLate, total)
 	}
-	// The shared clock keeps every writer inside the ring window, so late
+	// The shared clock keeps every writer inside the retention window, so late
 	// drops stay a small minority even under scheduler skew.
 	if stats.Observed < total*9/10 {
 		t.Fatalf("only %d of %d writes absorbed", stats.Observed, total)

@@ -12,8 +12,8 @@
 // parallel when more than one is involved), where N single-key queries
 // would pay N lock round-trips. The per-key answers a batched gather
 // produces are byte-identical to N single-key queries': same prototype
-// construction, same slot visit order, same open-under-lock /
-// sealed-outside merge split.
+// construction, same bucket visit order (ascending), same
+// open-under-lock / sealed-outside merge split.
 //
 // Aggregate answers merge the per-key synopses in sorted key order
 // through CombineSnapshots, so Aggregate is deterministically equal to
@@ -556,11 +556,9 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 		c := &run[i]
 		c.lo = len(sealed)
 		if e, ok := sh.entries[c.k]; ok {
-			for j := range e.slots {
+			j, _ := e.find(fromB)
+			for ; j < len(e.slots) && e.slots[j].idx <= toB; j++ {
 				sl := &e.slots[j]
-				if sl.idx < fromB || sl.idx > toB || sl.syn == nil {
-					continue
-				}
 				if sl.sealed {
 					sealed = append(sealed, sl.syn)
 				} else if err := c.result.Merge(sl.syn); err != nil {
@@ -572,8 +570,9 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 		c.hi = len(sealed)
 	}
 	sh.mu.RUnlock()
-	// Sealed synopses are immutable; merge them lock-free, in slot order,
-	// so a key answers byte for byte alike alone or in a batch.
+	// Sealed synopses are immutable; merge them lock-free, in ascending
+	// bucket order, so a key answers byte for byte alike alone or in a
+	// batch.
 	for i := range run {
 		c := &run[i]
 		for _, syn := range sealed[c.lo:c.hi] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -95,7 +96,11 @@ func TestQueryTypedAccessors(t *testing.T) {
 }
 
 // The batched multi-key gather must produce answers byte-identical to the
-// point path: same prototypes, same slot visit order, same merge split.
+// point path: same prototypes, same ascending bucket visit order, same
+// merge split. The batch draws accumulators an aggregate query has just
+// grown and returned to the pool; two collections then empty the pools,
+// so the point queries draw fresh ones. An answer must not depend on
+// which accumulator it was merged in.
 func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 	st := fourFamilyStore(t, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
 	keys := make([]string, 16)
@@ -103,20 +108,33 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
 	for _, metric := range []string{"uniq", "hits", "top", "lat"} {
+		if _, err := st.Query(QueryRequest{Metric: metric, AllKeys: true, Aggregate: true, From: 0, To: 500}); err != nil {
+			t.Fatal(err)
+		}
 		res, err := st.Query(QueryRequest{Metric: metric, Keys: keys, From: 0, To: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
+		runtime.GC()
+		runtime.GC()
 		for _, a := range res.Answers() {
 			want, err := queryPoint(st, metric, a.Key, 0, 499)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a.Raw(), want) {
-				t.Fatalf("%s/%s: batched answer differs from point answer", metric, a.Key)
+				t.Fatalf("%s/%s: batched answer differs from point answer\n batched %s\n point   %s",
+					metric, a.Key, describeAnswer(a.Raw()), describeAnswer(want))
 			}
 		}
 	}
+}
+
+// describeAnswer renders what a mismatch report needs to tell two answers
+// apart: the synopsis type, its Items and its AppendBinary bytes.
+func describeAnswer(syn Synopsis) string {
+	b, err := AppendBinary(nil, syn)
+	return fmt.Sprintf("%T items %d bytes %x (err %v)", syn, syn.Items(), b, err)
 }
 
 // Aggregate answers must equal per-key query + CombineSnapshots in sorted

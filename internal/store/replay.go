@@ -148,7 +148,7 @@ func ReplayPartitionTo(st *Store, topic *mqlog.Topic, pid int, from, end uint64)
 // the oracle tests and experiments hold the other backends to. The
 // returned store is independent of any live store consuming the same
 // topic. The count is the observations fed to the store: poison records
-// are skipped, and observations older than an entry's ring window are
+// are skipped, and observations older than an entry's retention window are
 // dropped by the store itself and show up in Stats().DroppedLate, not as
 // a reduced count here.
 func Rebuild(cfg Config, protos map[string]Prototype, topic *mqlog.Topic) (*Store, uint64, error) {

@@ -10,8 +10,10 @@
 // Entries are spread over a power-of-two number of shards by hash, each
 // shard guarded by its own sync.RWMutex, so writers on different shards
 // never contend and readers never block each other (the sharding scheme
-// of production in-memory caches). Each entry holds a fixed ring of time
-// buckets of configurable width; each bucket is one mergeable synopsis
+// of production in-memory caches). Each entry holds the time buckets it
+// has written, of configurable width, in ascending bucket order — a
+// series costs the buckets it holds, not the retention window's worth of
+// empty places; each bucket is one mergeable synopsis
 // (HyperLogLog, Count-Min, Space-Saving, q-digest — see synopsis.go)
 // built by the metric's registered Prototype. A bucket costs what it
 // holds: HyperLogLog and Count-Min buckets are born in their sparse
@@ -32,13 +34,15 @@
 // outside it: a long query over mostly-sealed history does its heavy
 // merging without holding any lock at all.
 //
-// Retention. Two mechanisms bound memory: the ring itself (a bucket
-// falling out of the ring window is dropped, and writes older than the
-// window are rejected and counted) and per-shard byte budgets
-// (least-recently-written entries are evicted first).
+// Retention. Two mechanisms bound memory: the retention window of
+// RingBuckets buckets behind each entry's newest (a bucket falling out of
+// it is dropped, and writes older than it are rejected and counted) and
+// per-shard byte budgets (least-recently-written entries are evicted
+// first).
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -78,9 +82,11 @@ type Config struct {
 	Shards int
 	// BucketWidth is the stream-time units each bucket spans (default 60).
 	BucketWidth int64
-	// RingBuckets is how many buckets each entry retains (default 60).
-	// Writes more than RingBuckets behind an entry's newest bucket are
-	// rejected and counted in Stats.DroppedLate.
+	// RingBuckets is the retention window, in buckets (default 60): an
+	// entry keeps the buckets it has written within RingBuckets of its
+	// newest, and writes further behind are rejected and counted in
+	// Stats.DroppedLate. It is a window, not an allocation — an entry
+	// holds only the buckets it has written, never more than RingBuckets.
 	RingBuckets int
 	// MaxShardBytes is the per-shard synopsis byte budget; when a write
 	// pushes a shard past it, least-recently-written entries are evicted
@@ -111,7 +117,7 @@ func (c Config) withDefaults() Config {
 // snapshots from several stores; keep it in sync when adding fields.
 type Stats struct {
 	Observed    uint64 // observations absorbed
-	DroppedLate uint64 // observations older than the ring window
+	DroppedLate uint64 // observations older than the retention window
 	Queries     uint64 // range queries served
 	EvictedSize uint64 // entries evicted by the byte budget
 	Compacted   uint64 // bucket seals that took the compact form (q-digest; see sealSlot)
@@ -138,27 +144,61 @@ type entryKey struct {
 	key    string
 }
 
-// slot is one position of an entry's bucket ring.
+// slot is one bucket an entry holds.
 type slot struct {
-	idx    int64 // bucket index occupying the slot; -1 when empty
+	idx    int64 // bucket index
 	sealed bool  // immutable: late writes must copy-on-write
 	bytes  int   // last accounted footprint of syn
 	syn    Synopsis
 }
 
-// entry is the bucket ring of one (metric, key) series, plus its links in
+// entry is the held buckets of one (metric, key) series, plus its links in
 // the shard's recency list.
 type entry struct {
-	k      entryKey
-	slots  []slot
-	newest int64 // highest bucket index written; -1 before first write
-	bytes  int   // sum of slot footprints
-	prev   *entry
-	next   *entry
+	k entryKey
+	// slots are the buckets the series holds, in ascending bucket order,
+	// all within the retention window behind the last (newest) one. The
+	// slice grows as buckets open and its capacity never passes
+	// RingBuckets (see insert); an append may move it, so no *slot is
+	// kept across one.
+	slots []slot
+	bytes int // sum of slot footprints
+	prev  *entry
+	next  *entry
 }
 
-func (e *entry) slotFor(bkt int64) *slot {
-	return &e.slots[int(bkt%int64(len(e.slots)))]
+// newest returns the highest bucket index written, or -1 before the
+// first write.
+func (e *entry) newest() int64 {
+	if len(e.slots) == 0 {
+		return -1
+	}
+	return e.slots[len(e.slots)-1].idx
+}
+
+// find returns the position of bucket bkt in slots and whether it is
+// held; when it is not, the position is where it would be inserted. A
+// write to the newest bucket, the common case, costs one comparison.
+func (e *entry) find(bkt int64) (int, bool) {
+	if n := len(e.slots); n > 0 && e.slots[n-1].idx == bkt {
+		return n - 1, true
+	}
+	return slices.BinarySearchFunc(e.slots, bkt, func(sl slot, b int64) int { return cmp.Compare(sl.idx, b) })
+}
+
+// insert places sl at position i of slots. A full slice grows to twice
+// its capacity, but never past ring: an entry holds at most ring buckets,
+// so a full series costs no more than a ring of them preallocated.
+func (e *entry) insert(i int, sl slot, ring int) {
+	n := len(e.slots)
+	if n == cap(e.slots) {
+		grown := make([]slot, n, min(max(2*n, 1), ring))
+		copy(grown, e.slots)
+		e.slots = grown
+	}
+	e.slots = e.slots[:n+1]
+	copy(e.slots[i+1:], e.slots[i:n])
+	e.slots[i] = sl
 }
 
 // sealSlot makes an open bucket immutable and, where the synopsis offers
@@ -194,28 +234,30 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 	c.release()
 }
 
-// advance moves the entry's newest bucket forward to bkt: everything
-// older than bkt is sealed (including clones produced by earlier late
-// writes) and buckets that fell out of the retention window are dropped,
-// so queries never serve history the write path would reject. The ring is
-// small and this runs once per bucket advance per entry. Callers hold the
-// shard lock.
-func (e *entry) advance(bkt int64, sh *shard) {
-	horizon := bkt - int64(len(e.slots))
+// advance prepares the entry for a write to bkt, past its newest bucket:
+// every held bucket is sealed (including clones produced by earlier late
+// writes) and the buckets that fall out of the retention window of ring
+// buckets behind bkt are dropped from the front, so queries never serve
+// history the write path would reject. It walks the held buckets once
+// per bucket advance per entry. Callers hold the shard lock.
+func (e *entry) advance(bkt int64, ring int, sh *shard) {
+	horizon := bkt - int64(ring)
+	expired := 0
 	for i := range e.slots {
 		sl := &e.slots[i]
-		if sl.idx < 0 {
-			continue
-		}
 		if sl.idx <= horizon {
 			e.bytes -= sl.bytes
 			sh.bytes -= sl.bytes
-			*sl = slot{idx: -1}
-		} else if sl.idx < bkt {
+			expired = i + 1
+		} else {
 			e.sealSlot(sl, sh)
 		}
 	}
-	e.newest = bkt
+	if expired > 0 {
+		n := copy(e.slots, e.slots[expired:])
+		clear(e.slots[n:]) // drop the vacated tail's synopsis references
+		e.slots = e.slots[:n]
+	}
 }
 
 // shard is one lock domain: a map of entries plus an intrusive
@@ -271,15 +313,12 @@ func (sh *shard) remove(e *entry) {
 	sh.bytes -= e.bytes
 }
 
-// getOrCreate returns the shard's entry for k, creating an empty ring if
-// absent. Callers hold sh.mu.
-func (sh *shard) getOrCreate(k entryKey, ring int) *entry {
+// getOrCreate returns the shard's entry for k, creating one that holds
+// no bucket if absent. Callers hold sh.mu.
+func (sh *shard) getOrCreate(k entryKey) *entry {
 	e, ok := sh.entries[k]
 	if !ok {
-		e = &entry{k: k, slots: make([]slot, ring), newest: -1}
-		for i := range e.slots {
-			e.slots[i].idx = -1
-		}
+		e = &entry{k: k}
 		sh.entries[k] = e
 		sh.pushFront(e)
 	}
@@ -378,29 +417,29 @@ func (s *Store) shardIndex(k entryKey) uint32 {
 	return uint32(h & s.mask)
 }
 
-// writeLocked lands one observation in the entry's ring: late-drop check,
-// bucket advance (sealing + window expiry), slot (re)initialization or
+// writeLocked lands one observation in the entry's buckets: late-drop
+// check, bucket advance (sealing + window expiry), opening the bucket or
 // copy-on-write, the sketch update, and byte accounting. open is the
 // metric's bucket Prototype (MetricTable.buckets). Callers hold sh.mu and
 // handle counters and eviction.
 func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype) (dropped bool, err error) {
 	bkt := obs.Time / s.cfg.BucketWidth
-	if e.newest >= 0 && bkt <= e.newest-int64(len(e.slots)) {
+	newest := e.newest()
+	if newest >= 0 && bkt <= newest-int64(s.cfg.RingBuckets) {
 		return true, nil
 	}
-	if bkt > e.newest {
-		e.advance(bkt, sh)
+	if bkt > newest {
+		e.advance(bkt, s.cfg.RingBuckets, sh)
 	}
-	sl := e.slotFor(bkt)
-	switch {
-	case sl.idx != bkt:
-		// Empty slot, or the ring rotating over a bucket that has fallen
-		// out of the retention window. The fresh synopsis starts unsealed
-		// even for a late bucket; the next time advance re-seals it.
-		e.bytes -= sl.bytes
-		sh.bytes -= sl.bytes
-		*sl = slot{idx: bkt, syn: open()}
-	case sl.sealed:
+	i, held := e.find(bkt)
+	if !held {
+		// A new newest bucket, or a late one inside the window that was
+		// never written. The fresh synopsis starts unsealed even for a
+		// late bucket; the next time advance re-seals it.
+		e.insert(i, slot{idx: bkt, syn: open()}, s.cfg.RingBuckets)
+	}
+	sl := &e.slots[i]
+	if sl.sealed {
 		// Late write to a sealed bucket: a reader may hold the sealed
 		// pointer outside the shard lock, so mutate a private clone and
 		// swap it in. The clone opens like any bucket and takes the
@@ -412,11 +451,6 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype
 		}
 		sl.syn = clone
 		sl.sealed = false
-	}
-	if sl.sealed {
-		// Writes only land on unsealed synopses; a sealed slot here means
-		// the bookkeeping above has a bug, so fail loudly in tests.
-		panic("store: write to sealed bucket")
 	}
 	sl.syn.Observe(obs.Item, obs.Value)
 	nb := sl.syn.Bytes()

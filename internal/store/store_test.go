@@ -195,7 +195,7 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 	if got := syn.(*Distinct).Estimate(); got < 0.5 || got > 1.5 {
 		t.Fatalf("post-jump estimate %f, want ~1", got)
 	}
-	// Three of the four ring slots were cleared; accounting must shrink.
+	// Buckets 0..2 were dropped from the entry; accounting must shrink.
 	if after := st.Stats().Bytes; after >= bytesBefore {
 		t.Fatalf("bytes %d not reduced from %d after expiry", after, bytesBefore)
 	}

@@ -102,6 +102,13 @@ func finish(acc Synopsis) Synopsis {
 	}
 	small := c.compacted()
 	if small == nil {
+		if qs, ok := acc.(*Quantiles); ok {
+			// Whether a q-digest accumulator is already exact-size depends
+			// on which pooled instance the query drew, not on what it holds.
+			// An answer never goes back to the pool, so unlink it: it then
+			// equals, field for field, the copy another accumulator gives.
+			qs.pool = nil
+		}
 		return acc
 	}
 	c.release()

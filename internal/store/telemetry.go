@@ -27,7 +27,7 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 		"Observations absorbed by the store.",
 		func() uint64 { return s.observed.Load() }, labels...)
 	reg.CounterFunc("analytics_store_dropped_late_total",
-		"Observations rejected for falling behind the ring retention window.",
+		"Observations rejected for falling behind the retention window.",
 		func() uint64 { return s.droppedLate.Load() }, labels...)
 	reg.CounterFunc("analytics_store_queries_total",
 		"Per-key range queries served.",
