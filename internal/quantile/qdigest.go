@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sync"
@@ -17,25 +18,32 @@ import (
 // with error at most log(U)/k * n and — its defining property — merges by
 // simple counter addition, which is why sensor aggregation trees use it.
 //
-// The tree is held as two parallel slices in ascending node-id order, so
-// merging is a linear two-way merge and compressing one descending pass.
-// Updates append to an unsorted tail that is sorted and merged in
-// ("folded") only when the node count could exceed the compression bound.
-// Only writers (Update, Merge as the receiver, Compress, Reset,
-// UnmarshalBinary) fold; every read, including Merge's argument, sees the
-// tail folded in without changing the digest, so concurrent readers need
-// no more than a read lock.
+// The tree is held as one slice of (id, count) nodes in ascending id
+// order, so merging is a linear two-way merge and compressing one
+// descending pass. Updates append to an unsorted tail that is sorted and
+// merged in ("folded") only when the node count could exceed the
+// compression bound. Only writers (Update, Merge as the receiver,
+// Compress, Reset, UnmarshalBinary) fold; every read, including Merge's
+// argument, sees the tail folded in without changing the digest, so
+// concurrent readers need no more than a read lock.
+//
+// A copy taken by Compact holds its nodes packed instead (see packNodes):
+// a few bytes per node where the slice takes 16. Readers decode the
+// packed nodes into pooled scratch, and Merge into the receiver's spare
+// capacity; a writer unpacks them first.
 type QDigest struct {
-	logU uint8
-	k    uint64 // compression factor
-	n    uint64
-	ids  []uint64 // node ids (1-based heap order), strictly ascending
-	cnts []uint64 // cnts[i] is the count of ids[i]; never zero
-	tail []leaf   // updates not yet folded into ids/cnts, in arrival order
+	logU   uint8
+	packed bool   // the nodes are in enc, not in nodes and tail
+	k      uint64 // compression factor
+	n      uint64
+	nodes  []node // ascending id (1-based heap order); counts never zero
+	tail   []node // leaf updates not yet folded into nodes, in arrival order
+	enc    []byte // the packed nodes, when packed
 }
 
-// leaf is one pending Update: a leaf node id and its weight.
-type leaf struct{ id, w uint64 }
+// node is a tree node id (1-based heap order) and its count; in a tail,
+// a leaf id and the weight of one Update.
+type node struct{ id, cnt uint64 }
 
 // NewQDigest returns a q-digest over the universe [0, 2^logU) with
 // compression factor k.
@@ -60,19 +68,20 @@ func (q *QDigest) Update(v uint64, w uint64) {
 	if w == 0 {
 		return
 	}
+	q.unpack()
 	maxV := (uint64(1) << q.logU) - 1
 	if v > maxV {
 		v = maxV
 	}
-	q.tail = append(q.tail, leaf{q.leafID(v), w})
+	q.tail = append(q.tail, node{q.leafID(v), w})
 	q.n += w
 	// The tail may repeat ids, so the node count is at most the sum; fold
 	// only when that could exceed 6k, and compress when the folded count
 	// does — exactly when a digest without a tail would.
-	if uint64(len(q.ids)+len(q.tail)) > 6*q.k {
+	if uint64(len(q.nodes)+len(q.tail)) > 6*q.k {
 		s := getScratch()
 		q.fold(s)
-		if uint64(len(q.ids)) > 6*q.k {
+		if uint64(len(q.nodes)) > 6*q.k {
 			q.compress(s)
 		}
 		scratchPool.Put(s)
@@ -80,15 +89,14 @@ func (q *QDigest) Update(v uint64, w uint64) {
 }
 
 // scratch holds the transient buffers of one fold, merge, compress or
-// query. Pooled: a range query merges once per bucket, and no digest keeps
-// any of it afterwards.
+// query. Pooled: a range query merges once per bucket, and no
+// digest keeps any of it afterwards.
 type scratch struct {
-	ids, cnts   []uint64 // a folded view of a digest with a tail
-	tids, tcnts []uint64 // a tail, sorted and with equal ids summed
-	leaves      []leaf   // a tail's copy, radix-sorted...
-	spare       []leaf   // ...through this second buffer
-	pend        []leaf   // parents a compress pass created, in creation order
-	order       []ranked // nodes in value order (Query)
+	nodes  []node   // a folded or unpacked view of a digest
+	leaves []node   // a tail's copy, radix-sorted...
+	spare  []node   // ...through this second buffer
+	pend   []node   // parents a compress pass created, in creation order
+	order  []ranked // nodes in value order (Query)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -100,7 +108,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // a least-significant-digit radix sort, one byte of the value per pass,
 // skipping a byte every leaf shares. It is linear in the tail, which a
 // comparison sort of thousands of leaves at a bucket seal is not.
-func (q *QDigest) sortedTail(s *scratch) (ids, cnts []uint64) {
+func (q *QDigest) sortedTail(s *scratch) []node {
 	base := uint64(1) << q.logU
 	a := append(s.leaves[:0], q.tail...)
 	b := slices.Grow(s.spare[:0], len(a))[:len(a)]
@@ -124,16 +132,16 @@ func (q *QDigest) sortedTail(s *scratch) (ids, cnts []uint64) {
 		a, b = b, a
 	}
 	s.leaves, s.spare = a, b
-	ids, cnts = s.tids[:0], s.tcnts[:0]
+	// Sum equal ids in place: the write position never passes the read.
+	out := a[:0]
 	for _, l := range a {
-		if n := len(ids); n > 0 && ids[n-1] == l.id {
-			cnts[n-1] += l.w
+		if n := len(out); n > 0 && out[n-1].id == l.id {
+			out[n-1].cnt += l.cnt
 		} else {
-			ids, cnts = append(ids, l.id), append(cnts, l.w)
+			out = append(out, l)
 		}
 	}
-	s.tids, s.tcnts = ids, cnts
-	return ids, cnts
+	return out
 }
 
 // fold merges the tail into the sorted nodes.
@@ -141,63 +149,148 @@ func (q *QDigest) fold(s *scratch) {
 	if len(q.tail) == 0 {
 		return
 	}
-	tids, tcnts := q.sortedTail(s)
-	q.ids, q.cnts = mergeNodes(q.ids, q.cnts, tids, tcnts)
+	q.nodes = mergeNodes(q.nodes, q.sortedTail(s))
 	q.tail = q.tail[:0]
 }
 
 // view returns q's nodes with the tail folded in, without changing q: its
-// own slices when the tail is empty, a merged copy in s otherwise.
-func (q *QDigest) view(s *scratch) (ids, cnts []uint64) {
-	if len(q.tail) == 0 {
-		return q.ids, q.cnts
+// own slice when it is unpacked and the tail is empty, an unpacked or
+// merged copy in s otherwise.
+func (q *QDigest) view(s *scratch) []node {
+	switch {
+	case q.packed:
+		s.nodes = unpackNodes(s.nodes[:0], q.enc)
+		return s.nodes
+	case len(q.tail) == 0:
+		return q.nodes
 	}
-	s.ids = append(s.ids[:0], q.ids...)
-	s.cnts = append(s.cnts[:0], q.cnts...)
-	tids, tcnts := q.sortedTail(s)
-	s.ids, s.cnts = mergeNodes(s.ids, s.cnts, tids, tcnts)
-	return s.ids, s.cnts
+	s.nodes = mergeNodes(append(s.nodes[:0], q.nodes...), q.sortedTail(s))
+	return s.nodes
 }
 
-// mergeNodes adds the ascending nodes (bids, bcnts) into the ascending
-// nodes (ids, cnts), summing the counts of equal ids, and returns the
-// result. It merges backwards in place, so it allocates only to grow ids
-// and cnts.
-func mergeNodes(ids, cnts, bids, bcnts []uint64) ([]uint64, []uint64) {
-	na, nb := len(ids), len(bids)
-	if nb == 0 {
-		return ids, cnts
+// unpack turns a packed digest back into its node slice, so that a writer
+// can change it.
+func (q *QDigest) unpack() {
+	if q.packed {
+		q.nodes, q.packed, q.enc = unpackNodes(nil, q.enc), false, nil
 	}
-	ids = slices.Grow(ids, nb)[:na+nb]
-	cnts = slices.Grow(cnts, nb)[:na+nb]
-	i, j, w := na-1, nb-1, na+nb
-	for j >= 0 {
-		w--
-		switch {
-		case i >= 0 && ids[i] > bids[j]:
-			ids[w], cnts[w] = ids[i], cnts[i]
-			i--
-		case i >= 0 && ids[i] == bids[j]:
-			ids[w], cnts[w] = ids[i], cnts[i]+bcnts[j]
-			i--
-			j--
-		default:
-			ids[w], cnts[w] = bids[j], bcnts[j]
-			j--
+}
+
+// packNodes appends the packed form of the ascending nodes to b: per node,
+// the uvarint of its id less the previous node's id (the first node's
+// less 0), then the uvarint of its count. Ids ascend in heap order and a
+// bucket's counts are small, so most nodes take two bytes.
+func packNodes(b []byte, nodes []node) []byte {
+	var prev uint64
+	for _, nd := range nodes {
+		if d := nd.id - prev; d|nd.cnt < 0x80 {
+			b = append(b, byte(d), byte(nd.cnt))
+		} else {
+			b = binary.AppendUvarint(b, d)
+			b = binary.AppendUvarint(b, nd.cnt)
+		}
+		prev = nd.id
+	}
+	return b
+}
+
+// packedSize returns the length of the packed form of the ascending nodes.
+func packedSize(nodes []node) int {
+	size, prev := 0, uint64(0)
+	for _, nd := range nodes {
+		size += uvarintLen(nd.id-prev) + uvarintLen(nd.cnt)
+		prev = nd.id
+	}
+	return size
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// unpackNodes appends the nodes packed in enc (see packNodes) to dst. A
+// node takes at least two bytes, so dst grows at most once.
+func unpackNodes(dst []node, enc []byte) []node {
+	dst = slices.Grow(dst, len(enc)/2)
+	var id uint64
+	for i := 0; i < len(enc); {
+		d, c := uint64(enc[i]), uint64(0)
+		if d < 0x80 && i+1 < len(enc) && enc[i+1] < 0x80 {
+			c = uint64(enc[i+1])
+			i += 2
+		} else {
+			var m int
+			d, m = binary.Uvarint(enc[i:])
+			i += m
+			c, m = binary.Uvarint(enc[i:])
+			i += m
+		}
+		id += d
+		dst = append(dst, node{id, c})
+	}
+	return dst
+}
+
+// packedNodes returns how many nodes enc packs: each uvarint ends in its
+// one byte below 0x80, and a node is two uvarints.
+func packedNodes(enc []byte) int {
+	n := 0
+	for _, b := range enc {
+		if b < 0x80 {
+			n++
 		}
 	}
-	// ids[:i+1] never moved; equal ids left a gap between them and the
+	return n / 2
+}
+
+// mergeNodes adds the ascending nodes b into the ascending nodes a,
+// summing the counts of equal ids, and returns the result. It merges
+// backwards in place, so it allocates only to grow a.
+func mergeNodes(a, b []node) []node {
+	na, nb := len(a), len(b)
+	if nb == 0 {
+		return a
+	}
+	a = slices.Grow(a, nb)[:na+nb]
+	i, j, w := na-1, nb-1, na+nb
+	for ; j >= 0; j-- {
+		// The nodes of a above b[j] move up as one run.
+		lo := i
+		for lo >= 0 && a[lo].id > b[j].id {
+			lo--
+		}
+		if lo < i {
+			w -= i - lo
+			copy(a[w:], a[lo+1:i+1])
+			i = lo
+		}
+		w--
+		if i >= 0 && a[i].id == b[j].id {
+			a[w] = node{a[i].id, a[i].cnt + b[j].cnt}
+			i--
+		} else {
+			a[w] = b[j]
+		}
+	}
+	// a[:i+1] never moved; equal ids left a gap between them and the
 	// merged run starting at w.
 	if gap := w - (i + 1); gap > 0 {
-		copy(ids[i+1:], ids[w:])
-		copy(cnts[i+1:], cnts[w:])
-		ids, cnts = ids[:na+nb-gap], cnts[:na+nb-gap]
+		copy(a[i+1:], a[w:])
+		a = a[:na+nb-gap]
 	}
-	return ids, cnts
+	return a
+}
+
+// mergePacked adds the nodes packed in enc into the ascending nodes a. It
+// unpacks them into a's own spare capacity, past where the merged result
+// ends, so a merge of packed buckets needs no buffer beside a.
+func mergePacked(a []node, enc []byte) []node {
+	na, m := len(a), len(enc)/2 // enc packs at most m nodes
+	a = slices.Grow(a, 2*m)
+	return mergeNodes(a, unpackNodes(a[na+m:na+m], enc))
 }
 
 // Compress restores the q-digest invariant by pushing small counts upward.
 func (q *QDigest) Compress() {
+	q.unpack()
 	s := getScratch()
 	q.fold(s)
 	q.compress(s)
@@ -224,65 +317,63 @@ func (q *QDigest) compress(s *scratch) {
 		// merges of lightly loaded buckets.
 		return
 	}
-	ids, cnts := q.ids, q.cnts
+	nodes := q.nodes
 	pend, head := s.pend[:0], 0
-	r, w := len(ids), len(ids) // ids[:r] unread, ids[w:] kept
-	pc := len(ids) - 1         // parent cursor
+	r, w := len(nodes), len(nodes) // nodes[:r] unread, nodes[w:] kept
+	pc := len(nodes) - 1           // parent cursor
 	for r > 0 || head < len(pend) {
 		// The next node in descending order comes from the unread nodes
 		// or the created parents; only the former are visited.
-		var id, c uint64
-		visit := r > 0 && (head == len(pend) || ids[r-1] > pend[head].id)
+		var nd node
+		visit := r > 0 && (head == len(pend) || nodes[r-1].id > pend[head].id)
 		if visit {
 			r--
-			id, c = ids[r], cnts[r]
+			nd = nodes[r]
 		} else {
-			id, c = pend[head].id, pend[head].w
+			nd = pend[head]
 			head++
 		}
 		// An odd id's sibling (id-1) comes next, if present; an even id
 		// has no sibling left, or it would have come first. The root has
 		// neither sibling nor parent.
-		sib, sc := id-1, uint64(0)
-		if id&1 == 1 && id > 1 {
-			if r > 0 && ids[r-1] == sib {
+		sib := node{id: nd.id - 1}
+		if nd.id&1 == 1 && nd.id > 1 {
+			if r > 0 && nodes[r-1].id == sib.id {
 				r--
-				sc, visit = cnts[r], true
-			} else if head < len(pend) && pend[head].id == sib {
-				sc = pend[head].w
+				sib.cnt, visit = nodes[r].cnt, true
+			} else if head < len(pend) && pend[head].id == sib.id {
+				sib.cnt = pend[head].cnt
 				head++
 			}
 		}
-		if visit && id > 1 {
-			p := id / 2
+		if visit && nd.id > 1 {
+			p := nd.id / 2
 			pc = min(pc, r-1)
-			for pc >= 0 && ids[pc] > p {
+			for pc >= 0 && nodes[pc].id > p {
 				pc--
 			}
-			found := pc >= 0 && ids[pc] == p
+			found := pc >= 0 && nodes[pc].id == p
 			var parent uint64
 			if found {
-				parent = cnts[pc]
+				parent = nodes[pc].cnt
 			}
-			if family := c + sc + parent; family < threshold {
+			if family := nd.cnt + sib.cnt + parent; family < threshold {
 				if found {
-					cnts[pc] = family
+					nodes[pc].cnt = family
 				} else {
-					pend = append(pend, leaf{p, family})
+					pend = append(pend, node{p, family})
 				}
 				continue
 			}
 		}
 		w--
-		ids[w], cnts[w] = id, c
-		if sc != 0 {
+		nodes[w] = nd
+		if sib.cnt != 0 {
 			w--
-			ids[w], cnts[w] = sib, sc
+			nodes[w] = sib
 		}
 	}
-	n := copy(ids, ids[w:])
-	copy(cnts, cnts[w:])
-	q.ids, q.cnts = ids[:n], cnts[:n]
+	q.nodes = nodes[:copy(nodes, nodes[w:])]
 	s.pend = pend[:0]
 }
 
@@ -306,15 +397,14 @@ func (q *QDigest) QueryAll(phis []float64, out []uint64) {
 		return
 	}
 	s := getScratch()
-	ids, cnts := q.view(s)
 	// Postorder traversal in increasing value order: sort nodes by
 	// (rightmost leaf, depth) so that accumulating counts respects the
 	// value order, per the q-digest query rule.
 	order := s.order[:0]
-	for i, id := range ids {
-		depthBelow := q.logU - uint8(bits.Len64(id)-1)
-		hi := ((id+1)<<depthBelow - 1) - uint64(1)<<q.logU
-		order = append(order, ranked{key: hi<<6 | uint64(depthBelow), count: cnts[i]})
+	for _, nd := range q.view(s) {
+		depthBelow := q.logU - uint8(bits.Len64(nd.id)-1)
+		hi := ((nd.id+1)<<depthBelow - 1) - uint64(1)<<q.logU
+		order = append(order, ranked{key: hi<<6 | uint64(depthBelow), count: nd.cnt})
 	}
 	slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(a.key, b.key) })
 	for i, phi := range phis {
@@ -346,30 +436,34 @@ func (q *QDigest) Merge(other *QDigest) error {
 	if other == nil || q.logU != other.logU || q.k != other.k {
 		return core.ErrIncompatible
 	}
+	q.unpack()
 	s := getScratch()
 	q.fold(s)
-	oids, ocnts := other.view(s)
-	q.ids, q.cnts = mergeNodes(q.ids, q.cnts, oids, ocnts)
+	if other.packed {
+		q.nodes = mergePacked(q.nodes, other.enc)
+	} else {
+		q.nodes = mergeNodes(q.nodes, other.view(s))
+	}
 	q.n += other.n
 	q.compress(s)
 	scratchPool.Put(s)
 	return nil
 }
 
-// Compact returns a copy of q with the tail folded in and the nodes held in
-// exactly as much memory as they take, or nil when q is already held so.
-// The copy shares nothing with q.
+// Compact returns an immutable copy of q with the tail folded in and the
+// nodes packed (see packNodes) in one allocation of exactly their size,
+// or nil when q is itself such a copy. The copy shares nothing with q and
+// reads exactly as q does; a writer called on it unpacks it first.
 func (q *QDigest) Compact() *QDigest {
-	if len(q.tail) == 0 && cap(q.ids) == len(q.ids) && cap(q.cnts) == len(q.cnts) {
+	if q.packed {
 		return nil
 	}
 	s := getScratch()
-	ids, cnts := q.view(s)
-	n := len(ids)
-	buf := make([]uint64, 2*n)
-	c := &QDigest{logU: q.logU, k: q.k, n: q.n, ids: buf[:n:n], cnts: buf[n:]}
-	copy(c.ids, ids)
-	copy(c.cnts, cnts)
+	nodes := q.view(s)
+	c := &QDigest{logU: q.logU, packed: true, k: q.k, n: q.n}
+	if len(nodes) > 0 {
+		c.enc = packNodes(make([]byte, 0, packedSize(nodes)), nodes)
+	}
 	scratchPool.Put(s)
 	return c
 }
@@ -380,22 +474,25 @@ func (q *QDigest) Count() uint64 { return q.n }
 // Reset returns the digest to its freshly-constructed state, reusing its
 // allocations.
 func (q *QDigest) Reset() {
-	q.ids, q.cnts, q.tail = q.ids[:0], q.cnts[:0], q.tail[:0]
+	q.nodes, q.tail = q.nodes[:0], q.tail[:0]
+	q.packed, q.enc = false, nil
 	q.n = 0
 }
 
 // Nodes returns the number of stored tree nodes.
 func (q *QDigest) Nodes() int {
-	if len(q.tail) == 0 {
-		return len(q.ids)
+	switch {
+	case q.packed:
+		return packedNodes(q.enc)
+	case len(q.tail) == 0:
+		return len(q.nodes)
 	}
 	s := getScratch()
-	ids, _ := q.view(s)
-	n := len(ids)
+	n := len(q.view(s))
 	scratchPool.Put(s)
 	return n
 }
 
-// Bytes approximates the footprint: 16 bytes per node and per pending
-// update.
-func (q *QDigest) Bytes() int { return (len(q.ids)+len(q.tail))*16 + 32 }
+// Bytes approximates the footprint: the packed bytes of a Compact copy,
+// else 16 bytes per node and per pending update.
+func (q *QDigest) Bytes() int { return len(q.enc) + (len(q.nodes)+len(q.tail))*16 + 32 }

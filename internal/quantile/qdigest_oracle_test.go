@@ -3,8 +3,10 @@ package quantile
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/workload"
 )
@@ -97,8 +99,8 @@ func TestQDigestUpdateMatchesMapOracle(t *testing.T) {
 }
 
 // Chains of light and heavy merges into one accumulator, whose arguments
-// hold unfolded tails, are exact-size copies or were decoded from the
-// oracle's bytes; the accumulator is itself swapped for its exact-size
+// hold unfolded tails, are packed copies or were decoded from the
+// oracle's bytes; the accumulator is itself swapped for its packed
 // copy now and then, and reused through Reset for a second chain.
 func TestQDigestMergeMatchesMapOracle(t *testing.T) {
 	rng := workload.NewRNG(29)
@@ -161,7 +163,8 @@ func TestQDigestMergeMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// An exact-size copy is what it copies, and copying it again gives nil.
+// A packed copy is what it copies, held in one exact-size byte slice, and
+// copying it again gives nil.
 func TestQDigestCompactIsExact(t *testing.T) {
 	rng := workload.NewRNG(31)
 	q, _ := NewQDigest(20, 64)
@@ -175,11 +178,11 @@ func TestQDigestCompactIsExact(t *testing.T) {
 		if c == nil {
 			t.Fatalf("after %d updates: no copy of a digest holding a tail", i)
 		}
-		if len(c.tail) != 0 || cap(c.ids) != len(c.ids) || cap(c.cnts) != len(c.cnts) {
-			t.Fatalf("after %d updates: copy holds %d pending, %d/%d ids", i, len(c.tail), len(c.ids), cap(c.ids))
+		if !c.packed || len(c.tail) != 0 || cap(c.nodes) != 0 || cap(c.enc) != len(c.enc) {
+			t.Fatalf("after %d updates: copy packed %v, holds %d pending, %d nodes, %d/%d bytes", i, c.packed, len(c.tail), cap(c.nodes), len(c.enc), cap(c.enc))
 		}
 		if c.Compact() != nil {
-			t.Fatalf("after %d updates: an exact-size copy copied again", i)
+			t.Fatalf("after %d updates: a packed copy copied again", i)
 		}
 		sameDigest(t, fmt.Sprintf("copy after %d updates", i), c, ref)
 	}
@@ -221,5 +224,168 @@ func TestQDigestMergeSourceReadOnly(t *testing.T) {
 	wg.Wait()
 	if got, _ := src.MarshalBinary(); !bytes.Equal(got, want) || len(src.tail) != tail {
 		t.Fatalf("source changed under concurrent merges: tail %d -> %d", tail, len(src.tail))
+	}
+}
+
+// samePacked fails the test unless c, a packed copy, reads exactly as its
+// source q: the same AppendBinary bytes behind a prefix, QueryAll answers,
+// Count and Nodes.
+func samePacked(t *testing.T, what string, c, q *QDigest) {
+	t.Helper()
+	if !c.packed {
+		t.Fatalf("%s: the copy is not packed", what)
+	}
+	prefix := []byte("prefix")
+	got, _ := c.AppendBinary(prefix)
+	want, _ := q.AppendBinary(prefix)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: packed copy appends %d bytes, source %d", what, len(got), len(want))
+	}
+	if c.Count() != q.Count() || c.Nodes() != q.Nodes() {
+		t.Fatalf("%s: packed copy counts %d in %d nodes, source %d in %d", what, c.Count(), c.Nodes(), q.Count(), q.Nodes())
+	}
+	ga, wa := make([]uint64, len(oraclePhis)), make([]uint64, len(oraclePhis))
+	c.QueryAll(oraclePhis, ga)
+	q.QueryAll(oraclePhis, wa)
+	if !slices.Equal(ga, wa) {
+		t.Fatalf("%s: packed copy answers %v, source %v", what, ga, wa)
+	}
+}
+
+// The packed copy Compact takes against the digest it copies, over the
+// map oracle's universes and compression factors. At logU 32 node ids
+// reach 2^33, and a weight of 2^30 takes a five-byte count. Merged into
+// a digest, the copy gives the source's bytes; merged into as the
+// receiver, updated, compressed, reset or decoded into, it unpacks and
+// gives the bytes a dense digest gives.
+func TestQDigestPackedMatchesSource(t *testing.T) {
+	rng := workload.NewRNG(43)
+	var maxID uint64 // the largest id a packed copy held
+	for _, logU := range oracleLogUs {
+		for _, k := range oracleKs {
+			q, _ := NewQDigest(logU, k)
+			ref := newMapDigest(logU, k)
+			other, _ := NewQDigest(logU, k)
+			for i := 0; i < 64; i++ {
+				update(rng, logU, q, ref)
+				other.Update(oracleValue(rng, logU), oracleWeight(rng))
+			}
+			q.Update(1<<logU-1, 1) // the last leaf: id 2^(logU+1) - 1
+			ref.Update(1<<logU-1, 1)
+			for step := 0; step < 6; step++ {
+				what := fmt.Sprintf("logU %d k %d step %d", logU, k, step)
+				c := q.Compact()
+				samePacked(t, what, c, q)
+				if nodes := unpackNodes(nil, c.enc); len(nodes) > 0 {
+					maxID = max(maxID, nodes[len(nodes)-1].id)
+				}
+				sameDigest(t, what, c, ref)
+				if c.Bytes() >= q.Bytes() && q.Nodes() > 0 {
+					t.Fatalf("%s: packed copy reports %d bytes, source %d", what, c.Bytes(), q.Bytes())
+				}
+
+				// dense is q decoded: the digest a writer on c must act like.
+				dense, _ := NewQDigest(logU, k)
+				qb, _ := q.MarshalBinary()
+				if err := dense.UnmarshalBinary(qb); err != nil {
+					t.Fatal(err)
+				}
+				fromPacked, _ := NewQDigest(logU, k)
+				fromDense, _ := NewQDigest(logU, k)
+				fromPacked.Update(3, 2)
+				fromDense.Update(3, 2)
+				if err := fromPacked.Merge(c); err != nil {
+					t.Fatal(err)
+				}
+				if err := fromDense.Merge(dense); err != nil {
+					t.Fatal(err)
+				}
+				equalBytes(t, what+": merged as the source", fromPacked, fromDense)
+
+				recv, recvDense := q.Compact(), cloneDigest(t, dense)
+				if err := recv.Merge(other); err != nil {
+					t.Fatal(err)
+				}
+				if err := recvDense.Merge(other); err != nil {
+					t.Fatal(err)
+				}
+				equalBytes(t, what+": merged into", recv, recvDense)
+
+				upd, updDense := q.Compact(), cloneDigest(t, dense)
+				for i := 0; i < 40; i++ {
+					v, w := oracleValue(rng, logU), oracleWeight(rng)
+					upd.Update(v, w)
+					updDense.Update(v, w)
+				}
+				equalBytes(t, what+": updated", upd, updDense)
+
+				comp, compDense := q.Compact(), cloneDigest(t, dense)
+				comp.Compress()
+				compDense.Compress()
+				equalBytes(t, what+": compressed", comp, compDense)
+
+				dec := q.Compact()
+				ob, _ := other.MarshalBinary()
+				if err := dec.UnmarshalBinary(ob); err != nil {
+					t.Fatal(err)
+				}
+				equalBytes(t, what+": decoded into", dec, other)
+				dec.Reset()
+				if dec.packed || dec.Count() != 0 || dec.Nodes() != 0 || dec.Bytes() != 32 {
+					t.Fatalf("%s: a reset copy holds %d in %d nodes, %d bytes", what, dec.Count(), dec.Nodes(), dec.Bytes())
+				}
+
+				for i := 0; i < 1+rng.Intn(int(12*k)); i++ {
+					update(rng, logU, q, ref)
+				}
+			}
+		}
+	}
+	if maxID != 1<<33-1 {
+		t.Fatalf("the largest packed id was %d, not the last leaf at logU 32", maxID)
+	}
+}
+
+// An empty digest packs to a copy that holds nothing and still answers.
+func TestQDigestPackedEmpty(t *testing.T) {
+	q, _ := NewQDigest(20, 64)
+	c := q.Compact()
+	samePacked(t, "empty", c, q)
+	if c.enc != nil || c.Compact() != nil {
+		t.Fatalf("an empty copy holds %d bytes or copies again", len(c.enc))
+	}
+	c.Update(7, 1)
+	if c.packed || c.Count() != 1 || c.Query(0.5) != 7 {
+		t.Fatalf("update into an empty copy: packed %v, count %d, median %d", c.packed, c.Count(), c.Query(0.5))
+	}
+}
+
+// QDigest stays in the allocator's 96-byte size class: the packed bytes
+// take the place a second node slice would, not a header of their own.
+func TestQDigestPackedStructSize(t *testing.T) {
+	if size := unsafe.Sizeof(QDigest{}); size > 96 {
+		t.Fatalf("QDigest is %d bytes, above the 96-byte size class", size)
+	}
+}
+
+func cloneDigest(t *testing.T, q *QDigest) *QDigest {
+	t.Helper()
+	c, _ := NewQDigest(q.logU, q.k)
+	b, _ := q.MarshalBinary()
+	if err := c.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func equalBytes(t *testing.T, what string, got, want *QDigest) {
+	t.Helper()
+	g, _ := got.MarshalBinary()
+	w, _ := want.MarshalBinary()
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s: %d bytes differ from the dense digest's %d", what, len(g), len(w))
+	}
+	if got.packed {
+		t.Fatalf("%s: a written digest is still packed", what)
 	}
 }

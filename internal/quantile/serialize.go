@@ -1,7 +1,8 @@
 // serialize.go gives the q-digest a binary codec for the store's
 // checkpoint path. The digest's nodes are held in ascending id order with
-// their counts, so the layout is those nodes, copied out in that order,
-// after the configuration (deterministic bytes for equal digests):
+// their counts, so the layout is those nodes, written out in that order,
+// after the configuration (deterministic bytes for equal digests, whether
+// they are held packed or not):
 //
 //	[magic u32][logU u8][k u64][n u64][nodes u32]
 //	[nodes x: id u64, count u64]
@@ -27,16 +28,16 @@ func (q *QDigest) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 // AppendBinary appends the MarshalBinary encoding to b.
 func (q *QDigest) AppendBinary(b []byte) ([]byte, error) {
 	s := getScratch()
-	ids, cnts := q.view(s)
-	b = slices.Grow(b, qdHeaderSize+len(ids)*16)
+	nodes := q.view(s)
+	b = slices.Grow(b, qdHeaderSize+len(nodes)*16)
 	b = binary.LittleEndian.AppendUint32(b, qdMagic)
 	b = append(b, q.logU)
 	b = binary.LittleEndian.AppendUint64(b, q.k)
 	b = binary.LittleEndian.AppendUint64(b, q.n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ids)))
-	for i, id := range ids {
-		b = binary.LittleEndian.AppendUint64(b, id)
-		b = binary.LittleEndian.AppendUint64(b, cnts[i])
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
+	for _, nd := range nodes {
+		b = binary.LittleEndian.AppendUint64(b, nd.id)
+		b = binary.LittleEndian.AppendUint64(b, nd.cnt)
 	}
 	scratchPool.Put(s)
 	return b, nil
@@ -61,12 +62,9 @@ func (q *QDigest) UnmarshalBinary(data []byte) error {
 	if len(data) != qdHeaderSize+nodes*16 {
 		return core.ErrCorrupt
 	}
-	ids, cnts := q.ids, q.cnts
-	if cap(ids) < nodes {
-		ids = make([]uint64, 0, nodes)
-	}
-	if cap(cnts) < nodes {
-		cnts = make([]uint64, 0, nodes)
+	out := q.nodes
+	if cap(out) < nodes {
+		out = make([]node, 0, nodes)
 	}
 	maxID := (uint64(1) << (q.logU + 1)) - 1
 	var sum, carry, prev uint64
@@ -79,12 +77,12 @@ func (q *QDigest) UnmarshalBinary(data []byte) error {
 		if sum, carry = bits.Add64(sum, c, 0); carry != 0 {
 			return core.ErrCorrupt
 		}
-		ids, cnts = append(ids, id), append(cnts, c)
+		out = append(out, node{id, c})
 		prev = id
 	}
 	if sum != n {
 		return core.ErrCorrupt
 	}
-	q.ids, q.cnts, q.n = ids, cnts, n
+	q.nodes, q.n = out, n
 	return nil
 }

@@ -82,8 +82,8 @@ func TestQDigestUnmarshalRejects(t *testing.T) {
 
 // FuzzQDigestUnmarshal feeds arbitrary bytes to the decoder. It must never
 // panic, allocate more than the input's size warrants, or accept bytes
-// that MarshalBinary would not write back exactly; an accepted digest must
-// answer queries and merge.
+// that MarshalBinary would not write back exactly, from the digest or
+// from its packed copy; an accepted digest must answer queries and merge.
 func FuzzQDigestUnmarshal(f *testing.F) {
 	q, _ := NewQDigest(8, 4)
 	for v := uint64(0); v < 200; v += 3 {
@@ -119,6 +119,9 @@ func FuzzQDigestUnmarshal(f *testing.F) {
 		got, _ := q.MarshalBinary()
 		if !bytes.Equal(got, data) {
 			t.Fatalf("accepted bytes re-marshal differently")
+		}
+		if packed, _ := q.Compact().MarshalBinary(); !bytes.Equal(packed, data) {
+			t.Fatalf("the packed copy of accepted bytes re-marshals differently")
 		}
 		out := make([]uint64, 3)
 		q.QueryAll([]float64{0, 0.5, 1}, out)

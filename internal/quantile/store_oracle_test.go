@@ -11,8 +11,8 @@ import (
 )
 
 // Store answers against the map oracle. A store seals each q-digest bucket
-// into its exact-size copy, merges a range into an accumulator drawn from
-// the shape's pool and answers with the accumulator's exact-size copy,
+// into its packed copy, merges a range into an accumulator drawn from
+// the shape's pool and answers with the accumulator's packed copy,
 // releasing the accumulator for the next query. The answers must marshal
 // to the bytes the map-based digest gives for the same buckets merged in
 // the store's order — the open bucket first, under the shard lock, then

@@ -529,17 +529,78 @@ func TestSealedFootprint(t *testing.T) {
 	}
 }
 
+// TestSealedQuantileFootprint is the gate on a sealed q-digest bucket's
+// footprint, in the benchmark's ingest_zipf shape: one bucket of 76 800
+// events over 64 Zipf (s = 1.1) pages, values uniform in 100–9 099, in a
+// store that registers only the daemon's latency-us digest (logU 20, k
+// 512). Sealed, its 64 digests hold their nodes packed: 2.05 bytes per
+// node and 95 KB when the gate landed, where (id, count) pairs held 16
+// bytes per node and 744 KB.
+func TestSealedQuantileFootprint(t *testing.T) {
+	const (
+		pages, events = 64, 76800
+		width         = 100
+		maxPerNode    = 3
+		ceiling       = 160 << 10
+	)
+	st := mustStore(t, Config{Shards: 8, BucketWidth: width, RingBuckets: 256})
+	lat, _ := NewQuantileProto(20, 512)
+	if err := st.RegisterMetric("latency-us", lat); err != nil {
+		t.Fatal(err)
+	}
+	rng := workload.NewRNG(1)
+	zipf := workload.NewZipf(rng, pages, 1.1)
+	batch := make([]Observation, 0, events)
+	for i := 0; i < events; i++ {
+		page := fmt.Sprintf("page-%02d", zipf.Draw())
+		batch = append(batch, Observation{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: int64(i % width)})
+	}
+	if err := st.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	batch = batch[:0] // one write per page into the next bucket seals the first
+	for p := 0; p < pages; p++ {
+		batch = append(batch, Observation{Metric: "latency-us", Key: fmt.Sprintf("page-%02d", p), Value: 100, Time: width})
+	}
+	if err := st.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	held, nodes, sealed := 0, 0, 0
+	for _, sh := range st.shards {
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			for _, sl := range e.slots {
+				if sl.sealed {
+					held += sl.bytes
+					nodes += sl.syn.(*Quantiles).q.Nodes()
+					sealed++
+				}
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	t.Logf("%d sealed q-digest buckets hold %d bytes for %d nodes (%.2f bytes per node; %d as id, count pairs)",
+		sealed, held, nodes, float64(held)/float64(nodes), 16*nodes)
+	if sealed != pages || nodes == 0 {
+		t.Fatalf("%d sealed buckets with %d nodes, want %d", sealed, nodes, pages)
+	}
+	if held > maxPerNode*nodes || held > ceiling {
+		t.Fatalf("sealed buckets hold %d bytes for %d nodes: gate %d per node and %d in all", held, nodes, maxPerNode, ceiling)
+	}
+}
+
 // TestQuantileAnswerFootprint gates what a q-digest answer costs over the
 // serving benchmark's preload: a 64-bucket `latency-us` range query on
 // page-01 within its allocation count, and 410 such answers — about as
 // many as range_scan's read cache keeps — within a heap ceiling. The
-// merge accumulator is pooled and the answer is its exact-size copy, 16
-// bytes per node: 9 allocations and 3.43 MB of heap for 3.15 MB of
-// (id, count) pairs when the gate landed. With the digest in a map the
-// query cost 25 allocations and the same answers held 7.64 MB. Under the
-// race detector the pools drop a quarter of what they are handed, so a
-// query regrows its accumulator (30–36 allocations measured) and the
-// gate there is looser.
+// merge accumulator is pooled and the answer is its packed copy, about
+// 2.5 bytes per node: 9 allocations, and 0.50 MB of heap for nodes that
+// take 3.15 MB as (id, count) pairs. When the gate landed the answer
+// held those pairs, 16 bytes per node, and 3.43 MB of heap; with the
+// digest in a map the query cost 25 allocations and the same answers
+// held 7.64 MB. Under the race detector the pools drop a quarter of what
+// they are handed, so a query regrows its accumulator (30–36 allocations
+// measured, 28–31 with packed buckets) and the gate there is looser.
 func TestQuantileAnswerFootprint(t *testing.T) {
 	const (
 		width   = 100
@@ -585,7 +646,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 	held := int64(heap()) - int64(before)
 	runtime.KeepAlive(st)
 	runtime.KeepAlive(kept)
-	t.Logf("%d latency-us answers hold %d heap bytes for %d nodes (%d bytes of id, count pairs)", answers, held, nodes, 16*nodes)
+	t.Logf("%d latency-us answers hold %d heap bytes for %d nodes (%d bytes as id, count pairs)", answers, held, nodes, 16*nodes)
 	if held > ceiling {
 		t.Fatalf("%d latency-us answers hold %d heap bytes, ceiling %d", answers, held, int64(ceiling))
 	}

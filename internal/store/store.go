@@ -26,7 +26,7 @@
 // sealed; sealed synopses are immutable — a late write to a sealed bucket
 // clones the synopsis and swaps the pointer (copy-on-write), never
 // mutating in place. Sealing is where a q-digest takes the size of what
-// it holds: it is replaced by its exact-size copy (see sealSlot), and
+// it holds: it is replaced by its packed copy (see sealSlot), and
 // the synopsis it vacates goes back to its shape's pool for the next
 // bucket or query accumulator. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
@@ -202,8 +202,8 @@ func (e *entry) insert(i int, sl slot, ring int) {
 }
 
 // sealSlot makes an open bucket immutable and, where the synopsis offers
-// a compact form that pays (a q-digest holding spare capacity or
-// unfolded updates), swaps that form in: seal -> compact -> release the
+// a compact form that pays (a q-digest's packed nodes), swaps that form
+// in: seal -> compact -> release the
 // vacated one. Every path that seals goes through here — time advancing,
 // sealHistory and checkpoint restore — so a sealed bucket costs what it
 // holds wherever it came from. HyperLogLog and Count-Min buckets already

@@ -51,7 +51,8 @@ type Synopsis interface {
 // it to its shape's accumulator pool, where the next Prototype call finds
 // it; a synopsis no Prototype built (a bucket opened sparse, a compacted
 // copy) is left alone. Distinct and Freq copy into their sparse forms;
-// Quantiles copies its q-digest into exactly as many nodes as it holds.
+// Quantiles copies its q-digest with the nodes packed, a few bytes each
+// (see quantile.QDigest.Compact), and returns nil only for such a copy.
 // Space-Saving is sized by its k counters and has no such copy. A store
 // bucket of Distinct or Freq opens, clones and restores in the sparse
 // form (see sparseBorn) and turns dense only when too full for it, so it
@@ -90,8 +91,8 @@ func bucketProtoOf(proto Prototype) Prototype {
 
 // finish turns a query's merge accumulator into the answer the query
 // returns. A result its family can hold smaller (a HyperLogLog or
-// Count-Min that fits its sparse form, a q-digest with capacity to spare)
-// is answered by the compacted copy, and the accumulator goes back to its
+// Count-Min that fits its sparse form, any q-digest accumulator) is
+// answered by the compacted copy, and the accumulator goes back to its
 // pool; anything else — a result too full to compact, or a family
 // without a compact form — is its own answer.
 // The caller must own acc outright and not touch it afterwards.
@@ -102,13 +103,6 @@ func finish(acc Synopsis) Synopsis {
 	}
 	small := c.compacted()
 	if small == nil {
-		if qs, ok := acc.(*Quantiles); ok {
-			// Whether a q-digest accumulator is already exact-size depends
-			// on which pooled instance the query drew, not on what it holds.
-			// An answer never goes back to the pool, so unlink it: it then
-			// equals, field for field, the copy another accumulator gives.
-			qs.pool = nil
-		}
 		return acc
 	}
 	c.release()
