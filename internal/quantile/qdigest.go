@@ -20,12 +20,13 @@ import (
 //
 // The tree is held as one slice of (id, count) nodes in ascending id
 // order, so merging is a linear two-way merge and compressing one
-// descending pass. Updates append to an unsorted tail that is sorted and
-// merged in ("folded") only when the node count could exceed the
-// compression bound. Only writers (Update, Merge as the receiver,
-// Compress, Reset, UnmarshalBinary) fold; every read, including Merge's
-// argument, sees the tail folded in without changing the digest, so
-// concurrent readers need no more than a read lock.
+// descending pass. A unit-weight update appends its value, 4 bytes, to an
+// unsorted tail that is sorted and merged in ("folded") only when the
+// node count could exceed the compression bound; a heavier one folds the
+// tail and merges its leaf at once. Only writers (Update, Merge as the
+// receiver, Compress, Reset, UnmarshalBinary) fold; every read, including
+// Merge's argument, sees the tail folded in without changing the digest,
+// so concurrent readers need no more than a read lock.
 //
 // A copy taken by Compact holds its nodes packed instead (see packNodes):
 // a few bytes per node where the slice takes 16. Readers decode the
@@ -36,13 +37,12 @@ type QDigest struct {
 	packed bool   // the nodes are in enc, not in nodes and tail
 	k      uint64 // compression factor
 	n      uint64
-	nodes  []node // ascending id (1-based heap order); counts never zero
-	tail   []node // leaf updates not yet folded into nodes, in arrival order
-	enc    []byte // the packed nodes, when packed
+	nodes  []node   // ascending id (1-based heap order); counts never zero
+	tail   []uint32 // unit-weight updates' values, not yet folded; arrival order
+	enc    []byte   // the packed nodes, when packed
 }
 
-// node is a tree node id (1-based heap order) and its count; in a tail,
-// a leaf id and the weight of one Update.
+// node is a tree node id (1-based heap order) and its count.
 type node struct{ id, cnt uint64 }
 
 // NewQDigest returns a q-digest over the universe [0, 2^logU) with
@@ -73,19 +73,27 @@ func (q *QDigest) Update(v uint64, w uint64) {
 	if v > maxV {
 		v = maxV
 	}
-	q.tail = append(q.tail, node{q.leafID(v), w})
 	q.n += w
-	// The tail may repeat ids, so the node count is at most the sum; fold
-	// only when that could exceed 6k, and compress when the folded count
-	// does — exactly when a digest without a tail would.
-	if uint64(len(q.nodes)+len(q.tail)) > 6*q.k {
-		s := getScratch()
-		q.fold(s)
-		if uint64(len(q.nodes)) > 6*q.k {
-			q.compress(s)
+	if w == 1 {
+		// The tail may repeat values, so the node count is at most the
+		// sum; fold only when that could exceed 6k.
+		q.tail = append(q.tail, uint32(v))
+		if uint64(len(q.nodes)+len(q.tail)) <= 6*q.k {
+			return
 		}
-		scratchPool.Put(s)
 	}
+	s := getScratch()
+	q.fold(s)
+	if w > 1 {
+		leaf := [1]node{{q.leafID(v), w}}
+		q.nodes = mergeNodes(q.nodes, leaf[:])
+	}
+	// Compress when the folded count exceeds 6k — exactly when a digest
+	// without a tail would.
+	if uint64(len(q.nodes)) > 6*q.k {
+		q.compress(s)
+	}
+	scratchPool.Put(s)
 }
 
 // scratch holds the transient buffers of one fold, merge, compress or
@@ -93,8 +101,9 @@ func (q *QDigest) Update(v uint64, w uint64) {
 // digest keeps any of it afterwards.
 type scratch struct {
 	nodes  []node   // a folded or unpacked view of a digest
-	leaves []node   // a tail's copy, radix-sorted...
-	spare  []node   // ...through this second buffer
+	vals   []uint32 // a tail's copy, radix-sorted...
+	spare  []uint32 // ...through this second buffer
+	leaves []node   // the sorted tail as leaves, one per value
 	pend   []node   // parents a compress pass created, in creation order
 	order  []ranked // nodes in value order (Query)
 }
@@ -103,44 +112,44 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// sortedTail returns q's tail as ascending ids with summed weights, in s.
-// q is not modified. A tail holds leaves only, so it is ordered by value:
-// a least-significant-digit radix sort, one byte of the value per pass,
-// skipping a byte every leaf shares. It is linear in the tail, which a
-// comparison sort of thousands of leaves at a bucket seal is not.
+// sortedTail returns q's tail as leaves in ascending id order, each
+// counting its value's updates, in s. q is not modified. The values are
+// ordered by a least-significant-digit radix sort, one byte per pass,
+// skipping a byte every value shares. It is linear in the tail, which a
+// comparison sort of thousands of values at a bucket seal is not.
 func (q *QDigest) sortedTail(s *scratch) []node {
-	base := uint64(1) << q.logU
-	a := append(s.leaves[:0], q.tail...)
+	a := append(s.vals[:0], q.tail...)
 	b := slices.Grow(s.spare[:0], len(a))[:len(a)]
 	for shift := uint8(0); shift < q.logU; shift += 8 {
 		var at [256]int
-		for _, l := range a {
-			at[byte((l.id-base)>>shift)]++
+		for _, v := range a {
+			at[byte(v>>shift)]++
 		}
-		if at[byte((a[0].id-base)>>shift)] == len(a) {
+		if at[byte(a[0]>>shift)] == len(a) {
 			continue
 		}
 		sum := 0
 		for d, c := range at {
 			at[d], sum = sum, sum+c
 		}
-		for _, l := range a {
-			d := byte((l.id - base) >> shift)
-			b[at[d]] = l
+		for _, v := range a {
+			d := byte(v >> shift)
+			b[at[d]] = v
 			at[d]++
 		}
 		a, b = b, a
 	}
-	s.leaves, s.spare = a, b
-	// Sum equal ids in place: the write position never passes the read.
-	out := a[:0]
-	for _, l := range a {
-		if n := len(out); n > 0 && out[n-1].id == l.id {
-			out[n-1].cnt += l.cnt
-		} else {
-			out = append(out, l)
+	s.vals, s.spare = a, b
+	out := s.leaves[:0]
+	for i := 0; i < len(a); {
+		j := i + 1
+		for j < len(a) && a[j] == a[i] {
+			j++
 		}
+		out = append(out, node{q.leafID(uint64(a[i])), uint64(j - i)})
+		i = j
 	}
+	s.leaves = out
 	return out
 }
 
@@ -494,5 +503,5 @@ func (q *QDigest) Nodes() int {
 }
 
 // Bytes approximates the footprint: the packed bytes of a Compact copy,
-// else 16 bytes per node and per pending update.
-func (q *QDigest) Bytes() int { return len(q.enc) + (len(q.nodes)+len(q.tail))*16 + 32 }
+// else 16 bytes per node and 4 per pending update.
+func (q *QDigest) Bytes() int { return len(q.enc) + len(q.nodes)*16 + len(q.tail)*4 + 32 }

@@ -98,6 +98,68 @@ func TestQDigestUpdateMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// The tail holds values in 4 bytes. At logU 32 the top value, 2^32 - 1,
+// and values past it, which clamp to it, must reach the top leaf through
+// the tail without wrapping. Streams that mix unit and heavier weights —
+// a heavy update folds the tail at once — read partway and then sealed
+// must match the oracle throughout.
+func TestQDigestTailEdges(t *testing.T) {
+	prefix := []byte("prefix")
+	sameAppend := func(t *testing.T, what string, q *QDigest, ref *mapDigest) {
+		t.Helper()
+		got, _ := q.AppendBinary(prefix)
+		want, _ := ref.MarshalBinary()
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("%s: AppendBinary differs from the map oracle's bytes", what)
+		}
+		sameDigest(t, what, q, ref)
+	}
+
+	top := uint64(1)<<32 - 1
+	for _, k := range oracleKs {
+		q, _ := NewQDigest(32, k)
+		ref := newMapDigest(32, k)
+		for _, v := range []uint64{top, top + 1, 1 << 40, ^uint64(0), 0, top - 1, 1 << 31} {
+			q.Update(v, 1)
+			ref.Update(v, 1)
+		}
+		what := fmt.Sprintf("logU 32 k %d", k)
+		if k >= 2 && len(q.tail) == 0 {
+			t.Fatalf("%s: the updates did not wait in the tail", what)
+		}
+		for _, v := range q.tail[:min(4, len(q.tail))] {
+			if uint64(v) != top {
+				t.Fatalf("%s: a clamped value is held as %d, not %d", what, v, top)
+			}
+		}
+		if got := q.Query(1); got != top {
+			t.Fatalf("%s: the maximum is %d, not %d", what, got, top)
+		}
+		sameAppend(t, what, q, ref)
+		sameAppend(t, what+" sealed", q.Compact(), ref)
+	}
+
+	rng := workload.NewRNG(47)
+	for _, logU := range oracleLogUs {
+		for _, k := range oracleKs {
+			q, _ := NewQDigest(logU, k)
+			ref := newMapDigest(logU, k)
+			for i := 1; i <= 3000; i++ {
+				v, w := oracleValue(rng, logU), uint64(1)
+				if rng.Intn(4) == 0 {
+					w = 2 + rng.Uint64()%50
+				}
+				q.Update(v, w)
+				ref.Update(v, w)
+				if i%701 == 0 {
+					sameAppend(t, fmt.Sprintf("logU %d k %d after %d updates", logU, k, i), q, ref)
+				}
+			}
+			sameAppend(t, fmt.Sprintf("logU %d k %d sealed", logU, k), q.Compact(), ref)
+		}
+	}
+}
+
 // Chains of light and heavy merges into one accumulator, whose arguments
 // hold unfolded tails, are packed copies or were decoded from the
 // oracle's bytes; the accumulator is itself swapped for its packed

@@ -328,6 +328,27 @@ func BenchmarkQDigestUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkQDigestSeal times what a bucket roll pays to seal a q-digest:
+// Compact of an open digest whose tail holds 3 000 values, folding the
+// tail into the nodes and packing them.
+func BenchmarkQDigestSeal(b *testing.B) {
+	q, _ := NewQDigest(20, 512)
+	rng := workload.NewRNG(5)
+	for i := 0; i < 3000; i++ {
+		q.Update(100+rng.Uint64()%9000, 1)
+	}
+	if len(q.tail) != 3000 {
+		b.Fatalf("the tail holds %d values, not 3000", len(q.tail))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if q.Compact() == nil {
+			b.Fatal("no copy")
+		}
+	}
+}
+
 func BenchmarkFrugal2U(b *testing.B) {
 	f, _ := NewFrugal2U(0.9, 1)
 	for i := 0; i < b.N; i++ {

@@ -12,8 +12,10 @@
 //	        uvarint bucket index, uvarint synopsis len, synopsis bytes
 //
 // where the synopsis bytes come from the adapter's MarshalBinary (see
-// synopsis.go). manifest.json names the store geometry the data was
-// written under, the per-partition log offsets it covers, the record
+// synopsis.go). Records go shard by shard, a shard's series in (metric,
+// key) order and a series' buckets ascending, so one store state always
+// writes the same bytes. manifest.json names the store geometry the data
+// was written under, the per-partition log offsets it covers, the record
 // count and the data file's size and CRC — restore refuses a manifest
 // that disagrees with the data file or the restoring store's geometry,
 // because a checkpoint replayed into the wrong bucketing would merge
@@ -31,6 +33,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -116,10 +119,19 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 	var dataBytes int64
 	var records uint64
 	var buf, sb []byte // reused by every record
+	var order []*entry // a shard's entries by (metric, key)
 	writeErr := func() error {
 		for _, sh := range st.shards {
 			sh.mu.RLock()
-			for k, e := range sh.entries {
+			order = order[:0]
+			for _, e := range sh.entries {
+				order = append(order, e)
+			}
+			slices.SortFunc(order, func(a, b *entry) int {
+				return cmp.Or(cmp.Compare(a.k.metric, b.k.metric), cmp.Compare(a.k.key, b.k.key))
+			})
+			for _, e := range order {
+				k := e.k
 				for i := range e.slots {
 					sl := &e.slots[i]
 					var err error

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -178,6 +179,58 @@ func TestCheckpointRestoreParity(t *testing.T) {
 		}
 	}
 	assertCheckpointAgree(t, dst, src, n, "post-restore writes")
+}
+
+// One store state writes one checkpoint: the same store written twice,
+// and two stores fed the same stream, give byte-identical data files and
+// manifests that carry the same data CRC.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	cfg := ckptGeom()
+	fed := func() *Store {
+		st := ckptStore(t, cfg)
+		for i := 0; i < 2000; i += 10 {
+			var batch []Observation
+			for j := i; j < i+10; j++ {
+				batch = append(batch, ckptObs(j)...)
+			}
+			if err := st.ObserveBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	write := func(st *Store) ([]byte, uint32) {
+		t.Helper()
+		dir := t.TempDir()
+		if _, err := WriteCheckpoint(st, dir, CheckpointMeta{Offsets: []uint64{3}}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, checkpointDataName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := ReadCheckpointManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, man.DataCRC
+	}
+	a, b := fed(), fed()
+	first, firstCRC := write(a)
+	if len(first) == 0 {
+		t.Fatal("empty checkpoint")
+	}
+	for what, st := range map[string]*Store{"the same store written again": a, "a store fed the same stream": b} {
+		data, crc := write(st)
+		if !bytes.Equal(data, first) || crc != firstCRC {
+			at := 0
+			for at < min(len(data), len(first)) && data[at] == first[at] {
+				at++
+			}
+			t.Fatalf("%s: %d bytes (CRC %08x) differ from byte %d of the first checkpoint's %d (CRC %08x)",
+				what, len(data), crc, at, len(first), firstCRC)
+		}
+	}
 }
 
 // TestCheckpointSuffixReplayEqualsFullReplay is the crash-recovery oracle:

@@ -529,19 +529,14 @@ func TestSealedFootprint(t *testing.T) {
 	}
 }
 
-// TestSealedQuantileFootprint is the gate on a sealed q-digest bucket's
-// footprint, in the benchmark's ingest_zipf shape: one bucket of 76 800
-// events over 64 Zipf (s = 1.1) pages, values uniform in 100–9 099, in a
-// store that registers only the daemon's latency-us digest (logU 20, k
-// 512). Sealed, its 64 digests hold their nodes packed: 2.05 bytes per
-// node and 95 KB when the gate landed, where (id, count) pairs held 16
-// bytes per node and 744 KB.
-func TestSealedQuantileFootprint(t *testing.T) {
+// zipfQuantileBucket writes one bucket in the benchmark's ingest_zipf
+// shape, in 256-observation batches, into a store that registers only the
+// daemon's latency-us digest (logU 20, k 512): 76 800 events over 64 Zipf
+// (s = 1.1) pages, values uniform in 100–9 099. The bucket stays open.
+func zipfQuantileBucket(t *testing.T) *Store {
 	const (
-		pages, events = 64, 76800
-		width         = 100
-		maxPerNode    = 3
-		ceiling       = 160 << 10
+		pages, events, batchSize = 64, 76800, 256
+		width                    = 100
 	)
 	st := mustStore(t, Config{Shards: 8, BucketWidth: width, RingBuckets: 256})
 	lat, _ := NewQuantileProto(20, 512)
@@ -550,15 +545,71 @@ func TestSealedQuantileFootprint(t *testing.T) {
 	}
 	rng := workload.NewRNG(1)
 	zipf := workload.NewZipf(rng, pages, 1.1)
-	batch := make([]Observation, 0, events)
+	batch := make([]Observation, 0, batchSize)
 	for i := 0; i < events; i++ {
 		page := fmt.Sprintf("page-%02d", zipf.Draw())
 		batch = append(batch, Observation{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: int64(i % width)})
+		if len(batch) == batchSize {
+			if err := st.ObserveBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
 	}
-	if err := st.ObserveBatch(batch); err != nil {
-		t.Fatal(err)
+	return st
+}
+
+// heapAfterGC returns the live heap once collection has emptied the
+// pools.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ { // a pool's contents outlive one GC
+		runtime.GC()
 	}
-	batch = batch[:0] // one write per page into the next bucket seals the first
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestOpenQuantileFootprint is the gate on an open q-digest bucket's
+// footprint: the ingest_zipf-shaped bucket of zipfQuantileBucket, not
+// sealed. A digest holds its unit-weight updates as 4-byte values until
+// they could pass the compression bound, and a cold page never gets
+// there, so most of the bucket is such values. When the gate landed its
+// heap after GC was 600 KB; as 16-byte (id, count) pairs it was 1 345 KB.
+func TestOpenQuantileFootprint(t *testing.T) {
+	const ceiling = 700 << 10
+	before := heapAfterGC()
+	st := zipfQuantileBucket(t)
+	held := int64(heapAfterGC()) - int64(before)
+	stats := st.Stats()
+	nodes := 0
+	for _, sh := range st.shards {
+		for _, e := range sh.entries {
+			for _, sl := range e.slots {
+				nodes += sl.syn.(*Quantiles).q.Nodes()
+			}
+		}
+	}
+	runtime.KeepAlive(st)
+	t.Logf("the open bucket holds %d heap bytes (Stats.Bytes %d) for %d nodes", held, stats.Bytes, nodes)
+	if held > ceiling {
+		t.Fatalf("the open bucket holds %d heap bytes, ceiling %d", held, ceiling)
+	}
+}
+
+// TestSealedQuantileFootprint is the gate on a sealed q-digest bucket's
+// footprint: the ingest_zipf-shaped bucket of zipfQuantileBucket, sealed.
+// Its 64 digests hold their nodes packed: 2.05 bytes per node and 95 KB
+// when the gate landed, where (id, count) pairs held 16 bytes per node
+// and 744 KB.
+func TestSealedQuantileFootprint(t *testing.T) {
+	const (
+		pages, width = 64, 100
+		maxPerNode   = 3
+		ceiling      = 160 << 10
+	)
+	st := zipfQuantileBucket(t)
+	batch := make([]Observation, 0, pages) // one write per page into the next bucket seals the first
 	for p := 0; p < pages; p++ {
 		batch = append(batch, Observation{Metric: "latency-us", Key: fmt.Sprintf("page-%02d", p), Value: 100, Time: width})
 	}
@@ -623,16 +674,8 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 		t.Fatalf("64-bucket latency-us range query costs %v allocations, gate %d", allocs, maxAllocs)
 	}
 
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		for i := 0; i < 3; i++ { // a pool's contents outlive one GC
-			runtime.GC()
-		}
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	kept := make([]QueryResult, 0, answers)
-	before := heap()
+	before := heapAfterGC()
 	nodes := 0
 	for i := 0; i < answers; i++ {
 		from := int64(i % (160 - 64 + 1))
@@ -643,7 +686,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 		nodes += res.Raw().(*Quantiles).q.Nodes()
 		kept = append(kept, res)
 	}
-	held := int64(heap()) - int64(before)
+	held := int64(heapAfterGC()) - int64(before)
 	runtime.KeepAlive(st)
 	runtime.KeepAlive(kept)
 	t.Logf("%d latency-us answers hold %d heap bytes for %d nodes (%d bytes as id, count pairs)", answers, held, nodes, 16*nodes)
