@@ -1,8 +1,8 @@
-// router.go is the cluster's client surface: it partitions ObserveBatch
-// traffic by key onto the ingest topic (one batched append per
-// partition group, on the log before the call returns) and answers
-// queries by routing to the owning node or scatter-gathering across
-// nodes and combining the partial synopses.
+// router.go is the cluster's client surface: it puts ObserveBatch
+// traffic on the ingest topic through a store.LogWriter (one batched
+// append per partition group, on the log before the call returns) and
+// answers queries by routing to the owning node or scatter-gathering
+// across nodes and combining the partial synopses.
 package dstore
 
 import (
@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mqlog"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -29,42 +28,30 @@ func queryCancelled(err error) error {
 	return fmt.Errorf("dstore: query cancelled: %w", err)
 }
 
-// routerPart is one partition's encode scratch. The lock is held across
-// the batched append so concurrent producers on the same partition reach
-// the log one whole group at a time and per-key ordering survives. buf
-// and enc are reused after every append because the log copies values
-// at append.
-type routerPart struct {
-	mu  sync.Mutex
-	buf []mqlog.Record
-	enc []byte
-}
-
 // Router is the cluster's ingest and query front end. One Router is safe
 // for concurrent use. ObserveBatch returns only once every accepted
 // observation is on the ingest log, so an ack is a write Cluster.Lag
 // counts and Drain waits for.
 type Router struct {
-	c     *Cluster
-	parts []routerPart
+	c   *Cluster
+	log *store.LogWriter
 }
 
 func newRouter(c *Cluster) *Router {
-	return &Router{c: c, parts: make([]routerPart, c.cfg.Partitions)}
+	return &Router{c: c, log: store.NewLogWriter(c.topic)}
 }
 
-// ObserveBatch encodes a slice of observations onto the ingest topic,
-// partitioned by key — the same hash Produce uses, so a series always
-// lands in one partition and replays in order — with one batched append
-// per partition group. The entire batch is validated first,
-// producer-side, by the store's rule (store.MetricTable.Check) rather
-// than poisoning the consumers: an unknown metric, an empty key (which
-// would round-robin by value hash in the log, scattering one series
-// across partitions that different nodes own) or a negative time fails
-// the call and appends NOTHING. An accepted batch reaches the log in
-// input order per partition — a key's records all land in one partition
-// group — so per-series replay order matches one observation per call
-// exactly. When ObserveBatch returns, every observation is on the log.
+// ObserveBatch puts a slice of observations on the ingest topic through
+// a store.LogWriter: partitioned by key, so a series always lands in one
+// partition and replays in order, with one append per partition group.
+// The entire batch is validated first, producer-side, by the store's
+// rule (store.MetricTable.Check) rather than poisoning the consumers: an
+// unknown metric, an empty key (which would round-robin by value hash in
+// the log, scattering one series across partitions that different nodes
+// own) or a negative time fails the call and appends NOTHING. An
+// accepted batch reaches the log in input order per partition, so
+// per-series replay order matches one observation per call exactly.
+// When ObserveBatch returns, every observation is on the log.
 func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -72,61 +59,8 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if err := r.c.metrics.Check(obs); err != nil {
 		return err
 	}
-	trc := r.c.tracer()
-	if len(obs) == 1 {
-		// One write has one partition: skip the sort.
-		r.appendGroup(r.c.topic.PartitionFor(obs[0].Key), []int{0}, obs, trc)
-		return nil
-	}
-	order, bounds := store.GroupIndices(len(obs), len(r.parts), func(i int) int {
-		return r.c.topic.PartitionFor(obs[i].Key)
-	})
-	for pid := range r.parts {
-		if group := order[bounds[pid]:bounds[pid+1]]; len(group) > 0 {
-			r.appendGroup(pid, group, obs, trc)
-		}
-	}
+	r.log.Append(obs, r.c.tracer())
 	return nil
-}
-
-// appendGroup encodes one partition's group of obs, in input order, into
-// the partition's scratch and appends it to the log as one batch under
-// one acquisition of the partition's lock. When the group carries
-// sampled records, the first one's trace gets an append-side span — one
-// per append, not per record, matching the batch being the unit of
-// producer work.
-func (r *Router) appendGroup(pid int, group []int, obs []store.Observation, trc *trace.Tracer) {
-	p := &r.parts[pid]
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, i := range group {
-		o := &obs[i]
-		at := len(p.enc)
-		p.enc = store.AppendObservation(p.enc, *o)
-		rec := mqlog.Record{Key: o.Key, Value: p.enc[at:]}
-		if trc != nil && o.Trace.Valid() {
-			// The wire codec doesn't carry trace context; a sampled
-			// observation crosses the log as a record header instead, where
-			// the owning node's event loop stitches it back (trace_wire.go).
-			rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
-		}
-		p.buf = append(p.buf, rec)
-	}
-	var sp *trace.Span
-	if trc != nil {
-		if ctx := firstTracedContext(p.buf); ctx.Valid() {
-			sp = trc.StartRemote(ctx, "mqlog.append")
-		}
-	}
-	first, err := r.c.topic.ProduceBatchTo(pid, p.buf)
-	if sp != nil {
-		sp.SetAttrs(trace.Int("partition", int64(pid)), trace.Int("records", int64(len(p.buf))))
-		if err == nil {
-			sp.SetAttrs(trace.Int("first_offset", int64(first)))
-		}
-		sp.Finish()
-	}
-	p.buf, p.enc = p.buf[:0], p.enc[:0]
 }
 
 // RegisterMetric binds a metric on the cluster (see

@@ -3,10 +3,10 @@
 // figure as an explicit component:
 //
 //  1. incoming data is dispatched to both the batch and speed layers
-//     (ObserveBatch): the master dataset is an immutable mqlog topic —
-//     every observation is encoded with the store wire codec and
-//     appended, keyed so a series always lands in one partition — and
-//     the same observation feeds the speed layer;
+//     (ObserveBatch): the master dataset is an immutable mqlog topic
+//     written, like the cluster's, by a store.LogWriter — one append per
+//     partition group, keyed so a series lands in one partition — and
+//     the same observations feed the speed layer;
 //  2. the batch layer recomputes batch views from the master dataset
 //     alone (RunBatch): a fresh sketch store replayed up to a frozen
 //     end-offset snapshot (store.FreezeAtFrom over an
@@ -91,6 +91,7 @@ type BatchInfo struct {
 type Architecture struct {
 	cfg   Config
 	topic *mqlog.Topic
+	log   *store.LogWriter
 
 	// metrics is the registered metric table both layers are built
 	// from; startMu seals it at the first use.
@@ -136,7 +137,7 @@ func New(cfg Config) (*Architecture, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.topic = topic
+	a.topic, a.log = topic, store.NewLogWriter(topic)
 	return a, nil
 }
 
@@ -211,15 +212,14 @@ func (a *Architecture) replayMaster(st *store.Store, from []uint64) error {
 }
 
 // ObserveBatch dispatches a slice of observations to both layers
-// (Figure 1, step 1): each wire-encoded observation is appended to the
-// master topic — keyed by its Key, so a series replays in append order
-// — and the same observations land in the speed layer. The entire batch
-// is validated first: the master dataset is immutable, so a rejected
-// batch appends NOTHING. One append-lock acquisition covers every
-// Produce, the speed store absorbs the batch through its own amortized
-// path, and the write is synchronous (read-your-writes). Per-key order is
-// input order, so an accepted batch is byte-identical to one observation
-// per call.
+// (Figure 1, step 1): the log writer appends it to the master topic, one
+// append per partition group, so a series replays in append order, and
+// the same observations land in the speed layer. The entire batch is
+// validated first: the master dataset is immutable, so a rejected batch
+// appends NOTHING. Both writes happen under one read hold of the handoff
+// lock, so a cutover sees the batch in both layers or neither, and the
+// write is synchronous (read-your-writes). Per-key order is input order,
+// so an accepted batch is byte-identical to one observation per call.
 func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	if len(obs) == 0 {
 		return nil
@@ -234,11 +234,7 @@ func (a *Architecture) ObserveBatch(obs []store.Observation) error {
 	}
 	a.speedMu.RLock()
 	defer a.speedMu.RUnlock()
-	scratch := make([]byte, 0, 128) // reused per record: Produce copies the value
-	for i := range obs {
-		scratch = store.AppendObservation(scratch[:0], obs[i])
-		a.topic.Produce(obs[i].Key, scratch)
-	}
+	a.log.Append(obs, nil)
 	a.appended.Add(uint64(len(obs)))
 	return a.speed.ObserveBatch(obs)
 }

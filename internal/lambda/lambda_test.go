@@ -529,6 +529,56 @@ func BenchmarkLambdaAppend(b *testing.B) {
 	}
 }
 
+// lambdaBatch returns a 256-observation write over 64 keys, the
+// daemon's batch shape: each key written four times.
+func lambdaBatch() []store.Observation {
+	batch := make([]store.Observation, 256)
+	for i := range batch {
+		batch[i] = store.Observation{Metric: "hits", Key: fmt.Sprintf("k%d", i%64), Item: "u", Value: 1}
+	}
+	return batch
+}
+
+// BenchmarkLambdaAppendBatch is BenchmarkLambdaAppend at the daemon's
+// write shape: 256 observations a call over 64 pre-built keys, so key
+// formatting is not timed. Time advances one unit a call.
+func BenchmarkLambdaAppendBatch(b *testing.B) {
+	a := newArch(b, testConfig())
+	batch := lambdaBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j].Time = int64(i)
+		}
+		if err := a.ObserveBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestLambdaObserveBatchAllocGate: a warm 256-observation ObserveBatch
+// encodes into the log writer's reused scratch and appends into the
+// log's chunks, so it allocates at most twice, amortized: the writer's
+// grouping by partition and the speed store's grouping by shard. One
+// encoded value per observation would make it 258.
+func TestLambdaObserveBatchAllocGate(t *testing.T) {
+	a := newArch(t, testConfig())
+	batch := lambdaBatch()
+	if err := a.ObserveBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := a.ObserveBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Architecture.ObserveBatch of %d observations: %.0f allocations", len(batch), allocs)
+	if allocs > 2 {
+		t.Fatalf("Architecture.ObserveBatch of %d observations: %.0f allocations, budget 2", len(batch), allocs)
+	}
+}
+
 func BenchmarkLambdaMergedQuery(b *testing.B) {
 	a := newArch(b, testConfig())
 	for i := 0; i < 50000; i++ {

@@ -20,7 +20,7 @@ func produceChunks(topic *Topic, n int) {
 	var buf []byte
 	for seq := int(topic.EndOffset(0)); len(p.chunks) < n; seq++ {
 		buf = racedValue(buf, 0, seq)
-		topic.ProduceTo(0, "k", buf)
+		produceTo(topic, 0, "k", buf)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRetainedBytesCountsCompression(t *testing.T) {
 	p := topic.parts[0]
 	val := make([]byte, 1000) // 64 records a chunk
 	for len(p.chunks) < 3 {
-		topic.ProduceTo(0, "k", val)
+		produceTo(topic, 0, "k", val)
 	}
 	c0, c1, c2 := p.chunks[0], p.chunks[1], p.chunks[2]
 	if c0.z == nil || topic.StartOffset(0) != 0 {
@@ -137,7 +137,7 @@ func TestRetainedBytesCountsCompression(t *testing.T) {
 		t.Fatalf("RetainedBytes %d after inflating chunk 0, want %d", got, want)
 	}
 	for p.chunks[0] == c0 {
-		topic.ProduceTo(0, "k", val)
+		produceTo(topic, 0, "k", val)
 	}
 	if p.inflated != nil || p.inflatedFrom != nil {
 		t.Fatal("retention dropped chunk 0 but kept its inflated copy")
@@ -166,7 +166,7 @@ func TestRecoveryCompressesOnlyKeptChunks(t *testing.T) {
 	var buf []byte
 	for seq := 0; seq < 20*limit; seq++ {
 		buf = racedValue(buf, 0, seq)
-		written.ProduceTo(0, "k", buf)
+		produceTo(written, 0, "k", buf)
 	}
 	if err := written.Close(); err != nil {
 		t.Fatal(err)

@@ -96,9 +96,9 @@ func (d *durPartition) fail(err error) {
 }
 
 // durAppendLocked writes one record through to the active segment and
-// rolls it when full: the frame, then the payload bytes appendLocked just
+// rolls it when full: the frame, then the payload bytes appendBatch just
 // put in the tail chunk. Caller holds p.mu; off is the offset
-// appendLocked just assigned.
+// appendBatch just assigned.
 func (p *partition) durAppendLocked(payload []byte, off uint64) {
 	d := p.dur
 	if d == nil || d.err != nil || d.closed {

@@ -36,7 +36,7 @@ func TestDurableRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if _, err := t1.ProduceTo(i%2, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := produceTo(t1, i%2, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestDurableRoundtrip(t *testing.T) {
 		}
 	}
 	// Offsets continue where the previous process stopped.
-	off, err := t2.ProduceTo(0, "late", nil)
+	off, err := produceTo(t2, 0, "late", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		t1.ProduceTo(0, fmt.Sprintf("k%d", i), []byte("payload"))
+		produceTo(t1, 0, fmt.Sprintf("k%d", i), []byte("payload"))
 	}
 	// Simulated kill -9 mid-write: every record is synced (so the file is
 	// complete), then the tail record's frame is cut short on disk.
@@ -120,7 +120,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 		}
 	}
 	// The torn offset is reused, and a third open sees a clean log.
-	if off, _ := t2.ProduceTo(0, "replacement", nil); off != n-1 {
+	if off, _ := produceTo(t2, 0, "replacement", nil); off != n-1 {
 		t.Fatalf("replacement record got offset %d, want %d", off, n-1)
 	}
 	if err := t2.Close(); err != nil {
@@ -145,7 +145,7 @@ func TestDurableGapDiscardsLaterSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		t1.ProduceTo(0, "k", []byte("vvvv"))
+		produceTo(t1, 0, "k", []byte("vvvv"))
 	}
 	if err := t1.Close(); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestDurableSegmentRollAndRetention(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		t1.ProduceTo(0, fmt.Sprintf("k%d", i), []byte("0123456789abcdef"))
+		produceTo(t1, 0, fmt.Sprintf("k%d", i), []byte("0123456789abcdef"))
 	}
 	ds := t1.DurabilityStats()
 	if ds.SegmentRolls == 0 {
@@ -325,7 +325,7 @@ func TestDurableProcessKillWindow(t *testing.T) {
 			}
 			t.Cleanup(func() { live.Close() })
 			for i := 0; i < n; i++ {
-				if _, err := live.ProduceTo(i%parts, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%04d", i))); err != nil {
+				if _, err := produceTo(live, i%parts, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("value-%04d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -386,7 +386,7 @@ func TestProduceBatchToEmptyBatch(t *testing.T) {
 
 func TestFetchRejectsNonPositiveMax(t *testing.T) {
 	topic, _ := NewBroker().CreateTopic("t", 1, 0)
-	topic.ProduceTo(0, "k", []byte("v"))
+	produceTo(topic, 0, "k", []byte("v"))
 	for _, max := range []int{0, -1, -100} {
 		msgs, next, _, err := topic.Fetch(0, 0, max)
 		if !errors.Is(err, ErrInvalidFetchMax) {
@@ -407,7 +407,7 @@ func TestLagConsistentUnderConcurrentCommits(t *testing.T) {
 	const perPart = 100
 	for pid := 0; pid < 4; pid++ {
 		for i := 0; i < perPart; i++ {
-			topic.ProduceTo(pid, "k", nil)
+			produceTo(topic, pid, "k", nil)
 		}
 	}
 	var wg sync.WaitGroup
@@ -447,7 +447,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 		b.SetBytes(int64(len(value)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			topic.ProduceTo(0, "key", value)
+			produceTo(topic, 0, "key", value)
 		}
 	}
 	b.Run("memory", func(b *testing.B) { run(b, nil) })

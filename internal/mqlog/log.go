@@ -26,8 +26,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrEmptyBatch is returned by the batch produce paths when the record
-// slice is empty: there is no "first assigned offset" for a batch that
+// ErrEmptyBatch is returned by ProduceBatchTo when the record slice is
+// empty: there is no "first assigned offset" for a batch that
 // assigned nothing, and returning the current end offset instead would
 // hand callers a fence anchored on a record they never wrote.
 var ErrEmptyBatch = errors.New("mqlog: empty record batch")
@@ -124,31 +124,6 @@ type partition struct {
 	// once. inflations counts inflations (a cache hit is not one).
 	inflatedFrom, inflated *chunk
 	inflations             atomic.Uint64
-}
-
-func (p *partition) append(key string, value []byte, hdrs []Header) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.appendLocked(key, value, hdrs)
-}
-
-// appendLocked copies one message into the tail chunk, writes it through
-// to disk and applies retention. Callers hold p.mu. Headers ride along in
-// memory only; the durable write-through persists key+value framing and
-// deliberately drops them (see Header).
-func (p *partition) appendLocked(key string, value []byte, hdrs []Header) uint64 {
-	off := p.end
-	c := p.tailFor(4+len(key)+len(value), true)
-	at := len(c.data)
-	c.data = appendPayload(c.data, key, value)
-	p.endRecordLocked(c, hdrs)
-	if p.dur != nil {
-		p.durAppendLocked(c.data[at:], off)
-	}
-	if p.limit > 0 && p.end-p.base > uint64(p.limit) {
-		p.dropBelowLocked(p.end - uint64(p.limit))
-	}
-	return off
 }
 
 // appendPayloadLocked installs one record already in payload layout —
@@ -262,16 +237,31 @@ func cloneHeaders(hdrs []Header) []Header {
 	return out
 }
 
-// appendBatch lands a batch of records under one lock acquisition and
-// returns the offset of the first record (they are assigned
-// contiguously). For an empty batch that is the partition's current end,
-// the offset of no record, so callers append only non-empty batches.
+// appendBatch is a partition's one append entry (Produce hands it a
+// one-record batch). Under one lock acquisition it copies each record
+// into the tail chunk, writes it through to disk and applies retention,
+// record by record, and it returns the offset of the first record (they
+// are assigned contiguously). Headers ride along in memory only; the
+// durable write-through persists key+value framing and deliberately
+// drops them (see Header). For an empty batch the offset returned is
+// the partition's current end, the offset of no record, so callers
+// append only non-empty batches.
 func (p *partition) appendBatch(recs []Record) (first uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	first = p.end
 	for _, r := range recs {
-		p.appendLocked(r.Key, r.Value, r.Headers)
+		off := p.end
+		c := p.tailFor(4+len(r.Key)+len(r.Value), true)
+		at := len(c.data)
+		c.data = appendPayload(c.data, r.Key, r.Value)
+		p.endRecordLocked(c, r.Headers)
+		if p.dur != nil {
+			p.durAppendLocked(c.data[at:], off)
+		}
+		if p.limit > 0 && p.end-p.base > uint64(p.limit) {
+			p.dropBelowLocked(p.end - uint64(p.limit))
+		}
 	}
 	return first
 }
@@ -281,7 +271,7 @@ func (p *partition) appendBatch(recs []Record) (first uint64) {
 // (Kafka's "earliest" reset semantics) and truncated reports the condition.
 //
 // Aliasing audit: from raw chunks, only the []Message is allocated. Each
-// Value is a capped slice of chunk bytes, which appendLocked never writes
+// Value is a capped slice of chunk bytes, which appendBatch never writes
 // again and neither compression nor retention moves (compression and
 // retention drop a chunk's reference to its bytes; the bytes live on for
 // as long as a fetched Value refers to them). A compressed chunk is read
@@ -475,20 +465,13 @@ func (t *Topic) Partitions() int { return len(t.parts) }
 // for experiments). The broker copies value, so the producer may reuse
 // its buffer as soon as Produce returns.
 func (t *Topic) Produce(key string, value []byte) (partitionID int, offset uint64) {
-	pid := t.route(key, value)
-	t.produced.Add(1)
-	return pid, t.parts[pid].append(key, value, nil)
-}
-
-// route picks the partition Produce would append (key, value) to.
-func (t *Topic) route(key string, value []byte) int {
-	var h uint64
 	if key != "" {
-		h = hashutil.Sum64String(key, t.seed)
+		partitionID = t.PartitionFor(key)
 	} else {
-		h = hashutil.Sum64(value, t.seed)
+		partitionID = int(hashutil.Sum64(value, t.seed) % uint64(len(t.parts)))
 	}
-	return int(h % uint64(len(t.parts)))
+	t.produced.Add(1)
+	return partitionID, t.parts[partitionID].appendBatch([]Record{{Key: key, Value: value}})
 }
 
 // PartitionFor returns the partition a keyed message routes to — the
@@ -508,43 +491,12 @@ type Record struct {
 	Headers []Header
 }
 
-// ProduceBatch appends a batch of records, routing each by key exactly as
-// Produce does, but grouping the batch per partition so every partition's
-// lock is acquired once per call instead of once per record — the batched
-// forwarding path a producer-side router should use. It returns the
-// number of records appended (always len(recs)).
-func (t *Topic) ProduceBatch(recs []Record) int {
-	if len(recs) == 0 {
-		return 0
-	}
-	t.produced.Add(uint64(len(recs)))
-	// Fast path: batches from a partition-aware router are usually
-	// single-partition already; detect that without allocating.
-	first := t.route(recs[0].Key, recs[0].Value)
-	single := true
-	for i := 1; i < len(recs) && single; i++ {
-		single = t.route(recs[i].Key, recs[i].Value) == first
-	}
-	if single {
-		t.parts[first].appendBatch(recs)
-		return len(recs)
-	}
-	byPart := make(map[int][]Record, len(t.parts))
-	for _, r := range recs {
-		pid := t.route(r.Key, r.Value)
-		byPart[pid] = append(byPart[pid], r)
-	}
-	for pid, group := range byPart {
-		t.parts[pid].appendBatch(group)
-	}
-	return len(recs)
-}
-
 // ProduceBatchTo appends a batch of records to an explicit partition
-// under one lock acquisition and returns the first assigned offset —
-// the -To form of ProduceBatch, for producers that already partitioned
-// (a router that routed by PartitionFor must not pay a second hash per
-// record here). An empty batch is ErrEmptyBatch: it assigns no offsets,
+// under one lock acquisition and returns the first assigned offset
+// (they are assigned contiguously). It is the path for producers that
+// already partitioned by PartitionFor — store.LogWriter groups every
+// observation batch that way — so no record pays a second hash here.
+// An empty batch is ErrEmptyBatch: it assigns no offsets,
 // so there is no first offset to return, and silently handing back the
 // current end offset would let a caller fence on a record it never
 // wrote.
@@ -557,15 +509,6 @@ func (t *Topic) ProduceBatchTo(partitionID int, recs []Record) (uint64, error) {
 	}
 	t.produced.Add(uint64(len(recs)))
 	return t.parts[partitionID].appendBatch(recs), nil
-}
-
-// ProduceTo appends a message to an explicit partition.
-func (t *Topic) ProduceTo(partitionID int, key string, value []byte) (uint64, error) {
-	if partitionID < 0 || partitionID >= len(t.parts) {
-		return 0, core.Errf("Topic", "partitionID", "%d out of range", partitionID)
-	}
-	t.produced.Add(1)
-	return t.parts[partitionID].append(key, value, nil), nil
 }
 
 // Fetch reads up to max messages from one partition starting at offset.

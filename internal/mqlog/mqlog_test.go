@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// produceTo appends one record to an explicit partition, as a
+// one-record ProduceBatchTo.
+func produceTo(topic *Topic, pid int, key string, value []byte) (uint64, error) {
+	return topic.ProduceBatchTo(pid, []Record{{Key: key, Value: value}})
+}
+
 func TestCreateTopicValidation(t *testing.T) {
 	b := NewBroker()
 	if _, err := b.CreateTopic("", 1, 0); err == nil {
@@ -73,7 +79,7 @@ func TestRetentionTruncates(t *testing.T) {
 	b := NewBroker()
 	topic, _ := b.CreateTopic("small", 1, 10)
 	for i := 0; i < 100; i++ {
-		topic.ProduceTo(0, "", []byte{byte(i)})
+		produceTo(topic, 0, "", []byte{byte(i)})
 	}
 	if start := topic.StartOffset(0); start != 90 {
 		t.Fatalf("start offset %d, want 90", start)
@@ -91,7 +97,7 @@ func TestCommitAndLag(t *testing.T) {
 	b := NewBroker()
 	topic, _ := b.CreateTopic("lagged", 2, 0)
 	for i := 0; i < 10; i++ {
-		topic.ProduceTo(i%2, "", nil)
+		produceTo(topic, i%2, "", nil)
 	}
 	if lag := b.Lag("g1", topic); lag != 10 {
 		t.Fatalf("initial lag %d", lag)
@@ -177,7 +183,7 @@ func TestAtLeastOnceAcrossRestart(t *testing.T) {
 	b := NewBroker()
 	topic, _ := b.CreateTopic("alo", 1, 0)
 	for i := 0; i < 10; i++ {
-		topic.ProduceTo(0, "", []byte{byte(i)})
+		produceTo(topic, 0, "", []byte{byte(i)})
 	}
 	g, _ := NewConsumerGroup(b, topic, "grp")
 	g.Join("w")
@@ -244,40 +250,11 @@ func BenchmarkFetch100(b *testing.B) {
 	br := NewBroker()
 	topic, _ := br.CreateTopic("bench", 1, 0)
 	for i := 0; i < 100000; i++ {
-		topic.ProduceTo(0, "", []byte{1})
+		produceTo(topic, 0, "", []byte{1})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topic.Fetch(0, uint64(i*100%90000), 100)
-	}
-}
-
-func TestProduceBatchMatchesProduceRouting(t *testing.T) {
-	b1, b2 := NewBroker(), NewBroker()
-	t1, _ := b1.CreateTopic("t", 4, 0)
-	t2, _ := b2.CreateTopic("t", 4, 0)
-	var recs []Record
-	for i := 0; i < 200; i++ {
-		key := fmt.Sprintf("k%d", i%17)
-		val := []byte(fmt.Sprintf("v%d", i))
-		t1.Produce(key, val)
-		recs = append(recs, Record{Key: key, Value: val})
-	}
-	if n := t2.ProduceBatch(recs); n != len(recs) {
-		t.Fatalf("ProduceBatch appended %d of %d", n, len(recs))
-	}
-	for pid := 0; pid < 4; pid++ {
-		if t1.EndOffset(pid) != t2.EndOffset(pid) {
-			t.Fatalf("partition %d: Produce end %d != ProduceBatch end %d",
-				pid, t1.EndOffset(pid), t2.EndOffset(pid))
-		}
-		m1, _, _, _ := t1.Fetch(pid, 0, 1000)
-		m2, _, _, _ := t2.Fetch(pid, 0, 1000)
-		for i := range m1 {
-			if m1[i].Key != m2[i].Key || string(m1[i].Value) != string(m2[i].Value) || m1[i].Offset != m2[i].Offset {
-				t.Fatalf("partition %d message %d differs: %+v vs %+v", pid, i, m1[i], m2[i])
-			}
-		}
 	}
 }
 
@@ -325,14 +302,14 @@ func TestFetchCopiesOutOfCompaction(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	for i := 0; i < 4; i++ {
 		buf = fmt.Appendf(buf[:0], "v%d", i)
-		topic.ProduceTo(0, "k", buf)
+		produceTo(topic, 0, "k", buf)
 	}
 	msgs, _, _, _ := topic.Fetch(0, 0, 4)
 	// Enough 4 KiB appends through the same buffer to fill several chunks,
 	// so retention releases the chunk the fetched values point into.
 	for i := 4; i < 100; i++ {
 		buf = fmt.Appendf(buf[:0], "v%d", i)
-		topic.ProduceTo(0, "k", buf[:cap(buf)])
+		produceTo(topic, 0, "k", buf[:cap(buf)])
 	}
 	if start := topic.StartOffset(0); start != 96 {
 		t.Fatalf("start offset %d, want 96", start)
@@ -461,7 +438,7 @@ func TestPollRotatesUnderSmallBudget(t *testing.T) {
 	g.Join("a")
 	for pid := 0; pid < 8; pid++ {
 		for i := 0; i < 4; i++ {
-			topic.ProduceTo(pid, "k", []byte(fmt.Sprintf("p%d-%d", pid, i)))
+			produceTo(topic, pid, "k", []byte(fmt.Sprintf("p%d-%d", pid, i)))
 		}
 	}
 	// Budget far below the assignment size: without scan rotation the
@@ -547,7 +524,7 @@ func TestOwnersSnapshotAndCursorCleanup(t *testing.T) {
 func TestFetchHugeMaxClamps(t *testing.T) {
 	topic, _ := NewBroker().CreateTopic("t", 1, 0)
 	for i := 0; i < 10; i++ {
-		topic.ProduceTo(0, "k", []byte{byte(i)})
+		produceTo(topic, 0, "k", []byte{byte(i)})
 	}
 	for _, from := range []uint64{0, 1, 9, 10} {
 		msgs, next, truncated, err := topic.Fetch(0, from, math.MaxInt)
@@ -570,7 +547,7 @@ func TestFetchHugeMaxClamps(t *testing.T) {
 func TestFetchKeysInterned(t *testing.T) {
 	topic, _ := NewBroker().CreateTopic("t", 1, 0)
 	for i := 0; i < 256; i++ {
-		topic.ProduceTo(0, fmt.Sprintf("page-%02d", i%64), []byte("value"))
+		produceTo(topic, 0, fmt.Sprintf("page-%02d", i%64), []byte("value"))
 	}
 	topic.Fetch(0, 0, 256) // first sight of every key
 	allocs := testing.AllocsPerRun(20, func() {
@@ -590,13 +567,13 @@ func TestRetainedBytes(t *testing.T) {
 	if n := topic.RetainedBytes(); n != 0 {
 		t.Fatalf("empty topic retains %d bytes", n)
 	}
-	topic.ProduceTo(0, "k", []byte("v"))
+	produceTo(topic, 0, "k", []byte("v"))
 	if n := topic.RetainedBytes(); n < chunkSize || n > chunkSize+64 {
 		t.Fatalf("one record retains %d bytes, want one chunk (%d) and its end table", n, chunkSize)
 	}
 	val := make([]byte, 1000)
 	for i := 0; i < 10000; i++ {
-		topic.ProduceTo(1, "k", val)
+		produceTo(topic, 1, "k", val)
 	}
 	// 100 retained records of ~1 KiB span at most three chunks.
 	if n := topic.RetainedBytes(); n > 4*chunkSize+4096 {

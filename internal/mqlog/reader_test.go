@@ -15,12 +15,12 @@ func newReaderTopic(t *testing.T, partitions, retention int) (*Broker, *Topic) {
 func TestReaderBoundedAtFrozenEnd(t *testing.T) {
 	_, topic := newReaderTopic(t, 1, 0)
 	for i := 0; i < 10; i++ {
-		topic.ProduceTo(0, "k", []byte{byte(i)})
+		produceTo(topic, 0, "k", []byte{byte(i)})
 	}
 	end := topic.EndOffset(0)
 	// Produce past the freeze point: the reader must never see these.
 	for i := 10; i < 15; i++ {
-		topic.ProduceTo(0, "k", []byte{byte(i)})
+		produceTo(topic, 0, "k", []byte{byte(i)})
 	}
 	r, err := topic.NewReader(0, 0, end)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestReaderBoundedAtFrozenEnd(t *testing.T) {
 func TestReaderStopsShortOfUnproducedEnd(t *testing.T) {
 	_, topic := newReaderTopic(t, 1, 0)
 	for i := 0; i < 4; i++ {
-		topic.ProduceTo(0, "k", nil)
+		produceTo(topic, 0, "k", nil)
 	}
 	// Bound beyond the produced log: reader drains what exists and parks.
 	r, err := topic.NewReader(0, 0, 100)
@@ -78,7 +78,7 @@ func TestReaderStopsShortOfUnproducedEnd(t *testing.T) {
 	}
 	// New messages become visible to subsequent Next calls, still bounded.
 	for i := 0; i < 200; i++ {
-		topic.ProduceTo(0, "k", nil)
+		produceTo(topic, 0, "k", nil)
 	}
 	for {
 		msgs := r.Next(64)
@@ -95,7 +95,7 @@ func TestReaderStopsShortOfUnproducedEnd(t *testing.T) {
 func TestReaderReportsTruncation(t *testing.T) {
 	_, topic := newReaderTopic(t, 1, 8)
 	for i := 0; i < 20; i++ {
-		topic.ProduceTo(0, "k", []byte{byte(i)})
+		produceTo(topic, 0, "k", []byte{byte(i)})
 	}
 	// Offsets 0..11 are gone (retention 8 of 20); a reader over [0, 20)
 	// resumes at the oldest retained and reports the loss.
@@ -124,11 +124,11 @@ func TestReaderReportsTruncation(t *testing.T) {
 func TestReaderTruncationPastBound(t *testing.T) {
 	_, topic := newReaderTopic(t, 1, 4)
 	for i := 0; i < 6; i++ {
-		topic.ProduceTo(0, "k", nil)
+		produceTo(topic, 0, "k", nil)
 	}
 	// Freeze at 6, then let retention push the start past the bound.
 	for i := 0; i < 20; i++ {
-		topic.ProduceTo(0, "k", nil)
+		produceTo(topic, 0, "k", nil)
 	}
 	r, err := topic.NewReader(0, 0, 6)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestReaderClampParksAtFirstWithheldOffset(t *testing.T) {
 	// to 4 and returns 4..7; the reader must deliver 4..5, withhold 6..7,
 	// and park at 6 — committing Offset() must not skip the withheld two.
 	for i := 0; i < 8; i++ {
-		topic.ProduceTo(0, "k", []byte{byte(i)})
+		produceTo(topic, 0, "k", []byte{byte(i)})
 	}
 	r, err := topic.NewReader(0, 0, 6)
 	if err != nil {

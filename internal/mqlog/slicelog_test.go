@@ -178,55 +178,33 @@ func scribble(recs []Record) {
 func (d *logDriver) step(t *testing.T) {
 	t.Helper()
 	nparts := len(d.oracle)
-	switch op := d.rng.Intn(4); op {
-	case 0, 1: // Produce, ProduceTo (no headers on the single-record paths)
+	if d.rng.Intn(2) == 0 { // Produce (no headers on the single-record path)
 		rec, own := d.record()
 		rec.Headers, own.Headers = nil, nil
-		var pid int
-		var off uint64
-		if op == 0 {
-			pid, off = d.topic.Produce(rec.Key, rec.Value)
-		} else {
-			pid = d.rng.Intn(nparts)
-			var err error
-			if off, err = d.topic.ProduceTo(pid, rec.Key, rec.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
+		pid, off := d.topic.Produce(rec.Key, rec.Value)
 		if want := d.oracle[pid].append(own.Key, own.Value, own.Headers); off != want {
 			t.Fatalf("produce assigned offset %d, oracle %d", off, want)
 		}
 		scribble([]Record{rec})
-	default: // ProduceBatch, ProduceBatchTo
-		n := 1 + d.rng.Intn(40)
-		recs, owns := make([]Record, n), make([]Record, n)
-		for i := range recs {
-			recs[i], owns[i] = d.record()
-		}
-		if op == 2 {
-			routes := make([]int, n)
-			for i, r := range recs {
-				routes[i] = d.topic.route(r.Key, r.Value)
-			}
-			d.topic.ProduceBatch(recs)
-			for i, o := range owns {
-				d.oracle[routes[i]].append(o.Key, o.Value, o.Headers)
-			}
-		} else {
-			pid := d.rng.Intn(nparts)
-			first, err := d.topic.ProduceBatchTo(pid, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := d.oracle[pid].end(); first != want {
-				t.Fatalf("ProduceBatchTo first offset %d, oracle %d", first, want)
-			}
-			for _, o := range owns {
-				d.oracle[pid].append(o.Key, o.Value, o.Headers)
-			}
-		}
-		scribble(recs)
+		return
 	}
+	n := 1 + d.rng.Intn(40)
+	recs, owns := make([]Record, n), make([]Record, n)
+	for i := range recs {
+		recs[i], owns[i] = d.record()
+	}
+	pid := d.rng.Intn(nparts)
+	first, err := d.topic.ProduceBatchTo(pid, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := d.oracle[pid].end(); first != want {
+		t.Fatalf("ProduceBatchTo first offset %d, oracle %d", first, want)
+	}
+	for _, o := range owns {
+		d.oracle[pid].append(o.Key, o.Value, o.Headers)
+	}
+	scribble(recs)
 }
 
 // check compares one random Fetch and one random bounded Reader drain.
@@ -356,9 +334,8 @@ func stripHeaders(msgs []Message) []Message {
 	return out
 }
 
-// TestChunkLogMatchesSliceOracle drives random Produce / ProduceTo /
-// ProduceBatch / ProduceBatchTo sequences (headers on a fifth of the
-// batched records, values up to four chunks long) into the chunked log
+// TestChunkLogMatchesSliceOracle drives random Produce / ProduceBatchTo
+// sequences (headers on a fifth of the batched records, values up to four chunks long) into the chunked log
 // and into the slice oracle, and requires equal Fetch results — messages,
 // next and truncated — at any offset, below the retained base and past
 // the end included, and equal bounded Reader drains from any offset,

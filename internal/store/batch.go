@@ -41,7 +41,7 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, buckets)
 		return nil
 	}
-	order, bounds := GroupIndices(len(obs), len(s.shards), func(i int) int {
+	order, bounds := groupIndices(len(obs), len(s.shards), func(i int) int {
 		return int(s.shardIndex(entryKey{metric: obs[i].Metric, key: obs[i].Key}))
 	})
 	for idx := range s.shards {
@@ -52,12 +52,12 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	return nil
 }
 
-// GroupIndices sorts the indices 0..n-1 by group(i), which must lie in
+// groupIndices sorts the indices 0..n-1 by group(i), which must lie in
 // [0, groups), keeping input order inside a group: group g's indices
 // are order[bounds[g]:bounds[g+1]]. It is a counting sort in one
-// allocation — the batched write paths (here by home shard, the
-// cluster router by partition) group every request this way.
-func GroupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
+// allocation — the batched write paths (here by home shard, LogWriter
+// by partition) group every request this way.
+func groupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
 	buf := make([]int, 2*n+groups+2)
 	home, order, next := buf[:n], buf[n:2*n], buf[2*n:]
 	// Count into next[g+2], so that after the prefix sums next[g+1] is

@@ -274,7 +274,7 @@ func FuzzObservationCodec(f *testing.F) {
 			t.Fatalf("round trip %+v != %+v", back, obs)
 		}
 		// The encoding is exact-size, writes the bytes the over-reserving
-		// encoder it replaced wrote, and AppendObservation writes the same
+		// encoder it replaced wrote, and appendObservation writes the same
 		// bytes behind an existing prefix.
 		if cap(enc) != len(enc) {
 			t.Fatalf("EncodeObservation: %d bytes in a %d-byte buffer", len(enc), cap(enc))
@@ -283,8 +283,8 @@ func FuzzObservationCodec(f *testing.F) {
 			t.Fatalf("EncodeObservation = %x, want %x", enc, want)
 		}
 		prefix := []byte("prefix")
-		if got := AppendObservation(prefix, obs); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], enc) {
-			t.Fatalf("AppendObservation behind a prefix = %x, want prefix + %x", got, enc)
+		if got := appendObservation(prefix, obs); !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], enc) {
+			t.Fatalf("appendObservation behind a prefix = %x, want prefix + %x", got, enc)
 		}
 	})
 }

@@ -1,21 +1,26 @@
-// replay.go is the way back from the log: ReplayPartitionTo, the one
-// bounded replay, feeds a partition's records in [from, end) into a store.
-// Where ObserveBatch ingests the live stream, every rebuild of serving
-// state — a cluster node's recovery, a frozen batch view (frozen.go),
-// Lambda's speed layer, and Rebuild's fresh recomputation — is a loop of
-// this call over the partitions, so a store rebuilt from the log and one
-// fed live converge to the same synopses over the log's retention window:
-// the recomputation guarantee Figure 1 of the tutorial assigns to the
-// batch layer, and the recovery path when a speed-layer process is lost.
+// replay.go is the store's side of the log, in its wire codec.
+// LogWriter is the one way onto it: the cluster router and Lambda's
+// master dataset both append observation batches through it.
+// ReplayPartitionTo is the one way back: the bounded replay feeds a
+// partition's records in [from, end) into a store. Where ObserveBatch
+// ingests the live stream, every rebuild of serving state — a cluster
+// node's recovery, a frozen batch view (frozen.go), Lambda's speed
+// layer, and Rebuild's fresh recomputation — is a loop of that replay
+// over the partitions, so a store rebuilt from the log and one fed live
+// converge to the same synopses over the log's retention window: the
+// recomputation guarantee Figure 1 of the tutorial assigns to the batch
+// layer, and the recovery path when a speed-layer process is lost.
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mqlog"
+	"repro/internal/trace"
 )
 
 // EncodeObservation serializes an observation to the store's wire format
@@ -28,13 +33,13 @@ func EncodeObservation(obs Observation) []byte {
 	for _, s := range [...]string{obs.Metric, obs.Key, obs.Item} {
 		n += uvarintLen(uint64(len(s))) + len(s)
 	}
-	return AppendObservation(make([]byte, 0, n), obs)
+	return appendObservation(make([]byte, 0, n), obs)
 }
 
-// AppendObservation appends obs in the EncodeObservation wire format to
+// appendObservation appends obs in the EncodeObservation wire format to
 // dst and returns the extended slice. The log copies a value at append,
-// so a producer can encode every observation into one reused buffer.
-func AppendObservation(dst []byte, obs Observation) []byte {
+// so LogWriter encodes every observation into reused scratch.
+func appendObservation(dst []byte, obs Observation) []byte {
 	for _, s := range [...]string{obs.Metric, obs.Key, obs.Item} {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		dst = append(dst, s...)
@@ -72,6 +77,86 @@ func DecodeObservation(data []byte) (Observation, error) {
 	}
 	obs.Value, obs.Time = v, t
 	return obs, nil
+}
+
+// LogWriter appends observation batches to a topic: each batch is
+// grouped by partition (Topic.PartitionFor), and each group is encoded in
+// input order into its partition's reused scratch and appended with one
+// Topic.ProduceBatchTo. A partition gets the records, in the order and at
+// the offsets, that one Produce per observation would give it. One
+// LogWriter is safe for concurrent use.
+type LogWriter struct {
+	topic *mqlog.Topic
+	parts []logPart
+}
+
+// logPart is one partition's encode scratch. Its lock is held across the
+// append, so concurrent writers reach a partition one whole group at a
+// time and per-key order survives; the log copies at append, so buf and
+// enc are reused after it.
+type logPart struct {
+	mu  sync.Mutex
+	buf []mqlog.Record
+	enc []byte
+}
+
+// NewLogWriter returns a writer onto topic.
+func NewLogWriter(topic *mqlog.Topic) *LogWriter {
+	return &LogWriter{topic: topic, parts: make([]logPart, topic.Partitions())}
+}
+
+// Append puts obs, which the caller has validated (MetricTable.Check),
+// on the log; when it returns, every observation is there. With a
+// tracer, a sampled observation's context crosses the log as a
+// trace.HeaderKey record header, and a group holding one gets an
+// mqlog.append span on the first one's trace. With a nil tracer records
+// carry no headers.
+func (w *LogWriter) Append(obs []Observation, trc *trace.Tracer) {
+	if len(obs) == 1 {
+		// One write has one partition: skip the sort.
+		w.appendGroup(w.topic.PartitionFor(obs[0].Key), []int{0}, obs, trc)
+		return
+	}
+	order, bounds := groupIndices(len(obs), len(w.parts), func(i int) int {
+		return w.topic.PartitionFor(obs[i].Key)
+	})
+	for pid := range w.parts {
+		if group := order[bounds[pid]:bounds[pid+1]]; len(group) > 0 {
+			w.appendGroup(pid, group, obs, trc)
+		}
+	}
+}
+
+// appendGroup encodes one partition's group and appends it as one batch.
+func (w *LogWriter) appendGroup(pid int, group []int, obs []Observation, trc *trace.Tracer) {
+	p := &w.parts[pid]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var traced trace.Context
+	for _, i := range group {
+		o := &obs[i]
+		at := len(p.enc)
+		p.enc = appendObservation(p.enc, *o)
+		rec := mqlog.Record{Key: o.Key, Value: p.enc[at:]}
+		if trc != nil && o.Trace.Valid() {
+			// The wire codec carries no trace context; the owning
+			// consumer stitches it back from this header.
+			rec.Headers = []mqlog.Header{{Key: trace.HeaderKey, Value: trace.EncodeContext(o.Trace)}}
+			if !traced.Valid() {
+				traced = o.Trace
+			}
+		}
+		p.buf = append(p.buf, rec)
+	}
+	sp := trc.StartRemote(traced, "mqlog.append") // nil unless traced
+	// pid is in range and the group is non-empty, so this cannot fail.
+	first, _ := w.topic.ProduceBatchTo(pid, p.buf)
+	if sp != nil {
+		sp.SetAttrs(trace.Int("partition", int64(pid)), trace.Int("records", int64(len(p.buf))),
+			trace.Int("first_offset", int64(first)))
+		sp.Finish()
+	}
+	p.buf, p.enc = p.buf[:0], p.enc[:0]
 }
 
 // DecodeRecord decodes one log record value in the EncodeObservation

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mqlog"
@@ -170,5 +172,66 @@ func TestReplayPartitionValidation(t *testing.T) {
 	}
 	if _, err := ReplayPartitionTo(newStore(), topic, 9, 0, 0); err == nil {
 		t.Fatal("out-of-range partition accepted")
+	}
+}
+
+// TestLogWriterMatchesProduce holds LogWriter to the log it replaces:
+// one seeded stream, appended through LogWriter.Append in batches of 1, 7
+// and 256 and, on a second topic, one Produce per observation, leaves
+// every partition holding the same (Key, Value, Offset) sequence, with
+// no headers when no tracer is passed. The writer reuses its scratch
+// after every append, so a log that aliased it would differ too.
+func TestLogWriterMatchesProduce(t *testing.T) {
+	const parts = 5
+	batched, err := mqlog.NewBroker().CreateTopic("events", parts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := mqlog.NewBroker().CreateTopic("events", parts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	stream := make([]Observation, 3000)
+	for i := range stream {
+		stream[i] = Observation{
+			Metric: fmt.Sprintf("m%d", rng.Intn(3)),
+			Key:    fmt.Sprintf("k%d", rng.Intn(40)),
+			Item:   fmt.Sprintf("u%d", rng.Intn(1000)),
+			Value:  uint64(rng.Intn(1 << 20)),
+			Time:   rng.Int63n(1 << 40),
+		}
+	}
+	w := NewLogWriter(batched)
+	sizes := []int{1, 7, 256}
+	for at, b := 0, 0; at < len(stream); b++ {
+		n := min(sizes[b%len(sizes)], len(stream)-at)
+		w.Append(stream[at:at+n], nil)
+		at += n
+	}
+	for _, obs := range stream {
+		single.Produce(obs.Key, EncodeObservation(obs))
+	}
+	for pid := 0; pid < parts; pid++ {
+		got, _, _, err := batched.Fetch(pid, 0, len(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, err := single.Fetch(pid, 0, len(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("partition %d: no keys route to it; widen the key set", pid)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("partition %d: LogWriter wrote %d records, Produce %d", pid, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Key != w.Key || !bytes.Equal(g.Value, w.Value) || g.Offset != w.Offset || len(g.Headers) != 0 {
+				t.Fatalf("partition %d record %d: LogWriter %+v, Produce %+v", pid, i, g, w)
+			}
+		}
 	}
 }

@@ -412,7 +412,7 @@ func queryPoint(q interface {
 // holds inside a run, and empty groups get empty runs.
 func TestGroupIndices(t *testing.T) {
 	of := []int{3, 0, 3, 5, 0, 3, 5, 5, 0}
-	order, bounds := GroupIndices(len(of), 7, func(i int) int { return of[i] })
+	order, bounds := groupIndices(len(of), 7, func(i int) int { return of[i] })
 	want := map[int][]int{0: {1, 4, 8}, 3: {0, 2, 5}, 5: {3, 6, 7}}
 	if len(order) != len(of) || len(bounds) != 8 {
 		t.Fatalf("order %v, bounds %v", order, bounds)
@@ -428,7 +428,7 @@ func TestGroupIndices(t *testing.T) {
 			}
 		}
 	}
-	if order, bounds := GroupIndices(0, 3, nil); len(order) != 0 || len(bounds) != 4 {
+	if order, bounds := groupIndices(0, 3, nil); len(order) != 0 || len(bounds) != 4 {
 		t.Fatalf("empty input: order %v, bounds %v", order, bounds)
 	}
 }

@@ -61,7 +61,7 @@ type Context struct {
 // Valid reports whether the context references a real trace.
 func (c Context) Valid() bool { return c.Trace != 0 }
 
-// HeaderKey is the mqlog record-header key under which dstore.Router
+// HeaderKey is the mqlog record-header key under which store.LogWriter
 // carries an encoded Context across the log.
 const HeaderKey = "trace"
 
