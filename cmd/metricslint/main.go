@@ -3,7 +3,9 @@
 // exposition syntax, every metric family must carry HELP and TYPE
 // comments, and every family name must match the repo's telemetry
 // convention ^analytics_[a-z_]+$ (histogram _bucket/_sum/_count series
-// are attributed to their family). CI runs it against a live demo's
+// are attributed to their family). A histogram series' le must rise
+// strictly to a last +Inf, its cumulative counts never fall, and its
+// _count equal the +Inf bucket. CI runs it against a live demo's
 // -metrics endpoint, so -retries polls until the server is up.
 //
 // It also lints the tracing surface: -traceurl (or -tracefile) reads a
@@ -25,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"regexp"
@@ -155,6 +158,10 @@ type family struct {
 	samples   int
 }
 
+// histSeries is one histogram series (its labels but le) so far: the
+// last le (-Inf before any) and its count, and _count (NaN until seen).
+type histSeries struct{ le, cum, count float64 }
+
 // lint walks the payload line by line; it returns the families seen, the
 // total sample count, and one message per violation.
 func lint(payload string) (map[string]*family, int, []string) {
@@ -167,6 +174,7 @@ func lint(payload string) (map[string]*family, int, []string) {
 		}
 		return f
 	}
+	hists := map[string]*histSeries{}
 	var errs []string
 	samples := 0
 	for i, line := range strings.Split(payload, "\n") {
@@ -198,7 +206,7 @@ func lint(payload string) (map[string]*family, int, []string) {
 			}
 			continue
 		}
-		name, rest, err := splitSample(line)
+		name, labels, rest, err := splitSample(line)
 		if err != nil {
 			bad("%v", err)
 			continue
@@ -218,12 +226,50 @@ func lint(payload string) (map[string]*family, int, []string) {
 			bad("sample for %q precedes its HELP/TYPE comments", base)
 			continue
 		}
-		if _, err := strconv.ParseFloat(strings.TrimSpace(rest), 64); err != nil {
+		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		if err != nil {
 			bad("value %q is not a float", rest)
 			continue
 		}
 		f.samples++
 		samples++
+		if f.typ == "histogram" && name != base {
+			series, le := base+"{", ""
+			for j := 0; j < len(labels); j += 2 {
+				if labels[j] == "le" {
+					le = labels[j+1]
+				} else {
+					series += labels[j] + `="` + labels[j+1] + `",`
+				}
+			}
+			h := hists[series]
+			if h == nil {
+				h = &histSeries{le: math.Inf(-1), count: math.NaN()}
+				hists[series] = h
+			}
+			switch name[len(base):] {
+			case "_bucket":
+				bound, err := strconv.ParseFloat(le, 64)
+				switch {
+				case err != nil:
+					bad("le %q is not a float", le)
+				case !(bound > h.le):
+					bad("le %v does not increase past %v", bound, h.le)
+				case v < h.cum:
+					bad("cumulative count %v falls below %v", v, h.cum)
+				}
+				h.le, h.cum = bound, v
+			case "_count":
+				h.count = v
+			}
+		}
+	}
+	for series, h := range hists {
+		if !math.IsInf(h.le, 1) {
+			errs = append(errs, fmt.Sprintf("histogram %s}: last le is not +Inf", series))
+		} else if h.count != h.cum {
+			errs = append(errs, fmt.Sprintf("histogram %s}: _count %v is not the +Inf bucket's %v", series, h.count, h.cum))
+		}
 	}
 	for name, f := range families {
 		if f.help == "" {
@@ -308,36 +354,38 @@ func tracelint(payload string) (int, []string) {
 }
 
 // splitSample splits `name{labels} value` (or `name value`) into the
-// metric name and the value text, validating the label block's syntax.
-func splitSample(line string) (name, value string, err error) {
+// metric name, the label pairs (name, escaped value, alternating) and
+// the value text, validating the label block's syntax.
+func splitSample(line string) (name string, labels []string, value string, err error) {
 	brace := strings.IndexByte(line, '{')
 	if brace < 0 {
 		name, value, ok := strings.Cut(line, " ")
 		if !ok {
-			return "", "", fmt.Errorf("no value")
+			return "", nil, "", fmt.Errorf("no value")
 		}
-		return name, value, nil
+		return name, nil, value, nil
 	}
 	name = line[:brace]
 	rest := line[brace+1:]
 	// Walk the label pairs, honoring \" escapes inside quoted values.
 	for {
 		if strings.HasPrefix(rest, "}") {
-			return name, rest[1:], nil
+			return name, labels, rest[1:], nil
 		}
 		eq := strings.IndexByte(rest, '=')
 		if eq < 0 || eq+1 >= len(rest) || rest[eq+1] != '"' {
-			return "", "", fmt.Errorf("malformed label block")
+			return "", nil, "", fmt.Errorf("malformed label block")
 		}
 		labelName := rest[:eq]
 		if labelName == "" || strings.ContainsAny(labelName, `{}" `) {
-			return "", "", fmt.Errorf("malformed label name %q", labelName)
+			return "", nil, "", fmt.Errorf("malformed label name %q", labelName)
 		}
 		rest = rest[eq+2:]
+		value := rest
 		for {
 			q := strings.IndexByte(rest, '"')
 			if q < 0 {
-				return "", "", fmt.Errorf("unterminated label value")
+				return "", nil, "", fmt.Errorf("unterminated label value")
 			}
 			// Count the backslashes before the quote: an odd run escapes it.
 			bs := 0
@@ -350,6 +398,7 @@ func splitSample(line string) (name, value string, err error) {
 			}
 			rest = rest[q+1:]
 		}
+		labels = append(labels, labelName, value[:len(value)-len(rest)-1])
 		rest = strings.TrimPrefix(rest, ",")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // bucket is one refill-on-demand token bucket. There is no background
@@ -84,19 +86,13 @@ func (b *bucket) peek(now int64, rate, burst float64) float64 {
 type waitRecorder struct {
 	count   atomic.Uint64
 	totalNs atomic.Int64
-	observe func(time.Duration) // set by SetTelemetry; may stay nil
-	obsMu   sync.RWMutex
+	hist    atomic.Pointer[telemetry.Histogram] // set by SetTelemetry; may stay nil
 }
 
 func (w *waitRecorder) record(d time.Duration) {
 	w.count.Add(1)
 	w.totalNs.Add(int64(d))
-	w.obsMu.RLock()
-	fn := w.observe
-	w.obsMu.RUnlock()
-	if fn != nil {
-		fn(d)
-	}
+	w.hist.Load().Observe(d.Seconds())
 }
 
 func (w *waitRecorder) mean() float64 {

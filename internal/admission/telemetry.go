@@ -1,10 +1,6 @@
 package admission
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // SetTelemetry registers the controller's accounting with reg as
 // analytics_admission_* series. Shed totals are labeled by the scope
@@ -41,12 +37,6 @@ func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("analytics_admission_tokens",
 		"Global token-bucket level (refilled to now).",
 		func() float64 { return c.Tokens() })
-	waitHist := reg.Histogram("analytics_admission_wait_seconds",
-		"Suggested Retry-After handed out on shed requests.",
-		1e-4, 10, 40)
-	if waitHist != nil {
-		c.waits.obsMu.Lock()
-		c.waits.observe = func(d time.Duration) { waitHist.Observe(d.Seconds()) }
-		c.waits.obsMu.Unlock()
-	}
+	c.waits.hist.Store(reg.Histogram("analytics_admission_wait_seconds",
+		"Suggested Retry-After handed out on shed requests."))
 }

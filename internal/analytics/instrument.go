@@ -49,11 +49,9 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string) Backend {
 		backend: backend,
 		trc:     reg.Tracer(),
 		obsLat: reg.Histogram("analytics_backend_observe_seconds",
-			"Observe latency through the Backend contract.",
-			0, 1e-3, 64, "backend", backend),
+			"Observe latency through the Backend contract.", "backend", backend),
 		qryLat: reg.Histogram("analytics_backend_query_seconds",
-			"Query latency through the Backend contract.",
-			0, 50e-3, 64, "backend", backend),
+			"Query latency through the Backend contract.", "backend", backend),
 		obsErrs: reg.Counter("analytics_backend_errors_total",
 			"Backend operations that returned an error.",
 			"backend", backend, "op", "observe"),

@@ -58,11 +58,11 @@ func (s *stack) errs(op string) uint64 {
 }
 
 func (s *stack) observeCalls() uint64 {
-	return s.reg.Histogram("analytics_backend_observe_seconds", "", 0, 1e-3, 64, "backend", s.name).Count()
+	return s.reg.Histogram("analytics_backend_observe_seconds", "", "backend", s.name).Count()
 }
 
 func (s *stack) queryCalls() uint64 {
-	return s.reg.Histogram("analytics_backend_query_seconds", "", 0, 50e-3, 64, "backend", s.name).Count()
+	return s.reg.Histogram("analytics_backend_query_seconds", "", "backend", s.name).Count()
 }
 
 // settle reaches read-your-writes: the backend's drain waits for the

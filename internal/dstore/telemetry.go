@@ -67,11 +67,9 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		reg: reg,
 		trc: reg.Tracer(),
 		recovery: reg.Histogram("analytics_dstore_recovery_seconds",
-			"Duration of completed node recoveries (store rebuild + replay).",
-			0, 1.0, 64, labels...),
+			"Duration of completed node recoveries (store rebuild + replay).", labels...),
 		scatter: reg.Histogram("analytics_dstore_scatter_gather_seconds",
-			"Scatter-gather fan-out duration of router queries.",
-			0, 10e-3, 64, labels...),
+			"Scatter-gather fan-out duration of router queries.", labels...),
 	}
 	c.tel.Store(tel)
 

@@ -44,17 +44,14 @@ func NewEquiWidth(lo, hi float64, b int) (*EquiWidth, error) {
 // Update adds one value (clamped into the range).
 func (e *EquiWidth) Update(v float64) {
 	e.n++
-	idx := e.BucketIndex(v)
+	idx := e.bucketIndex(v)
 	e.counts[idx]++
 	e.sums[idx] += v
 }
 
-// BucketIndex returns the index of the bucket v falls into, clamping
-// out-of-range values into the edge buckets. It does not mutate the
-// histogram, so callers that keep their own (e.g. atomic) per-bucket
-// counts — such as the telemetry registry's latency histograms — can
-// reuse the equi-width bucket math without sharing state.
-func (e *EquiWidth) BucketIndex(v float64) int {
+// bucketIndex returns the index of the bucket v falls into, clamping
+// out-of-range values into the edge buckets.
+func (e *EquiWidth) bucketIndex(v float64) int {
 	idx := int((v - e.lo) / (e.hi - e.lo) * float64(len(e.counts)))
 	if idx < 0 {
 		idx = 0
@@ -63,19 +60,6 @@ func (e *EquiWidth) BucketIndex(v float64) int {
 		idx = len(e.counts) - 1
 	}
 	return idx
-}
-
-// BucketBounds returns the upper bound of each bucket, lo + (i+1)*width;
-// the last bound equals hi. Values above hi are clamped into the final
-// bucket by BucketIndex, so consumers exposing cumulative bucket counts
-// (Prometheus-style le bounds) should treat the final bucket as +Inf.
-func (e *EquiWidth) BucketBounds() []float64 {
-	width := (e.hi - e.lo) / float64(len(e.counts))
-	out := make([]float64, len(e.counts))
-	for i := range out {
-		out[i] = e.lo + float64(i+1)*width
-	}
-	return out
 }
 
 // Buckets returns the current buckets.

@@ -59,14 +59,11 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 		reg: reg,
 		trc: reg.Tracer(),
 		handoff: reg.Histogram("analytics_lambda_batch_handoff_seconds",
-			"Total RunBatch duration: freeze, install, truncate.",
-			0, 5.0, 64, labels...),
+			"Total RunBatch duration: freeze, install, truncate.", labels...),
 		freeze: reg.Histogram("analytics_lambda_freeze_seconds",
-			"Frozen batch view build time (replay of the master dataset).",
-			0, 5.0, 64, labels...),
+			"Frozen batch view build time (replay of the master dataset).", labels...),
 		truncate: reg.Histogram("analytics_lambda_truncate_seconds",
-			"Speed-layer truncation: suffix replay and swap.",
-			0, 5.0, 64, labels...),
+			"Speed-layer truncation: suffix replay and swap.", labels...),
 		merges: reg.Counter("analytics_lambda_merges_total",
 			"Per-cell batch+speed snapshot merges performed by queries.",
 			labels...),

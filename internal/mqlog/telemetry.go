@@ -38,8 +38,7 @@ func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 		"Compressed log chunks inflated by fetches (history reads, or consumers more than a chunk behind).",
 		t.inflatedChunks, "topic", t.name)
 	t.telFetchBatch.Store(reg.Histogram("analytics_mqlog_fetch_batch_records",
-		"Records per non-empty fetch (poll efficiency).",
-		0, 512, 64, "topic", t.name))
+		"Records per non-empty fetch (poll efficiency).", "topic", t.name))
 	if t.dur != nil {
 		reg.CounterFunc("analytics_mqlog_fsyncs_total",
 			"Fsyncs issued against the topic's segment files.",
@@ -65,8 +64,7 @@ func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 			func() float64 { return float64(t.DurabilityStats().DiskBytes) },
 			"topic", t.name)
 		t.telFsync.Store(reg.Histogram("analytics_mqlog_fsync_seconds",
-			"Latency of segment fsyncs (group commits and explicit Syncs).",
-			0, 0.05, 50, "topic", t.name))
+			"Latency of segment fsyncs (group commits and explicit Syncs).", "topic", t.name))
 	}
 }
 

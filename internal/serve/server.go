@@ -156,8 +156,7 @@ func NewServer(cfg Config) (*Server, error) {
 			"Observations ingested through the serving edge.", "layer", "serve"),
 		errs: map[string]*telemetry.Counter{},
 		qryLat: reg.Histogram("analytics_serve_query_seconds",
-			"Query latency at the serving edge, cache hits included.",
-			0, 50e-3, 64, "layer", "serve"),
+			"Query latency at the serving edge, cache hits included.", "layer", "serve"),
 	}
 	s.scratch.New = func() any { return newScratch() }
 	for _, route := range []string{"register", "observe", "query", "keys"} {

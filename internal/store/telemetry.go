@@ -74,11 +74,9 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 		func() uint64 { return s.restored.Load() }, labels...)
 
 	s.telLockWait = reg.Histogram("analytics_store_lock_wait_seconds",
-		"Time spent acquiring the home shard write lock.",
-		0, 1e-3, 64, labels...)
+		"Time spent acquiring the home shard write lock.", labels...)
 	s.telGather = reg.Histogram("analytics_store_gather_seconds",
-		"Per-metric gather time of a range query (all requested keys).",
-		0, 10e-3, 64, labels...)
+		"Per-metric gather time of a range query (all requested keys).", labels...)
 	s.trc = reg.Tracer()
 }
 

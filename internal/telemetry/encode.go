@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -14,22 +15,8 @@ import (
 // family. Histograms emit cumulative le buckets (final bucket +Inf),
 // then _sum and _count. A nil registry writes nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for name, fam := range r.families {
-		names = append(names, name)
-		fams[name] = fam
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
-	var sb strings.Builder
-	for _, name := range names {
-		fam := fams[name]
+	var sb bytes.Buffer // reused across families: one buffer per scrape
+	for _, fam := range r.sortedFamilies() {
 		sb.Reset()
 		fmt.Fprintf(&sb, "# HELP %s %s\n", fam.name, escapeHelp(fam.help))
 		fmt.Fprintf(&sb, "# TYPE %s %s\n", fam.name, fam.kind)
@@ -43,28 +30,44 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeHistogram(&sb, fam.name, ch)
 			}
 		}
-		if _, err := io.WriteString(w, sb.String()); err != nil {
+		if _, err := w.Write(sb.Bytes()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeHistogram renders one histogram series: cumulative buckets with
-// the series labels plus le, then _sum and _count.
-func writeHistogram(sb *strings.Builder, name string, ch *child) {
-	h := ch.hist
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < len(h.bounds)-1 {
-			le = formatFloat(h.bounds[i])
-		}
-		fmt.Fprintf(sb, "%s_bucket%s %d\n", name, braced(joinLabels(ch.labelKey, `le="`+le+`"`)), cum)
+// writeHistogram renders one histogram series from one view of its
+// counters: cumulative buckets with the series labels plus le, then
+// _sum and _count.
+func writeHistogram(sb *bytes.Buffer, name string, ch *child) {
+	v := ch.hist.view()
+	prefix := name + "_bucket{" + joinLabels(ch.labelKey, `le="`)
+	for i, le := range leText {
+		sb.WriteString(prefix)
+		sb.WriteString(le)
+		sb.WriteString(`"} `)
+		sb.Write(strconv.AppendUint(sb.AvailableBuffer(), v.cum[i], 10))
+		sb.WriteByte('\n')
 	}
-	fmt.Fprintf(sb, "%s_sum%s %s\n", name, braced(ch.labelKey), formatFloat(h.Sum()))
-	fmt.Fprintf(sb, "%s_count%s %d\n", name, braced(ch.labelKey), cum)
+	fmt.Fprintf(sb, "%s_sum%s %s\n", name, braced(ch.labelKey), formatFloat(v.sum))
+	fmt.Fprintf(sb, "%s_count%s %d\n", name, braced(ch.labelKey), v.count())
+}
+
+// sortedFamilies snapshots the registry's families sorted by name; none
+// on a nil registry.
+func (r *Registry) sortedFamilies() []*family {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	out := make([]*family, 0, len(r.families))
+	for _, fam := range r.families {
+		out = append(out, fam)
+	}
+	r.mu.RUnlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].name < out[b].name })
+	return out
 }
 
 // sortedChildren snapshots the family's series sorted by label key.
@@ -136,22 +139,8 @@ type SnapshotFamily struct {
 // label set; histogram series carry count, sum, p50/p95/p99 and the
 // cumulative buckets. A nil registry snapshots empty.
 func (r *Registry) Snapshot() []SnapshotFamily {
-	if r == nil {
-		return []SnapshotFamily{}
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	fams := make(map[string]*family, len(r.families))
-	for name, fam := range r.families {
-		names = append(names, name)
-		fams[name] = fam
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-
-	out := make([]SnapshotFamily, 0, len(names))
-	for _, name := range names {
-		fam := fams[name]
+	out := []SnapshotFamily{}
+	for _, fam := range r.sortedFamilies() {
 		sf := SnapshotFamily{Name: fam.name, Type: fam.kind.String(), Help: fam.help}
 		for _, ch := range fam.sortedChildren() {
 			var labels map[string]string
@@ -170,18 +159,13 @@ func (r *Registry) Snapshot() []SnapshotFamily {
 				v := ch.gauge.Value()
 				ss.Value = &v
 			case KindHistogram:
-				h := ch.hist
-				count, sum := h.Count(), h.Sum()
-				p50, p95, p99 := h.P50(), h.P95(), h.P99()
+				v := ch.hist.view()
+				count, sum := v.count(), v.sum
+				p50, p95, p99 := v.quantile(0.50), v.quantile(0.95), v.quantile(0.99)
 				ss.Count, ss.Sum, ss.P50, ss.P95, ss.P99 = &count, &sum, &p50, &p95, &p99
-				var cum uint64
-				for i := range h.counts {
-					cum += h.counts[i].Load()
-					le := "+Inf"
-					if i < len(h.bounds)-1 {
-						le = formatFloat(h.bounds[i])
-					}
-					ss.Buckets = append(ss.Buckets, SnapshotBucket{Le: le, Count: cum})
+				ss.Buckets = make([]SnapshotBucket, numBuckets)
+				for i, le := range leText {
+					ss.Buckets[i] = SnapshotBucket{Le: le, Count: v.cum[i]}
 				}
 			}
 			sf.Series = append(sf.Series, ss)

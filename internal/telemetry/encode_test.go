@@ -27,11 +27,11 @@ func goldenRegistry() *Registry {
 	r.Gauge("analytics_golden_escaped", "Label escaping: backslash, quote, newline.",
 		"path", "a\\b\"c\nd")
 
-	h := r.Histogram("analytics_golden_seconds", "Latency in seconds.", 0, 1.0, 4, "layer", "store")
-	h.Observe(0.1) // bucket le=0.25
-	h.Observe(0.3) // bucket le=0.5
+	h := r.Histogram("analytics_golden_seconds", "Latency in seconds.", "layer", "store")
+	h.Observe(0.1)
+	h.Observe(0.25) // a bound: counts in its own le bucket
 	h.Observe(0.3)
-	h.Observe(2.0) // clamped into +Inf bucket
+	h.Observe(2048) // above 2^10: the +Inf bucket
 	return r
 }
 

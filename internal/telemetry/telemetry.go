@@ -1,6 +1,6 @@
 // Package telemetry is the repo's self-instrumentation substrate: a
 // zero-dependency, allocation-conscious metrics registry with atomic
-// counters, gauges and fixed-bucket latency histograms, a Prometheus
+// counters, gauges and log-bucket latency histograms, a Prometheus
 // text-exposition encoder, and an http.Handler serving /metrics and a
 // /debug/analytics JSON snapshot.
 //
@@ -8,8 +8,8 @@
 // itself the observability substrate; this package closes that loop by
 // letting the store, the mqlog broker, the dstore cluster and the
 // Lambda architecture measure their own latencies, lags and drop
-// counters with the same equi-width bucket math their synopses use
-// (histogram.EquiWidth supplies the bucket index computation).
+// counters. Every histogram shares one log-bucket geometry (DDSketch's),
+// so no call site picks a range and a quantile's error is relative.
 //
 // # Nil safety
 //
@@ -41,7 +41,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/histogram"
 	"repro/internal/trace"
 )
 
@@ -213,18 +212,58 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket latency histogram: equi-width buckets
-// over [lo, hi) with atomic per-bucket counts, an atomic sum, and
-// quantile accessors. Bucket index math is histogram.EquiWidth's;
-// out-of-range observations clamp into the edge buckets, so the final
-// bucket is exposed as le="+Inf".
+// Histogram counts observations in log buckets, 8 per octave (γ =
+// 2^(1/8)), with upper bounds from 2^-20 (≈ 0.95 µs) to 2^10 (1 024) and
+// then +Inf. Bucket i holds (bounds[i-1], bounds[i]] (Prometheus's
+// inclusive le); the first also takes 0 and negatives. A bucket reads as
+// 2·lo·hi/(lo+hi), within α = (γ−1)/(γ+1) ≈ 4.3 % of any value in it.
 type Histogram struct {
-	eq     *histogram.EquiWidth // bucket math only; its own counts stay zero
-	lo, hi float64
-	bounds []float64 // upper bounds; bounds[len-1] is treated as +Inf
-	counts []atomic.Uint64
-	sum    atomic.Uint64 // math.Float64bits, CAS-accumulated
-	count  atomic.Uint64
+	counts [numBuckets]atomic.Uint64 // the count is their sum
+	sum    atomic.Uint64             // math.Float64bits, CAS-accumulated
+}
+
+const (
+	perOctave  = 8
+	minExp     = -20 // bounds[0] = 2^minExp
+	maxExp     = 10  // bounds[numBounds-1] = 2^maxExp
+	numBounds  = (maxExp-minExp)*perOctave + 1
+	numBuckets = numBounds + 1 // the last is +Inf
+)
+
+// octaveMants are the 52-bit mantissas of 2^(j/8), j = 0..7, correctly
+// rounded: bucketOf's thresholds and the bit patterns of bounds, so a
+// bound bins into its own bucket, with no math.Log, on every platform.
+var octaveMants = [perOctave]uint64{0, 0x172b83c7d517b, 0x306fe0a31b715,
+	0x4bfdad5362a27, 0x6a09e667f3bcd, 0x8ace5422aa0db, 0xae89f995ad3ad, 0xd5818dcfba487}
+
+// bounds are the finite upper bounds; leText their exposition text,
+// "+Inf" last.
+var bounds, leText = func() (b [numBounds]float64, le [numBuckets]string) {
+	for i := range b {
+		b[i] = math.Float64frombits(uint64(1023+minExp+i/perOctave)<<52 | octaveMants[i%perOctave])
+		le[i] = formatFloat(b[i])
+	}
+	le[numBounds] = "+Inf"
+	return b, le
+}()
+
+// bucketOf returns v's bucket: the octave from its exponent field, then
+// the mantissa thresholds it passes.
+func bucketOf(v float64) int {
+	if !(v > bounds[0]) { // NaN too
+		return 0
+	}
+	if v > bounds[numBounds-1] {
+		return numBounds
+	}
+	bits := math.Float64bits(v)
+	i := (int(bits>>52) - 1023 - minExp) * perOctave
+	for _, t := range octaveMants {
+		if t < bits&(1<<52-1) {
+			i++
+		}
+	}
+	return i
 }
 
 // Observe records one value (for latency histograms, in seconds).
@@ -233,8 +272,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.counts[h.eq.BucketIndex(v)].Add(1)
-	h.count.Add(1)
+	h.counts[bucketOf(v)].Add(1)
 	for {
 		old := h.sum.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -259,7 +297,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.view().count()
 }
 
 // Sum returns the sum of all observed values. Zero on a nil receiver.
@@ -270,43 +308,14 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the phi-quantile (phi in [0, 1]) by linear
-// interpolation inside the bucket holding the target rank. Returns 0
-// with no observations or on a nil receiver.
+// Quantile estimates the phi-quantile (phi in [0, 1]): the
+// representative of the bucket holding the nearest-rank target,
+// ⌈phi·count⌉. Returns 0 with no observations or on a nil receiver.
 func (h *Histogram) Quantile(phi float64) float64 {
 	if h == nil {
 		return 0
 	}
-	snap := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if phi < 0 {
-		phi = 0
-	}
-	if phi > 1 {
-		phi = 1
-	}
-	target := phi * float64(total)
-	width := (h.hi - h.lo) / float64(len(snap))
-	var cum float64
-	for i, c := range snap {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			frac := (target - cum) / float64(c)
-			return h.lo + float64(i)*width + frac*width
-		}
-		cum = next
-	}
-	return h.hi
+	return h.view().quantile(phi)
 }
 
 // P50 returns the estimated median observation.
@@ -317,6 +326,44 @@ func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 
 // P99 returns the estimated 99th-percentile observation.
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
+
+// histView is one load of a histogram's counters, cumulated. The
+// exposition, the snapshot and the quantiles each read one, so a count
+// always equals its own +Inf bucket.
+type histView struct {
+	cum [numBuckets]uint64
+	sum float64
+}
+
+func (h *Histogram) view() *histView {
+	v := &histView{sum: h.Sum()}
+	var c uint64
+	for i := range h.counts {
+		c += h.counts[i].Load()
+		v.cum[i] = c
+	}
+	return v
+}
+
+func (v *histView) count() uint64 { return v.cum[numBounds] }
+
+// quantile reads the bucket holding rank ⌈phi·count⌉: 0 for the first
+// bucket, 2^10 for +Inf, 2·lo·hi/(lo+hi) between.
+func (v *histView) quantile(phi float64) float64 {
+	if v.count() == 0 {
+		return 0
+	}
+	rank := max(uint64(math.Ceil(min(max(phi, 0), 1)*float64(v.count()))), 1)
+	switch i := sort.Search(numBuckets, func(i int) bool { return v.cum[i] >= rank }); i {
+	case 0:
+		return 0
+	case numBounds:
+		return bounds[numBounds-1]
+	default:
+		lo, hi := bounds[i-1], bounds[i]
+		return 2 * lo * hi / (lo + hi)
+	}
+}
 
 // Counter returns the counter series for name and the given label
 // pairs, registering the family and series on first use. Nil on a nil
@@ -365,25 +412,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 }
 
 // Histogram returns the histogram series for name and the given label
-// pairs: buckets equi-width buckets over [lo, hi). Re-registering an
-// existing series returns it unchanged (the first geometry wins). Nil
-// on a nil registry; panics on invalid geometry, as NewEquiWidth would.
-func (r *Registry) Histogram(name, help string, lo, hi float64, buckets int, labels ...string) *Histogram {
+// pairs, on the one fixed geometry (see Histogram). Nil on a nil
+// registry.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	return r.child(name, help, KindHistogram, labels, func(ch *child) {
-		eq, err := histogram.NewEquiWidth(lo, hi, buckets)
-		if err != nil {
-			panic(fmt.Sprintf("telemetry: histogram %q: %v", name, err))
-		}
-		ch.hist = &Histogram{
-			eq:     eq,
-			lo:     lo,
-			hi:     hi,
-			bounds: eq.BucketBounds(),
-			counts: make([]atomic.Uint64, buckets),
-		}
+		ch.hist = &Histogram{}
 	}).hist
 }
 

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("analytics_test_total", "h")
 	g := r.Gauge("analytics_test", "h")
-	h := r.Histogram("analytics_test_seconds", "h", 0, 1, 8)
+	h := r.Histogram("analytics_test_seconds", "h")
 	r.CounterFunc("analytics_test_fn_total", "h", func() uint64 { return 1 })
 	r.GaugeFunc("analytics_test_fn", "h", func() float64 { return 1 })
 	if c != nil || g != nil || h != nil {
@@ -46,7 +47,7 @@ func TestRemoveSeries(t *testing.T) {
 	r.CounterFunc("analytics_x_total", "x", func() uint64 { return 1 }, "layer", "dstore", "node", "n0")
 	r.CounterFunc("analytics_x_total", "x", func() uint64 { return 2 }, "layer", "dstore", "node", "n1")
 	r.Gauge("analytics_y", "y", "node", "n0").Set(3)
-	r.Histogram("analytics_z_seconds", "z", 0, 1, 4, "node", "n0").Observe(0.5)
+	r.Histogram("analytics_z_seconds", "z", "node", "n0").Observe(0.5)
 	r.Counter("analytics_w_total", "w", "layer", "n0").Inc() // n0 as another key's value stays
 	r.RemoveSeries("node", "n0")
 	var sb strings.Builder
@@ -128,47 +129,142 @@ func TestKindConflictPanics(t *testing.T) {
 	r.Gauge("analytics_thing_total", "x")
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	r := New()
-	h := r.Histogram("analytics_lat_seconds", "lat", 0, 1.0, 100)
-	for i := 0; i < 1000; i++ {
-		h.Observe(float64(i) / 1000.0) // uniform over [0, 1)
-	}
-	if got := h.Count(); got != 1000 {
-		t.Fatalf("count = %d, want 1000", got)
-	}
-	if got, want := h.Sum(), 499.5; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
-	checks := []struct{ phi, want float64 }{{0.50, 0.50}, {0.95, 0.95}, {0.99, 0.99}}
-	for _, c := range checks {
-		if got := h.Quantile(c.phi); math.Abs(got-c.want) > 0.02 {
-			t.Fatalf("q%.2f = %v, want ~%v", c.phi, got, c.want)
+// TestHistogramLogGeometry pins the one bucket geometry: where values
+// land, and how close the quantiles read to the exact ones.
+func TestHistogramLogGeometry(t *testing.T) {
+	gamma := math.Pow(2, 1.0/perOctave)
+	alpha := (gamma - 1) / (gamma + 1)
+	for i, b := range bounds {
+		if want := math.Pow(2, float64(minExp)+float64(i)/perOctave); math.Abs(b/want-1) > 1e-15 {
+			t.Fatalf("bound %d = %v, want 2^(%d+%d/8) = %v", i, b, minExp, i, want)
+		}
+		if got := bucketOf(b); got != i {
+			t.Fatalf("bound %v (le %s) lands in bucket %d, want its own %d", b, leText[i], got, i)
+		}
+		if got := bucketOf(math.Nextafter(b, math.Inf(1))); got != i+1 {
+			t.Fatalf("next float above bound %v lands in bucket %d, want %d", b, got, i+1)
 		}
 	}
-	if h.P50() != h.Quantile(0.50) || h.P95() != h.Quantile(0.95) || h.P99() != h.Quantile(0.99) {
-		t.Fatal("P50/P95/P99 must match Quantile")
+	if leText[numBounds] != "+Inf" {
+		t.Fatalf("last le = %q, want +Inf", leText[numBounds])
+	}
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{0, 0}, {-1, 0}, {math.Inf(-1), 0}, {math.NaN(), 0}, {1e-7, 0},
+		{math.Nextafter(bounds[0], 0), 0}, {1024.5, numBounds}, {1e300, numBounds}, {math.Inf(1), numBounds},
+	} {
+		if got := bucketOf(c.v); got != c.want {
+			t.Errorf("bucketOf(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+
+	var rng uint64 = 1
+	next := func() float64 { // xorshift in [0, 1)
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return float64(rng>>11) / (1 << 53)
+	}
+	streams := map[string]func(i int) float64{
+		"uniform [0,1)":   func(i int) float64 { return float64(i) / 1000 },
+		"1us to 100s":     func(int) float64 { return 1e-6 * math.Pow(10, 8*next()) },
+		"counts 1 to 512": func(int) float64 { return float64(1 + int(next()*512)) },
+		"one value":       func(int) float64 { return 3e-3 },
+	}
+	r := New()
+	for name, gen := range streams {
+		h := r.Histogram("analytics_geometry_seconds", "g", "stream", name)
+		vals := make([]float64, 1000)
+		var sum float64
+		for i := range vals {
+			vals[i] = gen(i)
+			sum += vals[i]
+			h.Observe(vals[i])
+		}
+		sort.Float64s(vals)
+		if got := h.Count(); got != uint64(len(vals)) {
+			t.Fatalf("%s: count = %d, want %d", name, got, len(vals))
+		}
+		if got := h.Sum(); math.Abs(got-sum) > 1e-9*sum {
+			t.Fatalf("%s: sum = %v, want %v", name, got, sum)
+		}
+		for _, q := range []struct {
+			phi float64
+			got float64
+		}{{0.50, h.P50()}, {0.95, h.P95()}, {0.99, h.P99()}} {
+			if q.got != h.Quantile(q.phi) {
+				t.Fatalf("%s: P%v = %v, Quantile = %v", name, q.phi*100, q.got, h.Quantile(q.phi))
+			}
+			exact := vals[int(math.Ceil(q.phi*float64(len(vals))))-1]
+			if math.Abs(q.got-exact) > (alpha+1e-12)*exact {
+				t.Errorf("%s: q%.2f = %v, exact %v: relative error above α = %.4f", name, q.phi, q.got, exact, alpha)
+			}
+		}
 	}
 }
 
-func TestHistogramClampsOutOfRange(t *testing.T) {
+// TestHistogramObserveAllocs: Observe runs on every request's path, so
+// it must not allocate.
+func TestHistogramObserveAllocs(t *testing.T) {
+	h := New().Histogram("analytics_alloc_seconds", "h")
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(2.5e-4) }); n != 0 {
+		t.Fatalf("Observe allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkHistogramObserve times one Observe over values spread across
+// the latency range, so the bucket index is not one the branch
+// predictor has learned.
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New().Histogram("analytics_bench_seconds", "h")
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = 1e-6 * math.Pow(10, 6*float64(i*389%1024)/1024) // 1 µs to 1 s, shuffled
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(vals[i%len(vals)])
+	}
+}
+
+// TestSnapshotSelfConsistentUnderWriters: every /debug/analytics series
+// is one read of its counters, so with writers running its count is its
+// own +Inf bucket and its quantiles are ordered.
+func TestSnapshotSelfConsistentUnderWriters(t *testing.T) {
 	r := New()
-	h := r.Histogram("analytics_clamp_seconds", "lat", 0, 1.0, 4)
-	h.Observe(-5)  // below range: first bucket
-	h.Observe(100) // above range: final (+Inf) bucket
-	if got := h.Count(); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := r.Histogram("analytics_consistent_seconds", "h", "layer", "store")
+			for j := 0; ; j++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				h.Observe(1e-6 * float64(1+j%5000))
+			}
+		}()
 	}
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `analytics_clamp_seconds_bucket{le="0.25"} 1`) {
-		t.Fatalf("underflow not in first bucket:\n%s", out)
-	}
-	if !strings.Contains(out, `analytics_clamp_seconds_bucket{le="+Inf"} 2`) {
-		t.Fatalf("overflow not in +Inf bucket:\n%s", out)
+	defer func() { close(done); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		for _, fam := range r.Snapshot() {
+			for _, s := range fam.Series {
+				last := s.Buckets[len(s.Buckets)-1]
+				if last.Le != "+Inf" || *s.Count != last.Count {
+					t.Fatalf("snapshot %d: count %d, last bucket le=%s %d", i, *s.Count, last.Le, last.Count)
+				}
+				if !(*s.P50 <= *s.P95 && *s.P95 <= *s.P99) {
+					t.Fatalf("snapshot %d: p50 %v, p95 %v, p99 %v out of order", i, *s.P50, *s.P95, *s.P99)
+				}
+			}
+		}
 	}
 }
 
@@ -185,7 +281,7 @@ func TestConcurrentWritesDuringEncode(t *testing.T) {
 			defer stop.Done()
 			c := r.Counter("analytics_conc_total", "c", "layer", "store")
 			g := r.Gauge("analytics_conc_depth", "g", "layer", "store")
-			h := r.Histogram("analytics_conc_seconds", "h", 0, 1, 16, "layer", "store")
+			h := r.Histogram("analytics_conc_seconds", "h", "layer", "store")
 			for j := 0; ; j++ {
 				select {
 				case <-done:
@@ -210,15 +306,8 @@ func TestConcurrentWritesDuringEncode(t *testing.T) {
 	stop.Wait()
 
 	c := r.Counter("analytics_conc_total", "c", "layer", "store")
-	h := r.Histogram("analytics_conc_seconds", "h", 0, 1, 16, "layer", "store")
+	h := r.Histogram("analytics_conc_seconds", "h", "layer", "store")
 	if c.Value() == 0 || h.Count() == 0 {
 		t.Fatal("writers must have landed")
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-	}
-	if cum != h.Count() {
-		t.Fatalf("bucket total %d != count %d", cum, h.Count())
 	}
 }
