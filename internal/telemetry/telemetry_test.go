@@ -129,6 +129,57 @@ func TestKindConflictPanics(t *testing.T) {
 	r.Gauge("analytics_thing_total", "x")
 }
 
+func TestHistogramQuantiles(t *testing.T) {
+	r := New()
+	h := r.Histogram("analytics_lat_seconds", "lat")
+	for i := 0; i < 1000; i++ {
+		h.Observe(float64(i) / 1000.0) // uniform over [0, 1)
+	}
+	if got := h.Count(); got != 1000 {
+		t.Fatalf("count = %d, want 1000", got)
+	}
+	if got, want := h.Sum(), 499.5; math.Abs(got-want) > 1e-6 {
+		t.Fatalf("sum = %v, want %v", got, want)
+	}
+	// Exact nearest-rank quantiles of i/1000; the log geometry reads each
+	// within relative error α = (γ−1)/(γ+1), γ = 2^(1/8).
+	gamma := math.Pow(2, 1.0/perOctave)
+	alpha := (gamma - 1) / (gamma + 1)
+	checks := []struct{ phi, want float64 }{{0.50, 0.499}, {0.95, 0.949}, {0.99, 0.989}}
+	for _, c := range checks {
+		if got := h.Quantile(c.phi); math.Abs(got-c.want) > (alpha+1e-12)*c.want {
+			t.Fatalf("q%.2f = %v, want %v within relative error %.4f", c.phi, got, c.want, alpha)
+		}
+	}
+	if h.P50() != h.Quantile(0.50) || h.P95() != h.Quantile(0.95) || h.P99() != h.Quantile(0.99) {
+		t.Fatal("P50/P95/P99 must match Quantile")
+	}
+}
+
+func TestHistogramClampsOutOfRange(t *testing.T) {
+	r := New()
+	h := r.Histogram("analytics_clamp_seconds", "lat")
+	h.Observe(-5)  // below range: first bucket
+	h.Observe(1e6) // above range: final (+Inf) bucket
+	if got := h.Count(); got != 2 {
+		t.Fatalf("count = %d, want 2", got)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, `analytics_clamp_seconds_bucket{le="`+leText[0]+`"} 1`) {
+		t.Fatalf("underflow not in first bucket:\n%s", out)
+	}
+	if !strings.Contains(out, `analytics_clamp_seconds_bucket{le="`+leText[numBounds-1]+`"} 1`) {
+		t.Fatalf("overflow counted below +Inf:\n%s", out)
+	}
+	if !strings.Contains(out, `analytics_clamp_seconds_bucket{le="+Inf"} 2`) {
+		t.Fatalf("overflow not in +Inf bucket:\n%s", out)
+	}
+}
+
 // TestHistogramLogGeometry pins the one bucket geometry: where values
 // land, and how close the quantiles read to the exact ones.
 func TestHistogramLogGeometry(t *testing.T) {
