@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/freelist"
 )
 
 // QDigest is the Shrivastava–Buragohain–Agrawal–Suri q-digest ("Medians and
@@ -30,7 +30,7 @@ import (
 //
 // A copy taken by Compact holds its nodes packed instead (see packNodes):
 // a few bytes per node where the slice takes 16. Readers decode the
-// packed nodes into pooled scratch, and Merge into the receiver's spare
+// packed nodes into shared scratch, and Merge into the receiver's spare
 // capacity; a writer unpacks them first.
 type QDigest struct {
 	logU   uint8
@@ -93,12 +93,14 @@ func (q *QDigest) Update(v uint64, w uint64) {
 	if uint64(len(q.nodes)) > 6*q.k {
 		q.compress(s)
 	}
-	scratchPool.Put(s)
+	scratchList.Put(s)
 }
 
 // scratch holds the transient buffers of one fold, merge, compress or
-// query. Pooled: a range query merges once per bucket, and no
-// digest keeps any of it afterwards.
+// query. One is kept between calls (a range query merges once per
+// bucket, and no digest keeps any of it afterwards); a call that
+// overlaps another gets a fresh one, dropped after, so how many are
+// held never depends on whether two calls happened to overlap.
 type scratch struct {
 	nodes  []node   // a folded or unpacked view of a digest
 	vals   []uint32 // a tail's copy, radix-sorted...
@@ -108,9 +110,9 @@ type scratch struct {
 	order  []ranked // nodes in value order (Query)
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchList = freelist.List[scratch]{New: func() *scratch { return new(scratch) }, Max: 1}
 
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+func getScratch() *scratch { return scratchList.Get() }
 
 // sortedTail returns q's tail as leaves in ascending id order, each
 // counting its value's updates, in s. q is not modified. The values are
@@ -303,7 +305,7 @@ func (q *QDigest) Compress() {
 	s := getScratch()
 	q.fold(s)
 	q.compress(s)
-	scratchPool.Put(s)
+	scratchList.Put(s)
 }
 
 // compress is one bottom-up pass over the folded nodes, deepest first
@@ -435,7 +437,7 @@ func (q *QDigest) QueryAll(phis []float64, out []uint64) {
 		}
 	}
 	s.order = order
-	scratchPool.Put(s)
+	scratchList.Put(s)
 }
 
 // Merge adds another q-digest's counters into q and recompresses. This is
@@ -455,7 +457,7 @@ func (q *QDigest) Merge(other *QDigest) error {
 	}
 	q.n += other.n
 	q.compress(s)
-	scratchPool.Put(s)
+	scratchList.Put(s)
 	return nil
 }
 
@@ -473,7 +475,7 @@ func (q *QDigest) Compact() *QDigest {
 	if len(nodes) > 0 {
 		c.enc = packNodes(make([]byte, 0, packedSize(nodes)), nodes)
 	}
-	scratchPool.Put(s)
+	scratchList.Put(s)
 	return c
 }
 
@@ -498,7 +500,7 @@ func (q *QDigest) Nodes() int {
 	}
 	s := getScratch()
 	n := len(q.view(s))
-	scratchPool.Put(s)
+	scratchList.Put(s)
 	return n
 }
 

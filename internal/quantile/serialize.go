@@ -39,7 +39,7 @@ func (q *QDigest) AppendBinary(b []byte) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, nd.id)
 		b = binary.LittleEndian.AppendUint64(b, nd.cnt)
 	}
-	scratchPool.Put(s)
+	scratchList.Put(s)
 	return b, nil
 }
 

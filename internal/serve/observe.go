@@ -34,13 +34,15 @@ import (
 	"repro/internal/store"
 )
 
-// What one pooled scratch may keep between requests. Constants, not
+// What one idle scratch may keep between requests. Constants, not
 // knobs: together they bound a scratch at 64 KiB of body + 40 KiB of
 // batch + ≤ 48 KiB of interned strings + 2 × 64 KiB of query response
 // and synopsis bytes, under 320 KiB, and a request that needs more (an
 // 8 MiB body, a 100 000-observation batch, a response with a dozen
-// Count-Min answers) gets it for its own lifetime only.
+// Count-Min answers) gets it for its own lifetime only. At most
+// maxIdleScratch of them wait between requests, under 2.5 MiB.
 const (
+	maxIdleScratch = 8
 	maxPooledBody  = 64 << 10 // body, response and synopsis buffer capacity kept, bytes
 	maxPooledBatch = 512      // batch capacity kept, observations
 	internSets     = 512      // intern table sets of two (a power of two)
@@ -64,7 +66,7 @@ func newScratch() *scratch {
 	return &scratch{intern: internTable{seed: maphash.MakeSeed()}}
 }
 
-// release returns sc to the pool, first dropping whatever outgrew the
+// release returns sc to the free list, first dropping whatever outgrew the
 // retention bounds above.
 func (s *Server) release(sc *scratch) {
 	if sc.body.Cap() > maxPooledBody {

@@ -47,6 +47,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/analytics"
+	"repro/internal/freelist"
 	"repro/internal/rcache"
 	"repro/internal/store"
 	"repro/internal/telemetry"
@@ -118,8 +119,9 @@ type Server struct {
 	mu    sync.RWMutex
 	specs map[string]ProtoSpec
 
-	// scratch pools the per-request decode state (see observe.go).
-	scratch sync.Pool
+	// scratch keeps the per-request decode state between requests (see
+	// observe.go); a free list, so its size does not follow GC timing.
+	scratch freelist.List[scratch]
 
 	queries  *telemetry.Counter
 	observes *telemetry.Counter
@@ -158,7 +160,7 @@ func NewServer(cfg Config) (*Server, error) {
 		qryLat: reg.Histogram("analytics_serve_query_seconds",
 			"Query latency at the serving edge, cache hits included.", "layer", "serve"),
 	}
-	s.scratch.New = func() any { return newScratch() }
+	s.scratch.New, s.scratch.Max = newScratch, maxIdleScratch
 	for _, route := range []string{"register", "observe", "query", "keys"} {
 		s.errs[route] = reg.Counter("analytics_serve_errors_total",
 			"Requests answered with a non-2xx status.", "layer", "serve", "route", route)
@@ -292,7 +294,7 @@ func errStatus(err error) int {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	sc := s.scratch.Get().(*scratch)
+	sc := s.scratch.Get()
 	defer s.release(sc)
 	var req RegisterRequest
 	if code, err := sc.decodeBody(w, r, &req); err != nil {
@@ -317,7 +319,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	sc := s.scratch.Get().(*scratch)
+	sc := s.scratch.Get()
 	defer s.release(sc)
 	body, code, err := sc.readBody(w, r)
 	if err != nil {
@@ -386,7 +388,7 @@ func (s *Server) observeError(w http.ResponseWriter, sp *trace.Span, err error) 
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	sc := s.scratch.Get().(*scratch)
+	sc := s.scratch.Get()
 	defer s.release(sc)
 	var wq QueryRequest
 	if code, err := sc.decodeBody(w, r, &wq); err != nil {
