@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -291,7 +292,7 @@ func BenchmarkClusterQuery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				req := store.QueryRequest{Metric: "uniq", Key: keys[(i*31)%len(keys)], From: from, To: horizon + 1}
-				if _, err := r.Query(req); err != nil {
+				if _, err := r.Query(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +301,7 @@ func BenchmarkClusterQuery(b *testing.B) {
 			b.ReportAllocs()
 			req := store.QueryRequest{Metric: "uniq", Keys: keys[:16], From: from, To: horizon + 1, Aggregate: true}
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Query(req); err != nil {
+				if _, err := r.Query(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -310,7 +311,7 @@ func BenchmarkClusterQuery(b *testing.B) {
 			b.ReportAllocs()
 			req := store.QueryRequest{Metric: "uniq", Keys: keys[:16], From: from, To: horizon + 1}
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Query(req); err != nil {
+				if _, err := r.Query(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -326,9 +327,9 @@ func BenchmarkClusterQuery(b *testing.B) {
 // queryPoint answers one series over the inclusive range [from, to]
 // through the typed query API — the benchmarks' point-query shorthand.
 func queryPoint(q interface {
-	Query(store.QueryRequest) (store.QueryResult, error)
+	Query(context.Context, store.QueryRequest) (store.QueryResult, error)
 }, metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	res, err := q.Query(context.Background(), store.PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -42,15 +43,17 @@ func Example() {
 		}
 	}
 
-	// One typed request per question — no synopsis type assertions.
-	one, err := be.Query(repro.QueryRequest{Metric: "hits", Key: "/home", From: 0, To: 90})
+	// One typed request per question — no synopsis type assertions. The
+	// ctx carries the caller's deadline into the backend's gather.
+	ctx := context.Background()
+	one, err := be.Query(ctx, repro.QueryRequest{Metric: "hits", Key: "/home", From: 0, To: 90})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("/home gets:", one.Count("get"))
 
 	// A multi-key aggregate request unions both pages in one round-trip.
-	site, err := be.Query(repro.QueryRequest{
+	site, err := be.Query(ctx, repro.QueryRequest{
 		Metric: "hits", Keys: []string{"/home", "/docs"}, From: 0, To: 90, Aggregate: true,
 	})
 	if err != nil {
@@ -59,7 +62,7 @@ func Example() {
 	fmt.Println("site gets:", site.Count("get"))
 
 	// Unknown metrics fail with a sentinel every backend shares.
-	_, err = be.Query(repro.QueryRequest{Metric: "nope", Key: "/home", From: 0, To: 90})
+	_, err = be.Query(ctx, repro.QueryRequest{Metric: "nope", Key: "/home", From: 0, To: 90})
 	fmt.Println("unknown metric:", errors.Is(err, repro.ErrUnknownMetric))
 
 	// Output:
@@ -107,11 +110,12 @@ func ExampleNewStoreCluster() {
 	}
 
 	// Owner-routed single key; scatter-gathered aggregate union.
-	one, err := r.Query(repro.QueryRequest{Metric: "uniques", Key: "page:/0", From: 0, To: 300})
+	ctx := context.Background()
+	one, err := r.Query(ctx, repro.QueryRequest{Metric: "uniques", Key: "page:/0", From: 0, To: 300})
 	if err != nil {
 		panic(err)
 	}
-	all, err := r.Query(repro.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
+	all, err := r.Query(ctx, repro.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
 	if err != nil {
 		panic(err)
 	}
@@ -157,7 +161,7 @@ func ExampleNewLambda() {
 	}
 
 	// batch ⊎ speed, per requested cell
-	res, err := arch.Query(repro.QueryRequest{Metric: "hits", Key: "page:/home", From: 0, To: 120})
+	res, err := arch.Query(context.Background(), repro.QueryRequest{Metric: "hits", Key: "page:/home", From: 0, To: 120})
 	if err != nil {
 		panic(err)
 	}
@@ -285,7 +289,7 @@ func ExampleNewAnalyticsClient() {
 	if err := be.ObserveBatch(obs); err != nil {
 		panic(err)
 	}
-	res, err := be.Query(repro.QueryRequest{Metric: "uniques", Key: "page:/home", From: 0, To: 60})
+	res, err := be.Query(context.Background(), repro.QueryRequest{Metric: "uniques", Key: "page:/home", From: 0, To: 60})
 	if err != nil {
 		panic(err)
 	}

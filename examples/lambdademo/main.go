@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -56,7 +57,7 @@ func main() {
 	// Merged answers come through the typed serving API: the Count
 	// accessor replaces the *FreqSynopsis type assertion.
 	count := func(key string) uint64 {
-		res, err := arch.Query(repro.QueryRequest{Metric: "hits", Key: key, From: 0, To: now + 1})
+		res, err := arch.Query(context.Background(), repro.QueryRequest{Metric: "hits", Key: key, From: 0, To: now + 1})
 		if err != nil {
 			panic(err)
 		}

@@ -129,14 +129,14 @@ type Config struct {
 // throttling begins:
 //
 //	level(x) = 0                          if x < High
-//	level(x) = 1 + floor(log2(x / High))  otherwise, capped at MaxLevel
+//	level(x) = 1 + floor(log2(x / High))  otherwise, capped at maxLevel
 //
 // The controller's level is the max across signals; every bucket's
-// effective refill rate is scaled by 2^-level, and at MaxLevel
+// effective refill rate is scaled by 2^-level, and at maxLevel (4)
 // admission sheds everything until the signal falls back below the top
-// rung. With the default MaxLevel 4: lag in [High, 2*High) halves
-// rates, [2*High, 4*High) quarters them, and lag beyond 8*High stops
-// ingest dead — a ladder, not a cliff.
+// rung: lag in [High, 2*High) halves rates, [2*High, 4*High) quarters
+// them, and lag beyond 8*High stops ingest dead — a ladder, not a
+// cliff.
 type BackpressureConfig struct {
 	// Lag samples consumer-group lag (e.g. dstore.Cluster.Lag): the
 	// unconsumed-record count of the ingest topic. Nil disables the
@@ -155,10 +155,11 @@ type BackpressureConfig struct {
 	// 100ms): admission between samples reuses the last level, so the
 	// samplers stay off the per-observation hot path.
 	SampleEvery time.Duration
-	// MaxLevel is the ladder's top rung (default 4), at which
-	// everything sheds.
-	MaxLevel int
 }
+
+// maxLevel is the backpressure ladder's top rung, at which everything
+// sheds.
+const maxLevel = 4
 
 func (b BackpressureConfig) enabled() bool { return b.Lag != nil || b.Disk != nil }
 
@@ -222,9 +223,6 @@ func New(cfg Config) (*Controller, error) {
 	if bp.SampleEvery <= 0 {
 		bp.SampleEvery = 100 * time.Millisecond
 	}
-	if bp.MaxLevel <= 0 {
-		bp.MaxLevel = 4
-	}
 	c := &Controller{
 		cfg:     cfg,
 		now:     cfg.Now,
@@ -243,7 +241,7 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // signalLevel maps one signal value onto the ladder.
-func signalLevel(x, high uint64, maxLevel int) int {
+func signalLevel(x, high uint64) int {
 	if high == 0 || x < high {
 		return 0
 	}
@@ -267,10 +265,10 @@ func (c *Controller) throttleLevel(now int64) int {
 	if now-last > int64(bp.SampleEvery) && c.lastSample.CompareAndSwap(last, now) {
 		lvl := 0
 		if bp.Lag != nil {
-			lvl = signalLevel(bp.Lag(), bp.LagHigh, bp.MaxLevel)
+			lvl = signalLevel(bp.Lag(), bp.LagHigh)
 		}
 		if bp.Disk != nil {
-			if dl := signalLevel(bp.Disk(), bp.DiskHigh, bp.MaxLevel); dl > lvl {
+			if dl := signalLevel(bp.Disk(), bp.DiskHigh); dl > lvl {
 				lvl = dl
 			}
 		}
@@ -288,7 +286,7 @@ func (c *Controller) scale(level int) float64 {
 	if level <= 0 {
 		return 1
 	}
-	if level >= c.cfg.Backpressure.MaxLevel {
+	if level >= maxLevel {
 		return 0
 	}
 	return 1 / float64(uint64(1)<<uint(level))

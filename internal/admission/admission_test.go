@@ -189,23 +189,22 @@ func TestTenantBuckets(t *testing.T) {
 func TestSignalLevelLadder(t *testing.T) {
 	cases := []struct {
 		x, high uint64
-		max     int
 		want    int
 	}{
-		{0, 100, 4, 0},
-		{99, 100, 4, 0},
-		{100, 100, 4, 1},
-		{199, 100, 4, 1},
-		{200, 100, 4, 2},
-		{399, 100, 4, 2},
-		{400, 100, 4, 3},
-		{800, 100, 4, 4},
-		{1 << 40, 100, 4, 4}, // capped
-		{500, 0, 4, 0},       // disabled signal
+		{0, 100, 0},
+		{99, 100, 0},
+		{100, 100, 1},
+		{199, 100, 1},
+		{200, 100, 2},
+		{399, 100, 2},
+		{400, 100, 3},
+		{800, 100, 4},
+		{1 << 40, 100, 4}, // capped
+		{500, 0, 0},       // disabled signal
 	}
 	for _, tc := range cases {
-		if got := signalLevel(tc.x, tc.high, tc.max); got != tc.want {
-			t.Errorf("signalLevel(%d, %d, %d) = %d, want %d", tc.x, tc.high, tc.max, got, tc.want)
+		if got := signalLevel(tc.x, tc.high); got != tc.want {
+			t.Errorf("signalLevel(%d, %d) = %d, want %d", tc.x, tc.high, got, tc.want)
 		}
 	}
 }
@@ -218,7 +217,6 @@ func TestBackpressureScalesRatesAndShedsAtMax(t *testing.T) {
 			Lag:         func() uint64 { return lag },
 			LagHigh:     100,
 			SampleEvery: 10 * time.Millisecond,
-			MaxLevel:    4,
 		},
 	})
 	// Healthy: level 0, everything admits.
@@ -247,16 +245,16 @@ func TestBackpressureScalesRatesAndShedsAtMax(t *testing.T) {
 		t.Fatalf("want backpressure-attributed shed at level 1, got %v", err)
 	}
 
-	// Lag at 8*High reaches MaxLevel: everything sheds regardless of
+	// Lag at 8*High reaches the top rung: everything sheds regardless of
 	// tokens, with the resample interval as the quoted wait.
 	lag = 800
 	clk.advance(time.Second)
 	err = c.Admit("m", 1)
 	if !errors.As(err, &o) || o.Scope != "backpressure" {
-		t.Fatalf("want full shed at MaxLevel, got %v", err)
+		t.Fatalf("want full shed at the top rung, got %v", err)
 	}
 	if o.RetryAfter != 10*time.Millisecond {
-		t.Fatalf("MaxLevel RetryAfter = %v, want the resample interval", o.RetryAfter)
+		t.Fatalf("top-rung RetryAfter = %v, want the resample interval", o.RetryAfter)
 	}
 	if c.Level() != 4 {
 		t.Fatalf("level = %d, want 4", c.Level())
@@ -282,7 +280,7 @@ func TestDiskSignalTakesMax(t *testing.T) {
 		Backpressure: BackpressureConfig{
 			Lag: func() uint64 { return lag }, LagHigh: 100,
 			Disk: func() uint64 { return disk }, DiskHigh: 1 << 20,
-			SampleEvery: time.Millisecond, MaxLevel: 4,
+			SampleEvery: time.Millisecond,
 		},
 	})
 	lag, disk = 50, 4<<20 // lag healthy, disk at 4*High → level 3

@@ -49,8 +49,8 @@
 //     all four do — so a caller may reuse the slice at once, as the
 //     serving edge does with its pooled batch. The strings inside are
 //     ordinary immutable Go strings and may be kept.
-//   - Query answers a typed store.QueryRequest. A request naming an
-//     unregistered metric fails with an error wrapping
+//   - Query answers a typed store.QueryRequest under a ctx. A request
+//     naming an unregistered metric fails with an error wrapping
 //     store.ErrUnknownMetric. A registered metric with no data for a
 //     requested key or range answers an EMPTY synopsis cell, never an
 //     error — absence of writes is a valid answer. Multi-key and
@@ -59,14 +59,12 @@
 //     Lambda), and aggregate answers merge per-key synopses in sorted key
 //     order, so Aggregate equals per-key query + store.CombineSnapshots
 //     byte for byte. An inclusive-range single-series question is
-//     store.PointRequest away; there is no second query API.
-//   - QueryContext is Query honoring a deadline: ctx threads through the
-//     store's per-shard fan-out, the cluster's scatter-gather and the
-//     serving client's HTTP request, so a cancelled or expired context
-//     aborts the gather. With a live context it answers exactly what
-//     Query would (Query is QueryContext on context.Background()); a
-//     cancelled context yields an error wrapping ctx.Err(), never a
-//     partial answer.
+//     store.PointRequest away; there is no second query API. ctx
+//     threads through the store's per-shard fan-out, the cluster's
+//     scatter-gather, Lambda's speed and batch gathers and the serving
+//     client's HTTP request, so a cancelled or expired context aborts
+//     the gather with an error wrapping ctx.Err(), never a partial
+//     answer; a live context never changes the answer.
 //   - Keys returns the metric's resident keys (deduplicated; order is
 //     backend-defined). An unknown metric answers an empty slice, not an
 //     error — Keys is a discovery call, not a validation call.
@@ -81,7 +79,7 @@ import (
 	"repro/internal/store"
 )
 
-// Backend is the unified serving API: six methods, with ObserveBatch
+// Backend is the unified serving API: five methods, with ObserveBatch
 // the only way writes enter. store.Store, dstore.Router,
 // lambda.Architecture and serve.Client satisfy it; engine.SinkBolt sinks
 // topology streams into any of them through it, and the Instrument and
@@ -95,26 +93,23 @@ type Backend interface {
 	// retain obs after it returns: the caller may reuse the slice. It is
 	// the only write method; one observation is a one-element batch.
 	ObserveBatch(obs []store.Observation) error
-	// Query answers one typed request; see store.QueryRequest and
-	// store.QueryResult.
-	Query(req store.QueryRequest) (store.QueryResult, error)
-	// QueryContext is Query aborted when ctx is cancelled or expires.
-	QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error)
+	// Query answers one typed request, aborted when ctx is cancelled or
+	// expires; see store.QueryRequest and store.QueryResult.
+	Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error)
 	// Keys returns the metric's resident keys.
 	Keys(metric string) []string
 	// Stats snapshots the backend's store counters.
 	Stats() store.Stats
 }
 
-// QueryContext and ObserveBatch are one-line forwards to the methods of
-// the same name. They predate those methods being part of Backend and
-// stay only because the benchmark module (bench/ladder.go), which this
-// module may not edit, compiles against them; in-repo code calls the
-// methods.
+// QueryContext and ObserveBatch are one-line forwards to the methods
+// Query and ObserveBatch. They stay only because the benchmark module
+// (bench/ladder.go), which this module may not edit, compiles against
+// them; in-repo code calls the methods.
 
 // QueryContext answers req through be honoring ctx.
 func QueryContext(ctx context.Context, be Backend, req store.QueryRequest) (store.QueryResult, error) {
-	return be.QueryContext(ctx, req)
+	return be.Query(ctx, req)
 }
 
 // ObserveBatch absorbs obs through be, all or nothing.

@@ -8,6 +8,7 @@ package analytics
 
 import (
 	"bytes"
+	"context"
 	"encoding"
 	"errors"
 	"fmt"
@@ -194,7 +195,7 @@ func TestBackendConformance(t *testing.T) {
 			}
 
 			t.Run("unknown-metric", func(t *testing.T) {
-				_, err := h.be.Query(store.QueryRequest{Metric: "nope", Key: "k0", From: 0, To: 10})
+				_, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "nope", Key: "k0", From: 0, To: 10})
 				if !errors.Is(err, store.ErrUnknownMetric) {
 					t.Fatalf("query error %v, want ErrUnknownMetric", err)
 				}
@@ -228,7 +229,7 @@ func TestBackendConformance(t *testing.T) {
 			})
 
 			t.Run("empty-not-error", func(t *testing.T) {
-				res, err := h.be.Query(store.QueryRequest{Metric: "uniq", Key: "ghost", From: 0, To: 10})
+				res, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "uniq", Key: "ghost", From: 0, To: 10})
 				if err != nil {
 					t.Fatalf("known metric, absent key: %v", err)
 				}
@@ -239,14 +240,14 @@ func TestBackendConformance(t *testing.T) {
 					t.Fatal("ghost answer has no synopsis")
 				}
 				// A range beyond the data is equally empty, equally not an error.
-				res, err = h.be.Query(store.QueryRequest{Metric: "uniq", Key: "k0", From: 10 * conformanceSpan, To: 20 * conformanceSpan})
+				res, err = h.be.Query(context.Background(), store.QueryRequest{Metric: "uniq", Key: "k0", From: 10 * conformanceSpan, To: 20 * conformanceSpan})
 				if err != nil || res.Items() != 0 {
 					t.Fatalf("out-of-range answer items=%d err=%v", res.Items(), err)
 				}
 			})
 
 			t.Run("typed-accessors", func(t *testing.T) {
-				res, err := h.be.Query(store.QueryRequest{
+				res, err := h.be.Query(context.Background(), store.QueryRequest{
 					Metrics: []string{"uniq", "hits", "top", "lat"},
 					Key:     "k1",
 					From:    0, To: conformanceSpan,
@@ -284,18 +285,18 @@ func TestBackendConformance(t *testing.T) {
 
 			t.Run("range-half-open", func(t *testing.T) {
 				// Bucket width 10; [0, 10) must exclude the tick-10 bucket.
-				narrow, err := h.be.Query(store.QueryRequest{Metric: "hits", Key: "k0", From: 0, To: 10})
+				narrow, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "hits", Key: "k0", From: 0, To: 10})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wide, err := h.be.Query(store.QueryRequest{Metric: "hits", Key: "k0", From: 0, To: 11})
+				wide, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "hits", Key: "k0", From: 0, To: 11})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if narrow.Items() >= wide.Items() {
 					t.Fatalf("[0,10) items %d not below [0,11) items %d", narrow.Items(), wide.Items())
 				}
-				if _, err := h.be.Query(store.QueryRequest{Metric: "hits", Key: "k0", From: 5, To: 5}); err == nil {
+				if _, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "hits", Key: "k0", From: 5, To: 5}); err == nil {
 					t.Fatal("empty range accepted")
 				}
 			})
@@ -303,11 +304,11 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("aggregate-vs-per-key", func(t *testing.T) {
 				keys := []string{"k2", "k0", "k3"}
 				for metric, proto := range protos {
-					agg, err := h.be.Query(store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: conformanceSpan, Aggregate: true})
+					agg, err := h.be.Query(context.Background(), store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: conformanceSpan, Aggregate: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					perKey, err := h.be.Query(store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: conformanceSpan})
+					perKey, err := h.be.Query(context.Background(), store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: conformanceSpan})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -327,7 +328,7 @@ func TestBackendConformance(t *testing.T) {
 				// bucket order into a dense accumulator.
 				const from, to, width = 100, 150, 10
 				for _, metric := range []string{"uniq", "hits"} {
-					res, err := h.be.Query(store.QueryRequest{Metric: metric, Key: "k2", From: from, To: to})
+					res, err := h.be.Query(context.Background(), store.QueryRequest{Metric: metric, Key: "k2", From: from, To: to})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -351,7 +352,7 @@ func TestBackendConformance(t *testing.T) {
 			})
 
 			t.Run("all-keys", func(t *testing.T) {
-				res, err := h.be.Query(store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: conformanceSpan})
+				res, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: conformanceSpan})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -398,12 +399,12 @@ func TestBackendsAgreeExactly(t *testing.T) {
 		AllKeys: true,
 		From:    0, To: conformanceSpan,
 	}
-	base, err := hs[0].be.Query(req)
+	base, err := hs[0].be.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range hs[1:] {
-		res, err := h.be.Query(req)
+		res, err := h.be.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +482,7 @@ func assertSameAnswer(t *testing.T, what string, got, want store.Synopsis) {
 // offer.
 func marshalAnswers(t *testing.T, be Backend) [][]byte {
 	t.Helper()
-	res, err := be.Query(store.QueryRequest{
+	res, err := be.Query(context.Background(), store.QueryRequest{
 		Metrics: []string{"uniq", "hits", "top", "lat"},
 		AllKeys: true,
 		From:    0, To: conformanceSpan,

@@ -64,7 +64,7 @@ func Instrument(be Backend, reg *telemetry.Registry, backend string) Backend {
 }
 
 // instrumented embeds the wrapped Backend and overrides the methods it
-// measures — the write method and both query methods, so none bypasses
+// measures — the write method and the query method, so neither bypasses
 // the counters and the trace root; Keys and Stats are the backend's own.
 type instrumented struct {
 	Backend
@@ -175,14 +175,10 @@ func (in *instrumented) ObserveBatch(obs []store.Observation) error {
 // hasTrace reports whether an observation already rides a trace.
 func hasTrace(o store.Observation) bool { return o.Trace.Valid() }
 
-func (in *instrumented) Query(req store.QueryRequest) (store.QueryResult, error) {
-	return in.QueryContext(context.Background(), req)
-}
-
-// QueryContext instruments exactly like Query while threading ctx into
-// the backend; the wrapper itself adds no cancellation points, so
-// answers stay byte-identical to the bare backend's.
-func (in *instrumented) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
+// Query times, counts and roots a trace around the backend's Query,
+// threading ctx into it; the wrapper itself adds no cancellation
+// points, so answers stay byte-identical to the bare backend's.
+func (in *instrumented) Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
 	if sp := in.trc.StartRoot("analytics.query"); sp != nil {
 		// Query roots always start; the tail decision at Finish keeps the
 		// trace when head-sampled or over the slow threshold, and a slow
@@ -193,7 +189,7 @@ func (in *instrumented) QueryContext(ctx context.Context, req store.QueryRequest
 		defer sp.Finish()
 	}
 	t0 := time.Now()
-	res, err := in.Backend.QueryContext(ctx, req)
+	res, err := in.Backend.Query(ctx, req)
 	in.qryLat.ObserveSince(t0)
 	if err != nil {
 		in.qryErrs.Inc()

@@ -5,6 +5,7 @@
 package analytics
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -47,11 +48,11 @@ func TestInstrumentTransparent(t *testing.T) {
 				AllKeys: true,
 				From:    0, To: conformanceSpan,
 			}
-			want, err := hb.be.Query(req)
+			want, err := hb.be.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := hw.be.Query(req)
+			got, err := hw.be.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func TestInstrumentTransparent(t *testing.T) {
 			}
 
 			// Errors pass through unchanged, including the sentinel.
-			_, err = hw.be.Query(store.QueryRequest{Metric: "nope", Key: "k0", From: 0, To: 10})
+			_, err = hw.be.Query(context.Background(), store.QueryRequest{Metric: "nope", Key: "k0", From: 0, To: 10})
 			if !errors.Is(err, store.ErrUnknownMetric) {
 				t.Fatalf("wrapped query error %v, want ErrUnknownMetric", err)
 			}
@@ -117,7 +118,7 @@ func TestInstrumentErrorCounting(t *testing.T) {
 	if err := be.ObserveBatch([]store.Observation{{Metric: "nope", Key: "k", Item: "x"}}); !errors.Is(err, store.ErrUnknownMetric) {
 		t.Fatalf("observe error %v", err)
 	}
-	if _, err := be.Query(store.QueryRequest{Metric: "nope", Key: "k", From: 0, To: 1}); !errors.Is(err, store.ErrUnknownMetric) {
+	if _, err := be.Query(context.Background(), store.QueryRequest{Metric: "nope", Key: "k", From: 0, To: 1}); !errors.Is(err, store.ErrUnknownMetric) {
 		t.Fatalf("query error %v", err)
 	}
 	var sb strings.Builder

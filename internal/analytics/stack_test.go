@@ -178,45 +178,47 @@ func TestBackendConformanceDecoratedStack(t *testing.T) {
 				}
 			})
 
+			// Two routes reach a query: the method, and the package helper
+			// bench/ladder.go drives the stack with. Both must count, root
+			// a trace and honour a cancelled context.
 			t.Run("both-query-methods-count-and-trace", func(t *testing.T) {
 				req := store.QueryRequest{Metric: "uniq", Key: "k1", From: 0, To: conformanceSpan}
-				bare, err := b.be.Query(req)
+				ctx := context.Background()
+				bare, err := b.be.Query(ctx, req)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx := context.Background()
-				routes := []func() (store.QueryResult, error){
-					func() (store.QueryResult, error) { return b.top.Query(req) },
-					func() (store.QueryResult, error) { return b.top.QueryContext(ctx, req) },
-					func() (store.QueryResult, error) { return QueryContext(ctx, b.top, req) },
+				routes := map[string]func(context.Context) (store.QueryResult, error){
+					"method": func(ctx context.Context) (store.QueryResult, error) { return b.top.Query(ctx, req) },
+					"helper": func(ctx context.Context) (store.QueryResult, error) { return QueryContext(ctx, b.top, req) },
 				}
-				for n, route := range routes {
+				dead, cancel := context.WithCancel(ctx)
+				cancel()
+				for name, route := range routes {
 					counted, calls, roots := b.queried("uniq"), b.queryCalls(), b.reg.Tracer().Stats().Started
-					got, err := route()
+					got, err := route(ctx)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got.Answers(), bare.Answers()) {
-						t.Errorf("route %d: answer differs from the bare backend's", n)
+						t.Errorf("%s: answer differs from the bare backend's", name)
 					}
 					if b.queried("uniq") != counted+1 || b.queryCalls() != calls+1 {
-						t.Errorf("route %d bypassed the query counters", n)
+						t.Errorf("%s bypassed the query counters", name)
 					}
 					if b.reg.Tracer().Stats().Started != roots+1 {
-						t.Errorf("route %d opened no analytics.query root", n)
+						t.Errorf("%s opened no analytics.query root", name)
 					}
-				}
 
-				// The cancelled-context contract holds through the stack and
-				// is counted as a query error.
-				dead, cancel := context.WithCancel(ctx)
-				cancel()
-				errs := b.errs("query")
-				if _, err := b.top.QueryContext(dead, req); !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancelled context answered %v, want an error wrapping context.Canceled", err)
-				}
-				if got := b.errs("query"); got != errs+1 {
-					t.Errorf("cancelled query counted %d errors, want 1", got-errs)
+					// The cancelled-context contract holds through the stack
+					// and is counted as a query error.
+					errs := b.errs("query")
+					if _, err := route(dead); !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: cancelled context answered %v, want an error wrapping context.Canceled", name, err)
+					}
+					if got := b.errs("query"); got != errs+1 {
+						t.Errorf("%s: cancelled query counted %d errors, want 1", name, got-errs)
+					}
 				}
 			})
 		})

@@ -6,6 +6,7 @@
 package analytics
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -57,11 +58,11 @@ func TestTracedBackendsAnswerLikeBare(t *testing.T) {
 				AllKeys: true,
 				From:    0, To: conformanceSpan,
 			}
-			want, err := bare[i].be.Query(req)
+			want, err := bare[i].be.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := tbe.Query(req)
+			got, err := tbe.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}

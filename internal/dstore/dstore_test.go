@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -241,7 +242,7 @@ func TestClusterAckIsOnLog(t *testing.T) {
 		if err := c.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Query(store.QueryRequest{Metric: "hits", AllKeys: true, From: 0, To: 100, Aggregate: true})
+		res, err := r.Query(context.Background(), store.QueryRequest{Metric: "hits", AllKeys: true, From: 0, To: 100, Aggregate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +592,7 @@ func TestClusterAggregateByteIdenticalToPerKeyCombine(t *testing.T) {
 	}
 	protos := testProtos(t)
 	for metric, proto := range protos {
-		agg, err := r.Query(store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: to + 1, Aggregate: true})
+		agg, err := r.Query(context.Background(), store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: to + 1, Aggregate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -619,7 +620,7 @@ func TestQueryReportsUnreachableNodes(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 4})
 	// No nodes at all: every partition is unowned, and the error names the
 	// partitions the requested keys hash to.
-	_, err := c.Router().Query(store.QueryRequest{
+	_, err := c.Router().Query(context.Background(), store.QueryRequest{
 		Metric: "uniq", Keys: []string{"a", "b", "c", "d", "e", "f"}, From: 0, To: 10, Aggregate: true,
 	})
 	if err == nil {
@@ -636,7 +637,7 @@ func TestQueryReportsUnreachableNodes(t *testing.T) {
 // edge relies on this to keep no cache of unknown names.
 func TestQueryUnknownMetricNeedsNoNode(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 4})
-	_, err := c.Router().Query(store.QueryRequest{
+	_, err := c.Router().Query(context.Background(), store.QueryRequest{
 		Metric: "ghost", Keys: []string{"a", "b", "c", "d"}, From: 0, To: 10,
 	})
 	if !errors.Is(err, store.ErrUnknownMetric) {
@@ -650,9 +651,9 @@ func TestQueryUnknownMetricNeedsNoNode(t *testing.T) {
 // queryPoint answers one series over the inclusive range [from, to]
 // through the typed query API — the tests' point-query shorthand.
 func queryPoint(q interface {
-	Query(store.QueryRequest) (store.QueryResult, error)
+	Query(context.Context, store.QueryRequest) (store.QueryResult, error)
 }, metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	res, err := q.Query(context.Background(), store.PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}
@@ -664,7 +665,7 @@ func queryPoint(q interface {
 func queryUnion(r *Router, metric string, keys []string, from, to int64) (store.Synopsis, error) {
 	req := store.PointRequest(metric, "", from, to)
 	req.Keys, req.Aggregate = keys, true
-	res, err := r.Query(req)
+	res, err := r.Query(context.Background(), req)
 	if err != nil {
 		return nil, err
 	}

@@ -337,7 +337,7 @@ func (n *Node) queryKeys(ctx context.Context, gen int, metric string, keys []str
 		}
 		return nil, errNodeStopped(n.name)
 	}
-	res, err := st.QueryContext(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: from, To: to, Trace: tctx})
+	res, err := st.Query(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: from, To: to, Trace: tctx})
 	if err != nil {
 		return nil, err
 	}

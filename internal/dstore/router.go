@@ -121,19 +121,15 @@ func nodeErrors(op string, names []string, errs []error) error {
 // never as a wrong answer. Aggregate answers merge the per-key partials
 // in sorted key order through store.CombineSnapshots, byte-identical to
 // issuing per-key queries and combining them caller-side.
-func (r *Router) Query(req store.QueryRequest) (store.QueryResult, error) {
-	return r.QueryContext(context.Background(), req)
-}
-
-// QueryContext is Query honoring a deadline: ctx threads through the
-// scatter-gather into every owning node's store gather (and the wait
-// for a node still mid-recovery), so a cancelled or expired context
-// aborts the round with an error wrapping ctx.Err() instead of fanning
-// out work nobody is waiting for. Cancellation never poisons node
-// state — the query path is read-only and each node's event loop is
-// untouched — and a cancelled round is never retried, even when a
-// rebalance raced it. context.Background() recovers plain Query.
-func (r *Router) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
+//
+// ctx threads through the scatter-gather into every owning node's store
+// gather (and the wait for a node still mid-recovery), so a cancelled
+// or expired context aborts the round with an error wrapping ctx.Err()
+// instead of fanning out work nobody is waiting for. Cancellation never
+// poisons node state — the query path is read-only and each node's
+// event loop is untouched — and a cancelled round is never retried,
+// even when a rebalance raced it.
+func (r *Router) Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
 	req, err := req.Normalize()
 	if err != nil {
 		return store.QueryResult{}, err

@@ -1,6 +1,7 @@
 package dstore
 
 import (
+	"context"
 	"regexp"
 	"strconv"
 	"strings"
@@ -28,7 +29,7 @@ func TestTelemetryCoversClusterLayers(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Router().Query(store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: to + 1}); err != nil {
+	if _, err := c.Router().Query(context.Background(), store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: to + 1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -93,11 +94,11 @@ func TestSinkBoltIntoEachBackend(t *testing.T) {
 		}
 		for k := 0; k < 8; k++ {
 			req := store.QueryRequest{Metric: "uniques", Key: fmt.Sprintf("page%d", k), From: 0, To: 300}
-			got, err := be.Query(req)
+			got, err := be.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Query(req)
+			want, err := ref.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestSinkBoltIntoEachBackend(t *testing.T) {
 			if got := h.be.Stats().Observed; got != events {
 				t.Fatalf("backend observed %d, want %d", got, events)
 			}
-			res, err := h.be.Query(store.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
+			res, err := h.be.Query(context.Background(), store.QueryRequest{Metric: "uniques", AllKeys: true, From: 0, To: 300, Aggregate: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +281,7 @@ func TestDefaultExtract(t *testing.T) {
 // queryPoint answers one series over the inclusive range [from, to]
 // through the typed query API — the tests' point-query shorthand.
 func queryPoint(be analytics.Backend, metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := be.Query(store.PointRequest(metric, key, from, to))
+	res, err := be.Query(context.Background(), store.PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}

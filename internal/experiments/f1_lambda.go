@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -88,13 +89,13 @@ func F1_2_StoreLambda() Table {
 
 // querier is the read side every serving layer shares.
 type querier interface {
-	Query(store.QueryRequest) (store.QueryResult, error)
+	Query(context.Context, store.QueryRequest) (store.QueryResult, error)
 }
 
 // queryPoint answers one series over the inclusive range [from, to] —
 // the experiments' point-query shorthand over the typed API.
 func queryPoint(q querier, metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	res, err := q.Query(context.Background(), store.PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -230,11 +231,11 @@ func T3_1_ClusterStore() Table {
 			Keys:    oracle.Keys("uniq"),
 			From:    0, To: to + 1,
 		}
-		cres, err := r.Query(req)
+		cres, err := r.Query(context.Background(), req)
 		if err != nil {
 			panic(err)
 		}
-		ores, err := oracle.Query(req)
+		ores, err := oracle.Query(context.Background(), req)
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package lambda
 
 import (
+	"context"
 	"encoding"
 	"fmt"
 	"os"
@@ -34,27 +35,27 @@ func durableObs(i int) store.Observation {
 // family against both backends and requires every answer cell to match
 // exactly. Returns the number of cells compared.
 func assertAnswersEqual(t *testing.T, got, want interface {
-	Query(store.QueryRequest) (store.QueryResult, error)
+	Query(context.Context, store.QueryRequest) (store.QueryResult, error)
 	Keys(metric string) []string
-}, to int64, context string) int {
+}, to int64, stage string) int {
 	t.Helper()
 	checked := 0
 	for _, metric := range []string{"hits", "uniq", "top", "lat"} {
 		keys := want.Keys(metric)
 		sort.Strings(keys)
 		if len(keys) == 0 {
-			t.Fatalf("%s: oracle serves no %s keys", context, metric)
+			t.Fatalf("%s: oracle serves no %s keys", stage, metric)
 		}
 		gotKeys := got.Keys(metric)
 		if len(gotKeys) != len(keys) {
-			t.Fatalf("%s: %s keys %d != oracle %d", context, metric, len(gotKeys), len(keys))
+			t.Fatalf("%s: %s keys %d != oracle %d", stage, metric, len(gotKeys), len(keys))
 		}
 		req := store.QueryRequest{Metric: metric, Keys: keys, From: 0, To: to + 1}
-		g, err := got.Query(req)
+		g, err := got.Query(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s: %s query: %v", context, metric, err)
+			t.Fatalf("%s: %s query: %v", stage, metric, err)
 		}
-		w, err := want.Query(req)
+		w, err := want.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,28 +67,28 @@ func assertAnswersEqual(t *testing.T, got, want interface {
 					item := fmt.Sprintf("u%d", u)
 					if ga.Count(item) != wa.Count(item) {
 						t.Fatalf("%s: hits[%s].Count(%s) %d != oracle %d",
-							context, wa.Key, item, ga.Count(item), wa.Count(item))
+							stage, wa.Key, item, ga.Count(item), wa.Count(item))
 					}
 				}
 			case "uniq":
 				if ga.Distinct() != wa.Distinct() {
-					t.Fatalf("%s: uniq[%s] %d != oracle %d", context, wa.Key, ga.Distinct(), wa.Distinct())
+					t.Fatalf("%s: uniq[%s] %d != oracle %d", stage, wa.Key, ga.Distinct(), wa.Distinct())
 				}
 			case "top":
 				gt, wt := ga.TopK(5), wa.TopK(5)
 				if len(gt) != len(wt) {
-					t.Fatalf("%s: top[%s] %d counters != oracle %d", context, wa.Key, len(gt), len(wt))
+					t.Fatalf("%s: top[%s] %d counters != oracle %d", stage, wa.Key, len(gt), len(wt))
 				}
 				for j := range wt {
 					if gt[j] != wt[j] {
-						t.Fatalf("%s: top[%s][%d] %v != oracle %v", context, wa.Key, j, gt[j], wt[j])
+						t.Fatalf("%s: top[%s][%d] %v != oracle %v", stage, wa.Key, j, gt[j], wt[j])
 					}
 				}
 			case "lat":
 				for _, phi := range []float64{0.5, 0.9, 0.99} {
 					if ga.Quantile(phi) != wa.Quantile(phi) {
 						t.Fatalf("%s: lat[%s] p%g %d != oracle %d",
-							context, wa.Key, phi, ga.Quantile(phi), wa.Quantile(phi))
+							stage, wa.Key, phi, ga.Quantile(phi), wa.Quantile(phi))
 					}
 				}
 			}

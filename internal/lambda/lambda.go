@@ -30,10 +30,9 @@
 // therefore cover every appended observation exactly once;
 // TestMergedMatchesOracleAcrossBoundaries and experiment F1.2 pin this
 // against a replay-everything oracle across batch boundaries. A durable
-// master's disk retention (mqlog.DurableConfig's MaxLogBytes and
-// MaxSegmentAge) bounds recomputation the usual way: history the log has
-// dropped is gone for every layer equally (FrozenView.Truncated reports
-// it).
+// master's disk retention (mqlog.DurableConfig's MaxLogBytes) bounds
+// recomputation the usual way: history the log has dropped is gone for
+// every layer equally (FrozenView.Truncated reports it).
 //
 // The old package-local master dataset (an event slice) and keyed-counter
 // speed layer are gone: the same store/mqlog seams the rest of the repo
@@ -332,24 +331,14 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 // delta) or the reverse (which would drop it); the speed side of every
 // requested cell is gathered under that one read lock, so a multi-key
 // query costs one handoff-lock round-trip, not one per key.
-func (a *Architecture) Query(req store.QueryRequest) (store.QueryResult, error) {
-	return a.QueryContext(context.Background(), req)
-}
-
-// queryCancelled wraps a context error so errors.Is still sees
-// context.Canceled / context.DeadlineExceeded through the wrap.
-func queryCancelled(err error) error {
-	return fmt.Errorf("lambda: query cancelled: %w", err)
-}
-
-// QueryContext is Query honoring a deadline: ctx threads into the speed
-// layer's gather (the store's per-shard fan-out) and is re-checked
-// between the merge
-// phases, so a cancelled or expired context aborts the request with an
-// error wrapping ctx.Err(). The batch view is sealed and the merge
+//
+// ctx threads into the speed layer's gather and the batch view's (both
+// the store's per-shard fan-out) and is re-checked between metrics in
+// the merge, so a cancelled or expired context aborts the request with
+// an error wrapping ctx.Err(). The batch view is sealed and the merge
 // allocates only private state, so an aborted query leaves nothing to
-// clean up. context.Background() recovers plain Query exactly.
-func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
+// clean up.
+func (a *Architecture) Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
 	if err := a.ensureStarted(); err != nil {
 		return store.QueryResult{}, err
 	}
@@ -399,7 +388,7 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 		}
 		// The sub-request carries the speed span's context, so the
 		// store's per-shard gather spans nest under lambda.speed.
-		res, err := a.speed.QueryContext(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To, Trace: ssp.Context()})
+		res, err := a.speed.Query(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To, Trace: ssp.Context()})
 		if err != nil {
 			a.speedMu.RUnlock()
 			return store.QueryResult{}, err
@@ -430,10 +419,7 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 			if len(keys) == 0 {
 				continue
 			}
-			if err := ctx.Err(); err != nil {
-				return store.QueryResult{}, queryCancelled(err)
-			}
-			res, err := view.Query(store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To})
+			res, err := view.Query(ctx, store.QueryRequest{Metric: metric, Keys: keys, From: req.From, To: req.To})
 			if err != nil {
 				return store.QueryResult{}, err
 			}
@@ -487,6 +473,12 @@ func (a *Architecture) QueryContext(ctx context.Context, req store.QueryRequest)
 	return store.NewQueryResult(answers), nil
 }
 
+// queryCancelled wraps a context error so errors.Is still sees
+// context.Canceled / context.DeadlineExceeded through the wrap.
+func queryCancelled(err error) error {
+	return fmt.Errorf("lambda: query cancelled: %w", err)
+}
+
 // viewKeys returns the metric's keys resident in the batch view (nil
 // before the first batch run).
 func viewKeys(view *store.FrozenView, metric string) []string {
@@ -512,7 +504,7 @@ func unionKeys(parts ...[]string) []string {
 // The range is inclusive, as in store.PointRequest.
 func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store.Synopsis, error) {
 	if view := a.batch.Load(); view != nil {
-		res, err := view.Query(store.PointRequest(metric, key, from, to))
+		res, err := view.Query(context.TODO(), store.PointRequest(metric, key, from, to))
 		if err != nil {
 			return nil, err
 		}
@@ -526,7 +518,7 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 }
 
 // Keys returns the union of keys for the metric across the batch and
-// speed layers (sorted, deduplicated — the union QueryContext resolves
+// speed layers (sorted, deduplicated — the union Query resolves
 // AllKeys against). As in Query, the layer pair is snapshotted under the
 // cutover's read lock. Like any read it is a first use; a start that
 // fails lists nothing, and the next Query reports why.

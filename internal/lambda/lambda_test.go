@@ -1,6 +1,7 @@
 package lambda
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -619,9 +620,9 @@ func BenchmarkLambdaRunBatch100k(b *testing.B) {
 // queryPoint answers one series over the inclusive range [from, to]
 // through the typed query API — the tests' point-query shorthand.
 func queryPoint(q interface {
-	Query(store.QueryRequest) (store.QueryResult, error)
+	Query(context.Context, store.QueryRequest) (store.QueryResult, error)
 }, metric, key string, from, to int64) (store.Synopsis, error) {
-	res, err := q.Query(store.PointRequest(metric, key, from, to))
+	res, err := q.Query(context.Background(), store.PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestTelemetryCoversAllLayers(t *testing.T) {
 	if _, err := arch.RunBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := arch.Query(store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: span}); err != nil {
+	if _, err := arch.Query(context.Background(), store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: span}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,7 +185,7 @@ func TestTelemetryTracesQueryStages(t *testing.T) {
 
 	root := tr.StartRoot("test.query")
 	req := store.QueryRequest{Metrics: []string{"hits", "lat"}, AllKeys: true, From: 0, To: 60, Trace: root.Context()}
-	if _, err := arch.Query(req); err != nil {
+	if _, err := arch.Query(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	rootID := root.Context().Span
@@ -214,7 +214,7 @@ func TestTelemetryTracesQueryStages(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req.Trace = trace.Context{}
-	if _, err := arch.QueryContext(ctx, req); !errors.Is(err, context.Canceled) {
+	if _, err := arch.Query(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query error %v, want one wrapping context.Canceled", err)
 	}
 }

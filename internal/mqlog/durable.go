@@ -44,9 +44,6 @@ type DurableConfig struct {
 	// partition's on-disk footprint exceeds it (0 = unlimited). The
 	// active segment is never unlinked.
 	MaxLogBytes int64
-	// MaxSegmentAge unlinks sealed segments older than this
-	// (0 = unlimited), measured from the segment's last write.
-	MaxSegmentAge time.Duration
 }
 
 func (d DurableConfig) withDefaults() DurableConfig {
@@ -64,7 +61,6 @@ func (d DurableConfig) withDefaults() DurableConfig {
 type sealedSegment struct {
 	base, end uint64 // offset range [base, end)
 	size      int64
-	sealedAt  time.Time
 	path      string
 }
 
@@ -155,7 +151,7 @@ func (p *partition) rollLocked(nextBase uint64) {
 		return
 	}
 	d.sealed = append(d.sealed, sealedSegment{
-		base: d.base, end: nextBase, size: d.size, sealedAt: time.Now(), path: path,
+		base: d.base, end: nextBase, size: d.size, path: path,
 	})
 	f, err := createSegment(d.dir, nextBase)
 	if err != nil {
@@ -171,11 +167,10 @@ func (p *partition) rollLocked(nextBase uint64) {
 }
 
 // applyDiskRetentionLocked unlinks the oldest sealed segments while the
-// partition exceeds MaxLogBytes or holds segments older than
-// MaxSegmentAge, advancing the in-memory base past the unlinked range so
-// StartOffset, fetch clamping and Reader truncation reflect exactly what
-// the disk still holds. The active segment is never unlinked. Caller
-// holds p.mu.
+// partition exceeds MaxLogBytes, advancing the in-memory base past the
+// unlinked range so StartOffset, fetch clamping and Reader truncation
+// reflect exactly what the disk still holds. The active segment is never
+// unlinked. Caller holds p.mu.
 func (p *partition) applyDiskRetentionLocked() {
 	d := p.dur
 	total := d.size
@@ -183,13 +178,8 @@ func (p *partition) applyDiskRetentionLocked() {
 		total += s.size
 	}
 	drop := 0
-	for drop < len(d.sealed) {
+	for drop < len(d.sealed) && d.cfg.MaxLogBytes > 0 && total > d.cfg.MaxLogBytes {
 		s := d.sealed[drop]
-		overBytes := d.cfg.MaxLogBytes > 0 && total > d.cfg.MaxLogBytes
-		tooOld := d.cfg.MaxSegmentAge > 0 && time.Since(s.sealedAt) > d.cfg.MaxSegmentAge
-		if !overBytes && !tooOld {
-			break
-		}
 		if err := os.Remove(s.path); err != nil {
 			d.fail(err)
 			break
@@ -284,13 +274,7 @@ func openDurPartition(dir string, cfg DurableConfig, t *Topic, p *partition) (*d
 	d.w = bufio.NewWriter(f)
 	d.base = active.base
 	d.size = active.size
-	for _, s := range segs[:len(segs)-1] {
-		s.sealedAt = time.Now()
-		if info, _ := os.Stat(s.path); info != nil {
-			s.sealedAt = info.ModTime()
-		}
-		d.sealed = append(d.sealed, s)
-	}
+	d.sealed = append(d.sealed, segs[:len(segs)-1]...)
 	t.recoveredRecords.Add(p.end - p.base)
 	return d, nil
 }

@@ -2,6 +2,7 @@ package quantile_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -68,7 +69,7 @@ func checkStoreQuantileOracle(t *testing.T, first, last, ring int) {
 				from := first + rng.Intn(last+1-first)
 				to := from + 1 + rng.Intn(last+1-from)
 				what := fmt.Sprintf("logU %d k %d buckets [%d, %d)", logU, k, from, to)
-				res, err := st.Query(store.QueryRequest{Metric: "lat", Key: "k", From: int64(from * width), To: int64(to * width)})
+				res, err := st.Query(context.Background(), store.QueryRequest{Metric: "lat", Key: "k", From: int64(from * width), To: int64(to * width)})
 				if err != nil {
 					t.Fatal(err)
 				}

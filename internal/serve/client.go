@@ -50,7 +50,7 @@ type Client struct {
 
 // NewClient returns a client for the analyticsd at baseURL (e.g.
 // "http://127.0.0.1:8080"). A nil hc uses http.DefaultClient; per-query
-// deadlines come from QueryContext contexts, not client-wide timeouts.
+// deadlines come from Query contexts, not client-wide timeouts.
 func NewClient(baseURL string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -227,17 +227,12 @@ func (c *Client) ObserveBatch(batch []store.Observation) error {
 	return c.doTraced(context.Background(), tctx, http.MethodPost, "/v1/observe", req, &out)
 }
 
-// Query implements analytics.Backend.
-func (c *Client) Query(req store.QueryRequest) (store.QueryResult, error) {
-	return c.QueryContext(context.Background(), req)
-}
-
-// QueryContext implements analytics.Backend: ctx cancels the
+// Query implements analytics.Backend: ctx cancels the
 // in-flight HTTP request, and its deadline rides the timeout header so
 // the server aborts the backend gather too. The request's trace context
 // rides the trace header; the server adopts it, so the remote spans
 // land on this request's trace id.
-func (c *Client) QueryContext(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
+func (c *Client) Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
 	nreq, err := req.Normalize()
 	if err != nil {
 		return store.QueryResult{}, err
@@ -251,7 +246,7 @@ func (c *Client) QueryContext(ctx context.Context, req store.QueryRequest) (stor
 
 // QueryWire answers a query and returns the raw wire response — the
 // escape hatch for callers that care about transport-level fields like
-// Cached. The typed QueryContext path is built on the same endpoint.
+// Cached. The typed Query path is built on the same endpoint.
 func (c *Client) QueryWire(ctx context.Context, req store.QueryRequest) (QueryResponse, error) {
 	nreq, err := req.Normalize()
 	if err != nil {

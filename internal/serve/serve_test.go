@@ -129,7 +129,7 @@ func TestServeWireRoundTrip(t *testing.T) {
 			{Metric: metric, AllKeys: true, Aggregate: true, From: 50, To: 150},
 			{Metric: metric, Key: "never-written", From: 0, To: 200},
 		} {
-			res, err := st.Query(req)
+			res, err := st.Query(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,25 +301,25 @@ func TestServeConformance(t *testing.T) {
 				h := newHarness(t, kind, withCache)
 				h.feedWire(t, 100)
 				for i, req := range conformanceRequests() {
-					want, err := h.be.Query(req)
+					want, err := h.be.Query(context.Background(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := h.client.Query(req)
+					got, err := h.client.Query(context.Background(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResult(t, fmt.Sprintf("req%d", i), want, got)
 					// Ask again: under the cache the repeat may be served
 					// from it and must still match exactly.
-					again, err := h.client.Query(req)
+					again, err := h.client.Query(context.Background(), req)
 					if err != nil {
 						t.Fatal(err)
 					}
 					requireSameResult(t, fmt.Sprintf("req%d-repeat", i), want, again)
 				}
 				// Unknown metrics keep the sentinel across the wire.
-				_, err := h.client.Query(store.QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10})
+				_, err := h.client.Query(context.Background(), store.QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10})
 				if !errors.Is(err, store.ErrUnknownMetric) {
 					t.Fatalf("unknown metric error = %v, want ErrUnknownMetric", err)
 				}
@@ -447,17 +447,17 @@ func TestServeDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // let the deadline lapse
-	if _, err := h.client.QueryContext(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := h.client.Query(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("client deadline error = %v, want DeadlineExceeded", err)
 	}
 
 	// No poisoned node state: the identical query with a real budget
 	// answers exactly what the in-process router answers.
-	want, err := h.be.Query(req)
+	want, err := h.be.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.client.QueryContext(context.Background(), req)
+	got, err := h.client.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,15 +508,15 @@ func TestServeCancelledScatterGather(t *testing.T) {
 	req := store.QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: 100}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.QueryContext(ctx, req); !errors.Is(err, context.Canceled) {
+	if _, err := r.Query(ctx, req); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scatter-gather error = %v, want context.Canceled", err)
 	}
 	// Node state intact: the same query answers normally afterwards.
-	want, err := r.Query(req)
+	want, err := r.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.QueryContext(context.Background(), req)
+	got, err := r.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +555,7 @@ func TestServeTraceAdoption(t *testing.T) {
 	sp := clientTrc.StartRoot("client.query")
 	req := store.QueryRequest{Metric: "uniq", Key: "k0", From: 0, To: 10, Trace: sp.Context()}
 	wantID := sp.Context().Trace
-	if _, err := client.Query(req); err != nil {
+	if _, err := client.Query(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
 	sp.Finish()

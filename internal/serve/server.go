@@ -12,7 +12,7 @@
 //     a Go duration ("250ms"). The server clamps it to MaxTimeout,
 //     derives a context, and threads it through the backend's gather
 //     (store shard fan-out, cluster scatter-gather) via
-//     Backend.QueryContext; an expired deadline aborts the gather and
+//     Backend.Query; an expired deadline aborts the gather and
 //     answers 504. Absent header: DefaultTimeout.
 //   - X-Analytics-Trace carries the client's trace context (hex of
 //     trace.EncodeContext). The server adopts the remote trace
@@ -424,7 +424,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, hit, tok = s.cache.Lookup(req)
 	}
 	if !hit {
-		res, err = s.be.QueryContext(ctx, req)
+		res, err = s.be.Query(ctx, req)
 		if err != nil {
 			if sp != nil {
 				sp.SetAttrs(trace.Str("error", err.Error()))

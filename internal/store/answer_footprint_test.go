@@ -4,6 +4,7 @@
 package store_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestCachedAnswerFootprint(t *testing.T) {
 		}
 		// Asked a second time, the answer passes the cache's doorkeeper.
 		_, _, tok := c.Lookup(req)
-		res, err := st.Query(req)
+		res, err := st.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}

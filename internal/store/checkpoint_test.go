@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,55 +73,55 @@ func ckptObs(i int) []Observation {
 // and two time ranges. Observation order is identical on both sides, so
 // the sketch answers must be exactly equal, not merely close.
 func assertCheckpointAgree(t *testing.T, got, want interface {
-	Query(QueryRequest) (QueryResult, error)
+	Query(context.Context, QueryRequest) (QueryResult, error)
 	Keys(string) []string
-}, to int64, context string) {
+}, to int64, stage string) {
 	t.Helper()
 	keys := want.Keys("hits")
 	if len(keys) == 0 {
-		t.Fatalf("%s: reference store has no keys", context)
+		t.Fatalf("%s: reference store has no keys", stage)
 	}
 	for _, r := range [][2]int64{{0, to + 1}, {to / 3, 2 * to / 3}} {
 		req := QueryRequest{Metrics: []string{"hits", "uniq", "lat"}, Keys: keys, From: r[0], To: r[1]}
-		gr, err := got.Query(req)
+		gr, err := got.Query(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s: %v", context, err)
+			t.Fatalf("%s: %v", stage, err)
 		}
-		wr, err := want.Query(req)
+		wr, err := want.Query(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s: %v", context, err)
+			t.Fatalf("%s: %v", stage, err)
 		}
 		ga, wa := gr.Answers(), wr.Answers()
 		if len(ga) != len(wa) {
-			t.Fatalf("%s: %d answers vs %d", context, len(ga), len(wa))
+			t.Fatalf("%s: %d answers vs %d", stage, len(ga), len(wa))
 		}
 		for i := range ga {
 			for u := 0; u < 8; u++ {
 				item := fmt.Sprintf("u%d", u)
 				if g, w := ga[i].Count(item), wa[i].Count(item); g != w {
-					t.Fatalf("%s: range %v %s/%s count[%s] %d != %d", context, r, ga[i].Metric, ga[i].Key, item, g, w)
+					t.Fatalf("%s: range %v %s/%s count[%s] %d != %d", stage, r, ga[i].Metric, ga[i].Key, item, g, w)
 				}
 			}
 			if g, w := ga[i].Distinct(), wa[i].Distinct(); g != w {
-				t.Fatalf("%s: range %v %s/%s distinct %d != %d", context, r, ga[i].Metric, ga[i].Key, g, w)
+				t.Fatalf("%s: range %v %s/%s distinct %d != %d", stage, r, ga[i].Metric, ga[i].Key, g, w)
 			}
 			for _, phi := range []float64{0.5, 0.99} {
 				if g, w := ga[i].Quantile(phi), wa[i].Quantile(phi); g != w {
-					t.Fatalf("%s: range %v %s/%s p%v %d != %d", context, r, ga[i].Metric, ga[i].Key, phi, g, w)
+					t.Fatalf("%s: range %v %s/%s p%v %d != %d", stage, r, ga[i].Metric, ga[i].Key, phi, g, w)
 				}
 			}
 		}
-		gt, err := got.Query(QueryRequest{Metric: "top", Key: "global", From: r[0], To: r[1]})
+		gt, err := got.Query(context.Background(), QueryRequest{Metric: "top", Key: "global", From: r[0], To: r[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wt, err := want.Query(QueryRequest{Metric: "top", Key: "global", From: r[0], To: r[1]})
+		wt, err := want.Query(context.Background(), QueryRequest{Metric: "top", Key: "global", From: r[0], To: r[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, c := range wt.TopK(5) {
 			if g := gt.TopK(5)[j]; g != c {
-				t.Fatalf("%s: range %v top[%d] %+v != %+v", context, r, j, g, c)
+				t.Fatalf("%s: range %v top[%d] %+v != %+v", stage, r, j, g, c)
 			}
 		}
 	}
@@ -508,7 +509,7 @@ func TestRestoreRefusesBucketsNoWindowHolds(t *testing.T) {
 	if _, err := RestoreCheckpoint(st, dir); err != nil {
 		t.Fatalf("buckets %d apart: %v", ring-1, err)
 	}
-	res, err := st.Query(QueryRequest{Metric: "uniq", Key: "k", From: 0, To: (5 + ring) * cfg.BucketWidth})
+	res, err := st.Query(context.Background(), QueryRequest{Metric: "uniq", Key: "k", From: 0, To: (5 + ring) * cfg.BucketWidth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -242,7 +243,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	}
 	// Buckets [0, history) are sealed and final from here on.
 	sealedReq := QueryRequest{Metrics: []string{"uniq", "hits", "lat"}, Keys: keys, From: 0, To: history * cfg.BucketWidth}
-	want, err := st.Query(sealedReq)
+	want, err := st.Query(context.Background(), sealedReq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 					return
 				default:
 				}
-				got, err := st.Query(sealedReq)
+				got, err := st.Query(context.Background(), sealedReq)
 				if err != nil {
 					t.Error(err)
 					return
@@ -284,7 +285,7 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 				}
 				// The open bucket is merged under the shard lock; whatever
 				// it holds, the answer never exceeds what was written.
-				all, err := st.Query(QueryRequest{Metric: "uniq", Key: "a", From: 0, To: (history + rolls + 1) * cfg.BucketWidth})
+				all, err := st.Query(context.Background(), QueryRequest{Metric: "uniq", Key: "a", From: 0, To: (history + rolls + 1) * cfg.BucketWidth})
 				if err != nil {
 					t.Error(err)
 					return
@@ -371,7 +372,7 @@ func TestBucketsOpenSparse(t *testing.T) {
 	if perSeries := least / (2 * keys); perSeries >= 4096 {
 		t.Fatalf("a roll allocates %d bytes per series, a dense HLL is 4096", perSeries)
 	}
-	res, err := st.Query(QueryRequest{Metric: "page-hits", Keys: []string{"page-00", "page-01"}, From: 0, To: 4 * width, Aggregate: true})
+	res, err := st.Query(context.Background(), QueryRequest{Metric: "page-hits", Keys: []string{"page-00", "page-01"}, From: 0, To: 4 * width, Aggregate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestAnswersSurviveAccumulatorRecycling(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queries; i++ {
 				from := int64((g*7+i)%40) * 10
-				res, err := st.Query(QueryRequest{
+				res, err := st.Query(context.Background(), QueryRequest{
 					Metrics: []string{"uniq", "hits"}, Keys: keys[i%4 : i%4+1+i%5],
 					From: from, To: from + 10*int64(1+i%11), Aggregate: i%3 == 0,
 				})
@@ -519,7 +520,7 @@ func TestSealedFootprint(t *testing.T) {
 	}
 	req := QueryRequest{Metric: "uniques", Key: "page-01", From: 40 * width, To: 104 * width}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := st.Query(req); err != nil {
+		if _, err := st.Query(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -667,7 +668,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 	st := SealedFootprintStore(t)
 	req := QueryRequest{Metric: "latency-us", Key: "page-01", From: 40 * width, To: 104 * width}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := st.Query(req); err != nil {
+		if _, err := st.Query(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -681,7 +682,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 	nodes := 0
 	for i := 0; i < answers; i++ {
 		from := int64(i % (160 - 64 + 1))
-		res, err := st.Query(QueryRequest{Metric: "latency-us", Key: "page-01", From: from * width, To: (from + 64) * width})
+		res, err := st.Query(context.Background(), QueryRequest{Metric: "latency-us", Key: "page-01", From: from * width, To: (from + 64) * width})
 		if err != nil {
 			t.Fatal(err)
 		}

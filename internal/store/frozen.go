@@ -13,6 +13,8 @@
 package store
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/mqlog"
 )
@@ -91,9 +93,9 @@ func (v *FrozenView) WriteCheckpoint(dir string) (CheckpointInfo, error) {
 
 // Query answers a serving-API request from the sealed view; see
 // Store.Query for the semantics (a series the view never saw answers
-// empty).
-func (v *FrozenView) Query(req QueryRequest) (QueryResult, error) {
-	return v.st.Query(req)
+// empty, and a cancelled ctx stops the gather).
+func (v *FrozenView) Query(ctx context.Context, req QueryRequest) (QueryResult, error) {
+	return v.st.Query(ctx, req)
 }
 
 // Keys returns the metric's keys resident in the view.

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -176,5 +179,46 @@ func TestFreezeAtReportsRetentionLoss(t *testing.T) {
 	}
 	if v.Applied() != retention {
 		t.Fatalf("applied %d, retained suffix is %d", v.Applied(), retention)
+	}
+}
+
+// TestFrozenViewQueryHonoursContext: a batch-view read under a cancelled
+// ctx fails with an error wrapping context.Canceled instead of
+// gathering, and a live ctx answers exactly what a store fed the same
+// observations directly answers.
+func TestFrozenViewQueryHonoursContext(t *testing.T) {
+	_, topic, newStore := replayFixture(t, 4, 0, 1000)
+	v, err := FreezeAtFrom(Config{Shards: 4, BucketWidth: 100, RingBuckets: 64}, frozenProtos(t), topic, topic.EndOffsets(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newStore()
+	for i := 0; i < 1000; i++ {
+		obs := Observation{Metric: "uniq", Key: fmt.Sprintf("k%d", i%7), Item: fmt.Sprintf("u%d", i), Time: int64(i)}
+		if err := live.ObserveBatch([]Observation{obs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, req := range []QueryRequest{
+		{Metric: "uniq", Key: "k3", From: 0, To: 1000},
+		{Metric: "uniq", AllKeys: true, From: 200, To: 700},
+		{Metric: "uniq", AllKeys: true, From: 0, To: 1000, Aggregate: true},
+	} {
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := v.Query(dead, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v under a cancelled ctx: %v, want an error wrapping context.Canceled", req, err)
+		}
+		got, err := v.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := live.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Answers()) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: view answers %+v, live store %+v", req, got.Answers(), want.Answers())
+		}
 	}
 }

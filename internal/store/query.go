@@ -305,7 +305,7 @@ func (a Answer) QuantilesInto(phis []float64, out []uint64) {
 // order. For the common single-cell request the accessors on QueryResult
 // itself delegate to the first (only) answer, so
 //
-//	res, _ := be.Query(store.QueryRequest{Metric: "uniques", Key: "home", From: 0, To: 60})
+//	res, _ := be.Query(ctx, store.QueryRequest{Metric: "uniques", Key: "home", From: 0, To: 60})
 //	res.Distinct()
 //
 // reads as one call, with no synopsis type assertion.
@@ -378,31 +378,31 @@ func (r QueryResult) Quantile(phi float64) uint64 { return r.first().Quantile(ph
 
 // ---- Store implementation ----
 
-// Query answers one serving-API request (see QueryRequest): every
-// requested (metric, key) cell is range-merged as a single-series
-// query would be, but keys sharing a shard are gathered under one read-lock
-// acquisition and distinct shards gather in parallel, so a multi-key
-// request costs one lock round-trip per touched shard instead of one per
-// key. Unknown metrics fail with ErrUnknownMetric; series the store never
-// saw answer empty synopses.
-func (s *Store) Query(req QueryRequest) (QueryResult, error) {
-	return s.QueryContext(context.Background(), req)
-}
-
 // queryCancelled wraps a context error so errors.Is still sees
 // context.Canceled / context.DeadlineExceeded through the wrap.
 func queryCancelled(err error) error {
 	return fmt.Errorf("store: query cancelled: %w", err)
 }
 
-// QueryContext is Query honoring a deadline: the gather checks ctx
-// between metrics and before each per-shard lock acquisition, so a
-// cancelled or expired context aborts the fan-out early (returning an
-// error wrapping ctx.Err()) instead of merging buckets nobody is
-// waiting for. The store's state is read-only on this path, so an
-// aborted query leaves nothing to clean up. context.Background()
-// recovers plain Query exactly.
+// QueryContext is Query under another name. It exists only because the
+// benchmark module (bench/ladder.go) calls it; in-repo code calls Query.
 func (s *Store) QueryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
+	return s.Query(ctx, req)
+}
+
+// Query answers one serving-API request (see QueryRequest): every
+// requested (metric, key) cell is range-merged as a single-series
+// query would be, but keys sharing a shard are gathered under one read-lock
+// acquisition and distinct shards gather in parallel, so a multi-key
+// request costs one lock round-trip per touched shard instead of one per
+// key. Unknown metrics fail with ErrUnknownMetric; series the store never
+// saw answer empty synopses. The gather checks ctx between metrics and
+// before each per-shard lock acquisition, so a cancelled or expired
+// context aborts the fan-out early (returning an error wrapping
+// ctx.Err()) instead of merging buckets nobody is waiting for. The
+// store's state is read-only on this path, so an aborted query leaves
+// nothing to clean up.
+func (s *Store) Query(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	req, err := req.Normalize()
 	if err != nil {
 		return QueryResult{}, err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -42,7 +43,7 @@ func fourFamilyStore(t testing.TB, cfg Config, keys int, span int64) *Store {
 
 func TestQueryTypedAccessors(t *testing.T) {
 	st := fourFamilyStore(t, Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}, 4, 400)
-	res, err := st.Query(QueryRequest{
+	res, err := st.Query(context.Background(), QueryRequest{
 		Metrics: []string{"uniq", "hits", "top", "lat"},
 		Key:     "k0",
 		From:    0, To: 400,
@@ -108,10 +109,10 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
 	for _, metric := range []string{"uniq", "hits", "top", "lat"} {
-		if _, err := st.Query(QueryRequest{Metric: metric, AllKeys: true, Aggregate: true, From: 0, To: 500}); err != nil {
+		if _, err := st.Query(context.Background(), QueryRequest{Metric: metric, AllKeys: true, Aggregate: true, From: 0, To: 500}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := st.Query(QueryRequest{Metric: metric, Keys: keys, From: 0, To: 500})
+		res, err := st.Query(context.Background(), QueryRequest{Metric: metric, Keys: keys, From: 0, To: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestQueryAggregateMatchesCombine(t *testing.T) {
 	// Unsorted, with a duplicate: Normalize sorts and dedups.
 	keys := []string{"k3", "k0", "k5", "k0", "k1"}
 	for metric, proto := range protos {
-		res, err := st.Query(QueryRequest{Metric: metric, Keys: keys, From: 0, To: 400, Aggregate: true})
+		res, err := st.Query(context.Background(), QueryRequest{Metric: metric, Keys: keys, From: 0, To: 400, Aggregate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +217,7 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 		{30, 40, 0}, // beyond the data
 	}
 	for _, tc := range cases {
-		res, err := st.Query(QueryRequest{Metric: "hits", Key: "k", From: tc.from, To: tc.to})
+		res, err := st.Query(context.Background(), QueryRequest{Metric: "hits", Key: "k", From: tc.from, To: tc.to})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +226,11 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 		}
 	}
 	// An empty range is a request error, matching from > to on the point path.
-	if _, err := st.Query(QueryRequest{Metric: "hits", Key: "k", From: 10, To: 10}); err == nil {
+	if _, err := st.Query(context.Background(), QueryRequest{Metric: "hits", Key: "k", From: 10, To: 10}); err == nil {
 		t.Fatal("empty range accepted")
 	}
 	// Unknown metrics carry the sentinel.
-	if _, err := st.Query(QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10}); !errors.Is(err, ErrUnknownMetric) {
+	if _, err := st.Query(context.Background(), QueryRequest{Metric: "nope", Key: "k", From: 0, To: 10}); !errors.Is(err, ErrUnknownMetric) {
 		t.Fatalf("unknown metric error: %v", err)
 	}
 	if _, err := queryPoint(st, "nope", "k", 0, 9); !errors.Is(err, ErrUnknownMetric) {
@@ -239,7 +240,7 @@ func TestQueryRangeHalfOpen(t *testing.T) {
 
 func TestQueryAllKeys(t *testing.T) {
 	st := fourFamilyStore(t, Config{Shards: 4, BucketWidth: 10, RingBuckets: 64}, 6, 300)
-	res, err := st.Query(QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: 300})
+	res, err := st.Query(context.Background(), QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func BenchmarkQuerySingleKeyTyped(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Query(req); err != nil {
+		if _, err := st.Query(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +342,7 @@ func BenchmarkQueryMultiKeyBatched(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Query(req); err != nil {
+		if _, err := st.Query(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -118,7 +119,7 @@ func TestRetentionMatchesNaiveModel(t *testing.T) {
 				k := entryKey{metric: metric, key: key}
 				newest := model.newest[k]
 				for _, r := range [][2]int64{{0, newest}, {newest - ring + 1, newest}, {newest - ring/2, newest - 2}, {newest - ring - 3, newest - ring + 3}} {
-					res, err := st.Query(QueryRequest{Metric: metric, Key: key, From: r[0] * width, To: (r[1] + 1) * width})
+					res, err := st.Query(context.Background(), QueryRequest{Metric: metric, Key: key, From: r[0] * width, To: (r[1] + 1) * width})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -398,9 +399,9 @@ func TestRebuildRespectsLogRetention(t *testing.T) {
 // queryPoint answers one series over the inclusive range [from, to]
 // through the typed query API — the tests' point-query shorthand.
 func queryPoint(q interface {
-	Query(QueryRequest) (QueryResult, error)
+	Query(context.Context, QueryRequest) (QueryResult, error)
 }, metric, key string, from, to int64) (Synopsis, error) {
-	res, err := q.Query(PointRequest(metric, key, from, to))
+	res, err := q.Query(context.Background(), PointRequest(metric, key, from, to))
 	if err != nil {
 		return nil, err
 	}

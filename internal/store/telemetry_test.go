@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strings"
@@ -32,7 +33,7 @@ func TestStoreTelemetryExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Query(QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: 300}); err != nil {
+	if _, err := st.Query(context.Background(), QueryRequest{Metric: "uniq", AllKeys: true, From: 0, To: 300}); err != nil {
 		t.Fatal(err)
 	}
 

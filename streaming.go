@@ -164,12 +164,12 @@ func NewConsumerGroup(b *mqlog.Broker, t *mqlog.Topic, name string) (*mqlog.Cons
 // Backend is the unified serving contract: the sketch store, the store
 // cluster's router, Lambda and the analyticsd client all satisfy it, so
 // one call site can query the speed store, the partitioned cluster, the
-// Lambda batch+speed merge or a remote daemon interchangeably. Six
+// Lambda batch+speed merge or a remote daemon interchangeably. Five
 // methods, no optional ones: RegisterMetric, ObserveBatch (the one write
 // path, all-or-nothing; one observation is a one-element batch; a
 // returned call means the write is applied, or on the cluster's ingest
-// log, so there is nothing to flush), Query, QueryContext (Query under
-// a deadline), Keys and Stats. See internal/analytics for the exact
+// log, so there is nothing to flush), Query (under a ctx that carries
+// the deadline), Keys and Stats. See internal/analytics for the exact
 // cross-backend semantics (unknown metrics error with ErrUnknownMetric;
 // registered metrics with no data answer empty cells).
 type Backend = analytics.Backend

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -135,7 +136,7 @@ func TestFacadeLambda(t *testing.T) {
 	if err := arch.ObserveBatch([]repro.StoreObservation{{Metric: "hits", Key: "k", Item: "u", Value: 3, Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := arch.Query(repro.QueryRequest{Metric: "hits", Key: "k", From: 0, To: 11})
+	res, err := arch.Query(context.Background(), repro.QueryRequest{Metric: "hits", Key: "k", From: 0, To: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestFacadeBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, be := range backends {
-		res, err := be.Query(repro.QueryRequest{Metric: "uniques", Key: "home", From: 0, To: 50})
+		res, err := be.Query(context.Background(), repro.QueryRequest{Metric: "uniques", Key: "home", From: 0, To: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +206,11 @@ func TestFacadeBackend(t *testing.T) {
 			t.Fatalf("typed distinct %d, want ~40", got)
 		}
 		// Unified error semantics: unknown metrics carry the sentinel...
-		if _, err := be.Query(repro.QueryRequest{Metric: "nope", Key: "home", From: 0, To: 50}); !errors.Is(err, repro.ErrUnknownMetric) {
+		if _, err := be.Query(context.Background(), repro.QueryRequest{Metric: "nope", Key: "home", From: 0, To: 50}); !errors.Is(err, repro.ErrUnknownMetric) {
 			t.Fatalf("unknown metric error %v, want ErrUnknownMetric", err)
 		}
 		// ...and a known metric with no data answers empty, not an error.
-		res, err = be.Query(repro.QueryRequest{Metric: "uniques", Key: "ghost", From: 0, To: 50})
+		res, err = be.Query(context.Background(), repro.QueryRequest{Metric: "uniques", Key: "ghost", From: 0, To: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +326,11 @@ func TestFacadeStoreCluster(t *testing.T) {
 		reqs = append(reqs, repro.QueryRequest{Metric: "uniques", Key: key, From: 0, To: 500})
 	}
 	for _, req := range reqs {
-		got, err := r.Query(req)
+		got, err := r.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := oracle.Query(req)
+		want, err := oracle.Query(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
