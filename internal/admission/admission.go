@@ -31,7 +31,7 @@
 // Overload is not only producer-side: a cluster whose consumer group
 // falls behind, or whose log is filling its disk, must slow admission
 // before the lag becomes unrecoverable. The Controller samples the
-// configured lag and disk signals at most once per SampleEvery and
+// configured lag and disk signals at most once per sampleEvery and
 // folds them into a throttle ladder: level 0 is full rate, each level
 // above halves every bucket's effective refill rate, and the top level
 // sheds everything. See BackpressureConfig for the exact ladder math.
@@ -41,11 +41,11 @@
 // Every decision is counted: admitted and shed observation totals (shed
 // broken down by scope — global, metric, tenant, backpressure), the
 // current throttle level, live global tokens, and a histogram of the
-// RetryAfter waits handed out. SetTelemetry exposes all of it as
-// analytics_admission_* series; Stats snapshots the same numbers for
-// in-process assertions. The shed counter accounts for every rejection
-// the controller ever issues — the serving smoke drill cross-checks it
-// against observed 429s.
+// RetryAfter waits handed out. SetTelemetry, called before first use,
+// exposes all of it as analytics_admission_* series; Stats snapshots
+// the same numbers for in-process assertions. The shed counter
+// accounts for every rejection the controller ever issues — the
+// serving smoke drill cross-checks it against observed 429s.
 package admission
 
 import (
@@ -151,15 +151,18 @@ type BackpressureConfig struct {
 	// DiskHigh is the byte count at which throttling begins (required
 	// when Disk is set).
 	DiskHigh uint64
-	// SampleEvery bounds how often the signals are polled (default
-	// 100ms): admission between samples reuses the last level, so the
-	// samplers stay off the per-observation hot path.
-	SampleEvery time.Duration
 }
 
-// maxLevel is the backpressure ladder's top rung, at which everything
-// sheds.
-const maxLevel = 4
+const (
+	// maxLevel is the backpressure ladder's top rung, at which everything
+	// sheds.
+	maxLevel = 4
+	// sampleEvery bounds how often the signals are polled: admission
+	// between samples reuses the last level, so the samplers stay off
+	// the per-observation hot path. It is also the RetryAfter quoted at
+	// the top rung.
+	sampleEvery = 100 * time.Millisecond
+)
 
 func (b BackpressureConfig) enabled() bool { return b.Lag != nil || b.Disk != nil }
 
@@ -220,9 +223,6 @@ func New(cfg Config) (*Controller, error) {
 	if bp.Disk != nil && bp.DiskHigh == 0 {
 		return nil, errors.New("admission: Backpressure.DiskHigh is required with a Disk sampler")
 	}
-	if bp.SampleEvery <= 0 {
-		bp.SampleEvery = 100 * time.Millisecond
-	}
 	c := &Controller{
 		cfg:     cfg,
 		now:     cfg.Now,
@@ -234,8 +234,8 @@ func New(cfg Config) (*Controller, error) {
 		c.now = func() int64 { return int64(time.Since(start)) }
 	}
 	// Arm the sampler so the very first Admit polls the signals instead
-	// of running one SampleEvery blind.
-	c.lastSample.Store(c.now() - int64(bp.SampleEvery) - 1)
+	// of running one sampleEvery blind.
+	c.lastSample.Store(c.now() - int64(sampleEvery) - 1)
 	c.global.fill(cfg.Burst)
 	return c, nil
 }
@@ -254,7 +254,7 @@ func signalLevel(x, high uint64) int {
 }
 
 // throttleLevel returns the current ladder level, resampling the
-// signals when SampleEvery has elapsed. Exactly one caller wins the
+// signals when sampleEvery has elapsed. Exactly one caller wins the
 // resample CAS; everyone else reuses the stored level.
 func (c *Controller) throttleLevel(now int64) int {
 	bp := c.cfg.Backpressure
@@ -262,7 +262,7 @@ func (c *Controller) throttleLevel(now int64) int {
 		return 0
 	}
 	last := c.lastSample.Load()
-	if now-last > int64(bp.SampleEvery) && c.lastSample.CompareAndSwap(last, now) {
+	if now-last > int64(sampleEvery) && c.lastSample.CompareAndSwap(last, now) {
 		lvl := 0
 		if bp.Lag != nil {
 			lvl = signalLevel(bp.Lag(), bp.LagHigh)
@@ -335,8 +335,7 @@ func (c *Controller) Admit(metric string, n int) error {
 	level := c.throttleLevel(now)
 	scale := c.scale(level)
 	if scale == 0 {
-		return c.shed(&c.shedPressure, n, "backpressure", "",
-			c.cfg.Backpressure.SampleEvery)
+		return c.shed(&c.shedPressure, n, "backpressure", "", sampleEvery)
 	}
 	need := float64(n)
 	if c.cfg.Rate > 0 {
@@ -376,8 +375,7 @@ func (c *Controller) AdmitTenant(tenant string, n int) error {
 	now := c.now()
 	scale := c.scale(c.throttleLevel(now))
 	if scale == 0 {
-		return c.shed(&c.shedPressure, n, "backpressure", "",
-			c.cfg.Backpressure.SampleEvery)
+		return c.shed(&c.shedPressure, n, "backpressure", "", sampleEvery)
 	}
 	b := c.keyed(c.tenants, tenant, c.cfg.TenantBurst)
 	if ok, retry := b.take(now, c.cfg.TenantRate*scale, c.cfg.TenantBurst, float64(n)); !ok {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,9 +215,8 @@ func TestBackpressureScalesRatesAndShedsAtMax(t *testing.T) {
 	c, clk := newController(t, Config{
 		Rate: 10, Burst: 10,
 		Backpressure: BackpressureConfig{
-			Lag:         func() uint64 { return lag },
-			LagHigh:     100,
-			SampleEvery: 10 * time.Millisecond,
+			Lag:     func() uint64 { return lag },
+			LagHigh: 100,
 		},
 	})
 	// Healthy: level 0, everything admits.
@@ -253,7 +253,7 @@ func TestBackpressureScalesRatesAndShedsAtMax(t *testing.T) {
 	if !errors.As(err, &o) || o.Scope != "backpressure" {
 		t.Fatalf("want full shed at the top rung, got %v", err)
 	}
-	if o.RetryAfter != 10*time.Millisecond {
+	if o.RetryAfter != 100*time.Millisecond {
 		t.Fatalf("top-rung RetryAfter = %v, want the resample interval", o.RetryAfter)
 	}
 	if c.Level() != 4 {
@@ -280,7 +280,6 @@ func TestDiskSignalTakesMax(t *testing.T) {
 		Backpressure: BackpressureConfig{
 			Lag: func() uint64 { return lag }, LagHigh: 100,
 			Disk: func() uint64 { return disk }, DiskHigh: 1 << 20,
-			SampleEvery: time.Millisecond,
 		},
 	})
 	lag, disk = 50, 4<<20 // lag healthy, disk at 4*High → level 3
@@ -295,9 +294,8 @@ func TestSamplerRunsAtMostOncePerInterval(t *testing.T) {
 	calls := 0
 	c, clk := newController(t, Config{
 		Backpressure: BackpressureConfig{
-			Lag:         func() uint64 { calls++; return 0 },
-			LagHigh:     100,
-			SampleEvery: time.Second,
+			Lag:     func() uint64 { calls++; return 0 },
+			LagHigh: 100,
 		},
 	})
 	for i := 0; i < 100; i++ {
@@ -370,15 +368,19 @@ func TestTelemetryExposition(t *testing.T) {
 }
 
 func TestConcurrentAdmitRace(t *testing.T) {
-	var lag uint64 = 50
-	c, _ := newController(t, Config{
+	// Every clock read lands past the resample interval, so the
+	// goroutines race the sampler's CAS on every call.
+	var tick, samples atomic.Int64
+	c, err := New(Config{
 		Rate: 1e6, Burst: 1e6, MetricRate: 1e6, TenantRate: 1e6,
-		Now: func() int64 { return time.Now().UnixNano() },
+		Now: func() int64 { return tick.Add(2 * int64(sampleEvery)) },
 		Backpressure: BackpressureConfig{
-			Lag: func() uint64 { return lag }, LagHigh: 100,
-			SampleEvery: time.Microsecond,
+			Lag: func() uint64 { samples.Add(1); return 50 }, LagHigh: 100,
 		},
 	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -395,6 +397,9 @@ func TestConcurrentAdmitRace(t *testing.T) {
 	st := c.Stats()
 	if st.Admitted+st.Shed != 2*8*2000 {
 		t.Fatalf("admitted %d + shed %d != %d", st.Admitted, st.Shed, 2*8*2000)
+	}
+	if samples.Load() < 2 {
+		t.Fatalf("sampler ran %d times, want a resample under the concurrent callers", samples.Load())
 	}
 }
 

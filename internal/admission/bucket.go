@@ -86,13 +86,13 @@ func (b *bucket) peek(now int64, rate, burst float64) float64 {
 type waitRecorder struct {
 	count   atomic.Uint64
 	totalNs atomic.Int64
-	hist    atomic.Pointer[telemetry.Histogram] // set by SetTelemetry; may stay nil
+	hist    *telemetry.Histogram // set by SetTelemetry before first use; may stay nil
 }
 
 func (w *waitRecorder) record(d time.Duration) {
 	w.count.Add(1)
 	w.totalNs.Add(int64(d))
-	w.hist.Load().Observe(d.Seconds())
+	w.hist.Observe(d.Seconds())
 }
 
 func (w *waitRecorder) mean() float64 {

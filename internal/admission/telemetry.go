@@ -8,7 +8,9 @@ import "repro/internal/telemetry"
 // serving smoke can attribute every 429; the scope counters sum to
 // every rejection the controller ever issued. All instruments except
 // the wait histogram are scrape-time reads of the controller's atomics.
-// A nil registry (or nil controller) is a no-op.
+// Call it before first use — before the first Admit or AdmitTenant: the
+// wait histogram is a plain field sheds read unsynchronized. A nil
+// registry (or nil controller) is a no-op.
 func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
 	if c == nil || reg == nil {
 		return
@@ -37,6 +39,6 @@ func (c *Controller) SetTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("analytics_admission_tokens",
 		"Global token-bucket level (refilled to now).",
 		func() float64 { return c.Tokens() })
-	c.waits.hist.Store(reg.Histogram("analytics_admission_wait_seconds",
-		"Suggested Retry-After handed out on shed requests."))
+	c.waits.hist = reg.Histogram("analytics_admission_wait_seconds",
+		"Suggested Retry-After handed out on shed requests.")
 }

@@ -60,6 +60,8 @@ import (
 
 	"repro/internal/mqlog"
 	"repro/internal/store"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Config tunes a Cluster.
@@ -121,13 +123,16 @@ type Cluster struct {
 	// recovery builds each store from it.
 	metrics store.MetricTable
 
-	// tel is the cluster's telemetry and tracer wiring (telemetry.go),
-	// swapped atomically because SetTelemetry may race already-running
-	// node event loops. The rest are always-on atomics every node adds
-	// to, so they count over the cluster's life: generation-fence commit
-	// rejections, failed query fan-outs, and the node counters Stats
-	// reports.
-	tel           atomic.Pointer[clusterTel]
+	// Telemetry and tracer wiring (telemetry.go): set by SetTelemetry
+	// before first use, nil when unwired.
+	reg          *telemetry.Registry
+	trc          *trace.Tracer
+	recoveryHist *telemetry.Histogram
+	scatterHist  *telemetry.Histogram
+
+	// Always-on atomics every node adds to, so they count over the
+	// cluster's life: generation-fence commit rejections, failed query
+	// fan-outs, and the node counters Stats reports.
 	fenceRejected atomic.Uint64
 	unreachable   atomic.Uint64
 	recoveries    atomic.Uint64
@@ -235,9 +240,7 @@ func (c *Cluster) StopNode(name string) error {
 	c.group.Leave(name)
 	n.stop()
 	// After the event loop exits, so no rebuild can register them again.
-	if t := c.tel.Load(); t != nil {
-		t.reg.RemoveSeries("node", name)
-	}
+	c.reg.RemoveSeries("node", name)
 	return nil
 }
 

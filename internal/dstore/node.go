@@ -127,9 +127,8 @@ func (n *Node) run() {
 			continue
 		}
 		st := n.currentStore()
-		trc := n.c.tracer()
 		for _, b := range batches {
-			n.apply(st, trc, b)
+			n.apply(st, b)
 			if !n.c.group.CommitFenced(n.name, gen, b.Partition, b.Next) {
 				// A rebalance won mid-batch. The batch already landed in
 				// our store, which may now hold rows for partitions we no
@@ -152,7 +151,8 @@ func (n *Node) run() {
 // record's trace, as the router opens one mqlog.append per flush, and
 // that trace's records carry the apply span into the store, stitching
 // onto the trace the router started on the far side of the log.
-func (n *Node) apply(st *store.Store, trc *trace.Tracer, b mqlog.PartitionBatch) {
+func (n *Node) apply(st *store.Store, b mqlog.PartitionBatch) {
+	trc := n.c.trc
 	n.obs = n.obs[:0]
 	var fsp, asp *trace.Span
 	var traced trace.TraceID
@@ -239,12 +239,10 @@ func (n *Node) recover(gen int) {
 	} else {
 		starts = make([]uint64, len(ends))
 	}
-	if t := n.c.tel.Load(); t != nil {
-		// Wire the store before it serves: re-registration re-binds the
-		// node's metric series to the rebuilt store's counters, and the
-		// store traces into the registry's tracer.
-		st.SetTelemetry(t.reg, "layer", "dstore", "node", n.name)
-	}
+	// Wire the store before it serves: re-registration re-binds the
+	// node's metric series to the rebuilt store's counters, and the
+	// store traces into the registry's tracer.
+	st.SetTelemetry(n.c.reg, "layer", "dstore", "node", n.name)
 	for _, pid := range assignment {
 		if n.stopped() || n.c.group.Generation() != gen {
 			return
@@ -272,7 +270,7 @@ func (n *Node) recover(gen int) {
 	close(n.serveCh)
 	n.mu.Unlock()
 	n.c.recoveries.Add(1)
-	n.c.observeRecovery(start)
+	n.c.recoveryHist.ObserveSince(start)
 }
 
 // waitServing blocks until the node has a recovered store (or was

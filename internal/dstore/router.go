@@ -59,7 +59,7 @@ func (r *Router) ObserveBatch(obs []store.Observation) error {
 	if err := r.c.metrics.Check(obs); err != nil {
 		return err
 	}
-	r.log.Append(obs, r.c.tracer())
+	r.log.Append(obs, r.c.trc)
 	return nil
 }
 
@@ -212,8 +212,7 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (store.Query
 		partials := make([][][]store.Synopsis, len(order)) // [node][metric][key]
 		errs := make([]error, len(order))
 		var fanStart time.Time
-		tel := r.c.tel.Load()
-		if tel != nil {
+		if r.c.scatterHist != nil {
 			fanStart = time.Now()
 		}
 		// A traced request records one span per fan-out round (a fenced
@@ -221,8 +220,8 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (store.Query
 		// its store's per-shard gather spans off its child via the
 		// sub-request's Trace context.
 		var ssp *trace.Span
-		if tr := r.c.tracer(); tr != nil && req.Trace.Valid() {
-			ssp = tr.StartRemote(req.Trace, "dstore.scatter")
+		if r.c.trc != nil && req.Trace.Valid() {
+			ssp = r.c.trc.StartRemote(req.Trace, "dstore.scatter")
 			ssp.SetAttrs(trace.Int("nodes", int64(len(order))), trace.Int("generation", int64(gen)))
 		}
 		var wg sync.WaitGroup
@@ -249,9 +248,7 @@ func (r *Router) Query(ctx context.Context, req store.QueryRequest) (store.Query
 			}(i, nq)
 		}
 		wg.Wait()
-		if tel != nil {
-			tel.scatter.ObserveSince(fanStart)
-		}
+		r.c.scatterHist.ObserveSince(fanStart)
 		if err := ctx.Err(); err != nil {
 			// The context died mid-round; the partials are incomplete and
 			// the per-node errors would just echo the cancellation.

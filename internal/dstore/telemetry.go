@@ -4,32 +4,17 @@
 // and consumer group's mqlog metrics, per-node store metrics
 // (layer="dstore", node=<name>) re-bound on every recovery rebuild and
 // dropped when the node stops, and the registry's tracer for the router,
-// node and store spans.
+// node and store spans. Wired once, before first use.
 package dstore
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-	"repro/internal/trace"
-)
-
-// clusterTel is the cluster's published observability wiring; nodes and
-// the router read it through one atomic pointer so SetTelemetry can be
-// called while the cluster is live.
-type clusterTel struct {
-	reg      *telemetry.Registry
-	trc      *trace.Tracer // reg's tracer; nil when untraced
-	recovery *telemetry.Histogram
-	scatter  *telemetry.Histogram
-}
+import "repro/internal/telemetry"
 
 // SetTelemetry registers the cluster's metrics with reg and wires its
-// ingest and query paths to the tracer reg carries. Safe to call on a
-// live cluster: the router and node event loops pick the wiring up
-// atomically, and each node's store is (re-)wired when it is next
-// rebuilt — stores already serving are wired immediately. A nil
-// registry is a no-op.
+// router, its node event loops, the ingest topic and consumer group to
+// reg and the tracer it carries. Call it before first use — before the
+// first StartNode, ObserveBatch or Query: the wiring is plain fields
+// those paths read unsynchronized. Each node wires the store its
+// recovery builds before that store serves. A nil registry is a no-op.
 func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -63,30 +48,12 @@ func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
 		"Query fan-outs failed on unowned partitions or unreachable nodes.",
 		func() uint64 { return c.unreachable.Load() }, labels...)
 
-	tel := &clusterTel{
-		reg: reg,
-		trc: reg.Tracer(),
-		recovery: reg.Histogram("analytics_dstore_recovery_seconds",
-			"Duration of completed node recoveries (store rebuild + replay).", labels...),
-		scatter: reg.Histogram("analytics_dstore_scatter_gather_seconds",
-			"Scatter-gather fan-out duration of router queries.", labels...),
-	}
-	c.tel.Store(tel)
-
+	c.reg = reg
+	c.trc = reg.Tracer()
+	c.recoveryHist = reg.Histogram("analytics_dstore_recovery_seconds",
+		"Duration of completed node recoveries (store rebuild + replay).", labels...)
+	c.scatterHist = reg.Histogram("analytics_dstore_scatter_gather_seconds",
+		"Scatter-gather fan-out duration of router queries.", labels...)
 	c.topic.SetTelemetry(reg)
 	c.group.SetTelemetry(reg)
-	// Instrument stores already serving; recovering nodes wire their
-	// fresh store themselves when the rebuild completes.
-	for _, n := range c.liveNodes() {
-		if st := n.currentStore(); st != nil {
-			st.SetTelemetry(reg, "layer", "dstore", "node", n.name)
-		}
-	}
-}
-
-// observeRecovery records a completed recovery's duration.
-func (c *Cluster) observeRecovery(start time.Time) {
-	if t := c.tel.Load(); t != nil {
-		t.recovery.ObserveSince(start)
-	}
 }

@@ -65,3 +65,42 @@ func TestTelemetryCoversClusterLayers(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryRebindsAcrossRebalance: a node's store series follow the
+// store its recovery rebuilds. After one of two nodes stops, the
+// survivor rebuilds its store over every partition (no CheckpointDir,
+// so a full replay of the log), and its observations counter must read
+// every observation fed — not the half the pre-rebalance store held.
+func TestTelemetryRebindsAcrossRebalance(t *testing.T) {
+	c := newTestCluster(t, Config{Partitions: 4})
+	reg := telemetry.New()
+	c.SetTelemetry(reg)
+	for i := 0; i < 2; i++ {
+		if _, err := c.StartNode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const events = 200
+	feed(t, c, events, 64) // three observations per event
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StopNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^analytics_store_observations_total\{layer="dstore",node="node-1"\} (\d+)$`).FindStringSubmatch(sb.String())
+	if m == nil {
+		t.Fatal(`scrape has no analytics_store_observations_total{layer="dstore",node="node-1"}`)
+	}
+	if got, want := m[1], strconv.Itoa(3*events); got != want {
+		t.Fatalf("survivor's observations_total = %s, want %s (its rebuilt store replays the whole log)", got, want)
+	}
+}

@@ -11,14 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// tracer returns the wired registry's tracer, nil when tracing is off.
-func (c *Cluster) tracer() *trace.Tracer {
-	if t := c.tel.Load(); t != nil {
-		return t.trc
-	}
-	return nil
-}
-
 // headerContext extracts the trace context the router's writer attached
 // to a record's headers; zero when the record is untraced.
 func headerContext(hdrs []mqlog.Header) trace.Context {

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/mqlog"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -113,10 +114,14 @@ type Architecture struct {
 
 	appended atomic.Uint64
 
-	// tel is the architecture's telemetry and tracer wiring
-	// (telemetry.go), swapped atomically so SetTelemetry can be called on
-	// a live architecture.
-	tel atomic.Pointer[archTel]
+	// Telemetry and tracer wiring (telemetry.go): set by SetTelemetry
+	// before first use, nil when unwired.
+	reg          *telemetry.Registry
+	trc          *trace.Tracer
+	handoffHist  *telemetry.Histogram
+	freezeHist   *telemetry.Histogram
+	truncateHist *telemetry.Histogram
+	merges       *telemetry.Counter
 }
 
 // New returns a store-backed Lambda Architecture. Register metrics, then
@@ -163,9 +168,7 @@ func (a *Architecture) newSpeed() (*store.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tel := a.tel.Load(); tel != nil {
-		st.SetTelemetry(tel.reg, "layer", "lambda_speed")
-	}
+	st.SetTelemetry(a.reg, "layer", "lambda_speed")
 	return st, nil
 }
 
@@ -252,16 +255,11 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	a.batchMu.Lock()
 	defer a.batchMu.Unlock()
 
-	tel := a.tel.Load()
-	var handoffStart time.Time
-	if tel != nil {
-		handoffStart = time.Now()
-	}
+	// Three clock reads per batch run, wired or not: RunBatch is not a
+	// hot path.
+	handoffStart := time.Now()
 	ends := a.topic.EndOffsets()
-	var freezeStart time.Time
-	if tel != nil {
-		freezeStart = time.Now()
-	}
+	freezeStart := time.Now()
 	// With a CheckpointDir the recompute is incremental: the previous
 	// run's snapshot (possibly from a previous process) seeds the view
 	// and only the log suffix past it replays. Without one, or when the
@@ -270,13 +268,8 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	if err != nil {
 		return BatchInfo{}, err
 	}
-	if tel != nil {
-		tel.freeze.ObserveSince(freezeStart)
-	}
-	var truncStart time.Time
-	if tel != nil {
-		truncStart = time.Now()
-	}
+	a.freezeHist.ObserveSince(freezeStart)
+	truncStart := time.Now()
 
 	// Cutover: block appends, replay the post-freeze suffix
 	// [ends, live end) into a fresh speed store, swap both pointers. The
@@ -295,10 +288,8 @@ func (a *Architecture) RunBatch() (BatchInfo, error) {
 	a.batch.Store(view)
 	a.version.Add(1)
 	a.speedMu.Unlock()
-	if tel != nil {
-		tel.truncate.ObserveSince(truncStart)
-		tel.handoff.ObserveSince(handoffStart)
-	}
+	a.truncateHist.ObserveSince(truncStart)
+	a.handoffHist.ObserveSince(handoffStart)
 	info := BatchInfo{
 		Version:        a.version.Load(),
 		Ends:           view.EndOffsets(),
@@ -359,9 +350,7 @@ func (a *Architecture) Query(ctx context.Context, req store.QueryRequest) (store
 	// finishes only matter on error returns (Finish is idempotent).
 	var tr *trace.Tracer
 	if req.Trace.Valid() {
-		if t := a.tel.Load(); t != nil {
-			tr = t.trc
-		}
+		tr = a.trc
 	}
 
 	// Phase 1: snapshot the (batch view, speed layer) pair and gather the
@@ -458,9 +447,7 @@ func (a *Architecture) Query(ctx context.Context, req store.QueryRequest) (store
 				return store.QueryResult{}, err
 			}
 		}
-		if t := a.tel.Load(); t != nil {
-			t.merges.Add(uint64(len(keys)))
-		}
+		a.merges.Add(uint64(len(keys)))
 		mergedCells += len(keys)
 		if answers, err = store.AppendAnswers(answers, metric, prototypes[i], keys, merged, req.Aggregate); err != nil {
 			return store.QueryResult{}, err

@@ -7,31 +7,18 @@
 // Query's three stages — lambda.speed (realtime gather), lambda.batch
 // (sealed-view read), lambda.merge (cell-wise CombineSnapshots) —
 // parented on the request's trace context, with the store hanging its
-// own child spans off lambda.speed.
+// own child spans off lambda.speed. Wired once, before first use.
 package lambda
 
-import (
-	"repro/internal/telemetry"
-	"repro/internal/trace"
-)
-
-// archTel is the architecture's published observability wiring; the
-// append, query and batch paths read it through one atomic pointer so
-// SetTelemetry can be called on a live architecture.
-type archTel struct {
-	reg      *telemetry.Registry // for re-wiring the swapped speed store
-	trc      *trace.Tracer       // reg's tracer; nil when untraced
-	handoff  *telemetry.Histogram
-	freeze   *telemetry.Histogram
-	truncate *telemetry.Histogram
-	merges   *telemetry.Counter
-}
+import "repro/internal/telemetry"
 
 // SetTelemetry registers the architecture's metrics with reg, wires its
-// query path to the tracer reg carries, and wires the layers underneath
-// it (master topic and speed store) with the same registry; each fresh
-// speed store is wired before it serves. A nil
-// registry is a no-op; calling again re-binds the callbacks.
+// batch and query paths to reg and the tracer it carries, and wires the
+// layers underneath it (master topic and speed store) with the same
+// registry. Call it before first use — before the first ObserveBatch,
+// Query, Keys or RunBatch: the wiring is plain fields those paths read
+// unsynchronized. Each fresh speed store is wired before it serves. A
+// nil registry is a no-op.
 func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -55,23 +42,17 @@ func (a *Architecture) SetTelemetry(reg *telemetry.Registry) {
 			return 0
 		}, labels...)
 
-	tel := &archTel{
-		reg: reg,
-		trc: reg.Tracer(),
-		handoff: reg.Histogram("analytics_lambda_batch_handoff_seconds",
-			"Total RunBatch duration: freeze, install, truncate.", labels...),
-		freeze: reg.Histogram("analytics_lambda_freeze_seconds",
-			"Frozen batch view build time (replay of the master dataset).", labels...),
-		truncate: reg.Histogram("analytics_lambda_truncate_seconds",
-			"Speed-layer truncation: suffix replay and swap.", labels...),
-		merges: reg.Counter("analytics_lambda_merges_total",
-			"Per-cell batch+speed snapshot merges performed by queries.",
-			labels...),
-	}
-	a.tel.Store(tel)
-
+	a.reg = reg
+	a.trc = reg.Tracer()
+	a.handoffHist = reg.Histogram("analytics_lambda_batch_handoff_seconds",
+		"Total RunBatch duration: freeze, install, truncate.", labels...)
+	a.freezeHist = reg.Histogram("analytics_lambda_freeze_seconds",
+		"Frozen batch view build time (replay of the master dataset).", labels...)
+	a.truncateHist = reg.Histogram("analytics_lambda_truncate_seconds",
+		"Speed-layer truncation: suffix replay and swap.", labels...)
+	a.merges = reg.Counter("analytics_lambda_merges_total",
+		"Per-cell batch+speed snapshot merges performed by queries.",
+		labels...)
 	a.topic.SetTelemetry(reg)
-	a.speedMu.RLock()
 	a.speed.SetTelemetry(reg, "layer", "lambda_speed")
-	a.speedMu.RUnlock()
 }

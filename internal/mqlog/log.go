@@ -381,16 +381,17 @@ type Topic struct {
 
 	// Telemetry (telemetry.go). The record counters are always-on
 	// atomics (one add per call, batched paths pay one add per batch);
-	// the fetch-batch histogram is nil until SetTelemetry wires it, and
-	// is an atomic pointer because wiring may race in-flight fetches
-	// (e.g. a cluster instrumented while its nodes are polling).
+	// the fetch-batch histogram is nil until SetTelemetry wires it,
+	// before first use.
 	produced      atomic.Uint64
 	fetched       atomic.Uint64
-	telFetchBatch atomic.Pointer[telemetry.Histogram]
+	telFetchBatch *telemetry.Histogram
 
 	// Durability (durable.go). dur is set once at creation and never
-	// mutated; nil means in-memory. The counters are always-on atomics;
-	// the fsync-latency histogram is wired by SetTelemetry.
+	// mutated; nil means in-memory. The counters are always-on atomics.
+	// The fsync-latency histogram, wired by SetTelemetry, is the one
+	// atomic pointer: the group-commit syncer starts inside
+	// CreateTopicDurable and may fsync before any SetTelemetry can run.
 	dur              *DurableConfig
 	stopSync         chan struct{}
 	syncDone         chan struct{}
@@ -525,9 +526,7 @@ func (t *Topic) Fetch(partitionID int, offset uint64, max int) (msgs []Message, 
 	msgs, next, truncated = t.parts[partitionID].fetch(offset, max)
 	if len(msgs) > 0 {
 		t.fetched.Add(uint64(len(msgs)))
-		if h := t.telFetchBatch.Load(); h != nil {
-			h.Observe(float64(len(msgs)))
-		}
+		t.telFetchBatch.Observe(float64(len(msgs)))
 	}
 	return msgs, next, truncated, nil
 }

@@ -2,7 +2,7 @@
 // produce/fetch throughput, retained log memory and per-partition end
 // offsets per topic, and consumer-group lag and rebalance counts per
 // group. Everything except the fetch-batch histogram is a scrape-time
-// read of state the log already maintains. Wire before serving traffic.
+// read of state the log already maintains. Wire before first use.
 package mqlog
 
 import (
@@ -12,8 +12,11 @@ import (
 )
 
 // SetTelemetry registers the topic's metrics with reg, labeled by topic
-// name (and partition id for the end-offset gauges). A nil registry is
-// a no-op; calling again re-binds the callbacks to this topic.
+// name (and partition id for the end-offset gauges). Call it before
+// first use — before the first produce or fetch: the fetch-batch
+// histogram is a plain field fetches read unsynchronized. A nil
+// registry is a no-op; calling again re-binds the callbacks to this
+// topic.
 func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -37,8 +40,8 @@ func (t *Topic) SetTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("analytics_mqlog_inflated_chunks_total",
 		"Compressed log chunks inflated by fetches (history reads, or consumers more than a chunk behind).",
 		t.inflatedChunks, "topic", t.name)
-	t.telFetchBatch.Store(reg.Histogram("analytics_mqlog_fetch_batch_records",
-		"Records per non-empty fetch (poll efficiency).", "topic", t.name))
+	t.telFetchBatch = reg.Histogram("analytics_mqlog_fetch_batch_records",
+		"Records per non-empty fetch (poll efficiency).", "topic", t.name)
 	if t.dur != nil {
 		reg.CounterFunc("analytics_mqlog_fsyncs_total",
 			"Fsyncs issued against the topic's segment files.",

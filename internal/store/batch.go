@@ -96,13 +96,10 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, bu
 		}
 	}
 	var observed, droppedLate uint64
-	if h := s.telLockWait; h != nil || sp != nil {
+	if sp != nil {
 		t0 := time.Now()
 		sh.mu.Lock()
-		h.ObserveSince(t0)
-		if sp != nil {
-			sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
-		}
+		sp.SetAttrs(trace.Int("lock_wait_ns", int64(time.Since(t0))))
 	} else {
 		sh.mu.Lock()
 	}

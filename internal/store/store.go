@@ -347,12 +347,10 @@ type Store struct {
 	ckptBytes   atomic.Uint64
 	restored    atomic.Uint64
 
-	// Telemetry hooks (telemetry.go). Nil when no registry is wired;
-	// the write and query paths gate their time.Now() pairs on these,
-	// so an uninstrumented store pays one pointer check per hot-path
-	// operation.
-	telLockWait *telemetry.Histogram
-	telGather   *telemetry.Histogram
+	// Telemetry hook (telemetry.go). Nil when no registry is wired; the
+	// query path gates its time.Now() pair on it, so an uninstrumented
+	// store pays one pointer check per query.
+	telGather *telemetry.Histogram
 
 	// Tracer hook, the tracer of the registry SetTelemetry wired. Same
 	// discipline as the histograms: nil when unwired or the registry is

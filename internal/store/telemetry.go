@@ -1,9 +1,9 @@
 // telemetry.go wires the store into a telemetry.Registry. All counters
 // and gauges are scrape-time reads of atomics and shard state the store
 // already maintains — instrumentation adds zero hot-path work for them.
-// The only hot-path additions are the two latency histograms (shard
-// lock-wait on the write path, gather on the query path), and those are
-// gated on a nil check so an unwired store is unaffected.
+// The only hot-path addition is the gather latency histogram on the
+// query path, gated on a nil check so an unwired store is unaffected.
+// Wired before first use.
 package store
 
 import "repro/internal/telemetry"
@@ -12,10 +12,11 @@ import "repro/internal/telemetry"
 // label pairs (default layer="store"), and wires its observe and gather
 // paths to the tracer reg carries; pass distinguishing labels (e.g.
 // layer="dstore", node="n1") when several stores share one registry.
-// Safe to call again — re-registration re-binds the scrape callbacks to
-// this store, which is exactly what a rebuilt cluster node store needs.
-// Like the histograms, the tracer is a plain pointer: wire before the
-// store starts serving. A nil registry is a no-op.
+// Call it before first use: the gather histogram and the tracer are
+// plain fields the write and query paths read unsynchronized.
+// Re-registration re-binds the scrape callbacks to this store, which is
+// how a rebuilt cluster node store or a fresh Lambda speed store takes
+// over its series before it serves. A nil registry is a no-op.
 func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 	if reg == nil {
 		return
@@ -73,8 +74,6 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 		"Bucket records rehydrated into this store from a checkpoint.",
 		func() uint64 { return s.restored.Load() }, labels...)
 
-	s.telLockWait = reg.Histogram("analytics_store_lock_wait_seconds",
-		"Time spent acquiring the home shard write lock.", labels...)
 	s.telGather = reg.Histogram("analytics_store_gather_seconds",
 		"Per-metric gather time of a range query (all requested keys).", labels...)
 	s.trc = reg.Tracer()

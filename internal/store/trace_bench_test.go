@@ -2,9 +2,9 @@
 // (TestObserveBatchAllocGate is the allocation gate). The contract: a
 // store with nothing wired pays nothing measurable over the pre-trace
 // baseline (0 allocs, ~1 pointer check per shard group), a traced
-// registry with untraced observations pays only the registry's lock-wait
-// timing and the Context.Valid checks, and only a sampled observation
-// buys the span machinery.
+// registry with untraced observations pays only the Context.Valid
+// checks, and only a sampled observation buys the span machinery (its
+// shard group's lock wait included).
 package store
 
 import (

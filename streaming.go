@@ -249,8 +249,9 @@ func NewTracer(cfg TraceConfig) *trace.Tracer { return trace.NewTracer(cfg) }
 
 // NewTelemetry returns an empty metrics registry carrying tr (nil =
 // untraced) — the one observability handle every subsystem reports
-// into. Wire it into a subsystem with its SetTelemetry method, wrap any
-// Backend with Instrument, and serve it with MetricsHandler. A nil
+// into. Wire it into a subsystem with its SetTelemetry method before
+// first use, wrap any Backend with Instrument, and serve it with
+// MetricsHandler. A nil
 // registry everywhere means "telemetry off".
 func NewTelemetry(tr *trace.Tracer) *telemetry.Registry { return telemetry.NewTraced(tr) }
 
