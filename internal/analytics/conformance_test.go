@@ -9,7 +9,6 @@ package analytics
 import (
 	"bytes"
 	"context"
-	"encoding"
 	"errors"
 	"fmt"
 	"reflect"
@@ -446,11 +445,7 @@ func TestBackendsAgreeExactly(t *testing.T) {
 // marshalSynopsis is a synopsis' binary checkpoint bytes.
 func marshalSynopsis(t *testing.T, syn store.Synopsis) []byte {
 	t.Helper()
-	m, ok := syn.(encoding.BinaryMarshaler)
-	if !ok {
-		t.Fatalf("synopsis %T has no binary encoding", syn)
-	}
-	b, err := m.MarshalBinary()
+	b, err := syn.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,12 +453,12 @@ func marshalSynopsis(t *testing.T, syn store.Synopsis) []byte {
 }
 
 // assertSameAnswer holds two answers to the byte-identity promise: equal
-// MarshalBinary bytes and equal readings through every typed accessor.
+// AppendBinary bytes and equal readings through every typed accessor.
 // The in-memory forms may differ — one compact, one dense.
 func assertSameAnswer(t *testing.T, what string, got, want store.Synopsis) {
 	t.Helper()
 	if !bytes.Equal(marshalSynopsis(t, got), marshalSynopsis(t, want)) {
-		t.Fatalf("%s: MarshalBinary bytes differ", what)
+		t.Fatalf("%s: AppendBinary bytes differ", what)
 	}
 	g, w := store.NewAnswer("", "", got), store.NewAnswer("", "", want)
 	if g.Family() != w.Family() || g.Items() != w.Items() || g.Distinct() != w.Distinct() ||

@@ -2,7 +2,6 @@ package lambda
 
 import (
 	"context"
-	"encoding"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -365,11 +364,11 @@ func TestRunBatchIncrementalWithinProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gb, err := g.(encoding.BinaryMarshaler).MarshalBinary()
+			gb, err := g.AppendBinary(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wb, err := w.(encoding.BinaryMarshaler).MarshalBinary()
+			wb, err := w.AppendBinary(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

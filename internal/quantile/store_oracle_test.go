@@ -86,7 +86,7 @@ func checkStoreQuantileOracle(t *testing.T, first, last, ring int) {
 						want.Merge(refs[b])
 					}
 				}
-				got, _ := res.Raw().(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+				got, _ := res.Raw().AppendBinary(nil)
 				wantBytes, _ := want.MarshalBinary()
 				if !bytes.Equal(got, wantBytes) {
 					t.Fatalf("%s: answer differs from the map oracle", what)

@@ -60,14 +60,9 @@ func (sc *scratch) appendAnswer(b []byte, a store.Answer) ([]byte, error) {
 	if a.Aggregate {
 		b = append(b, ","+field+`aggregate": true`...)
 	}
-	b = appendString(append(b, ","+field+`family": `...), wireFamily(a.Family()))
+	b = appendString(append(b, ","+field+`family": `...), a.Family().String())
 	b = strconv.AppendUint(append(b, ","+field+`items": `...), a.Items(), 10)
-	b = append(b, ","+field+`synopsis": `...)
-	if len(raw) == 0 {
-		b = append(b, "null"...)
-	} else {
-		b = append(base64.StdEncoding.AppendEncode(append(b, '"'), raw), '"')
-	}
+	b = append(base64.StdEncoding.AppendEncode(append(b, ","+field+`synopsis": "`...), raw), '"')
 	switch a.Family() {
 	case store.FamilyDistinct:
 		if d := a.Distinct(); d != 0 {

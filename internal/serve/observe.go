@@ -108,8 +108,12 @@ func (sc *scratch) readBody(w http.ResponseWriter, r *http.Request) ([]byte, int
 // decodeJSON decodes body, which must hold exactly one JSON value, into
 // v with encoding/json. Decoder.Decode stops after the value; bytes
 // other than whitespace behind it are an error here, on every route.
-func decodeJSON(body []byte, v any) error {
+// With strict set, an object field v has no place for is an error too.
+func decodeJSON(body []byte, v any, strict bool) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
@@ -120,13 +124,16 @@ func decodeJSON(body []byte, v any) error {
 }
 
 // decodeBody reads the request's JSON body into the scratch and decodes
-// it into v; on failure it returns the status to answer.
+// it into v, refusing unknown fields: a misspelt "from" is a 400, not a
+// query over [0, to). (/v1/observe does not come here: its scanner takes
+// what encoding/json takes, unknown fields included.) On failure it
+// returns the status to answer.
 func (sc *scratch) decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	body, code, err := sc.readBody(w, r)
 	if err != nil {
 		return code, err
 	}
-	if err := decodeJSON(body, v); err != nil {
+	if err := decodeJSON(body, v, true); err != nil {
 		return http.StatusBadRequest, err
 	}
 	return http.StatusOK, nil
@@ -140,7 +147,7 @@ func (sc *scratch) decodeObserve(body []byte) ([]store.Observation, error) {
 		return batch, nil
 	}
 	var req ObserveRequest
-	if err := decodeJSON(body, &req); err != nil {
+	if err := decodeJSON(body, &req, false); err != nil {
 		return nil, err
 	}
 	batch := sc.batch[:0]

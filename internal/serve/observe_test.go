@@ -1,7 +1,8 @@
 // The /v1/observe decode path: the scanner against encoding/json
 // (differential fuzz), the trailing-bytes rule on all three POST
-// routes, the handler's allocation budget, and buffer reuse — decoded
-// strings outlive the pooled buffer they were scanned from.
+// routes, the unknown-field rule on the other two, the handler's
+// allocation budget, and buffer reuse — decoded strings outlive the
+// pooled buffer they were scanned from.
 package serve
 
 import (
@@ -16,8 +17,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/analytics"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -211,6 +214,72 @@ func TestServeTrailingBytes(t *testing.T) {
 	sort.Strings(keys)
 	if want := []string{"good1", "good2"}; !reflect.DeepEqual(keys, want) {
 		t.Fatalf("keys after the run %q, want %q", keys, want)
+	}
+}
+
+// callCounter is a backend that counts the registrations and queries
+// reaching it.
+type callCounter struct {
+	analytics.Backend
+	calls atomic.Int64
+}
+
+func (c *callCounter) RegisterMetric(name string, proto store.Prototype) error {
+	c.calls.Add(1)
+	return c.Backend.RegisterMetric(name, proto)
+}
+
+func (c *callCounter) Query(ctx context.Context, req store.QueryRequest) (store.QueryResult, error) {
+	c.calls.Add(1)
+	return c.Backend.Query(ctx, req)
+}
+
+// TestServeUnknownFields: /v1/query and /v1/register refuse a body
+// naming a field their request has no place for, at any depth, with a
+// 400 that counts as a route error and reaches no backend; the same
+// body spelt right is served.
+func TestServeUnknownFields(t *testing.T) {
+	st, err := store.New(testGeom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &callCounter{Backend: st}
+	srv, err := NewServer(Config{Backend: be, Registry: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register("uniq", DistinctSpec(12, 7)); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(route, body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/"+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct{ route, bad, good string }{
+		{"query", `{"metrics":["uniq"],"keys":["k"],"form":0,"to":10}`, `{"metrics":["uniq"],"keys":["k"],"from":0,"to":10}`},
+		{"query", `{"metric":["uniq"],"keys":["k"],"from":0,"to":10}`, `{"metrics":["uniq"],"keys":["k"],"from":0,"to":10}`},
+		{"register", `{"name":"u2","spec":{"family":"distinct","precision":12,"seed":7,"widht":64}}`, `{"name":"u2","spec":{"family":"distinct","precision":12,"seed":7}}`},
+	} {
+		errsBefore, callsBefore := srv.errs[tc.route].Value(), be.calls.Load()
+		if code := post(tc.route, tc.bad); code != http.StatusBadRequest {
+			t.Fatalf("%s %s answered %d, want 400", tc.route, tc.bad, code)
+		}
+		if got := srv.errs[tc.route].Value(); got != errsBefore+1 {
+			t.Fatalf("%s %s: errors_total moved %d → %d, want +1", tc.route, tc.bad, errsBefore, got)
+		}
+		if be.calls.Load() != callsBefore {
+			t.Fatalf("%s %s reached the backend", tc.route, tc.bad)
+		}
+		if code := post(tc.route, tc.good); code != http.StatusOK {
+			t.Fatalf("%s %s answered %d, want 200", tc.route, tc.good, code)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,11 +68,7 @@ func feed(t *testing.T, be analytics.Backend, span int64) {
 
 func marshalSyn(t *testing.T, syn store.Synopsis) []byte {
 	t.Helper()
-	m, ok := syn.(encoding.BinaryMarshaler)
-	if !ok {
-		t.Fatalf("synopsis %T not marshalable", syn)
-	}
-	b, err := m.MarshalBinary()
+	b, err := syn.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +148,22 @@ func TestServeWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, metric, res, decoded)
+
+			// Both encoders name each answer's family as its ProtoSpec does.
+			var rendered QueryResponse
+			body, err := newScratch().renderQuery(res, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(body, &rendered); err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range wire.Answers {
+				if w.Family != specs[metric].Family || rendered.Answers[i].Family != specs[metric].Family {
+					t.Fatalf("%s: wire family %q (EncodeResult), %q (renderQuery), want %q",
+						metric, w.Family, rendered.Answers[i].Family, specs[metric].Family)
+				}
+			}
 
 			// Re-encoding the decoded result reproduces the wire bytes.
 			wire2, err := EncodeResult(decoded)

@@ -2,7 +2,7 @@
 // bodies.
 //
 // The design rule: the synopsis itself crosses the wire as its binary
-// checkpoint encoding (MarshalBinary, base64 inside JSON), so a client
+// checkpoint encoding (AppendBinary, base64 inside JSON), so a client
 // that knows the metric's ProtoSpec decodes an answer into a synopsis
 // byte-identical to the server's — re-marshaling the decoded synopsis
 // reproduces the wire bytes exactly, which the round-trip property test
@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"encoding"
 	"fmt"
 
 	"repro/internal/store"
@@ -120,23 +119,6 @@ type QueryResponse struct {
 	Cached bool `json:"cached"`
 }
 
-// wireFamily maps the store's family enum to wire names (ProtoSpec
-// family strings).
-func wireFamily(f store.Family) string {
-	switch f {
-	case store.FamilyDistinct:
-		return FamilyDistinct
-	case store.FamilyFreq:
-		return FamilyFreq
-	case store.FamilyTopK:
-		return FamilyTopK
-	case store.FamilyQuantile:
-		return FamilyQuantile
-	default:
-		return "other"
-	}
-}
-
 // viewTopK bounds the top-k view; the full summary rides in Synopsis.
 const viewTopK = 10
 
@@ -147,9 +129,14 @@ var (
 	wirePhiNames = [len(wirePhis)]string{"p50", "p95", "p99"}
 )
 
-// synopsisBytes appends the binary encoding of a's synopsis to dst.
+// synopsisBytes appends the binary encoding of a's synopsis to dst. The
+// zero Answer holds none, and is an error.
 func synopsisBytes(dst []byte, a store.Answer) ([]byte, error) {
-	b, err := store.AppendBinary(dst, a.Raw())
+	syn := a.Raw()
+	if syn == nil {
+		return dst, fmt.Errorf("serve: encode answer %s/%s: no synopsis", a.Metric, a.Key)
+	}
+	b, err := syn.AppendBinary(dst)
 	if err != nil {
 		return dst, fmt.Errorf("serve: encode answer %s/%s: %w", a.Metric, a.Key, err)
 	}
@@ -166,7 +153,7 @@ func EncodeAnswer(a store.Answer) (WireAnswer, error) {
 		Metric:    a.Metric,
 		Key:       a.Key,
 		Aggregate: a.Aggregate,
-		Family:    wireFamily(a.Family()),
+		Family:    a.Family().String(),
 		Items:     a.Items(),
 		Synopsis:  b,
 	}
@@ -214,11 +201,7 @@ func DecodeAnswer(w WireAnswer, spec ProtoSpec) (store.Answer, error) {
 		return store.Answer{}, err
 	}
 	syn := proto()
-	u, ok := syn.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return store.Answer{}, fmt.Errorf("serve: synopsis %T has no binary decoding", syn)
-	}
-	if err := u.UnmarshalBinary(w.Synopsis); err != nil {
+	if err := syn.UnmarshalBinary(w.Synopsis); err != nil {
 		return store.Answer{}, fmt.Errorf("serve: decode answer %s/%s: %w", w.Metric, w.Key, err)
 	}
 	if w.Aggregate {

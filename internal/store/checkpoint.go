@@ -11,7 +11,7 @@
 //	payload uvarint metric len, metric, uvarint key len, key,
 //	        uvarint bucket index, uvarint synopsis len, synopsis bytes
 //
-// where the synopsis bytes come from the adapter's MarshalBinary (see
+// where the synopsis bytes come from the adapter's AppendBinary (see
 // synopsis.go). Records go shard by shard, a shard's series in (metric,
 // key) order and a series' buckets ascending, so one store state always
 // writes the same bytes. manifest.json names the store geometry the data
@@ -93,8 +93,7 @@ type CheckpointInfo struct {
 // WriteCheckpoint snapshots every resident bucket of st into dir as a
 // manifest + data file pair, stamped with the log position in meta (see
 // CheckpointManifest). The store must be quiesced — no concurrent
-// writers — and every resident synopsis must implement
-// encoding.BinaryMarshaler (all four built-in families do).
+// writers.
 func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo, error) {
 	var info CheckpointInfo
 	if st == nil {
@@ -135,7 +134,7 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 				for i := range e.slots {
 					sl := &e.slots[i]
 					var err error
-					if sb, err = AppendBinary(sb[:0], sl.syn); err != nil {
+					if sb, err = sl.syn.AppendBinary(sb[:0]); err != nil {
 						sh.mu.RUnlock()
 						return fmt.Errorf("store: WriteCheckpoint: metric %q: %w", k.metric, err)
 					}
@@ -407,11 +406,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 	// Count-Min record that fits the sparse form lands in it, holding what
 	// the checkpointed bucket held.
 	syn := open()
-	u, ok := syn.(interface{ UnmarshalBinary([]byte) error })
-	if !ok {
-		return core.Errf("RestoreCheckpoint", "synopsis", "%T of metric %q has no binary codec", syn, metric)
-	}
-	if err := u.UnmarshalBinary(synBytes); err != nil {
+	if err := syn.UnmarshalBinary(synBytes); err != nil {
 		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
 	}
 	e.insert(i, slot{idx: bkt, syn: syn, bytes: syn.Bytes()}, s.cfg.RingBuckets)

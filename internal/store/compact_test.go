@@ -18,22 +18,23 @@ import (
 	"repro/internal/workload"
 )
 
-// marshal returns syn's MarshalBinary bytes, first checking that its
-// AppendBinary writes the same bytes behind a prefix into a reused
-// buffer whose spare capacity holds stale bytes.
+// marshal returns syn's binary encoding, first checking that AppendBinary
+// writes the same bytes behind a prefix into a reused buffer whose spare
+// capacity holds stale bytes, as the checkpoint writer and the response
+// encoder reuse theirs.
 func marshal(t testing.TB, syn Synopsis) []byte {
 	t.Helper()
-	b, err := syn.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+	b, err := syn.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirty := bytes.Repeat([]byte{0xa5}, 2+len(b))[:2]
-	got, err := syn.(interface{ AppendBinary([]byte) ([]byte, error) }).AppendBinary(dirty)
+	got, err := syn.AppendBinary(dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:2], dirty) || !bytes.Equal(got[2:], b) {
-		t.Fatalf("%T: AppendBinary wrote other bytes than MarshalBinary", syn)
+		t.Fatalf("%T: AppendBinary into a reused buffer wrote other bytes", syn)
 	}
 	return b
 }
@@ -415,7 +416,7 @@ func TestAnswersSurviveAccumulatorRecycling(t *testing.T) {
 					return
 				}
 				for _, syn := range res.RawSynopses() {
-					b, err := syn.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+					b, err := syn.AppendBinary(nil)
 					if err != nil {
 						t.Error(err)
 						return

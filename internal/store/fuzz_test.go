@@ -100,11 +100,11 @@ func fuzzStores(t *testing.T) (loop, batched *Store) {
 // sameBytes fails unless the two synopses serialize identically.
 func sameBytes(t *testing.T, what string, got, want Synopsis) {
 	t.Helper()
-	gb, err := got.(*Distinct).MarshalBinary()
+	gb, err := got.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := want.(*Distinct).MarshalBinary()
+	wb, err := want.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,11 +133,8 @@ func PointRequest(metric, key string, from, to int64) QueryRequest {
 type Family uint8
 
 const (
-	// FamilyOther is any custom Synopsis the store has no typed view for;
-	// use Answer.Raw.
-	FamilyOther Family = iota
 	// FamilyDistinct is a cardinality synopsis (*Distinct): Distinct().
-	FamilyDistinct
+	FamilyDistinct Family = iota + 1
 	// FamilyFreq is a per-item frequency synopsis (*Freq): Count(item).
 	FamilyFreq
 	// FamilyTopK is a heavy-hitter synopsis (*TopK): TopK(k), Count(item).
@@ -147,7 +144,9 @@ const (
 	FamilyQuantile
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. It is the family's wire name (the
+// ProtoSpec family string); the zero Family, which only the zero Answer
+// reports, has none.
 func (f Family) String() string {
 	switch f {
 	case FamilyDistinct:
@@ -158,33 +157,16 @@ func (f Family) String() string {
 		return "topk"
 	case FamilyQuantile:
 		return "quantile"
-	default:
-		return "other"
 	}
-}
-
-// familyOf classifies a synopsis by its concrete adapter type.
-func familyOf(s Synopsis) Family {
-	switch s.(type) {
-	case *Distinct:
-		return FamilyDistinct
-	case *Freq:
-		return FamilyFreq
-	case *TopK:
-		return FamilyTopK
-	case *Quantiles:
-		return FamilyQuantile
-	default:
-		return FamilyOther
-	}
+	return ""
 }
 
 // Answer is one cell of a QueryResult: the merged synopsis for one
 // (metric, key) series, or — when the request aggregated — for the union
 // of a metric's requested keys. The typed accessors answer zero values
 // when asked a question the underlying family cannot answer (check
-// Family, or use Raw for the escape hatch); an Answer whose series was
-// never written is an empty synopsis, not an error.
+// Family); an Answer whose series was never written is an empty
+// synopsis, not an error.
 type Answer struct {
 	// Metric is the metric this answer belongs to.
 	Metric string
@@ -226,17 +208,24 @@ func AppendAnswers(dst []Answer, metric string, proto Prototype, keys []string, 
 	return dst, nil
 }
 
-// Raw returns the merged synopsis itself — the escape hatch for custom
-// families and for callers that need Merge/Bytes. Nil only on the zero
-// Answer.
+// Raw returns the merged synopsis itself, for callers that need its
+// Merge, Bytes or AppendBinary. Nil only on the zero Answer.
 func (a Answer) Raw() Synopsis { return a.syn }
 
-// Family reports which synopsis family the answer holds.
+// Family reports which synopsis family the answer holds: the zero Family
+// only on the zero Answer.
 func (a Answer) Family() Family {
-	if a.syn == nil {
-		return FamilyOther
+	switch a.syn.(type) {
+	case *Distinct:
+		return FamilyDistinct
+	case *Freq:
+		return FamilyFreq
+	case *TopK:
+		return FamilyTopK
+	case *Quantiles:
+		return FamilyQuantile
 	}
-	return familyOf(a.syn)
+	return 0
 }
 
 // Items reports how many observations the answer's synopsis absorbed
@@ -575,10 +564,8 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	// batch.
 	for i := range run {
 		c := &run[i]
-		for _, syn := range sealed[c.lo:c.hi] {
-			if err := c.result.Merge(syn); err != nil {
-				return err
-			}
+		if err := mergeAll(c.result, sealed[c.lo:c.hi]); err != nil {
+			return err
 		}
 		out[c.pos] = finish(c.result)
 	}

@@ -134,7 +134,7 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 // describeAnswer renders what a mismatch report needs to tell two answers
 // apart: the synopsis type, its Items and its AppendBinary bytes.
 func describeAnswer(syn Synopsis) string {
-	b, err := AppendBinary(nil, syn)
+	b, err := syn.AppendBinary(nil)
 	return fmt.Sprintf("%T items %d bytes %x (err %v)", syn, syn.Items(), b, err)
 }
 
@@ -175,12 +175,12 @@ func TestQueryAggregateMatchesCombine(t *testing.T) {
 }
 
 // assertSameAnswer holds two answers to the byte-identity promise: equal
-// MarshalBinary bytes and equal readings through every typed accessor.
+// AppendBinary bytes and equal readings through every typed accessor.
 // The in-memory forms may differ — one compact, one dense.
 func assertSameAnswer(t testing.TB, what string, got, want Synopsis) {
 	t.Helper()
 	if !bytes.Equal(marshal(t, got), marshal(t, want)) {
-		t.Fatalf("%s: MarshalBinary bytes differ", what)
+		t.Fatalf("%s: AppendBinary bytes differ", what)
 	}
 	g, w := NewAnswer("", "", got), NewAnswer("", "", want)
 	if g.Family() != w.Family() || g.Items() != w.Items() || g.Distinct() != w.Distinct() ||

@@ -217,21 +217,18 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 	}
 	sl.sealed = true
 	sh.seals++
-	c, ok := sl.syn.(compactable)
-	if !ok {
-		return
-	}
-	small := c.compacted()
+	small := sl.syn.compacted()
 	if small == nil {
 		return
 	}
 	sh.compacted++
+	vacated := sl.syn
 	sl.syn = small
 	nb := small.Bytes()
 	e.bytes += nb - sl.bytes
 	sh.bytes += nb - sl.bytes
 	sl.bytes = nb
-	c.release()
+	vacated.release()
 }
 
 // advance prepares the entry for a write to bkt, past its newest bucket:

@@ -1,18 +1,18 @@
 // synopsis.go defines the bucket contract of the sketch store and the
 // adapters that put the library's mergeable synopsis structures behind it.
 //
-// The store is deliberately agnostic about what a time bucket summarizes:
-// a bucket is anything that can absorb observations, report its footprint,
-// and merge with another bucket of the same shape (the tutorial's
-// "algorithms should be able to scale out" requirement, reduced to one
-// interface). Each metric registered with the store picks its synopsis by
-// supplying a Prototype; range queries merge bucket synopses into a
-// prototype instance and answer with it — or, when the merged result is
-// sparse, with its compact copy (see finish).
+// The store serves a closed set of four synopsis families, the rows of
+// the source paper's Table 1 it keeps per time bucket: HyperLogLog
+// uniques (Distinct), Count-Min frequencies (Freq), Space-Saving heavy
+// hitters (TopK) and q-digest quantiles (Quantiles). Synopsis is their
+// common contract, and its unexported methods keep it closed: no type
+// outside this package satisfies it. Each metric registered with the
+// store picks its family by supplying a Prototype; range queries merge
+// bucket synopses into a prototype instance and answer with it — or,
+// when the merged result is sparse, with its compact copy (see finish).
 package store
 
 import (
-	"encoding"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -23,8 +23,8 @@ import (
 	"repro/internal/quantile"
 )
 
-// Synopsis is the contract a time bucket's summary must satisfy. Merging
-// two synopses must be equivalent (within the sketch's error guarantee) to
+// Synopsis is the contract of a time bucket's summary. Merging two
+// synopses must be equivalent (within the sketch's error guarantee) to
 // summarizing the concatenated observation streams.
 type Synopsis interface {
 	// Observe folds one observation into the summary. Which of item and
@@ -40,37 +40,38 @@ type Synopsis interface {
 	// Bytes approximates the in-memory footprint, used by the store's
 	// size-based retention accounting.
 	Bytes() int
-}
+	// AppendBinary appends the synopsis' binary encoding to b: the bytes
+	// a checkpoint record and a /v1/query answer carry.
+	AppendBinary(b []byte) ([]byte, error)
+	// UnmarshalBinary replaces the receiver's contents with what data
+	// encodes. The receiver comes from the registered Prototype, so it
+	// carries the configuration (widths, seeds, universes) the codec
+	// verifies the bytes against where the underlying sketch can.
+	UnmarshalBinary(data []byte) error
 
-// compactable is the synopsis extension seal-time compaction and query
-// answers use (see entry.sealSlot and finish). compacted returns an
-// immutable copy of the synopsis in a form sized by what it holds —
-// answering every read, Merge-as-source and MarshalBinary exactly as the
-// receiver does — or nil when the receiver is already held so, or too
-// full for such a copy to pay. release empties the receiver and returns
-// it to its shape's accumulator pool, where the next Prototype call finds
-// it; a synopsis no Prototype built (a bucket opened sparse, a compacted
-// copy) is left alone. Distinct and Freq copy into their sparse forms;
-// Quantiles copies its q-digest with the nodes packed, a few bytes each
-// (see quantile.QDigest.Compact), and returns nil only for such a copy.
-// Space-Saving is sized by its k counters and has no such copy. A store
-// bucket of Distinct or Freq opens, clones and restores in the sparse
-// form (see sparseBorn) and turns dense only when too full for it, so it
-// never has a compact copy to take at its seal: the seals that compact
-// are the q-digest's.
-type compactable interface {
+	// compacted returns an immutable copy of the synopsis in a form sized
+	// by what it holds — answering every read, Merge-as-source and
+	// AppendBinary exactly as the receiver does — or nil when the
+	// receiver is already held so, or too full for such a copy to pay.
+	// Distinct and Freq copy into their sparse forms; Quantiles copies
+	// its q-digest with the nodes packed, a few bytes each (see
+	// quantile.QDigest.Compact). Space-Saving is sized by its k counters
+	// and has no such copy. A store bucket of Distinct or Freq opens,
+	// clones and restores in the sparse form (see bucketProto) and turns
+	// dense only when too full for it, so it never has a compact copy to
+	// take at its seal: the seals that compact are the q-digest's.
 	compacted() Synopsis
+	// release empties the receiver and returns it to its shape's
+	// accumulator pool, where the next Prototype call finds it; a
+	// synopsis no Prototype built (a bucket opened sparse, a compacted
+	// copy, any TopK) is left alone.
 	release()
-}
-
-// sparseBorn is the synopsis extension of the families whose store
-// buckets open in the sparse form: bucketProto returns a Prototype of
-// empty synopses of the receiver's shape that allocate no dense array
-// and turn dense by themselves once what they hold stops fitting the
-// sparse form. Distinct and Freq have it. The instances a Prototype
-// itself returns stay dense and pooled: they are the merge accumulators
-// of queries.
-type sparseBorn interface {
+	// bucketProto returns a Prototype of empty synopses of the receiver's
+	// shape that allocate no dense array and turn dense by themselves
+	// once what they hold stops fitting the sparse form, or nil for a
+	// family without a sparse form (TopK, Quantiles). The instances a
+	// Prototype itself returns stay dense and pooled: they are the merge
+	// accumulators of queries.
 	bucketProto() Prototype
 }
 
@@ -79,12 +80,10 @@ type sparseBorn interface {
 // builds one instance of proto to ask and hands it back to its pool.
 func bucketProtoOf(proto Prototype) Prototype {
 	syn := proto()
-	open := proto
-	if s, ok := syn.(sparseBorn); ok {
-		open = s.bucketProto()
-	}
-	if c, ok := syn.(compactable); ok {
-		c.release()
+	open := syn.bucketProto()
+	syn.release()
+	if open == nil {
+		return proto
 	}
 	return open
 }
@@ -93,20 +92,31 @@ func bucketProtoOf(proto Prototype) Prototype {
 // returns. A result its family can hold smaller (a HyperLogLog or
 // Count-Min that fits its sparse form, any q-digest accumulator) is
 // answered by the compacted copy, and the accumulator goes back to its
-// pool; anything else — a result too full to compact, or a family
-// without a compact form — is its own answer.
+// pool; anything else — a result too full to compact, or a top-k
+// summary — is its own answer.
 // The caller must own acc outright and not touch it afterwards.
 func finish(acc Synopsis) Synopsis {
-	c, ok := acc.(compactable)
-	if !ok {
-		return acc
-	}
-	small := c.compacted()
+	small := acc.compacted()
 	if small == nil {
 		return acc
 	}
-	c.release()
+	acc.release()
 	return small
+}
+
+// mergeAll folds parts into dst in argument order, skipping nil parts.
+// A range's sealed buckets (gatherShard) and CombineSnapshots' parts
+// both fold through it.
+func mergeAll(dst Synopsis, parts []Synopsis) error {
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		if err := dst.Merge(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // accShape identifies the synopses one accumulator pool may hold:
@@ -134,7 +144,7 @@ func accPool(s accShape) *sync.Pool {
 // return independent instances with identical parameters (including hash
 // seeds, or merges will fail). For the families with a sparse form the
 // buckets come from the Prototype's sparse-born sibling instead (see
-// sparseBorn).
+// bucketProto).
 type Prototype func() Synopsis
 
 // CombineSnapshots merges partial query answers into one fresh synopsis —
@@ -150,13 +160,8 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 		return nil, core.Errf("CombineSnapshots", "proto", "must be non-nil")
 	}
 	out := proto()
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := out.Merge(p); err != nil {
-			return nil, fmt.Errorf("store: combine snapshots: %w", err)
-		}
+	if err := mergeAll(out, parts); err != nil {
+		return nil, fmt.Errorf("store: combine snapshots: %w", err)
 	}
 	return finish(out), nil
 }
@@ -337,6 +342,12 @@ func (t *TopK) Merge(other Synopsis) error {
 	return t.ss.Merge(o.ss)
 }
 
+func (t *TopK) compacted() Synopsis { return nil }
+
+func (t *TopK) release() {}
+
+func (t *TopK) bucketProto() Prototype { return nil }
+
 // Items implements Synopsis.
 func (t *TopK) Items() uint64 { return t.ss.Items() }
 
@@ -393,6 +404,8 @@ func (qs *Quantiles) Merge(other Synopsis) error {
 	return qs.q.Merge(o.q)
 }
 
+func (qs *Quantiles) bucketProto() Prototype { return nil }
+
 func (qs *Quantiles) compacted() Synopsis {
 	if c := qs.q.Compact(); c != nil {
 		return &Quantiles{q: c}
@@ -420,44 +433,17 @@ func (qs *Quantiles) Quantile(phi float64) uint64 { return qs.q.Query(phi) }
 // the digest once for all of them. out must be at least as long as phis.
 func (qs *Quantiles) QuantilesInto(phis []float64, out []uint64) { qs.q.QueryAll(phis, out) }
 
-// ---- Binary codecs (checkpoint/restore) ----
+// ---- Binary codecs (checkpoint/restore, /v1/query answers) ----
 //
-// All four built-in adapters implement encoding.BinaryMarshaler and
-// encoding.BinaryUnmarshaler by delegating to their sketches — the
-// optional extension the store's checkpoint writer requires of a
-// Prototype's synopses — plus AppendBinary, the same bytes appended to a
-// caller's buffer, which the checkpoint writer and the serving edge's
-// response encoder use when a synopsis has it. Unmarshal always decodes into a receiver the
-// restoring store constructed from its own registered Prototype, so the
-// receiver carries the configuration (widths, seeds, universes) and the
-// codecs verify the bytes against it where the underlying sketch can.
+// Each adapter delegates its codec to its sketch.
 
-// AppendBinary appends syn's binary encoding to b: by syn's own
-// AppendBinary when it has one, else by its MarshalBinary. A synopsis
-// with neither is an error.
-func AppendBinary(b []byte, syn Synopsis) ([]byte, error) {
-	switch m := syn.(type) {
-	case interface{ AppendBinary([]byte) ([]byte, error) }:
-		return m.AppendBinary(b)
-	case encoding.BinaryMarshaler:
-		raw, err := m.MarshalBinary()
-		return append(b, raw...), err
-	default:
-		return b, fmt.Errorf("store: synopsis %T has no binary encoding", syn)
-	}
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d *Distinct) MarshalBinary() ([]byte, error) { return d.h.MarshalBinary() }
-
-// AppendBinary appends the MarshalBinary encoding to b.
+// AppendBinary implements Synopsis.
 func (d *Distinct) AppendBinary(b []byte) ([]byte, error) { return d.h.AppendBinary(b) }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The
-// HyperLogLog's own decoder adopts whatever precision and seed the bytes
-// carry, so the adapter first checks them against the receiver's — a
-// checkpoint written under a different hash seed must not silently
-// rehydrate into this prototype.
+// UnmarshalBinary implements Synopsis. The HyperLogLog's own decoder
+// adopts whatever precision and seed the bytes carry, so the adapter
+// first checks them against the receiver's — a checkpoint written under
+// a different hash seed must not silently rehydrate into this prototype.
 func (d *Distinct) UnmarshalBinary(data []byte) error {
 	if len(data) >= 9 && (data[0] != d.h.Precision() || binary.LittleEndian.Uint64(data[1:]) != d.h.Seed()) {
 		return fmt.Errorf("store: distinct synopsis: %w", core.ErrIncompatible)
@@ -465,29 +451,20 @@ func (d *Distinct) UnmarshalBinary(data []byte) error {
 	return d.h.UnmarshalBinary(data)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (f *Freq) MarshalBinary() ([]byte, error) { return f.cm.MarshalBinary() }
-
-// AppendBinary appends the MarshalBinary encoding to b.
+// AppendBinary implements Synopsis.
 func (f *Freq) AppendBinary(b []byte) ([]byte, error) { return f.cm.AppendBinary(b) }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements Synopsis.
 func (f *Freq) UnmarshalBinary(data []byte) error { return f.cm.UnmarshalBinary(data) }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (t *TopK) MarshalBinary() ([]byte, error) { return t.ss.MarshalBinary() }
-
-// AppendBinary appends the MarshalBinary encoding to b.
+// AppendBinary implements Synopsis.
 func (t *TopK) AppendBinary(b []byte) ([]byte, error) { return t.ss.AppendBinary(b) }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements Synopsis.
 func (t *TopK) UnmarshalBinary(data []byte) error { return t.ss.UnmarshalBinary(data) }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (qs *Quantiles) MarshalBinary() ([]byte, error) { return qs.q.MarshalBinary() }
-
-// AppendBinary appends the MarshalBinary encoding to b.
+// AppendBinary implements Synopsis.
 func (qs *Quantiles) AppendBinary(b []byte) ([]byte, error) { return qs.q.AppendBinary(b) }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements Synopsis.
 func (qs *Quantiles) UnmarshalBinary(data []byte) error { return qs.q.UnmarshalBinary(data) }

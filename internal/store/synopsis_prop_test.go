@@ -419,8 +419,8 @@ func TestCombineSnapshotsErrors(t *testing.T) {
 	}
 }
 
-// compact(x) equals x: for random streams over both compactable families,
-// the compact copy returns the dense synopsis' MarshalBinary bytes, its
+// compact(x) equals x: for random streams over both sparse-born families,
+// the compact copy returns the dense synopsis' AppendBinary bytes, its
 // estimates and its item count, and merging gives the same bytes in every
 // dense/compact pairing of receiver and argument.
 func TestCompactEqualsDense(t *testing.T) {
@@ -458,13 +458,13 @@ func TestCompactEqualsDense(t *testing.T) {
 				universe = 400
 			}
 			x := build(universe)
-			cx := x.(compactable).compacted()
+			cx := x.compacted()
 			if cx == nil {
 				full++
 				continue
 			}
 			compacted++
-			if cx.(compactable).compacted() != nil {
+			if cx.compacted() != nil {
 				t.Fatalf("%s trial %d: a compact synopsis compacted again", fam.name, trial)
 			}
 			if !bytes.Equal(marshal(t, cx), marshal(t, x)) {
@@ -484,7 +484,7 @@ func TestCompactEqualsDense(t *testing.T) {
 			// Merge, all four pairings, against dense <- dense. The other
 			// operand is compact when it can be, so both sizes are merged in.
 			y := build(1 + int(rng.Uint64()%12))
-			cy := y.(compactable).compacted()
+			cy := y.compacted()
 			if cy == nil {
 				t.Fatalf("%s trial %d: small stream did not compact", fam.name, trial)
 			}
@@ -492,8 +492,8 @@ func TestCompactEqualsDense(t *testing.T) {
 			mustMerge(t, want, y)
 			for name, pair := range map[string][2]Synopsis{
 				"dense<-compact":   {copyOf(t, fam.proto, x), cy},
-				"compact<-dense":   {x.(compactable).compacted(), y},
-				"compact<-compact": {x.(compactable).compacted(), cy},
+				"compact<-dense":   {x.compacted(), y},
+				"compact<-compact": {x.compacted(), cy},
 			} {
 				mustMerge(t, pair[0], pair[1])
 				if !bytes.Equal(marshal(t, pair[0]), marshal(t, want)) {

@@ -177,7 +177,7 @@ type Backend = analytics.Backend
 // QueryRequest is one typed serving query: metric(s), one/many/all keys,
 // a half-open [From, To) stream-time range, and an aggregate-vs-per-key
 // flag. The result's typed accessors (Distinct, Count, TopK, Quantile)
-// replace caller-side synopsis type assertions; Raw is the escape hatch.
+// replace caller-side synopsis type assertions; Raw returns the synopsis.
 type QueryRequest = store.QueryRequest
 
 // StoreObservation is one data point bound for a Backend.
