@@ -1,7 +1,11 @@
 package frequency
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -110,6 +114,13 @@ func (mg *MisraGries) Merge(other *MisraGries) error {
 // over the minimum counter, inheriting its count as the error bound. It
 // guarantees count overestimates by at most the smallest counter, and any
 // item with true count > N/k is tracked.
+//
+// A copy taken by Compact, and the result of a Merger, holds its counters
+// flat instead: one exact-size slice in TopK order, with no map and no
+// per-counter pointers. Readers (Estimate, TopK, MinCount, Items,
+// AppendBinary, Merge's argument) answer from it as they would from the
+// Stream-Summary; a writer (Update, Merge as the receiver, Reset,
+// UnmarshalBinary) unpacks it first.
 type SpaceSaving struct {
 	k    int
 	n    uint64
@@ -117,6 +128,11 @@ type SpaceSaving struct {
 	// buckets of equal count, doubly linked in ascending count order
 	// (the "Stream-Summary" structure), giving O(1) min lookup.
 	head *ssBucket
+	// flat marks a flat summary, whose counters are in counters — in
+	// TopK order: count descending, then item ascending — with elem and
+	// head empty.
+	flat     bool
+	counters []Counted
 }
 
 type ssNode struct {
@@ -207,6 +223,7 @@ func (ss *SpaceSaving) attach(n *ssNode, count uint64, after *ssBucket) {
 
 // Update adds one occurrence of item.
 func (ss *SpaceSaving) Update(item string) {
+	ss.unpack()
 	ss.n++
 	if n, ok := ss.elem[item]; ok {
 		after := n.bucket.prev
@@ -241,6 +258,14 @@ func (ss *SpaceSaving) Update(item string) {
 // Estimate returns the overestimate for item (zero if untracked) and the
 // maximum error of that estimate.
 func (ss *SpaceSaving) Estimate(item string) (count, err uint64) {
+	if ss.flat {
+		for _, c := range ss.counters {
+			if c.Item == item {
+				return c.Count, c.Err
+			}
+		}
+		return 0, 0
+	}
 	n, ok := ss.elem[item]
 	if !ok {
 		return 0, 0
@@ -250,6 +275,9 @@ func (ss *SpaceSaving) Estimate(item string) (count, err uint64) {
 
 // TopK returns the k' <= k tracked items in descending count order.
 func (ss *SpaceSaving) TopK(k int) []Counted {
+	if ss.flat {
+		return slices.Clone(ss.counters[:min(k, len(ss.counters))])
+	}
 	out := make([]Counted, 0, len(ss.elem))
 	for it, n := range ss.elem {
 		out = append(out, Counted{Item: it, Count: n.bucket.count, Err: n.err})
@@ -264,7 +292,7 @@ func (ss *SpaceSaving) TopK(k int) []Counted {
 // GuaranteedTopK returns only the prefix of TopK whose membership is
 // provably correct: item i is guaranteed when count_i - err_i >= count_{i+1}.
 func (ss *SpaceSaving) GuaranteedTopK(k int) []Counted {
-	all := ss.TopK(len(ss.elem))
+	all := ss.TopK(ss.size())
 	out := make([]Counted, 0, k)
 	for i := 0; i < len(all) && i < k; i++ {
 		if i+1 < len(all) && all[i].Count-all[i].Err < all[i+1].Count {
@@ -278,67 +306,48 @@ func (ss *SpaceSaving) GuaranteedTopK(k int) []Counted {
 // Items returns the stream length so far.
 func (ss *SpaceSaving) Items() uint64 { return ss.n }
 
-// Bytes approximates the summary footprint.
-func (ss *SpaceSaving) Bytes() int { return len(ss.elem)*96 + 32 }
+// Bytes approximates the summary footprint. A flat summary counts what
+// it retains: its struct, the capacity of its counter slice and the
+// bytes of its items.
+func (ss *SpaceSaving) Bytes() int {
+	if !ss.flat {
+		return len(ss.elem)*96 + 32
+	}
+	n := int(unsafe.Sizeof(*ss)) + cap(ss.counters)*int(unsafe.Sizeof(Counted{}))
+	for _, c := range ss.counters {
+		n += len(c.Item)
+	}
+	return n
+}
 
 // Merge folds another Space-Saving summary into ss, following the
-// mergeable-summaries construction (Agarwal et al.): counts of items
-// present in both summaries add; an item present in only one side may have
-// occurred up to the other side's minimum count, so that floor is added to
-// both its count (keeping it an overestimate) and its error bound. The top
-// k of the combined candidates are kept and the Stream-Summary structure is
-// rebuilt. The usual guarantees survive merging: every estimate remains an
-// overestimate by at most its Err, and any item with true count > N/k in
-// the concatenated stream is tracked.
+// mergeable-summaries construction (Agarwal et al.): it is the two-part
+// case of a Merger, whose comment states the rule and the guarantees
+// that survive it. other is only read; it may be flat.
 func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 	if other == nil || ss.k != other.k {
 		return core.ErrIncompatible
 	}
-	// A summary that never filled up has seen every one of its items
-	// exactly; only a full summary can have silently dropped an item.
-	var floorA, floorB uint64
-	if len(ss.elem) == ss.k {
-		floorA = ss.MinCount()
+	var m Merger
+	m.Add(ss)
+	m.Add(other)
+	ss.load(m.merged())
+	ss.n = m.n
+	return nil
+}
+
+// load replaces the counters by cs, given in TopK order, as a
+// Stream-Summary; n is left alone. Attaching in ascending count order
+// keeps each attach search at the current tail, O(1) amortized.
+func (ss *SpaceSaving) load(cs []Counted) {
+	ss.flat, ss.counters, ss.head = false, nil, nil
+	if ss.elem == nil {
+		ss.elem = make(map[string]*ssNode, ss.k)
 	}
-	if len(other.elem) == other.k {
-		floorB = other.MinCount()
-	}
-	merged := make(map[string]Counted, len(ss.elem)+len(other.elem))
-	for it, n := range ss.elem {
-		merged[it] = Counted{Item: it, Count: n.bucket.count, Err: n.err}
-	}
-	for it, n := range other.elem {
-		if c, ok := merged[it]; ok {
-			c.Count += n.bucket.count
-			c.Err += n.err
-			merged[it] = c
-		} else {
-			merged[it] = Counted{Item: it, Count: n.bucket.count + floorA, Err: n.err + floorA}
-		}
-	}
-	for it := range ss.elem {
-		if _, inB := other.elem[it]; !inB {
-			c := merged[it]
-			c.Count += floorB
-			c.Err += floorB
-			merged[it] = c
-		}
-	}
-	all := make([]Counted, 0, len(merged))
-	for _, c := range merged {
-		all = append(all, c)
-	}
-	sortCounted(all)
-	if len(all) > ss.k {
-		all = all[:ss.k]
-	}
-	ss.elem = make(map[string]*ssNode, ss.k)
-	ss.head = nil
-	// Attach in ascending count order so each attach search starts at the
-	// current tail's predecessor region and stays O(1) amortized.
+	clear(ss.elem)
 	var after *ssBucket
-	for i := len(all) - 1; i >= 0; i-- {
-		c := all[i]
+	for i := len(cs) - 1; i >= 0; i-- {
+		c := cs[i]
 		n := &ssNode{item: c.Item, err: c.Err}
 		ss.elem[c.Item] = n
 		hint := after
@@ -350,8 +359,55 @@ func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 		ss.attach(n, c.Count, hint)
 		after = n.bucket
 	}
-	ss.n += other.n
-	return nil
+}
+
+// unpack turns a flat summary back into the Stream-Summary, so that a
+// writer can change it.
+func (ss *SpaceSaving) unpack() {
+	if ss.flat {
+		ss.load(ss.counters)
+	}
+}
+
+// Compact returns an immutable flat copy of ss (see SpaceSaving): its
+// counters in one slice of exactly their number, in TopK order, or nil
+// when ss is itself flat. The copy shares nothing with ss and reads
+// exactly as ss does; a writer called on it unpacks it first.
+func (ss *SpaceSaving) Compact() *SpaceSaving {
+	if ss.flat {
+		return nil
+	}
+	cs := make([]Counted, 0, len(ss.elem))
+	for it, n := range ss.elem {
+		cs = append(cs, Counted{Item: it, Count: n.bucket.count, Err: n.err})
+	}
+	sortCounted(cs)
+	return newFlat(ss.k, ss.n, cs)
+}
+
+// newFlat returns a flat summary of cs, which it takes, in TopK order and
+// exact size, and whose items it copies into one string: so the summary
+// pins neither the strings it was handed — each a small allocation that
+// may share its memory block with others — nor the summaries they came
+// from.
+func newFlat(k int, n uint64, cs []Counted) *SpaceSaving {
+	size := 0
+	for _, c := range cs {
+		size += len(c.Item)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, c := range cs {
+		b.WriteString(c.Item)
+	}
+	items := b.String()
+	for i := range cs {
+		cs[i].Item, items = items[:len(cs[i].Item)], items[len(cs[i].Item):]
+	}
+	if len(cs) == 0 {
+		cs = nil
+	}
+	return &SpaceSaving{k: k, n: n, flat: true, counters: cs}
 }
 
 // Reset returns the summary to its freshly-constructed state, reusing the
@@ -359,27 +415,50 @@ func (ss *SpaceSaving) Merge(other *SpaceSaving) error {
 // and callers that reuse one summary across windows reset it instead of
 // reallocating.
 func (ss *SpaceSaving) Reset() {
+	ss.load(nil)
 	ss.n = 0
-	ss.head = nil
-	clear(ss.elem)
+}
+
+// size returns how many counters the summary holds.
+func (ss *SpaceSaving) size() int {
+	if ss.flat {
+		return len(ss.counters)
+	}
+	return len(ss.elem)
 }
 
 // MinCount returns the smallest tracked count — the global error bound.
 func (ss *SpaceSaving) MinCount() uint64 {
+	if ss.flat {
+		if n := len(ss.counters); n > 0 {
+			return ss.counters[n-1].Count
+		}
+		return 0
+	}
 	if ss.head == nil {
 		return 0
 	}
 	return ss.head.count
 }
 
-func sortCounted(xs []Counted) {
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].Count != xs[j].Count {
-			return xs[i].Count > xs[j].Count
-		}
-		return xs[i].Item < xs[j].Item
-	})
+// floor is how often an item the summary does not hold may have
+// occurred: its minimum count when it is full, since it may have evicted
+// the item, else 0, since a summary that never filled up has counted
+// every item it saw exactly.
+func (ss *SpaceSaving) floor() uint64 {
+	if ss.size() == ss.k {
+		return ss.MinCount()
+	}
+	return 0
 }
+
+// cmpCounted orders by count descending, then item ascending: a total
+// order over distinct items, so a sort by it has one outcome.
+func cmpCounted(a, b Counted) int {
+	return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Item, b.Item))
+}
+
+func sortCounted(xs []Counted) { slices.SortFunc(xs, cmpCounted) }
 
 // ExactTopK computes the true top-k of a stream of string items — the
 // ground truth the experiments score summaries against.

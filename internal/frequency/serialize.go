@@ -167,9 +167,14 @@ func (ss *SpaceSaving) MarshalBinary() ([]byte, error) {
 	return ss.AppendBinary(nil)
 }
 
-// AppendBinary appends the MarshalBinary encoding to b.
+// AppendBinary appends the MarshalBinary encoding to b. A flat summary
+// writes its counters as they lie, with no copy and no sort.
 func (ss *SpaceSaving) AppendBinary(b []byte) ([]byte, error) {
-	entries := ss.TopK(len(ss.elem)) // descending; reversed on write
+	entries := ss.counters
+	if !ss.flat {
+		entries = ss.TopK(len(ss.elem))
+	}
+	// entries are in TopK order, descending; reversed on write
 	size := 4 + 4 + 8 + 4
 	for _, e := range entries {
 		size += 8 + 8 + 4 + len(e.Item)
@@ -191,7 +196,11 @@ func (ss *SpaceSaving) AppendBinary(b []byte) ([]byte, error) {
 
 // UnmarshalBinary decodes into the receiver, replacing its contents. The
 // receiver's k must match the encoder's — a k mismatch would silently
-// change the summary's error guarantee, so it is ErrIncompatible.
+// change the summary's error guarantee, so it is ErrIncompatible. Only
+// what AppendBinary writes is accepted: entries ascend by count, ties by
+// item descending, and the body ends with the last one. So do the
+// invariants the merge guarantees rest on (see Merger) that bytes can
+// break: no error above its count, and counts summing to at most n.
 func (ss *SpaceSaving) UnmarshalBinary(data []byte) error {
 	if len(data) < 20 || binary.LittleEndian.Uint32(data[0:]) != ssMagic {
 		return core.ErrCorrupt
@@ -208,7 +217,8 @@ func (ss *SpaceSaving) UnmarshalBinary(data []byte) error {
 	ss.n = n
 	pos := 20
 	var after *ssBucket
-	var prevCount uint64
+	var prevCount, sum uint64
+	var prevItem string
 	for i := 0; i < entries; i++ {
 		if pos+20 > len(data) {
 			return core.ErrCorrupt
@@ -222,10 +232,13 @@ func (ss *SpaceSaving) UnmarshalBinary(data []byte) error {
 		}
 		item := string(data[pos : pos+itemLen])
 		pos += itemLen
-		if i > 0 && count < prevCount {
-			return core.ErrCorrupt // ascending order is part of the format
+		if i > 0 && (count < prevCount || count == prevCount && item >= prevItem) {
+			return core.ErrCorrupt // the order is part of the format
 		}
-		prevCount = count
+		prevCount, prevItem = count, item
+		if sum += count; errBound > count || sum < count || sum > n {
+			return core.ErrCorrupt
+		}
 		if _, dup := ss.elem[item]; dup {
 			return core.ErrCorrupt
 		}

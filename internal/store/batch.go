@@ -7,6 +7,7 @@ package store
 import (
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/trace"
 )
 
@@ -41,7 +42,8 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, buckets)
 		return nil
 	}
-	order, bounds := groupIndices(len(obs), len(s.shards), func(i int) int {
+	buf := groupBufs.Get()
+	order, bounds := groupIndices(buf, len(obs), len(s.shards), func(i int) int {
 		return int(s.shardIndex(entryKey{metric: obs[i].Metric, key: obs[i].Key}))
 	})
 	for idx := range s.shards {
@@ -49,17 +51,42 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 			s.observeShardBatch(uint32(idx), group, obs, buckets)
 		}
 	}
+	putGroupBuf(buf)
 	return nil
+}
+
+// groupBufs keeps the buffers groupIndices works in, so a batched write
+// does not allocate one per batch. It is a free list, not a sync.Pool, so
+// that the heap a process holds after a collection does not depend on
+// when the last one ran.
+var groupBufs = freelist.List[[]int]{New: func() *[]int { return new([]int) }, Max: 4}
+
+// maxGroupBuf is the largest buffer, in ints, putGroupBuf keeps: a
+// 2 048-observation batch over 64 groups. A larger one, grown for one
+// outsized batch, goes to the collector instead of staying on the list.
+const maxGroupBuf = 2*2048 + 64 + 2
+
+func putGroupBuf(buf *[]int) {
+	if cap(*buf) <= maxGroupBuf {
+		groupBufs.Put(buf)
+	}
 }
 
 // groupIndices sorts the indices 0..n-1 by group(i), which must lie in
 // [0, groups), keeping input order inside a group: group g's indices
-// are order[bounds[g]:bounds[g+1]]. It is a counting sort in one
-// allocation — the batched write paths (here by home shard, LogWriter
-// by partition) group every request this way.
-func groupIndices(n, groups int, group func(i int) int) (order, bounds []int) {
-	buf := make([]int, 2*n+groups+2)
-	home, order, next := buf[:n], buf[n:2*n], buf[2*n:]
+// are order[bounds[g]:bounds[g+1]]. It is a counting sort in *buf,
+// grown when too small; order and bounds live there, so they are good
+// until the buffer is reused — the batched write paths (here by home
+// shard, LogWriter by partition) group every request this way, in a
+// buffer from groupBufs.
+func groupIndices(buf *[]int, n, groups int, group func(i int) int) (order, bounds []int) {
+	size := 2*n + groups + 2
+	if cap(*buf) < size {
+		*buf = make([]int, size)
+	}
+	b := (*buf)[:size]
+	home, order, next := b[:n], b[n:2*n], b[2*n:]
+	clear(next)
 	// Count into next[g+2], so that after the prefix sums next[g+1] is
 	// where group g starts; filling advances it to where g ends, which
 	// leaves next[g] at g's start: next[:groups+1] are the bounds.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -457,6 +458,12 @@ func TestAnswersSurviveAccumulatorRecycling(t *testing.T) {
 // bucket 160 left open. Exported to the external test package, whose
 // cached-answer gate runs range_scan-shaped queries over it.
 func SealedFootprintStore(t testing.TB) *Store {
+	return preloadStore(t, "uniques", "page-hits", "top-pages", "latency-us")
+}
+
+// preloadStore builds SealedFootprintStore's shape holding only the
+// metrics named: the same draws, with the other metrics' writes left out.
+func preloadStore(t testing.TB, metrics ...string) *Store {
 	const (
 		pages, buckets, perBucket = 64, 160, 64
 		width                     = 100
@@ -466,8 +473,9 @@ func SealedFootprintStore(t testing.TB) *Store {
 	hits, _ := NewFreqProto(1024, 4, 42)
 	top, _ := NewTopKProto(32)
 	lat, _ := NewQuantileProto(20, 512)
-	for name, p := range map[string]Prototype{"uniques": uniq, "page-hits": hits, "top-pages": top, "latency-us": lat} {
-		if err := st.RegisterMetric(name, p); err != nil {
+	protos := map[string]Prototype{"uniques": uniq, "page-hits": hits, "top-pages": top, "latency-us": lat}
+	for _, name := range metrics {
+		if err := st.RegisterMetric(name, protos[name]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -480,12 +488,16 @@ func SealedFootprintStore(t testing.TB) *Store {
 			page := fmt.Sprintf("page-%02d", zipf.Draw())
 			user := fmt.Sprintf("user-%d", rng.Uint64()%20000)
 			now := bkt*width + int64(i)
-			batch = append(batch,
-				Observation{Metric: "uniques", Key: page, Item: user, Time: now},
-				Observation{Metric: "page-hits", Key: page, Item: page, Time: now},
-				Observation{Metric: "top-pages", Key: "all", Item: page, Time: now},
-				Observation{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: now},
-			)
+			for _, o := range [...]Observation{
+				{Metric: "uniques", Key: page, Item: user, Time: now},
+				{Metric: "page-hits", Key: page, Item: page, Time: now},
+				{Metric: "top-pages", Key: "all", Item: page, Time: now},
+				{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: now},
+			} {
+				if slices.Contains(metrics, o.Metric) {
+					batch = append(batch, o)
+				}
+			}
 		}
 		if err := st.ObserveBatch(batch); err != nil {
 			t.Fatal(err)
@@ -528,6 +540,70 @@ func TestSealedFootprint(t *testing.T) {
 	t.Logf("64-bucket range query: %v allocations", allocs)
 	if allocs > float64(maxAllocs) {
 		t.Fatalf("64-bucket range query costs %v allocations, gate %d", allocs, maxAllocs)
+	}
+}
+
+// TestSealedTopKFootprint is the gate on a top-k bucket's footprint: the
+// preload shape's 161 `top-pages` buckets (k = 32, 64 events each, 24.8
+// counters on average) in a store that holds nothing else, 160 sealed
+// and the newest open. A sealed bucket holds its counters flat, in one
+// exact-size slice: under 1.5 KB of heap per bucket after GC, where the
+// Stream-Summary (a map, a node per counter and a bucket per distinct
+// count) held 3.4 KB. A 64-bucket range query over it is one k-way merge
+// into a flat answer, gated at under 100 allocations (3 786 when it
+// folded pairwise through SpaceSaving.Merge).
+func TestSealedTopKFootprint(t *testing.T) {
+	const (
+		buckets   = 161
+		perBucket = 1536
+		width     = 100
+		maxAllocs = 100
+	)
+	preloadStore(t, "top-pages") // runs the build's one-time initialisation and grows its free lists
+	before := heapAfterGC()
+	st := preloadStore(t, "top-pages")
+	held := int64(heapAfterGC()) - int64(before)
+	stats := st.Stats()
+	runtime.KeepAlive(st)
+	t.Logf("%d top-pages buckets hold %d heap bytes, %d per bucket (Stats.Bytes %d, %d seals compacted)",
+		buckets, held, held/buckets, stats.Bytes, stats.Compacted)
+	if stats.Compacted != buckets-1 {
+		t.Fatalf("%d seals compacted, want the %d sealed buckets", stats.Compacted, buckets-1)
+	}
+	if held > buckets*perBucket {
+		t.Fatalf("%d top-pages buckets hold %d heap bytes, %d per bucket: gate %d", buckets, held, held/buckets, perBucket)
+	}
+	req := QueryRequest{Metric: "top-pages", Key: "all", From: 40 * width, To: 104 * width}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := st.Query(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("64-bucket top-pages range query: %v allocations", allocs)
+	if allocs >= maxAllocs {
+		t.Fatalf("64-bucket top-pages range query costs %v allocations, gate < %d", allocs, maxAllocs)
+	}
+}
+
+// BenchmarkTopKRange times the 64-bucket `top-pages`/`all` range query
+// over SealedFootprintStore, the paper's trending query over the serving
+// benchmark's preload. It fails at 100 allocations a query or more.
+func BenchmarkTopKRange(b *testing.B) {
+	const width = 100
+	st := SealedFootprintStore(b)
+	req := QueryRequest{Metric: "top-pages", Key: "all", From: 40 * width, To: 104 * width}
+	query := func() {
+		if _, err := st.Query(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, query); allocs >= 100 {
+		b.Fatalf("64-bucket top-pages range query costs %v allocations, gate < 100", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
 	}
 }
 

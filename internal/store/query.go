@@ -514,7 +514,9 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 // gatherShard range-merges one shard's run of keys under a single
 // read-lock acquisition: still-open buckets merge under the lock, sealed
 // ones are collected and merged lock-free after it, and each key's
-// accumulator is finished into out at the key's position.
+// answer is put into out at the key's position. A top-k key merges all
+// its buckets at once after the lock (see mergeAll), so its open bucket
+// is copied out flat under the lock instead, as one more part.
 func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype, run []keyGather, fromB, toB int64, tctx trace.Context, out []Synopsis) error {
 	// A cancelled request stops before paying for the shard lock; one Err
 	// check per shard, never per key, keeps the hot single-shard,
@@ -544,12 +546,17 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	for i := range run {
 		c := &run[i]
 		c.lo = len(sealed)
+		_, topk := c.result.(*TopK)
 		if e, ok := sh.entries[c.k]; ok {
 			j, _ := e.find(fromB)
 			for ; j < len(e.slots) && e.slots[j].idx <= toB; j++ {
 				sl := &e.slots[j]
 				if sl.sealed {
 					sealed = append(sealed, sl.syn)
+				} else if topk {
+					// An open top-k bucket holds the Stream-Summary (its
+					// first write unpacked it), so compacted is its copy.
+					sealed = append(sealed, sl.syn.compacted())
 				} else if err := c.result.Merge(sl.syn); err != nil {
 					sh.mu.RUnlock()
 					return err
@@ -564,10 +571,11 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	// batch.
 	for i := range run {
 		c := &run[i]
-		if err := mergeAll(c.result, sealed[c.lo:c.hi]); err != nil {
+		ans, err := mergeAll(c.result, sealed[c.lo:c.hi])
+		if err != nil {
 			return err
 		}
-		out[c.pos] = finish(c.result)
+		out[c.pos] = ans
 	}
 	putScratch(scratch, sealed)
 	return nil

@@ -117,7 +117,8 @@ func (w *LogWriter) Append(obs []Observation, trc *trace.Tracer) {
 		w.appendGroup(w.topic.PartitionFor(obs[0].Key), []int{0}, obs, trc)
 		return
 	}
-	order, bounds := groupIndices(len(obs), len(w.parts), func(i int) int {
+	buf := groupBufs.Get()
+	order, bounds := groupIndices(buf, len(obs), len(w.parts), func(i int) int {
 		return w.topic.PartitionFor(obs[i].Key)
 	})
 	for pid := range w.parts {
@@ -125,6 +126,7 @@ func (w *LogWriter) Append(obs []Observation, trc *trace.Tracer) {
 			w.appendGroup(pid, group, obs, trc)
 		}
 	}
+	putGroupBuf(buf)
 }
 
 // appendGroup encodes one partition's group and appends it as one batch.

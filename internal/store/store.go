@@ -25,10 +25,11 @@
 // an entry's stream time advances to a new bucket, older buckets are
 // sealed; sealed synopses are immutable — a late write to a sealed bucket
 // clones the synopsis and swaps the pointer (copy-on-write), never
-// mutating in place. Sealing is where a q-digest takes the size of what
-// it holds: it is replaced by its packed copy (see sealSlot), and
-// the synopsis it vacates goes back to its shape's pool for the next
-// bucket or query accumulator. Range queries RLock the shard
+// mutating in place. Sealing is where a q-digest and a Space-Saving
+// summary take the size of what they hold: each is replaced by its
+// compact copy — packed nodes, flat counters (see sealSlot) — and a
+// vacated q-digest goes back to its shape's pool for the next bucket or
+// query accumulator. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
 // buckets under the read lock), then merge the sealed buckets lock-free
 // outside it: a long query over mostly-sealed history does its heavy
@@ -120,7 +121,7 @@ type Stats struct {
 	DroppedLate uint64 // observations older than the retention window
 	Queries     uint64 // range queries served
 	EvictedSize uint64 // entries evicted by the byte budget
-	Compacted   uint64 // bucket seals that took the compact form (q-digest; see sealSlot)
+	Compacted   uint64 // bucket seals that took the compact form (q-digest, top-k; see sealSlot)
 	Entries     int    // live (metric, key) entries
 	Bytes       int    // synopsis bytes across all shards
 }
@@ -202,15 +203,16 @@ func (e *entry) insert(i int, sl slot, ring int) {
 }
 
 // sealSlot makes an open bucket immutable and, where the synopsis offers
-// a compact form that pays (a q-digest's packed nodes), swaps that form
-// in: seal -> compact -> release the
-// vacated one. Every path that seals goes through here — time advancing,
+// a compact form that pays (a q-digest's packed nodes, a Space-Saving
+// summary's flat counters), swaps that form in: seal -> compact ->
+// release the vacated one. Every path that seals goes through here — time advancing,
 // sealHistory and checkpoint restore — so a sealed bucket costs what it
 // holds wherever it came from. HyperLogLog and Count-Min buckets already
 // do from their first write (they open sparse) and pass through. The
-// vacated synopsis was open until this call, so no reader holds it: it
-// goes back to its shape's pool, where the next bucket of the metric (or
-// a query's accumulator) picks it up. Callers hold the shard lock.
+// vacated synopsis was open until this call, so no reader holds it: a
+// q-digest goes back to its shape's pool, where the next bucket of the
+// metric (or a query's accumulator) picks it up. Callers hold the shard
+// lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
 	if sl.sealed {
 		return

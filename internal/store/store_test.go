@@ -410,10 +410,15 @@ func queryPoint(q interface {
 
 // TestGroupIndices pins the batch paths' grouping: every index lands in
 // its group's run exactly once, runs follow group order, input order
-// holds inside a run, and empty groups get empty runs.
+// holds inside a run, and empty groups get empty runs — in a reused
+// buffer that still holds an earlier grouping's numbers.
 func TestGroupIndices(t *testing.T) {
 	of := []int{3, 0, 3, 5, 0, 3, 5, 5, 0}
-	order, bounds := groupIndices(len(of), 7, func(i int) int { return of[i] })
+	buf := make([]int, 64)
+	for i := range buf {
+		buf[i] = 99
+	}
+	order, bounds := groupIndices(&buf, len(of), 7, func(i int) int { return of[i] })
 	want := map[int][]int{0: {1, 4, 8}, 3: {0, 2, 5}, 5: {3, 6, 7}}
 	if len(order) != len(of) || len(bounds) != 8 {
 		t.Fatalf("order %v, bounds %v", order, bounds)
@@ -429,7 +434,7 @@ func TestGroupIndices(t *testing.T) {
 			}
 		}
 	}
-	if order, bounds := groupIndices(0, 3, nil); len(order) != 0 || len(bounds) != 4 {
+	if order, bounds := groupIndices(&buf, 0, 3, nil); len(order) != 0 || len(bounds) != 4 || bounds[3] != 0 {
 		t.Fatalf("empty input: order %v, bounds %v", order, bounds)
 	}
 }

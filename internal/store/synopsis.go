@@ -9,7 +9,8 @@
 // outside this package satisfies it. Each metric registered with the
 // store picks its family by supplying a Prototype; range queries merge
 // bucket synopses into a prototype instance and answer with it — or,
-// when the merged result is sparse, with its compact copy (see finish).
+// when the merged result is sparse, with its compact copy (see finish) —
+// except top-k, whose parts merge once, all together (see mergeAll).
 package store
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/cardinality"
 	"repro/internal/core"
+	"repro/internal/freelist"
 	"repro/internal/frequency"
 	"repro/internal/quantile"
 )
@@ -55,16 +57,18 @@ type Synopsis interface {
 	// receiver is already held so, or too full for such a copy to pay.
 	// Distinct and Freq copy into their sparse forms; Quantiles copies
 	// its q-digest with the nodes packed, a few bytes each (see
-	// quantile.QDigest.Compact). Space-Saving is sized by its k counters
-	// and has no such copy. A store bucket of Distinct or Freq opens,
-	// clones and restores in the sparse form (see bucketProto) and turns
-	// dense only when too full for it, so it never has a compact copy to
-	// take at its seal: the seals that compact are the q-digest's.
+	// quantile.QDigest.Compact); TopK copies its Space-Saving counters
+	// into one exact-size flat slice (see frequency.SpaceSaving.Compact).
+	// A store bucket of Distinct or Freq opens, clones and restores in
+	// the sparse form (see bucketProto) and turns dense only when too
+	// full for it, so it never has a compact copy to take at its seal:
+	// the seals that compact are the q-digest's and the top-k's.
 	compacted() Synopsis
 	// release empties the receiver and returns it to its shape's
 	// accumulator pool, where the next Prototype call finds it; a
 	// synopsis no Prototype built (a bucket opened sparse, a compacted
-	// copy, any TopK) is left alone.
+	// copy) is left alone, and so is any TopK: the Space-Saving a top-k
+	// seal vacates goes to the collector.
 	release()
 	// bucketProto returns a Prototype of empty synopses of the receiver's
 	// shape that allocate no dense array and turn dense by themselves
@@ -92,8 +96,8 @@ func bucketProtoOf(proto Prototype) Prototype {
 // returns. A result its family can hold smaller (a HyperLogLog or
 // Count-Min that fits its sparse form, any q-digest accumulator) is
 // answered by the compacted copy, and the accumulator goes back to its
-// pool; anything else — a result too full to compact, or a top-k
-// summary — is its own answer.
+// pool; a result too full to compact is its own answer. (A top-k answer
+// never gets here: mergeAll builds it flat.)
 // The caller must own acc outright and not touch it afterwards.
 func finish(acc Synopsis) Synopsis {
 	small := acc.compacted()
@@ -104,19 +108,26 @@ func finish(acc Synopsis) Synopsis {
 	return small
 }
 
-// mergeAll folds parts into dst in argument order, skipping nil parts.
-// A range's sealed buckets (gatherShard) and CombineSnapshots' parts
-// both fold through it.
-func mergeAll(dst Synopsis, parts []Synopsis) error {
+// mergeAll returns the answer for what acc holds merged with parts,
+// skipping nil parts; acc is a fresh proto() instance the caller owns
+// outright and does not touch afterwards. A range's buckets (gatherShard)
+// and CombineSnapshots' parts both merge through it. A top-k acc and its
+// parts merge once, all together (frequency.Merger), so the flat answer
+// does not depend on the order of the parts. Every other family folds
+// the parts into acc in argument order and finishes it.
+func mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
+	if t, ok := acc.(*TopK); ok {
+		return t.mergeOnce(parts)
+	}
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
-		if err := dst.Merge(p); err != nil {
-			return err
+		if err := acc.Merge(p); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return finish(acc), nil
 }
 
 // accShape identifies the synopses one accumulator pool may hold:
@@ -151,19 +162,20 @@ type Prototype func() Synopsis
 // the scatter-gather combiner: each part is typically one node's (or one
 // key's) Query result, and the combined synopsis answers for their union.
 // Parts are merged in argument order into a new proto() instance, so the
-// combination is deterministic for a deterministic part order; nil parts
-// are skipped (an absent partial is an empty answer, matching Query's
+// combination is deterministic for a deterministic part order (top-k
+// parts merge once, in any order: see mergeAll); nil parts are skipped
+// (an absent partial is an empty answer, matching Query's
 // never-seen-this-series semantics). The inputs are not mutated. Like a
 // query answer, the result is held compact when it is sparse enough.
 func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 	if proto == nil {
 		return nil, core.Errf("CombineSnapshots", "proto", "must be non-nil")
 	}
-	out := proto()
-	if err := mergeAll(out, parts); err != nil {
+	out, err := mergeAll(proto(), parts)
+	if err != nil {
 		return nil, fmt.Errorf("store: combine snapshots: %w", err)
 	}
-	return finish(out), nil
+	return out, nil
 }
 
 // ---- Distinct counting (HyperLogLog) ----
@@ -315,19 +327,49 @@ func (f *Freq) Count(item string) uint64 { return f.cm.EstimateString(item) }
 
 // TopK is a bucket synopsis tracking heavy hitters with a Space-Saving
 // summary. Each observation is one occurrence; the value is ignored.
+// Sealed buckets and answers hold the summary flat (see
+// frequency.SpaceSaving); an open bucket holds the Stream-Summary, for
+// O(1) updates.
 type TopK struct {
 	ss *frequency.SpaceSaving
 }
 
 // NewTopKProto returns a Prototype of k-counter Space-Saving synopses.
+// Instances are empty flat summaries: a query's accumulator is then two
+// small structs, and a bucket unpacks at its first write.
 func NewTopKProto(k int) (Prototype, error) {
-	if _, err := frequency.NewSpaceSaving(k); err != nil {
+	empty, err := frequency.NewSpaceSaving(k)
+	if err != nil {
 		return nil, err
 	}
-	return func() Synopsis {
-		ss, _ := frequency.NewSpaceSaving(k)
-		return &TopK{ss: ss}
-	}, nil
+	return func() Synopsis { return &TopK{ss: empty.Compact()} }, nil
+}
+
+// topkMergers keeps the k-way merge scratch of top-k answers (an item
+// index and per-item sums, sized by the largest merge seen) on a free
+// list, so that the heap a process holds does not depend on when the
+// collector last ran.
+var topkMergers = freelist.List[frequency.Merger]{New: func() *frequency.Merger { return new(frequency.Merger) }, Max: 8}
+
+// mergeOnce returns the flat merge of t and parts, skipping nil parts.
+func (t *TopK) mergeOnce(parts []Synopsis) (Synopsis, error) {
+	m := topkMergers.Get()
+	defer topkMergers.Put(m)
+	defer m.Reset() // Result empties m; a refused part leaves that to here
+	m.Add(t.ss)
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		o, ok := p.(*TopK)
+		if !ok {
+			return nil, fmt.Errorf("store: cannot merge %T into *store.TopK: %w", p, core.ErrIncompatible)
+		}
+		if err := m.Add(o.ss); err != nil {
+			return nil, err
+		}
+	}
+	return &TopK{ss: m.Result()}, nil
 }
 
 // Observe implements Synopsis.
@@ -342,7 +384,12 @@ func (t *TopK) Merge(other Synopsis) error {
 	return t.ss.Merge(o.ss)
 }
 
-func (t *TopK) compacted() Synopsis { return nil }
+func (t *TopK) compacted() Synopsis {
+	if c := t.ss.Compact(); c != nil {
+		return &TopK{ss: c}
+	}
+	return nil
+}
 
 func (t *TopK) release() {}
 

@@ -16,9 +16,10 @@
 // time, and the cluster's scatter-gather and the Lambda batch/speed merge
 // split it again by partition and by log offset.
 //
-// The two exactly-invariant families also have a compact form that sealed
-// buckets are held in; TestCompactEqualsDense pins that compact(x) cannot
-// be told from x by any read, by its bytes, or as either side of a merge.
+// The two exactly-invariant families, and top-k, also have a compact form
+// that sealed buckets are held in; TestCompactEqualsDense pins that
+// compact(x) cannot be told from x by any read, by its bytes, or as either
+// side of a merge.
 package store
 
 import (
@@ -419,10 +420,13 @@ func TestCombineSnapshotsErrors(t *testing.T) {
 	}
 }
 
-// compact(x) equals x: for random streams over both sparse-born families,
-// the compact copy returns the dense synopsis' AppendBinary bytes, its
-// estimates and its item count, and merging gives the same bytes in every
-// dense/compact pairing of receiver and argument.
+// compact(x) equals x: for random streams over both sparse-born families
+// and top-k, the compact copy returns the dense (for top-k: Stream-Summary)
+// synopsis' AppendBinary bytes, its estimates and its item count, and
+// merging gives the same bytes in every dense/compact pairing
+// of receiver and argument. Every top-k synopsis compacts, full or not,
+// into less than its source's bytes; the sketches compact only when
+// sparse, into less than half.
 func TestCompactEqualsDense(t *testing.T) {
 	distinct, err := NewDistinctProto(10, 99)
 	if err != nil {
@@ -432,13 +436,19 @@ func TestCompactEqualsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	topk, err := NewTopKProto(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	families := []struct {
-		name  string
-		proto Prototype
-		probe func(Synopsis, int) float64 // estimate for probe item i
+		name   string
+		proto  Prototype
+		probe  func(Synopsis, int) float64 // estimate for probe item i
+		shrink int                         // a compact copy holds under 1/shrink of the source's bytes
 	}{
-		{"distinct", distinct, func(s Synopsis, _ int) float64 { return s.(*Distinct).Estimate() }},
-		{"freq", freq, func(s Synopsis, i int) float64 { return float64(s.(*Freq).Count(fmt.Sprintf("i%d", i))) }},
+		{"distinct", distinct, func(s Synopsis, _ int) float64 { return s.(*Distinct).Estimate() }, 2},
+		{"freq", freq, func(s Synopsis, i int) float64 { return float64(s.(*Freq).Count(fmt.Sprintf("i%d", i))) }, 2},
+		{"topk", topk, func(s Synopsis, i int) float64 { return float64(s.(*TopK).Count(fmt.Sprintf("i%d", i))) }, 1},
 	}
 	rng := workload.NewRNG(5)
 	for _, fam := range families {
@@ -473,7 +483,7 @@ func TestCompactEqualsDense(t *testing.T) {
 			if cx.Items() != x.Items() {
 				t.Fatalf("%s trial %d: items %d != %d", fam.name, trial, cx.Items(), x.Items())
 			}
-			if 2*cx.Bytes() >= x.Bytes() {
+			if fam.shrink*cx.Bytes() >= x.Bytes() {
 				t.Fatalf("%s trial %d: compact form is %d bytes of %d dense", fam.name, trial, cx.Bytes(), x.Bytes())
 			}
 			for i := 0; i < universe+3; i++ { // three items never observed
@@ -503,6 +513,12 @@ func TestCompactEqualsDense(t *testing.T) {
 			if !bytes.Equal(marshal(t, cy), marshal(t, y)) || !bytes.Equal(marshal(t, cx), marshal(t, x)) {
 				t.Fatalf("%s trial %d: merging mutated a compact argument", fam.name, trial)
 			}
+		}
+		if fam.name == "topk" {
+			if full != 0 {
+				t.Fatalf("topk: %d streams did not compact", full)
+			}
+			continue
 		}
 		if compacted == 0 || full == 0 {
 			t.Fatalf("%s: %d streams compacted, %d too full — both sides of the rule must be exercised", fam.name, compacted, full)

@@ -40,7 +40,7 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry, labels ...string) {
 		"Ring buckets sealed: by stream time advancing, a checkpoint write, or a checkpoint restore.",
 		func() uint64 { return s.sealCount() }, labels...)
 	reg.CounterFunc("analytics_store_compacted_total",
-		"Bucket seals that replaced a synopsis by its compact form (q-digest; HyperLogLog and Count-Min buckets are born sparse).",
+		"Bucket seals that replaced a synopsis by its compact form (q-digest packed nodes, top-k flat counters; HyperLogLog and Count-Min buckets are born sparse).",
 		func() uint64 { return s.Stats().Compacted }, labels...)
 	reg.GaugeFunc("analytics_store_entries",
 		"Live (metric, key) entries.",
