@@ -331,9 +331,9 @@ func TestBackendConformance(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := protos[metric]()
+					ref := protos[metric].New()
 					for b := int64(from); b < to; b += width {
-						bucket := protos[metric]()
+						bucket := protos[metric].New()
 						for _, o := range conformanceStream(conformanceSpan) {
 							if o.Metric == metric && o.Key == "k2" && o.Time >= b && o.Time < b+width {
 								bucket.Observe(o.Item, o.Value)

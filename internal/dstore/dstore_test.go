@@ -153,11 +153,11 @@ func assertMatchesOracle(t *testing.T, c *Cluster, o *store.Store, to int64, con
 
 func TestClusterValidation(t *testing.T) {
 	c := newTestCluster(t, Config{Partitions: 2})
-	if err := c.RegisterMetric("", nil); err == nil {
+	if err := c.RegisterMetric("", store.Prototype{}); err == nil {
 		t.Fatal("empty metric accepted")
 	}
-	if err := c.RegisterMetric("x", nil); err == nil {
-		t.Fatal("nil prototype accepted")
+	if err := c.RegisterMetric("x", store.Prototype{}); err == nil {
+		t.Fatal("zero prototype accepted")
 	}
 	if err := c.RegisterMetric("uniq", testProtos(t)["uniq"]); err == nil {
 		t.Fatal("duplicate metric accepted")

@@ -158,6 +158,11 @@ func NewSpaceSaving(k int) (*SpaceSaving, error) {
 	return &SpaceSaving{k: k, elem: make(map[string]*ssNode, k)}, nil
 }
 
+// NewFlatSpaceSaving returns an empty flat summary with k counters (see
+// SpaceSaving), which must be at least 1: one allocation, with no
+// counter map until its first write unpacks it.
+func NewFlatSpaceSaving(k int) *SpaceSaving { return &SpaceSaving{k: k, flat: true} }
+
 func (ss *SpaceSaving) detach(n *ssNode) {
 	b := n.bucket
 	if n.next == n {

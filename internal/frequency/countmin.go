@@ -270,16 +270,6 @@ func (cm *CountMin) Reset() {
 	cm.n = 0
 }
 
-// Width returns the sketch's column count.
-func (cm *CountMin) Width() int { return cm.width }
-
-// Depth returns the sketch's row count.
-func (cm *CountMin) Depth() int { return cm.depth }
-
-// Seed returns the construction seed; sketches merge only under equal
-// seeds.
-func (cm *CountMin) Seed() uint64 { return cm.fam.Base() }
-
 // Bytes returns the footprint of the form the sketch is in: the counter
 // matrix, or the sparse entries' allocation — its capacity, which updates
 // grow by append, not just the entries in use.

@@ -497,11 +497,11 @@ func (a *Architecture) BatchOnlyQuery(metric, key string, from, to int64) (store
 		}
 		return res.Raw(), nil
 	}
-	newSynopsis, err := a.metrics.Lookup(metric)
+	proto, err := a.metrics.Lookup(metric)
 	if err != nil {
 		return nil, err
 	}
-	return newSynopsis(), nil
+	return proto.New(), nil
 }
 
 // Keys returns the union of keys for the metric across the batch and

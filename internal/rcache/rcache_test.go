@@ -362,7 +362,7 @@ func TestRCacheBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sized := func(m string, items int) (store.QueryResult, int) {
-		syn := proto()
+		syn := proto.New()
 		for i := 0; i < items; i++ {
 			syn.Observe(fmt.Sprint(i), 1)
 		}

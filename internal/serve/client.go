@@ -3,18 +3,16 @@
 //
 // The client satisfies the full contract, so anything written against
 // analytics.Backend — a dashboard, a test, the conformance suite — can
-// point at a remote analyticsd without changing a call site. Two
-// impedance mismatches are explicit rather than papered over:
+// point at a remote analyticsd without changing a call site.
+// RegisterMetric sends the store.Prototype it is given, which is its own
+// wire spec. One impedance mismatch is explicit rather than papered
+// over: Keys and Stats are error-less in the contract; transport
+// failures there answer the contract's empty values (no keys, zero
+// stats).
 //
-//   - RegisterMetric(name, proto) cannot cross the wire: a
-//     store.Prototype is a closure. It returns an error directing
-//     callers to Register(name, ProtoSpec) — the declarative form both
-//     sides can materialize — or Sync, which pulls the server's schema.
-//   - Keys and Stats are error-less in the contract; transport failures
-//     there answer the contract's empty values (no keys, zero stats).
-//
-// Query decoding needs each metric's ProtoSpec to rebuild receiver
-// synopses, so the client keeps a spec table fed by Register and Sync.
+// Query decoding needs each metric's spec to rebuild receiver synopses,
+// so the client keeps a spec table fed by registration and by Sync,
+// which pulls the server's schema.
 // Deadlines propagate twice on purpose: the request context cancels the
 // client side mid-flight, and the remaining budget rides the
 // X-Analytics-Timeout header so the server aborts its backend gather at
@@ -156,30 +154,39 @@ func remoteError(status int, msg string, wait time.Duration) error {
 	}
 }
 
-// Register declares a metric on the server and records its spec for
-// answer decoding.
-func (c *Client) Register(name string, spec ProtoSpec) error {
-	if _, err := spec.Prototype(); err != nil {
+// Register is RegisterMetric under the serving API's name.
+func (c *Client) Register(name string, spec ProtoSpec) error { return c.RegisterMetric(name, spec) }
+
+// RegisterMetric implements analytics.Backend: it declares the metric on
+// the server and records its spec for answer decoding. A spec Validate
+// refuses is refused before any request is sent.
+func (c *Client) RegisterMetric(name string, proto store.Prototype) error {
+	if err := proto.Validate(); err != nil {
 		return err
 	}
 	err := c.do(context.Background(), http.MethodPost, "/v1/register",
-		RegisterRequest{Name: name, Spec: spec}, nil)
+		RegisterRequest{Name: name, Spec: proto}, nil)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.specs[name] = spec
+	c.specs[name] = proto
 	c.mu.Unlock()
 	return nil
 }
 
 // Sync pulls the server's metric schema into the client's spec table —
 // how a read-only client learns to decode answers for metrics it never
-// registered.
+// registered. A schema holding a spec Validate refuses records nothing.
 func (c *Client) Sync() error {
 	var out MetricsResponse
 	if err := c.do(context.Background(), http.MethodGet, "/v1/metrics", nil, &out); err != nil {
 		return err
+	}
+	for name, spec := range out.Metrics {
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("serve: sync: metric %q: %w", name, err)
+		}
 	}
 	c.mu.Lock()
 	for name, spec := range out.Metrics {
@@ -189,19 +196,12 @@ func (c *Client) Sync() error {
 	return nil
 }
 
-// spec looks up a metric's recorded ProtoSpec.
+// spec looks up a metric's recorded spec.
 func (c *Client) spec(metric string) (ProtoSpec, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	s, ok := c.specs[metric]
 	return s, ok
-}
-
-// RegisterMetric implements analytics.Backend. A store.Prototype is a
-// closure and cannot cross the wire, so this always fails: use
-// Register(name, ProtoSpec) instead.
-func (c *Client) RegisterMetric(name string, _ store.Prototype) error {
-	return fmt.Errorf("serve: cannot register %q through RegisterMetric: a store.Prototype does not serialize; use Client.Register with a ProtoSpec", name)
 }
 
 // ObserveBatch implements analytics.Backend: one batch of observations,

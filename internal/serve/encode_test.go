@@ -83,11 +83,7 @@ func encodeStore(tb testing.TB) *store.Store {
 		tb.Fatal(err)
 	}
 	for name, spec := range testSpecs() {
-		proto, err := spec.Prototype()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := st.RegisterMetric(name, proto); err != nil {
+		if err := st.RegisterMetric(name, spec); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -147,12 +143,8 @@ func encodeResults(tb testing.TB, st *store.Store) []store.QueryResult {
 func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	st := encodeStore(t)
 	results := encodeResults(t, st)
-	top, err := TopKSpec(4).Prototype()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range awkward {
-		syn := top()
+		syn := TopKSpec(4).New()
 		syn.Observe(s, 0)
 		syn.Observe(s+s, 0)
 		results = append(results,
@@ -206,17 +198,10 @@ func FuzzQueryResponse(f *testing.F) {
 	for i, s := range awkward {
 		f.Add(s, awkward[(i+1)%len(awkward)], awkward[(i+2)%len(awkward)], uint64(i), i%2 == 0, i%3 == 0)
 	}
-	top, err := TopKSpec(4).Prototype()
-	if err != nil {
-		f.Fatal(err)
-	}
-	uniq, err := DistinctSpec(4, 1).Prototype()
-	if err != nil {
-		f.Fatal(err)
-	}
+	top, uniq := TopKSpec(4), DistinctSpec(4, 1)
 	sc := newScratch()
 	f.Fuzz(func(t *testing.T, metric, key, item string, n uint64, aggregate, cached bool) {
-		tk, dc := top(), uniq()
+		tk, dc := top.New(), uniq.New()
 		for i := uint64(0); i <= n%4; i++ {
 			tk.Observe(item, 0)
 			dc.Observe(item+key, 0)
@@ -284,11 +269,7 @@ func rangeScanResults(tb testing.TB) map[string]store.QueryResult {
 		"page-hits":  FreqSpec(1024, 4, 42),
 		"latency-us": QuantileSpec(20, 512),
 	} {
-		proto, err := spec.Prototype()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := st.RegisterMetric(name, proto); err != nil {
+		if err := st.RegisterMetric(name, spec); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -1,91 +1,42 @@
-// proto.go: the declarative prototype description the wire can carry.
+// proto.go: the metric spec the wire carries.
 //
-// store.Prototype is a closure, which is exactly right in process and
-// exactly wrong on the wire. ProtoSpec is its serializable twin: the
-// family name plus the handful of parameters each built-in synopsis
-// family is constructed from. Server and Client both hold name→spec
-// tables — the server to advertise its metric schema on GET
+// A metric is defined by a store.Prototype: a comparable value naming
+// its synopsis family and geometry, which marshals to JSON as
+// {"family":"distinct","precision":12,"seed":42}. ProtoSpec is the same
+// type under the serving API's name. Server and Client both hold
+// name→spec tables — the server to advertise its metric schema on GET
 // /v1/metrics, the client to rebuild receiver synopses when decoding
 // answers. Because both sides construct from the same parameters
 // (including hash seeds), the client's decoded synopses are
-// merge-compatible and byte-identical to the server's.
+// merge-compatible and byte-identical to the server's. A spec that
+// arrives off the wire is checked by store.Prototype.Validate before
+// anything is built from it.
 package serve
 
-import (
-	"fmt"
-
-	"repro/internal/store"
-)
-
-// Families a ProtoSpec can name — the four built-in synopsis adapters.
-const (
-	FamilyDistinct = "distinct" // HyperLogLog uniques (store.Distinct)
-	FamilyFreq     = "freq"     // Count-Min frequencies (store.Freq)
-	FamilyTopK     = "topk"     // Space-Saving heavy hitters (store.TopK)
-	FamilyQuantile = "quantile" // q-digest quantiles (store.Quantiles)
-)
+import "repro/internal/store"
 
 // ProtoSpec declares a metric's synopsis family and construction
-// parameters. Only the fields of the named family matter; the rest are
-// ignored (and omitted from JSON). The zero spec is invalid.
-type ProtoSpec struct {
-	// Family picks the synopsis family: one of the Family* constants.
-	Family string `json:"family"`
-
-	// Precision is the HyperLogLog register exponent (distinct).
-	Precision uint8 `json:"precision,omitempty"`
-	// Seed seeds the hash functions (distinct, freq).
-	Seed uint64 `json:"seed,omitempty"`
-
-	// Width and Depth shape the Count-Min sketch (freq).
-	Width int `json:"width,omitempty"`
-	Depth int `json:"depth,omitempty"`
-
-	// K is the Space-Saving counter budget (topk).
-	K int `json:"k,omitempty"`
-
-	// LogU is the value-universe exponent and CompressK the compression
-	// factor of the q-digest (quantile).
-	LogU      uint8  `json:"log_u,omitempty"`
-	CompressK uint64 `json:"compress_k,omitempty"`
-}
-
-// Prototype materializes the spec into a store.Prototype, validating
-// the parameters the same way direct registration would (a bad spec
-// fails here, not on first write).
-func (s ProtoSpec) Prototype() (store.Prototype, error) {
-	switch s.Family {
-	case FamilyDistinct:
-		return store.NewDistinctProto(s.Precision, s.Seed)
-	case FamilyFreq:
-		return store.NewFreqProto(s.Width, s.Depth, s.Seed)
-	case FamilyTopK:
-		return store.NewTopKProto(s.K)
-	case FamilyQuantile:
-		return store.NewQuantileProto(s.LogU, s.CompressK)
-	default:
-		return nil, fmt.Errorf("serve: unknown synopsis family %q", s.Family)
-	}
-}
+// parameters.
+type ProtoSpec = store.Prototype
 
 // DistinctSpec declares a HyperLogLog uniques metric with 2^precision
 // registers.
 func DistinctSpec(precision uint8, seed uint64) ProtoSpec {
-	return ProtoSpec{Family: FamilyDistinct, Precision: precision, Seed: seed}
+	return ProtoSpec{Family: store.FamilyDistinct, Precision: precision, Seed: seed}
 }
 
 // FreqSpec declares a width x depth Count-Min frequency metric.
 func FreqSpec(width, depth int, seed uint64) ProtoSpec {
-	return ProtoSpec{Family: FamilyFreq, Width: width, Depth: depth, Seed: seed}
+	return ProtoSpec{Family: store.FamilyFreq, Width: width, Depth: depth, Seed: seed}
 }
 
 // TopKSpec declares a k-counter Space-Saving heavy-hitters metric.
 func TopKSpec(k int) ProtoSpec {
-	return ProtoSpec{Family: FamilyTopK, K: k}
+	return ProtoSpec{Family: store.FamilyTopK, K: k}
 }
 
 // QuantileSpec declares a q-digest quantiles metric over values in
 // [0, 2^logU) with compression factor k.
 func QuantileSpec(logU uint8, k uint64) ProtoSpec {
-	return ProtoSpec{Family: FamilyQuantile, LogU: logU, CompressK: k}
+	return ProtoSpec{Family: store.FamilyQuantile, LogU: logU, CompressK: k}
 }

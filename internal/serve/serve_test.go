@@ -108,11 +108,7 @@ func TestServeWireRoundTrip(t *testing.T) {
 	}
 	specs := testSpecs()
 	for name, spec := range specs {
-		proto, err := spec.Prototype()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.RegisterMetric(name, proto); err != nil {
+		if err := st.RegisterMetric(name, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +155,7 @@ func TestServeWireRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, w := range wire.Answers {
-				if w.Family != specs[metric].Family || rendered.Answers[i].Family != specs[metric].Family {
+				if want := specs[metric].Family.String(); w.Family != want || rendered.Answers[i].Family != want {
 					t.Fatalf("%s: wire family %q (EncodeResult), %q (renderQuery), want %q",
 						metric, w.Family, rendered.Answers[i].Family, specs[metric].Family)
 				}
@@ -494,11 +490,7 @@ func TestServeCancelledScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	proto, err := testSpecs()["uniq"].Prototype()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.RegisterMetric("uniq", proto); err != nil {
+	if err := cl.RegisterMetric("uniq", testSpecs()["uniq"]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -667,11 +659,8 @@ func TestServeRegisterValidation(t *testing.T) {
 	if err := h.client.Register("uniq", DistinctSpec(12, 7)); err == nil {
 		t.Fatal("duplicate register must fail")
 	}
-	if err := h.client.Register("bad", ProtoSpec{Family: "nope"}); err == nil {
+	if err := h.client.Register("bad", ProtoSpec{Family: 99}); err == nil {
 		t.Fatal("unknown family must fail")
-	}
-	if err := h.client.RegisterMetric("x", func() store.Synopsis { return nil }); err == nil {
-		t.Fatal("RegisterMetric over the wire must refuse (prototypes don't serialize)")
 	}
 	// A fresh read-only client learns the schema via Sync.
 	ro := NewClient(h.client.base, nil)
@@ -762,7 +751,7 @@ func TestServeRegisterDuplicateConflict(t *testing.T) {
 			if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 				t.Fatal(err)
 			}
-			if len(qr.Answers) != 1 || qr.Answers[0].Family != FamilyDistinct || qr.Answers[0].Distinct != 1 {
+			if len(qr.Answers) != 1 || qr.Answers[0].Family != store.FamilyDistinct.String() || qr.Answers[0].Distinct != 1 {
 				t.Fatalf("answers %+v, want one distinct cell counting 1 (the first registration's family)", qr.Answers)
 			}
 		})
@@ -803,11 +792,7 @@ func TestServeBackendRegisterNotShadowed(t *testing.T) {
 	if code, _ := query(); code != http.StatusNotFound {
 		t.Fatalf("ghost query answered %d, want 404", code)
 	}
-	proto, err := DistinctSpec(12, 7).Prototype()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.RegisterMetric("ghost", proto); err != nil {
+	if err := st.RegisterMetric("ghost", DistinctSpec(12, 7)); err != nil {
 		t.Fatal(err)
 	}
 	code, qr := query()

@@ -183,15 +183,14 @@ func NewServer(cfg Config) (*Server, error) {
 // and debug surfaces at their conventional paths.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Register binds a metric in process — the daemon's preload path. It
-// registers the materialized prototype with the backend and records the
-// spec for /v1/metrics.
+// Register binds a metric in process — the daemon's preload path, and
+// /v1/register's. A spec Validate refuses never reaches the backend;
+// one the backend accepts is recorded for /v1/metrics.
 func (s *Server) Register(name string, spec ProtoSpec) error {
-	proto, err := spec.Prototype()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if err := s.be.RegisterMetric(name, proto); err != nil {
+	if err := s.be.RegisterMetric(name, spec); err != nil {
 		return err
 	}
 	s.mu.Lock()

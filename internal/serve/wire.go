@@ -3,7 +3,7 @@
 //
 // The design rule: the synopsis itself crosses the wire as its binary
 // checkpoint encoding (AppendBinary, base64 inside JSON), so a client
-// that knows the metric's ProtoSpec decodes an answer into a synopsis
+// that knows the metric's spec decodes an answer into a synopsis
 // byte-identical to the server's — re-marshaling the decoded synopsis
 // reproduces the wire bytes exactly, which the round-trip property test
 // pins for all four families. Alongside the opaque bytes every answer
@@ -192,15 +192,15 @@ func EncodeResult(res store.QueryResult) (QueryResponse, error) {
 }
 
 // DecodeAnswer rebuilds one typed answer cell from its wire form, using
-// spec to construct the receiver synopsis. The decoded synopsis is
-// byte-identical to the one the server marshaled (same parameters, same
-// checkpoint codec), so re-encoding reproduces the wire bytes.
+// spec, once validated, to construct the receiver synopsis. The decoded
+// synopsis is byte-identical to the one the server marshaled (same
+// parameters, same checkpoint codec), so re-encoding reproduces the wire
+// bytes.
 func DecodeAnswer(w WireAnswer, spec ProtoSpec) (store.Answer, error) {
-	proto, err := spec.Prototype()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return store.Answer{}, err
 	}
-	syn := proto()
+	syn := spec.New()
 	if err := syn.UnmarshalBinary(w.Synopsis); err != nil {
 		return store.Answer{}, fmt.Errorf("serve: decode answer %s/%s: %w", w.Metric, w.Key, err)
 	}
@@ -211,7 +211,7 @@ func DecodeAnswer(w WireAnswer, spec ProtoSpec) (store.Answer, error) {
 }
 
 // DecodeResult rebuilds a typed result from the wire, looking up each
-// metric's ProtoSpec through specOf (typically the client's synced
+// metric's spec through specOf (typically the client's synced
 // table). Unknown metrics fail the decode — an answer without a spec
 // has no receiver to decode into.
 func DecodeResult(res QueryResponse, specOf func(metric string) (ProtoSpec, bool)) (store.QueryResult, error) {
@@ -219,7 +219,7 @@ func DecodeResult(res QueryResponse, specOf func(metric string) (ProtoSpec, bool
 	for _, w := range res.Answers {
 		spec, ok := specOf(w.Metric)
 		if !ok {
-			return store.QueryResult{}, fmt.Errorf("serve: no ProtoSpec for metric %q (Register or Sync first)", w.Metric)
+			return store.QueryResult{}, fmt.Errorf("serve: no spec for metric %q (Register or Sync first)", w.Metric)
 		}
 		a, err := DecodeAnswer(w, spec)
 		if err != nil {

@@ -42,7 +42,7 @@ func TestCachedAnswerFootprint(t *testing.T) {
 	// store's demo schema, as SealedFootprintStore registers it.
 	uniq, _ := store.NewDistinctProto(12, 42)
 	hits, _ := store.NewFreqProto(1024, 4, 42)
-	denseSize := map[string]int{"uniques": uniq().Bytes(), "page-hits": hits().Bytes()}
+	denseSize := map[string]int{"uniques": uniq.New().Bytes(), "page-hits": hits.New().Bytes()}
 	rng := workload.NewRNG(1)
 	zipf := workload.NewZipf(rng, 64, 1.1)
 	span := func(lo, hi int) (from, to int64) {

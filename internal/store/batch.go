@@ -35,11 +35,11 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	}
 	// Registration only adds, so this later snapshot holds every metric
 	// Check saw.
-	buckets := s.metrics.buckets()
+	protos := s.metrics.Table()
 	if len(obs) == 1 {
 		// One write has one group: skip the sort and its buffer, so a
 		// single observation allocates nothing.
-		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, buckets)
+		s.observeShardBatch(s.shardIndex(entryKey{metric: obs[0].Metric, key: obs[0].Key}), []int{0}, obs, protos)
 		return nil
 	}
 	buf := groupBufs.Get()
@@ -48,7 +48,7 @@ func (s *Store) ObserveBatch(obs []Observation) error {
 	})
 	for idx := range s.shards {
 		if group := order[bounds[idx]:bounds[idx+1]]; len(group) > 0 {
-			s.observeShardBatch(uint32(idx), group, obs, buckets)
+			s.observeShardBatch(uint32(idx), group, obs, protos)
 		}
 	}
 	putGroupBuf(buf)
@@ -108,8 +108,8 @@ func groupIndices(buf *[]int, n, groups int, group func(i int) int) (order, boun
 // of the shard lock, running every per-write effect in input order.
 // When a tracer is wired and the group holds a sampled observation, the
 // group gets one store.observe span on the first such observation's
-// trace. buckets maps each metric to the Prototype its buckets open with.
-func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, buckets map[string]Prototype) {
+// trace. protos is the metric table snapshot the batch was checked against.
+func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, protos map[string]Prototype) {
 	sh := s.shards[idx]
 	var sp *trace.Span
 	if s.trc != nil {
@@ -133,7 +133,7 @@ func (s *Store) observeShardBatch(idx uint32, group []int, obs []Observation, bu
 	for _, i := range group {
 		o := obs[i]
 		e := sh.getOrCreate(entryKey{metric: o.Metric, key: o.Key})
-		dropped, err := s.writeLocked(sh, e, o, buckets[o.Metric])
+		dropped, err := s.writeLocked(sh, e, o, protos[o.Metric])
 		if err != nil {
 			// Unreachable after up-front validation (only a copy-on-write
 			// clone of a mismatched family can fail, impossible within one

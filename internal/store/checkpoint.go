@@ -381,10 +381,10 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err != nil || len(rest) != 0 {
 		return core.ErrCorrupt
 	}
-	if _, err := s.metrics.Lookup(metric); err != nil {
+	proto, err := s.metrics.Lookup(metric)
+	if err != nil {
 		return err
 	}
-	open := s.metrics.buckets()[metric]
 
 	k := entryKey{metric: metric, key: key}
 	sh := s.shards[s.shardIndex(k)]
@@ -405,7 +405,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 	// Decode into a bucket opened like a live one: a HyperLogLog or
 	// Count-Min record that fits the sparse form lands in it, holding what
 	// the checkpointed bucket held.
-	syn := open()
+	syn := proto.bucket()
 	if err := syn.UnmarshalBinary(synBytes); err != nil {
 		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
 	}

@@ -461,7 +461,7 @@ func writeHandCheckpoint(t *testing.T, dir string, cfg Config, bkts ...int64) {
 	proto := ckptProtos(t)["uniq"]
 	var data []byte
 	for _, bkt := range bkts {
-		syn := proto()
+		syn := proto.New()
 		syn.Observe(fmt.Sprintf("u%d", bkt), 0)
 		data = appendCheckpointRecord(data, entryKey{metric: "uniq", key: "k"}, bkt, marshal(t, syn))
 	}

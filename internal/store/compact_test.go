@@ -53,7 +53,7 @@ func denseReference(protos map[string]Prototype, width int64, obs []Observation)
 	for _, o := range obs {
 		c := bucketCell{o.Metric, o.Key, o.Time / width}
 		if ref[c] == nil {
-			ref[c] = protos[o.Metric]()
+			ref[c] = protos[o.Metric].New()
 		}
 		ref[c].Observe(o.Item, o.Value)
 	}
@@ -381,13 +381,13 @@ func TestBucketsOpenSparse(t *testing.T) {
 	if f := res.Raw().(*Freq); f.pool != nil || !f.cm.IsSparse() {
 		t.Fatalf("a 2-key 4-bucket answer is not a compact copy: pooled %v, sparse %v", f.pool != nil, f.cm.IsSparse())
 	}
-	acc := hits().(*Freq)
+	acc := hits.New().(*Freq)
 	if acc.pool == nil || acc.cm.IsSparse() {
 		t.Fatal("the Prototype's instance is not a dense pooled accumulator")
 	}
 }
 
-// A compact answer hands its dense accumulator back to the shape's pool,
+// A compact answer hands its dense accumulator back to the Prototype's pool,
 // and the next query on any goroutine merges into it. The answer must
 // share nothing with it: answers kept while concurrent queries recycle
 // the accumulators — per-key and aggregate, compact and not — keep their

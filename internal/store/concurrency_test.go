@@ -263,3 +263,43 @@ func TestConcurrentRegistrationAndIngest(t *testing.T) {
 		t.Fatalf("metrics %d, want 5", got)
 	}
 }
+
+// Goroutines that meet Prototypes for the first time at once, each
+// asking for every one of them, get one accumulator pool per Prototype
+// value: equal values share a pool, whichever goroutine added it, and
+// distinct values never do. Run under -race.
+func TestAccPoolOnePerPrototypeUnderConcurrency(t *testing.T) {
+	const workers, protos = 8, 64
+	got := make([][]*sync.Pool, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range protos {
+				// Seeds no other test uses, so in a fresh process every
+				// pool starts absent; each worker walks the Prototypes
+				// from its own offset.
+				j := (i + w*protos/workers) % protos
+				got[w] = append(got[w], accPool(Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}))
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*sync.Pool]int)
+	for w := range got {
+		for i, pool := range got[w] {
+			j := (i + w*protos/workers) % protos
+			if first, ok := seen[pool]; ok && first != j {
+				t.Fatalf("Prototypes %d and %d share a pool", first, j)
+			}
+			seen[pool] = j
+			if pool != accPool(Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}) {
+				t.Fatalf("worker %d holds a pool for Prototype %d that lost the race", w, j)
+			}
+		}
+	}
+	if len(seen) != protos {
+		t.Fatalf("%d pools for %d Prototypes", len(seen), protos)
+	}
+}

@@ -233,7 +233,7 @@ func FuzzStoreObserve(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := direct()
+			want := direct.New()
 			for _, item := range ref.servedItems(key) {
 				want.Observe(fmt.Sprintf("i%d", item), 1)
 			}

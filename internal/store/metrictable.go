@@ -18,43 +18,29 @@ import (
 // the table itself accepts a new name at any time.
 type MetricTable struct {
 	mu sync.Mutex
-	m  atomic.Pointer[metricMaps]
-}
-
-// metricMaps is one snapshot of the table: each metric's Prototype, and
-// the Prototype its buckets open with (see bucketProtoOf).
-type metricMaps struct {
-	protos, buckets map[string]Prototype
+	m  atomic.Pointer[map[string]Prototype]
 }
 
 // Register binds a metric name to the Prototype that builds its bucket
-// synopses and query accumulators. Re-registering a name is an error
-// whose text says "already registered" (the serving edge answers it with
-// 409).
+// synopses and query accumulators, refusing one Validate refuses.
+// Re-registering a name is an error whose text says "already registered"
+// (the serving edge answers it with 409).
 func (t *MetricTable) Register(name string, proto Prototype) error {
 	if name == "" {
 		return core.Errf("Store", "metric", "name must be non-empty")
 	}
-	if proto == nil {
-		return core.Errf("Store", "proto", "prototype for %q is nil", name)
+	if err := proto.Validate(); err != nil {
+		return fmt.Errorf("store: metric %q: %w", name, err)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var cur metricMaps
-	if p := t.m.Load(); p != nil {
-		cur = *p
-	}
-	if _, exists := cur.protos[name]; exists {
+	cur := t.Table()
+	if _, exists := cur[name]; exists {
 		return fmt.Errorf("store: metric %q already registered", name)
 	}
-	next := metricMaps{
-		protos:  make(map[string]Prototype, len(cur.protos)+1),
-		buckets: make(map[string]Prototype, len(cur.buckets)+1),
-	}
-	maps.Copy(next.protos, cur.protos)
-	maps.Copy(next.buckets, cur.buckets)
-	next.protos[name] = proto
-	next.buckets[name] = bucketProtoOf(proto)
+	next := make(map[string]Prototype, len(cur)+1)
+	maps.Copy(next, cur)
+	next[name] = proto
 	t.m.Store(&next)
 	return nil
 }
@@ -64,7 +50,7 @@ func (t *MetricTable) Register(name string, proto Prototype) error {
 func (t *MetricTable) Lookup(metric string) (Prototype, error) {
 	p, ok := t.Table()[metric]
 	if !ok {
-		return nil, fmt.Errorf("store: %w %q", ErrUnknownMetric, metric)
+		return Prototype{}, fmt.Errorf("store: %w %q", ErrUnknownMetric, metric)
 	}
 	return p, nil
 }
@@ -73,16 +59,7 @@ func (t *MetricTable) Lookup(metric string) (Prototype, error) {
 // never mutated: a later Register swaps in a new map.
 func (t *MetricTable) Table() map[string]Prototype {
 	if p := t.m.Load(); p != nil {
-		return p.protos
-	}
-	return nil
-}
-
-// buckets returns a snapshot of the Prototypes the registered metrics'
-// buckets open with, shared and never mutated like Table's.
-func (t *MetricTable) buckets() map[string]Prototype {
-	if p := t.m.Load(); p != nil {
-		return p.buckets
+		return *p
 	}
 	return nil
 }
@@ -102,7 +79,7 @@ func (t *MetricTable) Check(obs []Observation) error {
 		if o.Key == "" {
 			return core.Errf("Store", "Key", "must be non-empty")
 		}
-		if protos[o.Metric] == nil {
+		if _, ok := protos[o.Metric]; !ok {
 			return fmt.Errorf("store: %w %q", ErrUnknownMetric, o.Metric)
 		}
 	}

@@ -144,9 +144,9 @@ const (
 	FamilyQuantile
 )
 
-// String implements fmt.Stringer. It is the family's wire name (the
-// ProtoSpec family string); the zero Family, which only the zero Answer
-// reports, has none.
+// String implements fmt.Stringer. It is the family's wire name (a
+// Prototype's "family" in JSON); the zero Family, which only the zero
+// Answer and the zero Prototype report, has none.
 func (f Family) String() string {
 	switch f {
 	case FamilyDistinct:
@@ -159,6 +159,21 @@ func (f Family) String() string {
 		return "quantile"
 	}
 	return ""
+}
+
+// MarshalText implements encoding.TextMarshaler: the wire name.
+func (f Family) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler, accepting the four
+// wire names and nothing else.
+func (f *Family) UnmarshalText(text []byte) error {
+	for g := FamilyDistinct; g <= FamilyQuantile; g++ {
+		if string(text) == g.String() {
+			*f = g
+			return nil
+		}
+	}
+	return fmt.Errorf("store: unknown synopsis family %q", text)
 }
 
 // Answer is one cell of a QueryResult: the merged synopsis for one
@@ -529,7 +544,7 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	sp := s.traceGather(tctx)
 	defer sp.Finish()
 	for i := range run {
-		run[i].result = proto()
+		run[i].result = proto.New()
 	}
 	scratch := sealedScratch.Get().(*[]Synopsis)
 	sealed := (*scratch)[:0]

@@ -70,7 +70,7 @@ func (m *retentionModel) observe(o Observation, width int64) {
 // answer recomputes the series' answer over buckets [fromB, toB] from the
 // retained observations, fed one by one into a fresh synopsis.
 func (m *retentionModel) answer(k entryKey, proto Prototype, fromB, toB int64) Synopsis {
-	syn := proto()
+	syn := proto.New()
 	horizon := m.newest[k] - m.ring
 	for _, o := range m.obs[k] {
 		if o.bkt > horizon && o.bkt >= fromB && o.bkt <= toB {

@@ -15,10 +15,10 @@
 // series costs the buckets it holds, not the retention window's worth of
 // empty places; each bucket is one mergeable synopsis
 // (HyperLogLog, Count-Min, Space-Saving, q-digest — see synopsis.go)
-// built by the metric's registered Prototype. A bucket costs what it
+// built from the metric's registered Prototype. A bucket costs what it
 // holds: HyperLogLog and Count-Min buckets are born in their sparse
-// form, from the Prototype's sparse-born sibling, and turn dense by
-// themselves only when too full for it.
+// form (Prototype.bucket) and turn dense by themselves only when too
+// full for it.
 //
 // Concurrency. A write batch (ObserveBatch, the one write path) locks
 // each shard it touches once, for that shard's sketch updates. When
@@ -28,8 +28,8 @@
 // mutating in place. Sealing is where a q-digest and a Space-Saving
 // summary take the size of what they hold: each is replaced by its
 // compact copy — packed nodes, flat counters (see sealSlot) — and a
-// vacated q-digest goes back to its shape's pool for the next bucket or
-// query accumulator. Range queries RLock the shard
+// vacated q-digest goes back to its Prototype's pool for the next bucket
+// or query accumulator. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
 // buckets under the read lock), then merge the sealed buckets lock-free
 // outside it: a long query over mostly-sealed history does its heavy
@@ -210,7 +210,7 @@ func (e *entry) insert(i int, sl slot, ring int) {
 // holds wherever it came from. HyperLogLog and Count-Min buckets already
 // do from their first write (they open sparse) and pass through. The
 // vacated synopsis was open until this call, so no reader holds it: a
-// q-digest goes back to its shape's pool, where the next bucket of the
+// q-digest goes back to its Prototype's pool, where the next bucket of the
 // metric (or a query's accumulator) picks it up. Callers hold the shard
 // lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
@@ -416,10 +416,10 @@ func (s *Store) shardIndex(k entryKey) uint32 {
 
 // writeLocked lands one observation in the entry's buckets: late-drop
 // check, bucket advance (sealing + window expiry), opening the bucket or
-// copy-on-write, the sketch update, and byte accounting. open is the
-// metric's bucket Prototype (MetricTable.buckets). Callers hold sh.mu and
-// handle counters and eviction.
-func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype) (dropped bool, err error) {
+// copy-on-write, the sketch update, and byte accounting. proto is the
+// metric's Prototype, whose bucket method opens the bucket. Callers hold
+// sh.mu and handle counters and eviction.
+func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototype) (dropped bool, err error) {
 	bkt := obs.Time / s.cfg.BucketWidth
 	newest := e.newest()
 	if newest >= 0 && bkt <= newest-int64(s.cfg.RingBuckets) {
@@ -433,7 +433,7 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype
 		// A new newest bucket, or a late one inside the window that was
 		// never written. The fresh synopsis starts unsealed even for a
 		// late bucket; the next time advance re-seals it.
-		e.insert(i, slot{idx: bkt, syn: open()}, s.cfg.RingBuckets)
+		e.insert(i, slot{idx: bkt, syn: proto.bucket()}, s.cfg.RingBuckets)
 	}
 	sl := &e.slots[i]
 	if sl.sealed {
@@ -442,7 +442,7 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, open Prototype
 		// swap it in. The clone opens like any bucket and takes the
 		// sealed one's contents; it stays unsealed until time next
 		// advances.
-		clone := open()
+		clone := proto.bucket()
 		if err := clone.Merge(sl.syn); err != nil {
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
 		}

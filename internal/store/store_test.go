@@ -51,8 +51,8 @@ func TestRegisterMetricValidation(t *testing.T) {
 	if err := st.RegisterMetric("", proto); err == nil {
 		t.Fatal("empty metric name accepted")
 	}
-	if err := st.RegisterMetric("m", nil); err == nil {
-		t.Fatal("nil prototype accepted")
+	if err := st.RegisterMetric("m", Prototype{}); err == nil {
+		t.Fatal("zero prototype accepted")
 	}
 	if err := st.RegisterMetric("m", proto); err != nil {
 		t.Fatal(err)

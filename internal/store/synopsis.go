@@ -7,8 +7,11 @@
 // hitters (TopK) and q-digest quantiles (Quantiles). Synopsis is their
 // common contract, and its unexported methods keep it closed: no type
 // outside this package satisfies it. Each metric registered with the
-// store picks its family by supplying a Prototype; range queries merge
-// bucket synopses into a prototype instance and answer with it — or,
+// store is defined by a Prototype: a comparable value naming the family
+// and its geometry, which is also the metric's wire spec. Three switches
+// over the family turn it into synopses (Prototype.New, Prototype.bucket)
+// and check it (Prototype.Validate). Range queries merge bucket
+// synopses into a New instance and answer with it — or,
 // when the merged result is sparse, with its compact copy (see finish) —
 // except top-k, whose parts merge once, all together (see mergeAll).
 package store
@@ -16,7 +19,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cardinality"
 	"repro/internal/core"
@@ -60,36 +65,16 @@ type Synopsis interface {
 	// quantile.QDigest.Compact); TopK copies its Space-Saving counters
 	// into one exact-size flat slice (see frequency.SpaceSaving.Compact).
 	// A store bucket of Distinct or Freq opens, clones and restores in
-	// the sparse form (see bucketProto) and turns dense only when too
-	// full for it, so it never has a compact copy to take at its seal:
-	// the seals that compact are the q-digest's and the top-k's.
+	// the sparse form (see Prototype.bucket) and turns dense only when
+	// too full for it, so it never has a compact copy to take at its
+	// seal: the seals that compact are the q-digest's and the top-k's.
 	compacted() Synopsis
-	// release empties the receiver and returns it to its shape's
-	// accumulator pool, where the next Prototype call finds it; a
-	// synopsis no Prototype built (a bucket opened sparse, a compacted
+	// release empties the receiver and returns it to its Prototype's
+	// accumulator pool, where the next Prototype.New finds it; a
+	// synopsis New did not build (a bucket opened sparse, a compacted
 	// copy) is left alone, and so is any TopK: the Space-Saving a top-k
 	// seal vacates goes to the collector.
 	release()
-	// bucketProto returns a Prototype of empty synopses of the receiver's
-	// shape that allocate no dense array and turn dense by themselves
-	// once what they hold stops fitting the sparse form, or nil for a
-	// family without a sparse form (TopK, Quantiles). The instances a
-	// Prototype itself returns stay dense and pooled: they are the merge
-	// accumulators of queries.
-	bucketProto() Prototype
-}
-
-// bucketProtoOf returns the Prototype a metric's buckets open with: the
-// family's sparse-born one where it has one, proto itself otherwise. It
-// builds one instance of proto to ask and hands it back to its pool.
-func bucketProtoOf(proto Prototype) Prototype {
-	syn := proto()
-	open := syn.bucketProto()
-	syn.release()
-	if open == nil {
-		return proto
-	}
-	return open
 }
 
 // finish turns a query's merge accumulator into the answer the query
@@ -109,7 +94,7 @@ func finish(acc Synopsis) Synopsis {
 }
 
 // mergeAll returns the answer for what acc holds merged with parts,
-// skipping nil parts; acc is a fresh proto() instance the caller owns
+// skipping nil parts; acc is a fresh Prototype.New instance the caller owns
 // outright and does not touch afterwards. A range's buckets (gatherShard)
 // and CombineSnapshots' parts both merge through it. A top-k acc and its
 // parts merge once, all together (frequency.Merger), so the flat answer
@@ -130,48 +115,162 @@ func mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 	return finish(acc), nil
 }
 
-// accShape identifies the synopses one accumulator pool may hold:
-// instances of equal shape are interchangeable once emptied.
-type accShape struct {
-	family  Family
-	a, b, c uint64 // precision and seed; width, depth and seed; logU and k
+// Prototype is a metric's synopsis family and the parameters its
+// synopses are built from: a plain comparable value, and the one
+// definition of a metric in process, in a checkpointed table and on the
+// wire alike. Only the fields of the named family matter: the
+// constructors leave the rest zero, and JSON omits them, so
+// {"family":"distinct","precision":12,"seed":42} is the whole of a
+// HyperLogLog metric. Equal Prototypes build interchangeable synopses
+// (including hash seeds, or merges fail) and share one accumulator pool.
+// The zero Prototype is invalid.
+type Prototype struct {
+	Family    Family `json:"family"`
+	Precision uint8  `json:"precision,omitempty"`  // HyperLogLog register exponent (distinct)
+	Seed      uint64 `json:"seed,omitempty"`       // hash seed (distinct, freq)
+	Width     int    `json:"width,omitempty"`      // Count-Min columns (freq)
+	Depth     int    `json:"depth,omitempty"`      // Count-Min rows (freq)
+	K         int    `json:"k,omitempty"`          // Space-Saving counters (topk)
+	LogU      uint8  `json:"log_u,omitempty"`      // q-digest universe exponent (quantile)
+	CompressK uint64 `json:"compress_k,omitempty"` // q-digest compression factor (quantile)
 }
 
-// accPools maps an accShape to its *sync.Pool. Pools are shared by every
-// Prototype of a shape — in practice one per registered metric — so an
-// accumulator released by one store's query serves the next query on any
-// store, and dense answers built by equal-shaped Prototypes stay equal
-// value for value.
-var accPools sync.Map
+// Caps on a Prototype's geometry. A spec can arrive in a 75-byte
+// /v1/register body, and what it costs grows with its geometry: a query
+// accumulator holds width x depth Count-Min counters, an open top-k
+// bucket sizes its counter map by k, and a q-digest buffers up to 6 x
+// compress_k values between folds. Every metric this repository defines
+// sits far below them (at most 2048 x 4 cells, k = 64, compress_k = 512).
+const (
+	maxCountMinCells = 1 << 20 // 8 MiB of dense counters
+	maxTopK          = 1 << 16
+	maxCompressK     = 1 << 16
+)
 
-func accPool(s accShape) *sync.Pool {
-	p, _ := accPools.LoadOrStore(s, new(sync.Pool))
-	return p.(*sync.Pool)
+// Validate reports whether p names a family, with a geometry that
+// family's sketch accepts and the caps allow. Every way a Prototype
+// enters the store passes through it: the New*Proto constructors,
+// MetricTable.Register and CombineSnapshots, and the serving edge for a
+// spec off the wire.
+func (p Prototype) Validate() error {
+	switch p.Family {
+	case FamilyDistinct:
+		if p.Precision < 4 || p.Precision > 18 {
+			return core.Errf("HyperLogLog", "precision", "%d not in [4,18]", p.Precision)
+		}
+	case FamilyFreq:
+		if p.Width < 1 || p.Depth < 1 || p.Width > maxCountMinCells/p.Depth {
+			return core.Errf("CountMin", "width x depth", "%d x %d not positive, or over %d cells", p.Width, p.Depth, maxCountMinCells)
+		}
+	case FamilyTopK:
+		if p.K < 1 || p.K > maxTopK {
+			return core.Errf("SpaceSaving", "k", "%d not in [1,%d]", p.K, maxTopK)
+		}
+	case FamilyQuantile:
+		if p.LogU == 0 || p.LogU > 32 {
+			return core.Errf("QDigest", "logU", "%d not in [1,32]", p.LogU)
+		}
+		if p.CompressK == 0 || p.CompressK > maxCompressK {
+			return core.Errf("QDigest", "k", "%d not in [1,%d]", p.CompressK, maxCompressK)
+		}
+	default:
+		return core.Errf("Prototype", "family", "%d is not a synopsis family", p.Family)
+	}
+	return nil
 }
 
-// Prototype constructs a fresh, empty Synopsis. The store calls it when a
-// new time bucket opens, when a sealed bucket needs a copy-on-write clone,
-// and to build the merge target of a range query, so a Prototype must
-// return independent instances with identical parameters (including hash
-// seeds, or merges will fail). For the families with a sparse form the
-// buckets come from the Prototype's sparse-born sibling instead (see
-// bucketProto).
-type Prototype func() Synopsis
+// checked returns p when it is valid, and the zero Prototype with
+// Validate's error otherwise.
+func checked(p Prototype) (Prototype, error) {
+	if err := p.Validate(); err != nil {
+		return Prototype{}, err
+	}
+	return p, nil
+}
+
+// New returns a fresh, empty synopsis of p, which must be valid: the
+// merge accumulator of a query, or the receiver of a decode. A
+// HyperLogLog, Count-Min or q-digest instance is dense and comes from
+// p's accumulator pool when it holds one; a top-k instance is an empty
+// flat summary (see frequency.SpaceSaving), one small allocation.
+func (p Prototype) New() Synopsis {
+	if p.Family == FamilyTopK {
+		return &TopK{ss: frequency.NewFlatSpaceSaving(p.K)}
+	}
+	pool := accPool(p)
+	if syn, ok := pool.Get().(Synopsis); ok {
+		return syn
+	}
+	switch p.Family {
+	case FamilyDistinct:
+		h, _ := cardinality.NewHyperLogLog(p.Precision, p.Seed)
+		return &Distinct{h: h, pool: pool}
+	case FamilyFreq:
+		cm, _ := frequency.NewCountMin(p.Width, p.Depth, p.Seed)
+		return &Freq{cm: cm, pool: pool}
+	case FamilyQuantile:
+		q, _ := quantile.NewQDigest(p.LogU, p.CompressK)
+		return &Quantiles{q: q, pool: pool}
+	}
+	panic(fmt.Sprintf("store: New of an invalid Prototype %+v", p))
+}
+
+// bucket returns the synopsis a store bucket of p opens, clones and
+// restores in. A HyperLogLog or Count-Min bucket is born sparse: it
+// allocates no dense array and turns dense by itself once what it holds
+// stops fitting the sparse form. The other families open with New.
+func (p Prototype) bucket() Synopsis {
+	switch p.Family {
+	case FamilyDistinct:
+		h, _ := cardinality.NewSparseHLL(p.Precision, p.Seed)
+		return &Distinct{h: h}
+	case FamilyFreq:
+		cm, _ := frequency.NewSparseCountMin(p.Width, p.Depth, p.Seed)
+		return &Freq{cm: cm}
+	}
+	return p.New()
+}
+
+// accPools maps a Prototype to its accumulator pool. The map is replaced,
+// never mutated, so New reads it without a lock or an allocation; a pool
+// is added once per distinct Prototype (in practice, per registered
+// metric). One pool per Prototype value means an accumulator released by
+// one store's query serves the next query on any store, and dense answers
+// built through equal Prototypes stay equal value for value.
+var accPools atomic.Pointer[map[Prototype]*sync.Pool]
+
+func accPool(p Prototype) *sync.Pool {
+	for {
+		cur := accPools.Load()
+		var pools map[Prototype]*sync.Pool
+		if cur != nil {
+			pools = *cur
+		}
+		if pool := pools[p]; pool != nil {
+			return pool
+		}
+		next := map[Prototype]*sync.Pool{p: new(sync.Pool)}
+		maps.Copy(next, pools)
+		if accPools.CompareAndSwap(cur, &next) {
+			return next[p]
+		}
+	}
+}
 
 // CombineSnapshots merges partial query answers into one fresh synopsis —
 // the scatter-gather combiner: each part is typically one node's (or one
 // key's) Query result, and the combined synopsis answers for their union.
-// Parts are merged in argument order into a new proto() instance, so the
+// Parts are merged in argument order into a new proto.New() instance, so the
 // combination is deterministic for a deterministic part order (top-k
 // parts merge once, in any order: see mergeAll); nil parts are skipped
 // (an absent partial is an empty answer, matching Query's
 // never-seen-this-series semantics). The inputs are not mutated. Like a
 // query answer, the result is held compact when it is sparse enough.
 func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
-	if proto == nil {
-		return nil, core.Errf("CombineSnapshots", "proto", "must be non-nil")
+	if err := proto.Validate(); err != nil {
+		return nil, err
 	}
-	out, err := mergeAll(proto(), parts)
+	out, err := mergeAll(proto.New(), parts)
 	if err != nil {
 		return nil, fmt.Errorf("store: combine snapshots: %w", err)
 	}
@@ -184,26 +283,14 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 // The observation value is ignored.
 type Distinct struct {
 	h    *cardinality.HyperLogLog
-	pool *sync.Pool // the shape's accumulator pool; nil on buckets and compacted copies
+	pool *sync.Pool // the Prototype's accumulator pool; nil on buckets and compacted copies
 }
 
-// NewDistinctProto returns a Prototype of HyperLogLog synopses with 2^p
-// registers. The constructor is validated once, eagerly, so a bad
-// precision fails at registration time rather than on first write.
-// Instances are dense and come from the shape's accumulator pool when it
-// holds one; store buckets open as sparse HyperLogLogs instead.
+// NewDistinctProto returns the Prototype of HyperLogLog synopses with 2^p
+// registers, validated, so a bad precision fails at registration time
+// rather than on first write.
 func NewDistinctProto(precision uint8, seed uint64) (Prototype, error) {
-	if _, err := cardinality.NewHyperLogLog(precision, seed); err != nil {
-		return nil, err
-	}
-	pool := accPool(accShape{family: FamilyDistinct, a: uint64(precision), b: seed})
-	return func() Synopsis {
-		if d, ok := pool.Get().(*Distinct); ok {
-			return d
-		}
-		h, _ := cardinality.NewHyperLogLog(precision, seed)
-		return &Distinct{h: h, pool: pool}
-	}, nil
+	return checked(Prototype{Family: FamilyDistinct, Precision: precision, Seed: seed})
 }
 
 // Observe implements Synopsis.
@@ -216,14 +303,6 @@ func (d *Distinct) Merge(other Synopsis) error {
 		return fmt.Errorf("store: cannot merge %T into *store.Distinct: %w", other, core.ErrIncompatible)
 	}
 	return d.h.Merge(o.h)
-}
-
-func (d *Distinct) bucketProto() Prototype {
-	precision, seed := d.h.Precision(), d.h.Seed()
-	return func() Synopsis {
-		h, _ := cardinality.NewSparseHLL(precision, seed)
-		return &Distinct{h: h}
-	}
 }
 
 func (d *Distinct) compacted() Synopsis {
@@ -255,24 +334,13 @@ func (d *Distinct) Estimate() float64 { return d.h.Estimate() }
 // sketch. The observation value is the occurrence weight (0 counts as 1).
 type Freq struct {
 	cm   *frequency.CountMin
-	pool *sync.Pool // the shape's accumulator pool; nil on buckets and compacted copies
+	pool *sync.Pool // the Prototype's accumulator pool; nil on buckets and compacted copies
 }
 
-// NewFreqProto returns a Prototype of width x depth Count-Min synopses.
-// Instances are dense and come from the shape's accumulator pool when it
-// holds one; store buckets open as sparse Count-Min sketches instead.
+// NewFreqProto returns the Prototype of width x depth Count-Min
+// synopses, validated.
 func NewFreqProto(width, depth int, seed uint64) (Prototype, error) {
-	if _, err := frequency.NewSparseCountMin(width, depth, seed); err != nil {
-		return nil, err
-	}
-	pool := accPool(accShape{family: FamilyFreq, a: uint64(width), b: uint64(depth), c: seed})
-	return func() Synopsis {
-		if f, ok := pool.Get().(*Freq); ok {
-			return f
-		}
-		cm, _ := frequency.NewCountMin(width, depth, seed)
-		return &Freq{cm: cm, pool: pool}
-	}, nil
+	return checked(Prototype{Family: FamilyFreq, Width: width, Depth: depth, Seed: seed})
 }
 
 // Observe implements Synopsis.
@@ -290,14 +358,6 @@ func (f *Freq) Merge(other Synopsis) error {
 		return fmt.Errorf("store: cannot merge %T into *store.Freq: %w", other, core.ErrIncompatible)
 	}
 	return f.cm.Merge(o.cm)
-}
-
-func (f *Freq) bucketProto() Prototype {
-	width, depth, seed := f.cm.Width(), f.cm.Depth(), f.cm.Seed()
-	return func() Synopsis {
-		cm, _ := frequency.NewSparseCountMin(width, depth, seed)
-		return &Freq{cm: cm}
-	}
 }
 
 func (f *Freq) compacted() Synopsis {
@@ -334,15 +394,12 @@ type TopK struct {
 	ss *frequency.SpaceSaving
 }
 
-// NewTopKProto returns a Prototype of k-counter Space-Saving synopses.
-// Instances are empty flat summaries: a query's accumulator is then two
-// small structs, and a bucket unpacks at its first write.
+// NewTopKProto returns the Prototype of k-counter Space-Saving
+// synopses, validated. Its instances are empty flat summaries: a query's
+// accumulator is then two small structs, and a bucket unpacks at its
+// first write.
 func NewTopKProto(k int) (Prototype, error) {
-	empty, err := frequency.NewSpaceSaving(k)
-	if err != nil {
-		return nil, err
-	}
-	return func() Synopsis { return &TopK{ss: empty.Compact()} }, nil
+	return checked(Prototype{Family: FamilyTopK, K: k})
 }
 
 // topkMergers keeps the k-way merge scratch of top-k answers (an item
@@ -393,8 +450,6 @@ func (t *TopK) compacted() Synopsis {
 
 func (t *TopK) release() {}
 
-func (t *TopK) bucketProto() Prototype { return nil }
-
 // Items implements Synopsis.
 func (t *TopK) Items() uint64 { return t.ss.Items() }
 
@@ -417,24 +472,13 @@ func (t *TopK) Count(item string) uint64 {
 // observation values with a mergeable q-digest. The item is ignored.
 type Quantiles struct {
 	q    *quantile.QDigest
-	pool *sync.Pool // the shape's accumulator pool; nil on compacted copies
+	pool *sync.Pool // the Prototype's accumulator pool; nil on compacted copies
 }
 
-// NewQuantileProto returns a Prototype of q-digest synopses over values in
-// [0, 2^logU) with compression factor k. Instances come from the shape's
-// accumulator pool when it holds one.
+// NewQuantileProto returns the Prototype of q-digest synopses over
+// values in [0, 2^logU) with compression factor k, validated.
 func NewQuantileProto(logU uint8, k uint64) (Prototype, error) {
-	if _, err := quantile.NewQDigest(logU, k); err != nil {
-		return nil, err
-	}
-	pool := accPool(accShape{family: FamilyQuantile, a: uint64(logU), b: k})
-	return func() Synopsis {
-		if qs, ok := pool.Get().(*Quantiles); ok {
-			return qs
-		}
-		q, _ := quantile.NewQDigest(logU, k)
-		return &Quantiles{q: q, pool: pool}
-	}, nil
+	return checked(Prototype{Family: FamilyQuantile, LogU: logU, CompressK: k})
 }
 
 // Observe implements Synopsis. Values beyond the digest's universe are
@@ -450,8 +494,6 @@ func (qs *Quantiles) Merge(other Synopsis) error {
 	}
 	return qs.q.Merge(o.q)
 }
-
-func (qs *Quantiles) bucketProto() Prototype { return nil }
 
 func (qs *Quantiles) compacted() Synopsis {
 	if c := qs.q.Compact(); c != nil {

@@ -53,7 +53,7 @@ func mustMerge(t *testing.T, dst, src Synopsis) {
 // copyOf clones a synopsis by merging it into a fresh prototype instance.
 func copyOf(t *testing.T, proto Prototype, s Synopsis) Synopsis {
 	t.Helper()
-	c := proto()
+	c := proto.New()
 	mustMerge(t, c, s)
 	return c
 }
@@ -71,9 +71,9 @@ func TestDistinctMergeLaws(t *testing.T) {
 		for i := range stream {
 			stream[i] = fmt.Sprintf("u%d", rng.Uint64()%uint64(universe))
 		}
-		whole := proto()
+		whole := proto.New()
 		parts := splitStream(rng, stream, 3)
-		abc := []Synopsis{proto(), proto(), proto()}
+		abc := []Synopsis{proto.New(), proto.New(), proto.New()}
 		for i, part := range parts {
 			for _, item := range part {
 				abc[i].Observe(item, 1)
@@ -130,14 +130,14 @@ func TestFreqMergeLaws(t *testing.T) {
 		for i := range stream {
 			stream[i] = wobs{item: fmt.Sprintf("i%d", z.Draw()), w: 1 + rng.Uint64()%5}
 		}
-		whole := proto()
+		whole := proto.New()
 		for _, o := range stream {
 			whole.Observe(o.item, o.w)
 		}
 		parts := splitStream(rng, stream, 3)
 		syns := make([]Synopsis, 3)
 		for i, part := range parts {
-			syns[i] = proto()
+			syns[i] = proto.New()
 			for _, o := range part {
 				syns[i].Observe(o.item, o.w)
 			}
@@ -194,7 +194,7 @@ func TestTopKMergeLaws(t *testing.T) {
 		parts := splitStream(rng, stream, 3)
 		syns := make([]Synopsis, 3)
 		for i, part := range parts {
-			syns[i] = proto()
+			syns[i] = proto.New()
 			for _, item := range part {
 				syns[i].Observe(item, 1)
 			}
@@ -266,7 +266,7 @@ func TestQuantilesMergeLaws(t *testing.T) {
 		parts := splitStream(rng, stream, 3)
 		syns := make([]Synopsis, 3)
 		for i, part := range parts {
-			syns[i] = proto()
+			syns[i] = proto.New()
 			for _, v := range part {
 				syns[i].Observe("", v)
 			}
@@ -333,7 +333,7 @@ func TestCrossFamilyMergeRejected(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if err := pa().Merge(pb()); err == nil {
+			if err := pa.New().Merge(pb.New()); err == nil {
 				t.Fatalf("adapter %d absorbed adapter %d", i, j)
 			}
 		}
@@ -354,14 +354,14 @@ func TestCombineSnapshotsMatchesManualMerge(t *testing.T) {
 	for i := range stream {
 		stream[i] = fmt.Sprintf("u%d", rng.Uint64()%3000)
 	}
-	whole := proto()
+	whole := proto.New()
 	for _, it := range stream {
 		whole.Observe(it, 0)
 	}
 	parts := splitStream(rng, stream, 4)
 	syns := make([]Synopsis, len(parts))
 	for i, p := range parts {
-		syns[i] = proto()
+		syns[i] = proto.New()
 		for _, it := range p {
 			syns[i].Observe(it, 0)
 		}
@@ -401,11 +401,11 @@ func TestCombineSnapshotsMatchesManualMerge(t *testing.T) {
 	}
 }
 
-// TestCombineSnapshotsErrors pins the failure surface: nil prototype and
-// cross-family parts must error, not panic or silently drop.
+// TestCombineSnapshotsErrors pins the failure surface: the zero prototype
+// and cross-family parts must error, not panic or silently drop.
 func TestCombineSnapshotsErrors(t *testing.T) {
-	if _, err := CombineSnapshots(nil); err == nil {
-		t.Fatal("nil prototype accepted")
+	if _, err := CombineSnapshots(Prototype{}); err == nil {
+		t.Fatal("zero prototype accepted")
 	}
 	hll, err := NewDistinctProto(12, 9)
 	if err != nil {
@@ -415,7 +415,7 @@ func TestCombineSnapshotsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CombineSnapshots(hll, hll(), cm()); err == nil {
+	if _, err := CombineSnapshots(hll, hll.New(), cm.New()); err == nil {
 		t.Fatal("cross-family combine accepted")
 	}
 }
@@ -455,7 +455,7 @@ func TestCompactEqualsDense(t *testing.T) {
 		// build returns a dense synopsis of a random stream; small universes
 		// compact, large ones are too full to.
 		build := func(universe int) Synopsis {
-			syn := fam.proto()
+			syn := fam.proto.New()
 			for i, n := 0, 1+int(rng.Uint64()%uint64(4*universe)); i < n; i++ {
 				syn.Observe(fmt.Sprintf("i%d", rng.Uint64()%uint64(universe)), 1+rng.Uint64()%5)
 			}

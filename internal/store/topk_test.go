@@ -129,7 +129,7 @@ func TestTopKRangeMergesOnceInAnyOrder(t *testing.T) {
 // foldParts merges parts pairwise, in order, into a fresh accumulator.
 func foldParts(t *testing.T, proto Prototype, parts []Synopsis) Synopsis {
 	t.Helper()
-	acc := proto()
+	acc := proto.New()
 	for _, p := range parts {
 		if err := acc.Merge(p); err != nil {
 			t.Fatal(err)
