@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -540,6 +541,19 @@ func TestHLLReset(t *testing.T) {
 	}
 }
 
+// compacted returns h's Compact copy, or nil when h offers none,
+// in which case Compact must have left its destination alone.
+func compacted(h *HyperLogLog) *HyperLogLog {
+	var c HyperLogLog
+	if !h.Compact(&c) {
+		if !reflect.DeepEqual(c, HyperLogLog{}) {
+			panic("Compact refused a copy yet wrote its destination")
+		}
+		return nil
+	}
+	return &c
+}
+
 // Compact is the dense-to-sparse direction the sketch store uses at
 // bucket seal: the copy must be indistinguishable from its source — same
 // bytes, same estimate, same behaviour on either side of a merge and
@@ -550,8 +564,8 @@ func TestHyperLogLogCompact(t *testing.T) {
 	for i := uint64(0); i < 40; i++ {
 		dense.UpdateUint64(i % 25)
 	}
-	sparse := dense.Compact()
-	if sparse == nil || !sparse.IsSparse() || sparse.Compact() != nil {
+	sparse := compacted(dense)
+	if sparse == nil || !sparse.IsSparse() || compacted(sparse) != nil {
 		t.Fatal("a 25-item p=10 sketch must compact exactly once")
 	}
 	if 2*sparse.Bytes() >= dense.Bytes() {
@@ -576,7 +590,7 @@ func TestHyperLogLogCompact(t *testing.T) {
 	if sparse.IsSparse() {
 		t.Fatal("300 more items should have converted the sketch to registers")
 	}
-	if dense.Compact() != nil {
+	if compacted(dense) != nil {
 		t.Fatal("a sketch past the crossover compacted")
 	}
 	// Decode reuses a matching register array and leaves the sparse form.

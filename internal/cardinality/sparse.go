@@ -37,30 +37,33 @@ func NewSparseHLL(precision uint8, seed uint64) (*SparseHLL, error) {
 	return &HyperLogLog{precision: precision, seed: seed}, nil
 }
 
-// Compact returns a sparse-form copy of a dense sketch whose occupancy is
-// low enough for it (see sparseFits), and nil otherwise — for a sketch
-// that is already sparse, too. The copy shares nothing with h, so a
-// holder of history can keep the copy and reuse h.
-func (h *HyperLogLog) Compact() *HyperLogLog {
+// Compact fills dst with a sparse-form copy of a dense sketch whose
+// occupancy is low enough for it (see sparseFits) and reports true; it
+// reports false and leaves dst alone otherwise — for a sketch that is
+// already sparse, too. The copy shares nothing with h, so a holder of
+// history can keep the copy and reuse h. dst may be a field of the
+// holder's own struct, so the copy costs one allocation: its entries.
+func (h *HyperLogLog) Compact(dst *HyperLogLog) bool {
 	if h.registers == nil {
-		return nil
+		return false
 	}
 	// Both passes take eight registers per step, free of per-register
 	// branches: at the occupancies that compact a register-by-register
 	// test mispredicts.
 	n := occupiedCount(h.registers)
 	if !h.sparseFits(n) {
-		return nil
+		return false
 	}
-	c := &HyperLogLog{precision: h.precision, seed: h.seed, items: h.items, sparse: make([]uint32, 0, n)}
+	sparse := make([]uint32, 0, n)
 	for base := 0; base < len(h.registers); base += 8 {
 		word := binary.LittleEndian.Uint64(h.registers[base:])
 		for occ := occupied(word); occ != 0; occ &= occ - 1 {
 			i := bits.TrailingZeros64(occ) / 8
-			c.sparse = append(c.sparse, uint32(base+i)<<8|uint32(uint8(word>>(8*i))))
+			sparse = append(sparse, uint32(base+i)<<8|uint32(uint8(word>>(8*i))))
 		}
 	}
-	return c
+	*dst = HyperLogLog{precision: h.precision, seed: h.seed, items: h.items, sparse: sparse}
+	return true
 }
 
 // occupiedCount returns how many of the registers are non-zero; their

@@ -31,7 +31,7 @@ import (
 // A sketch that has absorbed little holds mostly zeros, so it has a
 // second representation holding only the non-zero cells, sorted: a sketch
 // from NewSparseCountMin starts in it and turns dense by itself once the
-// entries stop fitting (see sparseFits), and Compact returns such a copy
+// entries stop fitting (see sparseFits), and Compact makes such a copy
 // of a dense sketch. Every method answers identically in either form.
 type CountMin struct {
 	width        int
@@ -89,13 +89,15 @@ func (cm *CountMin) newRows() [][]uint64 {
 	return counts
 }
 
-// Compact returns a sparse-form copy of a dense sketch when that copy
-// takes less than half the counter matrix, and nil otherwise — for a
-// sketch that is already sparse, too. The copy shares nothing with cm, so
-// a holder of history can keep the copy and reuse cm.
-func (cm *CountMin) Compact() *CountMin {
+// Compact fills dst with a sparse-form copy of a dense sketch when that
+// copy takes less than half the counter matrix, and reports true; it
+// reports false and leaves dst alone otherwise — for a sketch that is
+// already sparse, too. The copy shares nothing with cm, so a holder of
+// history can keep the copy and reuse cm. dst may be a field of the
+// holder's own struct, so the copy costs one allocation: its entries.
+func (cm *CountMin) Compact(dst *CountMin) bool {
 	if cm.counts == nil {
-		return nil
+		return false
 	}
 	// Count first, row by row, so a busy sketch is turned away without
 	// allocating.
@@ -105,19 +107,19 @@ func (cm *CountMin) Compact() *CountMin {
 			n += int((c | -c) >> 63) // 1 when c != 0, branch-free
 		}
 		if !cm.sparseFits(n) {
-			return nil
+			return false
 		}
 	}
-	out := &CountMin{width: cm.width, depth: cm.depth, fam: cm.fam, n: cm.n, conservative: cm.conservative}
-	out.sparse = make([]cmCell, 0, n)
+	sparse := make([]cmCell, 0, n)
 	for d, row := range cm.counts {
 		for w, c := range row {
 			if c != 0 {
-				out.sparse = append(out.sparse, cmCell{cell: uint64(d*cm.width + w), count: c})
+				sparse = append(sparse, cmCell{cell: uint64(d*cm.width + w), count: c})
 			}
 		}
 	}
-	return out
+	*dst = CountMin{width: cm.width, depth: cm.depth, fam: cm.fam, n: cm.n, conservative: cm.conservative, sparse: sparse}
+	return true
 }
 
 // rows returns the counter matrix: the sketch's own in the dense form, a
@@ -269,6 +271,16 @@ func (cm *CountMin) Reset() {
 	cm.sparse = cm.sparse[:0]
 	cm.n = 0
 }
+
+// Width returns the sketch's column count.
+func (cm *CountMin) Width() int { return cm.width }
+
+// Depth returns the sketch's row count.
+func (cm *CountMin) Depth() int { return cm.depth }
+
+// Seed returns the construction seed; sketches merge only under equal
+// seeds.
+func (cm *CountMin) Seed() uint64 { return cm.fam.Base() }
 
 // Bytes returns the footprint of the form the sketch is in: the counter
 // matrix, or the sparse entries' allocation — its capacity, which updates

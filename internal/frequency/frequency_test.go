@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -808,6 +809,19 @@ func TestCountMinUnmarshalRejectsWrappingGeometry(t *testing.T) {
 	}
 }
 
+// compacted returns cm's Compact copy, or nil when cm offers none,
+// in which case Compact must have left its destination alone.
+func compacted(cm *CountMin) *CountMin {
+	var c CountMin
+	if !cm.Compact(&c) {
+		if !reflect.DeepEqual(c, CountMin{}) {
+			panic("Compact refused a copy yet wrote its destination")
+		}
+		return nil
+	}
+	return &c
+}
+
 // The sparse form is a representation, not a different sketch: what the
 // store's property tests pin through its adapters (bytes, estimates,
 // merges) holds here for the operations only this package reaches —
@@ -817,8 +831,8 @@ func TestCountMinSparseForm(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		dense.UpdateString(fmt.Sprintf("k%d", i), uint64(1+i))
 	}
-	sparse := dense.Compact()
-	if sparse == nil || sparse.Compact() != nil {
+	sparse := compacted(dense)
+	if sparse == nil || compacted(sparse) != nil {
 		t.Fatal("a 6-item 64x4 sketch must compact exactly once")
 	}
 	if 2*sparse.Bytes() >= dense.Bytes() {
@@ -836,7 +850,7 @@ func TestCountMinSparseForm(t *testing.T) {
 	}{
 		{"sparse.dense", sparse, other, cross},
 		{"dense.sparse", other, sparse, cross},
-		{"sparse.sparse", sparse, dense.Compact(), self},
+		{"sparse.sparse", sparse, compacted(dense), self},
 	} {
 		if got, err := c.a.InnerProduct(c.b); err != nil || got != c.want {
 			t.Fatalf("%s inner product %d (%v), want %d", c.name, got, err, c.want)
@@ -851,14 +865,14 @@ func TestCountMinSparseForm(t *testing.T) {
 		t.Fatal("update of a sparse sketch diverged from the dense one")
 	}
 	// Decode into a sparse receiver, and Reset of one.
-	recv := dense.Compact()
+	recv := compacted(dense)
 	if err := recv.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := recv.MarshalBinary(); !bytes.Equal(got, b) {
 		t.Fatal("decode into a sparse receiver lost counters")
 	}
-	empty := dense.Compact()
+	empty := compacted(dense)
 	held := empty.Bytes()
 	empty.Reset()
 	if empty.Items() != 0 || empty.EstimateString("k0") != 0 {
@@ -873,7 +887,7 @@ func TestCountMinSparseForm(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		full.UpdateString(fmt.Sprintf("k%d", i), 1)
 	}
-	if full.Compact() != nil {
+	if compacted(full) != nil {
 		t.Fatal("a saturated sketch compacted")
 	}
 }

@@ -461,23 +461,35 @@ func (q *QDigest) Merge(other *QDigest) error {
 	return nil
 }
 
-// Compact returns an immutable copy of q with the tail folded in and the
-// nodes packed (see packNodes) in one allocation of exactly their size,
-// or nil when q is itself such a copy. The copy shares nothing with q and
-// reads exactly as q does; a writer called on it unpacks it first.
-func (q *QDigest) Compact() *QDigest {
+// Compact fills dst with an immutable copy of q with the tail folded in
+// and the nodes packed (see packNodes) in one allocation of exactly their
+// size, and reports true; it reports false and leaves dst alone when q is
+// itself such a copy. The copy shares nothing with q and reads exactly as
+// q does; a writer called on it unpacks it first. dst may be a field of
+// the holder's own struct, so the copy costs that one allocation.
+func (q *QDigest) Compact(dst *QDigest) bool {
 	if q.packed {
-		return nil
+		return false
 	}
 	s := getScratch()
 	nodes := q.view(s)
-	c := &QDigest{logU: q.logU, packed: true, k: q.k, n: q.n}
+	var enc []byte
 	if len(nodes) > 0 {
-		c.enc = packNodes(make([]byte, 0, packedSize(nodes)), nodes)
+		enc = packNodes(make([]byte, 0, packedSize(nodes)), nodes)
 	}
 	scratchList.Put(s)
-	return c
+	*dst = QDigest{logU: q.logU, packed: true, k: q.k, n: q.n, enc: enc}
+	return true
 }
+
+// IsPacked reports whether q is a copy taken by Compact.
+func (q *QDigest) IsPacked() bool { return q.packed }
+
+// LogU returns the exponent of the digest's universe [0, 2^logU).
+func (q *QDigest) LogU() uint8 { return q.logU }
+
+// K returns the compression factor.
+func (q *QDigest) K() uint64 { return q.k }
 
 // Count returns the total inserted weight.
 func (q *QDigest) Count() uint64 { return q.n }

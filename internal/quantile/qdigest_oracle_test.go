@@ -3,6 +3,7 @@ package quantile
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -136,7 +137,7 @@ func TestQDigestTailEdges(t *testing.T) {
 			t.Fatalf("%s: the maximum is %d, not %d", what, got, top)
 		}
 		sameAppend(t, what, q, ref)
-		sameAppend(t, what+" sealed", q.Compact(), ref)
+		sameAppend(t, what+" sealed", compacted(q), ref)
 	}
 
 	rng := workload.NewRNG(47)
@@ -155,7 +156,7 @@ func TestQDigestTailEdges(t *testing.T) {
 					sameAppend(t, fmt.Sprintf("logU %d k %d after %d updates", logU, k, i), q, ref)
 				}
 			}
-			sameAppend(t, fmt.Sprintf("logU %d k %d sealed", logU, k), q.Compact(), ref)
+			sameAppend(t, fmt.Sprintf("logU %d k %d sealed", logU, k), compacted(q), ref)
 		}
 	}
 }
@@ -189,7 +190,7 @@ func TestQDigestMergeMatchesMapOracle(t *testing.T) {
 					src := part
 					switch rng.Intn(3) {
 					case 1:
-						if c := part.Compact(); c != nil {
+						if c := compacted(part); c != nil {
 							src = c
 						}
 					case 2:
@@ -212,7 +213,7 @@ func TestQDigestMergeMatchesMapOracle(t *testing.T) {
 					}
 					sameDigest(t, what, acc, ref)
 					if step%7 == 3 {
-						if c := acc.Compact(); c != nil {
+						if c := compacted(acc); c != nil {
 							acc = c
 						}
 					}
@@ -223,6 +224,19 @@ func TestQDigestMergeMatchesMapOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compacted returns q's Compact copy, or nil when q offers none,
+// in which case Compact must have left its destination alone.
+func compacted(q *QDigest) *QDigest {
+	var c QDigest
+	if !q.Compact(&c) {
+		if !reflect.DeepEqual(c, QDigest{}) {
+			panic("Compact refused a copy yet wrote its destination")
+		}
+		return nil
+	}
+	return &c
 }
 
 // A packed copy is what it copies, held in one exact-size byte slice, and
@@ -236,14 +250,14 @@ func TestQDigestCompactIsExact(t *testing.T) {
 		if i%300 != 0 {
 			continue
 		}
-		c := q.Compact()
+		c := compacted(q)
 		if c == nil {
 			t.Fatalf("after %d updates: no copy of a digest holding a tail", i)
 		}
 		if !c.packed || len(c.tail) != 0 || cap(c.nodes) != 0 || cap(c.enc) != len(c.enc) {
 			t.Fatalf("after %d updates: copy packed %v, holds %d pending, %d nodes, %d/%d bytes", i, c.packed, len(c.tail), cap(c.nodes), len(c.enc), cap(c.enc))
 		}
-		if c.Compact() != nil {
+		if compacted(c) != nil {
 			t.Fatalf("after %d updates: a packed copy copied again", i)
 		}
 		sameDigest(t, fmt.Sprintf("copy after %d updates", i), c, ref)
@@ -336,7 +350,7 @@ func TestQDigestPackedMatchesSource(t *testing.T) {
 			ref.Update(1<<logU-1, 1)
 			for step := 0; step < 6; step++ {
 				what := fmt.Sprintf("logU %d k %d step %d", logU, k, step)
-				c := q.Compact()
+				c := compacted(q)
 				samePacked(t, what, c, q)
 				if nodes := unpackNodes(nil, c.enc); len(nodes) > 0 {
 					maxID = max(maxID, nodes[len(nodes)-1].id)
@@ -364,7 +378,7 @@ func TestQDigestPackedMatchesSource(t *testing.T) {
 				}
 				equalBytes(t, what+": merged as the source", fromPacked, fromDense)
 
-				recv, recvDense := q.Compact(), cloneDigest(t, dense)
+				recv, recvDense := compacted(q), cloneDigest(t, dense)
 				if err := recv.Merge(other); err != nil {
 					t.Fatal(err)
 				}
@@ -373,7 +387,7 @@ func TestQDigestPackedMatchesSource(t *testing.T) {
 				}
 				equalBytes(t, what+": merged into", recv, recvDense)
 
-				upd, updDense := q.Compact(), cloneDigest(t, dense)
+				upd, updDense := compacted(q), cloneDigest(t, dense)
 				for i := 0; i < 40; i++ {
 					v, w := oracleValue(rng, logU), oracleWeight(rng)
 					upd.Update(v, w)
@@ -381,12 +395,12 @@ func TestQDigestPackedMatchesSource(t *testing.T) {
 				}
 				equalBytes(t, what+": updated", upd, updDense)
 
-				comp, compDense := q.Compact(), cloneDigest(t, dense)
+				comp, compDense := compacted(q), cloneDigest(t, dense)
 				comp.Compress()
 				compDense.Compress()
 				equalBytes(t, what+": compressed", comp, compDense)
 
-				dec := q.Compact()
+				dec := compacted(q)
 				ob, _ := other.MarshalBinary()
 				if err := dec.UnmarshalBinary(ob); err != nil {
 					t.Fatal(err)
@@ -411,9 +425,9 @@ func TestQDigestPackedMatchesSource(t *testing.T) {
 // An empty digest packs to a copy that holds nothing and still answers.
 func TestQDigestPackedEmpty(t *testing.T) {
 	q, _ := NewQDigest(20, 64)
-	c := q.Compact()
+	c := compacted(q)
 	samePacked(t, "empty", c, q)
-	if c.enc != nil || c.Compact() != nil {
+	if c.enc != nil || compacted(c) != nil {
 		t.Fatalf("an empty copy holds %d bytes or copies again", len(c.enc))
 	}
 	c.Update(7, 1)

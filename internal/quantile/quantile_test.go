@@ -343,7 +343,7 @@ func BenchmarkQDigestSeal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if q.Compact() == nil {
+		if compacted(q) == nil {
 			b.Fatal("no copy")
 		}
 	}

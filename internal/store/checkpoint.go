@@ -138,7 +138,7 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 						sh.mu.RUnlock()
 						return fmt.Errorf("store: WriteCheckpoint: metric %q: %w", k.metric, err)
 					}
-					buf = appendCheckpointRecord(buf[:0], k, sl.idx, sb)
+					buf = appendCheckpointRecord(buf[:0], k, sl.idx(), sb)
 					if _, err := tmp.Write(buf); err != nil {
 						sh.mu.RUnlock()
 						return err
@@ -398,7 +398,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 		return fmt.Errorf("store: checkpoint names bucket %d of %q/%q twice: %w", bkt, metric, key, core.ErrCorrupt)
 	}
 	if n := len(e.slots); n > 0 {
-		if lo, hi := min(e.slots[0].idx, bkt), max(e.slots[n-1].idx, bkt); hi-lo >= int64(s.cfg.RingBuckets) {
+		if lo, hi := min(e.slots[0].idx(), bkt), max(e.slots[n-1].idx(), bkt); hi-lo >= int64(s.cfg.RingBuckets) {
 			return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q lie a retention window or more apart: %w", lo, hi, metric, key, core.ErrCorrupt)
 		}
 	}
@@ -409,13 +409,13 @@ func (s *Store) restoreRecord(payload []byte) error {
 	if err := syn.UnmarshalBinary(synBytes); err != nil {
 		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
 	}
-	e.insert(i, slot{idx: bkt, syn: syn, bytes: syn.Bytes()}, s.cfg.RingBuckets)
-	sl := &e.slots[i]
-	e.bytes += sl.bytes
-	sh.bytes += sl.bytes
+	e.insert(i, newSlot(bkt, syn), s.cfg.RingBuckets)
+	nb := syn.Bytes()
+	e.bytes += nb
+	sh.bytes += nb
 	// Restored buckets are history: seal each as it lands (see
 	// sealHistory for why a restored store must be all-sealed).
-	e.sealSlot(sl, sh)
+	e.sealSlot(&e.slots[i], sh)
 	return nil
 }
 

@@ -303,3 +303,44 @@ func TestAccPoolOnePerPrototypeUnderConcurrency(t *testing.T) {
 		t.Fatalf("%d pools for %d Prototypes", len(seen), protos)
 	}
 }
+
+// release names the pool from the sketch's own geometry, and New draws
+// from the pool of its Prototype's family fields: the two meet, also for
+// a spec carrying fields of other families (the wire ignores them), and
+// release leaves alone every form New does not build.
+func TestReleaseReturnsToNewsPool(t *testing.T) {
+	stray := []Prototype{
+		{Family: FamilyDistinct, Precision: 10, Seed: 1<<41 + 1, Width: 7, K: 3},
+		{Family: FamilyFreq, Width: 96, Depth: 3, Seed: 1<<41 + 2, Precision: 12, LogU: 8},
+		{Family: FamilyQuantile, LogU: 16, CompressK: 1<<10 + 1, Seed: 9, Depth: 2},
+	}
+	for _, p := range stray {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// sync.Pool may drop a Put (always across a collection, a
+		// quarter of them under the race detector), so a miss is retried.
+		met := false
+		for try := 0; try < 20 && !met; try++ {
+			acc := p.New()
+			acc.release()
+			met = p.New() == acc
+		}
+		if !met {
+			t.Fatalf("%v: a released accumulator never came back from New", p.Family)
+		}
+		// A compacted copy, or a bucket born sparse, is not New's form.
+		acc := p.New()
+		acc.Observe("x", 7)
+		others := []Synopsis{acc.compacted()}
+		if p.Family != FamilyQuantile { // a q-digest bucket opens with New
+			others = append(others, p.bucket())
+		}
+		for _, other := range others {
+			other.release()
+			if got := p.New(); got == other {
+				t.Fatalf("%v: New handed out a %T it does not build", p.Family, other)
+			}
+		}
+	}
+}

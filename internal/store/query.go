@@ -564,9 +564,9 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 		_, topk := c.result.(*TopK)
 		if e, ok := sh.entries[c.k]; ok {
 			j, _ := e.find(fromB)
-			for ; j < len(e.slots) && e.slots[j].idx <= toB; j++ {
+			for ; j < len(e.slots) && e.slots[j].idx() <= toB; j++ {
 				sl := &e.slots[j]
-				if sl.sealed {
+				if sl.sealed() {
 					sealed = append(sealed, sl.syn)
 				} else if topk {
 					// An open top-k bucket holds the Stream-Summary (its

@@ -12,24 +12,38 @@ import (
 
 // checkHeld holds every entry of st to the held-bucket layout: buckets in
 // strictly ascending order, all inside the retention window behind the
-// newest, and a slice whose capacity never passes the window.
+// newest, and a slice whose capacity never passes the window. It also
+// holds the byte accounting to what the synopses report: an entry's bytes
+// are the sum of its slots' syn.Bytes(), and a shard's the sum of its
+// entries'.
 func checkHeld(t *testing.T, st *Store) {
 	t.Helper()
 	ring := st.cfg.RingBuckets
-	for _, sh := range st.shards {
+	for si, sh := range st.shards {
 		sh.mu.RLock()
+		shardBytes := 0
 		for k, e := range sh.entries {
 			if cap(e.slots) > ring {
 				t.Fatalf("%s/%s: cap(slots) %d past RingBuckets %d", k.metric, k.key, cap(e.slots), ring)
 			}
+			entryBytes := 0
 			for i := range e.slots {
-				if i > 0 && e.slots[i-1].idx >= e.slots[i].idx {
-					t.Fatalf("%s/%s: buckets %d, %d out of order", k.metric, k.key, e.slots[i-1].idx, e.slots[i].idx)
+				sl := &e.slots[i]
+				if i > 0 && e.slots[i-1].idx() >= sl.idx() {
+					t.Fatalf("%s/%s: buckets %d, %d out of order", k.metric, k.key, e.slots[i-1].idx(), sl.idx())
 				}
-				if e.slots[i].idx <= e.newest()-int64(ring) {
-					t.Fatalf("%s/%s: bucket %d held behind the window of newest %d", k.metric, k.key, e.slots[i].idx, e.newest())
+				if sl.idx() <= e.newest()-int64(ring) {
+					t.Fatalf("%s/%s: bucket %d held behind the window of newest %d", k.metric, k.key, sl.idx(), e.newest())
 				}
+				entryBytes += sl.syn.Bytes()
 			}
+			if e.bytes != entryBytes {
+				t.Fatalf("%s/%s: entry accounts %d bytes, its synopses report %d", k.metric, k.key, e.bytes, entryBytes)
+			}
+			shardBytes += e.bytes
+		}
+		if sh.bytes != shardBytes {
+			t.Fatalf("shard %d accounts %d bytes, its entries %d", si, sh.bytes, shardBytes)
 		}
 		sh.mu.RUnlock()
 	}

@@ -145,13 +145,27 @@ type entryKey struct {
 	key    string
 }
 
-// slot is one bucket an entry holds.
+// slot is one bucket an entry holds, in 24 bytes: the bucket index and
+// sealed flag in one word, and the synopsis. Its footprint is not kept:
+// syn.Bytes() is a pure function of the synopsis, so the accounting reads
+// it before and after each change to the slot.
 type slot struct {
-	idx    int64 // bucket index
-	sealed bool  // immutable: late writes must copy-on-write
-	bytes  int   // last accounted footprint of syn
-	syn    Synopsis
+	// key is the bucket index shifted left one bit, the low bit set once
+	// the bucket is sealed (immutable: late writes must copy-on-write).
+	// Bucket indices are non-negative, since times are (see
+	// MetricTable.Check), so unsigned, every index fits.
+	key uint64
+	syn Synopsis
 }
+
+// idx returns the slot's bucket index.
+func (sl *slot) idx() int64 { return int64(sl.key >> 1) }
+
+// sealed reports whether the bucket is sealed.
+func (sl *slot) sealed() bool { return sl.key&1 != 0 }
+
+// newSlot returns an unsealed slot of bucket bkt holding syn.
+func newSlot(bkt int64, syn Synopsis) slot { return slot{key: uint64(bkt) << 1, syn: syn} }
 
 // entry is the held buckets of one (metric, key) series, plus its links in
 // the shard's recency list.
@@ -163,7 +177,7 @@ type entry struct {
 	// RingBuckets (see insert); an append may move it, so no *slot is
 	// kept across one.
 	slots []slot
-	bytes int // sum of slot footprints
+	bytes int // sum of the slots' syn.Bytes()
 	prev  *entry
 	next  *entry
 }
@@ -174,17 +188,17 @@ func (e *entry) newest() int64 {
 	if len(e.slots) == 0 {
 		return -1
 	}
-	return e.slots[len(e.slots)-1].idx
+	return e.slots[len(e.slots)-1].idx()
 }
 
 // find returns the position of bucket bkt in slots and whether it is
 // held; when it is not, the position is where it would be inserted. A
 // write to the newest bucket, the common case, costs one comparison.
 func (e *entry) find(bkt int64) (int, bool) {
-	if n := len(e.slots); n > 0 && e.slots[n-1].idx == bkt {
+	if n := len(e.slots); n > 0 && e.slots[n-1].idx() == bkt {
 		return n - 1, true
 	}
-	return slices.BinarySearchFunc(e.slots, bkt, func(sl slot, b int64) int { return cmp.Compare(sl.idx, b) })
+	return slices.BinarySearchFunc(e.slots, bkt, func(sl slot, b int64) int { return cmp.Compare(sl.idx(), b) })
 }
 
 // insert places sl at position i of slots. A full slice grows to twice
@@ -209,15 +223,16 @@ func (e *entry) insert(i int, sl slot, ring int) {
 // sealHistory and checkpoint restore — so a sealed bucket costs what it
 // holds wherever it came from. HyperLogLog and Count-Min buckets already
 // do from their first write (they open sparse) and pass through. The
-// vacated synopsis was open until this call, so no reader holds it: a
-// q-digest goes back to its Prototype's pool, where the next bucket of the
-// metric (or a query's accumulator) picks it up. Callers hold the shard
-// lock.
+// vacated synopsis was open until this call, so no reader holds it: an
+// unpacked q-digest goes back to its Prototype's pool (see release),
+// where the next bucket of the metric (or a query's accumulator) picks it
+// up. The accounting moves by the two synopses' Bytes(), read before the
+// vacated one is released. Callers hold the shard lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
-	if sl.sealed {
+	if sl.sealed() {
 		return
 	}
-	sl.sealed = true
+	sl.key |= 1
 	sh.seals++
 	small := sl.syn.compacted()
 	if small == nil {
@@ -226,10 +241,9 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 	sh.compacted++
 	vacated := sl.syn
 	sl.syn = small
-	nb := small.Bytes()
-	e.bytes += nb - sl.bytes
-	sh.bytes += nb - sl.bytes
-	sl.bytes = nb
+	d := small.Bytes() - vacated.Bytes()
+	e.bytes += d
+	sh.bytes += d
 	vacated.release()
 }
 
@@ -244,9 +258,10 @@ func (e *entry) advance(bkt int64, ring int, sh *shard) {
 	expired := 0
 	for i := range e.slots {
 		sl := &e.slots[i]
-		if sl.idx <= horizon {
-			e.bytes -= sl.bytes
-			sh.bytes -= sl.bytes
+		if sl.idx() <= horizon {
+			nb := sl.syn.Bytes()
+			e.bytes -= nb
+			sh.bytes -= nb
 			expired = i + 1
 		} else {
 			e.sealSlot(sl, sh)
@@ -433,10 +448,14 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		// A new newest bucket, or a late one inside the window that was
 		// never written. The fresh synopsis starts unsealed even for a
 		// late bucket; the next time advance re-seals it.
-		e.insert(i, slot{idx: bkt, syn: proto.bucket()}, s.cfg.RingBuckets)
+		e.insert(i, newSlot(bkt, proto.bucket()), s.cfg.RingBuckets)
 	}
 	sl := &e.slots[i]
-	if sl.sealed {
+	before := 0 // a bucket just opened is not yet accounted
+	if held {
+		before = sl.syn.Bytes()
+	}
+	if sl.sealed() {
 		// Late write to a sealed bucket: a reader may hold the sealed
 		// pointer outside the shard lock, so mutate a private clone and
 		// swap it in. The clone opens like any bucket and takes the
@@ -446,14 +465,12 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		if err := clone.Merge(sl.syn); err != nil {
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
 		}
-		sl.syn = clone
-		sl.sealed = false
+		*sl = newSlot(bkt, clone)
 	}
 	sl.syn.Observe(obs.Item, obs.Value)
-	nb := sl.syn.Bytes()
-	e.bytes += nb - sl.bytes
-	sh.bytes += nb - sl.bytes
-	sl.bytes = nb
+	d := sl.syn.Bytes() - before
+	e.bytes += d
+	sh.bytes += d
 	sh.touch(e)
 	return false, nil
 }

@@ -171,6 +171,7 @@ func TestRingRetentionExpiresOldBuckets(t *testing.T) {
 	if got := syn.(*Distinct).Estimate(); got < 1.5 || got > 2.5 {
 		t.Fatalf("bucket 6 after late write: estimate %f, want ~2", got)
 	}
+	checkHeld(t, st)
 }
 
 // A large forward jump in stream time must expire everything behind the
@@ -200,6 +201,7 @@ func TestTimeJumpExpiresStaleBuckets(t *testing.T) {
 	if after := st.Stats().Bytes; after >= bytesBefore {
 		t.Fatalf("bytes %d not reduced from %d after expiry", after, bytesBefore)
 	}
+	checkHeld(t, st)
 }
 
 func TestSizeEvictionHonorsByteBudget(t *testing.T) {
@@ -228,6 +230,7 @@ func TestSizeEvictionHonorsByteBudget(t *testing.T) {
 	if stats.Entries+int(stats.EvictedSize) != 50 {
 		t.Fatalf("entries %d + evicted %d != 50", stats.Entries, stats.EvictedSize)
 	}
+	checkHeld(t, st)
 	// The most recently written key survived; the coldest was evicted.
 	if keys := st.Keys("uniques"); len(keys) != stats.Entries {
 		t.Fatalf("Keys returned %d, stats say %d", len(keys), stats.Entries)

@@ -69,11 +69,14 @@ type Synopsis interface {
 	// too full for it, so it never has a compact copy to take at its
 	// seal: the seals that compact are the q-digest's and the top-k's.
 	compacted() Synopsis
-	// release empties the receiver and returns it to its Prototype's
-	// accumulator pool, where the next Prototype.New finds it; a
-	// synopsis New did not build (a bucket opened sparse, a compacted
-	// copy) is left alone, and so is any TopK: the Space-Saving a top-k
-	// seal vacates goes to the collector.
+	// release empties the receiver and returns it to the accumulator
+	// pool of the Prototype its sketch's geometry names, where the next
+	// Prototype.New finds it. It pools by form: only a synopsis in the
+	// form New builds — a dense HyperLogLog or Count-Min, an unpacked
+	// q-digest — goes back, so a bucket still sparse and a compacted copy
+	// are left alone, and so is any TopK: the Space-Saving a top-k seal
+	// vacates goes to the collector. Callers own the receiver outright:
+	// no reader holds it, and they do not touch it afterwards.
 	release()
 }
 
@@ -197,20 +200,19 @@ func (p Prototype) New() Synopsis {
 	if p.Family == FamilyTopK {
 		return &TopK{ss: frequency.NewFlatSpaceSaving(p.K)}
 	}
-	pool := accPool(p)
-	if syn, ok := pool.Get().(Synopsis); ok {
+	if syn, ok := accPool(p.poolKey()).Get().(Synopsis); ok {
 		return syn
 	}
 	switch p.Family {
 	case FamilyDistinct:
 		h, _ := cardinality.NewHyperLogLog(p.Precision, p.Seed)
-		return &Distinct{h: h, pool: pool}
+		return &Distinct{h: *h}
 	case FamilyFreq:
 		cm, _ := frequency.NewCountMin(p.Width, p.Depth, p.Seed)
-		return &Freq{cm: cm, pool: pool}
+		return &Freq{cm: *cm}
 	case FamilyQuantile:
 		q, _ := quantile.NewQDigest(p.LogU, p.CompressK)
-		return &Quantiles{q: q, pool: pool}
+		return &Quantiles{q: *q}
 	}
 	panic(fmt.Sprintf("store: New of an invalid Prototype %+v", p))
 }
@@ -223,20 +225,38 @@ func (p Prototype) bucket() Synopsis {
 	switch p.Family {
 	case FamilyDistinct:
 		h, _ := cardinality.NewSparseHLL(p.Precision, p.Seed)
-		return &Distinct{h: h}
+		return &Distinct{h: *h}
 	case FamilyFreq:
 		cm, _ := frequency.NewSparseCountMin(p.Width, p.Depth, p.Seed)
-		return &Freq{cm: cm}
+		return &Freq{cm: *cm}
 	}
 	return p.New()
 }
 
+// poolKey returns p with only its family's fields set: the key of the
+// accumulator pool, the same Prototype release names from a sketch's own
+// geometry. A spec off the wire may carry fields of other families, which
+// build the same synopses and so share the pool.
+func (p Prototype) poolKey() Prototype {
+	switch p.Family {
+	case FamilyDistinct:
+		return Prototype{Family: p.Family, Precision: p.Precision, Seed: p.Seed}
+	case FamilyFreq:
+		return Prototype{Family: p.Family, Width: p.Width, Depth: p.Depth, Seed: p.Seed}
+	case FamilyQuantile:
+		return Prototype{Family: p.Family, LogU: p.LogU, CompressK: p.CompressK}
+	}
+	return p
+}
+
 // accPools maps a Prototype to its accumulator pool. The map is replaced,
-// never mutated, so New reads it without a lock or an allocation; a pool
-// is added once per distinct Prototype (in practice, per registered
-// metric). One pool per Prototype value means an accumulator released by
-// one store's query serves the next query on any store, and dense answers
-// built through equal Prototypes stay equal value for value.
+// never mutated, so New and release read it without a lock or an
+// allocation; a pool is added once per distinct Prototype (in practice,
+// per registered metric). One pool per Prototype value means an
+// accumulator released by one store's query serves the next query on any
+// store. A synopsis does not carry its pool: release names it from the
+// sketch's geometry, so dense answers built through equal Prototypes
+// stay equal value for value.
 var accPools atomic.Pointer[map[Prototype]*sync.Pool]
 
 func accPool(p Prototype) *sync.Pool {
@@ -280,10 +300,10 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 // ---- Distinct counting (HyperLogLog) ----
 
 // Distinct is a bucket synopsis counting unique items with a HyperLogLog.
-// The observation value is ignored.
+// The observation value is ignored. It holds the sketch by value, so the
+// synopsis and the sketch are one allocation.
 type Distinct struct {
-	h    *cardinality.HyperLogLog
-	pool *sync.Pool // the Prototype's accumulator pool; nil on buckets and compacted copies
+	h cardinality.HyperLogLog
 }
 
 // NewDistinctProto returns the Prototype of HyperLogLog synopses with 2^p
@@ -302,21 +322,23 @@ func (d *Distinct) Merge(other Synopsis) error {
 	if !ok {
 		return fmt.Errorf("store: cannot merge %T into *store.Distinct: %w", other, core.ErrIncompatible)
 	}
-	return d.h.Merge(o.h)
+	return d.h.Merge(&o.h)
 }
 
 func (d *Distinct) compacted() Synopsis {
-	if c := d.h.Compact(); c != nil {
-		return &Distinct{h: c}
+	var c cardinality.HyperLogLog
+	if !d.h.Compact(&c) {
+		return nil
 	}
-	return nil
+	return &Distinct{h: c}
 }
 
 func (d *Distinct) release() {
-	if d.pool != nil {
-		d.h.Reset()
-		d.pool.Put(d)
+	if d.h.IsSparse() {
+		return
 	}
+	d.h.Reset()
+	accPool(Prototype{Family: FamilyDistinct, Precision: d.h.Precision(), Seed: d.h.Seed()}).Put(d)
 }
 
 // Items implements Synopsis.
@@ -332,9 +354,10 @@ func (d *Distinct) Estimate() float64 { return d.h.Estimate() }
 
 // Freq is a bucket synopsis estimating per-item counts with a Count-Min
 // sketch. The observation value is the occurrence weight (0 counts as 1).
+// It holds the sketch by value, so the synopsis and the sketch are one
+// allocation.
 type Freq struct {
-	cm   *frequency.CountMin
-	pool *sync.Pool // the Prototype's accumulator pool; nil on buckets and compacted copies
+	cm frequency.CountMin
 }
 
 // NewFreqProto returns the Prototype of width x depth Count-Min
@@ -357,21 +380,23 @@ func (f *Freq) Merge(other Synopsis) error {
 	if !ok {
 		return fmt.Errorf("store: cannot merge %T into *store.Freq: %w", other, core.ErrIncompatible)
 	}
-	return f.cm.Merge(o.cm)
+	return f.cm.Merge(&o.cm)
 }
 
 func (f *Freq) compacted() Synopsis {
-	if c := f.cm.Compact(); c != nil {
-		return &Freq{cm: c}
+	var c frequency.CountMin
+	if !f.cm.Compact(&c) {
+		return nil
 	}
-	return nil
+	return &Freq{cm: c}
 }
 
 func (f *Freq) release() {
-	if f.pool != nil {
-		f.cm.Reset()
-		f.pool.Put(f)
+	if f.cm.IsSparse() {
+		return
 	}
+	f.cm.Reset()
+	accPool(Prototype{Family: FamilyFreq, Width: f.cm.Width(), Depth: f.cm.Depth(), Seed: f.cm.Seed()}).Put(f)
 }
 
 // Items implements Synopsis.
@@ -469,10 +494,11 @@ func (t *TopK) Count(item string) uint64 {
 // ---- Quantiles (q-digest) ----
 
 // Quantiles is a bucket synopsis summarizing the distribution of the
-// observation values with a mergeable q-digest. The item is ignored.
+// observation values with a mergeable q-digest. The item is ignored. It
+// holds the digest by value, so the synopsis and the digest are one
+// allocation.
 type Quantiles struct {
-	q    *quantile.QDigest
-	pool *sync.Pool // the Prototype's accumulator pool; nil on compacted copies
+	q quantile.QDigest
 }
 
 // NewQuantileProto returns the Prototype of q-digest synopses over
@@ -492,21 +518,23 @@ func (qs *Quantiles) Merge(other Synopsis) error {
 	if !ok {
 		return fmt.Errorf("store: cannot merge %T into *store.Quantiles: %w", other, core.ErrIncompatible)
 	}
-	return qs.q.Merge(o.q)
+	return qs.q.Merge(&o.q)
 }
 
 func (qs *Quantiles) compacted() Synopsis {
-	if c := qs.q.Compact(); c != nil {
-		return &Quantiles{q: c}
+	var c quantile.QDigest
+	if !qs.q.Compact(&c) {
+		return nil
 	}
-	return nil
+	return &Quantiles{q: c}
 }
 
 func (qs *Quantiles) release() {
-	if qs.pool != nil {
-		qs.q.Reset()
-		qs.pool.Put(qs)
+	if qs.q.IsPacked() {
+		return
 	}
+	qs.q.Reset()
+	accPool(Prototype{Family: FamilyQuantile, LogU: qs.q.LogU(), CompressK: qs.q.K()}).Put(qs)
 }
 
 // Items implements Synopsis.
