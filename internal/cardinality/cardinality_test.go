@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +127,59 @@ func TestHLLSerializationRoundTrip(t *testing.T) {
 	if err := h2.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupt precision accepted")
 	}
+}
+
+// FuzzHyperLogLogUnmarshal: the HyperLogLog decoder on bytes it did not
+// write never panics, allocates within a bound of the input's size, and
+// accepts only what re-marshals to the same bytes — decoded into a
+// sparse receiver and into a dense one, which accept the same inputs.
+func FuzzHyperLogLogUnmarshal(f *testing.F) {
+	add := func(precision uint8, n int) {
+		h, _ := NewSparseHLL(precision, 7)
+		for i := 0; i < n; i++ {
+			h.UpdateUint64(uint64(i))
+		}
+		b, _ := h.MarshalBinary()
+		f.Add(b)
+	}
+	add(4, 0)     // empty
+	add(4, 3)     // the smallest precision
+	add(10, 20)   // sparse
+	add(10, 5000) // dense
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var accepted []bool
+		for _, fresh := range []func() *HyperLogLog{
+			func() *HyperLogLog { h, _ := NewSparseHLL(10, 7); return h },
+			func() *HyperLogLog { h, _ := NewHyperLogLog(10, 7); return h },
+		} {
+			// TotalAlloc is process-wide and the fuzz engine allocates
+			// beside the target, so the bound holds the least of three
+			// decodes, each into a fresh receiver.
+			var h *HyperLogLog
+			var err error
+			grew := uint64(math.MaxUint64)
+			for range 3 {
+				h = fresh()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err = h.UnmarshalBinary(data)
+				runtime.ReadMemStats(&after)
+				grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+			}
+			if grew > uint64(8*len(data)+8192) {
+				t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+			}
+			if accepted = append(accepted, err == nil); err != nil {
+				continue
+			}
+			if got, _ := h.MarshalBinary(); !bytes.Equal(got, data) {
+				t.Fatalf("accepted bytes re-marshal differently (sparse receiver: %v)", h.IsSparse())
+			}
+		}
+		if accepted[0] != accepted[1] {
+			t.Fatalf("the sparse receiver accepted: %v, the dense one: %v", accepted[0], accepted[1])
+		}
+	})
 }
 
 func TestLinearCounterAccuracyBelowCapacity(t *testing.T) {

@@ -42,14 +42,25 @@ type HyperLogLog struct {
 // NewHyperLogLog returns an HLL with 2^precision registers.
 // Precision must be in [4, 18].
 func NewHyperLogLog(precision uint8, seed uint64) (*HyperLogLog, error) {
-	if precision < 4 || precision > 18 {
-		return nil, core.Errf("HyperLogLog", "precision", "%d not in [4,18]", precision)
+	h := new(HyperLogLog)
+	if err := h.Init(precision, seed, false); err != nil {
+		return nil, err
 	}
-	return &HyperLogLog{
-		precision: precision,
-		registers: make([]uint8, 1<<precision),
-		seed:      seed,
-	}, nil
+	return h, nil
+}
+
+// Init makes h an empty HLL with 2^precision registers, in the sparse
+// form when sparse is set: NewHyperLogLog or NewSparseHLL in place, for
+// a holder of the sketch by value. Precision must be in [4, 18].
+func (h *HyperLogLog) Init(precision uint8, seed uint64, sparse bool) error {
+	if precision < 4 || precision > 18 {
+		return core.Errf("HyperLogLog", "precision", "%d not in [4,18]", precision)
+	}
+	*h = HyperLogLog{precision: precision, seed: seed}
+	if !sparse {
+		h.registers = make([]uint8, 1<<precision)
+	}
+	return nil
 }
 
 // Update adds an item.
@@ -151,7 +162,7 @@ func (h *HyperLogLog) Seed() uint64 { return h.seed }
 // array. Zeroing 2^precision bytes in place is far cheaper than
 // allocating (and later garbage-collecting) a replacement, which is what
 // makes recycling HLLs worthwhile for high-churn callers like the sketch
-// store's pooled query accumulators.
+// store's query accumulators.
 func (h *HyperLogLog) Reset() {
 	clear(h.registers)
 	h.sparse = h.sparse[:0]

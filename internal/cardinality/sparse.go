@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"slices"
-
-	"repro/internal/core"
 )
 
 // sparse.go is the HyperLogLog's second representation: while few
@@ -31,10 +29,11 @@ type SparseHLL = HyperLogLog
 // sparse form: near-exact counting at a fraction of the dense footprint
 // for small cardinalities. Precision must be in [4, 18].
 func NewSparseHLL(precision uint8, seed uint64) (*SparseHLL, error) {
-	if precision < 4 || precision > 18 {
-		return nil, core.Errf("SparseHLL", "precision", "%d not in [4,18]", precision)
+	h := new(HyperLogLog)
+	if err := h.Init(precision, seed, true); err != nil {
+		return nil, err
 	}
-	return &HyperLogLog{precision: precision, seed: seed}, nil
+	return h, nil
 }
 
 // Compact fills dst with a sparse-form copy of a dense sketch whose

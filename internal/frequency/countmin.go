@@ -59,11 +59,10 @@ func (cm *CountMin) sparseFits(n int) bool { return 2*cmCellBytes*n < 8*cm.width
 
 // NewCountMin returns a sketch with the given width and depth.
 func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
-	cm, err := NewSparseCountMin(width, depth, seed)
-	if err != nil {
+	cm := new(CountMin)
+	if err := cm.Init(width, depth, seed, false); err != nil {
 		return nil, err
 	}
-	cm.counts = cm.newRows()
 	return cm, nil
 }
 
@@ -72,13 +71,28 @@ func NewCountMin(width, depth int, seed uint64) (*CountMin, error) {
 // non-zero counters stop fitting the sparse entries, then converts
 // itself to dense in place.
 func NewSparseCountMin(width, depth int, seed uint64) (*CountMin, error) {
+	cm := new(CountMin)
+	if err := cm.Init(width, depth, seed, true); err != nil {
+		return nil, err
+	}
+	return cm, nil
+}
+
+// Init makes cm an empty sketch with the given width and depth, in the
+// sparse form when sparse is set: NewCountMin or NewSparseCountMin in
+// place, for a holder of the sketch by value.
+func (cm *CountMin) Init(width, depth int, seed uint64, sparse bool) error {
 	if width <= 0 {
-		return nil, core.Errf("CountMin", "width", "%d must be positive", width)
+		return core.Errf("CountMin", "width", "%d must be positive", width)
 	}
 	if depth <= 0 {
-		return nil, core.Errf("CountMin", "depth", "%d must be positive", depth)
+		return core.Errf("CountMin", "depth", "%d must be positive", depth)
 	}
-	return &CountMin{width: width, depth: depth, fam: hashutil.NewFamily(seed)}, nil
+	*cm = CountMin{width: width, depth: depth, fam: hashutil.NewFamily(seed)}
+	if !sparse {
+		cm.counts = cm.newRows()
+	}
+	return nil
 }
 
 func (cm *CountMin) newRows() [][]uint64 {
@@ -271,16 +285,6 @@ func (cm *CountMin) Reset() {
 	cm.sparse = cm.sparse[:0]
 	cm.n = 0
 }
-
-// Width returns the sketch's column count.
-func (cm *CountMin) Width() int { return cm.width }
-
-// Depth returns the sketch's row count.
-func (cm *CountMin) Depth() int { return cm.depth }
-
-// Seed returns the construction seed; sketches merge only under equal
-// seeds.
-func (cm *CountMin) Seed() uint64 { return cm.fam.Base() }
 
 // Bytes returns the footprint of the form the sketch is in: the counter
 // matrix, or the sparse entries' allocation — its capacity, which updates

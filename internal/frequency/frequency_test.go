@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -807,6 +809,86 @@ func TestCountMinUnmarshalRejectsWrappingGeometry(t *testing.T) {
 	if err := cm.UnmarshalBinary(good[:len(good)-3]); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("ragged body: %v, want ErrCorrupt", err)
 	}
+}
+
+// The flags byte has one bit, conservative. A payload with any other
+// bit set used to decode with the bit dropped and re-marshal to other
+// bytes; it is corrupt.
+func TestCountMinUnmarshalRejectsUnknownFlags(t *testing.T) {
+	cm, _ := NewCountMin(8, 2, 1)
+	cm.UpdateString("x", 3)
+	good, _ := cm.MarshalBinary()
+	for bit := 1; bit < 8; bit++ {
+		bad := append([]byte(nil), good...)
+		bad[12] |= 1 << bit
+		if err := cm.UnmarshalBinary(bad); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("flags %#02x: %v, want ErrCorrupt", bad[12], err)
+		}
+		if _, err := UnmarshalCountMin(bad, 1); !errors.Is(err, core.ErrCorrupt) {
+			t.Errorf("UnmarshalCountMin, flags %#02x: %v, want ErrCorrupt", bad[12], err)
+		}
+	}
+}
+
+// FuzzCountMinUnmarshal: the Count-Min decoder on bytes it did not write
+// never panics, allocates within a bound of the input's size, and
+// accepts only what re-marshals to the same bytes — decoded into a
+// sparse receiver and into a dense one, which accept the same inputs.
+func FuzzCountMinUnmarshal(f *testing.F) {
+	const seed = 7
+	add := func(width, depth int, conservative bool, items []string) {
+		cm, _ := NewSparseCountMin(width, depth, seed)
+		cm.SetConservative(conservative)
+		for _, it := range items {
+			cm.UpdateString(it, 1)
+		}
+		b, _ := cm.MarshalBinary()
+		f.Add(b)
+	}
+	add(8, 2, false, nil)                               // empty
+	add(8, 2, false, []string{"a", "b", "a"})           // sparse
+	add(16, 3, false, ZipfStrings(1, 400, 50, 1.1))     // dense
+	add(16, 3, true, []string{"a", "b", "c", "a", "a"}) // conservative
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Decode into receivers of the body's own geometry when it is a
+		// small one, so the counters are reached.
+		width, depth := 8, 2
+		if w, d, err := cmGeometry(data); err == nil && w*d <= 1<<12 {
+			width, depth = w, d
+		}
+		var accepted []bool
+		for _, fresh := range []func() *CountMin{
+			func() *CountMin { cm, _ := NewSparseCountMin(width, depth, seed); return cm },
+			func() *CountMin { cm, _ := NewCountMin(width, depth, seed); return cm },
+		} {
+			// TotalAlloc is process-wide and the fuzz engine allocates
+			// beside the target, so the bound holds the least of three
+			// decodes, each into a fresh receiver.
+			var cm *CountMin
+			var err error
+			grew := uint64(math.MaxUint64)
+			for range 3 {
+				cm = fresh()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err = cm.UnmarshalBinary(data)
+				runtime.ReadMemStats(&after)
+				grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+			}
+			if grew > uint64(8*len(data)+8192) {
+				t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+			}
+			if accepted = append(accepted, err == nil); err != nil {
+				continue
+			}
+			if got, _ := cm.MarshalBinary(); !bytes.Equal(got, data) {
+				t.Fatalf("accepted bytes re-marshal differently (sparse receiver: %v)", cm.IsSparse())
+			}
+		}
+		if accepted[0] != accepted[1] {
+			t.Fatalf("the sparse receiver accepted: %v, the dense one: %v", accepted[0], accepted[1])
+		}
+	})
 }
 
 // compacted returns cm's Compact copy, or nil when cm offers none,

@@ -65,9 +65,11 @@ func (cm *CountMin) AppendBinary(b []byte) ([]byte, error) {
 // cmGeometry validates the header of an encoded sketch and returns its
 // width and depth. The body length is checked against width x depth in
 // uint64 arithmetic — two 32-bit factors cannot wrap it — so the bytes
-// present bound whatever a caller allocates for them.
+// present bound whatever a caller allocates for them. A flag bit the
+// encoder never sets is corrupt: the decoder could not keep it, so the
+// bytes would not re-marshal as they came.
 func cmGeometry(data []byte) (width, depth int, err error) {
-	if len(data) < cmHeaderSize || binary.LittleEndian.Uint32(data[0:]) != cmMagic {
+	if len(data) < cmHeaderSize || binary.LittleEndian.Uint32(data[0:]) != cmMagic || data[12]&^cmFlagConservative != 0 {
 		return 0, 0, core.ErrCorrupt
 	}
 	w := uint64(binary.LittleEndian.Uint32(data[4:]))

@@ -180,9 +180,6 @@ type Family struct {
 // NewFamily returns a hash family derived from base.
 func NewFamily(base uint64) Family { return Family{base: base} }
 
-// Base returns the seed the family was derived from.
-func (f Family) Base() uint64 { return f.base }
-
 // Seed returns the i-th derived seed.
 func (f Family) Seed(i int) uint64 { return Mix64(f.base + uint64(i)*0x9e3779b97f4a7c15) }
 

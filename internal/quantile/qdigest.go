@@ -48,13 +48,23 @@ type node struct{ id, cnt uint64 }
 // NewQDigest returns a q-digest over the universe [0, 2^logU) with
 // compression factor k.
 func NewQDigest(logU uint8, k uint64) (*QDigest, error) {
+	q := new(QDigest)
+	if err := q.Init(logU, k); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Init is NewQDigest in place, for a holder of the digest by value.
+func (q *QDigest) Init(logU uint8, k uint64) error {
 	if logU == 0 || logU > 32 {
-		return nil, core.Errf("QDigest", "logU", "%d not in [1,32]", logU)
+		return core.Errf("QDigest", "logU", "%d not in [1,32]", logU)
 	}
 	if k == 0 {
-		return nil, core.Errf("QDigest", "k", "must be positive")
+		return core.Errf("QDigest", "k", "must be positive")
 	}
-	return &QDigest{logU: logU, k: k}, nil
+	*q = QDigest{logU: logU, k: k}
+	return nil
 }
 
 // leafID returns the heap-order id of the leaf for value v.
@@ -76,7 +86,13 @@ func (q *QDigest) Update(v uint64, w uint64) {
 	q.n += w
 	if w == 1 {
 		// The tail may repeat values, so the node count is at most the
-		// sum; fold only when that could exceed 6k.
+		// sum; fold only when that could exceed 6k. A first tail of 4
+		// values is not a tiny object: the runtime packs smaller ones into
+		// shared 16-byte blocks, where a sealed digest's packed nodes kept
+		// a block of tails dropped at their seals alive.
+		if q.tail == nil {
+			q.tail = make([]uint32, 0, 4)
+		}
 		q.tail = append(q.tail, uint32(v))
 		if uint64(len(q.nodes)+len(q.tail)) <= 6*q.k {
 			return
@@ -481,15 +497,6 @@ func (q *QDigest) Compact(dst *QDigest) bool {
 	*dst = QDigest{logU: q.logU, packed: true, k: q.k, n: q.n, enc: enc}
 	return true
 }
-
-// IsPacked reports whether q is a copy taken by Compact.
-func (q *QDigest) IsPacked() bool { return q.packed }
-
-// LogU returns the exponent of the digest's universe [0, 2^logU).
-func (q *QDigest) LogU() uint8 { return q.logU }
-
-// K returns the compression factor.
-func (q *QDigest) K() uint64 { return q.k }
 
 // Count returns the total inserted weight.
 func (q *QDigest) Count() uint64 { return q.n }

@@ -12,9 +12,9 @@ import (
 )
 
 // Store answers against the map oracle. A store seals each q-digest bucket
-// into its packed copy, merges a range into an accumulator drawn from
-// the Prototype's pool and answers with the accumulator's packed copy,
-// releasing the accumulator for the next query. The answers must marshal
+// into its packed copy, merges a range into an accumulator its gather
+// lends and answers with the accumulator's packed copy, leaving the
+// accumulator for the next query. The answers must marshal
 // to the bytes the map-based digest gives for the same buckets merged in
 // the store's order — the open bucket first, under the shard lock, then
 // the sealed ones in ascending bucket order — and answer every phi alike.

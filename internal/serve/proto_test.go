@@ -209,8 +209,8 @@ func TestClientRegisterMetricOverTheWire(t *testing.T) {
 // value semantics: the /v1/metrics body of the demo schema, byte for
 // byte; a spec decoded from its JSON equal (==) to the constructor's
 // Prototype; and dense answers built through two separately constructed
-// equal Prototypes equal value for value (they share an accumulator
-// pool).
+// equal Prototypes equal value for value (a synopsis carries nothing of
+// where its accumulator came from).
 func TestProtoSpecWireAndValuePinned(t *testing.T) {
 	st, err := store.New(testGeom())
 	if err != nil {

@@ -217,11 +217,11 @@ func TestCheckpointOfCompactedHistory(t *testing.T) {
 }
 
 // Queries race bucket rolls: every roll seals a q-digest bucket into its
-// compact form and hands the synopsis it vacated back to the shape's
-// pool, where the next bucket or a query's accumulator takes it. (HLL and
-// Count-Min buckets open sparse and have nothing to vacate.) A reader
-// must never see that recycled synopsis — the finished history it asks
-// for answers the same bytes throughout. Run under -race.
+// compact form and drops the synopsis it vacated, while queries borrow
+// and return their gathers' accumulators. (HLL and Count-Min buckets
+// open sparse and have nothing to vacate.) A reader must never see a
+// synopsis change under it — the finished history it asks for answers
+// the same bytes throughout. Run under -race.
 func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	cfg := Config{Shards: 2, BucketWidth: 10, RingBuckets: 256}
 	st := ckptStore(t, cfg)
@@ -391,8 +391,9 @@ func TestBucketsOpenSparse(t *testing.T) {
 	}
 }
 
-// A compact answer hands its dense accumulator back to the Prototype's pool,
-// and the next query on any goroutine merges into it. The answer must
+// A compact answer leaves its dense accumulator in the gather that lent
+// it, and the next query on any goroutine that borrows that gather
+// merges into it. The answer must
 // share nothing with it: answers kept while concurrent queries recycle
 // the accumulators — per-key and aggregate, compact and not — keep their
 // bytes. Run under -race.
@@ -438,7 +439,7 @@ func TestAnswersSurviveAccumulatorRecycling(t *testing.T) {
 			if !bytes.Equal(marshal(t, a.syn), a.bytes) {
 				t.Fatalf("answer %d changed after later queries recycled accumulators", i)
 			}
-			// Compacted copies are sparse, the form no pool takes.
+			// Compacted copies are sparse; a dense answer is its accumulator.
 			switch s := a.syn.(type) {
 			case *Distinct:
 				if s.h.IsSparse() {
@@ -516,20 +517,17 @@ func preloadStore(t testing.TB, metrics ...string) *Store {
 // history held 148 MB here; the ceiling leaves room above the 3.6 MB
 // measured when the gate landed, not for a return of per-bucket dense
 // arrays. The query cost 18 allocations while it merged into a fresh
-// dense synopsis and grew its sealed-bucket list by append; a pooled
-// accumulator, a pooled list and a compact answer took 9, and 8 once the
-// answer held its sketch by value. Under the race detector the pools
-// drop a quarter of what they are handed, so the gate there is the old
-// count, less the allocation the by-value answer saves.
+// dense synopsis and grew its sealed-bucket list by append; a reused
+// accumulator, a reused list and a compact answer took 9, and 8 once the
+// answer held its sketch by value. The accumulator and the list are a
+// gather's, on a free list the race detector leaves alone, so the gate
+// holds under -race too (it was 17 there while they were sync.Pools).
 func TestSealedFootprint(t *testing.T) {
 	const (
-		width   = 100
-		ceiling = 6 << 20
+		width     = 100
+		ceiling   = 6 << 20
+		maxAllocs = 8
 	)
-	maxAllocs := 8
-	if raceEnabled {
-		maxAllocs = 17
-	}
 	st := SealedFootprintStore(t)
 	stats := st.Stats()
 	t.Logf("sealed footprint: %d bytes in %d entries, %d seals compacted", stats.Bytes, stats.Entries, stats.Compacted)
@@ -673,12 +671,15 @@ func zipfQuantileBucket(t *testing.T) *Store {
 	return st
 }
 
-// heapAfterGC returns the live heap once collection has emptied the
-// pools. The q-digest scratch is on a free list, which collection does
-// not empty: a gate that must not count it grows it first.
+// heapAfterGC returns the live heap once collection has settled it.
+// Nothing the store reuses needs more than one collection for that
+// (TestHeapSettlesInOneGC), but other packages' sync.Pools do: the test
+// runner's -run regexp keeps ≈ 37 KB in one, which a gate would count.
+// Free lists — the q-digest scratch, the gathers — are never emptied by
+// collection: a gate that must not count them grows them first.
 func heapAfterGC() uint64 {
 	var ms runtime.MemStats
-	for i := 0; i < 3; i++ { // a pool's contents outlive one GC
+	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
 	runtime.ReadMemStats(&ms)
@@ -760,25 +761,22 @@ func TestSealedQuantileFootprint(t *testing.T) {
 // serving benchmark's preload: a 64-bucket `latency-us` range query on
 // page-01 within its allocation count, and 410 such answers — about as
 // many as range_scan's read cache keeps — within a heap ceiling. The
-// merge accumulator is pooled and the answer is its packed copy, about
+// merge accumulator is reused and the answer is its packed copy, about
 // 2.5 bytes per node: 9 allocations, and 0.50 MB of heap for nodes that
 // take 3.15 MB as (id, count) pairs. When the gate landed the answer
 // held those pairs, 16 bytes per node, and 3.43 MB of heap; with the
 // digest in a map the query cost 25 allocations and the same answers
 // held 7.64 MB. The answer holding its digest by value took the count
-// from 9 to 8. Under the race detector the pools drop a quarter of what
-// they are handed, so a query regrows its accumulator (30–36 allocations
-// measured, 28–31 with packed buckets) and the gate there is looser.
+// from 9 to 8. The accumulator is a gather's, on a free list, so the
+// gate holds under -race too (it was 47 there while it was in a
+// sync.Pool, which drops a quarter of what it is handed).
 func TestQuantileAnswerFootprint(t *testing.T) {
 	const (
-		width   = 100
-		answers = 410
-		ceiling = 3.5 * (1 << 20)
+		width     = 100
+		answers   = 410
+		ceiling   = 3.5 * (1 << 20)
+		maxAllocs = 8
 	)
-	maxAllocs := 8
-	if raceEnabled {
-		maxAllocs = 47
-	}
 	st := SealedFootprintStore(t)
 	req := QueryRequest{Metric: "latency-us", Key: "page-01", From: 40 * width, To: 104 * width}
 	allocs := testing.AllocsPerRun(50, func() {

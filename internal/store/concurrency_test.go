@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/freelist"
 	"repro/internal/mqlog"
 )
 
@@ -265,12 +266,12 @@ func TestConcurrentRegistrationAndIngest(t *testing.T) {
 }
 
 // Goroutines that meet Prototypes for the first time at once, each
-// asking for every one of them, get one accumulator pool per Prototype
-// value: equal values share a pool, whichever goroutine added it, and
-// distinct values never do. Run under -race.
-func TestAccPoolOnePerPrototypeUnderConcurrency(t *testing.T) {
+// asking for every one of them, get one free list of gathers per
+// Prototype value: equal values share a list, whichever goroutine added
+// it, and distinct values never do. Run under -race.
+func TestGatherListOnePerPrototypeUnderConcurrency(t *testing.T) {
 	const workers, protos = 8, 64
-	got := make([][]*sync.Pool, workers)
+	got := make([][]*freelist.List[gather], workers)
 	var wg sync.WaitGroup
 	for w := range got {
 		wg.Add(1)
@@ -278,69 +279,28 @@ func TestAccPoolOnePerPrototypeUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := range protos {
 				// Seeds no other test uses, so in a fresh process every
-				// pool starts absent; each worker walks the Prototypes
+				// list starts absent; each worker walks the Prototypes
 				// from its own offset.
 				j := (i + w*protos/workers) % protos
-				got[w] = append(got[w], accPool(Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}))
+				got[w] = append(got[w], Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}.gathers())
 			}
 		}()
 	}
 	wg.Wait()
-	seen := make(map[*sync.Pool]int)
+	seen := make(map[*freelist.List[gather]]int)
 	for w := range got {
-		for i, pool := range got[w] {
+		for i, l := range got[w] {
 			j := (i + w*protos/workers) % protos
-			if first, ok := seen[pool]; ok && first != j {
-				t.Fatalf("Prototypes %d and %d share a pool", first, j)
+			if first, ok := seen[l]; ok && first != j {
+				t.Fatalf("Prototypes %d and %d share a list", first, j)
 			}
-			seen[pool] = j
-			if pool != accPool(Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}) {
-				t.Fatalf("worker %d holds a pool for Prototype %d that lost the race", w, j)
+			seen[l] = j
+			if l != (Prototype{Family: FamilyFreq, Width: 64, Depth: 2, Seed: 1<<40 + uint64(j)}).gathers() {
+				t.Fatalf("worker %d holds a list for Prototype %d that lost the race", w, j)
 			}
 		}
 	}
 	if len(seen) != protos {
-		t.Fatalf("%d pools for %d Prototypes", len(seen), protos)
-	}
-}
-
-// release names the pool from the sketch's own geometry, and New draws
-// from the pool of its Prototype's family fields: the two meet, also for
-// a spec carrying fields of other families (the wire ignores them), and
-// release leaves alone every form New does not build.
-func TestReleaseReturnsToNewsPool(t *testing.T) {
-	stray := []Prototype{
-		{Family: FamilyDistinct, Precision: 10, Seed: 1<<41 + 1, Width: 7, K: 3},
-		{Family: FamilyFreq, Width: 96, Depth: 3, Seed: 1<<41 + 2, Precision: 12, LogU: 8},
-		{Family: FamilyQuantile, LogU: 16, CompressK: 1<<10 + 1, Seed: 9, Depth: 2},
-	}
-	for _, p := range stray {
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		// sync.Pool may drop a Put (always across a collection, a
-		// quarter of them under the race detector), so a miss is retried.
-		met := false
-		for try := 0; try < 20 && !met; try++ {
-			acc := p.New()
-			acc.release()
-			met = p.New() == acc
-		}
-		if !met {
-			t.Fatalf("%v: a released accumulator never came back from New", p.Family)
-		}
-		// A compacted copy, or a bucket born sparse, is not New's form.
-		acc := p.New()
-		acc.Observe("x", 7)
-		others := []Synopsis{acc.compacted()}
-		if p.Family != FamilyQuantile { // a q-digest bucket opens with New
-			others = append(others, p.bucket())
-		}
-		for _, other := range others {
-			other.release()
-			if got := p.New(); got == other {
-				t.Fatalf("%v: New handed out a %T it does not build", p.Family, other)
-			}
-		}
+		t.Fatalf("%d lists for %d Prototypes", len(seen), protos)
 	}
 }

@@ -453,20 +453,7 @@ type keyGather struct {
 	shard  uint32 // home shard index
 	pos    int    // index into the request's key slice
 	result Synopsis
-	lo, hi int // the key's sealed buckets in the shard gather's scratch
-}
-
-// sealedScratch recycles the list of sealed bucket pointers a gather
-// collects under a shard lock and merges outside it, which a 64-bucket
-// range would otherwise grow by append on every query.
-var sealedScratch = sync.Pool{New: func() any { return new([]Synopsis) }}
-
-// putScratch drops the scratch's references to sealed buckets (so a
-// pooled list never pins evicted history) and returns it to the pool.
-func putScratch(p *[]Synopsis, used []Synopsis) {
-	clear(used)
-	*p = used[:0]
-	sealedScratch.Put(p)
+	lo, hi int // the key's sealed buckets in the gather's list
 }
 
 // queryKeys range-merges the metric's buckets of every key over bucket
@@ -529,8 +516,10 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 // gatherShard range-merges one shard's run of keys under a single
 // read-lock acquisition: still-open buckets merge under the lock, sealed
 // ones are collected and merged lock-free after it, and each key's
-// answer is put into out at the key's position. A top-k key merges all
-// its buckets at once after the lock (see mergeAll), so its open bucket
+// answer is put into out at the key's position. The accumulators and the
+// sealed-bucket list are the scratch of one gather, borrowed from proto's
+// free list and returned once the answers are built. A top-k key merges all
+// its buckets at once after the lock (see gather.mergeAll), so its open bucket
 // is copied out flat under the lock instead, as one more part.
 func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype, run []keyGather, fromB, toB int64, tctx trace.Context, out []Synopsis) error {
 	// A cancelled request stops before paying for the shard lock; one Err
@@ -543,11 +532,12 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	sh := s.shards[idx]
 	sp := s.traceGather(tctx)
 	defer sp.Finish()
+	l := proto.gathers()
+	g := l.Get()
+	defer g.done(l)
 	for i := range run {
-		run[i].result = proto.New()
+		run[i].result = g.acc(proto)
 	}
-	scratch := sealedScratch.Get().(*[]Synopsis)
-	sealed := (*scratch)[:0]
 	var t0 time.Time
 	if sp != nil {
 		sp.SetAttrs(trace.Str("metric", metric),
@@ -560,25 +550,25 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	}
 	for i := range run {
 		c := &run[i]
-		c.lo = len(sealed)
+		c.lo = len(g.sealed)
 		_, topk := c.result.(*TopK)
 		if e, ok := sh.entries[c.k]; ok {
 			j, _ := e.find(fromB)
 			for ; j < len(e.slots) && e.slots[j].idx() <= toB; j++ {
 				sl := &e.slots[j]
 				if sl.sealed() {
-					sealed = append(sealed, sl.syn)
+					g.sealed = append(g.sealed, sl.syn)
 				} else if topk {
 					// An open top-k bucket holds the Stream-Summary (its
 					// first write unpacked it), so compacted is its copy.
-					sealed = append(sealed, sl.syn.compacted())
+					g.sealed = append(g.sealed, sl.syn.compacted())
 				} else if err := c.result.Merge(sl.syn); err != nil {
 					sh.mu.RUnlock()
 					return err
 				}
 			}
 		}
-		c.hi = len(sealed)
+		c.hi = len(g.sealed)
 	}
 	sh.mu.RUnlock()
 	// Sealed synopses are immutable; merge them lock-free, in ascending
@@ -586,12 +576,11 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	// batch.
 	for i := range run {
 		c := &run[i]
-		ans, err := mergeAll(c.result, sealed[c.lo:c.hi])
+		ans, err := g.merge(c.result, g.sealed[c.lo:c.hi])
 		if err != nil {
 			return err
 		}
 		out[c.pos] = ans
 	}
-	putScratch(scratch, sealed)
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -98,10 +97,10 @@ func TestQueryTypedAccessors(t *testing.T) {
 
 // The batched multi-key gather must produce answers byte-identical to the
 // point path: same prototypes, same ascending bucket visit order, same
-// merge split. The batch draws accumulators an aggregate query has just
-// grown and returned to the pool; two collections then empty the pools,
-// so the point queries draw fresh ones. An answer must not depend on
-// which accumulator it was merged in.
+// merge split. The batch draws an accumulator an aggregate query has
+// just grown and left in its gather, and new ones for the other keys;
+// the point queries then draw what the batch left. An answer must not
+// depend on which accumulator it was merged in.
 func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 	st := fourFamilyStore(t, Config{Shards: 8, BucketWidth: 10, RingBuckets: 64}, 16, 500)
 	keys := make([]string, 16)
@@ -116,8 +115,6 @@ func TestQueryBatchMatchesPointByteForByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.GC()
 		for _, a := range res.Answers() {
 			want, err := queryPoint(st, metric, a.Key, 0, 499)
 			if err != nil {

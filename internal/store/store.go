@@ -27,9 +27,8 @@
 // clones the synopsis and swaps the pointer (copy-on-write), never
 // mutating in place. Sealing is where a q-digest and a Space-Saving
 // summary take the size of what they hold: each is replaced by its
-// compact copy — packed nodes, flat counters (see sealSlot) — and a
-// vacated q-digest goes back to its Prototype's pool for the next bucket
-// or query accumulator. Range queries RLock the shard
+// compact copy — packed nodes, flat counters (see sealSlot) — and the
+// vacated synopsis goes to the collector. Range queries RLock the shard
 // only long enough to snapshot bucket pointers (merging any still-open
 // buckets under the read lock), then merge the sealed buckets lock-free
 // outside it: a long query over mostly-sealed history does its heavy
@@ -218,16 +217,13 @@ func (e *entry) insert(i int, sl slot, ring int) {
 
 // sealSlot makes an open bucket immutable and, where the synopsis offers
 // a compact form that pays (a q-digest's packed nodes, a Space-Saving
-// summary's flat counters), swaps that form in: seal -> compact ->
-// release the vacated one. Every path that seals goes through here — time advancing,
-// sealHistory and checkpoint restore — so a sealed bucket costs what it
-// holds wherever it came from. HyperLogLog and Count-Min buckets already
-// do from their first write (they open sparse) and pass through. The
-// vacated synopsis was open until this call, so no reader holds it: an
-// unpacked q-digest goes back to its Prototype's pool (see release),
-// where the next bucket of the metric (or a query's accumulator) picks it
-// up. The accounting moves by the two synopses' Bytes(), read before the
-// vacated one is released. Callers hold the shard lock.
+// summary's flat counters), swaps that form in: seal -> compact, and the
+// vacated synopsis goes to the collector. Every path that seals goes
+// through here — time advancing, sealHistory and checkpoint restore — so
+// a sealed bucket costs what it holds wherever it came from. HyperLogLog
+// and Count-Min buckets already do from their first write (they open
+// sparse) and pass through. The accounting moves by the two synopses'
+// Bytes(). Callers hold the shard lock.
 func (e *entry) sealSlot(sl *slot, sh *shard) {
 	if sl.sealed() {
 		return
@@ -239,12 +235,10 @@ func (e *entry) sealSlot(sl *slot, sh *shard) {
 		return
 	}
 	sh.compacted++
-	vacated := sl.syn
+	d := small.Bytes() - sl.syn.Bytes()
 	sl.syn = small
-	d := small.Bytes() - vacated.Bytes()
 	e.bytes += d
 	sh.bytes += d
-	vacated.release()
 }
 
 // advance prepares the entry for a write to bkt, past its newest bucket:

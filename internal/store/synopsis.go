@@ -8,19 +8,18 @@
 // common contract, and its unexported methods keep it closed: no type
 // outside this package satisfies it. Each metric registered with the
 // store is defined by a Prototype: a comparable value naming the family
-// and its geometry, which is also the metric's wire spec. Three switches
-// over the family turn it into synopses (Prototype.New, Prototype.bucket)
-// and check it (Prototype.Validate). Range queries merge bucket
-// synopses into a New instance and answer with it — or,
-// when the merged result is sparse, with its compact copy (see finish) —
-// except top-k, whose parts merge once, all together (see mergeAll).
+// and its geometry, which is also the metric's wire spec. Two switches
+// over the family turn it into synopses (Prototype.build, behind New and
+// bucket) and check it (Prototype.Validate). Range queries merge bucket
+// synopses into an accumulator their gather lends them and answer with
+// it — or, when the merged result is sparse, with its compact copy —
+// except top-k, whose parts merge once, all together (see gather.mergeAll).
 package store
 
 import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cardinality"
@@ -69,43 +68,23 @@ type Synopsis interface {
 	// too full for it, so it never has a compact copy to take at its
 	// seal: the seals that compact are the q-digest's and the top-k's.
 	compacted() Synopsis
-	// release empties the receiver and returns it to the accumulator
-	// pool of the Prototype its sketch's geometry names, where the next
-	// Prototype.New finds it. It pools by form: only a synopsis in the
-	// form New builds — a dense HyperLogLog or Count-Min, an unpacked
-	// q-digest — goes back, so a bucket still sparse and a compacted copy
-	// are left alone, and so is any TopK: the Space-Saving a top-k seal
-	// vacates goes to the collector. Callers own the receiver outright:
-	// no reader holds it, and they do not touch it afterwards.
-	release()
+	// reset empties a merge accumulator in place, keeping its
+	// allocations, for the next merge its gather lends it to.
+	reset()
 }
 
-// finish turns a query's merge accumulator into the answer the query
-// returns. A result its family can hold smaller (a HyperLogLog or
-// Count-Min that fits its sparse form, any q-digest accumulator) is
-// answered by the compacted copy, and the accumulator goes back to its
-// pool; a result too full to compact is its own answer. (A top-k answer
-// never gets here: mergeAll builds it flat.)
-// The caller must own acc outright and not touch it afterwards.
-func finish(acc Synopsis) Synopsis {
-	small := acc.compacted()
-	if small == nil {
-		return acc
-	}
-	acc.release()
-	return small
-}
-
-// mergeAll returns the answer for what acc holds merged with parts,
-// skipping nil parts; acc is a fresh Prototype.New instance the caller owns
-// outright and does not touch afterwards. A range's buckets (gatherShard)
-// and CombineSnapshots' parts both merge through it. A top-k acc and its
-// parts merge once, all together (frequency.Merger), so the flat answer
-// does not depend on the order of the parts. Every other family folds
-// the parts into acc in argument order and finishes it.
-func mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
+// mergeAll returns the answer for what acc, lent by g.acc, holds merged
+// with parts, skipping nil parts. A range's buckets (gatherShard) and
+// CombineSnapshots' parts both merge through it, by way of g.merge. A
+// top-k acc and its parts merge once, all together, in g's
+// frequency.Merger, so the flat answer does not depend on the order of
+// the parts, and acc stays empty. Every other family folds the parts
+// into acc in argument order; a result it can hold smaller (a
+// HyperLogLog or Count-Min that fits its sparse form, any q-digest) is
+// answered by the compacted copy, and one too full to compact is acc.
+func (g *gather) mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 	if t, ok := acc.(*TopK); ok {
-		return t.mergeOnce(parts)
+		return t.mergeOnce(&g.merger, parts)
 	}
 	for _, p := range parts {
 		if p == nil {
@@ -115,7 +94,10 @@ func mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 			return nil, err
 		}
 	}
-	return finish(acc), nil
+	if small := acc.compacted(); small != nil {
+		return small, nil
+	}
+	return acc, nil
 }
 
 // Prototype is a metric's synopsis family and the parameters its
@@ -125,7 +107,7 @@ func mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 // constructors leave the rest zero, and JSON omits them, so
 // {"family":"distinct","precision":12,"seed":42} is the whole of a
 // HyperLogLog metric. Equal Prototypes build interchangeable synopses
-// (including hash seeds, or merges fail) and share one accumulator pool.
+// (including hash seeds, or merges fail).
 // The zero Prototype is invalid.
 type Prototype struct {
 	Family    Family `json:"family"`
@@ -193,96 +175,129 @@ func checked(p Prototype) (Prototype, error) {
 
 // New returns a fresh, empty synopsis of p, which must be valid: the
 // merge accumulator of a query, or the receiver of a decode. A
-// HyperLogLog, Count-Min or q-digest instance is dense and comes from
-// p's accumulator pool when it holds one; a top-k instance is an empty
-// flat summary (see frequency.SpaceSaving), one small allocation.
-func (p Prototype) New() Synopsis {
-	if p.Family == FamilyTopK {
-		return &TopK{ss: frequency.NewFlatSpaceSaving(p.K)}
-	}
-	if syn, ok := accPool(p.poolKey()).Get().(Synopsis); ok {
-		return syn
-	}
-	switch p.Family {
-	case FamilyDistinct:
-		h, _ := cardinality.NewHyperLogLog(p.Precision, p.Seed)
-		return &Distinct{h: *h}
-	case FamilyFreq:
-		cm, _ := frequency.NewCountMin(p.Width, p.Depth, p.Seed)
-		return &Freq{cm: *cm}
-	case FamilyQuantile:
-		q, _ := quantile.NewQDigest(p.LogU, p.CompressK)
-		return &Quantiles{q: *q}
-	}
-	panic(fmt.Sprintf("store: New of an invalid Prototype %+v", p))
-}
+// HyperLogLog, Count-Min or q-digest instance is dense; a top-k instance
+// is an empty flat summary (see frequency.SpaceSaving).
+func (p Prototype) New() Synopsis { return p.build(false) }
 
 // bucket returns the synopsis a store bucket of p opens, clones and
 // restores in. A HyperLogLog or Count-Min bucket is born sparse: it
-// allocates no dense array and turns dense by itself once what it holds
-// stops fitting the sparse form. The other families open with New.
-func (p Prototype) bucket() Synopsis {
-	switch p.Family {
-	case FamilyDistinct:
-		h, _ := cardinality.NewSparseHLL(p.Precision, p.Seed)
-		return &Distinct{h: *h}
-	case FamilyFreq:
-		cm, _ := frequency.NewSparseCountMin(p.Width, p.Depth, p.Seed)
-		return &Freq{cm: *cm}
-	}
-	return p.New()
-}
+// allocates nothing but itself and turns dense by itself once what it
+// holds stops fitting the sparse form. The other families open as New.
+func (p Prototype) bucket() Synopsis { return p.build(true) }
 
-// poolKey returns p with only its family's fields set: the key of the
-// accumulator pool, the same Prototype release names from a sketch's own
-// geometry. A spec off the wire may carry fields of other families, which
-// build the same synopses and so share the pool.
-func (p Prototype) poolKey() Prototype {
+// build returns an empty synopsis of p with its sketch built in place,
+// so that the synopsis is one allocation beside a dense sketch's array.
+// p is valid, which is every bound the sketches' Init check, so the
+// errors are dropped.
+func (p Prototype) build(sparse bool) Synopsis {
 	switch p.Family {
 	case FamilyDistinct:
-		return Prototype{Family: p.Family, Precision: p.Precision, Seed: p.Seed}
+		d := new(Distinct)
+		_ = d.h.Init(p.Precision, p.Seed, sparse)
+		return d
 	case FamilyFreq:
-		return Prototype{Family: p.Family, Width: p.Width, Depth: p.Depth, Seed: p.Seed}
+		f := new(Freq)
+		_ = f.cm.Init(p.Width, p.Depth, p.Seed, sparse)
+		return f
+	case FamilyTopK:
+		return &TopK{ss: frequency.NewFlatSpaceSaving(p.K)}
 	case FamilyQuantile:
-		return Prototype{Family: p.Family, LogU: p.LogU, CompressK: p.CompressK}
+		qs := new(Quantiles)
+		_ = qs.q.Init(p.LogU, p.CompressK)
+		return qs
 	}
-	return p
+	panic(fmt.Sprintf("store: a synopsis of an invalid Prototype %+v", p))
 }
 
-// accPools maps a Prototype to its accumulator pool. The map is replaced,
-// never mutated, so New and release read it without a lock or an
-// allocation; a pool is added once per distinct Prototype (in practice,
-// per registered metric). One pool per Prototype value means an
-// accumulator released by one store's query serves the next query on any
-// store. A synopsis does not carry its pool: release names it from the
-// sketch's geometry, so dense answers built through equal Prototypes
-// stay equal value for value.
-var accPools atomic.Pointer[map[Prototype]*sync.Pool]
+// ---- Merge scratch ----
 
-func accPool(p Prototype) *sync.Pool {
+// gather is the scratch of one merge, from its Prototype's free list
+// (see Prototype.gathers): gatherShard borrows one per shard run of
+// keys and CombineSnapshots one per combination, each returning it once
+// its answers are built. It lends the merge accumulators, and holds the
+// sealed buckets gatherShard collects under the shard lock to merge
+// after it, and the k-way merge scratch of top-k answers.
+type gather struct {
+	spare  Synopsis // an emptied accumulator kept for the next merge, or nil
+	sealed []Synopsis
+	merger frequency.Merger
+}
+
+// How many gathers wait per Prototype, and how long a sealed-bucket list
+// one keeps (16 KiB: a 64-bucket range over 16 keys). Constants, not
+// knobs. A gather keeps one accumulator however many keys it answered:
+// an 8-key `page-hits` aggregate leaves up to 8 dense 32 KiB Count-Mins.
+// A merge that needs more gets it for its own lifetime only.
+const (
+	maxIdleGathers = 2
+	maxIdleSealed  = 1024
+)
+
+// gatherLists maps a Prototype, as given, to its free list of gathers.
+// The map is replaced, never mutated, so a merge reads it without a lock
+// or an allocation; a list is added once per distinct Prototype (in
+// practice, per registered metric) and serves its merges on every store.
+var gatherLists atomic.Pointer[map[Prototype]*freelist.List[gather]]
+
+// gathers returns p's free list of gathers.
+func (p Prototype) gathers() *freelist.List[gather] {
 	for {
-		cur := accPools.Load()
-		var pools map[Prototype]*sync.Pool
+		cur := gatherLists.Load()
+		var lists map[Prototype]*freelist.List[gather]
 		if cur != nil {
-			pools = *cur
+			lists = *cur
 		}
-		if pool := pools[p]; pool != nil {
-			return pool
+		if l := lists[p]; l != nil {
+			return l
 		}
-		next := map[Prototype]*sync.Pool{p: new(sync.Pool)}
-		maps.Copy(next, pools)
-		if accPools.CompareAndSwap(cur, &next) {
+		next := map[Prototype]*freelist.List[gather]{p: {New: func() *gather { return new(gather) }, Max: maxIdleGathers}}
+		maps.Copy(next, lists)
+		if gatherLists.CompareAndSwap(cur, &next) {
 			return next[p]
 		}
 	}
 }
 
+// acc lends an empty accumulator of p: g's spare, or a new one.
+func (g *gather) acc(p Prototype) Synopsis {
+	if acc := g.spare; acc != nil {
+		g.spare = nil
+		return acc
+	}
+	return p.New()
+}
+
+// merge returns the answer for acc, lent by g.acc, merged with parts
+// (see mergeAll). An acc that is not itself the answer — the answer is
+// its compacted copy, or a top-k flat merge — is emptied and kept as
+// the spare, if g has none; one that is the answer leaves with it.
+func (g *gather) merge(acc Synopsis, parts []Synopsis) (Synopsis, error) {
+	ans, err := g.mergeAll(acc, parts)
+	if ans != acc && g.spare == nil {
+		acc.reset()
+		g.spare = acc
+	}
+	return ans, err
+}
+
+// done returns g to l, first dropping its references to sealed buckets
+// (an idle gather never pins evicted history), and the list itself if
+// it grew past maxIdleSealed.
+func (g *gather) done(l *freelist.List[gather]) {
+	clear(g.sealed)
+	g.sealed = g.sealed[:0]
+	if cap(g.sealed) > maxIdleSealed {
+		g.sealed = nil
+	}
+	l.Put(g)
+}
+
 // CombineSnapshots merges partial query answers into one fresh synopsis —
 // the scatter-gather combiner: each part is typically one node's (or one
 // key's) Query result, and the combined synopsis answers for their union.
-// Parts are merged in argument order into a new proto.New() instance, so the
+// Parts are merged in argument order into an empty accumulator, so the
 // combination is deterministic for a deterministic part order (top-k
-// parts merge once, in any order: see mergeAll); nil parts are skipped
+// parts merge once, in any order: see gather.mergeAll); nil parts are skipped
 // (an absent partial is an empty answer, matching Query's
 // never-seen-this-series semantics). The inputs are not mutated. Like a
 // query answer, the result is held compact when it is sparse enough.
@@ -290,7 +305,10 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 	if err := proto.Validate(); err != nil {
 		return nil, err
 	}
-	out, err := mergeAll(proto.New(), parts)
+	l := proto.gathers()
+	g := l.Get()
+	out, err := g.merge(g.acc(proto), parts)
+	g.done(l)
 	if err != nil {
 		return nil, fmt.Errorf("store: combine snapshots: %w", err)
 	}
@@ -333,13 +351,7 @@ func (d *Distinct) compacted() Synopsis {
 	return &Distinct{h: c}
 }
 
-func (d *Distinct) release() {
-	if d.h.IsSparse() {
-		return
-	}
-	d.h.Reset()
-	accPool(Prototype{Family: FamilyDistinct, Precision: d.h.Precision(), Seed: d.h.Seed()}).Put(d)
-}
+func (d *Distinct) reset() { d.h.Reset() }
 
 // Items implements Synopsis.
 func (d *Distinct) Items() uint64 { return d.h.Items() }
@@ -391,13 +403,7 @@ func (f *Freq) compacted() Synopsis {
 	return &Freq{cm: c}
 }
 
-func (f *Freq) release() {
-	if f.cm.IsSparse() {
-		return
-	}
-	f.cm.Reset()
-	accPool(Prototype{Family: FamilyFreq, Width: f.cm.Width(), Depth: f.cm.Depth(), Seed: f.cm.Seed()}).Put(f)
-}
+func (f *Freq) reset() { f.cm.Reset() }
 
 // Items implements Synopsis.
 func (f *Freq) Items() uint64 { return f.cm.Items() }
@@ -427,16 +433,9 @@ func NewTopKProto(k int) (Prototype, error) {
 	return checked(Prototype{Family: FamilyTopK, K: k})
 }
 
-// topkMergers keeps the k-way merge scratch of top-k answers (an item
-// index and per-item sums, sized by the largest merge seen) on a free
-// list, so that the heap a process holds does not depend on when the
-// collector last ran.
-var topkMergers = freelist.List[frequency.Merger]{New: func() *frequency.Merger { return new(frequency.Merger) }, Max: 8}
-
-// mergeOnce returns the flat merge of t and parts, skipping nil parts.
-func (t *TopK) mergeOnce(parts []Synopsis) (Synopsis, error) {
-	m := topkMergers.Get()
-	defer topkMergers.Put(m)
+// mergeOnce returns the flat merge of t and parts in m, skipping nil
+// parts.
+func (t *TopK) mergeOnce(m *frequency.Merger, parts []Synopsis) (Synopsis, error) {
 	defer m.Reset() // Result empties m; a refused part leaves that to here
 	m.Add(t.ss)
 	for _, p := range parts {
@@ -473,7 +472,7 @@ func (t *TopK) compacted() Synopsis {
 	return nil
 }
 
-func (t *TopK) release() {}
+func (t *TopK) reset() {} // a top-k accumulator is only read, by mergeOnce
 
 // Items implements Synopsis.
 func (t *TopK) Items() uint64 { return t.ss.Items() }
@@ -529,13 +528,7 @@ func (qs *Quantiles) compacted() Synopsis {
 	return &Quantiles{q: c}
 }
 
-func (qs *Quantiles) release() {
-	if qs.q.IsPacked() {
-		return
-	}
-	qs.q.Reset()
-	accPool(Prototype{Family: FamilyQuantile, LogU: qs.q.LogU(), CompressK: qs.q.K()}).Put(qs)
-}
+func (qs *Quantiles) reset() { qs.q.Reset() }
 
 // Items implements Synopsis.
 func (qs *Quantiles) Items() uint64 { return qs.q.Count() }
