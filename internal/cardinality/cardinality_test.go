@@ -659,3 +659,52 @@ func TestHyperLogLogCompact(t *testing.T) {
 		t.Fatalf("decode reallocated a register array of the right size (err %v)", err)
 	}
 }
+
+// A payload stands for its sketch: merged into a dense or a sparse
+// receiver it gives the bytes Merge of the sketch gives, its binary form
+// is the sketch's MarshalBinary, and only a sparse sketch has one. The
+// sizes run from one register to the sparse form's limit, so index
+// deltas take one, two and three bytes.
+func TestSparseHLLPayloadStandsForSketch(t *testing.T) {
+	for _, p := range []uint8{4, 12, 18} {
+		for _, n := range []int{0, 1, 7, 60, 2000} {
+			src, _ := NewSparseHLL(p, 9)
+			for i := 0; i < n; i++ {
+				src.UpdateString(fmt.Sprintf("item-%d", i))
+			}
+			payload, ok := src.AppendPayload([]byte{0xa5})
+			if ok != src.IsSparse() {
+				t.Fatalf("p=%d n=%d: AppendPayload reports %v for a sketch sparse %v", p, n, ok, src.IsSparse())
+			}
+			if !ok {
+				if len(payload) != 1 {
+					t.Fatalf("p=%d n=%d: a dense sketch appended %d payload bytes", p, n, len(payload)-1)
+				}
+				continue
+			}
+			payload = payload[1:]
+			want, _ := src.MarshalBinary()
+			if got := AppendPayloadBinary([]byte{0xa5}, p, 9, payload); !bytes.Equal(got[1:], want) {
+				t.Fatalf("p=%d n=%d: AppendPayloadBinary differs from MarshalBinary", p, n)
+			}
+			for _, sparse := range []bool{false, true} {
+				viaSketch, viaPayload := new(HyperLogLog), new(HyperLogLog)
+				for _, h := range []*HyperLogLog{viaSketch, viaPayload} {
+					if err := h.Init(p, 9, sparse); err != nil {
+						t.Fatal(err)
+					}
+					h.UpdateString("already-there")
+				}
+				if err := viaSketch.Merge(src); err != nil {
+					t.Fatal(err)
+				}
+				viaPayload.MergePayload(payload)
+				a, _ := viaSketch.MarshalBinary()
+				b, _ := viaPayload.MarshalBinary()
+				if !bytes.Equal(a, b) || viaSketch.IsSparse() != viaPayload.IsSparse() || viaSketch.Bytes() != viaPayload.Bytes() {
+					t.Fatalf("p=%d n=%d sparse receiver %v: MergePayload differs from Merge", p, n, sparse)
+				}
+			}
+		}
+	}
+}

@@ -130,3 +130,80 @@ func (h *HyperLogLog) SortedEntries() []SparseEntry {
 	}
 	return out
 }
+
+// A payload is the sparse form as bytes, for a holder that keeps sealed
+// sketches in one byte arena (the sketch store's sealed history) rather
+// than as objects. Precision and seed are not in it: the holder knows
+// them. Layout:
+//
+//	uvarint items, then per occupied register, in ascending index order,
+//	uvarint(index - previous index) and the rank byte
+//
+// where the first index is less 0. Most deltas are under 128, so an
+// occupied register takes two bytes where the sparse form takes four.
+
+// AppendPayload appends h's payload to b and reports true when h is in
+// the sparse form; a dense h appends nothing and reports false.
+func (h *HyperLogLog) AppendPayload(b []byte) ([]byte, bool) {
+	if h.registers != nil {
+		return b, false
+	}
+	b = binary.AppendUvarint(b, h.items)
+	prev := uint32(0)
+	for _, e := range h.sparse {
+		b = binary.AppendUvarint(b, uint64(e>>8-prev))
+		b = append(b, uint8(e))
+		prev = e >> 8
+	}
+	return b, true
+}
+
+// MergePayload folds the sketch that p, from AppendPayload of a sketch
+// with h's precision and seed, encodes into h, exactly as Merge folds
+// that sketch: register-wise max, in whichever form h is in. It
+// allocates only where Merge would.
+func (h *HyperLogLog) MergePayload(p []byte) {
+	items, i := binary.Uvarint(p)
+	idx := uint32(0)
+	for i < len(p) {
+		// Deltas under 2^14, one or two bytes, are read without the
+		// decoder; a rank byte follows every delta.
+		d := uint32(p[i])
+		switch {
+		case d < 0x80:
+			i++
+		case p[i+1] < 0x80:
+			d, i = d&0x7f|uint32(p[i+1])<<7, i+2
+		default:
+			v, w := binary.Uvarint(p[i:])
+			d, i = uint32(v), i+w
+		}
+		idx += d
+		h.raise(idx, p[i])
+		i++
+	}
+	h.items += items
+}
+
+// AppendPayloadBinary appends to b the MarshalBinary encoding of the
+// sketch with the given precision and seed that p, from AppendPayload,
+// encodes: the bytes the sketch itself would marshal to.
+func AppendPayloadBinary(b []byte, precision uint8, seed uint64, p []byte) []byte {
+	items, n := binary.Uvarint(p)
+	b = append(b, precision)
+	b = binary.LittleEndian.AppendUint64(b, seed)
+	b = binary.LittleEndian.AppendUint64(b, items)
+	m := 1 << precision
+	start := len(b)
+	b = slices.Grow(b, m)[:start+m]
+	regs := b[start:]
+	clear(regs)
+	idx := 0
+	for i := n; i < len(p); {
+		d, w := binary.Uvarint(p[i:])
+		idx += int(d)
+		regs[idx] = p[i+w]
+		i += w + 1
+	}
+	return b
+}

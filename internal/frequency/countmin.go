@@ -16,6 +16,7 @@ package frequency
 
 import (
 	"cmp"
+	"encoding/binary"
 	"slices"
 	"sort"
 
@@ -438,3 +439,109 @@ func (cs *CountSketch) Items() uint64 { return cs.n }
 // Bytes returns the counter-matrix footprint (tabulation tables excluded:
 // they are shared constants reconstructible from the seed).
 func (cs *CountSketch) Bytes() int { return cs.width*cs.depth*8 + 32 }
+
+// A payload is the sparse form as bytes, for a holder that keeps sealed
+// sketches in one byte arena (the sketch store's sealed history) rather
+// than as objects. Width, depth and seed are not in it: the holder knows
+// them. Layout:
+//
+//	uvarint n (the count mass), then per non-zero counter, in ascending
+//	cell order, uvarint(cell - previous cell) and uvarint(count)
+//
+// where the first cell is less 0. A bucket's cells are a few columns
+// apart and its counts small, so most take two or three bytes where the
+// sparse form takes sixteen.
+
+// AppendPayload appends cm's payload to b and reports true when cm is in
+// the sparse form and not conservative (a payload merges by addition,
+// which a conservative sketch refuses); otherwise it appends nothing and
+// reports false.
+func (cm *CountMin) AppendPayload(b []byte) ([]byte, bool) {
+	if cm.counts != nil || cm.conservative {
+		return b, false
+	}
+	b = binary.AppendUvarint(b, cm.n)
+	prev := uint64(0)
+	for _, e := range cm.sparse {
+		b = binary.AppendUvarint(b, e.cell-prev)
+		b = binary.AppendUvarint(b, e.count)
+		prev = e.cell
+	}
+	return b, true
+}
+
+// MergePayload adds the sketch that p, from AppendPayload of a sketch
+// with cm's width, depth and seed, encodes into cm, exactly as Merge adds
+// that sketch, in whichever form cm is in. It allocates only where Merge
+// would; a conservative cm refuses, as Merge does.
+func (cm *CountMin) MergePayload(p []byte) error {
+	if cm.conservative {
+		return core.ErrIncompatible
+	}
+	n, i := binary.Uvarint(p)
+	d, base, cell := 0, uint64(0), uint64(0) // row of the current cell and its first cell
+	for i < len(p) {
+		// Deltas under 2^14 and counts under 2^7, the common case, are
+		// read without the decoder; a count follows every delta.
+		delta := uint64(p[i])
+		switch {
+		case delta < 0x80:
+			i++
+		case p[i+1] < 0x80:
+			delta, i = delta&0x7f|uint64(p[i+1])<<7, i+2
+		default:
+			delta, i = payloadUvarint(p, i)
+		}
+		count := uint64(p[i])
+		if count < 0x80 {
+			i++
+		} else {
+			count, i = payloadUvarint(p, i)
+		}
+		cell += delta
+		if cm.counts == nil {
+			cm.addSparse(cell, count)
+			continue
+		}
+		for cell >= base+uint64(cm.width) {
+			d, base = d+1, base+uint64(cm.width)
+		}
+		cm.counts[d][cell-base] += count
+	}
+	cm.n += n
+	return nil
+}
+
+// AppendCountMinPayloadBinary appends to b the MarshalBinary encoding of
+// the width x depth sketch of the given seed that p, from AppendPayload,
+// encodes: the bytes the sketch itself would marshal to.
+func AppendCountMinPayloadBinary(b []byte, width, depth int, seed uint64, p []byte) []byte {
+	n, i := binary.Uvarint(p)
+	start, size := len(b), cmHeaderSize+width*depth*8
+	b = slices.Grow(b, size)[:start+size]
+	out := b[start:]
+	binary.LittleEndian.PutUint32(out[0:], cmMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(width))
+	binary.LittleEndian.PutUint32(out[8:], uint32(depth))
+	out[12] = 0
+	binary.LittleEndian.PutUint64(out[13:], n)
+	binary.LittleEndian.PutUint64(out[21:], hashutil.NewFamily(seed).Seed(0))
+	body := out[cmHeaderSize:]
+	clear(body)
+	cell := uint64(0)
+	for i < len(p) {
+		var delta, count uint64
+		delta, i = payloadUvarint(p, i)
+		count, i = payloadUvarint(p, i)
+		cell += delta
+		binary.LittleEndian.PutUint64(body[cell*8:], count)
+	}
+	return b
+}
+
+// payloadUvarint decodes the uvarint at p[i:] and returns it with the
+// position after it.
+func payloadUvarint(p []byte, i int) (uint64, int) {
+	v, w := binary.Uvarint(p[i:])
+	return v, i + w
+}

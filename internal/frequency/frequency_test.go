@@ -1160,3 +1160,63 @@ func TestSparseCountMinConservative(t *testing.T) {
 		}
 	}
 }
+
+// A payload stands for its sketch: merged into a dense or a sparse
+// receiver it gives the bytes Merge of the sketch gives, its binary form
+// is the sketch's MarshalBinary, and only a sparse, non-conservative
+// sketch has one. Counts up to 2^40 and sketches from one cell to the
+// sparse form's limit make deltas and counts take one to six bytes.
+func TestCountMinPayloadStandsForSketch(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 40, 500} {
+		for _, weight := range []uint64{1, 200, 1 << 40} {
+			src, _ := NewSparseCountMin(512, 4, 9)
+			for i := 0; i < n; i++ {
+				src.UpdateString(fmt.Sprintf("item-%d", i%37), weight+uint64(i))
+			}
+			payload, ok := src.AppendPayload([]byte{0xa5})
+			if ok != src.IsSparse() {
+				t.Fatalf("n=%d: AppendPayload reports %v for a sketch sparse %v", n, ok, src.IsSparse())
+			}
+			if !ok {
+				continue
+			}
+			payload = payload[1:]
+			want, _ := src.MarshalBinary()
+			if got := AppendCountMinPayloadBinary([]byte{0xa5}, 512, 4, 9, payload); !bytes.Equal(got[1:], want) {
+				t.Fatalf("n=%d weight %d: AppendCountMinPayloadBinary differs from MarshalBinary", n, weight)
+			}
+			for _, sparse := range []bool{false, true} {
+				viaSketch, viaPayload := new(CountMin), new(CountMin)
+				for _, cm := range []*CountMin{viaSketch, viaPayload} {
+					if err := cm.Init(512, 4, 9, sparse); err != nil {
+						t.Fatal(err)
+					}
+					cm.UpdateString("already-there", 3)
+				}
+				if err := viaSketch.Merge(src); err != nil {
+					t.Fatal(err)
+				}
+				if err := viaPayload.MergePayload(payload); err != nil {
+					t.Fatal(err)
+				}
+				a, _ := viaSketch.MarshalBinary()
+				b, _ := viaPayload.MarshalBinary()
+				if !bytes.Equal(a, b) || viaSketch.IsSparse() != viaPayload.IsSparse() || viaSketch.Bytes() != viaPayload.Bytes() {
+					t.Fatalf("n=%d weight %d sparse receiver %v: MergePayload differs from Merge", n, weight, sparse)
+				}
+			}
+		}
+	}
+	dense, _ := NewCountMin(512, 4, 9)
+	if b, ok := dense.AppendPayload(nil); ok || len(b) != 0 {
+		t.Fatal("a dense sketch has a payload")
+	}
+	cons, _ := NewSparseCountMin(512, 4, 9)
+	cons.SetConservative(true)
+	if _, ok := cons.AppendPayload(nil); ok {
+		t.Fatal("a conservative sketch has a payload")
+	}
+	if err := cons.MergePayload([]byte{0}); !errors.Is(err, core.ErrIncompatible) {
+		t.Fatalf("a conservative receiver took a payload: %v", err)
+	}
+}

@@ -498,6 +498,39 @@ func (q *QDigest) Compact(dst *QDigest) bool {
 	return true
 }
 
+// A payload is the packed form as bytes, for a holder that keeps sealed
+// digests in one byte arena (the sketch store's sealed history) rather
+// than as objects: the uvarint of the total weight n, then the nodes
+// packed (see packNodes). The universe and compression factor are not in
+// it: the holder knows them.
+
+// AppendPayload appends q's payload, with the tail folded in, to b.
+func (q *QDigest) AppendPayload(b []byte) []byte {
+	b = binary.AppendUvarint(b, q.n)
+	if q.packed {
+		return append(b, q.enc...)
+	}
+	s := getScratch()
+	b = packNodes(b, q.view(s))
+	scratchList.Put(s)
+	return b
+}
+
+// MergePayload merges the digest that p, from AppendPayload of a digest
+// with q's universe and compression factor, encodes into q, exactly as
+// Merge merges that digest, and recompresses. Like Merge of a packed
+// digest, it unpacks the nodes into q's own spare capacity.
+func (q *QDigest) MergePayload(p []byte) {
+	n, w := binary.Uvarint(p)
+	q.unpack()
+	s := getScratch()
+	q.fold(s)
+	q.nodes = mergePacked(q.nodes, p[w:])
+	q.n += n
+	q.compress(s)
+	scratchList.Put(s)
+}
+
 // Count returns the total inserted weight.
 func (q *QDigest) Count() uint64 { return q.n }
 

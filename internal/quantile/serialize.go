@@ -28,19 +28,37 @@ func (q *QDigest) MarshalBinary() ([]byte, error) { return q.AppendBinary(nil) }
 // AppendBinary appends the MarshalBinary encoding to b.
 func (q *QDigest) AppendBinary(b []byte) ([]byte, error) {
 	s := getScratch()
-	nodes := q.view(s)
+	b = appendEncoding(b, q.logU, q.k, q.n, q.view(s))
+	scratchList.Put(s)
+	return b, nil
+}
+
+// AppendQDigestPayloadBinary appends to b the MarshalBinary encoding of
+// the digest over [0, 2^logU) with compression factor k that p, from
+// AppendPayload, encodes: the bytes the digest itself would marshal to.
+func AppendQDigestPayloadBinary(b []byte, logU uint8, k uint64, p []byte) []byte {
+	n, w := binary.Uvarint(p)
+	s := getScratch()
+	s.nodes = unpackNodes(s.nodes[:0], p[w:])
+	b = appendEncoding(b, logU, k, n, s.nodes)
+	scratchList.Put(s)
+	return b
+}
+
+// appendEncoding appends the layout above for a digest of the given
+// configuration, total weight n and ascending nodes.
+func appendEncoding(b []byte, logU uint8, k, n uint64, nodes []node) []byte {
 	b = slices.Grow(b, qdHeaderSize+len(nodes)*16)
 	b = binary.LittleEndian.AppendUint32(b, qdMagic)
-	b = append(b, q.logU)
-	b = binary.LittleEndian.AppendUint64(b, q.k)
-	b = binary.LittleEndian.AppendUint64(b, q.n)
+	b = append(b, logU)
+	b = binary.LittleEndian.AppendUint64(b, k)
+	b = binary.LittleEndian.AppendUint64(b, n)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
 	for _, nd := range nodes {
 		b = binary.LittleEndian.AppendUint64(b, nd.id)
 		b = binary.LittleEndian.AppendUint64(b, nd.cnt)
 	}
-	scratchList.Put(s)
-	return b, nil
+	return b
 }
 
 // UnmarshalBinary decodes into the receiver, replacing its contents. The

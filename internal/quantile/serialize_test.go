@@ -140,3 +140,48 @@ func FuzzQDigestUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// A payload stands for its digest, held unpacked or packed: merged into
+// a receiver it gives the bytes Merge of the digest gives, and its binary
+// form is the digest's MarshalBinary. Weights up to 2^40 make node counts
+// take one to six bytes.
+func TestQDigestPayloadStandsForDigest(t *testing.T) {
+	for _, n := range []int{0, 1, 50, 3000} {
+		for _, weight := range []uint64{1, 300, 1 << 40} {
+			src, _ := NewQDigest(16, 32)
+			for i := 0; i < n; i++ {
+				src.Update(uint64(i*7919)%60000, weight)
+			}
+			var packed QDigest
+			src.Compact(&packed)
+			want, _ := src.MarshalBinary()
+			var payload []byte
+			for _, q := range []*QDigest{src, &packed} {
+				p := q.AppendPayload([]byte{0xa5})[1:]
+				if payload != nil && !bytes.Equal(p, payload) {
+					t.Fatalf("n=%d weight %d: a packed digest's payload differs from its source's", n, weight)
+				}
+				payload = p
+			}
+			if got := AppendQDigestPayloadBinary([]byte{0xa5}, 16, 32, payload); !bytes.Equal(got[1:], want) {
+				t.Fatalf("n=%d weight %d: AppendQDigestPayloadBinary differs from MarshalBinary", n, weight)
+			}
+			viaDigest, _ := NewQDigest(16, 32)
+			viaPayload, _ := NewQDigest(16, 32)
+			for _, q := range []*QDigest{viaDigest, viaPayload} {
+				for v := uint64(0); v < 40; v++ {
+					q.Update(v*1500, 1)
+				}
+			}
+			if err := viaDigest.Merge(src); err != nil {
+				t.Fatal(err)
+			}
+			viaPayload.MergePayload(payload)
+			a, _ := viaDigest.MarshalBinary()
+			b, _ := viaPayload.MarshalBinary()
+			if !bytes.Equal(a, b) {
+				t.Fatalf("n=%d weight %d: MergePayload differs from Merge", n, weight)
+			}
+		}
+	}
+}

@@ -12,9 +12,11 @@
 //	        uvarint bucket index, uvarint synopsis len, synopsis bytes
 //
 // where the synopsis bytes come from the adapter's AppendBinary (see
-// synopsis.go). Records go shard by shard, a shard's series in (metric,
-// key) order and a series' buckets ascending, so one store state always
-// writes the same bytes. manifest.json names the store geometry the data
+// synopsis.go), or, for a bucket sealed into its series' history, from
+// its payload by Prototype.appendPayloadBinary: the same bytes. Records
+// go shard by shard, a shard's series in (metric, key) order and a
+// series' buckets ascending, so one store state always writes the same
+// bytes. manifest.json names the store geometry the data
 // was written under, the per-partition log offsets it covers, the record
 // count and the data file's size and CRC — restore refuses a manifest
 // that disagrees with the data file or the restoring store's geometry,
@@ -131,14 +133,30 @@ func WriteCheckpoint(st *Store, dir string, meta CheckpointMeta) (CheckpointInfo
 			})
 			for _, e := range order {
 				k := e.k
-				for i := range e.slots {
-					sl := &e.slots[i]
-					var err error
-					if sb, err = sl.syn.AppendBinary(sb[:0]); err != nil {
-						sh.mu.RUnlock()
-						return fmt.Errorf("store: WriteCheckpoint: metric %q: %w", k.metric, err)
+				proto, err := st.metrics.Lookup(k.metric)
+				if err != nil {
+					sh.mu.RUnlock()
+					return err
+				}
+				// A series' buckets ascend across its slots and history.
+				h := &e.hist
+				for i, j := 0, 0; i < len(e.slots) || j < len(h.index); {
+					var bkt int64
+					if j == len(h.index) || i < len(e.slots) && e.slots[i].idx() < h.bkt(h.index[j]) {
+						sl := &e.slots[i]
+						bkt = sl.idx()
+						i++
+						if sb, err = sl.syn.AppendBinary(sb[:0]); err != nil {
+							sh.mu.RUnlock()
+							return fmt.Errorf("store: WriteCheckpoint: metric %q: %w", k.metric, err)
+						}
+					} else {
+						p, _ := h.record(h.index[j])
+						bkt = h.bkt(h.index[j])
+						j++
+						sb = proto.appendPayloadBinary(sb[:0], p)
 					}
-					buf = appendCheckpointRecord(buf[:0], k, sl.idx(), sb)
+					buf = appendCheckpointRecord(buf[:0], k, bkt, sb)
 					if _, err := tmp.Write(buf); err != nil {
 						sh.mu.RUnlock()
 						return err
@@ -394,11 +412,18 @@ func (s *Store) restoreRecord(payload []byte) error {
 	// A writer emits each held bucket once, all within one retention
 	// window; a checkpoint that breaks either rule is not one of ours.
 	i, held := e.find(bkt)
-	if held {
+	if _, sealed := e.hist.find(bkt); held || sealed {
 		return fmt.Errorf("store: checkpoint names bucket %d of %q/%q twice: %w", bkt, metric, key, core.ErrCorrupt)
 	}
-	if n := len(e.slots); n > 0 {
-		if lo, hi := min(e.slots[0].idx(), bkt), max(e.slots[n-1].idx(), bkt); hi-lo >= int64(s.cfg.RingBuckets) {
+	if newest := e.newest(); newest >= 0 {
+		oldest := newest
+		if len(e.slots) > 0 {
+			oldest = e.slots[0].idx()
+		}
+		if len(e.hist.index) > 0 {
+			oldest = min(oldest, e.hist.bkt(e.hist.index[0]))
+		}
+		if lo, hi := min(oldest, bkt), max(newest, bkt); hi-lo >= int64(s.cfg.RingBuckets) {
 			return fmt.Errorf("store: checkpoint buckets %d and %d of %q/%q lie a retention window or more apart: %w", lo, hi, metric, key, core.ErrCorrupt)
 		}
 	}
@@ -410,12 +435,11 @@ func (s *Store) restoreRecord(payload []byte) error {
 		return fmt.Errorf("store: restore %q/%q bucket %d: %w", metric, key, bkt, err)
 	}
 	e.insert(i, newSlot(bkt, syn), s.cfg.RingBuckets)
-	nb := syn.Bytes()
-	e.bytes += nb
-	sh.bytes += nb
+	e.grow(sh, syn.Bytes())
 	// Restored buckets are history: seal each as it lands (see
-	// sealHistory for why a restored store must be all-sealed).
-	e.sealSlot(&e.slots[i], sh)
+	// sealHistory for why a restored store must be all-sealed), into the
+	// history when it has a payload.
+	e.sealAll(sh, s.cfg.RingBuckets)
 	return nil
 }
 
@@ -435,9 +459,7 @@ func (s *Store) sealHistory() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			for i := range e.slots {
-				e.sealSlot(&e.slots[i], sh)
-			}
+			e.sealAll(sh, s.cfg.RingBuckets)
 		}
 		sh.mu.Unlock()
 	}

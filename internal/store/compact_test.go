@@ -310,6 +310,116 @@ func TestQueryRacingRollNeverSeesRecycledSpare(t *testing.T) {
 	}
 }
 
+// Queries over a fixed sealed range of a series race everything that
+// moves the series' history: rolls that append sealed payloads to its
+// arena and expire its oldest buckets, late writes into buckets outside
+// the range that reopen history records (leaving them dead), and the
+// copy-downs into a new arena that dead bytes trigger. Readers merge
+// payload slices after releasing the shard lock, so arena bytes below
+// its length must never be written again: every answer over the fixed
+// range keeps its bytes throughout. Run under -race.
+func TestQueryRacingHistoryMoves(t *testing.T) {
+	const (
+		width, ring = 10, 64
+		lo, hi      = 50, 60 // the fixed range, in buckets
+		last        = 109    // the newest bucket the rolls reach: lo stays in the window
+		rounds      = 4
+	)
+	cfg := Config{Shards: 2, BucketWidth: width, RingBuckets: ring}
+	write := func(st *Store, bkt int64, salt int) error {
+		var batch []Observation
+		for j := 0; j < 3; j++ {
+			item := fmt.Sprintf("u%d", (int(bkt)*7+j+salt)%29)
+			now := bkt*width + int64(j)
+			batch = append(batch,
+				Observation{Metric: "uniq", Key: "a", Item: item, Time: now},
+				Observation{Metric: "hits", Key: "a", Item: item, Value: 1 + uint64(j), Time: now},
+				Observation{Metric: "lat", Key: "a", Value: uint64(int(bkt)*31+j*7+salt) % 5000, Time: now})
+		}
+		return st.ObserveBatch(batch)
+	}
+	copyDowns, expiries, lates := 0, 0, 0
+	for round := 0; round < rounds; round++ {
+		st := ckptStore(t, cfg)
+		for bkt := int64(0); bkt < ring; bkt++ {
+			if err := write(st, bkt, round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req := QueryRequest{Metrics: []string{"uniq", "hits", "lat"}, Key: "a", From: lo * width, To: hi * width}
+		want, err := st.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantBytes [][]byte
+		for _, syn := range want.RawSynopses() {
+			wantBytes = append(wantBytes, marshal(t, syn))
+		}
+		k := entryKey{metric: "lat", key: "a"}
+		sh := st.shards[st.shardIndex(k)]
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			for bkt := int64(ring); bkt <= last; bkt++ {
+				sh.mu.RLock()
+				h := &sh.entries[k].hist
+				before, oldest := len(h.arena), h.bkt(h.index[0])
+				sh.mu.RUnlock()
+				// A roll, then late writes behind the range and just behind
+				// the newest bucket, both outside [lo, hi) while bkt <= last.
+				for _, b := range []int64{bkt, bkt - ring + 4, bkt - 2} {
+					if err := write(st, b, round+1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				lates += 2
+				sh.mu.RLock()
+				if len(h.arena) < before { // only a copy-down shortens an arena
+					copyDowns++
+				}
+				if h.bkt(h.index[0]) > oldest {
+					expiries++
+				}
+				sh.mu.RUnlock()
+			}
+		}()
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					got, err := st.Query(context.Background(), req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i, syn := range got.RawSynopses() {
+						if !bytes.Equal(marshal(t, syn), wantBytes[i]) {
+							t.Errorf("round %d cell %d: a fixed sealed range changed under a moving history", round, i)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		checkHeld(t, st)
+	}
+	t.Logf("%d rounds: %d late writes, %d expiries and %d copy-downs of the lat/a arena", rounds, lates, expiries, copyDowns)
+	if copyDowns == 0 || expiries == 0 {
+		t.Fatalf("the history never moved: %d expiries, %d copy-downs", expiries, copyDowns)
+	}
+}
+
 // Buckets are born sparse: a freshly opened HyperLogLog or Count-Min
 // bucket holds only what it absorbed, and a roll that opens a new bucket
 // for every series allocates far less than one dense array per series —
@@ -548,14 +658,15 @@ func TestSealedFootprint(t *testing.T) {
 
 // TestSealedHeapFootprint is the gate on what the preload shape's cells
 // cost on the heap, bookkeeping included: TestSealedFootprint reads
-// Stats.Bytes, which counts the synopses' payloads, not the slot arrays
-// and structs that hold them. It logs the heap after GC that each family
-// alone adds, and fails when the four-family SealedFootprintStore adds
-// more than 2.3 MiB: 2.57 MiB with 40-byte slots and each sketch behind
-// an adapter pointer, 2.10 MiB with 24-byte slots and sketches held by
-// value.
+// Stats.Bytes, which counts the synopses' and histories' payloads, not
+// the slot arrays, entries and object headers that hold them. It logs
+// the heap after GC that each family alone adds, and fails when the
+// four-family SealedFootprintStore adds more than 1.25 MiB: 2.57 MiB with
+// 40-byte slots and each sketch behind an adapter pointer, 2.10 MiB with
+// 24-byte slots and sketches held by value, 0.56 MiB with sealed HLL,
+// Count-Min and q-digest buckets as payloads in one arena per series.
 func TestSealedHeapFootprint(t *testing.T) {
-	const ceiling = 23 << 20 / 10 // 2.3 MiB
+	const ceiling = 125 << 20 / 100 // 1.25 MiB
 	if size := unsafe.Sizeof(slot{}); size > 24 {
 		t.Fatalf("a slot takes %d bytes, gate 24", size)
 	}
@@ -574,6 +685,32 @@ func TestSealedHeapFootprint(t *testing.T) {
 	}
 	if n := held("uniques", "page-hits", "top-pages", "latency-us"); n > ceiling {
 		t.Fatalf("SealedFootprintStore holds %d heap bytes, ceiling %d", n, ceiling)
+	}
+}
+
+// TestSealedHistoryHeapObjects is the gate on how many heap objects the
+// preload shape holds after GC, all of which the collector marks on every
+// cycle: at most 3 000. With every sealed bucket an object behind a slot
+// it held 22 850; with sealed HLL, Count-Min and q-digest buckets as
+// payloads in one pointer-free arena per series, what is left is the
+// top-k buckets, the entries, the arenas and indexes, the open buckets
+// and the slot arrays.
+func TestSealedHistoryHeapObjects(t *testing.T) {
+	const ceiling = 3000
+	SealedFootprintStore(t) // runs the build's one-time initialisation and grows its free lists
+	objects := func() uint64 {
+		heapAfterGC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	before := objects()
+	st := SealedFootprintStore(t)
+	n := int64(objects()) - int64(before)
+	runtime.KeepAlive(st)
+	t.Logf("SealedFootprintStore adds %d heap objects", n)
+	if n > ceiling {
+		t.Fatalf("SealedFootprintStore adds %d heap objects, ceiling %d", n, ceiling)
 	}
 }
 
@@ -619,6 +756,35 @@ func TestSealedTopKFootprint(t *testing.T) {
 	}
 }
 
+// BenchmarkQuantileRange and BenchmarkUniquesRange time the 64-bucket
+// `latency-us` and `uniques` range queries on `page-01` over
+// SealedFootprintStore — the serving benchmark's range_scan shape —
+// which merge their sealed buckets from history payloads. Each fails at
+// more than 8 allocations a query, TestSealedFootprint's and
+// TestQuantileAnswerFootprint's gate.
+func BenchmarkQuantileRange(b *testing.B) { benchmarkRange(b, "latency-us") }
+
+func BenchmarkUniquesRange(b *testing.B) { benchmarkRange(b, "uniques") }
+
+func benchmarkRange(b *testing.B, metric string) {
+	const width = 100
+	st := SealedFootprintStore(b)
+	req := QueryRequest{Metric: metric, Key: "page-01", From: 40 * width, To: 104 * width}
+	query := func() {
+		if _, err := st.Query(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, query); allocs > 8 {
+		b.Fatalf("64-bucket %s range query costs %v allocations, gate 8", metric, allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+}
+
 // BenchmarkTopKRange times the 64-bucket `top-pages`/`all` range query
 // over SealedFootprintStore, the paper's trending query over the serving
 // benchmark's preload. It fails at 100 allocations a query or more.
@@ -646,21 +812,31 @@ func BenchmarkTopKRange(b *testing.B) {
 // daemon's latency-us digest (logU 20, k 512): 76 800 events over 64 Zipf
 // (s = 1.1) pages, values uniform in 100–9 099. The bucket stays open.
 func zipfQuantileBucket(t *testing.T) *Store {
-	const (
-		pages, events, batchSize = 64, 76800, 256
-		width                    = 100
-	)
-	st := mustStore(t, Config{Shards: 8, BucketWidth: width, RingBuckets: 256})
+	st := mustStore(t, Config{Shards: 8, BucketWidth: zipfWidth, RingBuckets: 256})
 	lat, _ := NewQuantileProto(20, 512)
 	if err := st.RegisterMetric("latency-us", lat); err != nil {
 		t.Fatal(err)
+	}
+	writeZipfQuantileBucket(t, st, 0)
+	return st
+}
+
+const zipfWidth = 100 // zipfQuantileBucket's bucket width
+
+// writeZipfQuantileBucket writes zipfQuantileBucket's events into bucket
+// bkt of st.
+func writeZipfQuantileBucket(t *testing.T, st *Store, bkt int64) {
+	const pages, events, batchSize = 64, 76800, 256
+	names := make([]string, pages) // formatted once: the events allocate nothing of their own
+	for p := range names {
+		names[p] = fmt.Sprintf("page-%02d", p)
 	}
 	rng := workload.NewRNG(1)
 	zipf := workload.NewZipf(rng, pages, 1.1)
 	batch := make([]Observation, 0, batchSize)
 	for i := 0; i < events; i++ {
-		page := fmt.Sprintf("page-%02d", zipf.Draw())
-		batch = append(batch, Observation{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: int64(i % width)})
+		page := names[zipf.Draw()]
+		batch = append(batch, Observation{Metric: "latency-us", Key: page, Value: 100 + rng.Uint64()%9000, Time: bkt*zipfWidth + int64(i%zipfWidth)})
 		if len(batch) == batchSize {
 			if err := st.ObserveBatch(batch); err != nil {
 				t.Fatal(err)
@@ -668,7 +844,33 @@ func zipfQuantileBucket(t *testing.T) *Store {
 			batch = batch[:0]
 		}
 	}
-	return st
+}
+
+// TestNextQuantileBucketReusesSealedDigest is the gate on what a series'
+// next q-digest bucket allocates: the seal copies the sealed digest's
+// packed payload into the history, so no reader holds the open digest
+// any more, and the next bucket opens in it, emptied, keeping its node
+// and tail buffers. A second zipfQuantileBucket-shaped bucket allocates
+// at most 1.0 MB (the least of three runs: TotalAlloc is process-wide;
+// the events' key strings are made before it): 0.32 MB when the gate
+// landed, where every bucket growing a new digest from empty took
+// 1.29 MB.
+func TestNextQuantileBucketReusesSealedDigest(t *testing.T) {
+	const ceiling = 1 << 20
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		st := zipfQuantileBucket(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		writeZipfQuantileBucket(t, st, 1)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		checkHeld(t, st)
+	}
+	t.Logf("the second bucket allocates %d bytes", least)
+	if least > ceiling {
+		t.Fatalf("the second bucket allocates %d bytes, ceiling %d", least, ceiling)
+	}
 }
 
 // heapAfterGC returns the live heap once collection has settled it.
@@ -716,9 +918,10 @@ func TestOpenQuantileFootprint(t *testing.T) {
 
 // TestSealedQuantileFootprint is the gate on a sealed q-digest bucket's
 // footprint: the ingest_zipf-shaped bucket of zipfQuantileBucket, sealed.
-// Its 64 digests hold their nodes packed: 2.05 bytes per node and 95 KB
-// when the gate landed, where (id, count) pairs held 16 bytes per node
-// and 744 KB.
+// Its 64 digests are history payloads, nodes packed, each record with
+// its length and index word: 2.05 bytes per node and 95 KB when the gate
+// landed (digest objects holding packed nodes, their headers uncounted),
+// where (id, count) pairs held 16 bytes per node and 744 KB.
 func TestSealedQuantileFootprint(t *testing.T) {
 	const (
 		pages, width = 64, 100
@@ -733,16 +936,25 @@ func TestSealedQuantileFootprint(t *testing.T) {
 	if err := st.ObserveBatch(batch); err != nil {
 		t.Fatal(err)
 	}
+	lat, err := st.metrics.Lookup("latency-us")
+	if err != nil {
+		t.Fatal(err)
+	}
 	held, nodes, sealed := 0, 0, 0
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		for _, e := range sh.entries {
 			for _, sl := range e.slots {
 				if sl.sealed() {
-					held += sl.syn.Bytes()
-					nodes += sl.syn.(*Quantiles).q.Nodes()
-					sealed++
+					t.Fatalf("a sealed q-digest bucket kept as a %T slot", sl.syn)
 				}
+			}
+			for _, r := range e.hist.index {
+				p, size := e.hist.record(r)
+				enc := lat.appendPayloadBinary(nil, p) // its header counts the nodes
+				held += size + refSize
+				nodes += int(binary.LittleEndian.Uint32(enc[21:]))
+				sealed++
 			}
 		}
 		sh.mu.RUnlock()

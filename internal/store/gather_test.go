@@ -73,8 +73,8 @@ func TestHeapSettlesInOneGC(t *testing.T) {
 // What waits on a Prototype's free list of gathers is bounded, however
 // many keys the merges answered: after an AllKeys `page-hits` query over
 // 64 keys, per key (8 shard gathers at once) and aggregate, the list
-// holds at most maxIdleGathers gathers, each holding no sealed bucket
-// and at most one accumulator, empty.
+// holds at most maxIdleGathers gathers, each holding no sealed bucket,
+// no history payload and at most one accumulator, empty.
 func TestIdleGathersBounded(t *testing.T) {
 	const width = 100
 	st := SealedFootprintStore(t)
@@ -106,6 +106,9 @@ func TestIdleGathersBounded(t *testing.T) {
 		for _, g := range idle {
 			if slices.ContainsFunc(g.sealed[:cap(g.sealed)], func(s Synopsis) bool { return s != nil }) {
 				t.Fatalf("aggregate %v: an idle gather holds a sealed bucket", aggregate)
+			}
+			if slices.ContainsFunc(g.payloads[:cap(g.payloads)], func(p []byte) bool { return p != nil }) {
+				t.Fatalf("aggregate %v: an idle gather holds a history payload", aggregate)
 			}
 			if g.spare != nil && g.spare.Items() != 0 {
 				t.Fatalf("aggregate %v: an idle gather's accumulator holds %d items", aggregate, g.spare.Items())

@@ -453,7 +453,9 @@ type keyGather struct {
 	shard  uint32 // home shard index
 	pos    int    // index into the request's key slice
 	result Synopsis
-	lo, hi int // the key's sealed buckets in the gather's list
+	lo, hi int // the key's sealed slots in the gather's list
+	plo    int // the key's history payloads in the gather's list, to phi
+	phi    int
 }
 
 // queryKeys range-merges the metric's buckets of every key over bucket
@@ -515,12 +517,14 @@ func (s *Store) queryKeys(ctx context.Context, metric string, proto Prototype, k
 
 // gatherShard range-merges one shard's run of keys under a single
 // read-lock acquisition: still-open buckets merge under the lock, sealed
-// ones are collected and merged lock-free after it, and each key's
-// answer is put into out at the key's position. The accumulators and the
-// sealed-bucket list are the scratch of one gather, borrowed from proto's
-// free list and returned once the answers are built. A top-k key merges all
-// its buckets at once after the lock (see gather.mergeAll), so its open bucket
-// is copied out flat under the lock instead, as one more part.
+// ones — slots' synopses, and payload slices of the history's arena,
+// whose bytes below its length never change — are collected and merged
+// lock-free after it, and each key's answer is put into out at the key's
+// position. The accumulators and the sealed-bucket lists are the scratch
+// of one gather, borrowed from proto's free list and returned once the
+// answers are built. A top-k key merges all its buckets at once after
+// the lock (see gather.mergeAll), so its open bucket is copied out flat
+// under the lock instead, as one more part.
 func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype, run []keyGather, fromB, toB int64, tctx trace.Context, out []Synopsis) error {
 	// A cancelled request stops before paying for the shard lock; one Err
 	// check per shard, never per key, keeps the hot single-shard,
@@ -550,7 +554,7 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 	}
 	for i := range run {
 		c := &run[i]
-		c.lo = len(g.sealed)
+		c.lo, c.plo = len(g.sealed), len(g.payloads)
 		_, topk := c.result.(*TopK)
 		if e, ok := sh.entries[c.k]; ok {
 			j, _ := e.find(fromB)
@@ -567,16 +571,21 @@ func (s *Store) gatherShard(ctx context.Context, metric string, proto Prototype,
 					return err
 				}
 			}
+			h := &e.hist
+			for j, _ := h.find(fromB); j < len(h.index) && h.bkt(h.index[j]) <= toB; j++ {
+				p, _ := h.record(h.index[j])
+				g.payloads = append(g.payloads, p)
+			}
 		}
-		c.hi = len(g.sealed)
+		c.hi, c.phi = len(g.sealed), len(g.payloads)
 	}
 	sh.mu.RUnlock()
-	// Sealed synopses are immutable; merge them lock-free, in ascending
-	// bucket order, so a key answers byte for byte alike alone or in a
-	// batch.
+	// Sealed buckets are immutable; merge them lock-free, in ascending
+	// bucket order (slots, then the history), so a key answers byte for
+	// byte alike alone or in a batch.
 	for i := range run {
 		c := &run[i]
-		ans, err := g.merge(c.result, g.sealed[c.lo:c.hi])
+		ans, err := g.merge(c.result, g.sealed[c.lo:c.hi], g.payloads[c.plo:c.phi])
 		if err != nil {
 			return err
 		}

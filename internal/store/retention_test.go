@@ -12,10 +12,15 @@ import (
 
 // checkHeld holds every entry of st to the held-bucket layout: buckets in
 // strictly ascending order, all inside the retention window behind the
-// newest, and a slice whose capacity never passes the window. It also
-// holds the byte accounting to what the synopses report: an entry's bytes
-// are the sum of its slots' syn.Bytes(), and a shard's the sum of its
-// entries'.
+// newest, and a slot slice whose capacity never passes the window. The
+// history holds each bucket once, not also as a slot, in ascending
+// order; its records lie in the arena without overlap and their lengths
+// sum to the arena's live bytes; and no sealed slot has a payload it
+// should have left for the history (which keeps every sealed q-digest of
+// a range in ascending order). It also holds the byte accounting to what
+// the buckets report: an entry's bytes are the sum of its slots'
+// syn.Bytes() plus its history's live record bytes and index, and a
+// shard's the sum of its entries'.
 func checkHeld(t *testing.T, st *Store) {
 	t.Helper()
 	ring := st.cfg.RingBuckets
@@ -35,10 +40,45 @@ func checkHeld(t *testing.T, st *Store) {
 				if sl.idx() <= e.newest()-int64(ring) {
 					t.Fatalf("%s/%s: bucket %d held behind the window of newest %d", k.metric, k.key, sl.idx(), e.newest())
 				}
+				if _, ok := sl.syn.appendPayload(nil); ok && sl.sealed() && ring <= maxHistoryRing {
+					t.Fatalf("%s/%s: sealed bucket %d (%T) kept as a slot, not in the history", k.metric, k.key, sl.idx(), sl.syn)
+				}
 				entryBytes += sl.syn.Bytes()
 			}
+			h := &e.hist
+			type span struct{ lo, hi int }
+			var spans []span
+			live := 0
+			for j, r := range h.index {
+				bkt := h.bkt(r)
+				if j > 0 && h.bkt(h.index[j-1]) >= bkt {
+					t.Fatalf("%s/%s: history buckets %d, %d out of order", k.metric, k.key, h.bkt(h.index[j-1]), bkt)
+				}
+				if bkt <= e.newest()-int64(ring) {
+					t.Fatalf("%s/%s: history bucket %d behind the window of newest %d", k.metric, k.key, bkt, e.newest())
+				}
+				if _, held := e.find(bkt); held {
+					t.Fatalf("%s/%s: bucket %d held both as a slot and in the history", k.metric, k.key, bkt)
+				}
+				_, size := h.record(r)
+				spans = append(spans, span{r.off(), r.off() + size})
+				live += size
+			}
+			slices.SortFunc(spans, func(a, b span) int { return a.lo - b.lo })
+			for j := 1; j < len(spans); j++ {
+				if spans[j].lo < spans[j-1].hi {
+					t.Fatalf("%s/%s: history records overlap at arena offset %d", k.metric, k.key, spans[j].lo)
+				}
+			}
+			if n := len(spans); n > 0 && spans[n-1].hi > len(h.arena) {
+				t.Fatalf("%s/%s: a history record ends at %d, past the arena's %d bytes", k.metric, k.key, spans[n-1].hi, len(h.arena))
+			}
+			if live != len(h.arena)-h.dead {
+				t.Fatalf("%s/%s: history records hold %d bytes, the arena %d less %d dead", k.metric, k.key, live, len(h.arena), h.dead)
+			}
+			entryBytes += live + refSize*len(h.index)
 			if e.bytes != entryBytes {
-				t.Fatalf("%s/%s: entry accounts %d bytes, its synopses report %d", k.metric, k.key, e.bytes, entryBytes)
+				t.Fatalf("%s/%s: entry accounts %d bytes, its synopses and history report %d", k.metric, k.key, e.bytes, entryBytes)
 			}
 			shardBytes += e.bytes
 		}
@@ -211,8 +251,10 @@ func TestRetentionMatchesNaiveModel(t *testing.T) {
 // TestSeriesCostsHeldBuckets is the footprint gate of the held-bucket
 // layout: with the daemon's 256-bucket window and ingest_zipf's shape —
 // 193 series (64 pages of three metrics and one top-pages series) of 11
-// buckets each — every series' slot storage is at most twice the buckets
-// it holds. A preallocated ring took 256 slots per series.
+// buckets each — every series' bucket storage, its slots and its history
+// index, is at most twice the buckets it holds. A preallocated ring took
+// 256 slots per series; since sealed compact buckets went to the
+// history, only the top-pages series keeps its sealed buckets in slots.
 func TestSeriesCostsHeldBuckets(t *testing.T) {
 	const (
 		pages, buckets = 64, 11
@@ -245,24 +287,26 @@ func TestSeriesCostsHeldBuckets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	series, held, slots := 0, 0, 0
+	series, held, slots, refs := 0, 0, 0, 0
 	for _, sh := range st.shards {
 		for k, e := range sh.entries {
-			if len(e.slots) != buckets {
-				t.Fatalf("%s/%s holds %d buckets, want %d", k.metric, k.key, len(e.slots), buckets)
+			n := len(e.slots) + len(e.hist.index)
+			if n != buckets {
+				t.Fatalf("%s/%s holds %d buckets, want %d", k.metric, k.key, n, buckets)
 			}
-			if cap(e.slots) > 2*len(e.slots) {
-				t.Fatalf("%s/%s: %d slots for %d held buckets", k.metric, k.key, cap(e.slots), len(e.slots))
+			if cap(e.slots)+cap(e.hist.index) > 2*n {
+				t.Fatalf("%s/%s: %d slots and %d index words for %d held buckets", k.metric, k.key, cap(e.slots), cap(e.hist.index), n)
 			}
 			series++
-			held += len(e.slots)
+			held += n
 			slots += cap(e.slots)
+			refs += cap(e.hist.index)
 		}
 	}
 	if series != 3*pages+1 {
 		t.Fatalf("%d series, want %d", series, 3*pages+1)
 	}
 	size := int(unsafe.Sizeof(slot{}))
-	t.Logf("%d series hold %d buckets in %d slots: %d bytes of slots, %d as %d-slot rings",
-		series, held, slots, slots*size, series*ring*size, ring)
+	t.Logf("%d series hold %d buckets in %d slots and %d index words: %d bytes, %d as %d-slot rings",
+		series, held, slots, refs, slots*size+refs*refSize, series*ring*size, ring)
 }

@@ -23,16 +23,19 @@
 // Concurrency. A write batch (ObserveBatch, the one write path) locks
 // each shard it touches once, for that shard's sketch updates. When
 // an entry's stream time advances to a new bucket, older buckets are
-// sealed; sealed synopses are immutable — a late write to a sealed bucket
-// clones the synopsis and swaps the pointer (copy-on-write), never
-// mutating in place. Sealing is where a q-digest and a Space-Saving
-// summary take the size of what they hold: each is replaced by its
-// compact copy — packed nodes, flat counters (see sealSlot) — and the
-// vacated synopsis goes to the collector. Range queries RLock the shard
-// only long enough to snapshot bucket pointers (merging any still-open
-// buckets under the read lock), then merge the sealed buckets lock-free
-// outside it: a long query over mostly-sealed history does its heavy
-// merging without holding any lock at all.
+// sealed, and sealed buckets are immutable. Sealing is where a bucket
+// takes the size of what it holds: one in a compact form (a sparse
+// HyperLogLog or Count-Min, any q-digest) leaves its slot for the
+// series' sealed history, one byte arena of payloads (history.go), and
+// its synopsis goes to the collector; a Space-Saving summary is replaced
+// by its flat copy; a dense sketch stays as it is (see sealAll). A late
+// write to a sealed bucket reopens it as a fresh synopsis that takes the
+// sealed contents (copy-on-write), never mutating in place. Range queries
+// RLock the shard only long enough to snapshot bucket pointers and
+// payload slices (merging any still-open buckets under the read lock),
+// then merge the sealed buckets lock-free outside it: a long query over
+// mostly-sealed history does its heavy merging without holding any lock
+// at all.
 //
 // Retention. Two mechanisms bound memory: the retention window of
 // RingBuckets buckets behind each entry's newest (a bucket falling out of
@@ -120,9 +123,9 @@ type Stats struct {
 	DroppedLate uint64 // observations older than the retention window
 	Queries     uint64 // range queries served
 	EvictedSize uint64 // entries evicted by the byte budget
-	Compacted   uint64 // bucket seals that took the compact form (q-digest, top-k; see sealSlot)
+	Compacted   uint64 // bucket seals that took a compact form (the sealed history, or a flat top-k; see sealAll)
 	Entries     int    // live (metric, key) entries
-	Bytes       int    // synopsis bytes across all shards
+	Bytes       int    // synopsis and sealed-history bytes across all shards (see entry.bytes)
 }
 
 // Add accumulates another snapshot into s — the aggregation a cluster of
@@ -144,10 +147,10 @@ type entryKey struct {
 	key    string
 }
 
-// slot is one bucket an entry holds, in 24 bytes: the bucket index and
-// sealed flag in one word, and the synopsis. Its footprint is not kept:
-// syn.Bytes() is a pure function of the synopsis, so the accounting reads
-// it before and after each change to the slot.
+// slot is one bucket an entry holds as an object, in 24 bytes: the
+// bucket index and sealed flag in one word, and the synopsis. Its
+// footprint is not kept: syn.Bytes() is a pure function of the synopsis,
+// so the accounting reads it before and after each change to the slot.
 type slot struct {
 	// key is the bucket index shifted left one bit, the low bit set once
 	// the bucket is sealed (immutable: late writes must copy-on-write).
@@ -167,16 +170,23 @@ func (sl *slot) sealed() bool { return sl.key&1 != 0 }
 func newSlot(bkt int64, syn Synopsis) slot { return slot{key: uint64(bkt) << 1, syn: syn} }
 
 // entry is the held buckets of one (metric, key) series, plus its links in
-// the shard's recency list.
+// the shard's recency list. A bucket is held once, as a slot or in the
+// history, and every held bucket lies within the retention window behind
+// the newest.
 type entry struct {
 	k entryKey
-	// slots are the buckets the series holds, in ascending bucket order,
-	// all within the retention window behind the last (newest) one. The
-	// slice grows as buckets open and its capacity never passes
-	// RingBuckets (see insert); an append may move it, so no *slot is
-	// kept across one.
+	// slots are the buckets the series holds as objects, in ascending
+	// bucket order: the open ones, and sealed ones without a compact
+	// payload (a dense sketch, a flat top-k; see sealAll). The slice
+	// grows as buckets open and its capacity never passes RingBuckets
+	// (see insert); an append may move it, so no *slot is kept across
+	// one.
 	slots []slot
-	bytes int // sum of the slots' syn.Bytes()
+	// hist holds the sealed buckets with a compact payload.
+	hist history
+	// bytes is the slots' syn.Bytes() plus hist.bytes(): what a synopsis
+	// holds, and what the history's live records and index hold.
+	bytes int
 	prev  *entry
 	next  *entry
 }
@@ -184,10 +194,17 @@ type entry struct {
 // newest returns the highest bucket index written, or -1 before the
 // first write.
 func (e *entry) newest() int64 {
-	if len(e.slots) == 0 {
-		return -1
+	newest := e.hist.newest()
+	if n := len(e.slots); n > 0 {
+		newest = max(newest, e.slots[n-1].idx())
 	}
-	return e.slots[len(e.slots)-1].idx()
+	return newest
+}
+
+// grow moves the entry's and its shard's byte accounting by d.
+func (e *entry) grow(sh *shard, d int) {
+	e.bytes += d
+	sh.bytes += d
 }
 
 // find returns the position of bucket bkt in slots and whether it is
@@ -215,57 +232,83 @@ func (e *entry) insert(i int, sl slot, ring int) {
 	e.slots[i] = sl
 }
 
-// sealSlot makes an open bucket immutable and, where the synopsis offers
-// a compact form that pays (a q-digest's packed nodes, a Space-Saving
-// summary's flat counters), swaps that form in: seal -> compact, and the
-// vacated synopsis goes to the collector. Every path that seals goes
-// through here — time advancing, sealHistory and checkpoint restore — so
-// a sealed bucket costs what it holds wherever it came from. HyperLogLog
-// and Count-Min buckets already do from their first write (they open
-// sparse) and pass through. The accounting moves by the two synopses'
-// Bytes(). Callers hold the shard lock.
-func (e *entry) sealSlot(sl *slot, sh *shard) {
-	if sl.sealed() {
-		return
+// sealAll makes every open bucket of the entry immutable, in the form
+// that costs what it holds. A bucket with a compact payload (a sparse
+// HyperLogLog or Count-Min, any q-digest) leaves its slot for the
+// history, where it costs its payload and one index word, and its
+// synopsis goes to the collector — in a store whose window is too wide
+// for the history (maxHistoryRing) a q-digest swaps in its packed copy
+// instead. A Space-Saving summary swaps in its flat copy. A dense sketch
+// stays as it is: its header is a sliver of its array. Every path that
+// seals goes through here — time advancing, sealHistory and checkpoint
+// restore — so a sealed bucket costs what it holds wherever it came from.
+// The vacated q-digest, if any, is returned emptied: once its payload is
+// in the arena no reader holds it (open buckets are read only under the
+// shard lock), so the entry's next bucket can open in it and keep its
+// buffers. Callers hold the shard lock.
+func (e *entry) sealAll(sh *shard, ring int) (spare Synopsis) {
+	w := 0
+	for _, sl := range e.slots {
+		if !sl.sealed() {
+			sl.key |= 1
+			sh.seals++
+			if d, ok := e.sealToHistory(sl, ring); ok {
+				sh.compacted++
+				e.grow(sh, d-sl.syn.Bytes())
+				if q, ok := sl.syn.(*Quantiles); ok {
+					q.reset()
+					spare = q
+				}
+				continue
+			}
+			switch sl.syn.(type) {
+			case *Distinct, *Freq:
+				// Already compact, or dense because it outgrew the sparse
+				// form: it has no compact copy, and asking would scan its
+				// array.
+			default:
+				if small := sl.syn.compacted(); small != nil {
+					sh.compacted++
+					e.grow(sh, small.Bytes()-sl.syn.Bytes())
+					sl.syn = small
+				}
+			}
+		}
+		e.slots[w] = sl
+		w++
 	}
-	sl.key |= 1
-	sh.seals++
-	small := sl.syn.compacted()
-	if small == nil {
-		return
+	clear(e.slots[w:]) // drop the vacated tail's synopsis references
+	e.slots = e.slots[:w]
+	return spare
+}
+
+// sealToHistory appends sl's payload to the history when it has one and
+// the window fits the history's index, reporting the bytes it grew by.
+func (e *entry) sealToHistory(sl slot, ring int) (int, bool) {
+	if ring > maxHistoryRing {
+		return 0, false
 	}
-	sh.compacted++
-	d := small.Bytes() - sl.syn.Bytes()
-	sl.syn = small
-	e.bytes += d
-	sh.bytes += d
+	return e.hist.add(sl.idx(), sl.syn)
 }
 
 // advance prepares the entry for a write to bkt, past its newest bucket:
-// every held bucket is sealed (including clones produced by earlier late
-// writes) and the buckets that fall out of the retention window of ring
-// buckets behind bkt are dropped from the front, so queries never serve
-// history the write path would reject. It walks the held buckets once
-// per bucket advance per entry. Callers hold the shard lock.
-func (e *entry) advance(bkt int64, ring int, sh *shard) {
+// the buckets that fall out of the retention window of ring buckets
+// behind bkt are dropped from the front of the slots and the history, so
+// queries never serve history the write path would reject, and every
+// open bucket is sealed (sealAll), including clones produced by earlier
+// late writes. It walks the entry's slots — the open buckets and the
+// sealed ones without a payload — once per bucket advance, and returns
+// sealAll's vacated q-digest. Callers hold the shard lock.
+func (e *entry) advance(bkt int64, ring int, sh *shard) Synopsis {
 	horizon := bkt - int64(ring)
 	expired := 0
-	for i := range e.slots {
-		sl := &e.slots[i]
-		if sl.idx() <= horizon {
-			nb := sl.syn.Bytes()
-			e.bytes -= nb
-			sh.bytes -= nb
-			expired = i + 1
-		} else {
-			e.sealSlot(sl, sh)
-		}
+	for expired < len(e.slots) && e.slots[expired].idx() <= horizon {
+		e.grow(sh, -e.slots[expired].syn.Bytes())
+		expired++
 	}
-	if expired > 0 {
-		n := copy(e.slots, e.slots[expired:])
-		clear(e.slots[n:]) // drop the vacated tail's synopsis references
-		e.slots = e.slots[:n]
-	}
+	e.slots = slices.Delete(e.slots, 0, expired) // zeroes the vacated tail
+	e.grow(sh, -e.hist.expire(horizon))
+	return e.sealAll(sh, ring)
 }
 
 // shard is one lock domain: a map of entries plus an intrusive
@@ -434,15 +477,32 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 	if newest >= 0 && bkt <= newest-int64(s.cfg.RingBuckets) {
 		return true, nil
 	}
+	var spare Synopsis
 	if bkt > newest {
-		e.advance(bkt, s.cfg.RingBuckets, sh)
+		spare = e.advance(bkt, s.cfg.RingBuckets, sh)
 	}
 	i, held := e.find(bkt)
 	if !held {
-		// A new newest bucket, or a late one inside the window that was
-		// never written. The fresh synopsis starts unsealed even for a
-		// late bucket; the next time advance re-seals it.
-		e.insert(i, newSlot(bkt, proto.bucket()), s.cfg.RingBuckets)
+		// A new newest bucket — opened in the q-digest the seal just
+		// vacated, if there is one — or a late one inside the window,
+		// which starts unsealed too; the next time advance re-seals it.
+		syn := spare
+		if j, sealed := e.hist.find(bkt); sealed {
+			// Late write to a bucket in the history: a reader may hold
+			// its payload outside the shard lock, and the arena is never
+			// written below its length, so the bucket reopens as a fresh
+			// synopsis that takes the payload's contents, and its record
+			// turns dead.
+			syn = proto.bucket()
+			p, _ := e.hist.record(e.hist.index[j])
+			if err := syn.mergePayload(p); err != nil {
+				return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
+			}
+			e.grow(sh, -e.hist.remove(j))
+		} else if syn == nil {
+			syn = proto.bucket()
+		}
+		e.insert(i, newSlot(bkt, syn), s.cfg.RingBuckets)
 	}
 	sl := &e.slots[i]
 	before := 0 // a bucket just opened is not yet accounted
@@ -450,11 +510,11 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		before = sl.syn.Bytes()
 	}
 	if sl.sealed() {
-		// Late write to a sealed bucket: a reader may hold the sealed
-		// pointer outside the shard lock, so mutate a private clone and
-		// swap it in. The clone opens like any bucket and takes the
-		// sealed one's contents; it stays unsealed until time next
-		// advances.
+		// Late write to a sealed slot (a dense sketch, a flat top-k): a
+		// reader may hold the sealed pointer outside the shard lock, so
+		// mutate a private clone and swap it in. The clone opens like
+		// any bucket and takes the sealed one's contents; it stays
+		// unsealed until time next advances.
 		clone := proto.bucket()
 		if err := clone.Merge(sl.syn); err != nil {
 			return false, fmt.Errorf("store: copy-on-write clone of %q/%q: %w", obs.Metric, obs.Key, err)
@@ -462,9 +522,7 @@ func (s *Store) writeLocked(sh *shard, e *entry, obs Observation, proto Prototyp
 		*sl = newSlot(bkt, clone)
 	}
 	sl.syn.Observe(obs.Item, obs.Value)
-	d := sl.syn.Bytes() - before
-	e.bytes += d
-	sh.bytes += d
+	e.grow(sh, sl.syn.Bytes()-before)
 	sh.touch(e)
 	return false, nil
 }

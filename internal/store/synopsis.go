@@ -14,6 +14,9 @@
 // synopses into an accumulator their gather lends them and answer with
 // it — or, when the merged result is sparse, with its compact copy —
 // except top-k, whose parts merge once, all together (see gather.mergeAll).
+// A bucket sealed into a series' history (history.go) is no synopsis but
+// its payload: each family's sketch package owns that layout, and the
+// adapters and Prototype.appendPayloadBinary put it behind the store.
 package store
 
 import (
@@ -63,26 +66,37 @@ type Synopsis interface {
 	// its q-digest with the nodes packed, a few bytes each (see
 	// quantile.QDigest.Compact); TopK copies its Space-Saving counters
 	// into one exact-size flat slice (see frequency.SpaceSaving.Compact).
-	// A store bucket of Distinct or Freq opens, clones and restores in
-	// the sparse form (see Prototype.bucket) and turns dense only when
-	// too full for it, so it never has a compact copy to take at its
-	// seal: the seals that compact are the q-digest's and the top-k's.
+	// Query answers take these copies (see gather.mergeAll), and so does
+	// a top-k bucket at its seal; a Distinct, Freq or Quantiles bucket
+	// seals into its series' history as a payload instead
+	// (appendPayload), or, too full for one, stays as it is.
 	compacted() Synopsis
+	// appendPayload appends the payload a sealed bucket keeps in its
+	// series' history to b, and reports true, when the synopsis has one:
+	// a sparse HyperLogLog or Count-Min, any q-digest. Otherwise — a
+	// dense sketch, a top-k summary — it appends nothing and reports
+	// false, and the bucket stays a slot.
+	appendPayload(b []byte) ([]byte, bool)
+	// mergePayload merges the bucket p, from appendPayload of a synopsis
+	// of the receiver's Prototype, encodes into the receiver, exactly as
+	// Merge merges that synopsis.
+	mergePayload(p []byte) error
 	// reset empties a merge accumulator in place, keeping its
 	// allocations, for the next merge its gather lends it to.
 	reset()
 }
 
 // mergeAll returns the answer for what acc, lent by g.acc, holds merged
-// with parts, skipping nil parts. A range's buckets (gatherShard) and
-// CombineSnapshots' parts both merge through it, by way of g.merge. A
-// top-k acc and its parts merge once, all together, in g's
-// frequency.Merger, so the flat answer does not depend on the order of
-// the parts, and acc stays empty. Every other family folds the parts
-// into acc in argument order; a result it can hold smaller (a
+// with parts, skipping nil parts, and then with the history payloads. A
+// range's buckets (gatherShard) and CombineSnapshots' parts both merge
+// through it, by way of g.merge. A top-k acc and its parts merge once,
+// all together, in g's frequency.Merger, so the flat answer does not
+// depend on the order of the parts, and acc stays empty; top-k buckets
+// have no payloads. Every other family folds the parts and then the
+// payloads into acc in argument order; a result it can hold smaller (a
 // HyperLogLog or Count-Min that fits its sparse form, any q-digest) is
 // answered by the compacted copy, and one too full to compact is acc.
-func (g *gather) mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
+func (g *gather) mergeAll(acc Synopsis, parts []Synopsis, payloads [][]byte) (Synopsis, error) {
 	if t, ok := acc.(*TopK); ok {
 		return t.mergeOnce(&g.merger, parts)
 	}
@@ -91,6 +105,11 @@ func (g *gather) mergeAll(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 			continue
 		}
 		if err := acc.Merge(p); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range payloads {
+		if err := acc.mergePayload(p); err != nil {
 			return nil, err
 		}
 	}
@@ -209,22 +228,40 @@ func (p Prototype) build(sparse bool) Synopsis {
 	panic(fmt.Sprintf("store: a synopsis of an invalid Prototype %+v", p))
 }
 
+// appendPayloadBinary appends to b the AppendBinary bytes of the
+// synopsis of p that the history payload pay encodes: what the bucket
+// wrote while it was an object. Top-k buckets have no payloads.
+func (p Prototype) appendPayloadBinary(b, pay []byte) []byte {
+	switch p.Family {
+	case FamilyDistinct:
+		return cardinality.AppendPayloadBinary(b, p.Precision, p.Seed, pay)
+	case FamilyFreq:
+		return frequency.AppendCountMinPayloadBinary(b, p.Width, p.Depth, p.Seed, pay)
+	case FamilyQuantile:
+		return quantile.AppendQDigestPayloadBinary(b, p.LogU, p.CompressK, pay)
+	}
+	panic(fmt.Sprintf("store: a history payload of a %v Prototype", p.Family))
+}
+
 // ---- Merge scratch ----
 
 // gather is the scratch of one merge, from its Prototype's free list
 // (see Prototype.gathers): gatherShard borrows one per shard run of
 // keys and CombineSnapshots one per combination, each returning it once
 // its answers are built. It lends the merge accumulators, and holds the
-// sealed buckets gatherShard collects under the shard lock to merge
-// after it, and the k-way merge scratch of top-k answers.
+// sealed buckets — slots' synopses and history payloads — gatherShard
+// collects under the shard lock to merge after it, and the k-way merge
+// scratch of top-k answers.
 type gather struct {
-	spare  Synopsis // an emptied accumulator kept for the next merge, or nil
-	sealed []Synopsis
-	merger frequency.Merger
+	spare    Synopsis // an emptied accumulator kept for the next merge, or nil
+	sealed   []Synopsis
+	payloads [][]byte
+	merger   frequency.Merger
 }
 
 // How many gathers wait per Prototype, and how long a sealed-bucket list
-// one keeps (16 KiB: a 64-bucket range over 16 keys). Constants, not
+// one keeps (16 KiB of synopses, 24 KiB of payloads: a 64-bucket range
+// over 16 keys). Constants, not
 // knobs. A gather keeps one accumulator however many keys it answered:
 // an 8-key `page-hits` aggregate leaves up to 8 dense 32 KiB Count-Mins.
 // A merge that needs more gets it for its own lifetime only.
@@ -267,12 +304,13 @@ func (g *gather) acc(p Prototype) Synopsis {
 	return p.New()
 }
 
-// merge returns the answer for acc, lent by g.acc, merged with parts
-// (see mergeAll). An acc that is not itself the answer — the answer is
-// its compacted copy, or a top-k flat merge — is emptied and kept as
-// the spare, if g has none; one that is the answer leaves with it.
-func (g *gather) merge(acc Synopsis, parts []Synopsis) (Synopsis, error) {
-	ans, err := g.mergeAll(acc, parts)
+// merge returns the answer for acc, lent by g.acc, merged with parts and
+// payloads (see mergeAll). An acc that is not itself the answer — the
+// answer is its compacted copy, or a top-k flat merge — is emptied and
+// kept as the spare, if g has none; one that is the answer leaves with
+// it.
+func (g *gather) merge(acc Synopsis, parts []Synopsis, payloads [][]byte) (Synopsis, error) {
+	ans, err := g.mergeAll(acc, parts, payloads)
 	if ans != acc && g.spare == nil {
 		acc.reset()
 		g.spare = acc
@@ -281,13 +319,18 @@ func (g *gather) merge(acc Synopsis, parts []Synopsis) (Synopsis, error) {
 }
 
 // done returns g to l, first dropping its references to sealed buckets
-// (an idle gather never pins evicted history), and the list itself if
-// it grew past maxIdleSealed.
+// and arenas (an idle gather never pins evicted history), and either
+// list itself if it grew past maxIdleSealed.
 func (g *gather) done(l *freelist.List[gather]) {
 	clear(g.sealed)
 	g.sealed = g.sealed[:0]
 	if cap(g.sealed) > maxIdleSealed {
 		g.sealed = nil
+	}
+	clear(g.payloads)
+	g.payloads = g.payloads[:0]
+	if cap(g.payloads) > maxIdleSealed {
+		g.payloads = nil
 	}
 	l.Put(g)
 }
@@ -307,7 +350,7 @@ func CombineSnapshots(proto Prototype, parts ...Synopsis) (Synopsis, error) {
 	}
 	l := proto.gathers()
 	g := l.Get()
-	out, err := g.merge(g.acc(proto), parts)
+	out, err := g.merge(g.acc(proto), parts, nil)
 	g.done(l)
 	if err != nil {
 		return nil, fmt.Errorf("store: combine snapshots: %w", err)
@@ -352,6 +395,13 @@ func (d *Distinct) compacted() Synopsis {
 }
 
 func (d *Distinct) reset() { d.h.Reset() }
+
+func (d *Distinct) appendPayload(b []byte) ([]byte, bool) { return d.h.AppendPayload(b) }
+
+func (d *Distinct) mergePayload(p []byte) error {
+	d.h.MergePayload(p)
+	return nil
+}
 
 // Items implements Synopsis.
 func (d *Distinct) Items() uint64 { return d.h.Items() }
@@ -404,6 +454,10 @@ func (f *Freq) compacted() Synopsis {
 }
 
 func (f *Freq) reset() { f.cm.Reset() }
+
+func (f *Freq) appendPayload(b []byte) ([]byte, bool) { return f.cm.AppendPayload(b) }
+
+func (f *Freq) mergePayload(p []byte) error { return f.cm.MergePayload(p) }
 
 // Items implements Synopsis.
 func (f *Freq) Items() uint64 { return f.cm.Items() }
@@ -474,6 +528,13 @@ func (t *TopK) compacted() Synopsis {
 
 func (t *TopK) reset() {} // a top-k accumulator is only read, by mergeOnce
 
+// A top-k bucket holds strings, so it stays a slot: it has no payload.
+func (t *TopK) appendPayload(b []byte) ([]byte, bool) { return b, false }
+
+func (t *TopK) mergePayload([]byte) error {
+	return fmt.Errorf("store: a top-k synopsis has no history payload: %w", core.ErrIncompatible)
+}
+
 // Items implements Synopsis.
 func (t *TopK) Items() uint64 { return t.ss.Items() }
 
@@ -529,6 +590,13 @@ func (qs *Quantiles) compacted() Synopsis {
 }
 
 func (qs *Quantiles) reset() { qs.q.Reset() }
+
+func (qs *Quantiles) appendPayload(b []byte) ([]byte, bool) { return qs.q.AppendPayload(b), true }
+
+func (qs *Quantiles) mergePayload(p []byte) error {
+	qs.q.MergePayload(p)
+	return nil
+}
 
 // Items implements Synopsis.
 func (qs *Quantiles) Items() uint64 { return qs.q.Count() }
