@@ -1207,6 +1207,46 @@ func TestCountMinPayloadStandsForSketch(t *testing.T) {
 			}
 		}
 	}
+	// A sparse receiver near its limit (511 cells at 512x4) turns dense
+	// partway through a payload of 100 items: the cells after the switch
+	// take the dense branch, which finds each one's row from the running
+	// cell.
+	src, _ := NewSparseCountMin(512, 4, 9)
+	for i := 0; i < 100; i++ {
+		src.UpdateString(fmt.Sprintf("item-%d", i), uint64(i+1))
+	}
+	payload, ok := src.AppendPayload(nil)
+	if !ok {
+		t.Fatal("100 items left a 512x4 sketch dense")
+	}
+	for _, held := range []int{50, 75, 100} {
+		viaSketch, viaPayload := new(CountMin), new(CountMin)
+		for _, cm := range []*CountMin{viaSketch, viaPayload} {
+			if err := cm.Init(512, 4, 9, true); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < held; i++ {
+				cm.UpdateString(fmt.Sprintf("held-%d", i), 7)
+			}
+		}
+		if !viaPayload.IsSparse() {
+			t.Fatalf("held %d: the receiver is dense before the merge", held)
+		}
+		if err := viaSketch.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		if err := viaPayload.MergePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+		if viaPayload.IsSparse() {
+			t.Fatalf("held %d: the receiver stayed sparse, so the switch was not crossed", held)
+		}
+		a, _ := viaSketch.MarshalBinary()
+		b, _ := viaPayload.MarshalBinary()
+		if !bytes.Equal(a, b) || viaSketch.IsSparse() || viaSketch.Bytes() != viaPayload.Bytes() {
+			t.Fatalf("held %d: MergePayload across the switch to dense differs from Merge", held)
+		}
+	}
 	dense, _ := NewCountMin(512, 4, 9)
 	if b, ok := dense.AppendPayload(nil); ok || len(b) != 0 {
 		t.Fatal("a dense sketch has a payload")

@@ -439,7 +439,7 @@ func (s *Store) restoreRecord(payload []byte) error {
 	// Restored buckets are history: seal each as it lands (see
 	// sealHistory for why a restored store must be all-sealed), into the
 	// history when it has a payload.
-	e.sealAll(sh, s.cfg.RingBuckets)
+	e.sealAll(sh)
 	return nil
 }
 
@@ -459,7 +459,7 @@ func (s *Store) sealHistory() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, e := range sh.entries {
-			e.sealAll(sh, s.cfg.RingBuckets)
+			e.sealAll(sh)
 		}
 		sh.mu.Unlock()
 	}

@@ -37,8 +37,7 @@ const (
 	refSize    = 8 // bytes of index a bucket costs
 
 	// maxHistoryRing is the widest retention window whose buckets a
-	// ref can tell apart: a store with a wider one keeps every sealed
-	// bucket a slot.
+	// ref can tell apart, and so the widest a store accepts (New).
 	maxHistoryRing = 1 << refBktBits
 )
 

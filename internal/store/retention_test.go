@@ -40,7 +40,7 @@ func checkHeld(t *testing.T, st *Store) {
 				if sl.idx() <= e.newest()-int64(ring) {
 					t.Fatalf("%s/%s: bucket %d held behind the window of newest %d", k.metric, k.key, sl.idx(), e.newest())
 				}
-				if _, ok := sl.syn.appendPayload(nil); ok && sl.sealed() && ring <= maxHistoryRing {
+				if _, ok := sl.syn.appendPayload(nil); ok && sl.sealed() {
 					t.Fatalf("%s/%s: sealed bucket %d (%T) kept as a slot, not in the history", k.metric, k.key, sl.idx(), sl.syn)
 				}
 				entryBytes += sl.syn.Bytes()

@@ -85,7 +85,8 @@ type Config struct {
 	Shards int
 	// BucketWidth is the stream-time units each bucket spans (default 60).
 	BucketWidth int64
-	// RingBuckets is the retention window, in buckets (default 60): an
+	// RingBuckets is the retention window, in buckets (default 60, at
+	// most 2^24, the buckets a sealed history's index tells apart): an
 	// entry keeps the buckets it has written within RingBuckets of its
 	// newest, and writes further behind are rejected and counted in
 	// Stats.DroppedLate. It is a window, not an allocation — an entry
@@ -236,23 +237,22 @@ func (e *entry) insert(i int, sl slot, ring int) {
 // that costs what it holds. A bucket with a compact payload (a sparse
 // HyperLogLog or Count-Min, any q-digest) leaves its slot for the
 // history, where it costs its payload and one index word, and its
-// synopsis goes to the collector — in a store whose window is too wide
-// for the history (maxHistoryRing) a q-digest swaps in its packed copy
-// instead. A Space-Saving summary swaps in its flat copy. A dense sketch
-// stays as it is: its header is a sliver of its array. Every path that
-// seals goes through here — time advancing, sealHistory and checkpoint
-// restore — so a sealed bucket costs what it holds wherever it came from.
-// The vacated q-digest, if any, is returned emptied: once its payload is
-// in the arena no reader holds it (open buckets are read only under the
-// shard lock), so the entry's next bucket can open in it and keep its
-// buffers. Callers hold the shard lock.
-func (e *entry) sealAll(sh *shard, ring int) (spare Synopsis) {
+// synopsis goes to the collector. A Space-Saving summary swaps in its
+// flat copy. A dense sketch stays as it is: its header is a sliver of its
+// array. Every path that seals goes through here — time advancing,
+// sealHistory and checkpoint restore — so a sealed bucket costs what it
+// holds wherever it came from. The vacated q-digest, if any, is returned
+// emptied: once its payload is in the arena no reader holds it (open
+// buckets are read only under the shard lock), so the entry's next
+// bucket can open in it and keep its buffers. Callers hold the shard
+// lock.
+func (e *entry) sealAll(sh *shard) (spare Synopsis) {
 	w := 0
 	for _, sl := range e.slots {
 		if !sl.sealed() {
 			sl.key |= 1
 			sh.seals++
-			if d, ok := e.sealToHistory(sl, ring); ok {
+			if d, ok := e.hist.add(sl.idx(), sl.syn); ok {
 				sh.compacted++
 				e.grow(sh, d-sl.syn.Bytes())
 				if q, ok := sl.syn.(*Quantiles); ok {
@@ -261,13 +261,8 @@ func (e *entry) sealAll(sh *shard, ring int) (spare Synopsis) {
 				}
 				continue
 			}
-			switch sl.syn.(type) {
-			case *Distinct, *Freq:
-				// Already compact, or dense because it outgrew the sparse
-				// form: it has no compact copy, and asking would scan its
-				// array.
-			default:
-				if small := sl.syn.compacted(); small != nil {
+			if t, ok := sl.syn.(*TopK); ok {
+				if small := t.compacted(); small != nil {
 					sh.compacted++
 					e.grow(sh, small.Bytes()-sl.syn.Bytes())
 					sl.syn = small
@@ -280,15 +275,6 @@ func (e *entry) sealAll(sh *shard, ring int) (spare Synopsis) {
 	clear(e.slots[w:]) // drop the vacated tail's synopsis references
 	e.slots = e.slots[:w]
 	return spare
-}
-
-// sealToHistory appends sl's payload to the history when it has one and
-// the window fits the history's index, reporting the bytes it grew by.
-func (e *entry) sealToHistory(sl slot, ring int) (int, bool) {
-	if ring > maxHistoryRing {
-		return 0, false
-	}
-	return e.hist.add(sl.idx(), sl.syn)
 }
 
 // advance prepares the entry for a write to bkt, past its newest bucket:
@@ -308,7 +294,7 @@ func (e *entry) advance(bkt int64, ring int, sh *shard) Synopsis {
 	}
 	e.slots = slices.Delete(e.slots, 0, expired) // zeroes the vacated tail
 	e.grow(sh, -e.hist.expire(horizon))
-	return e.sealAll(sh, ring)
+	return e.sealAll(sh)
 }
 
 // shard is one lock domain: a map of entries plus an intrusive
@@ -418,6 +404,9 @@ func New(cfg Config) (*Store, error) {
 	}
 	if cfg.MaxShardBytes < 0 {
 		return nil, core.Errf("Store", "MaxShardBytes", "%d must be >= 0", cfg.MaxShardBytes)
+	}
+	if cfg.RingBuckets > maxHistoryRing {
+		return nil, core.Errf("Store", "RingBuckets", "%d must be <= %d", cfg.RingBuckets, maxHistoryRing)
 	}
 	cfg = cfg.withDefaults()
 	s := &Store{

@@ -36,6 +36,12 @@ func TestConfigValidationAndDefaults(t *testing.T) {
 	if _, err := New(Config{MaxShardBytes: -1}); err == nil {
 		t.Fatal("negative byte budget accepted")
 	}
+	if _, err := New(Config{RingBuckets: maxHistoryRing + 1}); err == nil {
+		t.Fatal("a window wider than the sealed history's index accepted")
+	}
+	if _, err := New(Config{RingBuckets: maxHistoryRing}); err != nil {
+		t.Fatalf("the widest window the history's index tells apart refused: %v", err)
+	}
 	st := mustStore(t, Config{Shards: 5})
 	if st.Shards() != 8 {
 		t.Fatalf("shards %d, want next power of two 8", st.Shards())
