@@ -11,8 +11,12 @@
 // a per-metric version that bumps when an observation advances the
 // open bucket or lands below it, and every cached entry is stamped
 // with the versions of its metrics at lookup time. A hit requires the
-// stamps to match the current versions; anything else is a miss and
-// the stale entry is dropped lazily.
+// stamps to match the current versions; anything else is a miss.
+// Versions only grow, so an entry whose stamp falls behind can never
+// hit again: a shard drops every such entry at its first fill after
+// any version moved. A sliding panel's old absolute range is never
+// asked again, so an entry left for its own key's refill would stay
+// until eviction.
 //
 // The contract requires every write to pass through NoteObserve — the
 // serving daemon sits on the only ingest path, so it calls NoteObserve
@@ -39,17 +43,18 @@
 // Entries shard by key hash, each shard holding an independent map and
 // a list of its resident entries in fill order under its own mutex, so
 // concurrent lookups on a busy edge don't serialize. Both grow on first
-// fill: a shard the doorkeeper keeps empty costs nothing. A refill or a
-// stale drop unlinks the entry's element, so a refilled key goes to the
+// fill: a shard the doorkeeper keeps empty costs nothing. A refill or
+// a sweep unlinks the entry's element, so a refilled key goes to the
 // back; a full shard evicts from the front.
 //
 // The cache holds results in the form the backend returned them: the
 // store answers a sparse-enough cell with its compact synopsis (see the
 // store's finish), so a cached answer costs what it holds, and
 // Stats.Bytes sums what the resident answers report. Budgets are
-// counted in entries, not bytes. Cached results are shared across
-// readers: treat the answers as read-only (the serving tier only
-// encodes them).
+// counted in entries, not bytes: with stale entries swept, a budget
+// binds only when the live answers exceed it. Cached results are
+// shared across readers: treat the answers as read-only (the serving
+// tier only encodes them).
 package rcache
 
 import (
@@ -111,6 +116,7 @@ type cshard struct {
 	entries map[string]*entry
 	order   list.List // of *entry
 	bytes   int       // sum of the resident entries' bytes
+	swept   uint64    // Cache.invalidations when the shard was last swept
 }
 
 // entry is one cached result with the metric versions it was computed
@@ -282,10 +288,6 @@ func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) 
 		c.hits.Add(1)
 		return res, true, tok
 	}
-	if e != nil {
-		// Stale under the current versions; drop it lazily.
-		sh.drop(e)
-	}
 	sh.mu.Unlock()
 	c.misses.Add(1)
 	tok := Token{idx: idx, metrics: req.Metrics, ok: true}
@@ -299,7 +301,8 @@ func (c *Cache) Lookup(req store.QueryRequest) (store.QueryResult, bool, Token) 
 // admit the request (counted in Stats.Declined) or an invalidating
 // write for one of its metrics raced the backend query (the version
 // stamp moved since Lookup). Either way the result is silently
-// discarded — the next lookup recomputes.
+// discarded — the next lookup recomputes. The first fill of a shard
+// after any version moved also sweeps the shard of its stale entries.
 func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	if !tok.ok {
 		return
@@ -307,12 +310,6 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	if !tok.admit {
 		c.declined.Add(1)
 		return
-	}
-	for i, m := range tok.metrics {
-		st := c.peek(m)
-		if st == nil || st.version.Load() != tok.stamp[i] {
-			return
-		}
 	}
 	nb := 0
 	for _, a := range res.Answers() {
@@ -323,6 +320,24 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	sh := &c.shard[tok.idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	// The count is read before the versions the sweep compares with: a
+	// bump runs version first, count second, so one the sweep misses
+	// leaves the count ahead of swept and the next fill sweeps again.
+	if inv := c.invalidations.Load(); inv != sh.swept {
+		sh.swept = inv
+		for el := sh.order.Front(); el != nil; {
+			e := el.Value.(*entry)
+			el = el.Next()
+			if !c.current(e.metrics, e.stamp) {
+				sh.drop(e)
+			}
+		}
+	}
+	// Checked under the lock, after the sweep: a bump that lands from
+	// here to the store moves the count, so the next fill sweeps it.
+	if !c.current(tok.metrics, tok.stamp) {
+		return
+	}
 	if sh.entries == nil {
 		sh.entries = make(map[string]*entry)
 	}
@@ -338,6 +353,18 @@ func (c *Cache) Fill(tok Token, res store.QueryResult) {
 	e.elem = sh.order.PushBack(e)
 	sh.entries[tok.key] = e
 	sh.bytes += nb
+}
+
+// current reports whether stamp still holds every metric's version.
+// Versions only grow: an entry that is not current never hits again.
+func (c *Cache) current(metrics []string, stamp []uint64) bool {
+	for i, m := range metrics {
+		st := c.peek(m)
+		if st == nil || st.version.Load() != stamp[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // appendKey appends the normalized request's cache key to dst — the

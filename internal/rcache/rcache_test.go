@@ -1,11 +1,14 @@
 package rcache
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/store"
@@ -336,7 +339,7 @@ func TestRCacheRefillMovesToBack(t *testing.T) {
 	}
 	fill("a")
 	fill("b")
-	c.NoteObserve("a", 5) // a goes stale; its lookup drops it
+	c.NoteObserve("a", 5) // a goes stale; its refill sweeps it
 	fill("a")             // refilled: now the newest
 	fill("c")             // evicts the oldest live entry: b
 	if _, hit, _ := c.Lookup(sealedReq("a")); !hit {
@@ -352,7 +355,7 @@ func TestRCacheRefillMovesToBack(t *testing.T) {
 
 // Stats.Bytes and analytics_serve_cache_bytes sum the resident answers'
 // Synopsis.Bytes, in the form each is held, through fill, refill,
-// stale drop and eviction.
+// eviction and sweep.
 func TestRCacheBytes(t *testing.T) {
 	c := mustCache(t, Config{MaxEntries: 2})
 	reg := telemetry.New()
@@ -385,18 +388,211 @@ func TestRCacheBytes(t *testing.T) {
 		t.Fatalf("bytes %d after two fills, want %d", got, na+nb)
 	}
 	c.NoteObserve("a", 5)
-	c.Lookup(sealedReq("a")) // stale drop
-	if got := c.Stats().Bytes; got != nb {
-		t.Fatalf("bytes %d after a stale drop, want %d", got, nb)
+	na = fill("a", 1) // the refill sweeps the stale a out first
+	if got := c.Stats().Bytes; got != nb+na {
+		t.Fatalf("bytes %d after a refill, want %d", got, nb+na)
 	}
-	na = fill("a", 1)
 	nc := fill("c", 2) // evicts b
 	if got := c.Stats().Bytes; got != na+nc {
 		t.Fatalf("bytes %d after an eviction, want %d", got, na+nc)
 	}
+	c.NoteObserve("a", 5) // a goes stale, and no lookup comes for it
+	nb = fill("b", 4)     // the fill sweeps a out: room without an eviction
+	if s := c.Stats(); s.Bytes != nc+nb || s.Entries != 2 || s.Evictions != 1 {
+		t.Fatalf("stats %+v after a sweep, want %d bytes in 2 entries and 1 eviction", s, nc+nb)
+	}
 	rec := httptest.NewRecorder()
 	telemetry.Handler(reg, false).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if want := fmt.Sprintf(`analytics_serve_cache_bytes{layer="serve"} %d`, na+nc); !strings.Contains(rec.Body.String(), want) {
+	if want := fmt.Sprintf(`analytics_serve_cache_bytes{layer="serve"} %d`, nc+nb); !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("scrape missing %q\n%s", want, rec.Body.String())
+	}
+}
+
+// P dashboard panels over a real store slide one bucket with every
+// roll, and each is refilled once per roll. The roll leaves every
+// panel's old absolute range stale, and no lookup ever asks for it
+// again: the first fill after the roll sweeps it out, so the cache holds
+// the P live answers and not R×P. Stats.Bytes is the live answers'
+// bytes, and every hit is the backend's answer byte for byte. One shard
+// (a budget under 512) makes the bound exact: a shard sweeps at its own
+// next fill, and with many shards one that no panel lands in after a
+// roll keeps its stale entries until one does.
+func TestRCacheSlidingPanelsStayResident(t *testing.T) {
+	const panels, rolls, perBucket = 12, 10, 16
+	st, err := store.New(store.Config{Shards: 4, BucketWidth: width, RingBuckets: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniq, _ := store.NewDistinctProto(8, 1)
+	hits, _ := store.NewFreqProto(64, 2, 1)
+	for name, proto := range map[string]store.Prototype{"u": uniq, "h": hits} {
+		if err := st.RegisterMetric(name, proto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := mustCache(t, Config{MaxEntries: 256})
+	bucket := int64(0)
+	roll := func() { // one bucket of writes, then the next one opens
+		var batch []store.Observation
+		for i := 0; i < perBucket; i++ {
+			now := bucket*width + int64(i)
+			key := fmt.Sprint("k", i%panels)
+			batch = append(batch,
+				store.Observation{Metric: "u", Key: key, Item: fmt.Sprint("user-", bucket*perBucket+int64(i)), Time: now},
+				store.Observation{Metric: "h", Key: key, Item: key, Value: 1, Time: now})
+		}
+		bucket++
+		batch = append(batch, store.Observation{Metric: "u", Key: "k0", Item: "x", Time: bucket * width},
+			store.Observation{Metric: "h", Key: "k0", Item: "k0", Value: 1, Time: bucket * width})
+		if err := st.ObserveBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range batch { // write, then bump, as the serving edge does
+			c.NoteObserve(o.Metric, o.Time)
+		}
+	}
+	panel := func(p int) store.QueryRequest {
+		span := int64(2 + p%3)
+		req := store.QueryRequest{Metric: "u", Key: fmt.Sprint("k", p), From: (bucket - span) * width, To: bucket * width}
+		if p%4 == 3 {
+			req = store.QueryRequest{Metric: "h", Keys: []string{fmt.Sprint("k", p), fmt.Sprint("k", p-1)},
+				Aggregate: true, From: (bucket - span) * width, To: bucket * width}
+		}
+		return req
+	}
+	encode := func(res store.QueryResult) []byte {
+		var b []byte
+		for _, a := range res.Answers() {
+			b = append(b, a.Metric...)
+			b = append(b, a.Key...)
+			b, err = a.Raw().AppendBinary(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	for range 4 {
+		roll()
+	}
+	live := make([]int, panels) // each panel's latest answer bytes
+	for r := 0; r < rolls; r++ {
+		roll()
+		// Three asks a panel: a first ask after the roll misses (its fill
+		// is declined in round 0, before the doorkeeper knows the shape),
+		// and by the third every panel hits.
+		for ask := 0; ask < 3; ask++ {
+			for p := 0; p < panels; p++ {
+				req := panel(p)
+				res, hit, tok := c.Lookup(req)
+				fresh, err := st.Query(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit {
+					if !bytes.Equal(encode(res), encode(fresh)) {
+						t.Fatalf("roll %d: panel %d hit an answer that differs from the backend's", r, p)
+					}
+					continue
+				}
+				if ask == 2 {
+					t.Fatalf("roll %d: panel %d missed on its third ask", r, p)
+				}
+				c.Fill(tok, fresh)
+				live[p] = 0
+				for _, a := range fresh.Answers() {
+					live[p] += a.Raw().Bytes()
+				}
+			}
+		}
+		s := c.Stats()
+		want := 0
+		for _, n := range live {
+			want += n
+		}
+		if s.Entries > panels || s.Bytes != want || s.Evictions != 0 {
+			t.Fatalf("after roll %d: %d entries holding %d bytes, %d evictions; want at most %d entries holding %d bytes, none evicted",
+				r, s.Entries, s.Bytes, s.Evictions, panels, want)
+		}
+	}
+}
+
+// Writers roll two metrics forward (and now and then write late) while
+// readers look up and fill sliding panels. Once the writers stop, one
+// fill in every shard leaves no resident entry with a stale stamp: a
+// version bump that raced a sweep or a fill's store moved the
+// invalidation count past the shard's mark.
+func TestRCacheSweepRacesRolls(t *testing.T) {
+	c := mustCache(t, Config{}) // 16 shards
+	metrics := []string{"m", "n"}
+	for _, m := range metrics {
+		c.NoteObserve(m, 10*width)
+	}
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for w := range metrics {
+		wg.Add(1)
+		go func(m string) {
+			defer wg.Done()
+			for b := int64(11); b < 400; b++ {
+				c.NoteObserve(m, b*width)
+				if b%7 == 0 {
+					c.NoteObserve(m, (b-3)*width) // a late write
+				}
+			}
+			stop.Store(true)
+		}(metrics[w])
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; !stop.Load() || i < 200; i++ {
+				m := metrics[i%2]
+				to := c.peek(m).open.Load() * width
+				req := store.QueryRequest{Metrics: []string{m}, Key: fmt.Sprint("k", i%24),
+					From: to - int64(1+i%3)*width, To: to}
+				if i%5 == 0 {
+					req.Metrics = metrics
+				}
+				if _, hit, tok := c.Lookup(req); !hit {
+					c.Fill(tok, result(m))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// One fill per shard, with tokens for the quiesced versions.
+	filled := make([]bool, len(c.shard))
+	for i, left := 0, len(c.shard); left > 0; i++ {
+		req := store.QueryRequest{Metric: "m", Key: fmt.Sprint("quiet-", i), From: 0, To: width}
+		seen(t, c, req)
+		_, hit, tok := c.Lookup(req)
+		if hit || !tok.admit {
+			t.Fatalf("quiesced probe %d: hit=%v admitted=%v", i, hit, tok.admit)
+		}
+		if !filled[tok.idx] {
+			filled[tok.idx] = true
+			left--
+		}
+		c.Fill(tok, result("m"))
+	}
+	resident := 0
+	for i := range c.shard {
+		sh := &c.shard[i]
+		sh.mu.Lock()
+		for _, e := range sh.entries {
+			if !c.current(e.metrics, e.stamp) {
+				t.Errorf("shard %d: %s stays resident with a stale stamp", i, e.key)
+			}
+		}
+		resident += len(sh.entries)
+		if sh.order.Len() != len(sh.entries) {
+			t.Errorf("shard %d: %d entries, fill order of %d", i, len(sh.entries), sh.order.Len())
+		}
+		sh.mu.Unlock()
+	}
+	if s := c.Stats(); s.Entries != resident || s.Evictions != 0 {
+		t.Fatalf("stats %+v, want %d resident and no evictions", s, resident)
 	}
 }

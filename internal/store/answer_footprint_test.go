@@ -6,6 +6,7 @@ package store_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/rcache"
@@ -95,4 +96,94 @@ func TestCachedAnswerFootprint(t *testing.T) {
 	if stats.Bytes > ceiling {
 		t.Fatalf("cached answers hold %d bytes, ceiling %d", stats.Bytes, ceiling)
 	}
+}
+
+// TestSlidingPanelCacheFootprint is the gate on what a dashboard's read
+// cache holds on the heap: the dashboard workload's 160 panels over the
+// sealed footprint store (per twenty: fifteen single-key `uniques` and
+// four single-key `latency-us` over the last 32 or 64 sealed buckets,
+// one 8-key `page-hits` aggregate over the last 32), each refilled once
+// per roll as the cache's watermark advances for 10 rolls. A roll leaves
+// every panel's old absolute range stale and no one asks for it again;
+// swept at the next fill, the resident entries stay at most the panels
+// (102: panels 64 apart ask the same range), and the heap after GC the
+// cache adds stays under ceiling (≈ 86 KB when the gate landed). Kept
+// until evicted, the stale answers piled up to 1 122 entries holding
+// ≈ 720 KB of heap.
+func TestSlidingPanelCacheFootprint(t *testing.T) {
+	const (
+		width, sealed   = 100, 160
+		panels, rolls   = 160, 10
+		ceiling         = 192 << 10
+		pages, pageKeys = 64, 8
+	)
+	st := store.SealedFootprintStore(t)
+	metrics := []string{"uniques", "page-hits", "latency-us"}
+	panel := func(p int, open int64) store.QueryRequest {
+		span := int64(32 + 32*(p%2))
+		key := fmt.Sprintf("page-%02d", p%pages)
+		switch k := p % 20; {
+		case k < 15:
+			return store.QueryRequest{Metric: "uniques", Key: key, From: (open - span) * width, To: open * width}
+		case k < 19:
+			return store.QueryRequest{Metric: "latency-us", Key: key, From: (open - span) * width, To: open * width}
+		}
+		keys := make([]string, pageKeys)
+		for j := range keys {
+			keys[j] = fmt.Sprintf("page-%02d", (p+j)%pages)
+		}
+		return store.QueryRequest{Metric: "page-hits", Keys: keys, Aggregate: true, From: (open - 32) * width, To: open * width}
+	}
+	c, err := rcache.New(rcache.Config{BucketWidth: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ask := func(req store.QueryRequest) {
+		if _, hit, tok := c.Lookup(req); !hit {
+			res, err := st.Query(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Fill(tok, res)
+		}
+	}
+	for open := int64(sealed - rolls); open <= sealed; open++ {
+		for _, m := range metrics {
+			c.NoteObserve(m, open*width) // the roll: bucket open-1 seals
+		}
+		// Twice a panel: the first round's first asks only teach the
+		// doorkeeper the shapes; after that a panel is filled on its
+		// first ask after the roll and hit on its second.
+		for range 2 {
+			for p := 0; p < panels; p++ {
+				ask(panel(p, open))
+			}
+		}
+		if n := c.Len(); n > panels {
+			t.Fatalf("roll to bucket %d: %d resident entries for %d panels", open, n, panels)
+		}
+	}
+	s := c.Stats()
+	with := settledHeap()
+	runtime.KeepAlive(c)
+	c = nil
+	held := int64(with) - int64(settledHeap())
+	t.Logf("%d panels after %d rolls: %d resident entries, %d synopsis bytes, %d heap bytes",
+		panels, rolls, s.Entries, s.Bytes, held)
+	if s.Entries > panels || s.Evictions != 0 {
+		t.Fatalf("%d resident entries after %d evictions, want at most %d and none", s.Entries, s.Evictions, panels)
+	}
+	if held > ceiling {
+		t.Fatalf("the cache adds %d heap bytes, ceiling %d", held, ceiling)
+	}
+}
+
+// settledHeap is the live heap after collection settles.
+func settledHeap() uint64 {
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
