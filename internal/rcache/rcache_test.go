@@ -465,8 +465,8 @@ func TestRCacheSlidingPanelsStayResident(t *testing.T) {
 		for _, a := range res.Answers() {
 			b = append(b, a.Metric...)
 			b = append(b, a.Key...)
-			b, err = a.Raw().AppendBinary(b)
-			if err != nil {
+			var err error
+			if b, err = a.Raw().AppendBinary(b); err != nil {
 				t.Fatal(err)
 			}
 		}

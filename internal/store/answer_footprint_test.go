@@ -164,10 +164,10 @@ func TestSlidingPanelCacheFootprint(t *testing.T) {
 		}
 	}
 	s := c.Stats()
-	with := settledHeap()
+	with := store.HeapAfterGC()
 	runtime.KeepAlive(c)
 	c = nil
-	held := int64(with) - int64(settledHeap())
+	held := int64(with) - int64(store.HeapAfterGC())
 	t.Logf("%d panels after %d rolls: %d resident entries, %d synopsis bytes, %d heap bytes",
 		panels, rolls, s.Entries, s.Bytes, held)
 	if s.Entries > panels || s.Evictions != 0 {
@@ -176,14 +176,4 @@ func TestSlidingPanelCacheFootprint(t *testing.T) {
 	if held > ceiling {
 		t.Fatalf("the cache adds %d heap bytes, ceiling %d", held, ceiling)
 	}
-}
-
-// settledHeap is the live heap after collection settles.
-func settledHeap() uint64 {
-	var ms runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-	}
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
 }

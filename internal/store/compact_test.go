@@ -672,9 +672,9 @@ func TestSealedHeapFootprint(t *testing.T) {
 	}
 	held := func(metrics ...string) int64 {
 		preloadStore(t, metrics...) // runs the build's one-time initialisation and grows its free lists
-		before := heapAfterGC()
+		before := HeapAfterGC()
 		st := preloadStore(t, metrics...)
-		n := int64(heapAfterGC()) - int64(before)
+		n := int64(HeapAfterGC()) - int64(before)
 		stats := st.Stats()
 		runtime.KeepAlive(st)
 		t.Logf("%v: %d heap bytes (Stats.Bytes %d) in %d entries", metrics, n, stats.Bytes, stats.Entries)
@@ -699,7 +699,7 @@ func TestSealedHistoryHeapObjects(t *testing.T) {
 	const ceiling = 3000
 	SealedFootprintStore(t) // runs the build's one-time initialisation and grows its free lists
 	objects := func() uint64 {
-		heapAfterGC()
+		HeapAfterGC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapObjects
@@ -731,9 +731,9 @@ func TestSealedTopKFootprint(t *testing.T) {
 		maxAllocs = 100
 	)
 	preloadStore(t, "top-pages") // runs the build's one-time initialisation and grows its free lists
-	before := heapAfterGC()
+	before := HeapAfterGC()
 	st := preloadStore(t, "top-pages")
-	held := int64(heapAfterGC()) - int64(before)
+	held := int64(HeapAfterGC()) - int64(before)
 	stats := st.Stats()
 	runtime.KeepAlive(st)
 	t.Logf("%d top-pages buckets hold %d heap bytes, %d per bucket (Stats.Bytes %d, %d seals compacted)",
@@ -873,13 +873,13 @@ func TestNextQuantileBucketReusesSealedDigest(t *testing.T) {
 	}
 }
 
-// heapAfterGC returns the live heap once collection has settled it.
+// HeapAfterGC returns the live heap once collection has settled it.
 // Nothing the store reuses needs more than one collection for that
 // (TestHeapSettlesInOneGC), but other packages' sync.Pools do: the test
 // runner's -run regexp keeps ≈ 37 KB in one, which a gate would count.
 // Free lists — the q-digest scratch, the gathers — are never emptied by
 // collection: a gate that must not count them grows them first.
-func heapAfterGC() uint64 {
+func HeapAfterGC() uint64 {
 	var ms runtime.MemStats
 	for i := 0; i < 3; i++ {
 		runtime.GC()
@@ -897,9 +897,9 @@ func heapAfterGC() uint64 {
 func TestOpenQuantileFootprint(t *testing.T) {
 	const ceiling = 700 << 10
 	zipfQuantileBucket(t) // grows the q-digest scratch to what the measured build needs
-	before := heapAfterGC()
+	before := HeapAfterGC()
 	st := zipfQuantileBucket(t)
-	held := int64(heapAfterGC()) - int64(before)
+	held := int64(HeapAfterGC()) - int64(before)
 	stats := st.Stats()
 	nodes := 0
 	for _, sh := range st.shards {
@@ -1002,7 +1002,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 	}
 
 	kept := make([]QueryResult, 0, answers)
-	before := heapAfterGC()
+	before := HeapAfterGC()
 	nodes := 0
 	for i := 0; i < answers; i++ {
 		from := int64(i % (160 - 64 + 1))
@@ -1013,7 +1013,7 @@ func TestQuantileAnswerFootprint(t *testing.T) {
 		nodes += res.Raw().(*Quantiles).q.Nodes()
 		kept = append(kept, res)
 	}
-	held := int64(heapAfterGC()) - int64(before)
+	held := int64(HeapAfterGC()) - int64(before)
 	runtime.KeepAlive(st)
 	runtime.KeepAlive(kept)
 	t.Logf("%d latency-us answers hold %d heap bytes for %d nodes (%d bytes as id, count pairs)", answers, held, nodes, 16*nodes)
